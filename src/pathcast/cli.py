@@ -10,31 +10,12 @@ import sys
 
 from . import evaldecode, harness, labelgraph, trainer
 from .model import LabelPathModel, load_model, read_sidecar, save_model
-from .trainer import ScheduleConfig, TrainConfig
+from .trainer import TrainConfig
 
 
-def _load_train_config(path: str) -> tuple[TrainConfig, dict]:
+def _read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as f:
-        raw = json.load(f)
-    sched = raw.get("schedule", {})
-    cfg = TrainConfig(
-        batch_size=int(raw["batch_size"]),
-        max_len=int(raw["max_len"]),
-        r_tf=float(raw["r_tf"]),
-        alpha=float(raw["alpha"]),
-        beta=float(raw["beta"]),
-        path_agg=str(raw["path_agg"]),
-        n_p=int(raw["n_p"]),
-        reward_set=str(raw["reward_set"]),
-        lr_e=float(raw["lr_e"]),
-        lr=float(raw["lr"]),
-        schedule=ScheduleConfig(kind=str(sched.get("kind", "fixed")),
-                                n=int(sched.get("n", 10))),
-        epochs=int(raw["epochs"]),
-        seed=int(raw["seed"]),
-    )
-    cfg.validate()
-    return cfg, raw
+        return json.load(f)
 
 
 def cmd_graph_validate(args) -> int:
@@ -79,7 +60,8 @@ def cmd_model_inspect(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg, raw = _load_train_config(args.config)
+    raw = _read_json(args.config)
+    cfg = TrainConfig.from_dict(raw)
     if args.seed is not None:
         cfg.seed = args.seed
     graph = labelgraph.load_graph(raw["graph"])
@@ -129,8 +111,7 @@ def cmd_eval(args) -> int:
 def cmd_synth(args) -> int:
     import os
 
-    with open(args.spec, "r", encoding="utf-8") as f:
-        raw = json.load(f)
+    raw = _read_json(args.spec)
     if args.seed is not None:
         raw["seed"] = args.seed
     spec = harness.SynthSpec.from_dict(raw)
@@ -161,26 +142,11 @@ def cmd_fuse(args) -> int:
     return 0
 
 
-def _load_baseline_config(path: str, seed_override: int | None) -> tuple[harness.BaselineConfig, dict]:
-    with open(path, "r", encoding="utf-8") as f:
-        raw = json.load(f)
-    sched = raw.get("schedule", {})
-    cfg = harness.BaselineConfig(
-        hidden=int(raw.get("hidden", 32)),
-        epochs=int(raw.get("epochs", 15)),
-        batch_size=int(raw.get("batch_size", 32)),
-        lr=float(raw.get("lr", 0.01)),
-        schedule=ScheduleConfig(kind=str(sched.get("kind", "fixed")),
-                                n=int(sched.get("n", 10))),
-        seed=int(raw.get("seed", 0)),
-    )
-    if seed_override is not None:
-        cfg.seed = seed_override
-    return cfg, raw
-
-
 def cmd_baseline(args) -> int:
-    cfg, raw = _load_baseline_config(args.config, args.seed)
+    raw = _read_json(args.config)
+    cfg = harness.BaselineConfig.from_dict(raw)
+    if args.seed is not None:
+        cfg.seed = args.seed
     graph = labelgraph.load_graph(raw["graph"])
     test_ds = harness.load_dataset(raw["test"])
     if args.kind == "ffn":
@@ -200,7 +166,8 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg, raw = _load_train_config(args.config)
+    raw = _read_json(args.config)
+    cfg = TrainConfig.from_dict(raw)
     if args.seed is not None:
         cfg.seed = args.seed
     graph = labelgraph.load_graph(raw["graph"])
@@ -268,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--coarse", required=True)
     f.add_argument("--graph", required=True)
     f.add_argument("--out", required=True)
-    f.add_argument("--seed", type=int, default=None)
     f.set_defaults(func=cmd_fuse)
 
     b = sub.add_parser("baseline", help="run a reference baseline")

@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .labelgraph import LabelGraph, NodeKind
-from .model import LabelPathModel, NoCandidates, greedy_choice
+from .model import LabelPathModel, greedy_choice
 from .pathalg import all_paths_to
 
 
@@ -53,30 +53,14 @@ def greedy_decode(model: LabelPathModel, x: np.ndarray, max_len: int) -> Decoded
     """Walk the graph from START taking the most probable candidate each step.
 
     The choice is the global maximum across the candidate blocks, ties going
-    to the lowest token id; stops at EOP or after ``max_len`` steps.
+    to the lowest token id; stops at EOP or after ``max_len`` steps. A walk
+    that ends at a dead-end augmented node is scored like a truncation.
     """
-    if max_len < 2:
-        raise ValueError("max_len must be at least 2")
-    f = model.encode(x)
-    prev = model.start_token
-    path: list[int] = []
-    probs: list[float] = []
-    terminated = "max_len"
-    for _ in range(max_len):
-        try:
-            dist, f = model.step(f, prev)
-        except NoCandidates:
-            break  # dead-end augmented node; scored like a truncation
-        tok, p = greedy_choice(dist)
-        probs.append(p)
-        if tok == model.eop_token:
-            terminated = "eop"
-            break
-        path.append(tok)
-        prev = tok
-    return DecodedResult(path=tuple(path), terminated_by=terminated,
-                         predicted_label=extract_label(model.graph, tuple(path)),
-                         step_probs=tuple(probs))
+    walked = model.walk(x, max_len, greedy_choice)
+    return DecodedResult(path=walked.tokens,
+                         terminated_by="eop" if walked.ended_with_eop else "max_len",
+                         predicted_label=extract_label(model.graph, walked.tokens),
+                         step_probs=walked.step_probs)
 
 
 def extract_label(graph: LabelGraph, path: Sequence[int] | DecodedResult) -> int | None:
@@ -89,25 +73,24 @@ def extract_label(graph: LabelGraph, path: Sequence[int] | DecodedResult) -> int
     return label
 
 
-def evaluate(model: LabelPathModel, dataset: Sequence, max_len: int) -> MetricsReport:
-    """Exact-match accuracy and macro-F1 of decoded labels over a dataset.
+def classification_report(gold_names: Sequence[str],
+                          pred_names: Sequence[str | None]) -> MetricsReport:
+    """Exact-match accuracy and macro-F1 of predicted class names.
 
-    ``dataset`` yields (x, label_id) pairs. A decode without any label node
-    counts as incorrect. Macro-F1 averages per-class F1 over the classes
-    present in the gold labels; the per-class table also records predictions
-    that fall outside that set so micro-F1 stays recomputable.
+    A None prediction counts as incorrect. Macro-F1 averages per-class F1
+    over the classes present in the gold labels; the per-class tp/fp/fn/
+    support table also records predictions that fall outside that set so
+    micro-F1 stays recomputable.
     """
-    samples = list(dataset)
-    if not samples:
+    if not gold_names:
         raise EmptyDataset("cannot evaluate an empty dataset")
-    counts: dict[int, dict[str, int]] = {}
+    counts: dict[str, dict[str, int]] = {}
 
-    def cell(label: int) -> dict[str, int]:
-        return counts.setdefault(label, {"tp": 0, "fp": 0, "fn": 0, "support": 0})
+    def cell(name: str) -> dict[str, int]:
+        return counts.setdefault(name, {"tp": 0, "fp": 0, "fn": 0, "support": 0})
 
     correct = 0
-    for x, gold in samples:
-        pred = greedy_decode(model, x, max_len).predicted_label
+    for gold, pred in zip(gold_names, pred_names):
         cell(gold)["support"] += 1
         if pred == gold:
             correct += 1
@@ -116,17 +99,29 @@ def evaluate(model: LabelPathModel, dataset: Sequence, max_len: int) -> MetricsR
             cell(gold)["fn"] += 1
             if pred is not None:
                 cell(pred)["fp"] += 1
-    gold_classes = [c for c, v in counts.items() if v["support"] > 0]
     f1s = []
-    for c in gold_classes:
-        v = counts[c]
-        denom = 2 * v["tp"] + v["fp"] + v["fn"]
-        f1s.append(2 * v["tp"] / denom if denom else 0.0)
-    graph = model.graph
-    per_class = {graph.node(c).name: counts[c] for c in counts}
-    return MetricsReport(accuracy=correct / len(samples),
+    for v in counts.values():
+        if v["support"] > 0:
+            denom = 2 * v["tp"] + v["fp"] + v["fn"]
+            f1s.append(2 * v["tp"] / denom if denom else 0.0)
+    return MetricsReport(accuracy=correct / len(gold_names),
                          macro_f1=float(np.mean(f1s)) if f1s else 0.0,
-                         per_class=per_class)
+                         per_class=counts)
+
+
+def evaluate(model: LabelPathModel, dataset: Sequence, max_len: int) -> MetricsReport:
+    """:func:`classification_report` of greedily decoded labels over a dataset.
+
+    ``dataset`` yields (x, label_id) pairs. A decode without any label node
+    counts as incorrect.
+    """
+    graph = model.graph
+    gold, pred = [], []
+    for x, label in dataset:
+        decoded = greedy_decode(model, x, max_len).predicted_label
+        gold.append(graph.node(label).name)
+        pred.append(graph.node(decoded).name if decoded is not None else None)
+    return classification_report(gold, pred)
 
 
 def nondeterministic_groups(graph: LabelGraph, label: int) -> dict[str, set[int]]:

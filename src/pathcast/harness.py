@@ -19,13 +19,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import numerics as nm
-from .labelgraph import LabelGraph, NodeKind, build_graph, validate
+from .labelgraph import LabelGraph, NodeKind, _reachable, build_graph, validate
 from .model import LabelPathModel
 from .numerics import AdamState, Tensor, adam_step
 from .pathalg import enumerate_paths
 from .trainer import (LabeledSample, ScheduleConfig, ScheduleState, TrainConfig,
-                      schedule_update, train)
-from .evaldecode import MetricsReport, evaluate
+                      schedule_update, train, typed_fields)
+from .evaldecode import MetricsReport, classification_report, evaluate
 
 
 class InconsistentSpec(ValueError):
@@ -373,6 +373,13 @@ class BaselineConfig:
     schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
     seed: int = 0
 
+    @staticmethod
+    def from_dict(raw: dict) -> "BaselineConfig":
+        """Config from a baseline-config dict; missing keys keep their defaults."""
+        keys = ("hidden", "epochs", "batch_size", "lr", "seed")
+        return BaselineConfig(**typed_fields(BaselineConfig, raw, keys, required=False),
+                              schedule=ScheduleConfig.from_dict(raw.get("schedule", {})))
+
 
 class _EncoderHead:
     """Encoder MLP plus a linear head, trained with Adam like the main model."""
@@ -419,33 +426,6 @@ def _train_encoder_head(net: _EncoderHead, xs: np.ndarray, loss_fn: Callable,
         schedule_update(sched, epoch, -epoch_loss)
 
 
-def _classification_report(gold: list[str], pred: list[str | None]) -> MetricsReport:
-    counts: dict[str, dict[str, int]] = {}
-
-    def cell(name: str) -> dict[str, int]:
-        return counts.setdefault(name, {"tp": 0, "fp": 0, "fn": 0, "support": 0})
-
-    correct = 0
-    for g, p in zip(gold, pred):
-        cell(g)["support"] += 1
-        if p == g:
-            correct += 1
-            cell(g)["tp"] += 1
-        else:
-            cell(g)["fn"] += 1
-            if p is not None:
-                cell(p)["fp"] += 1
-    classes = [c for c, v in counts.items() if v["support"] > 0]
-    f1s = []
-    for c in classes:
-        v = counts[c]
-        denom = 2 * v["tp"] + v["fp"] + v["fn"]
-        f1s.append(2 * v["tp"] / denom if denom else 0.0)
-    return MetricsReport(accuracy=correct / len(gold),
-                         macro_f1=float(np.mean(f1s)) if f1s else 0.0,
-                         per_class=counts)
-
-
 def baseline_ffn(cfg: BaselineConfig, train_ds: DatasetSpec,
                  test_ds: DatasetSpec) -> MetricsReport:
     """Encoder plus one softmax over the fine labels, cross-entropy trained."""
@@ -464,7 +444,7 @@ def baseline_ffn(cfg: BaselineConfig, train_ds: DatasetSpec,
     _train_encoder_head(net, xs, loss_fn, cfg)
     z = net.logits(np.stack([s.x for s in test_ds.samples]))
     pred = [classes[int(i)] for i in np.argmax(z.data, axis=1)]
-    return _classification_report([s.label for s in test_ds.samples], pred)
+    return classification_report([s.label for s in test_ds.samples], pred)
 
 
 def label_set_targets(graph: LabelGraph, label_name: str) -> np.ndarray:
@@ -497,18 +477,7 @@ def baseline_label_set(cfg: BaselineConfig, train_ds: DatasetSpec,
     z = net.logits(np.stack([s.x for s in test_ds.samples]))
     scores = z.data[:, class_nodes]
     pred = [classes[int(i)] for i in np.argmax(scores, axis=1)]
-    return _classification_report([s.label for s in test_ds.samples], pred)
-
-
-def _descendants(graph: LabelGraph, node: int) -> set[int]:
-    out: set[int] = set()
-    todo = [node]
-    while todo:
-        for c in graph.children(todo.pop()):
-            if c not in out:
-                out.add(c)
-                todo.append(c)
-    return out
+    return classification_report([s.label for s in test_ds.samples], pred)
 
 
 def baseline_pseudo_label(cfg: BaselineConfig, fine: DatasetSpec, coarse: DatasetSpec,
@@ -537,7 +506,8 @@ def baseline_pseudo_label(cfg: BaselineConfig, fine: DatasetSpec, coarse: Datase
 
     _train_encoder_head(net, xs, make_loss(xs, ys), cfg)
 
-    descendants = {c: _descendants(graph, graph.id_of(c)) for c in coarse.label_names()}
+    descendants = {c: _reachable(graph, graph.id_of(c)) - {graph.id_of(c)}
+                   for c in coarse.label_names()}
     survivors: list[tuple[np.ndarray, int]] = []
     survivor_labels: list[tuple[str, str]] = []  # (coarse label, pseudo label)
     dropped = 0
@@ -559,7 +529,7 @@ def baseline_pseudo_label(cfg: BaselineConfig, fine: DatasetSpec, coarse: Datase
 
     z = net2.logits(np.stack([s.x for s in test_ds.samples]))
     pred = [classes[int(i)] for i in np.argmax(z.data, axis=1)]
-    report = _classification_report([s.label for s in test_ds.samples], pred)
+    report = classification_report([s.label for s in test_ds.samples], pred)
     n_coarse = len(coarse.samples)
     info = {"kept": len(survivors), "dropped": dropped,
             "filtered_fraction": dropped / n_coarse if n_coarse else 0.0,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,7 +45,7 @@ class StepDistribution:
 
 @dataclass(frozen=True)
 class SampledPath:
-    """Free-running sample: visited graph nodes plus the chosen-step probs."""
+    """One free-running walk: visited graph nodes plus the chosen-step probs."""
 
     tokens: tuple[int, ...]
     step_probs: tuple[float, ...]
@@ -167,29 +168,77 @@ class LabelPathModel:
         z = nm.add_rowvec(nm.matmul(f_t, self.params["out.w"]), self.params["out.b"])
         return f_t, z
 
+    def distribution(self, z_row: np.ndarray, prev_token: int,
+                     offer_eop: bool = False) -> StepDistribution:
+        """Block-softmax distribution over the candidates after ``prev_token``,
+        taken from one row of vocabulary logits."""
+        toks, blocks = self.candidates(prev_token, offer_eop=offer_eop)
+        probs = nm.block_softmax(nm.constant(z_row[list(toks)]), blocks).data
+        return StepDistribution(tokens=toks, probs=probs, blocks=blocks)
+
     def step(self, f_prev: Tensor, prev_token: int,
              offer_eop: bool = False) -> tuple[StepDistribution, Tensor]:
         """Single-sample decode step: next-token distribution plus new state."""
-        if f_prev.data.ndim == 1:
-            f_prev = nm._promote_row(f_prev)
         f_t, z = self.decode_logits(f_prev, [prev_token])
-        toks, blocks = self.candidates(prev_token, offer_eop=offer_eop)
-        # block softmax over the candidate logits gathered from the vocab row
-        cand_logits = nm.constant(z.data[0][list(toks)])
-        probs = nm.block_softmax(cand_logits, blocks).data
-        dist = StepDistribution(tokens=toks, probs=probs, blocks=blocks)
-        return dist, f_t
+        return self.distribution(z.data[0], prev_token, offer_eop), f_t
 
-    def step_log_prob(self, z_row: Tensor, prev_token: int, target_token: int,
-                      offer_eop: bool = False) -> Tensor:
-        """Differentiable log P(target | prev) from a vocab logits row."""
-        toks, blocks = self.candidates(prev_token, offer_eop=offer_eop)
-        if target_token not in toks:
-            raise InvalidPath(
-                f"token {target_token} is not a candidate after {prev_token}")
-        pos = toks.index(target_token)
-        block = next(b for b in blocks if pos in b)
-        return nm.block_log_prob(z_row, [toks[i] for i in block], target_token)
+    def score_lanes(self, f: Tensor, lanes: Sequence[Sequence[int]], teacher: bool,
+                    fed_trace: list[list[int]] | None = None,
+                    offer_final_eop: bool = True) -> list[Tensor | None]:
+        """Differentiable summed log-probability of each lane's target tokens.
+
+        ``f`` holds one decoder state per lane; every lane is fed START first.
+        Under ``teacher`` a lane is fed its previous target, and an empty lane
+        or a target that is not a candidate raises InvalidPath. Otherwise a
+        lane is fed the model's greedy token, a step whose target is not a
+        candidate after that token is skipped, and the lane stops at EOP or at
+        a token without candidates. ``offer_final_eop`` force-offers EOP for a
+        closing EOP target, so a groundtruth path may end at a non-label node.
+        Lanes with no scored step get None. ``fed_trace`` (when given)
+        collects each lane's input tokens.
+        """
+        if not all(lanes):
+            raise InvalidPath("empty lane")
+        fed = [self.start_token] * len(lanes)
+        alive = [True] * len(lanes)  # feeding still on a usable token
+        terms: list[list[Tensor]] = [[] for _ in lanes]
+        if fed_trace is not None:
+            fed_trace.extend([] for _ in lanes)
+        for t in range(max(map(len, lanes))):
+            f, z = self.decode_logits(f, fed)
+            for li, targets in enumerate(lanes):
+                if t >= len(targets) or not alive[li]:
+                    continue
+                prev, target = fed[li], targets[t]
+                if fed_trace is not None:
+                    fed_trace[li].append(prev)
+                is_terminal = (offer_final_eop and t == len(targets) - 1
+                               and target == self.eop_token)
+                try:
+                    toks, blocks = self.candidates(prev, offer_eop=is_terminal)
+                except NoCandidates:
+                    if teacher:
+                        raise
+                    alive[li] = False
+                    continue
+                if target in toks:
+                    pos = toks.index(target)
+                    block = next(b for b in blocks if pos in b)
+                    terms[li].append(nm.block_log_prob(
+                        nm.take_row(z, li), [toks[i] for i in block], target))
+                elif teacher:
+                    raise InvalidPath(f"token {target} is not a candidate after {prev}")
+                try:
+                    nxt = target if teacher else greedy_choice(
+                        self.distribution(z.data[li], prev))[0]
+                except NoCandidates:
+                    alive[li] = False
+                    continue
+                if not teacher and nxt == self.eop_token:
+                    alive[li] = False  # frozen on prev; no further loss from this lane
+                else:
+                    fed[li] = nxt
+        return [nm.add_n(ts) if ts else None for ts in terms]
 
     def path_log_prob(self, x: np.ndarray, path: list[int] | tuple[int, ...],
                       terminal_eop: bool = True) -> Tensor:
@@ -198,33 +247,14 @@ class LabelPathModel:
         Conditions each step on the groundtruth prefix and, when
         ``terminal_eop`` is set, scores the closing EOP choice as well.
         """
-        path = list(path)
-        if not path or path[0] != self.graph.root:
-            raise InvalidPath("path must start at the root node")
-        for a, b in zip(path, path[1:]):
-            if b not in self.graph.children(a):
-                raise InvalidPath(f"no edge {a}->{b} in the graph")
-        tokens_in = [self.start_token] + path
-        targets = path + ([self.eop_token] if terminal_eop else [])
-        f = self.encode(x)
-        terms: list[Tensor] = []
-        for t, target in enumerate(targets):
-            prev = tokens_in[t]
-            is_terminal = terminal_eop and t == len(targets) - 1
-            f, z = self.decode_logits(f, [prev])
-            zrow = nm.take_row(z, 0)
-            terms.append(self.step_log_prob(zrow, prev, target, offer_eop=is_terminal))
-        return nm.add_n(terms)
+        targets = list(path) + ([self.eop_token] if terminal_eop else [])
+        return self.score_lanes(self.encode(x), [targets], teacher=True)[0]
 
-    def sample_path(self, x: np.ndarray, rng: np.random.Generator,
-                    max_len: int) -> SampledPath:
-        """Ancestral sample from the decoder, free-running from START.
-
-        Within each candidate block one member is drawn from the block's
-        distribution; across blocks the drawn member with the highest
-        probability wins (ties to the lowest token id). Stops at EOP, after
-        ``max_len`` emitted tokens, or when sampling walks into a dead-end
-        augmented node (possible on subgraphs; the trajectory just truncates).
+    def walk(self, x: np.ndarray, max_len: int,
+             choose: Callable[[StepDistribution], tuple[int, float]]) -> SampledPath:
+        """Free-run the decoder from START; ``choose`` picks each step's token
+        and its probability. Stops at EOP, after ``max_len`` steps, or at a
+        dead-end augmented node (possible on subgraphs; the walk truncates).
         """
         if max_len < 2:
             raise ValueError("max_len must be at least 2")
@@ -232,35 +262,34 @@ class LabelPathModel:
         prev = self.start_token
         tokens: list[int] = []
         probs: list[float] = []
-        ended = False
         for _ in range(max_len):
             try:
                 dist, f = self.step(f, prev)
             except NoCandidates:
                 break
-            tok, p = _sample_cross_block(dist, rng)
+            tok, p = choose(dist)
             probs.append(p)
             if tok == self.eop_token:
-                ended = True
-                break
+                return SampledPath(tuple(tokens), tuple(probs), ended_with_eop=True)
             tokens.append(tok)
             prev = tok
-        return SampledPath(tokens=tuple(tokens), step_probs=tuple(probs),
-                           ended_with_eop=ended)
+        return SampledPath(tuple(tokens), tuple(probs), ended_with_eop=False)
+
+    def sample_path(self, x: np.ndarray, rng: np.random.Generator,
+                    max_len: int) -> SampledPath:
+        """Ancestral sample from the decoder, free-running from START.
+
+        Within each candidate block one member is drawn from the block's
+        distribution; across blocks the drawn member with the highest
+        probability wins (ties to the lowest token id).
+        """
+        return self.walk(x, max_len, lambda dist: _sample_cross_block(dist, rng))
 
     def sampled_path_log_prob(self, x: np.ndarray, sampled: SampledPath) -> Tensor:
         """Differentiable re-scoring of a sampled trajectory (same choices)."""
-        tokens_in = [self.start_token] + list(sampled.tokens)
         targets = list(sampled.tokens) + ([self.eop_token] if sampled.ended_with_eop else [])
-        if not targets:
-            raise InvalidPath("empty sampled path")
-        f = self.encode(x)
-        terms: list[Tensor] = []
-        for t, target in enumerate(targets):
-            f, z = self.decode_logits(f, [tokens_in[t]])
-            zrow = nm.take_row(z, 0)
-            terms.append(self.step_log_prob(zrow, tokens_in[t], target))
-        return nm.add_n(terms)
+        return self.score_lanes(self.encode(x), [targets], teacher=True,
+                                offer_final_eop=False)[0]
 
 
 def _sample_cross_block(dist: StepDistribution, rng: np.random.Generator) -> tuple[int, float]:

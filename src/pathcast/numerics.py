@@ -10,6 +10,7 @@ bias addition and same-shape elementwise ops.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -26,6 +27,10 @@ class EmptyBlock(ValueError):
 
 
 class IndexOutOfRange(IndexError):
+    pass
+
+
+class CorruptCheckpoint(ValueError):
     pass
 
 
@@ -583,19 +588,42 @@ def save_params(path: str, params: dict[str, np.ndarray]) -> None:
 
 
 def load_params(path: str) -> dict[str, np.ndarray]:
-    out: dict[str, np.ndarray] = {}
+    """Read a PCK1 file written by :func:`save_params`.
+
+    Raises CorruptCheckpoint for a wrong magic, a truncated record, trailing
+    bytes after the last record, a repeated parameter name or a non-finite
+    payload, so that no bad weight gets past the Tensor finiteness invariant.
+    """
     with open(path, "rb") as f:
-        if f.read(4) != _MAGIC:
-            raise ValueError(f"{path}: not a PCK1 checkpoint")
-        while True:
-            head = f.read(4)
-            if not head:
-                break
-            (nlen,) = struct.unpack("<I", head)
-            name = f.read(nlen).decode("utf-8")
-            (rank,) = struct.unpack("<I", f.read(4))
-            dims = tuple(struct.unpack("<I", f.read(4))[0] for _ in range(rank))
-            count = int(np.prod(dims)) if dims else 1
-            arr = np.frombuffer(f.read(8 * count), dtype="<f8").astype(np.float64)
-            out[name] = arr.reshape(dims)
+        blob = f.read()
+    if blob[:4] != _MAGIC:
+        raise CorruptCheckpoint(f"{path}: not a PCK1 checkpoint")
+    pos = start = 4
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if n > len(blob) - pos:
+            raise CorruptCheckpoint(f"{path}: truncated record at byte {start}")
+        pos += n
+        return blob[pos - n:pos]
+
+    out: dict[str, np.ndarray] = {}
+    while pos < len(blob):
+        start = pos
+        if len(blob) - pos < 4:
+            raise CorruptCheckpoint(
+                f"{path}: {len(blob) - pos} trailing bytes after the last record")
+        (nlen,) = struct.unpack("<I", take(4))
+        try:
+            name = take(nlen).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CorruptCheckpoint(f"{path}: bad parameter name at byte {start}") from None
+        (rank,) = struct.unpack("<I", take(4))
+        dims = struct.unpack(f"<{rank}I", take(4 * rank))
+        arr = np.frombuffer(take(8 * math.prod(dims)), dtype="<f8").astype(np.float64)
+        if name in out:
+            raise CorruptCheckpoint(f"{path}: duplicate parameter {name!r}")
+        if not np.all(np.isfinite(arr)):
+            raise CorruptCheckpoint(f"{path}: non-finite values in parameter {name!r}")
+        out[name] = arr.reshape(dims)
     return out

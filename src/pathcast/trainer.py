@@ -18,8 +18,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import numerics as nm
-from .labelgraph import LabelGraph, NodeKind
-from .model import InvalidPath, LabelPathModel, NoCandidates, SampledPath
+from .labelgraph import LabelGraph
+from .model import LabelPathModel, SampledPath
 from .numerics import AdamState, Tensor, adam_step
 from .pathalg import _certain_members, _split_paths
 
@@ -33,10 +33,25 @@ class LabeledSample(NamedTuple):
     label: int
 
 
+def typed_fields(cls, raw: dict, names: Sequence[str], required: bool) -> dict:
+    """Constructor arguments for the dataclass ``cls`` read from a config dict.
+
+    Each value is cast to the type of the field's default. A missing key
+    raises KeyError when ``required``, and otherwise keeps the default.
+    """
+    defaults = cls()
+    return {name: type(getattr(defaults, name))(raw[name])
+            for name in names if required or name in raw}
+
+
 @dataclass(frozen=True)
 class ScheduleConfig:
     kind: str = "fixed"  # "fixed" (decay period) or "dynamic" (patience)
     n: int = 10
+
+    @staticmethod
+    def from_dict(raw: dict) -> "ScheduleConfig":
+        return ScheduleConfig(**typed_fields(ScheduleConfig, raw, ("kind", "n"), required=False))
 
 
 @dataclass
@@ -55,6 +70,17 @@ class TrainConfig:
     schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
     epochs: int = 10
     seed: int = 0
+
+    @staticmethod
+    def from_dict(raw: dict) -> "TrainConfig":
+        """Validated config from a train-config dict; every key but
+        ``schedule`` is required."""
+        keys = ("batch_size", "max_len", "r_tf", "alpha", "beta", "path_agg", "n_p",
+                "reward_set", "lr_e", "lr", "epochs", "seed")
+        cfg = TrainConfig(**typed_fields(TrainConfig, raw, keys, required=True),
+                          schedule=ScheduleConfig.from_dict(raw.get("schedule", {})))
+        cfg.validate()
+        return cfg
 
     def validate(self) -> None:
         if self.batch_size < 1 or self.max_len < 2 or self.n_p < 1 or self.epochs < 0:
@@ -125,10 +151,6 @@ class PathBook:
             self._certain[node] = _certain_members(self.graph, node)
         return self._certain[node]
 
-    def is_terminal_target(self, node: int) -> bool:
-        """Whether EOP must be force-offered when a path ends at this node."""
-        return self.graph.node(node).kind is not NodeKind.LABEL
-
 
 def reward(sampled: Sequence[int] | SampledPath, members: frozenset[int]) -> float:
     """Fraction of the certain-node set covered by the sampled path."""
@@ -162,56 +184,14 @@ def deterministic_loss(model: LabelPathModel, batch: Batch, cfg: TrainConfig,
             lanes.append((i, targets[:cfg.max_len]))
     if not lanes:
         return None
-    coin = float(rng.uniform())
-    teacher = coin <= cfg.r_tf
-
-    n_lanes = len(lanes)
-    max_t = max(len(t) for _, t in lanes)
-    features = model.encode(batch.inputs)
-    f = nm.gather_rows(features, [s for s, _ in lanes])
-
-    fed = [model.start_token] * n_lanes
-    alive = [True] * n_lanes  # feeding still on a usable token
-    lane_terms: list[list[Tensor]] = [[] for _ in range(n_lanes)]
-    if fed_trace is not None:
-        fed_trace.extend([] for _ in range(n_lanes))
-
-    for t in range(max_t):
-        f, z = model.decode_logits(f, fed)
-        next_fed = list(fed)
-        for li, (_, targets) in enumerate(lanes):
-            if t >= len(targets) or not alive[li]:
-                continue
-            if fed_trace is not None:
-                fed_trace[li].append(fed[li])
-            target = targets[t]
-            is_terminal = t == len(targets) - 1 and target == model.eop_token
-            try:
-                toks, _ = model.candidates(fed[li], offer_eop=is_terminal)
-            except (InvalidPath, NoCandidates):
-                alive[li] = False
-                continue
-            if target in toks:
-                zrow = nm.take_row(z, li)
-                lane_terms[li].append(
-                    model.step_log_prob(zrow, fed[li], target, offer_eop=is_terminal))
-            if teacher:
-                next_fed[li] = target
-            else:
-                try:
-                    next_fed[li] = _greedy_token(model, z.data[li], fed[li])
-                except (InvalidPath, NoCandidates):
-                    alive[li] = False
-                    continue
-            if next_fed[li] == model.eop_token:
-                alive[li] = False
-                next_fed[li] = fed[li]  # frozen; no further loss from this lane
-        fed = next_fed
+    teacher = float(rng.uniform()) <= cfg.r_tf
+    f = nm.gather_rows(model.encode(batch.inputs), [s for s, _ in lanes])
+    scores = model.score_lanes(f, [t for _, t in lanes], teacher, fed_trace)
 
     per_sample: dict[int, list[Tensor]] = {}
-    for (si, _), terms in zip(lanes, lane_terms):
-        if terms:
-            per_sample.setdefault(si, []).append(nm.neg(nm.add_n(terms)))
+    for (si, _), score in zip(lanes, scores):
+        if score is not None:
+            per_sample.setdefault(si, []).append(nm.neg(score))
     if not per_sample:
         return None
     sample_losses = []
@@ -221,17 +201,6 @@ def deterministic_loss(model: LabelPathModel, batch: Batch, cfg: TrainConfig,
         else:  # sum, random (single lane), or a single path
             sample_losses.append(nlls[0] if len(nlls) == 1 else nm.add_n(nlls))
     return nm.scale(nm.add_n(sample_losses), 1.0 / len(sample_losses))
-
-
-def _greedy_token(model: LabelPathModel, z_row: np.ndarray, prev: int) -> int:
-    toks, blocks = model.candidates(prev)
-    zc = z_row[list(toks)]
-    probs = np.empty(len(toks))
-    for blk in blocks:
-        zb = zc[list(blk)]
-        e = np.exp(zb - zb.max())
-        probs[list(blk)] = e / e.sum()
-    return toks[int(np.argmax(probs))]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from pathcast import numerics as nm
 from pathcast.model import (InvalidPath, LabelPathModel, NoCandidates,
-                            greedy_choice, load_model, save_model)
+                            SampledPath, greedy_choice, load_model, save_model)
 
 from test_labelgraph import figure2_subgraph, random_dag
 
@@ -209,6 +209,18 @@ class TestSamplePath:
                 continue
             lp = m.sampled_path_log_prob(x, sp).item()
             assert abs(np.exp(lp) - np.prod(sp.step_probs)) < 1e-10
+
+    def test_rescoring_rejects_non_candidate_tokens(self):
+        g = figure2_subgraph()
+        m = make_model(g, seed=13)
+        skips_cat = SampledPath(tokens=(g.root, g.id_of("shorthair")),
+                                step_probs=(1.0, 0.5), ended_with_eop=False)
+        # a free-running walk is offered EOP only after a label node
+        eop_after_cat = SampledPath(tokens=(g.root, g.id_of("cat")),
+                                    step_probs=(1.0, 0.5, 0.5), ended_with_eop=True)
+        for sampled in (skips_cat, eop_after_cat):
+            with pytest.raises(InvalidPath):
+                m.sampled_path_log_prob(np.zeros(5), sampled)
 
     def test_sampled_paths_are_graph_valid(self):
         rng = np.random.default_rng(8)

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from pathcast import numerics as nm
-from pathcast.numerics import (AdamState, BlockPartition, Tensor, adam_step,
-                               backward, block_log_prob, block_softmax,
-                               gru_step, load_params, save_params)
+from pathcast.numerics import (AdamState, BlockPartition, CorruptCheckpoint,
+                               Tensor, adam_step, backward, block_log_prob,
+                               block_softmax, gru_step, load_params, save_params)
 
 
 def finite_difference(fn, params, h=1e-5):
@@ -356,6 +356,35 @@ class TestCheckpoint:
         assert blob[10:14] == (1).to_bytes(4, "little")
         assert blob[14:18] == (2).to_bytes(4, "little")
         assert np.frombuffer(blob[18:], dtype="<f8").tolist() == [1.0, 2.0]
+
+    def _blob(self, tmp_path, params):
+        path = tmp_path / "w.pck"
+        save_params(str(path), params)
+        return path, path.read_bytes()
+
+    def test_rejects_truncated_record(self, tmp_path):
+        path, blob = self._blob(tmp_path, {"a": np.ones(3), "b": np.ones(2)})
+        path.write_bytes(blob[:-5])
+        with pytest.raises(CorruptCheckpoint, match="truncated record"):
+            load_params(str(path))
+
+    def test_rejects_trailing_bytes(self, tmp_path):
+        path, blob = self._blob(tmp_path, {"a": np.ones(3)})
+        path.write_bytes(blob + b"\x00\x01")
+        with pytest.raises(CorruptCheckpoint, match="2 trailing bytes"):
+            load_params(str(path))
+
+    def test_rejects_duplicate_name(self, tmp_path):
+        path, blob = self._blob(tmp_path, {"a": np.ones(3)})
+        path.write_bytes(blob + blob[4:])
+        with pytest.raises(CorruptCheckpoint, match="duplicate parameter 'a'"):
+            load_params(str(path))
+
+    def test_rejects_non_finite_payload(self, tmp_path):
+        for bad in (np.nan, np.inf, -np.inf):
+            path, _ = self._blob(tmp_path, {"a": np.array([1.0, bad])})
+            with pytest.raises(CorruptCheckpoint, match="non-finite"):
+                load_params(str(path))
 
     def test_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.pck"

@@ -184,6 +184,18 @@ class TestDeterministicLoss:
         for name in ("out.w", "emb", "gru.w_cf", "enc.w1", "out.b"):
             assert max_rel_err(grads[name], fd[name]) < 1e-4
 
+    def test_single_lane_equals_path_log_prob(self):
+        # one sample, one teacher-forced path: the loss is exactly its NLL
+        g = figure2_subgraph()
+        m = make_model(g, seed=6, input_dim=4)
+        path = tuple(g.id_of(n) for n in ("animal", "cat", "shorthair", "british-shorthair"))
+        x = np.random.default_rng(3).normal(size=4)
+        batch = Batch(inputs=np.stack([x]), target_paths=[[path]], pg_indexes=(),
+                      labels=(path[-1],))
+        loss = deterministic_loss(m, batch, TrainConfig(max_len=8, r_tf=1.0),
+                                  np.random.default_rng(0))
+        assert -loss.item() == m.path_log_prob(x, path).item()
+
     def test_padding_steps_do_not_contribute(self):
         # mixing a short and a long path: the short lane stops at its EOP
         g = figure2_subgraph()
