@@ -87,15 +87,15 @@ def cmd_eval(args) -> int:
     graph = model.graph
     ds = harness.load_dataset(args.data)
     samples = harness.resolve_samples(ds, graph)
-    report = evaldecode.evaluate(model, samples, args.max_len)
+    decoded: list[evaldecode.DecodedResult] = []
+    report = evaldecode.evaluate(model, samples, args.max_len, decoded)
     if args.audit:
         triples = [(s.x, graph.id_of(s.label), s.attrs) for s in ds.samples]
         report.path_correctness = evaldecode.audit_nondeterministic(
             model, triples, args.max_len)
     if args.dump_paths:
         with open(args.dump_paths, "w", encoding="utf-8") as f:
-            for i, (s, ls) in enumerate(zip(ds.samples, samples)):
-                r = evaldecode.greedy_decode(model, ls.x, args.max_len)
+            for i, (s, r) in enumerate(zip(ds.samples, decoded)):
                 f.write(json.dumps({
                     "input_id": i,
                     "path": [graph.node(t).name for t in r.path],

@@ -11,7 +11,7 @@ import numpy as np
 
 from .labelgraph import LabelGraph, NodeKind
 from .model import LabelPathModel, greedy_choice
-from .pathalg import all_paths_to
+from .pathalg import _competing_groups, _path_counts
 
 
 class EmptyDataset(ValueError):
@@ -109,18 +109,23 @@ def classification_report(gold_names: Sequence[str],
                          per_class=counts)
 
 
-def evaluate(model: LabelPathModel, dataset: Sequence, max_len: int) -> MetricsReport:
+def evaluate(model: LabelPathModel, dataset: Sequence, max_len: int,
+             decoded: list[DecodedResult] | None = None) -> MetricsReport:
     """:func:`classification_report` of greedily decoded labels over a dataset.
 
     ``dataset`` yields (x, label_id) pairs. A decode without any label node
-    counts as incorrect.
+    counts as incorrect. ``decoded`` (when given) collects each sample's
+    :class:`DecodedResult`, in dataset order.
     """
     graph = model.graph
     gold, pred = [], []
     for x, label in dataset:
-        decoded = greedy_decode(model, x, max_len).predicted_label
+        result = greedy_decode(model, x, max_len)
+        if decoded is not None:
+            decoded.append(result)
         gold.append(graph.node(label).name)
-        pred.append(graph.node(decoded).name if decoded is not None else None)
+        pred.append(graph.node(result.predicted_label).name
+                    if result.predicted_label is not None else None)
     return classification_report(gold, pred)
 
 
@@ -129,15 +134,10 @@ def nondeterministic_groups(graph: LabelGraph, label: int) -> dict[str, set[int]
 
     For each competing group, collect the members appearing on any
     groundtruth path of the label; a group with two or more such members is
-    a nondeterministic choice for that label.
+    a nondeterministic choice for that label. The nodes on some path come
+    from the path-count sub-DAG, so no path is enumerated.
     """
-    seen: dict[str, set[int]] = {}
-    for p in all_paths_to(graph, label):
-        for node in p:
-            g = graph.group_of(node)
-            if g is not None:
-                seen.setdefault(g.name, set()).add(node)
-    return {name: members for name, members in seen.items() if len(members) >= 2}
+    return _competing_groups(graph, _path_counts(graph, label)[0])
 
 
 def audit_nondeterministic(model: LabelPathModel, dataset: Sequence,

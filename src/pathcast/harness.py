@@ -22,7 +22,7 @@ from . import numerics as nm
 from .labelgraph import LabelGraph, NodeKind, _reachable, build_graph, validate
 from .model import LabelPathModel
 from .numerics import AdamState, Tensor, adam_step
-from .pathalg import enumerate_paths
+from .pathalg import _path_counts, _require_label
 from .trainer import (LabeledSample, ScheduleConfig, ScheduleState, TrainConfig,
                       schedule_update, train, typed_fields)
 from .evaldecode import MetricsReport, classification_report, evaluate
@@ -450,9 +450,9 @@ def baseline_ffn(cfg: BaselineConfig, train_ds: DatasetSpec,
 def label_set_targets(graph: LabelGraph, label_name: str) -> np.ndarray:
     """Multi-hot over graph nodes: the union of all groundtruth paths."""
     nid = graph.id_of(label_name)
+    _require_label(graph, nid)
     hot = np.zeros(len(graph.nodes))
-    for p in enumerate_paths(graph, nid):
-        hot[list(p)] = 1.0
+    hot[_path_counts(graph, nid)[0]] = 1.0
     return hot
 
 

@@ -176,6 +176,13 @@ class LabelPathModel:
         probs = nm.block_softmax(nm.constant(z_row[list(toks)]), blocks).data
         return StepDistribution(tokens=toks, probs=probs, blocks=blocks)
 
+    def _free_running_token(self, z_row: np.ndarray, prev_token: int) -> int:
+        """:func:`greedy_choice` over :meth:`distribution`, computed in plain
+        numpy: the free-running teacher-forcing branch picks without a trace."""
+        toks, blocks = self.candidates(prev_token)
+        probs = nm.block_probs(z_row[list(toks)], blocks)
+        return greedy_choice(StepDistribution(toks, probs, blocks))[0]
+
     def step(self, f_prev: Tensor, prev_token: int,
              offer_eop: bool = False) -> tuple[StepDistribution, Tensor]:
         """Single-sample decode step: next-token distribution plus new state."""
@@ -229,8 +236,7 @@ class LabelPathModel:
                 elif teacher:
                     raise InvalidPath(f"token {target} is not a candidate after {prev}")
                 try:
-                    nxt = target if teacher else greedy_choice(
-                        self.distribution(z.data[li], prev))[0]
+                    nxt = target if teacher else self._free_running_token(z.data[li], prev)
                 except NoCandidates:
                     alive[li] = False
                     continue
@@ -341,6 +347,9 @@ def load_model(path: str, graph: LabelGraph | None = None) -> LabelPathModel:
     model = LabelPathModel(graph, side["input_dim"], side["embed_dim"],
                            side["hidden"], graph_file=side["graph_file"])
     weights = nm.load_params(path)
+    unexpected = sorted(set(weights) - set(model.params))
+    if unexpected:
+        raise ValueError(f"checkpoint has unexpected parameter {unexpected[0]!r}")
     for name, tensor in model.params.items():
         if name not in weights:
             raise ValueError(f"checkpoint missing parameter {name!r}")

@@ -323,6 +323,18 @@ def _check_partition(blocks: Sequence[Sequence[int]], k: int) -> None:
         raise ValueError(f"partition covers {len(seen)} of {k} indices")
 
 
+def block_probs(z: np.ndarray, blocks: Sequence[Sequence[int]]) -> np.ndarray:
+    """Forward of :func:`block_softmax` on a plain vector, with no trace node
+    and no partition check; for callers that only pick from the result."""
+    y = np.empty_like(z)
+    for b in blocks:
+        bb = np.asarray(b, dtype=np.intp)
+        zb = z[bb]
+        e = np.exp(zb - zb.max())
+        y[bb] = e / e.sum()
+    return y
+
+
 def block_softmax(logits: Tensor, partition: BlockPartition | Sequence[Sequence[int]]) -> Tensor:
     """Softmax normalised independently within each competing-node block.
 
@@ -334,12 +346,7 @@ def block_softmax(logits: Tensor, partition: BlockPartition | Sequence[Sequence[
     if logits.data.ndim != 1:
         raise ShapeMismatch(f"block_softmax: expected vector, got {logits.data.shape}")
     _check_partition(blocks, logits.data.shape[0])
-    y = np.empty_like(logits.data)
-    for b in blocks:
-        bb = np.asarray(b, dtype=np.intp)
-        z = logits.data[bb]
-        e = np.exp(z - z.max())
-        y[bb] = e / e.sum()
+    y = block_probs(logits.data, blocks)
     out = Tensor(y, _parents=(logits,))
 
     def bw(g):

@@ -5,13 +5,21 @@ A groundtruth path is *nondeterministic* when some other groundtruth path for
 the same label carries a different member of the same competing group: the
 annotation alone cannot tell which branch the instance took. Everything here
 is a pure function over an immutable graph; results may be cached freely.
+
+On DAGs with cross-links the number of paths grows exponentially with depth.
+Only :func:`all_paths_to` and the split, which return the paths themselves,
+enumerate them; the split is then linear in their total length. The certain
+set, the nondeterministic groups and the union of all paths come from
+:func:`_path_counts`, which is linear in the size of the label's ancestor
+sub-DAG.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
-from .labelgraph import LabelGraph, NodeKind
+from .labelgraph import CycleDetected, LabelGraph, NodeKind, _ancestors
 
 
 class NotALabelNode(ValueError):
@@ -48,9 +56,11 @@ def _require_label(graph: LabelGraph, node_id: int) -> None:
 def all_paths_to(graph: LabelGraph, target: int) -> list[tuple[int, ...]]:
     """Exhaustive simple root-to-target paths, lexicographic by id sequence.
 
-    Plain DFS without memoisation: the enumeration wants the paths themselves
-    and label graphs stay small. Works for any non-root target node; the
-    public :func:`enumerate_paths` restricts it to label nodes.
+    Plain DFS without memoisation. Its output can be exponential in the
+    graph's depth, so only callers that want the paths themselves use it;
+    questions about the set of paths go through :func:`_path_counts`. Works
+    for any non-root target node; the public :func:`enumerate_paths`
+    restricts it to label nodes.
     """
     root = graph.root
     out: list[tuple[int, ...]] = []
@@ -91,34 +101,74 @@ def are_competing(graph: LabelGraph, u: int, w: int) -> bool:
     return gu is not None and w in gu.members
 
 
+def _path_counts(graph: LabelGraph, target: int
+                 ) -> tuple[list[int], dict[int, int], dict[int, int]]:
+    """Nodes on some root-to-target path, in topological order, with the
+    number of paths from the root to each (``fwd``) and from each to the
+    target (``bwd``); ``fwd[v] * bwd[v]`` paths pass through v.
+
+    The nodes are the target's ancestors that the root reaches, plus the
+    target; the counts are exact ints. Empty when the root cannot reach the
+    target. Raises CycleDetected when those nodes contain a cycle, which only
+    an unvalidated graph can have.
+    """
+    root = graph.root
+    up = _ancestors(graph, target) | {target}
+    if root not in up:
+        return [], {}, {}
+    on = {root}
+    todo = [root]
+    while todo:
+        for c in graph.children(todo.pop()):
+            if c in up and c not in on:
+                on.add(c)
+                todo.append(c)
+    indeg = {v: sum(p in on for p in graph.parents(v)) for v in on}
+    order = [v for v in on if indeg[v] == 0]  # the root, unless it is on a cycle
+    for v in order:
+        for c in graph.children(v):
+            if c in on:
+                indeg[c] -= 1
+                if indeg[c] == 0:
+                    order.append(c)
+    if len(order) < len(on):
+        stuck = sorted(v for v in on if indeg[v] > 0)
+        raise CycleDetected("cycle on a path to node "
+                            f"{graph.node(target).name!r}",
+                            [graph.node(v).name for v in stuck])
+    fwd = {root: 1}
+    for v in order[1:]:
+        fwd[v] = sum(fwd[p] for p in graph.parents(v) if p in on)
+    bwd = {target: 1}
+    for v in reversed(order[:-1]):
+        bwd[v] = sum(bwd[c] for c in graph.children(v) if c in on)
+    return order, fwd, bwd
+
+
+def _competing_groups(graph: LabelGraph, nodes) -> dict[str, set[int]]:
+    """Members among ``nodes`` of each group that has two or more of them."""
+    seen: dict[str, set[int]] = {}
+    for node in nodes:
+        g = graph.group_of(node)
+        if g is not None:
+            seen.setdefault(g.name, set()).add(node)
+    return {name: members for name, members in seen.items() if len(members) >= 2}
+
+
 def _split_paths(graph: LabelGraph, target: int) -> PathSet:
     paths = all_paths_to(graph, target)
-    # Per path, which members of each group it touches.
-    touched: list[dict[str, set[int]]] = []
-    for p in paths:
-        groups: dict[str, set[int]] = {}
-        for node in p:
-            g = graph.group_of(node)
-            if g is not None:
-                groups.setdefault(g.name, set()).add(node)
-        touched.append(groups)
-
-    nondet = [False] * len(paths)
-    for i in range(len(paths)):
-        for j in range(len(paths)):
-            if i == j:
-                continue
-            gi, gj = touched[i], touched[j]
-            for gname, mi in gi.items():
-                mj = gj.get(gname)
-                # u in path i, w in path j, u != w, same group
-                if mj and len(mi | mj) >= 2:
-                    nondet[i] = True
-                    break
-            if nondet[i]:
-                break
-    det = tuple(p for p, nd in zip(paths, nondet) if not nd)
-    ndet = tuple(p for p, nd in zip(paths, nondet) if nd)
+    sets = [frozenset(p) for p in paths]
+    # A group taints the label when two of its members lie on its paths and
+    # two paths touch it; a path is nondeterministic iff it touches a
+    # tainted group. One path holding two members of an otherwise untouched
+    # group stays deterministic: the pairwise definition needs another path.
+    tainted: set[int] = set()
+    for members in _competing_groups(graph, frozenset().union(*sets)).values():
+        touching = (s for s in sets if not s.isdisjoint(members))
+        if len(list(islice(touching, 2))) == 2:
+            tainted |= members
+    det = tuple(p for p, s in zip(paths, sets) if s.isdisjoint(tainted))
+    ndet = tuple(p for p, s in zip(paths, sets) if not s.isdisjoint(tainted))
     return PathSet(label=target, deterministic=det, nondeterministic=ndet)
 
 
@@ -135,13 +185,11 @@ def classify_paths(graph: LabelGraph, label: int) -> PathSet:
 
 
 def _certain_members(graph: LabelGraph, target: int) -> frozenset[int]:
-    paths = all_paths_to(graph, target)
-    if not paths:
+    order, fwd, bwd = _path_counts(graph, target)
+    if not order:
         return frozenset({target})
-    common = set(paths[0])
-    for p in paths[1:]:
-        common &= set(p)
-    return frozenset(common | {target})
+    total = fwd[target]
+    return frozenset(v for v in order if fwd[v] * bwd[v] == total)
 
 
 def certain_nodes(graph: LabelGraph, label: int) -> CertainNodeSet:

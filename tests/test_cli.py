@@ -173,6 +173,40 @@ class TestEvalAudit:
         assert 0.0 <= report["path_correctness"] <= 1.0
 
 
+class TestEvalDecodesOnce:
+    def test_dump_paths_reuses_the_evaluation_decodes(self, workdir, tmp_path,
+                                                      monkeypatch):
+        from pathcast import cli, evaldecode
+        from pathcast.harness import load_dataset
+        from pathcast.labelgraph import load_graph
+
+        root, cfg_path = workdir
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_train_fine": 150, "n_train_coarse": 60,
+                                    "n_test": 200, "seed": 3}))
+        assert cli.main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 0
+        ck = tmp_path / "m.pck"
+        assert cli.main(["train", "--config", str(cfg_path), "--out", str(ck)]) == 0
+        calls = []
+        decode = evaldecode.greedy_decode
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return decode(*args, **kwargs)
+
+        monkeypatch.setattr(evaldecode, "greedy_decode", counting)
+        dump = tmp_path / "paths.jsonl"
+        assert cli.main(["eval", "--ckpt", str(ck), "--data", str(tmp_path / "test.jsonl"),
+                         "--max-len", "6", "--audit", "--dump-paths", str(dump)]) == 0
+        graph = load_graph(str(root / "graph.json"))
+        samples = load_dataset(str(tmp_path / "test.jsonl")).samples
+        audited = sum(1 for s in samples if s.attrs and
+                      evaldecode.nondeterministic_groups(graph, graph.id_of(s.label)))
+        assert len(samples) == 200 and 0 < audited < 200
+        assert len(calls) == len(samples) + audited
+        assert len(dump.read_text().splitlines()) == len(samples)
+
+
 class TestAblateCommand:
     def test_ablate_emits_variant_rows(self, workdir, tmp_path):
         root, _ = workdir

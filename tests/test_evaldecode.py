@@ -170,6 +170,17 @@ class TestNondeterministicGroups:
         assert len(nd["color"]) == 3
         assert nondeterministic_groups(g, g.id_of("bengal")) == {}
 
+    def test_matches_enumeration_oracle(self):
+        from test_pathalg import oracle_all_paths
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            g = random_dag(rng)
+            for label in g.label_ids():
+                on_paths = {n for p in oracle_all_paths(g, label) for n in p}
+                want = {gr.name: set(gr.members & on_paths) for gr in g.groups
+                        if len(gr.members & on_paths) >= 2}
+                assert nondeterministic_groups(g, label) == want
+
 
 class TestDecodedGroupNodes:
     def test_beta_zero_decodes_stay_on_groundtruth_group_members(self):

@@ -14,7 +14,7 @@ from pathcast.harness import (BaselineConfig, DatasetSpec, InconsistentSpec,
 from pathcast.labelgraph import NodeKind, stats, validate
 from pathcast.pathalg import enumerate_paths
 
-from test_labelgraph import figure2_subgraph
+from test_labelgraph import figure2_subgraph, random_dag
 
 
 def small_spec(**kw):
@@ -248,6 +248,17 @@ class TestBaselines:
                         edge_spec=[("a", "x")])
         hot = label_set_targets(g, "x")
         assert hot.sum() == 3.0
+
+    def test_label_set_targets_match_enumeration_oracle(self):
+        from test_pathalg import oracle_all_paths
+        rng = np.random.default_rng(18)
+        for _ in range(60):
+            g = random_dag(rng)
+            for label in g.label_ids():
+                want = np.zeros(len(g.nodes))
+                for p in oracle_all_paths(g, label):
+                    want[list(p)] = 1.0
+                np.testing.assert_array_equal(label_set_targets(g, g.node(label).name), want)
 
     def test_label_set_separable(self, task):
         _, (graph, fine, coarse, test) = task

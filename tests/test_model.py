@@ -270,3 +270,14 @@ class TestCheckpointRoundTrip:
         side = json.load(open(ckpt + ".json"))
         assert set(side) == {"graph_file", "input_dim", "embed_dim", "hidden"}
         assert side["input_dim"] == 5
+
+    def test_unexpected_parameter_rejected(self, tmp_path):
+        g = chain_graph()
+        m = make_model(g)
+        ckpt = str(tmp_path / "m.pck")
+        save_model(ckpt, m)
+        weights = nm.load_params(ckpt)
+        weights["extra.bogus"] = np.zeros(3)
+        nm.save_params(ckpt, weights)
+        with pytest.raises(ValueError, match="extra.bogus"):
+            load_model(ckpt, g)

@@ -1,11 +1,15 @@
 """Path enumeration and classification against brute-force oracles."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
 
-from pathcast.labelgraph import build_graph
+from pathcast.evaldecode import nondeterministic_groups
+from pathcast.harness import label_set_targets
+from pathcast.labelgraph import (CycleDetected, GraphNode, LabelGraph, NodeKind,
+                                 build_graph)
 from pathcast.pathalg import (NotALabelNode, are_competing, certain_nodes,
                               classify_paths, enumerate_paths)
 
@@ -45,6 +49,49 @@ def oracle_classify(graph, target):
     det = [p for i, p in enumerate(paths) if i not in nondet]
     nd = [p for i, p in enumerate(paths) if i in nondet]
     return det, nd
+
+
+def layered_dag(depth, rng=None, singleton=False):
+    """Width-2 layered DAG with the label ``x`` under its last layer.
+
+    Without ``rng`` both nodes of every layer are children of both nodes of
+    the layer above, and ``x`` of both last ones: 2**depth paths. With
+    ``rng`` every node keeps a random nonempty subset of those parents, and
+    may gain one from two layers up, so that some paths skip a layer (and
+    its group). Groups are one explicit singleton per node, or else implicit
+    siblings; with ``rng`` each layer is made of singletons with probability
+    1/2, which leaves some paths clear of every competing pair.
+    """
+    def some(parents, skip):
+        if rng is None:
+            return list(parents)
+        kept = [p for p in parents if rng.random() < 0.6]
+        kept = kept or [parents[int(rng.integers(len(parents)))]]
+        if skip and rng.random() < 0.5:
+            kept.append(skip[int(rng.integers(len(skip)))])
+        return kept
+
+    layers = [[f"a{k}", f"b{k}"] for k in range(1, depth + 1)]
+    augmented, prev, above = [], ["root"], []
+    for pair in layers:
+        augmented += [(n, some(prev, above)) for n in pair]
+        prev, above = pair, prev
+    edges = [(n, "x") for n in some(prev, above)]
+    alone = [pair for pair in layers
+             if singleton or (rng is not None and rng.random() < 0.5)]
+    groups = [(f"only-{n}", [n]) for pair in alone for n in pair]
+    return build_graph([("d", ["x"])], augmented, edges, groups)
+
+
+def cyclic_graph():
+    """root -> a <-> b -> x, plus an unrelated cycle c <-> d; unvalidated."""
+    kinds = [NodeKind.ROOT, NodeKind.AUGMENTED, NodeKind.AUGMENTED, NodeKind.LABEL,
+             NodeKind.AUGMENTED, NodeKind.AUGMENTED, NodeKind.LABEL]
+    names = ["root", "a", "b", "x", "c", "d", "y"]
+    nodes = [GraphNode(i, n, k, frozenset({"d"}) if k is NodeKind.LABEL else frozenset())
+             for i, (n, k) in enumerate(zip(names, kinds))]
+    edges = [(0, 1), (1, 2), (2, 1), (2, 3), (0, 4), (4, 5), (5, 4), (0, 6)]
+    return LabelGraph(nodes, edges, [])
 
 
 class TestEnumeratePaths:
@@ -152,6 +199,44 @@ class TestClassifyPaths:
         with pytest.raises(NotALabelNode):
             classify_paths(g, g.id_of("shorthair"))
 
+    def test_layered_dags_match_oracle(self):
+        rng = np.random.default_rng(15)
+        mixed = 0
+        for singleton in (False, True):
+            for depth in (1, 2, 3, 4, 5, 6):
+                for g in [layered_dag(depth, singleton=singleton)] + [
+                        layered_dag(depth, rng, singleton) for _ in range(20)]:
+                    ps = classify_paths(g, g.id_of("x"))
+                    det, nd = oracle_classify(g, g.id_of("x"))
+                    assert list(ps.deterministic) == det
+                    assert list(ps.nondeterministic) == nd
+                    mixed += bool(det) and bool(nd)
+        assert mixed >= 5  # the sweep includes labels with both verdicts
+
+    def test_full_layered_split_closed_form(self):
+        for singleton in (False, True):
+            g = layered_dag(6, singleton=singleton)
+            ps = classify_paths(g, g.id_of("x"))
+            want = (64, 0) if singleton else (0, 64)
+            assert (len(ps.deterministic), len(ps.nondeterministic)) == want
+
+    def test_one_path_holding_two_members_stays_deterministic(self):
+        # root -> c -> a -> b -> x and c -> x; the group {a, b} lies on one
+        # path only, so no other path offers a competing member
+        spec = dict(augmented_spec=[("c", ["root"]), ("a", ["c"]), ("b", ["a"])],
+                    group_spec=[("pair", ["a", "b"])])
+        g = build_graph([("d", ["x"])], edge_spec=[("b", "x"), ("c", "x")], **spec)
+        ps = classify_paths(g, g.id_of("x"))
+        assert len(ps.deterministic) == 2 and ps.nondeterministic == ()
+        assert oracle_classify(g, g.id_of("x")) == (list(ps.deterministic), [])
+        # a second path through b makes both group paths nondeterministic
+        g = build_graph([("d", ["x"])], edge_spec=[("b", "x"), ("c", "x"), ("c", "b")],
+                        **spec)
+        ps = classify_paths(g, g.id_of("x"))
+        det, nd = oracle_classify(g, g.id_of("x"))
+        assert (list(ps.deterministic), list(ps.nondeterministic)) == (det, nd)
+        assert sorted(map(len, nd)) == [4, 5] and det == [(0, g.id_of("c"), g.id_of("x"))]
+
 
 class TestCertainNodes:
     def test_chain(self):
@@ -184,6 +269,37 @@ class TestCertainNodes:
                     want &= set(p)
                 want |= {label}
                 assert certain_nodes(g, label).members == frozenset(want)
+
+    def test_layered_dags_match_intersection_oracle(self):
+        rng = np.random.default_rng(16)
+        for depth in (1, 3, 5):
+            for _ in range(10):
+                g = layered_dag(depth, rng)
+                paths = oracle_all_paths(g, g.id_of("x"))
+                want = set(paths[0]).intersection(*paths[1:])
+                assert certain_nodes(g, g.id_of("x")).members == frozenset(want)
+
+    def test_million_paths_in_polynomial_time(self):
+        g = layered_dag(20)
+        x = g.id_of("x")
+        t0 = time.perf_counter()
+        certain = certain_nodes(g, x).members
+        groups = nondeterministic_groups(g, x)
+        elapsed = time.perf_counter() - t0
+        assert certain == frozenset({g.root, x})
+        want = sorted(sorted(g.id_of(n) for n in (f"a{k}", f"b{k}")) for k in range(1, 21))
+        assert sorted(map(sorted, groups.values())) == want
+        assert elapsed < 1.0
+
+    def test_cycle_on_a_path_is_rejected(self):
+        g = cyclic_graph()
+        for fn in (lambda: certain_nodes(g, 3), lambda: nondeterministic_groups(g, 3),
+                   lambda: label_set_targets(g, "x")):
+            with pytest.raises(CycleDetected):
+                fn()
+        # a cycle off every path of the label does not matter
+        assert certain_nodes(g, 6).members == frozenset({0, 6})
+        assert nondeterministic_groups(g, 6) == {}
 
     def test_members_on_every_path(self):
         rng = np.random.default_rng(14)

@@ -239,6 +239,38 @@ class TestDeterministicLoss:
         assert trace_tf != trace_fr
         assert trace_tf[0][:2] == trace_fr[0][:2]  # START and root agree
 
+    def test_free_running_feeds_the_greedy_token_of_each_step(self):
+        # every fed token after START is greedy_choice over model.distribution
+        # of the logits that lane saw one step earlier
+        from pathcast.model import greedy_choice
+        g = figure2_subgraph()
+        book = PathBook(g)
+        labels = [g.id_of("british-shorthair"), g.id_of("bengal")]
+        for seed in range(4):
+            m = make_model(g, seed=seed, input_dim=4)
+            logits = []
+            decode = m.decode_logits
+
+            def recording(f, tokens):
+                f_t, z = decode(f, tokens)
+                logits.append(z.data.copy())
+                return f_t, z
+
+            m.decode_logits = recording
+            batch = Batch(inputs=np.random.default_rng(seed).normal(size=(2, 4)),
+                          target_paths=[list(book.split(lb)[0]) + list(book.split(lb)[1])
+                                        for lb in labels],
+                          pg_indexes=(), labels=tuple(labels))
+            trace: list[list[int]] = []
+            loss = deterministic_loss(m, batch, TrainConfig(max_len=6, r_tf=0.0),
+                                      np.random.default_rng(0), fed_trace=trace)
+            assert loss is not None and len(trace) == 6
+            for li, fed in enumerate(trace):
+                assert fed[0] == m.start_token
+                for t in range(1, len(fed)):
+                    dist = m.distribution(logits[t - 1][li], fed[t - 1])
+                    assert fed[t] == greedy_choice(dist)[0]
+
     def test_returns_none_without_lanes(self):
         g = chain_graph()
         m = make_model(g)
