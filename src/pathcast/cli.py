@@ -69,7 +69,7 @@ def cmd_train(args) -> int:
     dev_ds = harness.load_dataset(raw["dev"]) if raw.get("dev") else None
     model = LabelPathModel(
         graph,
-        input_dim=len(train_ds.samples[0].x),
+        input_dim=train_ds.input_dim,
         embed_dim=int(raw.get("embed_dim", 16)),
         hidden=int(raw.get("hidden", 32)),
         seed=cfg.seed,
@@ -92,7 +92,7 @@ def cmd_eval(args) -> int:
     if args.audit:
         triples = [(s.x, graph.id_of(s.label), s.attrs) for s in ds.samples]
         report.path_correctness = evaldecode.audit_nondeterministic(
-            model, triples, args.max_len)
+            model, triples, args.max_len, decoded)
     if args.dump_paths:
         with open(args.dump_paths, "w", encoding="utf-8") as f:
             for i, (s, r) in enumerate(zip(ds.samples, decoded)):

@@ -140,19 +140,21 @@ def nondeterministic_groups(graph: LabelGraph, label: int) -> dict[str, set[int]
     return _competing_groups(graph, _path_counts(graph, label)[0])
 
 
-def audit_nondeterministic(model: LabelPathModel, dataset: Sequence,
-                           max_len: int) -> float:
+def audit_nondeterministic(model: LabelPathModel, dataset: Sequence, max_len: int,
+                           decoded: Sequence[DecodedResult] | None = None) -> float:
     """Fraction of decoded nondeterministic attribute choices that match the
     instance's true attribute.
 
     ``dataset`` yields (x, label_id, attrs) triples where ``attrs`` maps a
     group name to the true member node name. Only decode steps through a
     group that is nondeterministic for the sample's label are audited.
+    ``decoded`` (when given) holds each sample's decode, in dataset order,
+    and is used instead of decoding again.
     """
     graph = model.graph
     nd_cache: dict[int, dict[str, set[int]]] = {}
     audited = matches = 0
-    for x, gold, attrs in dataset:
+    for i, (x, gold, attrs) in enumerate(dataset):
         if not attrs:
             continue
         if gold not in nd_cache:
@@ -160,7 +162,7 @@ def audit_nondeterministic(model: LabelPathModel, dataset: Sequence,
         nd_groups = nd_cache[gold]
         if not nd_groups:
             continue
-        result = greedy_decode(model, x, max_len)
+        result = decoded[i] if decoded is not None else greedy_decode(model, x, max_len)
         for node in result.path:
             g = graph.group_of(node)
             if g is None or g.name not in nd_groups:

@@ -19,13 +19,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import numerics as nm
-from .labelgraph import LabelGraph, NodeKind, _reachable, build_graph, validate
+from .labelgraph import LabelGraph, NodeKind, _closure, build_graph, validate
 from .model import LabelPathModel
 from .numerics import AdamState, Tensor, adam_step
 from .pathalg import _path_counts, _require_label
 from .trainer import (LabeledSample, ScheduleConfig, ScheduleState, TrainConfig,
                       schedule_update, train, typed_fields)
-from .evaldecode import MetricsReport, classification_report, evaluate
+from .evaldecode import EmptyDataset, MetricsReport, classification_report, evaluate
 
 
 class InconsistentSpec(ValueError):
@@ -65,6 +65,13 @@ class DatasetSpec:
 
     def label_names(self) -> list[str]:
         return sorted({s.label for s in self.samples})
+
+    @property
+    def input_dim(self) -> int:
+        """Feature width; raises EmptyDataset when there are no samples."""
+        if not self.samples:
+            raise EmptyDataset(f"dataset {self.name!r} has no samples")
+        return len(self.samples[0].x)
 
 
 @dataclass(frozen=True)
@@ -161,20 +168,14 @@ class SynthSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "SynthSpec":
+        scalars = ("n_fine_labels", "n_coarse", "noise_sigma", "wild_scale", "branch_scale",
+                   "n_train_fine", "n_train_coarse", "n_test", "seed")
         defaults = SynthSpec()
         spec = SynthSpec(
-            n_fine_labels=int(d.get("n_fine_labels", defaults.n_fine_labels)),
-            n_coarse=int(d.get("n_coarse", defaults.n_coarse)),
+            **typed_fields(SynthSpec, d, scalars, required=False),
             group_sizes=tuple(int(x) for x in d.get("group_sizes", defaults.group_sizes)),
             label_profiles=tuple(tuple(SynthSpec._parse_profile_entry(m) for m in p)
                                  for p in d.get("label_profiles", defaults.label_profiles)),
-            noise_sigma=float(d.get("noise_sigma", defaults.noise_sigma)),
-            wild_scale=float(d.get("wild_scale", defaults.wild_scale)),
-            branch_scale=float(d.get("branch_scale", defaults.branch_scale)),
-            n_train_fine=int(d.get("n_train_fine", defaults.n_train_fine)),
-            n_train_coarse=int(d.get("n_train_coarse", defaults.n_train_coarse)),
-            n_test=int(d.get("n_test", defaults.n_test)),
-            seed=int(d.get("seed", defaults.seed)),
         )
         spec.check()
         return spec
@@ -506,7 +507,7 @@ def baseline_pseudo_label(cfg: BaselineConfig, fine: DatasetSpec, coarse: Datase
 
     _train_encoder_head(net, xs, make_loss(xs, ys), cfg)
 
-    descendants = {c: _reachable(graph, graph.id_of(c)) - {graph.id_of(c)}
+    descendants = {c: _closure(graph, graph.id_of(c)) - {graph.id_of(c)}
                    for c in coarse.label_names()}
     survivors: list[tuple[np.ndarray, int]] = []
     survivor_labels: list[tuple[str, str]] = []  # (coarse label, pseudo label)
@@ -612,7 +613,7 @@ def ablate(graph: LabelGraph, train_ds: DatasetSpec, dev_ds: DatasetSpec,
     from dataclasses import replace
 
     def run(g: LabelGraph, cfg: TrainConfig) -> float:
-        model = LabelPathModel(g, input_dim=len(train_ds.samples[0].x),
+        model = LabelPathModel(g, input_dim=train_ds.input_dim,
                                embed_dim=embed_dim, hidden=hidden, seed=cfg.seed)
         train(model, resolve_samples(train_ds, g), cfg,
               dev_set=resolve_samples(dev_ds, g))

@@ -309,12 +309,12 @@ def validate(graph: LabelGraph) -> list[Violation]:
         if nd.kind is not NodeKind.LABEL and nd.tags:
             out.append(Violation("TaggedNonLabel", f"{nd.kind.value} node {nd.name!r} carries tags", (nd.name,)))
 
-    cycle = _find_cycle(graph)
-    if cycle:
-        out.append(Violation("CycleDetected", "graph contains a cycle",
-                             tuple(graph.node(i).name for i in cycle)))
+    try:
+        _topo_order(graph)
+    except CycleDetected as exc:
+        out.append(Violation("CycleDetected", "graph contains a cycle", exc.names))
     else:
-        reach = _reachable(graph, graph.root)
+        reach = _closure(graph, graph.root)
         missing = [nd.name for nd in graph.nodes if nd.id not in reach]
         if missing:
             out.append(Violation("UnreachableNode",
@@ -340,12 +340,11 @@ def validate(graph: LabelGraph) -> list[Violation]:
             # Competing nodes share an ancestor. The root is every node's
             # ancestor, so it only counts when it is a direct shared parent
             # (top-level siblings); anything else must share a deeper one.
-            parents = set(graph.parents(valid_members[0]))
-            ancestors = _ancestors(graph, valid_members[0])
-            for m in valid_members[1:]:
-                parents &= set(graph.parents(m))
-                ancestors &= _ancestors(graph, m)
-            ancestors.discard(graph.root)
+            # A member's closure holds the member itself, which is no
+            # shared ancestor.
+            parents = set.intersection(*(set(graph.parents(m)) for m in valid_members))
+            ancestors = set.intersection(*(_closure(graph, m, up=True) for m in valid_members))
+            ancestors -= {graph.root, *valid_members}
             if not parents and not ancestors:
                 out.append(Violation("GroupWithoutCommonAncestor",
                                      f"members of group {g.name!r} share no ancestor "
@@ -354,54 +353,17 @@ def validate(graph: LabelGraph) -> list[Violation]:
     return out
 
 
-def _ancestors(graph: LabelGraph, node: int) -> set[int]:
-    seen: set[int] = set()
-    todo = [node]
-    while todo:
-        for p in graph.parents(todo.pop()):
-            if p not in seen:
-                seen.add(p)
-                todo.append(p)
-    return seen
-
-
-def _find_cycle(graph: LabelGraph) -> tuple[int, ...] | None:
-    """First cycle found by iterative DFS, or None if the graph is acyclic."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = [WHITE] * len(graph.nodes)
-    for start in range(len(graph.nodes)):
-        if color[start] != WHITE:
-            continue
-        stack: list[tuple[int, int]] = [(start, 0)]
-        path = [start]
-        color[start] = GRAY
-        while stack:
-            node, ci = stack[-1]
-            kids = graph.children(node)
-            if ci < len(kids):
-                stack[-1] = (node, ci + 1)
-                nxt = kids[ci]
-                if color[nxt] == GRAY:
-                    return tuple(path[path.index(nxt):] + [nxt])
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, 0))
-                    path.append(nxt)
-            else:
-                color[node] = BLACK
-                stack.pop()
-                path.pop()
-    return None
-
-
-def _reachable(graph: LabelGraph, start: int) -> set[int]:
+def _closure(graph: LabelGraph, start: int, up: bool = False) -> set[int]:
+    """``start`` plus every node reachable from it along child edges, or
+    along parent edges when ``up`` is set."""
+    step = graph.parents if up else graph.children
     seen = {start}
     todo = [start]
     while todo:
-        for c in graph.children(todo.pop()):
-            if c not in seen:
-                seen.add(c)
-                todo.append(c)
+        for nxt in step(todo.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
     return seen
 
 
@@ -418,16 +380,32 @@ def stats(graph: LabelGraph) -> GraphStats:
                       max_depth=max(depth) if depth else 0)
 
 
-def _topo_order(graph: LabelGraph) -> list[int]:
-    indeg = [len(graph.parents(i)) for i in range(len(graph.nodes))]
-    order = [i for i in range(len(graph.nodes)) if indeg[i] == 0]
-    i = 0
-    while i < len(order):
-        for c in graph.children(order[i]):
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                order.append(c)
-        i += 1
+def _topo_order(graph: LabelGraph, nodes: Iterable[int] | None = None) -> list[int]:
+    """Kahn order of every node, or of ``nodes`` over the edges among them.
+
+    Raises CycleDetected naming one cycle (its first name repeated at the
+    end) when some of the nodes cannot be ordered.
+    """
+    keep = range(len(graph.nodes)) if nodes is None else set(nodes)
+    indeg = {v: sum(p in keep for p in graph.parents(v)) for v in keep}
+    order = [v for v in keep if indeg[v] == 0]
+    for v in order:
+        for c in graph.children(v):
+            if c in keep:
+                indeg[c] -= 1
+                if indeg[c] == 0:
+                    order.append(c)
+    if len(order) < len(indeg):
+        # Every node left over has a parent left over: walk up until one repeats.
+        walk: list[int] = []
+        at: dict[int, int] = {}
+        v = min(v for v in indeg if indeg[v] > 0)
+        while v not in at:
+            at[v] = len(walk)
+            walk.append(v)
+            v = next(p for p in graph.parents(v) if indeg.get(p, 0) > 0)
+        names = [graph.node(i).name for i in reversed(walk[at[v]:] + [v])]
+        raise CycleDetected("graph contains a cycle: " + " -> ".join(names), names)
     return order
 
 

@@ -246,15 +246,14 @@ class LabelPathModel:
                     fed[li] = nxt
         return [nm.add_n(ts) if ts else None for ts in terms]
 
-    def path_log_prob(self, x: np.ndarray, path: list[int] | tuple[int, ...],
-                      terminal_eop: bool = True) -> Tensor:
+    def path_log_prob(self, x: np.ndarray, path: list[int] | tuple[int, ...]) -> Tensor:
         """Teacher-forced log-probability of a graph path starting at root.
 
-        Conditions each step on the groundtruth prefix and, when
-        ``terminal_eop`` is set, scores the closing EOP choice as well.
+        Conditions each step on the groundtruth prefix and scores the
+        closing EOP choice as well.
         """
-        targets = list(path) + ([self.eop_token] if terminal_eop else [])
-        return self.score_lanes(self.encode(x), [targets], teacher=True)[0]
+        return self.score_lanes(self.encode(x), [list(path) + [self.eop_token]],
+                                teacher=True)[0]
 
     def walk(self, x: np.ndarray, max_len: int,
              choose: Callable[[StepDistribution], tuple[int, float]]) -> SampledPath:

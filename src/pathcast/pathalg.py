@@ -11,7 +11,8 @@ Only :func:`all_paths_to` and the split, which return the paths themselves,
 enumerate them; the split is then linear in their total length. The certain
 set, the nondeterministic groups and the union of all paths come from
 :func:`_path_counts`, which is linear in the size of the label's ancestor
-sub-DAG.
+sub-DAG: it takes that sub-DAG with ``labelgraph._closure`` and orders it
+with ``labelgraph._topo_order``, the two graph walks of the package.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .labelgraph import CycleDetected, LabelGraph, NodeKind, _ancestors
+from .labelgraph import LabelGraph, NodeKind, _closure, _topo_order
 
 
 class NotALabelNode(ValueError):
@@ -33,9 +34,6 @@ class PathSet:
     label: int
     deterministic: tuple[tuple[int, ...], ...]
     nondeterministic: tuple[tuple[int, ...], ...]
-
-    def all_paths(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(self.deterministic + self.nondeterministic))
 
 
 @dataclass(frozen=True)
@@ -109,39 +107,20 @@ def _path_counts(graph: LabelGraph, target: int
 
     The nodes are the target's ancestors that the root reaches, plus the
     target; the counts are exact ints. Empty when the root cannot reach the
-    target. Raises CycleDetected when those nodes contain a cycle, which only
-    an unvalidated graph can have.
+    target. Raises CycleDetected when the target's ancestors contain a
+    cycle, which only an unvalidated graph can have.
     """
     root = graph.root
-    up = _ancestors(graph, target) | {target}
+    up = _closure(graph, target, up=True)
     if root not in up:
         return [], {}, {}
-    on = {root}
-    todo = [root]
-    while todo:
-        for c in graph.children(todo.pop()):
-            if c in up and c not in on:
-                on.add(c)
-                todo.append(c)
-    indeg = {v: sum(p in on for p in graph.parents(v)) for v in on}
-    order = [v for v in on if indeg[v] == 0]  # the root, unless it is on a cycle
-    for v in order:
-        for c in graph.children(v):
-            if c in on:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    order.append(c)
-    if len(order) < len(on):
-        stuck = sorted(v for v in on if indeg[v] > 0)
-        raise CycleDetected("cycle on a path to node "
-                            f"{graph.node(target).name!r}",
-                            [graph.node(v).name for v in stuck])
-    fwd = {root: 1}
-    for v in order[1:]:
-        fwd[v] = sum(fwd[p] for p in graph.parents(v) if p in on)
+    fwd: dict[int, int] = {}
+    for v in _topo_order(graph, up):
+        fwd[v] = 1 if v == root else sum(fwd[p] for p in graph.parents(v))
+    order = [v for v in fwd if fwd[v]]  # drops ancestors the root cannot reach
     bwd = {target: 1}
     for v in reversed(order[:-1]):
-        bwd[v] = sum(bwd[c] for c in graph.children(v) if c in on)
+        bwd[v] = sum(bwd.get(c, 0) for c in graph.children(v))
     return order, fwd, bwd
 
 

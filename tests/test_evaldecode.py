@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pathcast import evaldecode
 from pathcast.evaldecode import (DecodedResult, EmptyDataset,
                                  NoAuditableSamples, audit_nondeterministic,
                                  evaluate, extract_label, greedy_decode,
@@ -223,6 +224,21 @@ class TestAudit:
                  {"color": members[int(rng.integers(3))]}) for _ in range(2400)]
         frac = audit_nondeterministic(m, data, 6)
         assert abs(frac - 1 / 3) < 0.05
+
+    def test_given_decodes_are_audited_without_decoding(self, monkeypatch):
+        g = build_graph(
+            label_sets=[("d", ["leaf"])],
+            augmented_spec=[("c0", ["root"]), ("c1", ["root"]), ("c2", ["root"])],
+            edge_spec=[("c0", "leaf"), ("c1", "leaf"), ("c2", "leaf")],
+            group_spec=[("color", ["c0", "c1", "c2"])])
+        m = make_model(g, seed=11)
+        rng = np.random.default_rng(4)
+        data = [(rng.normal(size=5), g.id_of("leaf"),
+                 {"color": f"c{int(rng.integers(3))}"}) for _ in range(60)]
+        decoded = [greedy_decode(m, x, 6) for x, _, _ in data]
+        want = audit_nondeterministic(m, data, 6)
+        monkeypatch.setattr(evaldecode, "greedy_decode", None)
+        assert audit_nondeterministic(m, data, 6, decoded) == want
 
     def test_no_auditable_samples(self):
         g = chain_graph()

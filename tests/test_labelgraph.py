@@ -7,8 +7,9 @@ import pytest
 
 from pathcast.labelgraph import (CycleDetected, DuplicateGroupMembership,
                                  GraphNode, Group, LabelGraph, NodeKind,
-                                 UnknownName, build_graph, canonical_name,
-                                 deserialize, serialize, stats, validate)
+                                 UnknownName, _topo_order, build_graph,
+                                 canonical_name, deserialize, serialize, stats,
+                                 validate)
 
 
 def figure2_subgraph():
@@ -28,6 +29,13 @@ def figure2_subgraph():
         group_spec=[("hair", ["shorthair", "longhair"]),
                     ("color", ["solid-color", "tabby-color", "point-color"])],
         root_name="animal")
+
+
+def figure2_with_back_edge():
+    """figure2_subgraph plus bengal -> cat, which closes cycles; unvalidated."""
+    g = figure2_subgraph()
+    return LabelGraph(g.nodes, g.edges + ((g.id_of("bengal"), g.id_of("cat")),),
+                      g.groups, g.root)
 
 
 def random_dag(rng, max_nodes=12):
@@ -125,6 +133,15 @@ class TestValidate:
                         g.groups, g.root)
         codes = {v.code for v in validate(bad)}
         assert "CycleDetected" in codes
+
+    def test_cycle_names_one_real_cycle(self):
+        bad = figure2_with_back_edge()
+        [v] = [v for v in validate(bad) if v.code == "CycleDetected"]
+        # closed by repeating its first node
+        ids = [bad.id_of(name) for name in v.names]
+        assert len(ids) >= 3 and ids[0] == ids[-1]
+        assert len(set(ids)) == len(ids) - 1
+        assert all(b in bad.children(a) for a, b in zip(ids, ids[1:]))
 
     def test_duplicate_membership_code(self):
         g = figure2_subgraph()
@@ -231,6 +248,19 @@ class TestStats:
         g = deserialize(json.dumps({"nodes": nodes, "edges": edges, "groups": []}))
         s = stats(g)
         assert (s.label_count, s.augmented_count, s.edge_count) == (39, 14, 119)
+
+    def test_cyclic_graph_raises(self):
+        with pytest.raises(CycleDetected):
+            stats(figure2_with_back_edge())
+
+    def test_topo_order_puts_every_edge_forward(self):
+        rng = np.random.default_rng(5)
+        for _ in range(25):
+            g = random_dag(rng)
+            order = _topo_order(g)
+            pos = {v: i for i, v in enumerate(order)}
+            assert sorted(order) == list(range(len(g.nodes)))
+            assert all(pos[a] < pos[b] for a, b in g.edges)
 
     def test_random_graph_counts_match_recount(self):
         rng = np.random.default_rng(1)
