@@ -427,6 +427,16 @@ def _train_encoder_head(net: _EncoderHead, xs: np.ndarray, loss_fn: Callable,
         schedule_update(sched, epoch, -epoch_loss)
 
 
+def _cross_entropy(ys: np.ndarray) -> Callable:
+    """Batch-mean cross-entropy of the logits rows against the class ids
+    ``ys[idx]``: one rows-form ``block_log_prob`` over all classes."""
+    def loss_fn(z: Tensor, idx: np.ndarray) -> Tensor:
+        all_classes = range(z.data.shape[1])
+        lp = nm.block_log_prob(z, [all_classes] * len(idx), ys[idx])
+        return nm.weighted_sum(lp, np.full(len(idx), -1.0 / len(idx)))
+    return loss_fn
+
+
 def baseline_ffn(cfg: BaselineConfig, train_ds: DatasetSpec,
                  test_ds: DatasetSpec) -> MetricsReport:
     """Encoder plus one softmax over the fine labels, cross-entropy trained."""
@@ -435,14 +445,7 @@ def baseline_ffn(cfg: BaselineConfig, train_ds: DatasetSpec,
     xs = np.stack([s.x for s in train_ds.samples])
     ys = np.array([cls_index[s.label] for s in train_ds.samples])
     net = _EncoderHead(xs.shape[1], cfg.hidden, len(classes), cfg.seed)
-    all_block = list(range(len(classes)))
-
-    def loss_fn(z: Tensor, idx: np.ndarray) -> Tensor:
-        terms = [nm.block_log_prob(nm.take_row(z, r), all_block, int(ys[i]))
-                 for r, i in enumerate(idx)]
-        return nm.scale(nm.neg(nm.add_n(terms)), 1.0 / len(idx))
-
-    _train_encoder_head(net, xs, loss_fn, cfg)
+    _train_encoder_head(net, xs, _cross_entropy(ys), cfg)
     z = net.logits(np.stack([s.x for s in test_ds.samples]))
     pred = [classes[int(i)] for i in np.argmax(z.data, axis=1)]
     return classification_report([s.label for s in test_ds.samples], pred)
@@ -496,16 +499,7 @@ def baseline_pseudo_label(cfg: BaselineConfig, fine: DatasetSpec, coarse: Datase
     xs = np.stack([s.x for s in fine.samples])
     ys = np.array([cls_index[s.label] for s in fine.samples])
     net = _EncoderHead(xs.shape[1], cfg.hidden, len(classes), cfg.seed)
-    all_block = list(range(len(classes)))
-
-    def make_loss(xmat: np.ndarray, yvec: np.ndarray) -> Callable:
-        def loss_fn(z: Tensor, idx: np.ndarray) -> Tensor:
-            terms = [nm.block_log_prob(nm.take_row(z, r), all_block, int(yvec[i]))
-                     for r, i in enumerate(idx)]
-            return nm.scale(nm.neg(nm.add_n(terms)), 1.0 / len(idx))
-        return loss_fn
-
-    _train_encoder_head(net, xs, make_loss(xs, ys), cfg)
+    _train_encoder_head(net, xs, _cross_entropy(ys), cfg)
 
     descendants = {c: _closure(graph, graph.id_of(c)) - {graph.id_of(c)}
                    for c in coarse.label_names()}
@@ -526,7 +520,7 @@ def baseline_pseudo_label(cfg: BaselineConfig, fine: DatasetSpec, coarse: Datase
     ys2 = np.concatenate([ys, np.array([s[1] for s in survivors], dtype=ys.dtype)]) \
         if survivors else ys
     net2 = _EncoderHead(xs.shape[1], cfg.hidden, len(classes), cfg.seed)
-    _train_encoder_head(net2, xs2, make_loss(xs2, ys2), cfg)
+    _train_encoder_head(net2, xs2, _cross_entropy(ys2), cfg)
 
     z = net2.logits(np.stack([s.x for s in test_ds.samples]))
     pred = [classes[int(i)] for i in np.argmax(z.data, axis=1)]

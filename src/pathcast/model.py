@@ -191,7 +191,7 @@ class LabelPathModel:
 
     def score_lanes(self, f: Tensor, lanes: Sequence[Sequence[int]], teacher: bool,
                     fed_trace: list[list[int]] | None = None,
-                    offer_final_eop: bool = True) -> list[Tensor | None]:
+                    offer_final_eop: bool = True) -> tuple[Tensor, list[bool]]:
         """Differentiable summed log-probability of each lane's target tokens.
 
         ``f`` holds one decoder state per lane; every lane is fed START first.
@@ -201,18 +201,23 @@ class LabelPathModel:
         candidate after that token is skipped, and the lane stops at EOP or at
         a token without candidates. ``offer_final_eop`` force-offers EOP for a
         closing EOP target, so a groundtruth path may end at a non-label node.
-        Lanes with no scored step get None. ``fed_trace`` (when given)
+        Returns the per-lane totals as one ``[lanes]`` Tensor, built from one
+        rows-form ``block_log_prob`` per step, and per lane whether any step
+        was scored (an unscored lane's total is 0). ``fed_trace`` (when given)
         collects each lane's input tokens.
         """
         if not all(lanes):
             raise InvalidPath("empty lane")
         fed = [self.start_token] * len(lanes)
         alive = [True] * len(lanes)  # feeding still on a usable token
-        terms: list[list[Tensor]] = [[] for _ in lanes]
+        scored = [False] * len(lanes)
+        steps: list[Tensor] = []
         if fed_trace is not None:
             fed_trace.extend([] for _ in lanes)
         for t in range(max(map(len, lanes))):
             f, z = self.decode_logits(f, fed)
+            step_blocks: list[list[int] | None] = [None] * len(lanes)
+            step_targets = [0] * len(lanes)
             for li, targets in enumerate(lanes):
                 if t >= len(targets) or not alive[li]:
                     continue
@@ -231,8 +236,9 @@ class LabelPathModel:
                 if target in toks:
                     pos = toks.index(target)
                     block = next(b for b in blocks if pos in b)
-                    terms[li].append(nm.block_log_prob(
-                        nm.take_row(z, li), [toks[i] for i in block], target))
+                    step_blocks[li] = [toks[i] for i in block]
+                    step_targets[li] = target
+                    scored[li] = True
                 elif teacher:
                     raise InvalidPath(f"token {target} is not a candidate after {prev}")
                 try:
@@ -244,7 +250,8 @@ class LabelPathModel:
                     alive[li] = False  # frozen on prev; no further loss from this lane
                 else:
                     fed[li] = nxt
-        return [nm.add_n(ts) if ts else None for ts in terms]
+            steps.append(nm.block_log_prob(z, step_blocks, step_targets))
+        return nm.add_n(steps), scored
 
     def path_log_prob(self, x: np.ndarray, path: list[int] | tuple[int, ...]) -> Tensor:
         """Teacher-forced log-probability of a graph path starting at root.
@@ -252,8 +259,9 @@ class LabelPathModel:
         Conditions each step on the groundtruth prefix and scores the
         closing EOP choice as well.
         """
-        return self.score_lanes(self.encode(x), [list(path) + [self.eop_token]],
-                                teacher=True)[0]
+        totals, _ = self.score_lanes(self.encode(x), [list(path) + [self.eop_token]],
+                                     teacher=True)
+        return nm.sum_all(totals)
 
     def walk(self, x: np.ndarray, max_len: int,
              choose: Callable[[StepDistribution], tuple[int, float]]) -> SampledPath:
@@ -293,8 +301,9 @@ class LabelPathModel:
     def sampled_path_log_prob(self, x: np.ndarray, sampled: SampledPath) -> Tensor:
         """Differentiable re-scoring of a sampled trajectory (same choices)."""
         targets = list(sampled.tokens) + ([self.eop_token] if sampled.ended_with_eop else [])
-        return self.score_lanes(self.encode(x), [targets], teacher=True,
-                                offer_final_eop=False)[0]
+        totals, _ = self.score_lanes(self.encode(x), [targets], teacher=True,
+                                     offer_final_eop=False)
+        return nm.sum_all(totals)
 
 
 def _sample_cross_block(dist: StepDistribution, rng: np.random.Generator) -> tuple[int, float]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -242,6 +243,21 @@ def sum_all(a: Tensor) -> Tensor:
     return out
 
 
+def weighted_sum(a: Tensor, w: np.ndarray) -> Tensor:
+    """Scalar ``sum(w * a)`` of a vector; the weights are constants."""
+    w = np.asarray(w, dtype=np.float64)
+    if a.data.ndim != 1 or w.shape != a.data.shape:
+        raise ShapeMismatch(f"weighted_sum: {a.data.shape} with weights {w.shape}")
+    out = Tensor(np.dot(w, a.data), _parents=(a,))
+
+    def bw(g):
+        if a.requires_grad:
+            a._accum(w * float(g))
+
+    out._backward = bw
+    return out
+
+
 def add_n(ts: Sequence[Tensor]) -> Tensor:
     """Sum a non-empty list of same-shape tensors in one trace node."""
     if not ts:
@@ -363,34 +379,56 @@ def block_softmax(logits: Tensor, partition: BlockPartition | Sequence[Sequence[
     return out
 
 
-def block_log_prob(logits: Tensor, block: Sequence[int], target: int) -> Tensor:
+def block_log_prob(logits: Tensor, block, target) -> Tensor:
     """log of the block-softmax probability of ``target`` within its block.
 
     Equivalent to ``log(block_softmax(logits, ...)[target])`` but fused and
     stabilised as ``z[target] - logsumexp(z[block])``; only the target's block
     receives gradient, matching block independence.
+
+    Vector form: ``logits [V]``, one block of indices and one target; returns
+    a scalar. Rows form: ``logits [m,V]``, one block per row (``None`` leaves
+    the row unscored) and one target per row; returns one ``[m]`` node that is
+    0 in unscored rows. Both run as one segment logsumexp over the
+    concatenated blocks, with one scatter in the backward pass.
     """
-    if logits.data.ndim != 1:
-        raise ShapeMismatch(f"block_log_prob: expected vector, got {logits.data.shape}")
-    bb = np.asarray(block, dtype=np.intp)
-    if bb.size == 0:
-        raise EmptyBlock("empty block")
-    if bb.size and (bb.min() < 0 or bb.max() >= logits.data.shape[0]):
-        raise IndexOutOfRange("block index out of range")
-    if target not in set(int(i) for i in bb):
-        raise IndexOutOfRange(f"target {target} not inside its block")
-    z = logits.data[bb]
-    zmax = z.max()
-    lse = zmax + np.log(np.exp(z - zmax).sum())
-    out = Tensor(np.asarray(logits.data[target] - lse), _parents=(logits,))
+    vector = logits.data.ndim == 1
+    if not vector and logits.data.ndim != 2:
+        raise ShapeMismatch(f"block_log_prob: expected vector or matrix, got {logits.data.shape}")
+    zz = logits.data[None, :] if vector else logits.data
+    blocks, targets = ([block], [target]) if vector else (block, target)
+    if len(blocks) != zz.shape[0] or len(targets) != zz.shape[0]:
+        raise ShapeMismatch(f"block_log_prob: {len(blocks)} blocks and {len(targets)} "
+                            f"targets for {zz.shape[0]} rows")
+    rows = np.array([i for i, b in enumerate(blocks) if b is not None], dtype=np.intp)
+    sizes = np.array([len(blocks[i]) for i in rows], dtype=np.intp)
+    lp = np.zeros(zz.shape[0])
+    if rows.size:
+        if sizes.min() == 0:
+            raise EmptyBlock("empty block")
+        cols = np.fromiter(chain.from_iterable(blocks[i] for i in rows), dtype=np.intp,
+                           count=int(sizes.sum()))
+        if cols.min() < 0 or cols.max() >= zz.shape[1]:
+            raise IndexOutOfRange("block index out of range")
+        tgt = np.array([targets[i] for i in rows], dtype=np.intp)
+        starts = np.cumsum(sizes) - sizes
+        hits = np.add.reduceat(cols == np.repeat(tgt, sizes), starts)
+        if not hits.all():
+            raise IndexOutOfRange(f"target {tgt[hits == 0][0]} not inside its block")
+        flat_rows = np.repeat(rows, sizes)
+        z = zz[flat_rows, cols]
+        zmax = np.maximum.reduceat(z, starts)
+        lse = zmax + np.log(np.add.reduceat(np.exp(z - np.repeat(zmax, sizes)), starts))
+        lp[rows] = zz[rows, tgt] - lse
+    out = Tensor(lp[0] if vector else lp, _parents=(logits,))
 
     def bw(g):
-        if logits.requires_grad:
-            gz = np.zeros_like(logits.data)
-            p = np.exp(z - lse)
-            gz[bb] = -p * float(g)
-            gz[target] += float(g)
-            logits._accum(gz)
+        if logits.requires_grad and rows.size:
+            gr = np.reshape(g, -1)[rows]
+            gz = np.zeros_like(zz)
+            gz[flat_rows, cols] = -np.exp(z - np.repeat(lse, sizes)) * np.repeat(gr, sizes)
+            gz[rows, tgt] += gr
+            logits._accum(gz[0] if vector else gz)
 
     out._backward = bw
     return out
@@ -503,7 +541,9 @@ def gru_step(params: GruParams, e_t: Tensor, f_prev: Tensor) -> Tensor:
 
     r = sigmoid(W_r[e,f] + b_r), u = sigmoid(W_u[e,f] + b_u),
     c = tanh(W_c[e, r*f] + b_c). Accepts [m,d]/[m,h] matrices or single
-    vectors (promoted to one-row matrices).
+    vectors (promoted to one-row matrices). The matrix form is one trace node
+    whose backward is derived by hand for the nine weights, ``e_t`` and
+    ``f_prev``.
     """
     squeeze = e_t.data.ndim == 1
     if squeeze:
@@ -511,11 +551,43 @@ def gru_step(params: GruParams, e_t: Tensor, f_prev: Tensor) -> Tensor:
             raise ShapeMismatch("gru_step: mixed vector/matrix inputs")
         e_t = _promote_row(e_t)
         f_prev = _promote_row(f_prev)
-    r = sigmoid(add_rowvec(add(matmul(e_t, params.w_re), matmul(f_prev, params.w_rf)), params.b_r))
-    u = sigmoid(add_rowvec(add(matmul(e_t, params.w_ue), matmul(f_prev, params.w_uf)), params.b_u))
-    c = tanh(add_rowvec(add(matmul(e_t, params.w_ce), matmul(mul(r, f_prev), params.w_cf)), params.b_c))
-    ones = constant(np.ones_like(u.data))
-    f_t = add(mul(sub(ones, u), f_prev), mul(u, c))
+    p = params
+    e, f = e_t.data, f_prev.data
+    if (e.ndim != 2 or f.ndim != 2 or e.shape[0] != f.shape[0]
+            or e.shape[1] != p.w_re.data.shape[0] or f.shape[1] != p.w_rf.data.shape[0]):
+        raise ShapeMismatch(f"gru_step: e {e.shape}, f_prev {f.shape} for "
+                            f"weights {p.w_re.data.shape} / {p.w_rf.data.shape}")
+    # Each gate uses the expressions, in the order, of the sigmoid/tanh/matmul/
+    # add_rowvec primitives, so the values equal their composition bit for bit.
+    r = _stable_sigmoid((e @ p.w_re.data + f @ p.w_rf.data) + p.b_r.data)
+    u = _stable_sigmoid((e @ p.w_ue.data + f @ p.w_uf.data) + p.b_u.data)
+    rf = r * f
+    c = np.tanh((e @ p.w_ce.data + rf @ p.w_cf.data) + p.b_c.data)
+    weights = (p.w_re, p.w_rf, p.b_r, p.w_ue, p.w_uf, p.b_u, p.w_ce, p.w_cf, p.b_c)
+    f_t = Tensor((1.0 - u) * f + u * c, _parents=(e_t, f_prev) + weights)
+
+    def bw(g):
+        # pre-activation gradients of the candidate, update and reset gates
+        g_c = g * u * (1.0 - c * c)
+        g_u = g * (c - f) * u * (1.0 - u)
+        g_rf = g_c @ p.w_cf.data.T
+        g_r = g_rf * f * r * (1.0 - r)
+        for pre, inp, w_e, w_f, b in ((g_r, f, p.w_re, p.w_rf, p.b_r),
+                                      (g_u, f, p.w_ue, p.w_uf, p.b_u),
+                                      (g_c, rf, p.w_ce, p.w_cf, p.b_c)):
+            if w_e.requires_grad:
+                w_e._accum(e.T @ pre)
+            if w_f.requires_grad:
+                w_f._accum(inp.T @ pre)
+            if b.requires_grad:
+                b._accum(pre.sum(axis=0))
+        if e_t.requires_grad:
+            e_t._accum(g_r @ p.w_re.data.T + g_u @ p.w_ue.data.T + g_c @ p.w_ce.data.T)
+        if f_prev.requires_grad:
+            f_prev._accum(g * (1.0 - u) + g_rf * r
+                          + g_r @ p.w_rf.data.T + g_u @ p.w_uf.data.T)
+
+    f_t._backward = bw
     return take_row(f_t, 0) if squeeze else f_t
 
 

@@ -12,6 +12,7 @@ nondeterministic paths are collected into the policy-gradient index set.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -186,21 +187,19 @@ def deterministic_loss(model: LabelPathModel, batch: Batch, cfg: TrainConfig,
         return None
     teacher = float(rng.uniform()) <= cfg.r_tf
     f = nm.gather_rows(model.encode(batch.inputs), [s for s, _ in lanes])
-    scores = model.score_lanes(f, [t for _, t in lanes], teacher, fed_trace)
+    totals, scored = model.score_lanes(f, [t for _, t in lanes], teacher, fed_trace)
 
-    per_sample: dict[int, list[Tensor]] = {}
-    for (si, _), score in zip(lanes, scores):
-        if score is not None:
-            per_sample.setdefault(si, []).append(nm.neg(score))
-    if not per_sample:
+    scored_lanes = Counter(si for (si, _), ok in zip(lanes, scored) if ok)
+    if not scored_lanes:
         return None
-    sample_losses = []
-    for si, nlls in sorted(per_sample.items()):
-        if cfg.path_agg == "mean" and len(nlls) > 1:
-            sample_losses.append(nm.scale(nm.add_n(nlls), 1.0 / len(nlls)))
-        else:  # sum, random (single lane), or a single path
-            sample_losses.append(nlls[0] if len(nlls) == 1 else nm.add_n(nlls))
-    return nm.scale(nm.add_n(sample_losses), 1.0 / len(sample_losses))
+    # One weight per lane pools it into its sample (mean or sum over that
+    # sample's scored lanes) and the sample into the batch mean.
+    weights = np.zeros(len(lanes))
+    for li, ((si, _), ok) in enumerate(zip(lanes, scored)):
+        if ok:
+            share = scored_lanes[si] if cfg.path_agg == "mean" else 1
+            weights[li] = -1.0 / (share * len(scored_lanes))
+    return nm.weighted_sum(totals, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +390,11 @@ def train(model: LabelPathModel, train_set: Sequence[LabeledSample],
           cfg: TrainConfig, dev_set: Sequence[LabeledSample] | None = None,
           metrics_path: str | None = None) -> list[dict]:
     """Full training run; appends one JSON line of metrics per epoch."""
-    from .evaldecode import evaluate  # local import, avoids a module cycle
+    from .evaldecode import EmptyDataset, evaluate  # local import, avoids a module cycle
 
     cfg.validate()
+    if dev_set is not None and not dev_set:
+        raise EmptyDataset("dev set has no samples")
     if cfg.schedule.kind == "dynamic" and dev_set is None:
         raise ValueError("DynamicReduce schedule needs a dev set")
     state = TrainState.init(model, cfg)

@@ -175,6 +175,23 @@ class TestTrainEvalCycle:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "m.pck").exists()
 
+    @pytest.mark.parametrize("kind", ["fixed", "dynamic"])
+    def test_empty_dev_file_is_rejected(self, workdir, tmp_path, kind):
+        _, cfg_path = workdir
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        cfg = json.loads(cfg_path.read_text())
+        cfg["dev"] = str(empty)
+        cfg["schedule"] = {"kind": kind, "n": 2}
+        bad_cfg = tmp_path / "train.json"
+        bad_cfg.write_text(json.dumps(cfg))
+        out = tmp_path / "m.pck"
+        proc = run_cli("train", "--config", str(bad_cfg), "--out", str(out), expect=1)
+        assert "pathcast: error: dev set has no samples" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+        assert not (tmp_path / "m.pck.metrics.jsonl").exists()
+
     def test_metrics_lines_are_json(self, workdir, tmp_path):
         root, cfg_path = workdir
         ck = tmp_path / "m.pck"

@@ -277,6 +277,94 @@ class TestGru:
             gru_step(gp, nm.constant(np.zeros((1, 5))), nm.constant(np.zeros((1, 4))))
 
 
+GRU_FIELDS = ("w_re", "w_rf", "b_r", "w_ue", "w_uf", "b_u", "w_ce", "w_cf", "b_c")
+
+
+def composed_gru_step(p, e_t, f_prev):
+    """Reference GRU update built from one engine primitive per operation."""
+    r = nm.sigmoid(nm.add_rowvec(nm.add(nm.matmul(e_t, p.w_re), nm.matmul(f_prev, p.w_rf)), p.b_r))
+    u = nm.sigmoid(nm.add_rowvec(nm.add(nm.matmul(e_t, p.w_ue), nm.matmul(f_prev, p.w_uf)), p.b_u))
+    c = nm.tanh(nm.add_rowvec(nm.add(nm.matmul(e_t, p.w_ce),
+                                     nm.matmul(nm.mul(r, f_prev), p.w_cf)), p.b_c))
+    ones = nm.constant(np.ones_like(u.data))
+    return nm.add(nm.mul(nm.sub(ones, u), f_prev), nm.mul(u, c))
+
+
+class TestFusedKernels:
+    def test_matrix_gru_step_matches_composed_reference(self):
+        rng = np.random.default_rng(11)
+        d, hdim, m = 4, 6, 3
+        raw = {}
+        nm.GruParams.init(d, hdim, rng, "g", raw)
+        arrays = {k.split(".")[1]: v.data + rng.normal(0, 0.1, v.data.shape)
+                  for k, v in raw.items()}  # nonzero biases too
+        e0, f0 = rng.normal(size=(m, d)), rng.normal(size=(m, hdim))
+        upstream = rng.normal(size=(m, hdim))
+
+        def run(step):
+            ts = {k: nm.parameter(arrays[k]) for k in GRU_FIELDS}
+            e, f = nm.parameter(e0), nm.parameter(f0)
+            out = step(nm.GruParams(*[ts[k] for k in GRU_FIELDS]), e, f)
+            backward(nm.sum_all(nm.mul(out, nm.constant(upstream))))
+            grads = {k: t.grad for k, t in ts.items()}
+            grads.update(e_t=e.grad, f_prev=f.grad)
+            return out, grads
+
+        fused, g_fused = run(gru_step)
+        ref, g_ref = run(composed_gru_step)
+        assert fused.data.tobytes() == ref.data.tobytes()
+        assert fused._parents and all(not p._parents for p in fused._parents)  # one node
+        for name in g_ref:
+            np.testing.assert_allclose(g_fused[name], g_ref[name], rtol=0, atol=1e-12)
+
+    @staticmethod
+    def _rows_case(rng):
+        z0 = rng.normal(0, 3, (6, 9))
+        blocks = [[0, 4, 7], None, [5], [1, 2, 3, 6, 8], None, [8, 3]]
+        targets = [4, 0, 5, 6, 0, 3]
+        weights = rng.normal(size=6)
+        return z0, blocks, targets, weights
+
+    def test_rows_block_log_prob_matches_per_row_vector_calls(self):
+        z0, blocks, targets, weights = self._rows_case(np.random.default_rng(12))
+        z_rows, z_vec = nm.parameter(z0), nm.parameter(z0)
+        rows = block_log_prob(z_rows, blocks, targets)
+        backward(nm.weighted_sum(rows, weights))
+        terms = []
+        for i, (blk, t) in enumerate(zip(blocks, targets)):
+            if blk is None:
+                assert rows.data[i] == 0.0
+                continue
+            one = block_log_prob(nm.take_row(z_vec, i), blk, t)
+            assert rows.data[i] == one.item()
+            terms.append(nm.scale(one, weights[i]))
+        backward(nm.add_n(terms))
+        np.testing.assert_allclose(z_rows.grad, z_vec.grad, rtol=0, atol=1e-12)
+        assert not z_rows.grad[[1, 4]].any()  # unscored rows get no gradient
+
+    def test_rows_block_log_prob_matches_fd(self):
+        z0, blocks, targets, weights = self._rows_case(np.random.default_rng(13))
+
+        def build(p):
+            z = nm.parameter(p["z"])
+            return nm.weighted_sum(block_log_prob(z, blocks, targets), weights), z
+
+        loss, z = build({"z": z0})
+        backward(loss)
+        fd = finite_difference(lambda p: build(p)[0].item(), {"z": z0.copy()})
+        assert max_rel_err(z.grad, fd["z"]) < 1e-6
+
+    def test_rows_block_log_prob_checks_every_row(self):
+        z = nm.constant(np.zeros((2, 4)))
+        with pytest.raises(nm.IndexOutOfRange):
+            block_log_prob(z, [[0, 1], [2, 3]], [1, 0])  # row 1's target outside
+        with pytest.raises(nm.EmptyBlock):
+            block_log_prob(z, [[0, 1], []], [1, 0])
+        with pytest.raises(nm.ShapeMismatch):
+            block_log_prob(z, [[0, 1]], [1])  # one block for two rows
+        assert not block_log_prob(z, [None, None], [0, 0]).data.any()
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         p = {"w": nm.parameter([1.0, -2.0])}

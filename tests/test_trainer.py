@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pathcast import numerics as nm
+from pathcast.evaldecode import EmptyDataset
 from pathcast.labelgraph import build_graph
 from pathcast.model import LabelPathModel
 from pathcast.numerics import AdamState, adam_step, backward, collect_grads, zero_grads
@@ -12,7 +13,7 @@ from pathcast.trainer import (Batch, BaselineEstimator, EmptyRewardSet,
                               ScheduleState, TrainConfig, TrainState,
                               build_batch, deterministic_loss,
                               policy_gradient_loss, reward, schedule_update,
-                              train_epoch)
+                              train, train_epoch)
 
 from test_labelgraph import figure2_subgraph
 
@@ -279,6 +280,37 @@ class TestDeterministicLoss:
                       labels=(g.id_of("x"),))
         assert deterministic_loss(m, batch, cfg, np.random.default_rng(0)) is None
 
+    @pytest.mark.parametrize("r_tf", [1.0, 0.0])
+    def test_trace_nodes_do_not_grow_with_lanes(self, monkeypatch, r_tf):
+        # the loss builds a fixed number of trace nodes per decode step,
+        # however many lanes share the step, teacher-forced or free-running
+        g = figure2_subgraph()
+        m = make_model(g, seed=7, input_dim=4)
+        book = PathBook(g)
+        labels = [g.id_of("british-shorthair"), g.id_of("bengal")]
+        built = [0]
+        init = nm.Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(nm.Tensor, "__init__", counting_init)
+
+        def count(n_samples):
+            samples = [LabeledSample(np.full(4, 0.1 * i), labels[i % 2])
+                       for i in range(n_samples)]
+            cfg = TrainConfig(max_len=6, r_tf=r_tf, n_p=4)
+            batch = build_batch(samples, cfg, book, np.random.default_rng(0))
+            built[0] = 0
+            assert deterministic_loss(m, batch, cfg, np.random.default_rng(0)) is not None
+            return built[0], sum(len(p) for p in batch.target_paths)
+
+        nodes, lanes = count(2)
+        nodes2, lanes2 = count(4)
+        assert lanes2 == 2 * lanes
+        assert nodes2 == nodes
+
 
 class TestPolicyGradientLoss:
     def test_zero_gradient_when_reward_equals_baseline(self):
@@ -454,3 +486,18 @@ class TestTrainEpochDeterminism:
             return {k: v.data.tobytes() for k, v in m.params.items()}
 
         assert run() == run()
+
+
+class TestTrain:
+    @pytest.mark.parametrize("kind", ["fixed", "dynamic"])
+    def test_empty_dev_set_is_rejected_before_training(self, tmp_path, kind):
+        g = chain_graph()
+        m = make_model(g)
+        before = {k: v.data.copy() for k, v in m.params.items()}
+        cfg = TrainConfig(max_len=4, epochs=2, schedule=ScheduleConfig(kind, 2))
+        metrics = tmp_path / "m.metrics.jsonl"
+        with pytest.raises(EmptyDataset):
+            train(m, [LabeledSample(np.zeros(4), g.id_of("x"))], cfg, dev_set=[],
+                  metrics_path=str(metrics))
+        assert not metrics.exists()
+        assert all(np.array_equal(v.data, before[k]) for k, v in m.params.items())
