@@ -36,6 +36,10 @@ class UnresolvableLabel(ValueError):
     pass
 
 
+class InvalidDataset(ValueError):
+    """A dataset row that cannot be used; the message starts ``<path>:<line>:``."""
+
+
 _COARSE_NAMES = ("cat", "dog", "bird", "fish")
 _GROUP_NAMES = ("hair", "color", "ears", "tail")
 
@@ -254,6 +258,7 @@ def synth_generate(spec: SynthSpec) -> tuple[LabelGraph, DatasetSpec, DatasetSpe
                 edges.append((f"{cname}-{_group_name(j)}-{k}", name))
 
     graph = build_graph([("synth-fine", fine_names)], augmented, edges, groups)
+    input_dim = spec.input_dim  # read once: the property rescans the label profiles
 
     def draw(label: str, annotate: bool) -> SynthSample:
         c = label_coarse[label]
@@ -268,7 +273,7 @@ def synth_generate(spec: SynthSpec) -> tuple[LabelGraph, DatasetSpec, DatasetSpe
             k = choices[int(rng.integers(len(choices)))] if len(choices) > 1 else choices[0]
             picks.append(k)
             attrs[f"{cname}-{_group_name(j)}"] = f"{cname}-{_group_name(j)}-{k}"
-        x = np.zeros(spec.input_dim)
+        x = np.zeros(input_dim)
         x[c] = spec.branch_scale
         off = spec.n_coarse
         for j, size in enumerate(spec.group_sizes):
@@ -315,16 +320,33 @@ def save_dataset(path: str, ds: DatasetSpec) -> None:
 
 def load_dataset(path: str, name: str | None = None,
                  granularity: str = "fine") -> DatasetSpec:
-    samples = []
+    """Read JSONL rows ``{"x": [numbers], "label": str}``. A row that breaks
+    this, or whose ``x`` is empty, non-finite or not as wide as the first
+    row's, raises :class:`InvalidDataset` naming the file and line."""
+    samples: list[SynthSample] = []
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            samples.append(SynthSample(x=np.asarray(rec["x"], dtype=np.float64),
-                                       label=str(rec["label"]),
-                                       attrs=rec.get("attrs")))
+            where = f"{path}:{lineno}:"
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise InvalidDataset(f"{where} malformed JSON: {exc.msg}") from None
+            if not isinstance(rec, dict) or "x" not in rec or "label" not in rec:
+                raise InvalidDataset(f"{where} a row needs 'x' and 'label'")
+            if not (isinstance(rec["x"], list) and rec["x"] and all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in rec["x"])):
+                raise InvalidDataset(f"{where} 'x' must be a non-empty flat list of numbers")
+            x = np.asarray(rec["x"], dtype=np.float64)
+            if not np.all(np.isfinite(x)):
+                raise InvalidDataset(f"{where} 'x' has a non-finite value")
+            if samples and x.size != samples[0].x.size:
+                raise InvalidDataset(f"{where} 'x' has {x.size} values, not {samples[0].x.size}")
+            if not isinstance(rec["label"], str):
+                raise InvalidDataset(f"{where} 'label' must be a string")
+            samples.append(SynthSample(x=x, label=rec["label"], attrs=rec.get("attrs")))
     labels = {s.label for s in samples}
     return DatasetSpec(name or path, granularity, samples, k=len(labels))
 

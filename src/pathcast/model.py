@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,6 +28,15 @@ class InvalidPath(ValueError):
 
 class NoCandidates(RuntimeError):
     """A non-label leaf was reached; valid graphs never produce this."""
+
+
+class Candidates(NamedTuple):
+    """Candidates after one token: ``tokens`` ascend, ``blocks`` hold index
+    positions into them, ``block_of`` maps each to its block as token ids."""
+
+    tokens: tuple[int, ...]
+    blocks: tuple[tuple[int, ...], ...]
+    block_of: dict[int, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -53,12 +62,13 @@ class SampledPath:
 
 
 class LabelPathModel:
-    """Parameters plus the per-token candidate tables for one label graph.
+    """Parameters plus the candidate tables for one label graph.
 
     Token ids: graph node ids, then START (= node count) and EOP (= START+1).
-    The candidate table is precomputed per token: graph children partitioned
-    into their groups restricted to the candidate set, singleton blocks for
-    ungrouped children, and an EOP singleton when the token is a label node.
+    Both candidate tables, without and with forced EOP, are built with the
+    model: per token, the graph children partitioned into their groups
+    restricted to the candidate set, singleton blocks for ungrouped children,
+    and an EOP singleton when the token is a label node or EOP is forced.
     """
 
     def __init__(self, graph: LabelGraph, input_dim: int, embed_dim: int,
@@ -92,8 +102,7 @@ class LabelPathModel:
         b("out.b", self.vocab_size)
         self.params = p
 
-        self._step_table: dict[int, tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = {}
-        self._terminal_table: dict[int, tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = {}
+        self._tables = (self._candidate_table(False), self._candidate_table(True))
 
     @property
     def encoder_param_names(self) -> tuple[str, ...]:
@@ -101,52 +110,37 @@ class LabelPathModel:
 
     # -- candidate sets -------------------------------------------------------
 
-    def candidates(self, prev_token: int, offer_eop: bool = False
-                   ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """Candidate token ids and their block partition after ``prev_token``.
+    def _candidate_table(self, offer_eop: bool) -> dict[int, Candidates]:
+        root, eop = self.graph.root, self.eop_token
+        table = {self.start_token: Candidates((root,), ((0,),), {root: (root,)})}
+        for node in self.graph.nodes:
+            toks = self.graph.children(node.id)
+            if offer_eop or node.kind is NodeKind.LABEL:
+                toks += (eop,)  # the largest id, so toks still ascend
+            groups: dict[object, list[int]] = {}
+            for i, t in enumerate(toks):
+                g = None if t == eop else self.graph.group_of(t)
+                groups.setdefault(t if g is None else g, []).append(i)
+            if groups:
+                blocks = tuple(map(tuple, groups.values()))
+                block_of = {toks[i]: tuple(toks[j] for j in b) for b in blocks for i in b}
+                table[node.id] = Candidates(toks, blocks, block_of)
+        return table
+
+    def candidates(self, prev_token: int, offer_eop: bool = False) -> Candidates:
+        """Candidate tokens and their blocks after ``prev_token``.
 
         ``offer_eop`` additionally exposes the EOP sentinel; the trainer uses
         it when a target path legitimately terminates at ``prev_token`` (a
         coarse fusion target) even though the node is not label-kind.
         """
-        table = self._terminal_table if offer_eop else self._step_table
-        hit = table.get(prev_token)
+        hit = self._tables[offer_eop].get(prev_token)
         if hit is not None:
             return hit
-        if prev_token == self.start_token:
-            entry = ((self.graph.root,), ((0,),))
-        elif prev_token == self.eop_token or not 0 <= prev_token < len(self.graph.nodes):
-            raise InvalidPath(f"token {prev_token} cannot start a decode step")
-        else:
-            node = self.graph.node(prev_token)
-            toks = list(self.graph.children(prev_token))
-            want_eop = offer_eop or node.kind is NodeKind.LABEL
-            if want_eop:
-                toks.append(self.eop_token)
-            if not toks:
-                raise NoCandidates(f"node {node.name!r} has no children and no EOP")
-            toks.sort()
-            pos = {t: i for i, t in enumerate(toks)}
-            blocks: list[tuple[int, ...]] = []
-            assigned: set[int] = set()
-            for t in toks:
-                if t in assigned:
-                    continue
-                if t == self.eop_token:
-                    blocks.append((pos[t],))
-                    assigned.add(t)
-                    continue
-                g = self.graph.group_of(t)
-                if g is None:
-                    blocks.append((pos[t],))
-                    assigned.add(t)
-                else:
-                    members = sorted(m for m in g.members if m in pos)
-                    blocks.append(tuple(pos[m] for m in members))
-                    assigned.update(members)
-            entry = (tuple(toks), tuple(blocks))
-        table[prev_token] = entry
-        return entry
+        if 0 <= prev_token < len(self.graph.nodes):
+            name = self.graph.node(prev_token).name
+            raise NoCandidates(f"node {name!r} has no children and no EOP")
+        raise InvalidPath(f"token {prev_token} cannot start a decode step")
 
     # -- forward passes -------------------------------------------------------
 
@@ -168,26 +162,24 @@ class LabelPathModel:
         z = nm.add_rowvec(nm.matmul(f_t, self.params["out.w"]), self.params["out.b"])
         return f_t, z
 
-    def distribution(self, z_row: np.ndarray, prev_token: int,
-                     offer_eop: bool = False) -> StepDistribution:
+    def distribution(self, z_row: np.ndarray, prev_token: int) -> StepDistribution:
         """Block-softmax distribution over the candidates after ``prev_token``,
         taken from one row of vocabulary logits."""
-        toks, blocks = self.candidates(prev_token, offer_eop=offer_eop)
+        toks, blocks, _ = self.candidates(prev_token)
         probs = nm.block_softmax(nm.constant(z_row[list(toks)]), blocks).data
         return StepDistribution(tokens=toks, probs=probs, blocks=blocks)
 
     def _free_running_token(self, z_row: np.ndarray, prev_token: int) -> int:
         """:func:`greedy_choice` over :meth:`distribution`, computed in plain
         numpy: the free-running teacher-forcing branch picks without a trace."""
-        toks, blocks = self.candidates(prev_token)
+        toks, blocks, _ = self.candidates(prev_token)
         probs = nm.block_probs(z_row[list(toks)], blocks)
         return greedy_choice(StepDistribution(toks, probs, blocks))[0]
 
-    def step(self, f_prev: Tensor, prev_token: int,
-             offer_eop: bool = False) -> tuple[StepDistribution, Tensor]:
+    def step(self, f_prev: Tensor, prev_token: int) -> tuple[StepDistribution, Tensor]:
         """Single-sample decode step: next-token distribution plus new state."""
         f_t, z = self.decode_logits(f_prev, [prev_token])
-        return self.distribution(z.data[0], prev_token, offer_eop), f_t
+        return self.distribution(z.data[0], prev_token), f_t
 
     def score_lanes(self, f: Tensor, lanes: Sequence[Sequence[int]], teacher: bool,
                     fed_trace: list[list[int]] | None = None,
@@ -216,7 +208,7 @@ class LabelPathModel:
             fed_trace.extend([] for _ in lanes)
         for t in range(max(map(len, lanes))):
             f, z = self.decode_logits(f, fed)
-            step_blocks: list[list[int] | None] = [None] * len(lanes)
+            step_blocks: list[tuple[int, ...] | None] = [None] * len(lanes)
             step_targets = [0] * len(lanes)
             for li, targets in enumerate(lanes):
                 if t >= len(targets) or not alive[li]:
@@ -227,16 +219,14 @@ class LabelPathModel:
                 is_terminal = (offer_final_eop and t == len(targets) - 1
                                and target == self.eop_token)
                 try:
-                    toks, blocks = self.candidates(prev, offer_eop=is_terminal)
+                    block = self.candidates(prev, offer_eop=is_terminal).block_of.get(target)
                 except NoCandidates:
                     if teacher:
                         raise
                     alive[li] = False
                     continue
-                if target in toks:
-                    pos = toks.index(target)
-                    block = next(b for b in blocks if pos in b)
-                    step_blocks[li] = [toks[i] for i in block]
+                if block is not None:
+                    step_blocks[li] = block
                     step_targets[li] = target
                     scored[li] = True
                 elif teacher:

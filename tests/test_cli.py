@@ -175,6 +175,25 @@ class TestTrainEvalCycle:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "m.pck").exists()
 
+    def test_non_finite_training_row_is_rejected(self, workdir, tmp_path):
+        root, cfg_path = workdir
+        rows = (root / "fine.jsonl").read_text().splitlines()
+        bad_row = json.loads(rows[2])
+        bad_row["x"][0] = float("nan")
+        rows[2] = json.dumps(bad_row)
+        bad = tmp_path / "nan.jsonl"
+        bad.write_text("\n".join(rows) + "\n")
+        cfg = json.loads(cfg_path.read_text())
+        cfg["train"] = str(bad)
+        bad_cfg = tmp_path / "train.json"
+        bad_cfg.write_text(json.dumps(cfg))
+        out = tmp_path / "m.pck"
+        proc = run_cli("train", "--config", str(bad_cfg), "--out", str(out), expect=1)
+        assert f"pathcast: error: {bad}:3: 'x' has a non-finite value" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+        assert not (tmp_path / "m.pck.metrics.jsonl").exists()
+
     @pytest.mark.parametrize("kind", ["fixed", "dynamic"])
     def test_empty_dev_file_is_rejected(self, workdir, tmp_path, kind):
         _, cfg_path = workdir

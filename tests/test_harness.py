@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pathcast.harness import (BaselineConfig, DatasetSpec, InconsistentSpec,
-                              SynthSample, SynthSpec, UnresolvableLabel,
+                              InvalidDataset, SynthSample, SynthSpec, UnresolvableLabel,
                               baseline_ffn, baseline_label_set,
                               baseline_pseudo_label, fuse, label_set_targets,
                               load_dataset, resolve_samples, save_dataset,
@@ -140,6 +140,41 @@ class TestDatasetFiles:
         save_dataset(p2, test)
         line = open(p2).readline()
         assert "attrs" in json.loads(line)
+
+    def _load_with_row(self, tmp_path, row: str):
+        p = tmp_path / "bad.jsonl"
+        good = json.dumps({"x": [0.0, 1.0, 2.0], "label": "a"})
+        p.write_text(f"{good}\n\n{good}\n{row}\n{good}\n")
+        with pytest.raises(InvalidDataset) as err:
+            load_dataset(str(p))
+        assert str(err.value).startswith(f"{p}:4: ")  # blank lines still count
+        return str(err.value)
+
+    def test_rejects_malformed_json(self, tmp_path):
+        assert "malformed JSON" in self._load_with_row(tmp_path, '{"x": [1, 2, 3], "label":')
+
+    @pytest.mark.parametrize("row", ['{"label": "a"}', '{"x": [1, 2, 3]}', "[1, 2, 3]"])
+    def test_rejects_missing_field(self, tmp_path, row):
+        assert "needs 'x' and 'label'" in self._load_with_row(tmp_path, row)
+
+    @pytest.mark.parametrize("x", ["[]", "[[1, 2, 3]]", '[1, "2", 3]', "[1, true, 3]", "3"])
+    def test_rejects_x_that_is_not_a_flat_list_of_numbers(self, tmp_path, x):
+        msg = self._load_with_row(tmp_path, f'{{"x": {x}, "label": "a"}}')
+        assert "non-empty flat list of numbers" in msg
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_rejects_non_finite_x(self, tmp_path, value):
+        msg = self._load_with_row(tmp_path, f'{{"x": [1, {value}, 3], "label": "a"}}')
+        assert "non-finite" in msg
+
+    def test_rejects_x_of_another_width(self, tmp_path):
+        msg = self._load_with_row(tmp_path, '{"x": [1, 2], "label": "a"}')
+        assert "'x' has 2 values, not 3" in msg
+
+    @pytest.mark.parametrize("label", ["7", "null", '["a"]'])
+    def test_rejects_label_that_is_not_a_string(self, tmp_path, label):
+        msg = self._load_with_row(tmp_path, f'{{"x": [1, 2, 3], "label": {label}}}')
+        assert "'label' must be a string" in msg
 
     def test_resolve_samples_rejects_unknown_label(self):
         graph, fine, _, _ = synth_generate(small_spec(n_train_fine=5))

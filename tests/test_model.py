@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pathcast import numerics as nm
+from pathcast.labelgraph import NodeKind
 from pathcast.model import (InvalidPath, LabelPathModel, NoCandidates,
                             SampledPath, greedy_choice, load_model, save_model)
 
@@ -116,11 +117,74 @@ class TestStep:
     def test_offer_eop_for_terminal_targets(self):
         g = figure2_subgraph()
         m = make_model(g)
-        f = m.encode(np.zeros(5))
-        dist, _ = m.step(f, g.id_of("cat"), offer_eop=True)
+        dist = m.candidates(g.id_of("cat"), offer_eop=True)
         assert m.eop_token in dist.tokens
         pos = dist.tokens.index(m.eop_token)
         assert (pos,) in dist.blocks  # EOP stays a singleton block
+
+
+def oracle_candidates(graph, prev_token, offer_eop):
+    """Candidate tokens and blocks built on demand, one group at a time."""
+    n = len(graph.nodes)
+    start, eop = n, n + 1
+    if prev_token == start:
+        return (graph.root,), ((0,),)
+    if prev_token == eop or not 0 <= prev_token < n:
+        raise InvalidPath(f"token {prev_token} cannot start a decode step")
+    node = graph.node(prev_token)
+    toks = list(graph.children(prev_token))
+    if offer_eop or node.kind is NodeKind.LABEL:
+        toks.append(eop)
+    if not toks:
+        raise NoCandidates(f"node {node.name!r} has no children and no EOP")
+    toks.sort()
+    pos = {t: i for i, t in enumerate(toks)}
+    blocks, assigned = [], set()
+    for t in toks:
+        if t in assigned:
+            continue
+        g = None if t == eop else graph.group_of(t)
+        members = [t] if g is None else sorted(m for m in g.members if m in pos)
+        blocks.append(tuple(pos[m] for m in members))
+        assigned.update(members)
+    return tuple(toks), tuple(blocks)
+
+
+class TestCandidateTable:
+    def graphs(self):
+        rng = np.random.default_rng(11)
+        return [figure2_subgraph()] + [random_dag(rng) for _ in range(15)]
+
+    @pytest.mark.parametrize("offer_eop", [False, True])
+    def test_matches_on_demand_oracle(self, offer_eop):
+        dead_ends = 0
+        for g in self.graphs():
+            m = make_model(g)
+            for tok in range(m.start_token + 1):
+                try:
+                    want = oracle_candidates(g, tok, offer_eop)
+                except NoCandidates:
+                    dead_ends += 1
+                    with pytest.raises(NoCandidates, match=repr(g.node(tok).name)):
+                        m.candidates(tok, offer_eop=offer_eop)
+                    continue
+                cands = m.candidates(tok, offer_eop=offer_eop)
+                assert (cands.tokens, cands.blocks) == want
+                owner = {i: blk for blk in cands.blocks for i in blk}
+                assert sorted(owner) == list(range(len(cands.tokens)))
+                assert sorted(cands.block_of) == list(cands.tokens)
+                for i, t in enumerate(cands.tokens):
+                    assert cands.block_of[t] == tuple(cands.tokens[j] for j in owner[i])
+        # some augmented nodes are leaves: dead ends unless EOP is forced
+        assert (dead_ends == 0) == offer_eop
+
+    def test_eop_and_out_of_range_tokens_are_invalid(self):
+        for g in self.graphs():
+            m = make_model(g)
+            for tok in (m.eop_token, m.eop_token + 1, -1):
+                for offer_eop in (False, True):
+                    with pytest.raises(InvalidPath):
+                        m.candidates(tok, offer_eop=offer_eop)
 
 
 class TestPathLogProb:
