@@ -22,7 +22,7 @@ from . import numerics as nm
 from .labelgraph import LabelGraph, NodeKind, _closure, build_graph, validate
 from .model import LabelPathModel
 from .numerics import AdamState, Tensor, adam_step
-from .pathalg import _path_counts, _require_label
+from .pathalg import NotALabelNode, _path_counts, _require_label
 from .trainer import (LabeledSample, ScheduleConfig, ScheduleState, TrainConfig,
                       schedule_update, train, typed_fields)
 from .evaldecode import EmptyDataset, MetricsReport, classification_report, evaluate
@@ -491,6 +491,10 @@ def baseline_label_set(cfg: BaselineConfig, train_ds: DatasetSpec,
     """
     classes = train_ds.label_names()
     class_nodes = [graph.id_of(c) for c in classes]
+    for c, nid in zip(classes, class_nodes):
+        if graph.node(nid).kind is not NodeKind.LABEL:
+            raise NotALabelNode(f"{train_ds.name}: label {c!r} is not a label node; the "
+                                "labelset baseline trains on fine labels only")
     targets = {c: label_set_targets(graph, c) for c in classes}
     xs = np.stack([s.x for s in train_ds.samples])
     tmat = np.stack([targets[s.label] for s in train_ds.samples])

@@ -183,26 +183,25 @@ class LabelPathModel:
 
     def score_lanes(self, f: Tensor, lanes: Sequence[Sequence[int]], teacher: bool,
                     fed_trace: list[list[int]] | None = None,
-                    offer_final_eop: bool = True) -> tuple[Tensor, list[bool]]:
+                    offer_final_eop: bool = True) -> Tensor:
         """Differentiable summed log-probability of each lane's target tokens.
 
-        ``f`` holds one decoder state per lane; every lane is fed START first.
-        Under ``teacher`` a lane is fed its previous target, and an empty lane
-        or a target that is not a candidate raises InvalidPath. Otherwise a
-        lane is fed the model's greedy token, a step whose target is not a
-        candidate after that token is skipped, and the lane stops at EOP or at
-        a token without candidates. ``offer_final_eop`` force-offers EOP for a
-        closing EOP target, so a groundtruth path may end at a non-label node.
-        Returns the per-lane totals as one ``[lanes]`` Tensor, built from one
-        rows-form ``block_log_prob`` per step, and per lane whether any step
-        was scored (an unscored lane's total is 0). ``fed_trace`` (when given)
-        collects each lane's input tokens.
+        ``f`` holds one decoder state per lane; every lane is fed START first,
+        and an empty lane or a first target that is not a candidate after
+        START raises InvalidPath. Under ``teacher`` a lane is fed its previous
+        target, and any target that is not a candidate raises InvalidPath.
+        Otherwise a lane is fed the model's greedy token, a later step whose
+        target is not a candidate after that token is skipped, and the lane
+        stops at EOP or at a token without candidates. ``offer_final_eop``
+        force-offers EOP for a closing EOP target, so a groundtruth path may
+        end at a non-label node. Returns the per-lane totals as one
+        ``[lanes]`` Tensor, built from one rows-form ``block_log_prob`` per
+        step. ``fed_trace`` (when given) collects each lane's input tokens.
         """
         if not all(lanes):
             raise InvalidPath("empty lane")
         fed = [self.start_token] * len(lanes)
         alive = [True] * len(lanes)  # feeding still on a usable token
-        scored = [False] * len(lanes)
         steps: list[Tensor] = []
         if fed_trace is not None:
             fed_trace.extend([] for _ in lanes)
@@ -228,8 +227,7 @@ class LabelPathModel:
                 if block is not None:
                     step_blocks[li] = block
                     step_targets[li] = target
-                    scored[li] = True
-                elif teacher:
+                elif teacher or t == 0:
                     raise InvalidPath(f"token {target} is not a candidate after {prev}")
                 try:
                     nxt = target if teacher else self._free_running_token(z.data[li], prev)
@@ -241,7 +239,7 @@ class LabelPathModel:
                 else:
                     fed[li] = nxt
             steps.append(nm.block_log_prob(z, step_blocks, step_targets))
-        return nm.add_n(steps), scored
+        return nm.add_n(steps)
 
     def path_log_prob(self, x: np.ndarray, path: list[int] | tuple[int, ...]) -> Tensor:
         """Teacher-forced log-probability of a graph path starting at root.
@@ -249,9 +247,8 @@ class LabelPathModel:
         Conditions each step on the groundtruth prefix and scores the
         closing EOP choice as well.
         """
-        totals, _ = self.score_lanes(self.encode(x), [list(path) + [self.eop_token]],
-                                     teacher=True)
-        return nm.sum_all(totals)
+        return nm.sum_all(self.score_lanes(self.encode(x), [list(path) + [self.eop_token]],
+                                           teacher=True))
 
     def walk(self, x: np.ndarray, max_len: int,
              choose: Callable[[StepDistribution], tuple[int, float]]) -> SampledPath:
@@ -288,12 +285,20 @@ class LabelPathModel:
         """
         return self.walk(x, max_len, lambda dist: _sample_cross_block(dist, rng))
 
-    def sampled_path_log_prob(self, x: np.ndarray, sampled: SampledPath) -> Tensor:
-        """Differentiable re-scoring of a sampled trajectory (same choices)."""
-        targets = list(sampled.tokens) + ([self.eop_token] if sampled.ended_with_eop else [])
-        totals, _ = self.score_lanes(self.encode(x), [targets], teacher=True,
-                                     offer_final_eop=False)
-        return nm.sum_all(totals)
+    def sampled_path_log_prob(self, x: np.ndarray,
+                              sampled: SampledPath | Sequence[SampledPath]) -> Tensor:
+        """Differentiable re-scoring of sampled trajectories (same choices).
+
+        One input ``x[d]`` with one SampledPath gives a scalar; rows
+        ``x[m, d]`` with m paths give their ``[m]`` totals from one
+        teacher-forced ``score_lanes`` pass over one ``encode``.
+        """
+        single = np.ndim(x) == 1
+        paths = [sampled] if single else sampled
+        lanes = [list(s.tokens) + ([self.eop_token] if s.ended_with_eop else [])
+                 for s in paths]
+        totals = self.score_lanes(self.encode(x), lanes, teacher=True, offer_final_eop=False)
+        return nm.sum_all(totals) if single else totals
 
 
 def _sample_cross_block(dist: StepDistribution, rng: np.random.Generator) -> tuple[int, float]:

@@ -65,7 +65,6 @@ class TrainConfig:
     path_agg: str = "mean"  # mean | sum | random
     n_p: int = 4
     reward_set: str = "certain"  # certain | label_only
-    baseline_decay: float = 0.9
     lr_e: float = 0.01
     lr: float = 0.01
     schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
@@ -92,8 +91,6 @@ class TrainConfig:
             raise ValueError("alpha and beta must be non-negative")
         if self.lr <= 0 or self.lr_e <= 0:
             raise ValueError("learning rates must be positive")
-        if not 0.0 < self.baseline_decay < 1.0:
-            raise ValueError("baseline_decay must lie in (0,1)")
         if self.path_agg not in ("mean", "sum", "random"):
             raise ValueError(f"unknown path aggregation {self.path_agg!r}")
         if self.reward_set not in ("certain", "label_only"):
@@ -187,18 +184,12 @@ def deterministic_loss(model: LabelPathModel, batch: Batch, cfg: TrainConfig,
         return None
     teacher = float(rng.uniform()) <= cfg.r_tf
     f = nm.gather_rows(model.encode(batch.inputs), [s for s, _ in lanes])
-    totals, scored = model.score_lanes(f, [t for _, t in lanes], teacher, fed_trace)
-
-    scored_lanes = Counter(si for (si, _), ok in zip(lanes, scored) if ok)
-    if not scored_lanes:
-        return None
+    totals = model.score_lanes(f, [t for _, t in lanes], teacher, fed_trace)
     # One weight per lane pools it into its sample (mean or sum over that
-    # sample's scored lanes) and the sample into the batch mean.
-    weights = np.zeros(len(lanes))
-    for li, ((si, _), ok) in enumerate(zip(lanes, scored)):
-        if ok:
-            share = scored_lanes[si] if cfg.path_agg == "mean" else 1
-            weights[li] = -1.0 / (share * len(scored_lanes))
+    # sample's lanes) and the sample into the batch mean.
+    per_sample = Counter(si for si, _ in lanes)
+    weights = [-1.0 / ((per_sample[si] if cfg.path_agg == "mean" else 1) * len(per_sample))
+               for si, _ in lanes]
     return nm.weighted_sum(totals, weights)
 
 
@@ -212,30 +203,22 @@ def policy_gradient_loss(model: LabelPathModel, batch: Batch,
                          ) -> tuple[Tensor | None, list[float]]:
     """Surrogate loss -(r - b) * sum_t log p(chosen_t), meaned over I_pg.
 
-    Each selected sample free-runs one trajectory from START; its reward is
-    the certain-node coverage of the emitted path. Rewards and the baseline
-    are constants to the differentiator; the baseline is updated with the
-    batch-mean reward after its value has been used.
+    Each selected sample free-runs one trajectory from START, in order; its
+    reward is the certain-node coverage of the emitted path. All trajectories
+    are rescored in one pass and pooled with one weight each. Rewards and the
+    baseline are constants to the differentiator; the baseline is updated
+    with the batch-mean reward after its value has been used.
     """
     if not batch.pg_indexes:
         return None, []
+    pg = list(batch.pg_indexes)
+    samples = [model.sample_path(batch.inputs[i], rng, cfg.max_len) for i in pg]
+    rewards = [reward(s, book.reward_members(batch.labels[i], cfg.reward_set))
+               for i, s in zip(pg, samples)]
     b = baseline.value
-    terms: list[Tensor] = []
-    rewards: list[float] = []
-    for i in batch.pg_indexes:
-        members = book.reward_members(batch.labels[i], cfg.reward_set)
-        if not members:
-            raise EmptyRewardSet(f"no reward nodes for label {batch.labels[i]}")
-        sampled = model.sample_path(batch.inputs[i], rng, cfg.max_len)
-        r = reward(sampled, members)
-        rewards.append(r)
-        if sampled.tokens:
-            logp = model.sampled_path_log_prob(batch.inputs[i], sampled)
-            terms.append(nm.scale(logp, -(r - b)))
     baseline.update(float(np.mean(rewards)))
-    if not terms:
-        return None, rewards
-    return nm.scale(nm.add_n(terms), 1.0 / len(batch.pg_indexes)), rewards
+    totals = model.sampled_path_log_prob(batch.inputs[pg], samples)
+    return nm.weighted_sum(totals, [-(r - b) / len(pg) for r in rewards]), rewards
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +281,7 @@ class TrainState:
         return TrainState(
             adam_enc=AdamState(lr=cfg.lr_e),
             adam_rest=AdamState(lr=cfg.lr),
-            baseline=BaselineEstimator(decay=cfg.baseline_decay),
+            baseline=BaselineEstimator(),
             schedule=ScheduleState(kind=cfg.schedule.kind, n=cfg.schedule.n),
             book=PathBook(model.graph),
         )

@@ -321,3 +321,19 @@ class TestBaselineCommand:
         info = json.loads(first)
         assert info["kept"] + info["dropped"] == 60
         assert "accuracy" in json.loads(rest)
+
+    def test_labelset_baseline_rejects_fused_training_set(self, workdir, tmp_path):
+        root, _ = workdir
+        fused = tmp_path / "fused.jsonl"
+        run_cli("fuse", "--fine", str(root / "fine.jsonl"),
+                "--coarse", str(root / "coarse.jsonl"),
+                "--graph", str(root / "graph.json"), "--out", str(fused))
+        cfg = {"graph": str(root / "graph.json"), "train": str(fused),
+               "test": str(root / "test.jsonl"), "hidden": 16, "epochs": 3,
+               "batch_size": 32, "lr": 0.02,
+               "schedule": {"kind": "fixed", "n": 10}, "seed": 0}
+        p = tmp_path / "ls.json"
+        p.write_text(json.dumps(cfg))
+        proc = run_cli("baseline", "labelset", "--config", str(p), expect=1)
+        assert f"pathcast: error: {fused}: label " in proc.stderr
+        assert "labelset baseline" in proc.stderr

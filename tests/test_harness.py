@@ -12,7 +12,8 @@ from pathcast.harness import (BaselineConfig, DatasetSpec, InconsistentSpec,
                               load_dataset, resolve_samples, save_dataset,
                               synth_generate, trim_graph)
 from pathcast.labelgraph import NodeKind, stats, validate
-from pathcast.pathalg import enumerate_paths
+from pathcast import harness
+from pathcast.pathalg import NotALabelNode, enumerate_paths
 
 from test_labelgraph import figure2_subgraph, random_dag
 
@@ -300,6 +301,20 @@ class TestBaselines:
         cfg = BaselineConfig(hidden=24, epochs=20, batch_size=32, lr=0.02, seed=0)
         report = baseline_label_set(cfg, fine, test, graph)
         assert report.accuracy >= 0.95
+
+    def test_label_set_rejects_coarse_rows_before_training(self, task, monkeypatch):
+        _, (graph, fine, coarse, test) = task
+        fused = fuse(fine, coarse, graph).dataset
+        trained = []
+        monkeypatch.setattr(harness, "_train_encoder_head", lambda *a: trained.append(a))
+        cfg = BaselineConfig(hidden=8, epochs=1, batch_size=32, lr=0.02, seed=0)
+        coarse_label = coarse.label_names()[0]
+        with pytest.raises(NotALabelNode) as err:
+            baseline_label_set(cfg, fused, test, graph)
+        message = str(err.value)
+        assert message.startswith(f"{fused.name}: label {coarse_label!r} ")
+        assert "labelset baseline" in message
+        assert not trained
 
     def test_pseudo_label_pipeline(self, task):
         _, (graph, fine, coarse, test) = task

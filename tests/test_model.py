@@ -223,6 +223,14 @@ class TestPathLogProb:
                 for p in enumerate_paths(g, label)[:4]:
                     assert np.isfinite(m.path_log_prob(x, list(p)).item())
 
+    def test_free_running_lane_must_start_at_root(self):
+        g = figure2_subgraph()
+        m = make_model(g)
+        cat = g.id_of("cat")
+        f = m.encode(np.zeros((2, 5)))
+        with pytest.raises(InvalidPath):
+            m.score_lanes(f, [[g.root, cat], [cat, m.eop_token]], teacher=False)
+
 
 class TestSamplePath:
     def test_chain_is_deterministic(self):
@@ -273,6 +281,30 @@ class TestSamplePath:
                 continue
             lp = m.sampled_path_log_prob(x, sp).item()
             assert abs(np.exp(lp) - np.prod(sp.step_probs)) < 1e-10
+
+    def test_rows_rescoring_matches_single_calls(self):
+        g = figure2_subgraph()
+        m = make_model(g, seed=14)
+        rng = np.random.default_rng(9)
+        xs = rng.normal(size=(6, 5))
+        # ragged: short budgets truncate some walks before EOP
+        samples = [m.sample_path(x, rng, max_len=2 + i % 4) for i, x in enumerate(xs)]
+        assert {s.ended_with_eop for s in samples} == {True, False}
+        w = rng.normal(size=len(samples))
+
+        def grads_of(loss):
+            nm.zero_grads(m.params)
+            nm.backward(loss)
+            return {k: v.copy() for k, v in nm.collect_grads(m.params).items()}
+
+        rows = m.sampled_path_log_prob(xs, samples)
+        singles = [m.sampled_path_log_prob(x, s) for x, s in zip(xs, samples)]
+        assert rows.data.shape == (6,)
+        np.testing.assert_allclose(rows.data, [s.item() for s in singles], rtol=0, atol=1e-12)
+        g_rows = grads_of(nm.weighted_sum(rows, w))
+        g_singles = grads_of(nm.add_n([nm.scale(s, wi) for s, wi in zip(singles, w)]))
+        for name in m.params:
+            np.testing.assert_allclose(g_rows[name], g_singles[name], rtol=0, atol=1e-12)
 
     def test_rescoring_rejects_non_candidate_tokens(self):
         g = figure2_subgraph()

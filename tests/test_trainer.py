@@ -406,6 +406,42 @@ class TestPolicyGradientLoss:
             se = arr.std(ddof=1) / np.sqrt(trials)
             assert abs(arr.mean()) <= 3 * se
 
+    def test_matches_per_sample_composition(self):
+        def per_sample_loss(m, batch, baseline, cfg, rng, book):
+            # one encode, one rescoring and one scale per sample, then pooled
+            b = baseline.value
+            terms, rewards = [], []
+            for i in batch.pg_indexes:
+                sampled = m.sample_path(batch.inputs[i], rng, cfg.max_len)
+                r = reward(sampled, book.reward_members(batch.labels[i], cfg.reward_set))
+                rewards.append(r)
+                logp = m.sampled_path_log_prob(batch.inputs[i], sampled)
+                terms.append(nm.scale(logp, -(r - b)))
+            baseline.update(float(np.mean(rewards)))
+            return nm.scale(nm.add_n(terms), 1.0 / len(batch.pg_indexes)), rewards
+
+        g = bandit_graph()
+        labels = (g.id_of("win"), g.id_of("lose"))
+        cfg = TrainConfig(max_len=6)
+        inputs = np.random.default_rng(16).normal(size=(8, 4))
+        batch = Batch(inputs=inputs, target_paths=[[]] * 8, pg_indexes=(1, 2, 4, 5, 6, 7),
+                      labels=tuple(labels[i % 2] for i in range(8)))
+        results = []
+        for loss_fn in (policy_gradient_loss, per_sample_loss):
+            m = make_model(g, seed=15)
+            baseline = BaselineEstimator(value=0.3)
+            loss, rewards = loss_fn(m, batch, baseline, cfg, np.random.default_rng(17),
+                                    PathBook(g))
+            zero_grads(m.params)
+            backward(loss)
+            results.append((loss.item(), rewards, baseline.value, collect_grads(m.params)))
+        (loss, rewards, b, grads), (ref_loss, ref_rewards, ref_b, ref_grads) = results
+        assert len(set(rewards)) > 1  # the weights differ between samples
+        assert rewards == ref_rewards and b == ref_b
+        assert abs(loss - ref_loss) <= 1e-12
+        for name, gr in grads.items():
+            np.testing.assert_allclose(gr, ref_grads[name], rtol=0, atol=1e-12)
+
     def test_empty_pg_set(self):
         g = chain_graph()
         m = make_model(g)
