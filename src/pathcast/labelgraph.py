@@ -446,8 +446,16 @@ def deserialize(text: str) -> LabelGraph:
 
 
 def load_graph(path: str) -> LabelGraph:
+    """Read a graph file and validate it: any violation raises InvalidGraph,
+    each message prefixed by ``<path>:``. Use :func:`deserialize` to read a
+    file whose violations should be reported rather than raised."""
     with open(path, "r", encoding="utf-8") as f:
-        return deserialize(f.read())
+        graph = deserialize(f.read())
+    violations = validate(graph)
+    if violations:
+        raise InvalidGraph([Violation(v.code, f"{path}: {v.message}", v.names)
+                            for v in violations])
+    return graph
 
 
 def save_graph(path: str, graph: LabelGraph) -> None:

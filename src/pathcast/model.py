@@ -62,13 +62,13 @@ class SampledPath:
 
 
 class LabelPathModel:
-    """Parameters plus the candidate tables for one label graph.
+    """Parameters plus the candidate table for one label graph.
 
     Token ids: graph node ids, then START (= node count) and EOP (= START+1).
-    Both candidate tables, without and with forced EOP, are built with the
-    model: per token, the graph children partitioned into their groups
-    restricted to the candidate set, singleton blocks for ungrouped children,
-    and an EOP singleton when the token is a label node or EOP is forced.
+    The candidate table is built with the model: per token, the graph
+    children partitioned into their groups restricted to the candidate set,
+    singleton blocks for ungrouped children, and an EOP singleton when the
+    token is a label node.
     """
 
     def __init__(self, graph: LabelGraph, input_dim: int, embed_dim: int,
@@ -102,7 +102,7 @@ class LabelPathModel:
         b("out.b", self.vocab_size)
         self.params = p
 
-        self._tables = (self._candidate_table(False), self._candidate_table(True))
+        self._table = self._candidate_table()
 
     @property
     def encoder_param_names(self) -> tuple[str, ...]:
@@ -110,16 +110,16 @@ class LabelPathModel:
 
     # -- candidate sets -------------------------------------------------------
 
-    def _candidate_table(self, offer_eop: bool) -> dict[int, Candidates]:
+    def _candidate_table(self) -> dict[int, Candidates]:
         root, eop = self.graph.root, self.eop_token
         table = {self.start_token: Candidates((root,), ((0,),), {root: (root,)})}
         for node in self.graph.nodes:
             toks = self.graph.children(node.id)
-            if offer_eop or node.kind is NodeKind.LABEL:
+            if node.kind is NodeKind.LABEL:
                 toks += (eop,)  # the largest id, so toks still ascend
             groups: dict[object, list[int]] = {}
             for i, t in enumerate(toks):
-                g = None if t == eop else self.graph.group_of(t)
+                g = self.graph.group_of(t)
                 groups.setdefault(t if g is None else g, []).append(i)
             if groups:
                 blocks = tuple(map(tuple, groups.values()))
@@ -127,14 +127,9 @@ class LabelPathModel:
                 table[node.id] = Candidates(toks, blocks, block_of)
         return table
 
-    def candidates(self, prev_token: int, offer_eop: bool = False) -> Candidates:
-        """Candidate tokens and their blocks after ``prev_token``.
-
-        ``offer_eop`` additionally exposes the EOP sentinel; the trainer uses
-        it when a target path legitimately terminates at ``prev_token`` (a
-        coarse fusion target) even though the node is not label-kind.
-        """
-        hit = self._tables[offer_eop].get(prev_token)
+    def candidates(self, prev_token: int) -> Candidates:
+        """Candidate tokens and their blocks after ``prev_token``."""
+        hit = self._table.get(prev_token)
         if hit is not None:
             return hit
         if 0 <= prev_token < len(self.graph.nodes):
@@ -182,8 +177,7 @@ class LabelPathModel:
         return self.distribution(z.data[0], prev_token), f_t
 
     def score_lanes(self, f: Tensor, lanes: Sequence[Sequence[int]], teacher: bool,
-                    fed_trace: list[list[int]] | None = None,
-                    offer_final_eop: bool = True) -> Tensor:
+                    fed_trace: list[list[int]] | None = None) -> Tensor:
         """Differentiable summed log-probability of each lane's target tokens.
 
         ``f`` holds one decoder state per lane; every lane is fed START first,
@@ -192,11 +186,10 @@ class LabelPathModel:
         target, and any target that is not a candidate raises InvalidPath.
         Otherwise a lane is fed the model's greedy token, a later step whose
         target is not a candidate after that token is skipped, and the lane
-        stops at EOP or at a token without candidates. ``offer_final_eop``
-        force-offers EOP for a closing EOP target, so a groundtruth path may
-        end at a non-label node. Returns the per-lane totals as one
-        ``[lanes]`` Tensor, built from one rows-form ``block_log_prob`` per
-        step. ``fed_trace`` (when given) collects each lane's input tokens.
+        stops at EOP or at a token without candidates. Returns the per-lane
+        totals as one ``[lanes]`` Tensor, built from one rows-form
+        ``block_log_prob`` per step. ``fed_trace`` (when given) collects each
+        lane's input tokens.
         """
         if not all(lanes):
             raise InvalidPath("empty lane")
@@ -215,10 +208,8 @@ class LabelPathModel:
                 prev, target = fed[li], targets[t]
                 if fed_trace is not None:
                     fed_trace[li].append(prev)
-                is_terminal = (offer_final_eop and t == len(targets) - 1
-                               and target == self.eop_token)
                 try:
-                    block = self.candidates(prev, offer_eop=is_terminal).block_of.get(target)
+                    block = self.candidates(prev).block_of.get(target)
                 except NoCandidates:
                     if teacher:
                         raise
@@ -244,11 +235,12 @@ class LabelPathModel:
     def path_log_prob(self, x: np.ndarray, path: list[int] | tuple[int, ...]) -> Tensor:
         """Teacher-forced log-probability of a graph path starting at root.
 
-        Conditions each step on the groundtruth prefix and scores the
-        closing EOP choice as well.
+        Conditions each step on the groundtruth prefix. The closing EOP is not
+        scored: EOP is a singleton block, so wherever it is offered its
+        log-probability is exactly 0, and the path may end at a non-label
+        node (a coarse fusion target) where EOP is not offered.
         """
-        return nm.sum_all(self.score_lanes(self.encode(x), [list(path) + [self.eop_token]],
-                                           teacher=True))
+        return nm.sum_all(self.score_lanes(self.encode(x), [list(path)], teacher=True))
 
     def walk(self, x: np.ndarray, max_len: int,
              choose: Callable[[StepDistribution], tuple[int, float]]) -> SampledPath:
@@ -297,7 +289,7 @@ class LabelPathModel:
         paths = [sampled] if single else sampled
         lanes = [list(s.tokens) + ([self.eop_token] if s.ended_with_eop else [])
                  for s in paths]
-        totals = self.score_lanes(self.encode(x), lanes, teacher=True, offer_final_eop=False)
+        totals = self.score_lanes(self.encode(x), lanes, teacher=True)
         return nm.sum_all(totals) if single else totals
 
 

@@ -14,7 +14,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -300,17 +300,6 @@ def take_row(a: Tensor, i: int) -> Tensor:
     return out
 
 
-@dataclass(frozen=True)
-class BlockPartition:
-    """Disjoint index blocks covering exactly the logits they are applied to."""
-
-    blocks: tuple[tuple[int, ...], ...]
-
-    @staticmethod
-    def of(blocks: Iterable[Iterable[int]]) -> "BlockPartition":
-        return BlockPartition(tuple(tuple(int(i) for i in b) for b in blocks))
-
-
 def _check_partition(blocks: Sequence[Sequence[int]], k: int) -> None:
     seen: set[int] = set()
     for b in blocks:
@@ -338,14 +327,13 @@ def block_probs(z: np.ndarray, blocks: Sequence[Sequence[int]]) -> np.ndarray:
     return y
 
 
-def block_softmax(logits: Tensor, partition: BlockPartition | Sequence[Sequence[int]]) -> Tensor:
+def block_softmax(logits: Tensor, blocks: Sequence[Sequence[int]]) -> Tensor:
     """Softmax normalised independently within each competing-node block.
 
     Within a block the outputs are positive and sum to one; logits outside a
     block never influence it. Each block is stabilised by subtracting its own
     maximum before exponentiation.
     """
-    blocks = partition.blocks if isinstance(partition, BlockPartition) else partition
     if logits.data.ndim != 1:
         raise ShapeMismatch(f"block_softmax: expected vector, got {logits.data.shape}")
     _check_partition(blocks, logits.data.shape[0])

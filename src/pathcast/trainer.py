@@ -171,15 +171,16 @@ def deterministic_loss(model: LabelPathModel, batch: Batch, cfg: TrainConfig,
     tokens when ``coin <= r_tf``, the model's own greedy tokens otherwise.
     The loss always targets the groundtruth token; free-running steps whose
     groundtruth target is no longer reachable from the fed token are excluded,
-    as are steps past a lane's EOP. Returns None when no sample carries a
-    target path. ``fed_trace`` (when given) collects the per-lane input-token
-    streams for inspection.
+    as are the steps after a free-running lane picks EOP. A lane's targets
+    are its path's nodes, cut to ``max_len``, with no closing EOP: EOP is a
+    singleton block, so its log-probability is exactly 0 wherever it is
+    offered. Returns None when no sample carries a target path. ``fed_trace``
+    (when given) collects the per-lane input-token streams for inspection.
     """
     lanes: list[tuple[int, list[int]]] = []  # (sample index, target tokens)
     for i, paths in enumerate(batch.target_paths):
         for p in paths:
-            targets = list(p) + [model.eop_token]
-            lanes.append((i, targets[:cfg.max_len]))
+            lanes.append((i, list(p[:cfg.max_len])))
     if not lanes:
         return None
     teacher = float(rng.uniform()) <= cfg.r_tf

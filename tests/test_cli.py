@@ -194,6 +194,27 @@ class TestTrainEvalCycle:
         assert not out.exists()
         assert not (tmp_path / "m.pck.metrics.jsonl").exists()
 
+    def test_invalid_graph_file_is_rejected(self, workdir, tmp_path):
+        root, cfg_path = workdir
+        blob = json.loads((root / "graph.json").read_text())
+        leaf = next(n["id"] for n in blob["nodes"] if n["name"] == "cat-breed-0")
+        blob["edges"] = [e for e in blob["edges"] if e[1] != leaf]
+        bad = tmp_path / "graph.json"
+        bad.write_text(json.dumps(blob))
+        cfg = json.loads(cfg_path.read_text())
+        cfg["graph"] = str(bad)
+        bad_cfg = tmp_path / "train.json"
+        bad_cfg.write_text(json.dumps(cfg))
+        out = tmp_path / "m.pck"
+        proc = run_cli("train", "--config", str(bad_cfg), "--out", str(out), expect=1)
+        assert f"pathcast: error: {bad}: nodes unreachable from root" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+        run_cli("paths", str(bad), "--label", "cat-breed-0", expect=1)
+        codes = {v["code"] for v in json.loads(
+            run_cli("graph", "validate", str(bad), expect=1).stdout)}
+        assert "UnreachableNode" in codes
+
     @pytest.mark.parametrize("kind", ["fixed", "dynamic"])
     def test_empty_dev_file_is_rejected(self, workdir, tmp_path, kind):
         _, cfg_path = workdir

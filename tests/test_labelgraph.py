@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from pathcast.labelgraph import (CycleDetected, DuplicateGroupMembership,
-                                 GraphNode, Group, LabelGraph, NodeKind,
-                                 UnknownName, _topo_order, build_graph,
-                                 canonical_name, deserialize, serialize, stats,
-                                 validate)
+                                 GraphNode, Group, InvalidGraph, LabelGraph,
+                                 NodeKind, UnknownName, _topo_order, build_graph,
+                                 canonical_name, deserialize, load_graph,
+                                 save_graph, serialize, stats, validate)
 
 
 def figure2_subgraph():
@@ -311,3 +311,50 @@ class TestSerialization:
             g = random_dag(rng)
             for label in g.label_ids():
                 assert enumerate_paths(g, label)
+
+
+class TestLoadGraph:
+    """``load_graph`` validates; ``deserialize`` still reads a bad file."""
+
+    def write_bad(self, tmp_path, edit):
+        g = figure2_subgraph()
+        blob = json.loads(serialize(g))
+        edit(g, blob)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(blob))
+        return path
+
+    def assert_rejected(self, path, code):
+        with pytest.raises(InvalidGraph) as info:
+            load_graph(str(path))
+        assert code in {v.code for v in info.value.violations}
+        assert all(v.message.startswith(f"{path}: ") for v in info.value.violations)
+        assert str(info.value).startswith(f"{path}: ")
+        assert code in {v.code for v in validate(deserialize(path.read_text()))}
+        return info.value
+
+    def test_valid_file_loads(self, tmp_path):
+        path = tmp_path / "g.json"
+        save_graph(str(path), figure2_subgraph())
+        assert serialize(load_graph(str(path))) == serialize(figure2_subgraph())
+
+    def test_unreachable_node_rejected(self, tmp_path):
+        def drop_edges_into_bengal(g, blob):
+            blob["edges"] = [e for e in blob["edges"] if e[1] != g.id_of("bengal")]
+
+        exc = self.assert_rejected(self.write_bad(tmp_path, drop_edges_into_bengal),
+                                   "UnreachableNode")
+        assert "bengal" in exc.names
+
+    def test_bad_node_ids_rejected(self, tmp_path):
+        def move_last_id(g, blob):
+            blob["nodes"][-1]["id"] = len(blob["nodes"]) + 5
+
+        self.assert_rejected(self.write_bad(tmp_path, move_last_id), "BadNodeIds")
+
+    def test_cycle_rejected(self, tmp_path):
+        def add_back_edge(g, blob):
+            blob["edges"].append([g.id_of("bengal"), g.id_of("cat")])
+
+        exc = self.assert_rejected(self.write_bad(tmp_path, add_back_edge), "CycleDetected")
+        assert "bengal" in exc.names

@@ -114,16 +114,16 @@ class TestStep:
         total = sum(dist.probs[list(b)].sum() for b in dist.blocks)
         assert abs(total - len(dist.blocks)) < 1e-12
 
-    def test_offer_eop_for_terminal_targets(self):
-        g = figure2_subgraph()
-        m = make_model(g)
-        dist = m.candidates(g.id_of("cat"), offer_eop=True)
-        assert m.eop_token in dist.tokens
-        pos = dist.tokens.index(m.eop_token)
-        assert (pos,) in dist.blocks  # EOP stays a singleton block
+
+def nested_labels_graph():
+    """A coarse label node ``cat`` with the grouped fine labels ``a``, ``b``
+    under it, so EOP is offered next to competing children."""
+    from pathcast.labelgraph import build_graph
+    return build_graph([("coarse", ["cat"]), ("fine", ["a", "b"])], (),
+                       [("root", "cat"), ("cat", "a"), ("cat", "b")])
 
 
-def oracle_candidates(graph, prev_token, offer_eop):
+def oracle_candidates(graph, prev_token):
     """Candidate tokens and blocks built on demand, one group at a time."""
     n = len(graph.nodes)
     start, eop = n, n + 1
@@ -133,7 +133,7 @@ def oracle_candidates(graph, prev_token, offer_eop):
         raise InvalidPath(f"token {prev_token} cannot start a decode step")
     node = graph.node(prev_token)
     toks = list(graph.children(prev_token))
-    if offer_eop or node.kind is NodeKind.LABEL:
+    if node.kind is NodeKind.LABEL:
         toks.append(eop)
     if not toks:
         raise NoCandidates(f"node {node.name!r} has no children and no EOP")
@@ -155,36 +155,71 @@ class TestCandidateTable:
         rng = np.random.default_rng(11)
         return [figure2_subgraph()] + [random_dag(rng) for _ in range(15)]
 
-    @pytest.mark.parametrize("offer_eop", [False, True])
-    def test_matches_on_demand_oracle(self, offer_eop):
+    def test_matches_on_demand_oracle(self):
         dead_ends = 0
         for g in self.graphs():
             m = make_model(g)
             for tok in range(m.start_token + 1):
                 try:
-                    want = oracle_candidates(g, tok, offer_eop)
+                    want = oracle_candidates(g, tok)
                 except NoCandidates:
                     dead_ends += 1
                     with pytest.raises(NoCandidates, match=repr(g.node(tok).name)):
-                        m.candidates(tok, offer_eop=offer_eop)
+                        m.candidates(tok)
                     continue
-                cands = m.candidates(tok, offer_eop=offer_eop)
+                cands = m.candidates(tok)
                 assert (cands.tokens, cands.blocks) == want
                 owner = {i: blk for blk in cands.blocks for i in blk}
                 assert sorted(owner) == list(range(len(cands.tokens)))
                 assert sorted(cands.block_of) == list(cands.tokens)
                 for i, t in enumerate(cands.tokens):
                     assert cands.block_of[t] == tuple(cands.tokens[j] for j in owner[i])
-        # some augmented nodes are leaves: dead ends unless EOP is forced
-        assert (dead_ends == 0) == offer_eop
+        # some augmented nodes are leaves: dead ends
+        assert dead_ends > 0
 
     def test_eop_and_out_of_range_tokens_are_invalid(self):
         for g in self.graphs():
             m = make_model(g)
             for tok in (m.eop_token, m.eop_token + 1, -1):
-                for offer_eop in (False, True):
-                    with pytest.raises(InvalidPath):
-                        m.candidates(tok, offer_eop=offer_eop)
+                with pytest.raises(InvalidPath):
+                    m.candidates(tok)
+
+    def test_eop_is_a_singleton_block(self):
+        offered = 0
+        for g in self.graphs() + [nested_labels_graph()]:
+            m = make_model(g)
+            for tok in range(m.start_token + 1):
+                try:
+                    cands = m.candidates(tok)
+                except NoCandidates:
+                    continue
+                if m.eop_token in cands.tokens:
+                    offered += 1
+                    assert cands.block_of[m.eop_token] == (m.eop_token,)
+        assert offered > 0
+
+    def test_closing_eop_adds_nothing_to_scores_or_gradients(self):
+        # EOP's block is itself, so its log-probability is z - z = 0 with a
+        # zero gradient: scoring it would change no value and no gradient
+        from pathcast.pathalg import enumerate_paths
+        rng = np.random.default_rng(12)
+        for g in self.graphs() + [nested_labels_graph()]:
+            m = make_model(g, seed=int(rng.integers(1000)))
+            for label in g.label_ids():
+                paths = [list(p) for p in enumerate_paths(g, label)[:4]]
+                xs = rng.normal(size=(len(paths), 5))
+                w = rng.normal(size=len(paths))
+                runs = []
+                for lanes in (paths, [p + [m.eop_token] for p in paths]):
+                    totals = m.score_lanes(m.encode(xs), lanes, teacher=True)
+                    nm.zero_grads(m.params)
+                    nm.backward(nm.weighted_sum(totals, w))
+                    runs.append((totals.data.copy(),
+                                 {k: v.copy() for k, v in nm.collect_grads(m.params).items()}))
+                (bare, g_bare), (closed, g_closed) = runs
+                np.testing.assert_array_equal(closed, bare)
+                for name in m.params:
+                    np.testing.assert_array_equal(g_closed[name], g_bare[name])
 
 
 class TestPathLogProb:

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from pathcast import numerics as nm
-from pathcast.numerics import (AdamState, BlockPartition, CorruptCheckpoint,
-                               Tensor, adam_step, backward, block_log_prob,
-                               block_softmax, gru_step, load_params, save_params)
+from pathcast.numerics import (AdamState, CorruptCheckpoint, Tensor, adam_step,
+                               backward, block_log_prob, block_softmax, gru_step,
+                               load_params, save_params)
 
 
 def finite_difference(fn, params, h=1e-5):
@@ -100,11 +100,6 @@ class TestBlockSoftmax:
             block_softmax(Tensor([1.0, 2.0]), [[0]])  # does not cover index 1
         with pytest.raises(ValueError):
             block_softmax(Tensor([1.0, 2.0]), [[0, 1], [1]])  # overlap
-
-    def test_block_partition_wrapper(self):
-        part = BlockPartition.of([[0], [1, 2]])
-        out = block_softmax(Tensor([0.0, 0.0, 0.0]), part)
-        np.testing.assert_allclose(out.data, [1.0, 0.5, 0.5])
 
 
 class TestBackward:

@@ -272,6 +272,31 @@ class TestDeterministicLoss:
                     dist = m.distribution(logits[t - 1][li], fed[t - 1])
                     assert fed[t] == greedy_choice(dist)[0]
 
+    @pytest.mark.parametrize("r_tf", [1.0, 0.0])
+    def test_lanes_carry_no_closing_eop(self, r_tf):
+        # one decode step per target node: the longest lane has 4 nodes, so
+        # the loss runs 4 GRU steps and never a fifth for EOP
+        g = figure2_subgraph()
+        m = make_model(g, seed=2, input_dim=4)
+        cat = g.id_of("cat")
+        longest = (0, cat, g.id_of("shorthair"), g.id_of("british-shorthair"))
+        batch = Batch(inputs=np.zeros((2, 4)), target_paths=[[longest], [(0, cat)]],
+                      pg_indexes=(), labels=(longest[-1], cat))
+        calls = [0]
+        decode = m.decode_logits
+
+        def counting(f, tokens):
+            calls[0] += 1
+            return decode(f, tokens)
+
+        m.decode_logits = counting
+        trace: list[list[int]] = []
+        loss = deterministic_loss(m, batch, TrainConfig(max_len=8, r_tf=r_tf),
+                                  np.random.default_rng(0), fed_trace=trace)
+        assert loss is not None
+        assert calls[0] == 4
+        assert [len(fed) for fed in trace] == [4, 2]
+
     def test_returns_none_without_lanes(self):
         g = chain_graph()
         m = make_model(g)
