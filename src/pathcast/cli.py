@@ -18,13 +18,8 @@ def _read_json(path: str) -> dict:
         return json.load(f)
 
 
-def _read_graph_unvalidated(path: str) -> labelgraph.LabelGraph:
-    with open(path, "r", encoding="utf-8") as f:
-        return labelgraph.deserialize(f.read())
-
-
 def cmd_graph_validate(args) -> int:
-    graph = _read_graph_unvalidated(args.file)
+    graph = labelgraph.read_graph(args.file)
     violations = labelgraph.validate(graph)
     print(json.dumps([{"code": v.code, "message": v.message, "names": list(v.names)}
                       for v in violations], indent=2))
@@ -32,7 +27,7 @@ def cmd_graph_validate(args) -> int:
 
 
 def cmd_graph_stats(args) -> int:
-    graph = _read_graph_unvalidated(args.file)
+    graph = labelgraph.read_graph(args.file)
     s = labelgraph.stats(graph)
     print(json.dumps({"label_count": s.label_count, "augmented_count": s.augmented_count,
                       "edge_count": s.edge_count, "group_count": s.group_count,

@@ -445,12 +445,22 @@ def deserialize(text: str) -> LabelGraph:
     return LabelGraph(nodes, edges, groups)
 
 
-def load_graph(path: str) -> LabelGraph:
-    """Read a graph file and validate it: any violation raises InvalidGraph,
-    each message prefixed by ``<path>:``. Use :func:`deserialize` to read a
-    file whose violations should be reported rather than raised."""
+def read_graph(path: str) -> LabelGraph:
+    """Read a graph file without validating it, for callers that report its
+    violations. A file that is not UTF-8 JSON of the graph-file shape raises
+    InvalidGraph with one ``MalformedFile`` violation prefixed by ``<path>:``.
+    """
     with open(path, "r", encoding="utf-8") as f:
-        graph = deserialize(f.read())
+        try:
+            return deserialize(f.read())
+        except ValueError as exc:
+            raise InvalidGraph([Violation("MalformedFile", f"{path}: {exc}")]) from exc
+
+
+def load_graph(path: str) -> LabelGraph:
+    """Read a graph file with :func:`read_graph` and validate it: any
+    violation raises InvalidGraph, each message prefixed by ``<path>:``."""
+    graph = read_graph(path)
     violations = validate(graph)
     if violations:
         raise InvalidGraph([Violation(v.code, f"{path}: {v.message}", v.names)

@@ -161,23 +161,15 @@ class LabelPathModel:
         """Block-softmax distribution over the candidates after ``prev_token``,
         taken from one row of vocabulary logits."""
         toks, blocks, _ = self.candidates(prev_token)
-        probs = nm.block_softmax(nm.constant(z_row[list(toks)]), blocks).data
+        probs = nm.block_softmax(z_row[list(toks)], blocks)
         return StepDistribution(tokens=toks, probs=probs, blocks=blocks)
-
-    def _free_running_token(self, z_row: np.ndarray, prev_token: int) -> int:
-        """:func:`greedy_choice` over :meth:`distribution`, computed in plain
-        numpy: the free-running teacher-forcing branch picks without a trace."""
-        toks, blocks, _ = self.candidates(prev_token)
-        probs = nm.block_probs(z_row[list(toks)], blocks)
-        return greedy_choice(StepDistribution(toks, probs, blocks))[0]
 
     def step(self, f_prev: Tensor, prev_token: int) -> tuple[StepDistribution, Tensor]:
         """Single-sample decode step: next-token distribution plus new state."""
         f_t, z = self.decode_logits(f_prev, [prev_token])
         return self.distribution(z.data[0], prev_token), f_t
 
-    def score_lanes(self, f: Tensor, lanes: Sequence[Sequence[int]], teacher: bool,
-                    fed_trace: list[list[int]] | None = None) -> Tensor:
+    def score_lanes(self, f: Tensor, lanes: Sequence[Sequence[int]], teacher: bool) -> Tensor:
         """Differentiable summed log-probability of each lane's target tokens.
 
         ``f`` holds one decoder state per lane; every lane is fed START first,
@@ -188,16 +180,13 @@ class LabelPathModel:
         target is not a candidate after that token is skipped, and the lane
         stops at EOP or at a token without candidates. Returns the per-lane
         totals as one ``[lanes]`` Tensor, built from one rows-form
-        ``block_log_prob`` per step. ``fed_trace`` (when given) collects each
-        lane's input tokens.
+        ``block_log_prob`` per step.
         """
         if not all(lanes):
             raise InvalidPath("empty lane")
         fed = [self.start_token] * len(lanes)
         alive = [True] * len(lanes)  # feeding still on a usable token
         steps: list[Tensor] = []
-        if fed_trace is not None:
-            fed_trace.extend([] for _ in lanes)
         for t in range(max(map(len, lanes))):
             f, z = self.decode_logits(f, fed)
             step_blocks: list[tuple[int, ...] | None] = [None] * len(lanes)
@@ -206,8 +195,6 @@ class LabelPathModel:
                 if t >= len(targets) or not alive[li]:
                     continue
                 prev, target = fed[li], targets[t]
-                if fed_trace is not None:
-                    fed_trace[li].append(prev)
                 try:
                     block = self.candidates(prev).block_of.get(target)
                 except NoCandidates:
@@ -220,11 +207,8 @@ class LabelPathModel:
                     step_targets[li] = target
                 elif teacher or t == 0:
                     raise InvalidPath(f"token {target} is not a candidate after {prev}")
-                try:
-                    nxt = target if teacher else self._free_running_token(z.data[li], prev)
-                except NoCandidates:
-                    alive[li] = False
-                    continue
+                # candidates(prev) succeeded above, so this pick cannot fail
+                nxt = target if teacher else greedy_choice(self.distribution(z.data[li], prev))[0]
                 if not teacher and nxt == self.eop_token:
                     alive[li] = False  # frozen on prev; no further loss from this lane
                 else:

@@ -315,9 +315,18 @@ def _check_partition(blocks: Sequence[Sequence[int]], k: int) -> None:
         raise ValueError(f"partition covers {len(seen)} of {k} indices")
 
 
-def block_probs(z: np.ndarray, blocks: Sequence[Sequence[int]]) -> np.ndarray:
-    """Forward of :func:`block_softmax` on a plain vector, with no trace node
-    and no partition check; for callers that only pick from the result."""
+def block_softmax(z: np.ndarray, blocks: Sequence[Sequence[int]]) -> np.ndarray:
+    """Softmax normalised independently within each competing-node block.
+
+    Within a block the outputs are positive and sum to one; logits outside a
+    block never influence it. Each block is stabilised by subtracting its own
+    maximum before exponentiation. Plain arrays with no trace node: training
+    scores through :func:`block_log_prob`, which is differentiable.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 1:
+        raise ShapeMismatch(f"block_softmax: expected vector, got {z.shape}")
+    _check_partition(blocks, z.shape[0])
     y = np.empty_like(z)
     for b in blocks:
         bb = np.asarray(b, dtype=np.intp)
@@ -325,33 +334,6 @@ def block_probs(z: np.ndarray, blocks: Sequence[Sequence[int]]) -> np.ndarray:
         e = np.exp(zb - zb.max())
         y[bb] = e / e.sum()
     return y
-
-
-def block_softmax(logits: Tensor, blocks: Sequence[Sequence[int]]) -> Tensor:
-    """Softmax normalised independently within each competing-node block.
-
-    Within a block the outputs are positive and sum to one; logits outside a
-    block never influence it. Each block is stabilised by subtracting its own
-    maximum before exponentiation.
-    """
-    if logits.data.ndim != 1:
-        raise ShapeMismatch(f"block_softmax: expected vector, got {logits.data.shape}")
-    _check_partition(blocks, logits.data.shape[0])
-    y = block_probs(logits.data, blocks)
-    out = Tensor(y, _parents=(logits,))
-
-    def bw(g):
-        if logits.requires_grad:
-            gz = np.zeros_like(logits.data)
-            for b in blocks:
-                bb = np.asarray(b, dtype=np.intp)
-                yb = y[bb]
-                gb = g[bb]
-                gz[bb] = yb * (gb - np.dot(gb, yb))
-            logits._accum(gz)
-
-    out._backward = bw
-    return out
 
 
 def block_log_prob(logits: Tensor, block, target) -> Tensor:
@@ -515,17 +497,10 @@ def gru_step(params: GruParams, e_t: Tensor, f_prev: Tensor) -> Tensor:
     """One recurrent update f_t = (1-u) * f_prev + u * c.
 
     r = sigmoid(W_r[e,f] + b_r), u = sigmoid(W_u[e,f] + b_u),
-    c = tanh(W_c[e, r*f] + b_c). Accepts [m,d]/[m,h] matrices or single
-    vectors (promoted to one-row matrices). The matrix form is one trace node
+    c = tanh(W_c[e, r*f] + b_c), over [m,d]/[m,h] matrices. One trace node
     whose backward is derived by hand for the nine weights, ``e_t`` and
     ``f_prev``.
     """
-    squeeze = e_t.data.ndim == 1
-    if squeeze:
-        if f_prev.data.ndim != 1:
-            raise ShapeMismatch("gru_step: mixed vector/matrix inputs")
-        e_t = _promote_row(e_t)
-        f_prev = _promote_row(f_prev)
     p = params
     e, f = e_t.data, f_prev.data
     if (e.ndim != 2 or f.ndim != 2 or e.shape[0] != f.shape[0]
@@ -563,18 +538,7 @@ def gru_step(params: GruParams, e_t: Tensor, f_prev: Tensor) -> Tensor:
                           + g_r @ p.w_rf.data.T + g_u @ p.w_uf.data.T)
 
     f_t._backward = bw
-    return take_row(f_t, 0) if squeeze else f_t
-
-
-def _promote_row(t: Tensor) -> Tensor:
-    out = Tensor(t.data[None, :], _parents=(t,))
-
-    def bw(g):
-        if t.requires_grad:
-            t._accum(g[0])
-
-    out._backward = bw
-    return out
+    return f_t
 
 
 # ---------------------------------------------------------------------------

@@ -163,8 +163,7 @@ def reward(sampled: Sequence[int] | SampledPath, members: frozenset[int]) -> flo
 # ---------------------------------------------------------------------------
 
 def deterministic_loss(model: LabelPathModel, batch: Batch, cfg: TrainConfig,
-                       rng: np.random.Generator,
-                       fed_trace: list[list[int]] | None = None) -> Tensor | None:
+                       rng: np.random.Generator) -> Tensor | None:
     """Negative log-likelihood of the batch's target paths, batch-averaged.
 
     One coin per batch decides the decoder inputs for every step: groundtruth
@@ -174,8 +173,7 @@ def deterministic_loss(model: LabelPathModel, batch: Batch, cfg: TrainConfig,
     as are the steps after a free-running lane picks EOP. A lane's targets
     are its path's nodes, cut to ``max_len``, with no closing EOP: EOP is a
     singleton block, so its log-probability is exactly 0 wherever it is
-    offered. Returns None when no sample carries a target path. ``fed_trace``
-    (when given) collects the per-lane input-token streams for inspection.
+    offered. Returns None when no sample carries a target path.
     """
     lanes: list[tuple[int, list[int]]] = []  # (sample index, target tokens)
     for i, paths in enumerate(batch.target_paths):
@@ -185,7 +183,7 @@ def deterministic_loss(model: LabelPathModel, batch: Batch, cfg: TrainConfig,
         return None
     teacher = float(rng.uniform()) <= cfg.r_tf
     f = nm.gather_rows(model.encode(batch.inputs), [s for s, _ in lanes])
-    totals = model.score_lanes(f, [t for _, t in lanes], teacher, fed_trace)
+    totals = model.score_lanes(f, [t for _, t in lanes], teacher)
     # One weight per lane pools it into its sample (mean or sum over that
     # sample's lanes) and the sample into the batch mean.
     per_sample = Counter(si for si, _ in lanes)

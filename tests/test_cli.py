@@ -70,6 +70,20 @@ class TestGraphCommands:
     def test_missing_file_fails(self):
         run_cli("graph", "stats", "/nonexistent/g.json", expect=1)
 
+    def test_malformed_file_is_named(self, tmp_path):
+        # a file that is not JSON, or lacks a key, fails with its path named
+        trunc = tmp_path / "trunc.json"
+        trunc.write_text('{"nodes": [\n')
+        keyless = tmp_path / "keyless.json"
+        keyless.write_text('{"nodes": []}')
+        for path in (trunc, keyless):
+            for cmd in (("paths", str(path), "--label", "cat"),
+                        ("graph", "validate", str(path)), ("graph", "stats", str(path))):
+                proc = run_cli(*cmd, expect=1)
+                assert proc.stdout == ""
+                assert proc.stderr.startswith(f"pathcast: error: {path}: "), proc.stderr
+                assert "Traceback" not in proc.stderr
+
     def test_stats_on_cyclic_file_fails(self, tmp_path):
         g = figure2_subgraph()
         blob = json.loads(serialize(g))

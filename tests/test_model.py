@@ -83,6 +83,24 @@ class TestStep:
             assert abs(dist.probs[list(blk)].sum() - 1.0) < 1e-12
         assert m.eop_token not in dist.tokens  # cat is augmented here
 
+    def test_distribution_builds_no_tensor(self, monkeypatch):
+        # the block softmax is plain numpy: picking a token adds no trace node
+        g = figure2_subgraph()
+        m = make_model(g, seed=5)
+        z_row = np.random.default_rng(4).normal(size=m.vocab_size)
+        built = [0]
+        init = nm.Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(nm.Tensor, "__init__", counting_init)
+        dist = m.distribution(z_row, g.id_of("cat"))
+        assert built[0] == 0
+        assert type(dist.probs) is np.ndarray
+        assert type(nm.block_softmax(z_row[:3], [[0, 1], [2]])) is np.ndarray
+
     def test_label_leaf_offers_eop_only(self):
         g = figure2_subgraph()
         m = make_model(g)

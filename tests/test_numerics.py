@@ -49,19 +49,19 @@ def random_partition(rng, k):
 
 class TestBlockSoftmax:
     def test_within_block_symmetry(self):
-        out = block_softmax(Tensor([0.0, 0.0, 1.0, 1.0, 1.0]), [[0, 1], [2, 3, 4]])
-        np.testing.assert_allclose(out.data, [0.5, 0.5, 1 / 3, 1 / 3, 1 / 3])
+        out = block_softmax(np.array([0.0, 0.0, 1.0, 1.0, 1.0]), [[0, 1], [2, 3, 4]])
+        np.testing.assert_allclose(out, [0.5, 0.5, 1 / 3, 1 / 3, 1 / 3])
 
     def test_singleton_block(self):
-        out = block_softmax(Tensor([123.4]), [[0]])
-        assert out.data[0] == 1.0
+        out = block_softmax(np.array([123.4]), [[0]])
+        assert out[0] == 1.0
 
     def test_matches_direct_formula(self):
         # exp(z)/sum(exp(z)) evaluated in full precision for [1,2,3]
-        out = block_softmax(Tensor([1.0, 2.0, 3.0]), [[0, 1, 2]])
+        out = block_softmax(np.array([1.0, 2.0, 3.0]), [[0, 1, 2]])
         e = np.exp([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(out.data, e / e.sum(), atol=1e-5)
-        np.testing.assert_allclose(out.data, [0.09003057, 0.24472847, 0.66524096], atol=1e-5)
+        np.testing.assert_allclose(out, e / e.sum(), atol=1e-5)
+        np.testing.assert_allclose(out, [0.09003057, 0.24472847, 0.66524096], atol=1e-5)
 
     def test_block_sums_and_independence(self):
         rng = np.random.default_rng(7)
@@ -69,7 +69,7 @@ class TestBlockSoftmax:
             k = int(rng.integers(1, 10))
             blocks = random_partition(rng, k)
             z = rng.normal(0, 3, k)
-            y = block_softmax(Tensor(z), blocks).data
+            y = block_softmax(z, blocks)
             for b in blocks:
                 assert abs(y[list(b)].sum() - 1.0) < 1e-12
             # perturbing logits outside a block must not change it
@@ -78,28 +78,28 @@ class TestBlockSoftmax:
             for i in range(k):
                 if i not in target:
                     z2[i] += rng.normal(0, 5)
-            y2 = block_softmax(Tensor(z2), blocks).data
+            y2 = block_softmax(z2, blocks)
             np.testing.assert_allclose(y2[list(target)], y[list(target)], atol=1e-12)
 
     def test_shift_invariance_per_block(self):
         rng = np.random.default_rng(11)
         z = rng.normal(size=6)
         blocks = [[0, 2, 4], [1, 3], [5]]
-        y = block_softmax(Tensor(z), blocks).data
+        y = block_softmax(z, blocks)
         z2 = z.copy()
         z2[[0, 2, 4]] += 17.5
-        y2 = block_softmax(Tensor(z2), blocks).data
+        y2 = block_softmax(z2, blocks)
         np.testing.assert_allclose(y2, y, atol=1e-12)
 
     def test_partition_validation(self):
         with pytest.raises(nm.EmptyBlock):
-            block_softmax(Tensor([1.0, 2.0]), [[0, 1], []])
+            block_softmax(np.array([1.0, 2.0]), [[0, 1], []])
         with pytest.raises(nm.IndexOutOfRange):
-            block_softmax(Tensor([1.0, 2.0]), [[0, 5]])
+            block_softmax(np.array([1.0, 2.0]), [[0, 5]])
         with pytest.raises(ValueError):
-            block_softmax(Tensor([1.0, 2.0]), [[0]])  # does not cover index 1
+            block_softmax(np.array([1.0, 2.0]), [[0]])  # does not cover index 1
         with pytest.raises(ValueError):
-            block_softmax(Tensor([1.0, 2.0]), [[0, 1], [1]])  # overlap
+            block_softmax(np.array([1.0, 2.0]), [[0, 1], [1]])  # overlap
 
 
 class TestBackward:
@@ -208,7 +208,7 @@ class TestBackward:
         rng = np.random.default_rng(9)
         z = rng.normal(0, 4, 7)
         blocks = [[0, 3, 5], [1, 2], [4, 6]]
-        y = block_softmax(Tensor(z), blocks).data
+        y = block_softmax(z, blocks)
         for blk in blocks:
             for t in blk:
                 lp = block_log_prob(Tensor(z), blk, t).item()
@@ -222,8 +222,8 @@ class TestGru:
         gp = nm.GruParams.init(3, 4, rng, "g", raw)
         for t in raw.values():
             t.data = np.zeros_like(t.data)
-        out = gru_step(gp, nm.constant(np.zeros(3)), nm.constant(np.zeros(4)))
-        np.testing.assert_allclose(out.data, np.zeros(4))
+        out = gru_step(gp, nm.constant(np.zeros((1, 3))), nm.constant(np.zeros((1, 4))))
+        np.testing.assert_allclose(out.data, np.zeros((1, 4)))
 
     def test_matches_scalar_loop(self):
         rng = np.random.default_rng(1)
@@ -232,7 +232,7 @@ class TestGru:
         gp = nm.GruParams.init(d, hdim, rng, "g", raw)
         e = rng.normal(size=d)
         f = rng.normal(size=hdim)
-        out = gru_step(gp, nm.constant(e), nm.constant(f)).data
+        out = gru_step(gp, nm.constant(e[None, :]), nm.constant(f[None, :])).data[0]
 
         def sig(v):
             return 1.0 / (1.0 + np.exp(-v))
@@ -260,8 +260,8 @@ class TestGru:
         raw = {}
         gp = nm.GruParams.init(3, 4, rng, "g", raw)
         raw["g.b_u"].data = np.full(4, -50.0)  # u ~ 0 => f_t ~ f_prev
-        f_prev = rng.normal(size=4)
-        out = gru_step(gp, nm.constant(rng.normal(size=3)), nm.constant(f_prev)).data
+        f_prev = rng.normal(size=(1, 4))
+        out = gru_step(gp, nm.constant(rng.normal(size=(1, 3))), nm.constant(f_prev)).data
         np.testing.assert_allclose(out, f_prev, atol=1e-6)
 
     def test_shape_mismatch(self):

@@ -35,6 +35,23 @@ def make_model(graph, seed=0, input_dim=4):
     return LabelPathModel(graph, input_dim=input_dim, embed_dim=5, hidden=8, seed=seed)
 
 
+def record_decode_steps(m):
+    """Wrap ``m.decode_logits``; returns the lists it fills with each decode
+    step's fed tokens (one per lane) and the logits that step produced."""
+    fed: list[list[int]] = []
+    logits: list[np.ndarray] = []
+    decode = m.decode_logits
+
+    def recording(f, tokens):
+        f_t, z = decode(f, tokens)
+        fed.append(list(tokens))  # score_lanes reuses its list across steps
+        logits.append(z.data.copy())
+        return f_t, z
+
+    m.decode_logits = recording
+    return fed, logits
+
+
 class TestReward:
     def test_full_overlap(self):
         assert reward([0, 1, 2, 3], frozenset({0, 1, 2})) == 1.0
@@ -233,69 +250,76 @@ class TestDeterministicLoss:
             target_paths=[[(0, g.id_of("cat"), g.id_of("shorthair"),
                             g.id_of("british-shorthair"))]],
             pg_indexes=(), labels=(g.id_of("british-shorthair"),))
-        trace_tf: list[list[int]] = []
-        trace_fr: list[list[int]] = []
-        deterministic_loss(m, batch, cfg_tf, np.random.default_rng(0), fed_trace=trace_tf)
-        deterministic_loss(m, batch, cfg_fr, np.random.default_rng(0), fed_trace=trace_fr)
+        fed, _ = record_decode_steps(m)
+        deterministic_loss(m, batch, cfg_tf, np.random.default_rng(0))
+        trace_tf = [step[0] for step in fed]
+        fed.clear()
+        deterministic_loss(m, batch, cfg_fr, np.random.default_rng(0))
+        trace_fr = [step[0] for step in fed]
+        # four steps, none after the lane's end; EOP is not offered at root or cat
+        assert len(trace_tf) == len(trace_fr) == 4
         assert trace_tf != trace_fr
-        assert trace_tf[0][:2] == trace_fr[0][:2]  # START and root agree
+        assert trace_tf[:2] == trace_fr[:2]  # START and root agree
 
     def test_free_running_feeds_the_greedy_token_of_each_step(self):
         # every fed token after START is greedy_choice over model.distribution
-        # of the logits that lane saw one step earlier
+        # of the logits that lane saw one step earlier, up to the lane's last
+        # target; after an EOP pick the lane stays frozen on its token. In the
+        # second graph cat is a label with grouped children, where greedy
+        # decoding picks EOP, so its lane freezes one step before its end.
         from pathcast.model import greedy_choice
-        g = figure2_subgraph()
-        book = PathBook(g)
-        labels = [g.id_of("british-shorthair"), g.id_of("bengal")]
-        for seed in range(4):
-            m = make_model(g, seed=seed, input_dim=4)
-            logits = []
-            decode = m.decode_logits
-
-            def recording(f, tokens):
-                f_t, z = decode(f, tokens)
-                logits.append(z.data.copy())
-                return f_t, z
-
-            m.decode_logits = recording
-            batch = Batch(inputs=np.random.default_rng(seed).normal(size=(2, 4)),
-                          target_paths=[list(book.split(lb)[0]) + list(book.split(lb)[1])
-                                        for lb in labels],
-                          pg_indexes=(), labels=tuple(labels))
-            trace: list[list[int]] = []
-            loss = deterministic_loss(m, batch, TrainConfig(max_len=6, r_tf=0.0),
-                                      np.random.default_rng(0), fed_trace=trace)
-            assert loss is not None and len(trace) == 6
-            for li, fed in enumerate(trace):
-                assert fed[0] == m.start_token
-                for t in range(1, len(fed)):
-                    dist = m.distribution(logits[t - 1][li], fed[t - 1])
-                    assert fed[t] == greedy_choice(dist)[0]
+        coarse = build_graph([("coarse", ["cat"]), ("fine", ["a", "b"]), ("finer", ["x"])],
+                             (), [("root", "cat"), ("cat", "a"), ("cat", "b"), ("a", "x")], ())
+        f2 = figure2_subgraph()
+        cases = [(f2, [f2.id_of("british-shorthair"), f2.id_of("bengal")]),
+                 (coarse, [coarse.id_of("x")])]
+        eop_picks = 0
+        for g, labels in cases:
+            book = PathBook(g)
+            for seed in range(4):
+                m = make_model(g, seed=seed, input_dim=4)
+                fed, logits = record_decode_steps(m)
+                rows = np.random.default_rng(seed).normal(size=(len(labels), 4))
+                batch = Batch(inputs=rows,
+                              target_paths=[list(book.split(lb)[0]) + list(book.split(lb)[1])
+                                            for lb in labels],
+                              pg_indexes=(), labels=tuple(labels))
+                lanes = [p[:6] for paths in batch.target_paths for p in paths]
+                loss = deterministic_loss(m, batch, TrainConfig(max_len=6, r_tf=0.0),
+                                          np.random.default_rng(0))
+                assert loss is not None and len(fed) == max(map(len, lanes))
+                for li, targets in enumerate(lanes):
+                    assert fed[0][li] == m.start_token
+                    for t in range(1, len(targets)):
+                        dist = m.distribution(logits[t - 1][li], fed[t - 1][li])
+                        pick = greedy_choice(dist)[0]
+                        if pick == m.eop_token:
+                            eop_picks += 1
+                            assert all(step[li] == fed[t - 1][li] for step in fed[t:])
+                            break
+                        assert fed[t][li] == pick
+        assert eop_picks == 4  # the coarse lane, once per seed
 
     @pytest.mark.parametrize("r_tf", [1.0, 0.0])
     def test_lanes_carry_no_closing_eop(self, r_tf):
         # one decode step per target node: the longest lane has 4 nodes, so
-        # the loss runs 4 GRU steps and never a fifth for EOP
+        # the loss runs 4 GRU steps and never a fifth for EOP; the 2-node
+        # lane alone runs 2
         g = figure2_subgraph()
         m = make_model(g, seed=2, input_dim=4)
         cat = g.id_of("cat")
         longest = (0, cat, g.id_of("shorthair"), g.id_of("british-shorthair"))
         batch = Batch(inputs=np.zeros((2, 4)), target_paths=[[longest], [(0, cat)]],
                       pg_indexes=(), labels=(longest[-1], cat))
-        calls = [0]
-        decode = m.decode_logits
-
-        def counting(f, tokens):
-            calls[0] += 1
-            return decode(f, tokens)
-
-        m.decode_logits = counting
-        trace: list[list[int]] = []
-        loss = deterministic_loss(m, batch, TrainConfig(max_len=8, r_tf=r_tf),
-                                  np.random.default_rng(0), fed_trace=trace)
-        assert loss is not None
-        assert calls[0] == 4
-        assert [len(fed) for fed in trace] == [4, 2]
+        short = Batch(inputs=np.zeros((1, 4)), target_paths=[[(0, cat)]],
+                      pg_indexes=(), labels=(cat,))
+        fed, _ = record_decode_steps(m)
+        cfg = TrainConfig(max_len=8, r_tf=r_tf)
+        assert deterministic_loss(m, batch, cfg, np.random.default_rng(0)) is not None
+        assert len(fed) == 4
+        fed.clear()
+        assert deterministic_loss(m, short, cfg, np.random.default_rng(0)) is not None
+        assert len(fed) == 2
 
     def test_returns_none_without_lanes(self):
         g = chain_graph()
