@@ -7,15 +7,56 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
-from . import evaldecode, harness, labelgraph, trainer
-from .model import LabelPathModel, load_model, read_sidecar, save_model
+from . import evaldecode, harness, labelgraph
+from .model import load_model, read_sidecar, save_model
 from .trainer import TrainConfig
+
+
+class InvalidConfig(ValueError):
+    """A config file that cannot be used; the message starts ``<path>:``."""
 
 
 def _read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as f:
         return json.load(f)
+
+
+@contextmanager
+def _naming(path: str):
+    """Re-raise a missing key or a bad value as InvalidConfig naming ``path``."""
+    try:
+        yield
+    except KeyError as exc:
+        raise InvalidConfig(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfig(f"{path}: {exc}") from None
+
+
+def _config(args, cls, files: tuple[str, ...]):
+    """The training commands' prologue: ``(raw, cfg, graph)`` from
+    ``args.config``, with ``--seed`` applied to ``cfg``. ``graph`` and each
+    key in ``files`` must name a file."""
+    with _naming(args.config):
+        raw = _read_json(args.config)
+        if not isinstance(raw, dict):
+            raise ValueError("a config must be a JSON object")
+        for key in ("graph", *files):
+            if not isinstance(raw[key], str):
+                raise ValueError(f"{key!r} must name a file")
+        cfg = cls.from_dict(raw)
+    if args.seed is not None:
+        cfg.seed = args.seed
+    return raw, cfg, labelgraph.load_graph(raw["graph"])
+
+
+def _model_dims(raw: dict) -> tuple[int, int]:
+    """``(embed_dim, hidden)`` of a path-model config."""
+    dims = int(raw.get("embed_dim", 16)), int(raw.get("hidden", 32))
+    if min(dims) < 1:
+        raise ValueError("embed_dim and hidden must be at least 1")
+    return dims
 
 
 def cmd_graph_validate(args) -> int:
@@ -60,24 +101,13 @@ def cmd_model_inspect(args) -> int:
 
 
 def cmd_train(args) -> int:
-    raw = _read_json(args.config)
-    cfg = TrainConfig.from_dict(raw)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    graph = labelgraph.load_graph(raw["graph"])
+    raw, cfg, graph = _config(args, TrainConfig, ("train",))
+    with _naming(args.config):
+        embed_dim, hidden = _model_dims(raw)
     train_ds = harness.load_dataset(raw["train"])
     dev_ds = harness.load_dataset(raw["dev"]) if raw.get("dev") else None
-    model = LabelPathModel(
-        graph,
-        input_dim=train_ds.input_dim,
-        embed_dim=int(raw.get("embed_dim", 16)),
-        hidden=int(raw.get("hidden", 32)),
-        seed=cfg.seed,
-        graph_file=raw["graph"],
-    )
-    trainer.train(model, harness.resolve_samples(train_ds, graph), cfg,
-                  dev_set=harness.resolve_samples(dev_ds, graph) if dev_ds else None,
-                  metrics_path=args.out + ".metrics.jsonl")
+    model = harness.fit_model(graph, train_ds, dev_ds, cfg, embed_dim, hidden,
+                              graph_file=raw["graph"], metrics_path=args.out + ".metrics.jsonl")
     save_model(args.out, model)
     return 0
 
@@ -143,11 +173,8 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    raw = _read_json(args.config)
-    cfg = harness.BaselineConfig.from_dict(raw)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    graph = labelgraph.load_graph(raw["graph"])
+    files = ("fine", "coarse") if args.kind == "pseudo" else ("train",)
+    raw, cfg, graph = _config(args, harness.BaselineConfig, ("test", *files))
     test_ds = harness.load_dataset(raw["test"])
     if args.kind == "ffn":
         report = harness.baseline_ffn(cfg, harness.load_dataset(raw["train"]), test_ds)
@@ -166,22 +193,14 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    raw = _read_json(args.config)
-    cfg = TrainConfig.from_dict(raw)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    graph = labelgraph.load_graph(raw["graph"])
-    rows = harness.ablate(
-        graph,
-        harness.load_dataset(raw["train"]),
-        harness.load_dataset(raw["dev"]),
-        harness.load_dataset(raw["test"]),
-        cfg,
-        embed_dim=int(raw.get("embed_dim", 16)),
-        hidden=int(raw.get("hidden", 32)),
-        trim_fractions=tuple(raw.get("trim_fractions", (0.36, 0.63))),
-        aggregations=tuple(raw.get("aggregations", ("sum", "random"))),
-    )
+    raw, cfg, graph = _config(args, TrainConfig, ("train", "dev", "test"))
+    with _naming(args.config):
+        embed_dim, hidden = _model_dims(raw)
+        trims = tuple(float(f) for f in raw.get("trim_fractions", (0.36, 0.63)))
+        aggs = tuple(raw.get("aggregations", ("sum", "random")))
+    rows = harness.ablate(graph, harness.load_dataset(raw["train"]),
+                          harness.load_dataset(raw["dev"]), harness.load_dataset(raw["test"]),
+                          cfg, embed_dim, hidden, trims, aggs)
     print(json.dumps(rows, indent=2, sort_keys=True))
     return 0
 

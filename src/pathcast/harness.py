@@ -21,10 +21,10 @@ import numpy as np
 from . import numerics as nm
 from .labelgraph import LabelGraph, NodeKind, _closure, build_graph, validate
 from .model import LabelPathModel
-from .numerics import AdamState, Tensor, adam_step
+from .numerics import AdamState, Tensor
 from .pathalg import NotALabelNode, _path_counts, _require_label
 from .trainer import (LabeledSample, ScheduleConfig, ScheduleState, TrainConfig,
-                      schedule_update, train, typed_fields)
+                      descend, minibatches, schedule_update, train, typed_fields)
 from .evaldecode import EmptyDataset, MetricsReport, classification_report, evaluate
 
 
@@ -398,10 +398,16 @@ class BaselineConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "BaselineConfig":
-        """Config from a baseline-config dict; missing keys keep their defaults."""
+        """Validated config from a baseline-config dict; missing keys keep
+        their defaults."""
         keys = ("hidden", "epochs", "batch_size", "lr", "seed")
-        return BaselineConfig(**typed_fields(BaselineConfig, raw, keys, required=False),
-                              schedule=ScheduleConfig.from_dict(raw.get("schedule", {})))
+        cfg = BaselineConfig(**typed_fields(BaselineConfig, raw, keys, required=False),
+                             schedule=ScheduleConfig.from_dict(raw.get("schedule", {})))
+        if cfg.hidden < 1 or cfg.batch_size < 1 or cfg.epochs < 0:
+            raise ValueError("hidden/batch_size/epochs out of range")
+        if cfg.lr <= 0:
+            raise ValueError("lr must be positive")
+        return cfg
 
 
 class _EncoderHead:
@@ -429,24 +435,32 @@ class _EncoderHead:
         return nm.add_rowvec(nm.matmul(h, p["head.w"]), p["head.b"])
 
 
-def _train_encoder_head(net: _EncoderHead, xs: np.ndarray, loss_fn: Callable,
-                        cfg: BaselineConfig) -> None:
-    adam = AdamState(lr=cfg.lr)
+def _fit_classifier(cfg: BaselineConfig, xs: np.ndarray, out_dim: int,
+                    loss_fn: Callable) -> _EncoderHead:
+    """An encoder-head network with ``out_dim`` outputs, trained with Adam on
+    the rows ``xs`` against ``loss_fn(logits, sample indexes)``."""
+    net = _EncoderHead(xs.shape[1], cfg.hidden, out_dim, cfg.seed)
+    adam = [(AdamState(lr=cfg.lr), net.params)]
     sched = ScheduleState(kind=cfg.schedule.kind, n=cfg.schedule.n)
     for epoch in range(1, cfg.epochs + 1):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(epoch,)))
-        order = rng.permutation(len(xs))
         epoch_loss = 0.0
-        for bi in range(0, len(order), cfg.batch_size):
-            idx = order[bi:bi + cfg.batch_size]
-            z = net.logits(xs[idx])
-            loss = loss_fn(z, idx)
-            nm.zero_grads(net.params)
-            nm.backward(loss)
-            adam_step(adam, net.params, nm.collect_grads(net.params), lr_scale=sched.scale)
+        for _, idx in minibatches(len(xs), cfg.batch_size, cfg.seed, epoch):
+            loss = loss_fn(net.logits(xs[idx]), idx)
+            descend(loss, net.params, adam, sched.scale)
             epoch_loss += loss.item()
         # dev metric for the dynamic schedule: negated train loss (improves upward)
         schedule_update(sched, epoch, -epoch_loss)
+    return net
+
+
+def _report(net: _EncoderHead, test_ds: DatasetSpec, classes: Sequence[str],
+            columns: Sequence[int] | None = None) -> MetricsReport:
+    """Report on ``test_ds`` when each row predicts its highest-scoring class;
+    class ``i`` scores output ``columns[i]``, or output ``i`` by default."""
+    z = net.logits(np.stack([s.x for s in test_ds.samples])).data
+    scores = z if columns is None else z[:, columns]
+    pred = [classes[int(i)] for i in np.argmax(scores, axis=1)]
+    return classification_report([s.label for s in test_ds.samples], pred)
 
 
 def _cross_entropy(ys: np.ndarray) -> Callable:
@@ -466,11 +480,8 @@ def baseline_ffn(cfg: BaselineConfig, train_ds: DatasetSpec,
     cls_index = {c: i for i, c in enumerate(classes)}
     xs = np.stack([s.x for s in train_ds.samples])
     ys = np.array([cls_index[s.label] for s in train_ds.samples])
-    net = _EncoderHead(xs.shape[1], cfg.hidden, len(classes), cfg.seed)
-    _train_encoder_head(net, xs, _cross_entropy(ys), cfg)
-    z = net.logits(np.stack([s.x for s in test_ds.samples]))
-    pred = [classes[int(i)] for i in np.argmax(z.data, axis=1)]
-    return classification_report([s.label for s in test_ds.samples], pred)
+    net = _fit_classifier(cfg, xs, len(classes), _cross_entropy(ys))
+    return _report(net, test_ds, classes)
 
 
 def label_set_targets(graph: LabelGraph, label_name: str) -> np.ndarray:
@@ -498,16 +509,12 @@ def baseline_label_set(cfg: BaselineConfig, train_ds: DatasetSpec,
     targets = {c: label_set_targets(graph, c) for c in classes}
     xs = np.stack([s.x for s in train_ds.samples])
     tmat = np.stack([targets[s.label] for s in train_ds.samples])
-    net = _EncoderHead(xs.shape[1], cfg.hidden, len(graph.nodes), cfg.seed)
 
     def loss_fn(z: Tensor, idx: np.ndarray) -> Tensor:
         return nm.scale(nm.bce_with_logits(z, tmat[idx]), 1.0 / len(idx))
 
-    _train_encoder_head(net, xs, loss_fn, cfg)
-    z = net.logits(np.stack([s.x for s in test_ds.samples]))
-    scores = z.data[:, class_nodes]
-    pred = [classes[int(i)] for i in np.argmax(scores, axis=1)]
-    return classification_report([s.label for s in test_ds.samples], pred)
+    net = _fit_classifier(cfg, xs, len(graph.nodes), loss_fn)
+    return _report(net, test_ds, classes, class_nodes)
 
 
 def baseline_pseudo_label(cfg: BaselineConfig, fine: DatasetSpec, coarse: DatasetSpec,
@@ -524,8 +531,7 @@ def baseline_pseudo_label(cfg: BaselineConfig, fine: DatasetSpec, coarse: Datase
     cls_index = {c: i for i, c in enumerate(classes)}
     xs = np.stack([s.x for s in fine.samples])
     ys = np.array([cls_index[s.label] for s in fine.samples])
-    net = _EncoderHead(xs.shape[1], cfg.hidden, len(classes), cfg.seed)
-    _train_encoder_head(net, xs, _cross_entropy(ys), cfg)
+    net = _fit_classifier(cfg, xs, len(classes), _cross_entropy(ys))
 
     descendants = {c: _closure(graph, graph.id_of(c)) - {graph.id_of(c)}
                    for c in coarse.label_names()}
@@ -542,15 +548,10 @@ def baseline_pseudo_label(cfg: BaselineConfig, fine: DatasetSpec, coarse: Datase
             else:
                 dropped += 1
 
-    xs2 = np.concatenate([xs] + [s[0][None, :] for s in survivors]) if survivors else xs
-    ys2 = np.concatenate([ys, np.array([s[1] for s in survivors], dtype=ys.dtype)]) \
-        if survivors else ys
-    net2 = _EncoderHead(xs.shape[1], cfg.hidden, len(classes), cfg.seed)
-    _train_encoder_head(net2, xs2, _cross_entropy(ys2), cfg)
-
-    z = net2.logits(np.stack([s.x for s in test_ds.samples]))
-    pred = [classes[int(i)] for i in np.argmax(z.data, axis=1)]
-    report = classification_report([s.label for s in test_ds.samples], pred)
+    xs2 = np.concatenate([xs] + [s[0][None, :] for s in survivors])
+    ys2 = np.concatenate([ys, np.array([s[1] for s in survivors], dtype=ys.dtype)])
+    net2 = _fit_classifier(cfg, xs2, len(classes), _cross_entropy(ys2))
+    report = _report(net2, test_ds, classes)
     n_coarse = len(coarse.samples)
     info = {"kept": len(survivors), "dropped": dropped,
             "filtered_fraction": dropped / n_coarse if n_coarse else 0.0,
@@ -574,6 +575,8 @@ def trim_graph(graph: LabelGraph, fraction: float, rng: np.random.Generator) -> 
     result always validates; if too many candidates are skipped the trim
     removes fewer nodes than asked.
     """
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"trim fraction {fraction} is not in [0,1]")
     aug = [nd.name for nd in graph.nodes if nd.kind is NodeKind.AUGMENTED]
     n_remove = int(len(aug) * fraction)
     if n_remove == 0:
@@ -621,6 +624,19 @@ def _contract_node(graph: LabelGraph, victim: str) -> LabelGraph:
     return _materialize_implicit_groups(out)
 
 
+def fit_model(graph: LabelGraph, train_ds: DatasetSpec, dev_ds: DatasetSpec | None,
+              cfg: TrainConfig, embed_dim: int, hidden: int, graph_file: str = "",
+              metrics_path: str | None = None) -> LabelPathModel:
+    """A path model over ``graph``, seeded with ``cfg.seed`` and trained on
+    ``train_ds`` (with ``dev_ds`` as the dev set when given)."""
+    model = LabelPathModel(graph, input_dim=train_ds.input_dim, embed_dim=embed_dim,
+                           hidden=hidden, seed=cfg.seed, graph_file=graph_file)
+    train(model, resolve_samples(train_ds, graph), cfg,
+          dev_set=resolve_samples(dev_ds, graph) if dev_ds is not None else None,
+          metrics_path=metrics_path)
+    return model
+
+
 def ablate(graph: LabelGraph, train_ds: DatasetSpec, dev_ds: DatasetSpec,
            test_ds: DatasetSpec, base_cfg: TrainConfig, embed_dim: int, hidden: int,
            trim_fractions: Sequence[float] = (0.36, 0.63),
@@ -628,31 +644,25 @@ def ablate(graph: LabelGraph, train_ds: DatasetSpec, dev_ds: DatasetSpec,
     """Train/eval the full setup, trimmed graphs and other path aggregations.
 
     Every variant shares the base config's seed; rows report accuracy and its
-    delta against the full configuration.
+    delta against the full configuration. Graphs are trimmed and configs
+    validated before any variant trains.
     """
     from dataclasses import replace
 
-    def run(g: LabelGraph, cfg: TrainConfig) -> float:
-        model = LabelPathModel(g, input_dim=train_ds.input_dim,
-                               embed_dim=embed_dim, hidden=hidden, seed=cfg.seed)
-        train(model, resolve_samples(train_ds, g), cfg,
-              dev_set=resolve_samples(dev_ds, g))
-        return evaluate(model, resolve_samples(test_ds, g), base_cfg.max_len).accuracy
-
-    rows = []
-    full_acc = run(graph, base_cfg)
-    rows.append({"variant": "full", "accuracy": full_acc, "delta": 0.0, "seed": base_cfg.seed})
+    variants = [("full", graph, base_cfg)]
     for frac in trim_fractions:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=base_cfg.seed,
                                                            spawn_key=(7001,)))
-        g = trim_graph(graph, frac, rng)
-        acc = run(g, base_cfg)
-        rows.append({"variant": f"trim-{int(frac * 100)}", "accuracy": acc,
-                     "delta": acc - full_acc, "seed": base_cfg.seed})
-    for agg in aggregations:
-        if agg == base_cfg.path_agg:
-            continue
-        acc = run(graph, replace(base_cfg, path_agg=agg))
-        rows.append({"variant": f"agg-{agg}", "accuracy": acc,
-                     "delta": acc - full_acc, "seed": base_cfg.seed})
+        variants.append((f"trim-{int(frac * 100)}", trim_graph(graph, frac, rng), base_cfg))
+    variants += [(f"agg-{agg}", graph, replace(base_cfg, path_agg=agg))
+                 for agg in aggregations if agg != base_cfg.path_agg]
+    for _, _, cfg in variants:
+        cfg.validate()
+    rows: list[dict] = []
+    for name, g, cfg in variants:
+        model = fit_model(g, train_ds, dev_ds, cfg, embed_dim, hidden)
+        acc = evaluate(model, resolve_samples(test_ds, g), cfg.max_len).accuracy
+        full_acc = rows[0]["accuracy"] if rows else acc
+        rows.append({"variant": name, "accuracy": acc, "delta": acc - full_acc,
+                     "seed": base_cfg.seed})
     return rows

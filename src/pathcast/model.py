@@ -19,7 +19,7 @@ import numpy as np
 
 from . import numerics as nm
 from .labelgraph import LabelGraph, NodeKind, load_graph
-from .numerics import Tensor
+from .numerics import CorruptCheckpoint, Tensor
 
 
 class InvalidPath(ValueError):
@@ -309,8 +309,26 @@ def save_model(path: str, model: LabelPathModel) -> None:
 
 
 def read_sidecar(path: str) -> dict:
-    with open(path + ".json", "r", encoding="utf-8") as f:
-        return json.load(f)
+    """The ``<path>.json`` sidecar. Raises CorruptCheckpoint naming that file
+    when it is not a JSON object with a string ``graph_file`` and positive
+    int ``input_dim``, ``embed_dim`` and ``hidden``."""
+    where = path + ".json"
+    with open(where, "r", encoding="utf-8") as f:
+        try:
+            side = json.load(f)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise CorruptCheckpoint(f"{where}: malformed JSON: {exc}") from None
+    if not isinstance(side, dict):
+        raise CorruptCheckpoint(f"{where}: not a JSON object")
+    for key in ("graph_file", "input_dim", "embed_dim", "hidden"):
+        if key not in side:
+            raise CorruptCheckpoint(f"{where}: missing key {key!r}")
+    if not isinstance(side["graph_file"], str):
+        raise CorruptCheckpoint(f"{where}: 'graph_file' must be a string")
+    for key in ("input_dim", "embed_dim", "hidden"):
+        if type(side[key]) is not int or side[key] < 1:
+            raise CorruptCheckpoint(f"{where}: {key!r} must be a positive int, not {side[key]!r}")
+    return side
 
 
 def load_model(path: str, graph: LabelGraph | None = None) -> LabelPathModel:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,8 +50,16 @@ class ScheduleConfig:
     kind: str = "fixed"  # "fixed" (decay period) or "dynamic" (patience)
     n: int = 10
 
+    def __post_init__(self):
+        if self.kind not in ("fixed", "dynamic"):
+            raise ValueError(f"unknown schedule kind {self.kind!r}")
+        if self.n < 1:
+            raise ValueError("schedule n must be at least 1")
+
     @staticmethod
     def from_dict(raw: dict) -> "ScheduleConfig":
+        if not isinstance(raw, dict):
+            raise ValueError(f"schedule must be an object, not {raw!r}")
         return ScheduleConfig(**typed_fields(ScheduleConfig, raw, ("kind", "n"), required=False))
 
 
@@ -95,8 +103,6 @@ class TrainConfig:
             raise ValueError(f"unknown path aggregation {self.path_agg!r}")
         if self.reward_set not in ("certain", "label_only"):
             raise ValueError(f"unknown reward set {self.reward_set!r}")
-        if self.schedule.kind not in ("fixed", "dynamic") or self.schedule.n < 1:
-            raise ValueError("bad schedule")
 
 
 @dataclass
@@ -268,8 +274,7 @@ def schedule_update(state: ScheduleState, epoch: int,
 
 @dataclass
 class TrainState:
-    adam_enc: AdamState
-    adam_rest: AdamState
+    adam: list[tuple[AdamState, dict[str, Tensor]]]  # (state, parameter group) per learning rate
     baseline: BaselineEstimator
     schedule: ScheduleState
     book: PathBook
@@ -277,18 +282,38 @@ class TrainState:
 
     @staticmethod
     def init(model: LabelPathModel, cfg: TrainConfig) -> "TrainState":
+        enc_params = {k: v for k, v in model.params.items() if k in model.encoder_param_names}
+        rest_params = {k: v for k, v in model.params.items() if k not in enc_params}
         return TrainState(
-            adam_enc=AdamState(lr=cfg.lr_e),
-            adam_rest=AdamState(lr=cfg.lr),
+            adam=[(AdamState(lr=cfg.lr_e), enc_params), (AdamState(lr=cfg.lr), rest_params)],
             baseline=BaselineEstimator(),
             schedule=ScheduleState(kind=cfg.schedule.kind, n=cfg.schedule.n),
             book=PathBook(model.graph),
         )
 
 
+def minibatches(n: int, batch_size: int, seed: int, epoch: int) -> Iterator[tuple[int, np.ndarray]]:
+    """``(batch index, sample indexes)`` for each minibatch of ``epoch`` over
+    ``n`` samples, in that epoch's seeded order."""
+    order = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(epoch,))).permutation(n)
+    for bi, start in enumerate(range(0, n, batch_size)):
+        yield bi, order[start:start + batch_size]
+
+
+def descend(loss: Tensor, params: dict[str, Tensor],
+            adam: Sequence[tuple[AdamState, dict[str, Tensor]]], lr_scale: float) -> None:
+    """One optimiser step on ``loss``: backpropagate into ``params``, then one
+    Adam step per ``(state, parameter group)`` in ``adam``."""
+    nm.zero_grads(params)
+    nm.backward(loss)
+    grads = nm.collect_grads(params)
+    for state, group in adam:
+        adam_step(state, group, grads, lr_scale=lr_scale)
+
+
 def _batch_rng(seed: int, epoch: int, batch_idx: int) -> np.random.Generator:
-    # Stream-split per batch so prefetching batches in parallel stays
-    # deterministic.
+    # Stream-split per batch, so a batch's draws do not depend on how many
+    # draws earlier batches made.
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(epoch, batch_idx)))
 
 
@@ -317,21 +342,12 @@ def train_epoch(model: LabelPathModel, dataset: Sequence[LabeledSample],
     """One pass over the dataset; one Adam step per batch. Returns metrics."""
     state.epoch += 1
     epoch = state.epoch
-    order_rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=cfg.seed, spawn_key=(epoch,)))
-    order = order_rng.permutation(len(dataset))
-
-    enc_names = set(model.encoder_param_names)
-    enc_params = {k: v for k, v in model.params.items() if k in enc_names}
-    rest_params = {k: v for k, v in model.params.items() if k not in enc_names}
-
     loss_d_sum = loss_pg_sum = 0.0
     n_d = n_pg = 0
     reward_sum, reward_n = 0.0, 0
-    for bi in range(0, len(order), cfg.batch_size):
-        chunk = [dataset[j] for j in order[bi:bi + cfg.batch_size]]
-        rng = _batch_rng(cfg.seed, epoch, bi // cfg.batch_size)
-        batch = build_batch(chunk, cfg, state.book, rng)
+    for bi, idx in minibatches(len(dataset), cfg.batch_size, cfg.seed, epoch):
+        rng = _batch_rng(cfg.seed, epoch, bi)
+        batch = build_batch([dataset[j] for j in idx], cfg, state.book, rng)
 
         parts: list[Tensor] = []
         ld = deterministic_loss(model, batch, cfg, rng)
@@ -348,14 +364,9 @@ def train_epoch(model: LabelPathModel, dataset: Sequence[LabeledSample],
             n_pg += 1
         reward_sum += sum(rewards)
         reward_n += len(rewards)
-        if not parts:
-            continue
-        total = parts[0] if len(parts) == 1 else nm.add_n(parts)
-        nm.zero_grads(model.params)
-        nm.backward(total)
-        grads = nm.collect_grads(model.params)
-        adam_step(state.adam_enc, enc_params, grads, lr_scale=state.schedule.scale)
-        adam_step(state.adam_rest, rest_params, grads, lr_scale=state.schedule.scale)
+        if parts:
+            descend(parts[0] if len(parts) == 1 else nm.add_n(parts), model.params,
+                    state.adam, state.schedule.scale)
 
     return {
         "epoch": epoch,

@@ -18,6 +18,22 @@ def run_cli(*args, expect=0):
     return proc
 
 
+def without(cfg, key):
+    return {k: v for k, v in cfg.items() if k != key}
+
+
+def assert_config_errors(tmp_path, command, cases):
+    """Each ``(config, fragment)`` case, a dict or raw text, makes ``command``
+    exit 1 with one error line that names the config file, and no traceback."""
+    for i, (cfg, fragment) in enumerate(cases):
+        path = tmp_path / f"bad-{i}.json"
+        path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
+        proc = run_cli(*command, "--config", str(path), expect=1)
+        assert proc.stderr.startswith(f"pathcast: error: {path}: {fragment}"), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     """Tiny synthetic task written to disk plus a train config."""
@@ -246,6 +262,25 @@ class TestTrainEvalCycle:
         assert not out.exists()
         assert not (tmp_path / "m.pck.metrics.jsonl").exists()
 
+    def test_config_errors_name_the_file_before_training(self, workdir, tmp_path):
+        _, cfg_path = workdir
+        cfg = json.loads(cfg_path.read_text())
+        out = tmp_path / "m.pck"
+        assert_config_errors(tmp_path, ("train", "--out", str(out)), [
+            ('{"graph": ', "Expecting value"),
+            ("[]", "a config must be a JSON object"),
+            (without(cfg, "batch_size"), "missing key 'batch_size'"),
+            (without(cfg, "train"), "missing key 'train'"),
+            ({**cfg, "graph": 3}, "'graph' must name a file"),
+            ({**cfg, "epochs": "x"}, "invalid literal for int()"),
+            ({**cfg, "epochs": -1}, "batch_size/max_len/n_p/epochs out of range"),
+            ({**cfg, "schedule": {"kind": "dynamic", "n": 0}}, "schedule n must be at least 1"),
+            ({**cfg, "embed_dim": "wide"}, "invalid literal for int()"),
+            ({**cfg, "hidden": 0}, "embed_dim and hidden must be at least 1"),
+        ])
+        assert not out.exists()
+        assert not (tmp_path / "m.pck.metrics.jsonl").exists()
+
     def test_metrics_lines_are_json(self, workdir, tmp_path):
         root, cfg_path = workdir
         ck = tmp_path / "m.pck"
@@ -329,6 +364,18 @@ class TestAblateCommand:
         for r in rows:
             assert 0.0 <= r["accuracy"] <= 1.0
 
+    def test_config_errors_name_the_file(self, workdir, tmp_path):
+        root, cfg_path = workdir
+        cfg = {**json.loads(cfg_path.read_text()), "test": str(root / "test.jsonl")}
+        assert_config_errors(tmp_path, ("ablate",), [
+            ("{", "Expecting property name"),
+            (without(cfg, "test"), "missing key 'test'"),
+            (without(cfg, "lr"), "missing key 'lr'"),
+            ({**cfg, "epochs": "x"}, "invalid literal for int()"),
+            ({**cfg, "trim_fractions": 0.5}, "'float' object is not iterable"),
+            ({**cfg, "r_tf": 2.0}, "r_tf must lie in [0,1]"),
+        ])
+
 
 class TestBaselineCommand:
     def test_ffn_baseline_runs(self, workdir, tmp_path):
@@ -372,3 +419,51 @@ class TestBaselineCommand:
         proc = run_cli("baseline", "labelset", "--config", str(p), expect=1)
         assert f"pathcast: error: {fused}: label " in proc.stderr
         assert "labelset baseline" in proc.stderr
+
+    def test_config_errors_name_the_file(self, workdir, tmp_path):
+        root, _ = workdir
+        cfg = {"graph": str(root / "graph.json"), "fine": str(root / "fine.jsonl"),
+               "coarse": str(root / "coarse.jsonl"), "test": str(root / "test.jsonl"),
+               "hidden": 16, "epochs": 2, "batch_size": 32, "lr": 0.02, "seed": 0}
+        assert_config_errors(tmp_path, ("baseline", "pseudo"), [
+            ("not json", "Expecting value"),
+            (without(cfg, "graph"), "missing key 'graph'"),
+            (without(cfg, "coarse"), "missing key 'coarse'"),
+            ({**cfg, "epochs": "x"}, "invalid literal for int()"),
+            ({**cfg, "schedule": "dynamic"}, "schedule must be an object, not 'dynamic'"),
+            ({**cfg, "hidden": 0}, "hidden/batch_size/epochs out of range"),
+        ])
+
+    def test_bad_values_fail_before_training(self, workdir, tmp_path):
+        # the train file does not exist: a run that got past the config
+        # would fail on it instead, and before that the config is all it read
+        root, _ = workdir
+        cfg = {"graph": str(root / "graph.json"), "train": str(tmp_path / "absent.jsonl"),
+               "test": str(root / "test.jsonl")}
+        assert_config_errors(tmp_path, ("baseline", "ffn"), [
+            ({**cfg, "schedule": {"n": 0}}, "schedule n must be at least 1"),
+            ({**cfg, "schedule": {"kind": "nope"}}, "unknown schedule kind 'nope'"),
+            ({**cfg, "batch_size": 0}, "hidden/batch_size/epochs out of range"),
+            ({**cfg, "epochs": -3}, "hidden/batch_size/epochs out of range"),
+            ({**cfg, "lr": -0.5}, "lr must be positive"),
+            ({**cfg, "hidden": 0}, "hidden/batch_size/epochs out of range"),
+        ])
+
+
+class TestCorruptSidecar:
+    @pytest.mark.parametrize("command", [("model", "inspect"), ("eval", "--data", "x.jsonl",
+                                                                 "--ckpt")])
+    def test_sidecar_errors_name_the_file(self, tmp_path, command):
+        from pathcast.model import LabelPathModel, save_model
+        ckpt = tmp_path / "m.pck"
+        save_model(str(ckpt), LabelPathModel(figure2_subgraph(), 5, 4, 6))
+        good = json.loads((tmp_path / "m.pck.json").read_text())
+        for text, message in [
+                ('{"graph_file": "g.json", "input_dim"', "malformed JSON: Expecting ':' delimiter"),
+                (json.dumps(without(good, "input_dim")), "missing key 'input_dim'"),
+                (json.dumps({**good, "hidden": "many"}), "'hidden' must be a positive int")]:
+            (tmp_path / "m.pck.json").write_text(text)
+            proc = run_cli(*command, str(ckpt), expect=1)
+            assert proc.stderr.startswith(f"pathcast: error: {ckpt}.json: {message}"), proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert proc.stdout == ""

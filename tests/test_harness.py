@@ -14,6 +14,7 @@ from pathcast.harness import (BaselineConfig, DatasetSpec, InconsistentSpec,
 from pathcast.labelgraph import NodeKind, stats, validate
 from pathcast import harness
 from pathcast.pathalg import NotALabelNode, enumerate_paths
+from pathcast.trainer import ScheduleConfig, TrainConfig, schedule_update
 
 from test_labelgraph import figure2_subgraph, random_dag
 
@@ -241,6 +242,25 @@ def task():
     return spec, synth_generate(spec)
 
 
+class TestBaselineConfig:
+    def test_defaults_and_zero_epochs_are_accepted(self):
+        assert BaselineConfig.from_dict({}) == BaselineConfig()
+        assert BaselineConfig.from_dict({"epochs": 0}).epochs == 0
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"hidden": 0}, "out of range"),
+        ({"batch_size": 0}, "out of range"),
+        ({"epochs": -3}, "out of range"),
+        ({"lr": -0.5}, "lr must be positive"),
+        ({"lr": 0}, "lr must be positive"),
+        ({"schedule": {"n": 0}}, "schedule n must be at least 1"),
+        ({"schedule": {"kind": "nope"}}, "unknown schedule kind 'nope'"),
+    ])
+    def test_out_of_range_values_are_rejected(self, raw, message):
+        with pytest.raises(ValueError, match=message):
+            BaselineConfig.from_dict(raw)
+
+
 class TestBaselines:
 
     def test_ffn_separable(self, task):
@@ -270,6 +290,42 @@ class TestBaselines:
         b = baseline_ffn(cfg, fine, test)
         assert a.accuracy == b.accuracy
         assert a.per_class == b.per_class
+
+    def test_dynamic_schedule_reads_the_negated_epoch_loss(self, task, monkeypatch):
+        _, (graph, fine, coarse, test) = task
+        losses, updates = [], []
+        make_loss = harness._cross_entropy
+
+        def recording_cross_entropy(ys):
+            loss_fn = make_loss(ys)
+
+            def recorded(z, idx):
+                loss = loss_fn(z, idx)
+                losses.append(loss.item())
+                return loss
+            return recorded
+
+        def recording_update(state, epoch, dev_metric=None):
+            scale = schedule_update(state, epoch, dev_metric)
+            updates.append((epoch, dev_metric, len(losses), scale))
+            return scale
+
+        monkeypatch.setattr(harness, "_cross_entropy", recording_cross_entropy)
+        monkeypatch.setattr(harness, "schedule_update", recording_update)
+        cfg = BaselineConfig(hidden=8, epochs=6, batch_size=64, lr=0.5,
+                             schedule=ScheduleConfig("dynamic", 1), seed=0)
+        baseline_ffn(cfg, fine, test)
+        assert [u[0] for u in updates] == [1, 2, 3, 4, 5, 6]
+        batches = -(-len(fine.samples) // cfg.batch_size)
+        start = 0
+        for _, metric, end, _ in updates:
+            assert end - start == batches
+            total = 0.0
+            for loss in losses[start:end]:  # summed in training order
+                total += loss
+            assert metric == -total
+            start = end
+        assert updates[-1][3] < 1.0  # the rate was halved, so the metric drove it
 
     def test_label_set_targets_union_of_paths(self):
         g = figure2_subgraph()
@@ -306,7 +362,7 @@ class TestBaselines:
         _, (graph, fine, coarse, test) = task
         fused = fuse(fine, coarse, graph).dataset
         trained = []
-        monkeypatch.setattr(harness, "_train_encoder_head", lambda *a: trained.append(a))
+        monkeypatch.setattr(harness, "_fit_classifier", lambda *a: trained.append(a))
         cfg = BaselineConfig(hidden=8, epochs=1, batch_size=32, lr=0.02, seed=0)
         coarse_label = coarse.label_names()[0]
         with pytest.raises(NotALabelNode) as err:
@@ -391,3 +447,22 @@ class TestTrimGraph:
             assert paths
             # contracted paths are never longer than the originals
             assert max(len(p) for p in paths) <= 4
+
+    @pytest.mark.parametrize("fraction", [-0.5, 1.5])
+    def test_fraction_outside_unit_interval_is_rejected(self, fraction):
+        with pytest.raises(ValueError, match="not in \\[0,1\\]"):
+            trim_graph(figure2_subgraph(), fraction, np.random.default_rng(0))
+
+
+class TestAblate:
+    @pytest.mark.parametrize("bad, message", [
+        ({"aggregations": ("sum", "median")}, "unknown path aggregation 'median'"),
+        ({"trim_fractions": (0.36, -0.5)}, "trim fraction -0.5 is not in"),
+    ])
+    def test_bad_variants_fail_before_any_training(self, task, monkeypatch, bad, message):
+        _, (graph, fine, coarse, test) = task
+        fits = []
+        monkeypatch.setattr(harness, "fit_model", lambda *a: fits.append(a))
+        with pytest.raises(ValueError, match=message):
+            harness.ablate(graph, fine, test, test, TrainConfig(epochs=1), 8, 16, **bad)
+        assert not fits

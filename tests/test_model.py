@@ -1,13 +1,17 @@
 """Decoder model: candidate masking, step distributions, path scoring and
 free-running sampling."""
 
+import json
+
 import numpy as np
 import pytest
 
 from pathcast import numerics as nm
 from pathcast.labelgraph import NodeKind
 from pathcast.model import (InvalidPath, LabelPathModel, NoCandidates,
-                            SampledPath, greedy_choice, load_model, save_model)
+                            SampledPath, greedy_choice, load_model, read_sidecar,
+                            save_model)
+from pathcast.numerics import CorruptCheckpoint
 
 from test_labelgraph import figure2_subgraph, random_dag
 
@@ -430,3 +434,44 @@ class TestCheckpointRoundTrip:
         nm.save_params(ckpt, weights)
         with pytest.raises(ValueError, match="extra.bogus"):
             load_model(ckpt, g)
+
+
+SIDECAR = {"graph_file": "graph.json", "input_dim": 5, "embed_dim": 6, "hidden": 8}
+
+
+class TestCorruptSidecar:
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param('{"graph_file": "graph.json" "input_dim": 5',
+                     "malformed JSON: Expecting ',' delimiter", id="truncated"),
+        pytest.param("[1, 2]", "not a JSON object", id="list"),
+        *[pytest.param(json.dumps({k: v for k, v in SIDECAR.items() if k != key}),
+                       f"missing key {key!r}", id=f"no-{key}") for key in SIDECAR],
+        pytest.param(json.dumps({**SIDECAR, "graph_file": 3}),
+                     "'graph_file' must be a string", id="graph_file-int"),
+        pytest.param(json.dumps({**SIDECAR, "hidden": "many"}),
+                     "'hidden' must be a positive int, not 'many'", id="hidden-str"),
+        pytest.param(json.dumps({**SIDECAR, "input_dim": 0}),
+                     "'input_dim' must be a positive int, not 0", id="input_dim-zero"),
+        pytest.param(json.dumps({**SIDECAR, "embed_dim": 6.0}),
+                     "'embed_dim' must be a positive int, not 6.0", id="embed_dim-float"),
+        pytest.param(json.dumps({**SIDECAR, "embed_dim": True}),
+                     "'embed_dim' must be a positive int, not True", id="embed_dim-bool"),
+    ])
+    def test_sidecar_errors_name_the_file(self, tmp_path, text, message):
+        g = chain_graph()
+        ckpt = str(tmp_path / "m.pck")
+        save_model(ckpt, make_model(g))
+        with open(ckpt + ".json", "w") as f:
+            f.write(text)
+        for read in (read_sidecar, lambda path: load_model(path, g)):
+            with pytest.raises(CorruptCheckpoint) as err:
+                read(ckpt)
+            assert str(err.value).startswith(f"{ckpt}.json: {message}")
+
+    def test_saved_sidecar_reads_back(self, tmp_path):
+        ckpt = str(tmp_path / "m.pck")
+        m = make_model(chain_graph())
+        m.graph_file = "graph.json"
+        save_model(ckpt, m)
+        assert read_sidecar(ckpt) == SIDECAR

@@ -150,6 +150,19 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(schedule=ScheduleConfig(kind="exotic")).validate()
 
+    @pytest.mark.parametrize("raw, message", [
+        ({"n": 0}, "schedule n must be at least 1"),
+        ({"kind": "nope"}, "unknown schedule kind 'nope'"),
+    ])
+    def test_schedule_is_checked_where_it_is_read(self, raw, message):
+        with pytest.raises(ValueError, match=message):
+            ScheduleConfig.from_dict(raw)
+        base = {"batch_size": 32, "max_len": 8, "r_tf": 1.0, "alpha": 1.0, "beta": 1.0,
+                "path_agg": "mean", "n_p": 4, "reward_set": "certain", "lr_e": 0.01,
+                "lr": 0.01, "epochs": 1, "seed": 0}
+        with pytest.raises(ValueError, match=message):
+            TrainConfig.from_dict({**base, "schedule": raw})
+
 
 class TestDeterministicLoss:
     def test_chain_loss_is_zero(self):
