@@ -11,11 +11,15 @@ from contextlib import contextmanager
 
 from . import evaldecode, harness, labelgraph
 from .model import load_model, read_sidecar, save_model
-from .trainer import TrainConfig
+from .trainer import PATH_AGGS, TrainConfig, typed_value
 
 
 class InvalidConfig(ValueError):
     """A config file that cannot be used; the message starts ``<path>:``."""
+
+
+# every key of a config that names a file
+_FILE_KEYS = ("graph", "train", "dev", "test", "fine", "coarse")
 
 
 def _read_json(path: str) -> dict:
@@ -37,13 +41,15 @@ def _naming(path: str):
 def _config(args, cls, files: tuple[str, ...]):
     """The training commands' prologue: ``(raw, cfg, graph)`` from
     ``args.config``, with ``--seed`` applied to ``cfg``. ``graph`` and each
-    key in ``files`` must name a file."""
+    key in ``files`` must name a file, and so must any other file key that
+    is present."""
     with _naming(args.config):
         raw = _read_json(args.config)
         if not isinstance(raw, dict):
             raise ValueError("a config must be a JSON object")
-        for key in ("graph", *files):
-            if not isinstance(raw[key], str):
+        required = ("graph", *files)
+        for key in _FILE_KEYS:
+            if (key in required or key in raw) and not isinstance(raw[key], str):
                 raise ValueError(f"{key!r} must name a file")
         cfg = cls.from_dict(raw)
     if args.seed is not None:
@@ -53,10 +59,23 @@ def _config(args, cls, files: tuple[str, ...]):
 
 def _model_dims(raw: dict) -> tuple[int, int]:
     """``(embed_dim, hidden)`` of a path-model config."""
-    dims = int(raw.get("embed_dim", 16)), int(raw.get("hidden", 32))
+    dims = (typed_value("embed_dim", raw.get("embed_dim", 16), int),
+            typed_value("hidden", raw.get("hidden", 32), int))
     if min(dims) < 1:
         raise ValueError("embed_dim and hidden must be at least 1")
     return dims
+
+
+def _listed(raw: dict, key: str, default: list, what: str, ok) -> tuple:
+    """The list ``raw[key]`` (or ``default``) as a tuple; an item that fails
+    ``ok`` raises ValueError naming ``key`` and ``what`` it must hold."""
+    items = raw.get(key, default)
+    if not isinstance(items, list):
+        raise ValueError(f"{key!r} must be a list, not {items!r}")
+    for item in items:
+        if not ok(item):
+            raise ValueError(f"{key!r} must hold {what}, not {item!r}")
+    return tuple(items)
 
 
 def cmd_graph_validate(args) -> int:
@@ -141,10 +160,13 @@ def cmd_eval(args) -> int:
 def cmd_synth(args) -> int:
     import os
 
-    raw = _read_json(args.spec)
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    spec = harness.SynthSpec.from_dict(raw)
+    with _naming(args.spec):
+        raw = _read_json(args.spec)
+        if not isinstance(raw, dict):
+            raise ValueError("a spec must be a JSON object")
+        if args.seed is not None:
+            raw["seed"] = args.seed
+        spec = harness.SynthSpec.from_dict(raw)
     graph, fine, coarse, test = harness.synth_generate(spec)
     os.makedirs(args.out_dir, exist_ok=True)
     labelgraph.save_graph(os.path.join(args.out_dir, "graph.json"), graph)
@@ -163,8 +185,8 @@ def cmd_synth(args) -> int:
 
 def cmd_fuse(args) -> int:
     graph = labelgraph.load_graph(args.graph)
-    fine = harness.load_dataset(args.fine, granularity="fine")
-    coarse = harness.load_dataset(args.coarse, granularity="coarse")
+    fine = harness.load_dataset(args.fine)
+    coarse = harness.load_dataset(args.coarse)
     result = harness.fuse(fine, coarse, graph)
     harness.save_dataset(args.out, result.dataset)
     print(json.dumps({"out": args.out, "size": len(result.dataset.samples),
@@ -184,7 +206,7 @@ def cmd_baseline(args) -> int:
     else:
         report, info = harness.baseline_pseudo_label(
             cfg, harness.load_dataset(raw["fine"]),
-            harness.load_dataset(raw["coarse"], granularity="coarse"),
+            harness.load_dataset(raw["coarse"]),
             test_ds, graph)
         summary = {k: v for k, v in info.items() if k != "survivors"}
         print(json.dumps(summary, sort_keys=True))
@@ -196,11 +218,13 @@ def cmd_ablate(args) -> int:
     raw, cfg, graph = _config(args, TrainConfig, ("train", "dev", "test"))
     with _naming(args.config):
         embed_dim, hidden = _model_dims(raw)
-        trims = tuple(float(f) for f in raw.get("trim_fractions", (0.36, 0.63)))
-        aggs = tuple(raw.get("aggregations", ("sum", "random")))
+        trims = _listed(raw, "trim_fractions", [0.36, 0.63], "numbers in [0,1]",
+                        lambda f: type(f) in (int, float) and 0 <= f <= 1)
+        aggs = _listed(raw, "aggregations", ["sum", "random"],
+                       f"path aggregations {PATH_AGGS}", lambda a: a in PATH_AGGS)
     rows = harness.ablate(graph, harness.load_dataset(raw["train"]),
                           harness.load_dataset(raw["dev"]), harness.load_dataset(raw["test"]),
-                          cfg, embed_dim, hidden, trims, aggs)
+                          cfg, embed_dim, hidden, tuple(map(float, trims)), aggs)
     print(json.dumps(rows, indent=2, sort_keys=True))
     return 0
 

@@ -63,11 +63,10 @@ def greedy_decode(model: LabelPathModel, x: np.ndarray, max_len: int) -> Decoded
                          step_probs=walked.step_probs)
 
 
-def extract_label(graph: LabelGraph, path: Sequence[int] | DecodedResult) -> int | None:
+def extract_label(graph: LabelGraph, path: Sequence[int]) -> int | None:
     """Last label-kind node on a decoded path, or None when there is none."""
-    nodes = path.path if isinstance(path, DecodedResult) else path
     label = None
-    for node in nodes:
+    for node in path:
         if graph.node(node).kind is NodeKind.LABEL:
             label = node
     return label

@@ -24,7 +24,8 @@ from .model import LabelPathModel
 from .numerics import AdamState, Tensor
 from .pathalg import NotALabelNode, _path_counts, _require_label
 from .trainer import (LabeledSample, ScheduleConfig, ScheduleState, TrainConfig,
-                      descend, minibatches, schedule_update, train, typed_fields)
+                      descend, minibatches, schedule_update, train, typed_fields,
+                      typed_value)
 from .evaldecode import EmptyDataset, MetricsReport, classification_report, evaluate
 
 
@@ -63,7 +64,6 @@ class SynthSample:
 @dataclass
 class DatasetSpec:
     name: str
-    granularity: str  # "fine" | "coarse"
     samples: list[SynthSample]
     k: int
 
@@ -162,8 +162,8 @@ class SynthSpec:
         if m is None:
             return None
         if isinstance(m, (tuple, list)):
-            return tuple(int(k) for k in m)
-        return int(m)
+            return tuple(typed_value("label_profiles", k, int) for k in m)
+        return typed_value("label_profiles", m, int)
 
     @property
     def input_dim(self) -> int:
@@ -177,7 +177,8 @@ class SynthSpec:
         defaults = SynthSpec()
         spec = SynthSpec(
             **typed_fields(SynthSpec, d, scalars, required=False),
-            group_sizes=tuple(int(x) for x in d.get("group_sizes", defaults.group_sizes)),
+            group_sizes=tuple(typed_value("group_sizes", x, int)
+                              for x in d.get("group_sizes", defaults.group_sizes)),
             label_profiles=tuple(tuple(SynthSpec._parse_profile_entry(m) for m in p)
                                  for p in d.get("label_profiles", defaults.label_profiles)),
         )
@@ -188,7 +189,6 @@ class SynthSpec:
 @dataclass
 class FusionResult:
     dataset: DatasetSpec
-    graph: LabelGraph
     source_tags: tuple[str, ...]
 
 
@@ -296,12 +296,11 @@ def synth_generate(spec: SynthSpec) -> tuple[LabelGraph, DatasetSpec, DatasetSpe
             out.append(s)
         return out
 
-    fine = DatasetSpec("synth-fine", "fine", draw_set(spec.n_train_fine, False, False),
+    fine = DatasetSpec("synth-fine", draw_set(spec.n_train_fine, False, False),
                        k=len(fine_names))
-    coarse = DatasetSpec("synth-coarse", "coarse", draw_set(spec.n_train_coarse, True, False),
+    coarse = DatasetSpec("synth-coarse", draw_set(spec.n_train_coarse, True, False),
                          k=len(coarse_names))
-    test = DatasetSpec("synth-test", "fine", draw_set(spec.n_test, False, True),
-                       k=len(fine_names))
+    test = DatasetSpec("synth-test", draw_set(spec.n_test, False, True), k=len(fine_names))
     return graph, fine, coarse, test
 
 
@@ -318,8 +317,7 @@ def save_dataset(path: str, ds: DatasetSpec) -> None:
             f.write(json.dumps(rec) + "\n")
 
 
-def load_dataset(path: str, name: str | None = None,
-                 granularity: str = "fine") -> DatasetSpec:
+def load_dataset(path: str, name: str | None = None) -> DatasetSpec:
     """Read JSONL rows ``{"x": [numbers], "label": str}``. A row that breaks
     this, or whose ``x`` is empty, non-finite or not as wide as the first
     row's, raises :class:`InvalidDataset` naming the file and line."""
@@ -348,7 +346,7 @@ def load_dataset(path: str, name: str | None = None,
                 raise InvalidDataset(f"{where} 'label' must be a string")
             samples.append(SynthSample(x=x, label=rec["label"], attrs=rec.get("attrs")))
     labels = {s.label for s in samples}
-    return DatasetSpec(name or path, granularity, samples, k=len(labels))
+    return DatasetSpec(name or path, samples, k=len(labels))
 
 
 def resolve_samples(ds: DatasetSpec, graph: LabelGraph) -> list[LabeledSample]:
@@ -375,12 +373,11 @@ def fuse(fine: DatasetSpec, coarse: DatasetSpec, graph: LabelGraph) -> FusionRes
     extra = [n for n in coarse.label_names() if n not in fine_labels]
     fused = DatasetSpec(
         name=f"{fine.name}+{coarse.name}",
-        granularity="fine",
         samples=list(fine.samples) + list(coarse.samples),
         k=fine.k + len(extra),
     )
     tags = tuple([fine.name] * len(fine.samples) + [coarse.name] * len(coarse.samples))
-    return FusionResult(dataset=fused, graph=graph, source_tags=tags)
+    return FusionResult(dataset=fused, source_tags=tags)
 
 
 # ---------------------------------------------------------------------------
@@ -423,14 +420,10 @@ class _EncoderHead:
         p["head.w"] = nm.parameter(rng.normal(0, 1 / np.sqrt(hidden), (hidden, out_dim)))
         p["head.b"] = nm.parameter(np.zeros(out_dim))
         self.params = p
-        self.input_dim = input_dim
 
     def logits(self, x: np.ndarray) -> Tensor:
-        arr = np.asarray(x, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr[None, :]
         p = self.params
-        h = nm.tanh(nm.add_rowvec(nm.matmul(nm.constant(arr), p["enc.w1"]), p["enc.b1"]))
+        h = nm.tanh(nm.add_rowvec(nm.matmul(nm.constant(x), p["enc.w1"]), p["enc.b1"]))
         h = nm.tanh(nm.add_rowvec(nm.matmul(h, p["enc.w2"]), p["enc.b2"]))
         return nm.add_rowvec(nm.matmul(h, p["head.w"]), p["head.b"])
 

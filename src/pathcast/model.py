@@ -216,16 +216,6 @@ class LabelPathModel:
             steps.append(nm.block_log_prob(z, step_blocks, step_targets))
         return nm.add_n(steps)
 
-    def path_log_prob(self, x: np.ndarray, path: list[int] | tuple[int, ...]) -> Tensor:
-        """Teacher-forced log-probability of a graph path starting at root.
-
-        Conditions each step on the groundtruth prefix. The closing EOP is not
-        scored: EOP is a singleton block, so wherever it is offered its
-        log-probability is exactly 0, and the path may end at a non-label
-        node (a coarse fusion target) where EOP is not offered.
-        """
-        return nm.sum_all(self.score_lanes(self.encode(x), [list(path)], teacher=True))
-
     def walk(self, x: np.ndarray, max_len: int,
              choose: Callable[[StepDistribution], tuple[int, float]]) -> SampledPath:
         """Free-run the decoder from START; ``choose`` picks each step's token
@@ -261,20 +251,13 @@ class LabelPathModel:
         """
         return self.walk(x, max_len, lambda dist: _sample_cross_block(dist, rng))
 
-    def sampled_path_log_prob(self, x: np.ndarray,
-                              sampled: SampledPath | Sequence[SampledPath]) -> Tensor:
-        """Differentiable re-scoring of sampled trajectories (same choices).
-
-        One input ``x[d]`` with one SampledPath gives a scalar; rows
-        ``x[m, d]`` with m paths give their ``[m]`` totals from one
-        teacher-forced ``score_lanes`` pass over one ``encode``.
-        """
-        single = np.ndim(x) == 1
-        paths = [sampled] if single else sampled
+    def sampled_path_log_prob(self, x: np.ndarray, sampled: Sequence[SampledPath]) -> Tensor:
+        """Differentiable re-scoring of sampled trajectories (same choices):
+        rows ``x[m, d]`` with m paths give their ``[m]`` totals from one
+        teacher-forced ``score_lanes`` pass over one ``encode``."""
         lanes = [list(s.tokens) + ([self.eop_token] if s.ended_with_eop else [])
-                 for s in paths]
-        totals = self.score_lanes(self.encode(x), lanes, teacher=True)
-        return nm.sum_all(totals) if single else totals
+                 for s in sampled]
+        return self.score_lanes(self.encode(x), lanes, teacher=True)
 
 
 def _sample_cross_block(dist: StepDistribution, rng: np.random.Generator) -> tuple[int, float]:

@@ -86,60 +86,6 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
         raise ShapeMismatch(f"{op}: {a.data.shape} vs {b.data.shape}")
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "add")
-    out = Tensor(a.data + b.data, _parents=(a, b))
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(g)
-        if b.requires_grad:
-            b._accum(g)
-
-    out._backward = bw
-    return out
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "sub")
-    out = Tensor(a.data - b.data, _parents=(a, b))
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(g)
-        if b.requires_grad:
-            b._accum(-g)
-
-    out._backward = bw
-    return out
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise (Hadamard) product of same-shape tensors."""
-    _check_same_shape(a, b, "mul")
-    out = Tensor(a.data * b.data, _parents=(a, b))
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(g * b.data)
-        if b.requires_grad:
-            b._accum(g * a.data)
-
-    out._backward = bw
-    return out
-
-
-def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data, _parents=(a,))
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(-g)
-
-    out._backward = bw
-    return out
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     """Multiply by a python float; ``c`` is a constant to the differentiator."""
     c = float(c)
@@ -207,29 +153,6 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return y
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    y = _stable_sigmoid(a.data)
-    out = Tensor(y, _parents=(a,))
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(g * y * (1.0 - y))
-
-    out._backward = bw
-    return out
-
-
-def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(a.data.sum(), _parents=(a,))
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(np.full_like(a.data, float(g)))
-
-    out._backward = bw
-    return out
-
-
 def weighted_sum(a: Tensor, w: np.ndarray) -> Tensor:
     """Scalar ``sum(w * a)`` of a vector; the weights are constants."""
     w = np.asarray(w, dtype=np.float64)
@@ -282,24 +205,6 @@ def gather_rows(a: Tensor, idx: Sequence[int]) -> Tensor:
     return out
 
 
-def take_row(a: Tensor, i: int) -> Tensor:
-    """Slice row i of a [m,n] matrix as a length-n vector."""
-    if a.data.ndim != 2:
-        raise ShapeMismatch(f"take_row: expected matrix, got {a.data.shape}")
-    if not 0 <= i < a.data.shape[0]:
-        raise IndexOutOfRange(f"take_row: row {i} of {a.data.shape}")
-    out = Tensor(a.data[i], _parents=(a,))
-
-    def bw(g):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[i] += g
-
-    out._backward = bw
-    return out
-
-
 def _check_partition(blocks: Sequence[Sequence[int]], k: int) -> None:
     seen: set[int] = set()
     for b in blocks:
@@ -336,24 +241,21 @@ def block_softmax(z: np.ndarray, blocks: Sequence[Sequence[int]]) -> np.ndarray:
     return y
 
 
-def block_log_prob(logits: Tensor, block, target) -> Tensor:
-    """log of the block-softmax probability of ``target`` within its block.
+def block_log_prob(logits: Tensor, blocks, targets) -> Tensor:
+    """log of the block-softmax probability of each row's target within its
+    block.
 
-    Equivalent to ``log(block_softmax(logits, ...)[target])`` but fused and
-    stabilised as ``z[target] - logsumexp(z[block])``; only the target's block
-    receives gradient, matching block independence.
-
-    Vector form: ``logits [V]``, one block of indices and one target; returns
-    a scalar. Rows form: ``logits [m,V]``, one block per row (``None`` leaves
-    the row unscored) and one target per row; returns one ``[m]`` node that is
-    0 in unscored rows. Both run as one segment logsumexp over the
-    concatenated blocks, with one scatter in the backward pass.
+    ``logits [m,V]``, one block of indices per row (``None`` leaves the row
+    unscored) and one target per row; returns one ``[m]`` node that is 0 in
+    unscored rows. Equivalent to ``log(block_softmax(z, ...)[target])`` per
+    row but fused and stabilised as ``z[target] - logsumexp(z[block])``: one
+    segment logsumexp over the concatenated blocks, with one scatter in the
+    backward pass. Only each row's block receives gradient, matching block
+    independence.
     """
-    vector = logits.data.ndim == 1
-    if not vector and logits.data.ndim != 2:
-        raise ShapeMismatch(f"block_log_prob: expected vector or matrix, got {logits.data.shape}")
-    zz = logits.data[None, :] if vector else logits.data
-    blocks, targets = ([block], [target]) if vector else (block, target)
+    zz = logits.data
+    if zz.ndim != 2:
+        raise ShapeMismatch(f"block_log_prob: expected matrix, got {zz.shape}")
     if len(blocks) != zz.shape[0] or len(targets) != zz.shape[0]:
         raise ShapeMismatch(f"block_log_prob: {len(blocks)} blocks and {len(targets)} "
                             f"targets for {zz.shape[0]} rows")
@@ -377,15 +279,15 @@ def block_log_prob(logits: Tensor, block, target) -> Tensor:
         zmax = np.maximum.reduceat(z, starts)
         lse = zmax + np.log(np.add.reduceat(np.exp(z - np.repeat(zmax, sizes)), starts))
         lp[rows] = zz[rows, tgt] - lse
-    out = Tensor(lp[0] if vector else lp, _parents=(logits,))
+    out = Tensor(lp, _parents=(logits,))
 
     def bw(g):
         if logits.requires_grad and rows.size:
-            gr = np.reshape(g, -1)[rows]
+            gr = g[rows]
             gz = np.zeros_like(zz)
             gz[flat_rows, cols] = -np.exp(z - np.repeat(lse, sizes)) * np.repeat(gr, sizes)
             gz[rows, tgt] += gr
-            logits._accum(gz[0] if vector else gz)
+            logits._accum(gz)
 
     out._backward = bw
     return out
@@ -507,8 +409,9 @@ def gru_step(params: GruParams, e_t: Tensor, f_prev: Tensor) -> Tensor:
             or e.shape[1] != p.w_re.data.shape[0] or f.shape[1] != p.w_rf.data.shape[0]):
         raise ShapeMismatch(f"gru_step: e {e.shape}, f_prev {f.shape} for "
                             f"weights {p.w_re.data.shape} / {p.w_rf.data.shape}")
-    # Each gate uses the expressions, in the order, of the sigmoid/tanh/matmul/
-    # add_rowvec primitives, so the values equal their composition bit for bit.
+    # Each gate uses the expressions, in the order, of its composition from
+    # one engine op per operation (tests/reference.py), so the values equal
+    # that composition bit for bit.
     r = _stable_sigmoid((e @ p.w_re.data + f @ p.w_rf.data) + p.b_r.data)
     u = _stable_sigmoid((e @ p.w_ue.data + f @ p.w_uf.data) + p.b_u.data)
     rf = r * f

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import numerics as nm
 from .labelgraph import LabelGraph
-from .model import LabelPathModel, SampledPath
+from .model import LabelPathModel
 from .numerics import AdamState, Tensor, adam_step
 from .pathalg import _certain_members, _split_paths
 
@@ -34,14 +34,29 @@ class LabeledSample(NamedTuple):
     label: int
 
 
+PATH_AGGS = ("mean", "sum", "random")
+_TYPE_NAMES = {int: "an int", float: "a float", str: "a string"}
+
+
+def typed_value(key: str, value, kind: type):
+    """``value`` as a ``kind`` (int, float or str), read strictly from JSON: an
+    int takes an integer, a float an integer or a float, a str a string; a
+    bool is none of them. Anything else raises ValueError naming ``key``."""
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(f"{key!r} must be {_TYPE_NAMES[kind]}, not {value!r}")
+    return kind(value)
+
+
 def typed_fields(cls, raw: dict, names: Sequence[str], required: bool) -> dict:
     """Constructor arguments for the dataclass ``cls`` read from a config dict.
 
-    Each value is cast to the type of the field's default. A missing key
-    raises KeyError when ``required``, and otherwise keeps the default.
+    Each value goes through :func:`typed_value` with the type of the field's
+    default. A missing key raises KeyError when ``required``, and otherwise
+    keeps the default.
     """
     defaults = cls()
-    return {name: type(getattr(defaults, name))(raw[name])
+    return {name: typed_value(name, raw[name], type(getattr(defaults, name)))
             for name in names if required or name in raw}
 
 
@@ -99,7 +114,7 @@ class TrainConfig:
             raise ValueError("alpha and beta must be non-negative")
         if self.lr <= 0 or self.lr_e <= 0:
             raise ValueError("learning rates must be positive")
-        if self.path_agg not in ("mean", "sum", "random"):
+        if self.path_agg not in PATH_AGGS:
             raise ValueError(f"unknown path aggregation {self.path_agg!r}")
         if self.reward_set not in ("certain", "label_only"):
             raise ValueError(f"unknown reward set {self.reward_set!r}")
@@ -156,11 +171,10 @@ class PathBook:
         return self._certain[node]
 
 
-def reward(sampled: Sequence[int] | SampledPath, members: frozenset[int]) -> float:
-    """Fraction of the certain-node set covered by the sampled path."""
+def reward(tokens: Sequence[int], members: frozenset[int]) -> float:
+    """Fraction of the certain-node set covered by the sampled path's tokens."""
     if not members:
         raise EmptyRewardSet("reward set is empty")
-    tokens = sampled.tokens if isinstance(sampled, SampledPath) else sampled
     return len(set(tokens) & members) / len(members)
 
 
@@ -218,7 +232,7 @@ def policy_gradient_loss(model: LabelPathModel, batch: Batch,
         return None, []
     pg = list(batch.pg_indexes)
     samples = [model.sample_path(batch.inputs[i], rng, cfg.max_len) for i in pg]
-    rewards = [reward(s, book.reward_members(batch.labels[i], cfg.reward_set))
+    rewards = [reward(s.tokens, book.reward_members(batch.labels[i], cfg.reward_set))
                for i, s in zip(pg, samples)]
     b = baseline.value
     baseline.update(float(np.mean(rewards)))

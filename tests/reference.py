@@ -1,0 +1,334 @@
+"""Reference code that only the tests run.
+
+Composed engine ops and one-row or one-path scorers serve as oracles for the
+fused kernels and the rows forms in ``pathcast``; brute-force path oracles
+check the path algorithms; the graph generators feed all of them. Nothing in
+``src/`` imports this module. ``tests/test_reference.py`` runs each fast path
+against its oracle.
+"""
+
+import numpy as np
+
+from pathcast import numerics as nm
+from pathcast.labelgraph import LabelGraph, build_graph
+from pathcast.numerics import Tensor
+
+# ---------------------------------------------------------------------------
+# Composed engine ops: one trace node per elementary operation
+# ---------------------------------------------------------------------------
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    nm._check_same_shape(a, b, "add")
+    out = Tensor(a.data + b.data, _parents=(a, b))
+
+    def bw(g):
+        if a.requires_grad:
+            a._accum(g)
+        if b.requires_grad:
+            b._accum(g)
+
+    out._backward = bw
+    return out
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    nm._check_same_shape(a, b, "sub")
+    out = Tensor(a.data - b.data, _parents=(a, b))
+
+    def bw(g):
+        if a.requires_grad:
+            a._accum(g)
+        if b.requires_grad:
+            b._accum(-g)
+
+    out._backward = bw
+    return out
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise (Hadamard) product of same-shape tensors."""
+    nm._check_same_shape(a, b, "mul")
+    out = Tensor(a.data * b.data, _parents=(a, b))
+
+    def bw(g):
+        if a.requires_grad:
+            a._accum(g * b.data)
+        if b.requires_grad:
+            b._accum(g * a.data)
+
+    out._backward = bw
+    return out
+
+
+def neg(a: Tensor) -> Tensor:
+    out = Tensor(-a.data, _parents=(a,))
+
+    def bw(g):
+        if a.requires_grad:
+            a._accum(-g)
+
+    out._backward = bw
+    return out
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    # the kernel's own sigmoid, so gru_step equals its composition bit for bit
+    y = nm._stable_sigmoid(a.data)
+    out = Tensor(y, _parents=(a,))
+
+    def bw(g):
+        if a.requires_grad:
+            a._accum(g * y * (1.0 - y))
+
+    out._backward = bw
+    return out
+
+
+def sum_all(a: Tensor) -> Tensor:
+    out = Tensor(a.data.sum(), _parents=(a,))
+
+    def bw(g):
+        if a.requires_grad:
+            a._accum(np.full_like(a.data, float(g)))
+
+    out._backward = bw
+    return out
+
+
+def take_row(a: Tensor, i: int) -> Tensor:
+    """Slice row i of a [m,n] matrix as a length-n vector."""
+    if a.data.ndim != 2:
+        raise nm.ShapeMismatch(f"take_row: expected matrix, got {a.data.shape}")
+    if not 0 <= i < a.data.shape[0]:
+        raise nm.IndexOutOfRange(f"take_row: row {i} of {a.data.shape}")
+    out = Tensor(a.data[i], _parents=(a,))
+
+    def bw(g):
+        if a.requires_grad:
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            a.grad[i] += g
+
+    out._backward = bw
+    return out
+
+
+def block_log_prob_row(logits: Tensor, block, target: int) -> Tensor:
+    """One-row oracle of ``nm.block_log_prob``: the scalar
+    ``z[target] - logsumexp(z[block])`` of a logits vector ``[V]``; only the
+    block receives gradient."""
+    if logits.data.ndim != 1:
+        raise nm.ShapeMismatch(f"block_log_prob_row: expected vector, got {logits.data.shape}")
+    bb = np.asarray(block, dtype=np.intp)
+    if target not in block:
+        raise nm.IndexOutOfRange(f"target {target} not inside its block")
+    z = logits.data[bb]
+    zmax = z.max()
+    # summed in the order np.add.reduceat sums one segment of the rows form,
+    # so the values agree bit for bit
+    lse = zmax + np.log(np.add.reduceat(np.exp(z - zmax), [0])[0])
+    out = Tensor(logits.data[target] - lse, _parents=(logits,))
+
+    def bw(g):
+        if logits.requires_grad:
+            gz = np.zeros_like(logits.data)
+            gz[bb] = -np.exp(z - lse) * g
+            gz[target] += g
+            logits._accum(gz)
+
+    out._backward = bw
+    return out
+
+
+def composed_gru_step(p: nm.GruParams, e_t: Tensor, f_prev: Tensor) -> Tensor:
+    """Reference GRU update built from one engine primitive per operation."""
+    r = sigmoid(nm.add_rowvec(add(nm.matmul(e_t, p.w_re), nm.matmul(f_prev, p.w_rf)), p.b_r))
+    u = sigmoid(nm.add_rowvec(add(nm.matmul(e_t, p.w_ue), nm.matmul(f_prev, p.w_uf)), p.b_u))
+    c = nm.tanh(nm.add_rowvec(add(nm.matmul(e_t, p.w_ce),
+                                  nm.matmul(mul(r, f_prev), p.w_cf)), p.b_c))
+    ones = nm.constant(np.ones_like(u.data))
+    return add(mul(sub(ones, u), f_prev), mul(u, c))
+
+
+def path_log_prob(model, x: np.ndarray, path) -> Tensor:
+    """Scalar teacher-forced log-probability of one path from one input
+    ``x[d]``: the one-path oracle of ``model.sampled_path_log_prob``."""
+    return sum_all(model.score_lanes(model.encode(x), [list(path)], teacher=True))
+
+
+# ---------------------------------------------------------------------------
+# Gradient checking
+# ---------------------------------------------------------------------------
+
+
+def finite_difference(fn, params, h=1e-5):
+    """Central-difference gradients of a scalar-valued rebuild function.
+
+    ``fn`` must rebuild the computation from the raw parameter arrays each
+    call, so it stays independent of the reverse-mode path it checks.
+    """
+    grads = {}
+    for name, arr in params.items():
+        g = np.zeros_like(arr)
+        flat = arr.reshape(-1)
+        gf = g.reshape(-1)
+        for i in range(flat.size):
+            old = flat[i]
+            flat[i] = old + h
+            up = fn(params)
+            flat[i] = old - h
+            down = fn(params)
+            flat[i] = old
+            gf[i] = (up - down) / (2 * h)
+        grads[name] = g
+    return grads
+
+
+def max_rel_err(got, want):
+    return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
+
+
+def random_partition(rng, k):
+    idx = rng.permutation(k)
+    blocks, i = [], 0
+    while i < k:
+        size = int(rng.integers(1, min(4, k - i) + 1))
+        blocks.append(tuple(int(t) for t in idx[i:i + size]))
+        i += size
+    return blocks
+
+
+# ---------------------------------------------------------------------------
+# Graph generators
+# ---------------------------------------------------------------------------
+
+
+def figure2_subgraph():
+    """Root animal; cat; hair group {shorthair, longhair}; color group
+    {solid-color, tabby-color, point-color}; labels british-shorthair, bengal."""
+    return build_graph(
+        label_sets=[("pet-a", ["british-shorthair"]), ("pet-b", ["bengal"])],
+        augmented_spec=[("cat", ["animal"]),
+                        ("shorthair", ["cat"]), ("longhair", ["cat"]),
+                        ("solid-color", ["cat"]), ("tabby-color", ["cat"]),
+                        ("point-color", ["cat"])],
+        edge_spec=[("shorthair", "british-shorthair"),
+                   ("solid-color", "british-shorthair"),
+                   ("tabby-color", "british-shorthair"),
+                   ("point-color", "british-shorthair"),
+                   ("shorthair", "bengal"), ("tabby-color", "bengal")],
+        group_spec=[("hair", ["shorthair", "longhair"]),
+                    ("color", ["solid-color", "tabby-color", "point-color"])],
+        root_name="animal")
+
+
+def figure2_with_back_edge():
+    """figure2_subgraph plus bengal -> cat, which closes cycles; unvalidated."""
+    g = figure2_subgraph()
+    return LabelGraph(g.nodes, g.edges + ((g.id_of("bengal"), g.id_of("cat")),),
+                      g.groups, g.root)
+
+
+def random_dag(rng, max_nodes=12):
+    """Random layered DAG built through build_graph; labels are the leaves."""
+    n_aug = int(rng.integers(1, 5))
+    n_labels = int(rng.integers(1, max(2, max_nodes - n_aug - 1)))
+    aug_names = [f"mid-{i}" for i in range(n_aug)]
+    augmented = []
+    for i, name in enumerate(aug_names):
+        parents = ["root"] + [aug_names[j] for j in range(i) if rng.random() < 0.4]
+        augmented.append((name, parents))
+    labels = [f"leaf-{i}" for i in range(n_labels)]
+    edges = []
+    for name in labels:
+        k = int(rng.integers(1, n_aug + 1))
+        for p in rng.choice(aug_names, size=k, replace=False):
+            edges.append((str(p), name))
+    return build_graph([("ds", labels)], augmented, edges, [])
+
+
+def three_level_graph(rng):
+    """root -> augmented layer -> labels, with random extra edges/groups."""
+    n_mid = int(rng.integers(2, 5))
+    n_lab = int(rng.integers(2, 5))
+    augmented = [(f"mid-{i}", ["root"]) for i in range(n_mid)]
+    edges = []
+    for i in range(n_lab):
+        for j in rng.choice(n_mid, size=int(rng.integers(1, n_mid + 1)),
+                            replace=False):
+            edges.append((f"mid-{j}", f"leaf-{i}"))
+    return build_graph([("ds", [f"leaf-{i}" for i in range(n_lab)])],
+                       augmented, edges, [])
+
+
+def layered_dag(depth, rng=None, singleton=False):
+    """Width-2 layered DAG with the label ``x`` under its last layer.
+
+    Without ``rng`` both nodes of every layer are children of both nodes of
+    the layer above, and ``x`` of both last ones: 2**depth paths. With
+    ``rng`` every node keeps a random nonempty subset of those parents, and
+    may gain one from two layers up, so that some paths skip a layer (and
+    its group). Groups are one explicit singleton per node, or else implicit
+    siblings; with ``rng`` each layer is made of singletons with probability
+    1/2, which leaves some paths clear of every competing pair.
+    """
+    def some(parents, skip):
+        if rng is None:
+            return list(parents)
+        kept = [p for p in parents if rng.random() < 0.6]
+        kept = kept or [parents[int(rng.integers(len(parents)))]]
+        if skip and rng.random() < 0.5:
+            kept.append(skip[int(rng.integers(len(skip)))])
+        return kept
+
+    layers = [[f"a{k}", f"b{k}"] for k in range(1, depth + 1)]
+    augmented, prev, above = [], ["root"], []
+    for pair in layers:
+        augmented += [(n, some(prev, above)) for n in pair]
+        prev, above = pair, prev
+    edges = [(n, "x") for n in some(prev, above)]
+    alone = [pair for pair in layers
+             if singleton or (rng is not None and rng.random() < 0.5)]
+    groups = [(f"only-{n}", [n]) for pair in alone for n in pair]
+    return build_graph([("d", ["x"])], augmented, edges, groups)
+
+
+# ---------------------------------------------------------------------------
+# Brute-force path oracles
+# ---------------------------------------------------------------------------
+
+
+def oracle_all_paths(graph, target):
+    """Exhaustive DFS over adjacency only; independent of the library walk."""
+    out = []
+
+    def walk(node, path):
+        if node == target:
+            out.append(tuple(path))
+            return
+        for child in graph.children(node):
+            if child not in path:
+                walk(child, path + [child])
+
+    walk(graph.root, [graph.root])
+    return sorted(out)
+
+
+def oracle_classify(graph, target):
+    """Definition-literal pairwise check over all path pairs."""
+    paths = oracle_all_paths(graph, target)
+    nondet = set()
+    for i, p in enumerate(paths):
+        for j, q in enumerate(paths):
+            if i == j:
+                continue
+            for u in p:
+                for w in q:
+                    if u != w:
+                        gu = graph.group_of(u)
+                        if gu is not None and w in gu.members:
+                            nondet.add(i)
+    det = [p for i, p in enumerate(paths) if i not in nondet]
+    nd = [p for i, p in enumerate(paths) if i in nondet]
+    return det, nd

@@ -24,9 +24,8 @@ from pathcast.trainer import (Batch, BaselineEstimator, LabeledSample, PathBook,
                               build_batch, deterministic_loss,
                               policy_gradient_loss, schedule_update, train)
 
-from test_labelgraph import figure2_subgraph, random_dag
-from test_numerics import random_partition
-from test_pathalg import oracle_all_paths, oracle_classify
+from reference import (figure2_subgraph, oracle_all_paths, oracle_classify, random_dag,
+                       random_partition, sum_all, three_level_graph)
 
 
 def report(name, ok, detail=""):
@@ -72,26 +71,12 @@ def test_block_softmax_sums_and_independence():
            f"sum err {worst_sum:.2e}, cross err {worst_cross:.2e}, {elapsed:.2f}s")
 
 
-def _three_level_graph(rng):
-    """root -> augmented layer -> labels, with random extra edges/groups."""
-    n_mid = int(rng.integers(2, 5))
-    n_lab = int(rng.integers(2, 5))
-    augmented = [(f"mid-{i}", ["root"]) for i in range(n_mid)]
-    edges = []
-    for i in range(n_lab):
-        for j in rng.choice(n_mid, size=int(rng.integers(1, n_mid + 1)),
-                            replace=False):
-            edges.append((f"mid-{j}", f"leaf-{i}"))
-    return build_graph([("ds", [f"leaf-{i}" for i in range(n_lab)])],
-                       augmented, edges, [])
-
-
 def test_gradient_fidelity_20_seeds():
     t0 = time.time()
     worst = 0.0
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        g = _three_level_graph(rng)
+        g = three_level_graph(rng)
         labels = list(g.label_ids())
         model = LabelPathModel(g, input_dim=6, embed_dim=8, hidden=16, seed=seed)
         book = PathBook(g)
@@ -128,10 +113,10 @@ def test_gradient_fidelity_20_seeds():
         weight = -(1.0 - 0.4)  # (r - b) is a constant to the differentiator
 
         def lpg(p):
-            return nm.scale(rebuild_model(p).sampled_path_log_prob(xs[0], sampled),
+            return nm.scale(sum_all(rebuild_model(p).sampled_path_log_prob(xs[:1], [sampled])),
                             weight).item()
 
-        loss_pg = nm.scale(model.sampled_path_log_prob(xs[0], sampled), weight)
+        loss_pg = nm.scale(sum_all(model.sampled_path_log_prob(xs[:1], [sampled])), weight)
         nm.zero_grads(model.params)
         backward(loss_pg)
         grads_pg = nm.collect_grads(model.params)

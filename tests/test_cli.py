@@ -8,7 +8,7 @@ import pytest
 
 from pathcast.labelgraph import save_graph, serialize
 
-from test_labelgraph import figure2_subgraph
+from reference import figure2_subgraph
 
 
 def run_cli(*args, expect=0):
@@ -149,6 +149,24 @@ class TestSynthAndFuse:
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
 
+    def test_spec_errors_name_the_file(self, tmp_path):
+        for i, (text, fragment) in enumerate([
+                ('{"n_coarse": 2,\n', "Expecting property name"),
+                ("[]", "a spec must be a JSON object"),
+                ('{"n_coarse": "x"}', "'n_coarse' must be an int, not 'x'"),
+                ('{"n_coarse": 1.7}', "'n_coarse' must be an int, not 1.7"),
+                ('{"noise_sigma": true}', "'noise_sigma' must be a float, not True"),
+                ('{"group_sizes": [3, 1.5]}', "'group_sizes' must be an int, not 1.5"),
+                ('{"label_profiles": [[0, 0, 0.5]]}', "'label_profiles' must be an int, not 0.5"),
+                ('{"n_coarse": 5}', "n_fine_labels must divide evenly")]):
+            spec = tmp_path / f"spec-{i}.json"
+            spec.write_text(text)
+            out = tmp_path / f"out-{i}"
+            proc = run_cli("synth", "--spec", str(spec), "--out-dir", str(out), expect=1)
+            assert proc.stderr.startswith(f"pathcast: error: {spec}: {fragment}"), proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert not out.exists()
+
     def test_fuse(self, workdir, tmp_path):
         root, _ = workdir
         out = tmp_path / "fused.jsonl"
@@ -272,11 +290,27 @@ class TestTrainEvalCycle:
             (without(cfg, "batch_size"), "missing key 'batch_size'"),
             (without(cfg, "train"), "missing key 'train'"),
             ({**cfg, "graph": 3}, "'graph' must name a file"),
-            ({**cfg, "epochs": "x"}, "invalid literal for int()"),
+            ({**cfg, "epochs": "x"}, "'epochs' must be an int, not 'x'"),
             ({**cfg, "epochs": -1}, "batch_size/max_len/n_p/epochs out of range"),
             ({**cfg, "schedule": {"kind": "dynamic", "n": 0}}, "schedule n must be at least 1"),
-            ({**cfg, "embed_dim": "wide"}, "invalid literal for int()"),
+            ({**cfg, "embed_dim": "wide"}, "'embed_dim' must be an int, not 'wide'"),
             ({**cfg, "hidden": 0}, "embed_dim and hidden must be at least 1"),
+            ({**cfg, "epochs": 1.9}, "'epochs' must be an int, not 1.9"),
+            ({**cfg, "epochs": "2"}, "'epochs' must be an int, not '2'"),
+            ({**cfg, "lr": "0.01"}, "'lr' must be a float, not '0.01'"),
+            ({**cfg, "hidden": 8.9}, "'hidden' must be an int, not 8.9"),
+            ({**cfg, "embed_dim": True}, "'embed_dim' must be an int, not True"),
+        ])
+        assert not out.exists()
+        assert not (tmp_path / "m.pck.metrics.jsonl").exists()
+
+    def test_non_string_dev_is_rejected_before_training(self, workdir, tmp_path):
+        _, cfg_path = workdir
+        cfg = json.loads(cfg_path.read_text())
+        out = tmp_path / "m.pck"
+        assert_config_errors(tmp_path, ("train", "--out", str(out)), [
+            ({**cfg, "dev": 5}, "'dev' must name a file"),
+            ({**cfg, "dev": None}, "'dev' must name a file"),
         ])
         assert not out.exists()
         assert not (tmp_path / "m.pck.metrics.jsonl").exists()
@@ -371,9 +405,19 @@ class TestAblateCommand:
             ("{", "Expecting property name"),
             (without(cfg, "test"), "missing key 'test'"),
             (without(cfg, "lr"), "missing key 'lr'"),
-            ({**cfg, "epochs": "x"}, "invalid literal for int()"),
-            ({**cfg, "trim_fractions": 0.5}, "'float' object is not iterable"),
+            ({**cfg, "epochs": "x"}, "'epochs' must be an int, not 'x'"),
+            ({**cfg, "trim_fractions": 0.5}, "'trim_fractions' must be a list, not 0.5"),
             ({**cfg, "r_tf": 2.0}, "r_tf must lie in [0,1]"),
+            ({**cfg, "epochs": 1.9}, "'epochs' must be an int, not 1.9"),
+            ({**cfg, "hidden": 8.9}, "'hidden' must be an int, not 8.9"),
+            ({**cfg, "aggregations": ["nope"]},
+             "'aggregations' must hold path aggregations ('mean', 'sum', 'random'), not 'nope'"),
+            ({**cfg, "aggregations": "sum"}, "'aggregations' must be a list, not 'sum'"),
+            ({**cfg, "trim_fractions": [1.5]}, "'trim_fractions' must hold numbers in [0,1], not 1.5"),
+            ({**cfg, "trim_fractions": [0.3, -0.1]},
+             "'trim_fractions' must hold numbers in [0,1], not -0.1"),
+            ({**cfg, "trim_fractions": ["0.3"]},
+             "'trim_fractions' must hold numbers in [0,1], not '0.3'"),
         ])
 
 
@@ -429,9 +473,12 @@ class TestBaselineCommand:
             ("not json", "Expecting value"),
             (without(cfg, "graph"), "missing key 'graph'"),
             (without(cfg, "coarse"), "missing key 'coarse'"),
-            ({**cfg, "epochs": "x"}, "invalid literal for int()"),
+            ({**cfg, "epochs": "x"}, "'epochs' must be an int, not 'x'"),
             ({**cfg, "schedule": "dynamic"}, "schedule must be an object, not 'dynamic'"),
             ({**cfg, "hidden": 0}, "hidden/batch_size/epochs out of range"),
+            ({**cfg, "epochs": 1.9}, "'epochs' must be an int, not 1.9"),
+            ({**cfg, "hidden": 8.9}, "'hidden' must be an int, not 8.9"),
+            ({**cfg, "lr": "0.02"}, "'lr' must be a float, not '0.02'"),
         ])
 
     def test_bad_values_fail_before_training(self, workdir, tmp_path):
@@ -467,3 +514,20 @@ class TestCorruptSidecar:
             assert proc.stderr.startswith(f"pathcast: error: {ckpt}.json: {message}"), proc.stderr
             assert "Traceback" not in proc.stderr
             assert proc.stdout == ""
+
+
+class TestModelDims:
+    def test_defaults_and_ints_are_accepted(self):
+        from pathcast.cli import _model_dims
+        assert _model_dims({}) == (16, 32)
+        assert _model_dims({"embed_dim": 4, "hidden": 9}) == (4, 9)
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"hidden": 8.9}, "'hidden' must be an int, not 8.9"),
+        ({"embed_dim": "8"}, "'embed_dim' must be an int, not '8'"),
+        ({"hidden": False}, "'hidden' must be an int, not False"),
+    ])
+    def test_wrong_types_are_rejected(self, raw, message):
+        from pathcast.cli import _model_dims
+        with pytest.raises(ValueError, match=message):
+            _model_dims(raw)

@@ -11,7 +11,7 @@ from pathcast.evaldecode import (DecodedResult, EmptyDataset,
 from pathcast.labelgraph import build_graph
 from pathcast.model import LabelPathModel
 
-from test_labelgraph import figure2_subgraph, random_dag
+from reference import figure2_subgraph, oracle_all_paths, random_dag
 
 
 def make_model(graph, seed=0, input_dim=5):
@@ -107,7 +107,7 @@ class TestExtractLabel:
         g = chain_graph()
         r = DecodedResult(path=(0, g.id_of("a"), g.id_of("x")), terminated_by="eop",
                           predicted_label=None, step_probs=())
-        assert extract_label(g, r) == g.id_of("x")
+        assert extract_label(g, r.path) == g.id_of("x")
 
 
 class TestEvaluate:
@@ -172,7 +172,6 @@ class TestNondeterministicGroups:
         assert nondeterministic_groups(g, g.id_of("bengal")) == {}
 
     def test_matches_enumeration_oracle(self):
-        from test_pathalg import oracle_all_paths
         rng = np.random.default_rng(17)
         for _ in range(60):
             g = random_dag(rng)

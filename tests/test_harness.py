@@ -16,7 +16,7 @@ from pathcast import harness
 from pathcast.pathalg import NotALabelNode, enumerate_paths
 from pathcast.trainer import ScheduleConfig, TrainConfig, schedule_update
 
-from test_labelgraph import figure2_subgraph, random_dag
+from reference import figure2_subgraph, oracle_all_paths, random_dag
 
 
 def small_spec(**kw):
@@ -55,6 +55,19 @@ class TestSynthSpec:
                                     "noise_sigma": 0.0, "seed": 7})
         assert spec.per_coarse == 2
         assert spec.label_profiles[1][1] is None
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"n_coarse": 1.7}, "'n_coarse' must be an int, not 1.7"),
+        ({"n_coarse": "x"}, "'n_coarse' must be an int, not 'x'"),
+        ({"noise_sigma": "0.1"}, "'noise_sigma' must be a float, not '0.1'"),
+        ({"group_sizes": [3, 2.5, 4]}, "'group_sizes' must be an int, not 2.5"),
+        ({"group_sizes": [3, True, 4]}, "'group_sizes' must be an int, not True"),
+        ({"label_profiles": [[0, 0, 1.0]]}, "'label_profiles' must be an int, not 1.0"),
+        ({"label_profiles": [[0, [0, "1"], 1]]}, "'label_profiles' must be an int, not '1'"),
+    ])
+    def test_from_dict_rejects_wrong_types(self, raw, message):
+        with pytest.raises(ValueError, match=message):
+            SynthSpec.from_dict(raw)
 
 
 class TestSynthGenerate:
@@ -180,7 +193,7 @@ class TestDatasetFiles:
 
     def test_resolve_samples_rejects_unknown_label(self):
         graph, fine, _, _ = synth_generate(small_spec(n_train_fine=5))
-        ds = DatasetSpec("bad", "fine",
+        ds = DatasetSpec("bad",
                          [SynthSample(x=np.zeros(3), label="unicorn")], k=1)
         with pytest.raises(UnresolvableLabel):
             resolve_samples(ds, graph)
@@ -198,10 +211,10 @@ class TestFuse:
     def test_pet_fusion_arithmetic(self):
         # 37 fine classes plus 2 coarse-only classes gives 39, per the fused
         # pet bookkeeping; sizes add strictly
-        fine = DatasetSpec("fine", "fine",
+        fine = DatasetSpec("fine",
                            [SynthSample(np.zeros(1), f"breed-{i % 37}")
                             for i in range(100)], k=37)
-        coarse = DatasetSpec("coarse", "coarse",
+        coarse = DatasetSpec("coarse",
                              [SynthSample(np.zeros(1), ["cat", "dog"][i % 2])
                               for i in range(50)], k=2)
         from pathcast.labelgraph import build_graph
@@ -215,7 +228,7 @@ class TestFuse:
 
     def test_empty_coarse_is_identity(self):
         graph, fine, _, _ = synth_generate(small_spec())
-        empty = DatasetSpec("none", "coarse", [], k=0)
+        empty = DatasetSpec("none", [], k=0)
         result = fuse(fine, empty, graph)
         assert len(result.dataset.samples) == len(fine.samples)
         assert result.dataset.k == fine.k
@@ -229,7 +242,7 @@ class TestFuse:
 
     def test_unresolvable_label(self):
         graph, fine, _, _ = synth_generate(small_spec())
-        alien = DatasetSpec("alien", "coarse",
+        alien = DatasetSpec("alien",
                             [SynthSample(np.zeros(3), "gryphon")], k=1)
         with pytest.raises(UnresolvableLabel):
             fuse(fine, alien, graph)
@@ -260,6 +273,15 @@ class TestBaselineConfig:
         with pytest.raises(ValueError, match=message):
             BaselineConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("raw, message", [
+        ({"hidden": 8.9}, "'hidden' must be an int, not 8.9"),
+        ({"epochs": "2"}, "'epochs' must be an int, not '2'"),
+        ({"lr": True}, "'lr' must be a float, not True"),
+    ])
+    def test_wrong_types_are_rejected(self, raw, message):
+        with pytest.raises(ValueError, match=message):
+            BaselineConfig.from_dict(raw)
+
 
 class TestBaselines:
 
@@ -276,7 +298,7 @@ class TestBaselines:
         rng = np.random.default_rng(3)
         golds = [s.label for s in test.samples]
         rng.shuffle(golds)
-        shuffled = DatasetSpec("shuffled", "fine",
+        shuffled = DatasetSpec("shuffled",
                                [SynthSample(s.x, gl) for s, gl in zip(test.samples, golds)],
                                k=test.k)
         cfg = BaselineConfig(hidden=24, epochs=0, batch_size=32, lr=0.02, seed=3)
@@ -342,7 +364,6 @@ class TestBaselines:
         assert hot.sum() == 3.0
 
     def test_label_set_targets_match_enumeration_oracle(self):
-        from test_pathalg import oracle_all_paths
         rng = np.random.default_rng(18)
         for _ in range(60):
             g = random_dag(rng)
@@ -400,7 +421,7 @@ class TestBaselines:
         # matches the plain FFN baseline
         _, (graph, fine, coarse, test) = task
         swap = {"cat": "dog", "dog": "cat"}
-        swapped = DatasetSpec("swapped", "coarse",
+        swapped = DatasetSpec("swapped",
                               [SynthSample(s.x, swap[s.label]) for s in coarse.samples],
                               k=coarse.k)
         cfg = BaselineConfig(hidden=24, epochs=6, batch_size=32, lr=0.02, seed=4)
@@ -413,7 +434,7 @@ class TestBaselines:
     def test_pseudo_label_degenerate_filter_equals_ffn(self, task):
         _, (graph, fine, coarse, test) = task
         cfg = BaselineConfig(hidden=24, epochs=4, batch_size=32, lr=0.02, seed=1)
-        empty_coarse = DatasetSpec("none", "coarse", [], k=0)
+        empty_coarse = DatasetSpec("none", [], k=0)
         report, info = baseline_pseudo_label(cfg, fine, empty_coarse, test, graph)
         direct = baseline_ffn(cfg, fine, test)
         assert info["kept"] == 0

@@ -11,49 +11,7 @@ from pathcast.labelgraph import (CycleDetected, DuplicateGroupMembership,
                                  canonical_name, deserialize, load_graph,
                                  save_graph, serialize, stats, validate)
 
-
-def figure2_subgraph():
-    """Root animal; cat; hair group {shorthair, longhair}; color group
-    {solid-color, tabby-color, point-color}; labels british-shorthair, bengal."""
-    return build_graph(
-        label_sets=[("pet-a", ["british-shorthair"]), ("pet-b", ["bengal"])],
-        augmented_spec=[("cat", ["animal"]),
-                        ("shorthair", ["cat"]), ("longhair", ["cat"]),
-                        ("solid-color", ["cat"]), ("tabby-color", ["cat"]),
-                        ("point-color", ["cat"])],
-        edge_spec=[("shorthair", "british-shorthair"),
-                   ("solid-color", "british-shorthair"),
-                   ("tabby-color", "british-shorthair"),
-                   ("point-color", "british-shorthair"),
-                   ("shorthair", "bengal"), ("tabby-color", "bengal")],
-        group_spec=[("hair", ["shorthair", "longhair"]),
-                    ("color", ["solid-color", "tabby-color", "point-color"])],
-        root_name="animal")
-
-
-def figure2_with_back_edge():
-    """figure2_subgraph plus bengal -> cat, which closes cycles; unvalidated."""
-    g = figure2_subgraph()
-    return LabelGraph(g.nodes, g.edges + ((g.id_of("bengal"), g.id_of("cat")),),
-                      g.groups, g.root)
-
-
-def random_dag(rng, max_nodes=12):
-    """Random layered DAG built through build_graph; labels are the leaves."""
-    n_aug = int(rng.integers(1, 5))
-    n_labels = int(rng.integers(1, max(2, max_nodes - n_aug - 1)))
-    aug_names = [f"mid-{i}" for i in range(n_aug)]
-    augmented = []
-    for i, name in enumerate(aug_names):
-        parents = ["root"] + [aug_names[j] for j in range(i) if rng.random() < 0.4]
-        augmented.append((name, parents))
-    labels = [f"leaf-{i}" for i in range(n_labels)]
-    edges = []
-    for name in labels:
-        k = int(rng.integers(1, n_aug + 1))
-        for p in rng.choice(aug_names, size=k, replace=False):
-            edges.append((str(p), name))
-    return build_graph([("ds", labels)], augmented, edges, [])
+from reference import figure2_subgraph, figure2_with_back_edge, random_dag
 
 
 class TestCanonicalName:

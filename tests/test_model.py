@@ -13,7 +13,7 @@ from pathcast.model import (InvalidPath, LabelPathModel, NoCandidates,
                             save_model)
 from pathcast.numerics import CorruptCheckpoint
 
-from test_labelgraph import figure2_subgraph, random_dag
+from reference import figure2_subgraph, path_log_prob, random_dag, sum_all
 
 
 def make_model(graph, seed=0, input_dim=5, embed_dim=6, hidden=8):
@@ -249,14 +249,14 @@ class TestPathLogProb:
         g = chain_graph()
         m = make_model(g, seed=7)
         path = [g.root, g.id_of("a"), g.id_of("x")]
-        lp = m.path_log_prob(np.random.default_rng(0).normal(size=5), path)
+        lp = path_log_prob(m, np.random.default_rng(0).normal(size=5), path)
         assert abs(lp.item()) < 1e-12
 
     def test_figure2_deterministic_path_is_finite_negative(self):
         g = figure2_subgraph()
         m = make_model(g, seed=8)
         path = [g.id_of(n) for n in ("animal", "cat", "shorthair", "british-shorthair")]
-        lp = m.path_log_prob(np.random.default_rng(1).normal(size=5), path).item()
+        lp = path_log_prob(m, np.random.default_rng(1).normal(size=5), path).item()
         assert np.isfinite(lp)
         assert lp < 0.0
         assert 0.0 < np.exp(lp) <= 1.0
@@ -265,9 +265,9 @@ class TestPathLogProb:
         g = figure2_subgraph()
         m = make_model(g)
         with pytest.raises(InvalidPath):
-            m.path_log_prob(np.zeros(5), [g.root, g.id_of("shorthair")])
+            path_log_prob(m, np.zeros(5), [g.root, g.id_of("shorthair")])
         with pytest.raises(InvalidPath):
-            m.path_log_prob(np.zeros(5), [g.id_of("cat"), g.id_of("shorthair")])
+            path_log_prob(m, np.zeros(5), [g.id_of("cat"), g.id_of("shorthair")])
 
     def test_groundtruth_paths_always_finite(self):
         rng = np.random.default_rng(4)
@@ -278,7 +278,7 @@ class TestPathLogProb:
             x = rng.normal(size=5)
             for label in g.label_ids():
                 for p in enumerate_paths(g, label)[:4]:
-                    assert np.isfinite(m.path_log_prob(x, list(p)).item())
+                    assert np.isfinite(path_log_prob(m, x, list(p)).item())
 
     def test_free_running_lane_must_start_at_root(self):
         g = figure2_subgraph()
@@ -336,7 +336,7 @@ class TestSamplePath:
             sp = m.sample_path(x, rng, max_len=6)
             if not sp.tokens:
                 continue
-            lp = m.sampled_path_log_prob(x, sp).item()
+            lp = m.sampled_path_log_prob(x[None, :], [sp]).data[0]
             assert abs(np.exp(lp) - np.prod(sp.step_probs)) < 1e-10
 
     def test_rows_rescoring_matches_single_calls(self):
@@ -355,7 +355,7 @@ class TestSamplePath:
             return {k: v.copy() for k, v in nm.collect_grads(m.params).items()}
 
         rows = m.sampled_path_log_prob(xs, samples)
-        singles = [m.sampled_path_log_prob(x, s) for x, s in zip(xs, samples)]
+        singles = [sum_all(m.sampled_path_log_prob(x[None, :], [s])) for x, s in zip(xs, samples)]
         assert rows.data.shape == (6,)
         np.testing.assert_allclose(rows.data, [s.item() for s in singles], rtol=0, atol=1e-12)
         g_rows = grads_of(nm.weighted_sum(rows, w))
@@ -373,7 +373,7 @@ class TestSamplePath:
                                     step_probs=(1.0, 0.5, 0.5), ended_with_eop=True)
         for sampled in (skips_cat, eop_after_cat):
             with pytest.raises(InvalidPath):
-                m.sampled_path_log_prob(np.zeros(5), sampled)
+                m.sampled_path_log_prob(np.zeros((1, 5)), [sampled])
 
     def test_sampled_paths_are_graph_valid(self):
         rng = np.random.default_rng(8)
@@ -411,7 +411,7 @@ class TestCheckpointRoundTrip:
         m2 = load_model(ckpt)
         np.testing.assert_array_equal(m.encode(x).data, m2.encode(x).data)
         path = [g.id_of(n) for n in ("animal", "cat", "shorthair", "british-shorthair")]
-        assert m.path_log_prob(x, path).item() == m2.path_log_prob(x, path).item()
+        assert path_log_prob(m, x, path).item() == path_log_prob(m2, x, path).item()
 
     def test_sidecar_contents(self, tmp_path):
         import json

@@ -13,74 +13,8 @@ from pathcast.labelgraph import (CycleDetected, GraphNode, LabelGraph, NodeKind,
 from pathcast.pathalg import (NotALabelNode, are_competing, certain_nodes,
                               classify_paths, enumerate_paths)
 
-from test_labelgraph import figure2_subgraph, random_dag
-
-
-def oracle_all_paths(graph, target):
-    """Exhaustive DFS over adjacency only; independent of the library walk."""
-    out = []
-
-    def walk(node, path):
-        if node == target:
-            out.append(tuple(path))
-            return
-        for child in graph.children(node):
-            if child not in path:
-                walk(child, path + [child])
-
-    walk(graph.root, [graph.root])
-    return sorted(out)
-
-
-def oracle_classify(graph, target):
-    """Definition-literal pairwise check over all path pairs."""
-    paths = oracle_all_paths(graph, target)
-    nondet = set()
-    for i, p in enumerate(paths):
-        for j, q in enumerate(paths):
-            if i == j:
-                continue
-            for u in p:
-                for w in q:
-                    if u != w:
-                        gu = graph.group_of(u)
-                        if gu is not None and w in gu.members:
-                            nondet.add(i)
-    det = [p for i, p in enumerate(paths) if i not in nondet]
-    nd = [p for i, p in enumerate(paths) if i in nondet]
-    return det, nd
-
-
-def layered_dag(depth, rng=None, singleton=False):
-    """Width-2 layered DAG with the label ``x`` under its last layer.
-
-    Without ``rng`` both nodes of every layer are children of both nodes of
-    the layer above, and ``x`` of both last ones: 2**depth paths. With
-    ``rng`` every node keeps a random nonempty subset of those parents, and
-    may gain one from two layers up, so that some paths skip a layer (and
-    its group). Groups are one explicit singleton per node, or else implicit
-    siblings; with ``rng`` each layer is made of singletons with probability
-    1/2, which leaves some paths clear of every competing pair.
-    """
-    def some(parents, skip):
-        if rng is None:
-            return list(parents)
-        kept = [p for p in parents if rng.random() < 0.6]
-        kept = kept or [parents[int(rng.integers(len(parents)))]]
-        if skip and rng.random() < 0.5:
-            kept.append(skip[int(rng.integers(len(skip)))])
-        return kept
-
-    layers = [[f"a{k}", f"b{k}"] for k in range(1, depth + 1)]
-    augmented, prev, above = [], ["root"], []
-    for pair in layers:
-        augmented += [(n, some(prev, above)) for n in pair]
-        prev, above = pair, prev
-    edges = [(n, "x") for n in some(prev, above)]
-    alone = [pair for pair in layers
-             if singleton or (rng is not None and rng.random() < 0.5)]
-    groups = [(f"only-{n}", [n]) for pair in alone for n in pair]
-    return build_graph([("d", ["x"])], augmented, edges, groups)
+from reference import (figure2_subgraph, layered_dag, oracle_all_paths, oracle_classify,
+                       random_dag)
 
 
 def cyclic_graph():

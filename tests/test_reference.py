@@ -1,0 +1,115 @@
+"""Seeded differential test: each fast path in pathcast against its oracle in
+``reference.py``. A new fast path adds its case here."""
+
+import numpy as np
+import pytest
+
+from pathcast import numerics as nm
+from pathcast.model import LabelPathModel
+from pathcast.numerics import backward, block_log_prob, gru_step
+from pathcast.trainer import PathBook
+
+import reference as ref
+
+SEEDS = range(8)
+GRU_FIELDS = ("w_re", "w_rf", "b_r", "w_ue", "w_uf", "b_u", "w_ce", "w_cf", "b_c")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_gru_step_matches_composition(seed):
+    rng = np.random.default_rng(seed)
+    d, hdim, m = (int(n) for n in rng.integers(1, 7, size=3))
+    raw = {}
+    nm.GruParams.init(d, hdim, rng, "g", raw)
+    arrays = {k.split(".")[1]: v.data + rng.normal(0, 0.1, v.data.shape)
+              for k, v in raw.items()}  # nonzero biases too
+    e0, f0 = rng.normal(size=(m, d)), rng.normal(size=(m, hdim))
+    upstream = rng.normal(size=(m, hdim))
+
+    def run(step):
+        ts = {k: nm.parameter(arrays[k]) for k in GRU_FIELDS}
+        e, f = nm.parameter(e0), nm.parameter(f0)
+        out = step(nm.GruParams(*[ts[k] for k in GRU_FIELDS]), e, f)
+        backward(ref.sum_all(ref.mul(out, nm.constant(upstream))))
+        return out.data, {**{k: t.grad for k, t in ts.items()}, "e_t": e.grad, "f_prev": f.grad}
+
+    (fused, g_fused), (composed, g_composed) = run(gru_step), run(ref.composed_gru_step)
+    assert fused.tobytes() == composed.tobytes()
+    for name, want in g_composed.items():
+        np.testing.assert_allclose(g_fused[name], want, rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rows_block_log_prob_matches_one_row_oracle(seed):
+    rng = np.random.default_rng(seed)
+    m, v = int(rng.integers(1, 8)), int(rng.integers(1, 13))
+    z0 = rng.normal(0, 3, (m, v))
+    blocks, targets = [], []
+    for i in range(m):
+        if i and rng.random() < 0.25:
+            blocks.append(None)  # an unscored row
+            targets.append(0)
+            continue
+        blk = [int(c) for c in rng.choice(v, size=int(rng.integers(1, v + 1)), replace=False)]
+        blocks.append(blk)
+        targets.append(blk[int(rng.integers(len(blk)))])
+    weights = rng.normal(size=m)
+
+    z_rows, z_one = nm.parameter(z0), nm.parameter(z0)
+    rows = block_log_prob(z_rows, blocks, targets)
+    backward(nm.weighted_sum(rows, weights))
+    terms = []
+    for i, (blk, t) in enumerate(zip(blocks, targets)):
+        if blk is None:
+            assert rows.data[i] == 0.0 and not z_rows.grad[i].any()
+            continue
+        one = ref.block_log_prob_row(ref.take_row(z_one, i), blk, t)
+        assert rows.data[i] == one.item()
+        terms.append(nm.scale(one, weights[i]))
+    backward(nm.add_n(terms))
+    np.testing.assert_allclose(z_rows.grad, z_one.grad, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rows_rescoring_matches_per_path_oracle(seed):
+    rng = np.random.default_rng(seed)
+    g = ref.figure2_subgraph() if seed % 2 == 0 else ref.random_dag(rng)
+    m = LabelPathModel(g, input_dim=5, embed_dim=6, hidden=8, seed=seed)
+    xs = rng.normal(size=(6, 5))
+    # ragged: short budgets truncate some walks before EOP
+    samples = [m.sample_path(x, rng, max_len=2 + i % 4) for i, x in enumerate(xs)]
+    weights = rng.normal(size=len(samples))
+
+    def grads_of(loss):
+        nm.zero_grads(m.params)
+        backward(loss)
+        return {k: v.copy() for k, v in nm.collect_grads(m.params).items()}
+
+    rows = m.sampled_path_log_prob(xs, samples)
+    singles = [ref.path_log_prob(m, x, s.tokens + ((m.eop_token,) if s.ended_with_eop else ()))
+               for x, s in zip(xs, samples)]
+    assert rows.data.shape == (len(samples),)
+    np.testing.assert_allclose(rows.data, [s.item() for s in singles], rtol=0, atol=1e-12)
+    g_rows = grads_of(nm.weighted_sum(rows, weights))
+    g_singles = grads_of(nm.add_n([nm.scale(s, w) for s, w in zip(singles, weights)]))
+    for name, want in g_singles.items():
+        np.testing.assert_allclose(g_rows[name], want, rtol=0, atol=1e-12, err_msg=name)
+
+
+def _split_graphs(rng):
+    yield ref.figure2_subgraph()
+    for _ in range(25):
+        yield ref.random_dag(rng)
+    for singleton in (False, True):
+        for depth in (1, 2, 3, 4, 5):
+            yield ref.layered_dag(depth, singleton=singleton)
+            yield ref.layered_dag(depth, rng, singleton)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_pathbook_split_matches_pairwise_oracle(seed):
+    for g in _split_graphs(np.random.default_rng(seed)):
+        book = PathBook(g)
+        for label in g.label_ids():
+            det, nd = book.split(label)
+            assert (list(det), list(nd)) == ref.oracle_classify(g, label)

@@ -13,9 +13,10 @@ from pathcast.trainer import (Batch, BaselineEstimator, EmptyRewardSet,
                               ScheduleState, TrainConfig, TrainState,
                               build_batch, deterministic_loss,
                               policy_gradient_loss, reward, schedule_update,
-                              train, train_epoch)
+                              train, train_epoch, typed_fields)
 
-from test_labelgraph import figure2_subgraph
+from reference import (figure2_subgraph, finite_difference, max_rel_err, path_log_prob,
+                       sum_all)
 
 
 def bandit_graph():
@@ -164,6 +165,42 @@ class TestTrainConfig:
             TrainConfig.from_dict({**base, "schedule": raw})
 
 
+class TestTypedFields:
+    # epochs is an int field, lr a float field and path_agg a str field
+    @pytest.mark.parametrize("key, value", [
+        ("epochs", 3), ("epochs", -1), ("lr", 0.5), ("lr", 2), ("path_agg", "sum"),
+    ])
+    def test_json_types_are_accepted(self, key, value):
+        got = typed_fields(TrainConfig, {key: value}, (key,), required=True)[key]
+        assert got == value and type(got) is type(getattr(TrainConfig(), key))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("epochs", 1.9, "'epochs' must be an int, not 1.9"),
+        ("epochs", 2.0, "'epochs' must be an int, not 2.0"),
+        ("epochs", "2", "'epochs' must be an int, not '2'"),
+        ("epochs", True, "'epochs' must be an int, not True"),
+        ("epochs", None, "'epochs' must be an int, not None"),
+        ("lr", "0.1", "'lr' must be a float, not '0.1'"),
+        ("lr", False, "'lr' must be a float, not False"),
+        ("lr", [0.1], r"'lr' must be a float, not \[0.1\]"),
+        ("path_agg", 3, "'path_agg' must be a string, not 3"),
+        ("path_agg", None, "'path_agg' must be a string, not None"),
+    ])
+    def test_other_types_are_rejected(self, key, value, message):
+        with pytest.raises(ValueError, match=message):
+            typed_fields(TrainConfig, {key: value}, (key,), required=True)
+
+    def test_every_config_reads_strictly(self):
+        with pytest.raises(ValueError, match="'n' must be an int, not 2.5"):
+            ScheduleConfig.from_dict({"n": 2.5})
+        base = {"batch_size": 32, "max_len": 8, "r_tf": 1.0, "alpha": 1.0, "beta": 1.0,
+                "path_agg": "mean", "n_p": 4, "reward_set": "certain", "lr_e": 0.01,
+                "lr": 0.01, "epochs": 1, "seed": 0}
+        assert TrainConfig.from_dict({**base, "r_tf": 1}).r_tf == 1.0
+        with pytest.raises(ValueError, match="'batch_size' must be an int, not 32.5"):
+            TrainConfig.from_dict({**base, "batch_size": 32.5})
+
+
 class TestDeterministicLoss:
     def test_chain_loss_is_zero(self):
         g = chain_graph()
@@ -189,7 +226,6 @@ class TestDeterministicLoss:
         assert loss.item() == pytest.approx(np.log(2), abs=1e-9)
 
     def test_gradient_matches_finite_differences(self):
-        from test_numerics import finite_difference, max_rel_err
         g = figure2_subgraph()
         m = make_model(g, seed=3, input_dim=4)
         book = PathBook(g)
@@ -225,7 +261,7 @@ class TestDeterministicLoss:
                       labels=(path[-1],))
         loss = deterministic_loss(m, batch, TrainConfig(max_len=8, r_tf=1.0),
                                   np.random.default_rng(0))
-        assert -loss.item() == m.path_log_prob(x, path).item()
+        assert -loss.item() == path_log_prob(m, x, path).item()
 
     def test_padding_steps_do_not_contribute(self):
         # mixing a short and a long path: the short lane stops at its EOP
@@ -417,7 +453,6 @@ class TestPolicyGradientLoss:
         assert baseline.value == pytest.approx(0.1)  # 0.9*0 + 0.1*1.0
 
     def test_gradient_matches_finite_differences(self):
-        from test_numerics import finite_difference, max_rel_err
         g = bandit_graph()
         m = make_model(g, seed=9)
         x = np.random.default_rng(3).normal(size=4)
@@ -429,9 +464,9 @@ class TestPolicyGradientLoss:
             m2 = make_model(g, seed=9)
             for k, t in m2.params.items():
                 t.data = p[k]
-            return nm.scale(m2.sampled_path_log_prob(x, sampled), weight).item()
+            return nm.scale(sum_all(m2.sampled_path_log_prob(x[None, :], [sampled])), weight).item()
 
-        loss = nm.scale(m.sampled_path_log_prob(x, sampled), weight)
+        loss = nm.scale(sum_all(m.sampled_path_log_prob(x[None, :], [sampled])), weight)
         zero_grads(m.params)
         backward(loss)
         grads = collect_grads(m.params)
@@ -475,9 +510,9 @@ class TestPolicyGradientLoss:
             terms, rewards = [], []
             for i in batch.pg_indexes:
                 sampled = m.sample_path(batch.inputs[i], rng, cfg.max_len)
-                r = reward(sampled, book.reward_members(batch.labels[i], cfg.reward_set))
+                r = reward(sampled.tokens, book.reward_members(batch.labels[i], cfg.reward_set))
                 rewards.append(r)
-                logp = m.sampled_path_log_prob(batch.inputs[i], sampled)
+                logp = sum_all(m.sampled_path_log_prob(batch.inputs[i][None, :], [sampled]))
                 terms.append(nm.scale(logp, -(r - b)))
             baseline.update(float(np.mean(rewards)))
             return nm.scale(nm.add_n(terms), 1.0 / len(batch.pg_indexes)), rewards
