@@ -10,15 +10,17 @@ candidates. START and EOP are decoder vocabulary sentinels, never graph nodes.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import numerics as nm
-from .labelgraph import LabelGraph, NodeKind, load_graph
+from .labelgraph import LabelGraph, NodeKind, load_graph, serialize
 from .numerics import CorruptCheckpoint, Tensor
 
 
@@ -139,16 +141,32 @@ class LabelPathModel:
 
     # -- forward passes -------------------------------------------------------
 
-    def encode(self, x: np.ndarray) -> Tensor:
-        """Feature matrix [m, hidden] for inputs [m, input_dim] (or one row)."""
+    def _input_rows(self, x: np.ndarray) -> np.ndarray:
         arr = np.asarray(x, dtype=np.float64)
         if arr.ndim == 1:
             arr = arr[None, :]
         if arr.ndim != 2 or arr.shape[1] != self.input_dim:
             raise nm.ShapeMismatch(f"encode: expected [m,{self.input_dim}], got {arr.shape}")
+        return arr
+
+    def encode(self, x: np.ndarray) -> Tensor:
+        """Feature matrix [m, hidden] for inputs [m, input_dim] (or one row)."""
         p = self.params
-        h = nm.tanh(nm.add_rowvec(nm.matmul(nm.constant(arr), p["enc.w1"]), p["enc.b1"]))
+        h = nm.tanh(nm.add_rowvec(nm.matmul(nm.constant(self._input_rows(x)), p["enc.w1"]),
+                                  p["enc.b1"]))
         return nm.add_rowvec(nm.matmul(h, p["enc.w2"]), p["enc.b2"])
+
+    def encode_values(self, x: np.ndarray) -> np.ndarray:
+        """The values of :meth:`encode` as a plain array, from the same
+        expressions and with no trace. Raises the Tensor finiteness error for
+        a non-finite pre-activation (``tanh`` would saturate it away) or
+        output."""
+        p = self.params
+        pre = self._input_rows(x) @ p["enc.w1"].data + p["enc.b1"].data[None, :]
+        nm.require_finite(pre)
+        f = np.tanh(pre) @ p["enc.w2"].data + p["enc.b2"].data[None, :]
+        nm.require_finite(f)
+        return f
 
     def decode_logits(self, f_state: Tensor, tokens_in: list[int]) -> tuple[Tensor, Tensor]:
         """One batched GRU step: new state [m,h] and logits [m, vocab]."""
@@ -164,10 +182,20 @@ class LabelPathModel:
         probs = nm.block_softmax(z_row[list(toks)], blocks)
         return StepDistribution(tokens=toks, probs=probs, blocks=blocks)
 
-    def step(self, f_prev: Tensor, prev_token: int) -> tuple[StepDistribution, Tensor]:
-        """Single-sample decode step: next-token distribution plus new state."""
-        f_t, z = self.decode_logits(f_prev, [prev_token])
-        return self.distribution(z.data[0], prev_token), f_t
+    def step(self, f_prev: np.ndarray, prev_token: int) -> tuple[StepDistribution, np.ndarray]:
+        """Single-sample decode step on plain arrays: next-token distribution
+        plus the new state [1,h]. The values are those of ``decode_logits``
+        (the GRU runs through the same ``nm.gru_forward``), with no trace.
+        A non-finite embedding row or logit raises the Tensor finiteness
+        error; a non-finite state makes every logit non-finite."""
+        if not 0 <= prev_token < self.vocab_size:  # no wrap-around for a negative id
+            raise nm.IndexOutOfRange(f"step: token {prev_token} outside the vocabulary")
+        e = self.params["emb"].data[[prev_token]]
+        nm.require_finite(e)
+        f_t = nm.gru_forward(self.gru, e, f_prev)[-1]
+        z = f_t @ self.params["out.w"].data + self.params["out.b"].data[None, :]
+        nm.require_finite(z)
+        return self.distribution(z[0], prev_token), f_t
 
     def score_lanes(self, f: Tensor, lanes: Sequence[Sequence[int]], teacher: bool) -> Tensor:
         """Differentiable summed log-probability of each lane's target tokens.
@@ -224,7 +252,7 @@ class LabelPathModel:
         """
         if max_len < 2:
             raise ValueError("max_len must be at least 2")
-        f = self.encode(x)
+        f = self.encode_values(x)
         prev = self.start_token
         tokens: list[int] = []
         probs: list[float] = []
@@ -281,11 +309,17 @@ def greedy_choice(dist: StepDistribution) -> tuple[int, float]:
 # Checkpoints
 # ---------------------------------------------------------------------------
 
+def graph_digest(graph: LabelGraph) -> str:
+    """``hashlib.sha256`` of the canonical graph JSON (``labelgraph.serialize``)."""
+    return hashlib.sha256(serialize(graph).encode("utf-8")).hexdigest()
+
+
 def save_model(path: str, model: LabelPathModel) -> None:
     """Write the PCK1 parameter file plus the ``<path>.json`` sidecar."""
     nm.save_params(path, {k: v.data for k, v in model.params.items()})
     sidecar = {"graph_file": model.graph_file, "input_dim": model.input_dim,
-               "embed_dim": model.embed_dim, "hidden": model.hidden}
+               "embed_dim": model.embed_dim, "hidden": model.hidden,
+               "graph_sha256": graph_digest(model.graph)}
     with open(path + ".json", "w", encoding="utf-8") as f:
         json.dump(sidecar, f, indent=2)
         f.write("\n")
@@ -293,8 +327,10 @@ def save_model(path: str, model: LabelPathModel) -> None:
 
 def read_sidecar(path: str) -> dict:
     """The ``<path>.json`` sidecar. Raises CorruptCheckpoint naming that file
-    when it is not a JSON object with a string ``graph_file`` and positive
-    int ``input_dim``, ``embed_dim`` and ``hidden``."""
+    when it is not a JSON object with a string ``graph_file``, positive int
+    ``input_dim``, ``embed_dim`` and ``hidden``, and a ``graph_sha256`` of 64
+    lowercase hex digits. There is one sidecar format: one without the
+    digest is rejected too."""
     where = path + ".json"
     with open(where, "r", encoding="utf-8") as f:
         try:
@@ -311,11 +347,22 @@ def read_sidecar(path: str) -> dict:
     for key in ("input_dim", "embed_dim", "hidden"):
         if type(side[key]) is not int or side[key] < 1:
             raise CorruptCheckpoint(f"{where}: {key!r} must be a positive int, not {side[key]!r}")
+    if "graph_sha256" not in side:
+        raise CorruptCheckpoint(f"{where}: missing key 'graph_sha256'")
+    digest = side["graph_sha256"]
+    if not isinstance(digest, str) or not re.fullmatch("[0-9a-f]{64}", digest):
+        raise CorruptCheckpoint(f"{where}: 'graph_sha256' must be 64 lowercase hex digits, "
+                                f"not {digest!r}")
     return side
 
 
 def load_model(path: str, graph: LabelGraph | None = None) -> LabelPathModel:
+    """Rebuild a model from ``save_model``'s files. Without ``graph`` the
+    sidecar's ``graph_file`` is loaded, or else a file of the same basename
+    next to the checkpoint. Either way, a graph whose digest differs from the
+    sidecar's ``graph_sha256`` raises CorruptCheckpoint naming the sidecar."""
     side = read_sidecar(path)
+    source = "the given graph"
     if graph is None:
         gpath = side["graph_file"]
         if not os.path.exists(gpath):
@@ -324,6 +371,11 @@ def load_model(path: str, graph: LabelGraph | None = None) -> LabelPathModel:
             if os.path.exists(local):
                 gpath = local
         graph = load_graph(gpath)
+        source = f"graph file {gpath}"
+    digest = graph_digest(graph)
+    if digest != side["graph_sha256"]:
+        raise CorruptCheckpoint(f"{path}.json: {source} has sha256 {digest}, "
+                                f"not the checkpoint's graph_sha256 {side['graph_sha256']}")
     model = LabelPathModel(graph, side["input_dim"], side["embed_dim"],
                            side["hidden"], graph_file=side["graph_file"])
     weights = nm.load_params(path)

@@ -49,8 +49,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False,
                  _parents: tuple = (), _backward: Callable | None = None):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("tensor values must be finite")
+        require_finite(arr)
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
@@ -71,6 +70,13 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+def require_finite(arr: np.ndarray) -> None:
+    """The finiteness invariant of every Tensor, also checked by the plain
+    decode path at the points where a non-finite value could hide."""
+    if not np.isfinite(arr).all():  # the method skips np.all's Python dispatch
+        raise ValueError("tensor values must be finite")
 
 
 def constant(data) -> Tensor:
@@ -144,13 +150,8 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    # each branch evaluated only on its safe domain; no overflow anywhere
-    pos = x >= 0
-    y = np.empty_like(x)
-    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    y[~pos] = ex / (1.0 + ex)
-    return y
+    # branch-free: tanh saturates instead of overflowing, for every input
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def weighted_sum(a: Tensor, w: np.ndarray) -> Tensor:
@@ -395,19 +396,19 @@ class GruParams:
         )
 
 
-def gru_step(params: GruParams, e_t: Tensor, f_prev: Tensor) -> Tensor:
-    """One recurrent update f_t = (1-u) * f_prev + u * c.
+def gru_forward(p: GruParams, e: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Plain-array GRU update on [m,d]/[m,h] matrices: returns the reset gate
+    ``r``, update gate ``u``, ``r*f``, candidate ``c`` and the new state
+    ``f_t = (1-u) * f + u * c``.
 
     r = sigmoid(W_r[e,f] + b_r), u = sigmoid(W_u[e,f] + b_u),
-    c = tanh(W_c[e, r*f] + b_c), over [m,d]/[m,h] matrices. One trace node
-    whose backward is derived by hand for the nine weights, ``e_t`` and
-    ``f_prev``.
+    c = tanh(W_c[e, r*f] + b_c) (Cho et al. 2014). The decode step and the
+    trace node of :func:`gru_step` both compute through here, so their values
+    are equal bit for bit.
     """
-    p = params
-    e, f = e_t.data, f_prev.data
     if (e.ndim != 2 or f.ndim != 2 or e.shape[0] != f.shape[0]
             or e.shape[1] != p.w_re.data.shape[0] or f.shape[1] != p.w_rf.data.shape[0]):
-        raise ShapeMismatch(f"gru_step: e {e.shape}, f_prev {f.shape} for "
+        raise ShapeMismatch(f"gru_forward: e {e.shape}, f {f.shape} for "
                             f"weights {p.w_re.data.shape} / {p.w_rf.data.shape}")
     # Each gate uses the expressions, in the order, of its composition from
     # one engine op per operation (tests/reference.py), so the values equal
@@ -416,8 +417,17 @@ def gru_step(params: GruParams, e_t: Tensor, f_prev: Tensor) -> Tensor:
     u = _stable_sigmoid((e @ p.w_ue.data + f @ p.w_uf.data) + p.b_u.data)
     rf = r * f
     c = np.tanh((e @ p.w_ce.data + rf @ p.w_cf.data) + p.b_c.data)
+    return r, u, rf, c, (1.0 - u) * f + u * c
+
+
+def gru_step(params: GruParams, e_t: Tensor, f_prev: Tensor) -> Tensor:
+    """:func:`gru_forward` as one trace node, whose backward is derived by
+    hand for the nine weights, ``e_t`` and ``f_prev``."""
+    p = params
+    e, f = e_t.data, f_prev.data
+    r, u, rf, c, f_new = gru_forward(p, e, f)
     weights = (p.w_re, p.w_rf, p.b_r, p.w_ue, p.w_uf, p.b_u, p.w_ce, p.w_cf, p.b_c)
-    f_t = Tensor((1.0 - u) * f + u * c, _parents=(e_t, f_prev) + weights)
+    f_t = Tensor(f_new, _parents=(e_t, f_prev) + weights)
 
     def bw(g):
         # pre-activation gradients of the candidate, update and reset gates

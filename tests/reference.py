@@ -1,7 +1,8 @@
 """Reference code that only the tests run.
 
-Composed engine ops and one-row or one-path scorers serve as oracles for the
-fused kernels and the rows forms in ``pathcast``; brute-force path oracles
+Composed engine ops, the masked sigmoid, one-row or one-path scorers and the
+Tensor-built walk serve as oracles for the fused kernels, the rows forms and
+the plain-array decode in ``pathcast``; brute-force path oracles
 check the path algorithms; the graph generators feed all of them. Nothing in
 ``src/`` imports this module. ``tests/test_reference.py`` runs each fast path
 against its oracle.
@@ -11,6 +12,7 @@ import numpy as np
 
 from pathcast import numerics as nm
 from pathcast.labelgraph import LabelGraph, build_graph
+from pathcast.model import NoCandidates, SampledPath
 from pathcast.numerics import Tensor
 
 # ---------------------------------------------------------------------------
@@ -85,6 +87,18 @@ def sigmoid(a: Tensor) -> Tensor:
     return out
 
 
+def masked_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The sigmoid as two masked branches, each evaluated only where its
+    ``exp`` cannot overflow: the oracle of the branch-free
+    ``nm._stable_sigmoid``."""
+    pos = x >= 0
+    y = np.empty_like(x)
+    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    y[~pos] = ex / (1.0 + ex)
+    return y
+
+
 def sum_all(a: Tensor) -> Tensor:
     out = Tensor(a.data.sum(), _parents=(a,))
 
@@ -155,6 +169,30 @@ def path_log_prob(model, x: np.ndarray, path) -> Tensor:
     """Scalar teacher-forced log-probability of one path from one input
     ``x[d]``: the one-path oracle of ``model.sampled_path_log_prob``."""
     return sum_all(model.score_lanes(model.encode(x), [list(path)], teacher=True))
+
+
+def traced_walk(model, x: np.ndarray, max_len: int, choose) -> SampledPath:
+    """The walk built from Tensors: ``encode``, then ``decode_logits`` and
+    ``distribution`` per step. The oracle of ``model.walk`` on plain arrays,
+    with the same stops: EOP, ``max_len`` steps, or a dead end."""
+    if max_len < 2:
+        raise ValueError("max_len must be at least 2")
+    f = model.encode(x)
+    prev = model.start_token
+    tokens, probs = [], []
+    for _ in range(max_len):
+        f, z = model.decode_logits(f, [prev])
+        try:
+            dist = model.distribution(z.data[0], prev)
+        except NoCandidates:
+            break
+        tok, p = choose(dist)
+        probs.append(p)
+        if tok == model.eop_token:
+            return SampledPath(tuple(tokens), tuple(probs), ended_with_eop=True)
+        tokens.append(tok)
+        prev = tok
+    return SampledPath(tuple(tokens), tuple(probs), ended_with_eop=False)
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,7 @@ def test_bandit_convergence():
             nm.zero_grads(model.params)
             backward(loss)
             adam_step(adam, model.params, nm.collect_grads(model.params))
-        dist, _ = model.step(model.encode(np.zeros(4)), g.root)
+        dist, _ = model.step(model.encode(np.zeros(4)).data, g.root)
         p_win = float(dist.probs[dist.tokens.index(g.id_of("a"))])
         wins += p_win >= 0.95
     elapsed = time.time() - t0

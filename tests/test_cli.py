@@ -515,6 +515,19 @@ class TestCorruptSidecar:
             assert "Traceback" not in proc.stderr
             assert proc.stdout == ""
 
+    def test_graph_that_differs_from_the_digest_names_the_sidecar(self, tmp_path):
+        from pathcast.labelgraph import build_graph
+        from pathcast.model import LabelPathModel, save_model
+        gpath = tmp_path / "g.json"
+        ckpt = tmp_path / "m.pck"
+        save_model(str(ckpt), LabelPathModel(figure2_subgraph(), 5, 4, 6, graph_file=str(gpath)))
+        save_graph(str(gpath), build_graph([("d", ["x"])], [("a", ["root"])], [("a", "x")]))
+        proc = run_cli("eval", "--data", "x.jsonl", "--ckpt", str(ckpt), expect=1)
+        assert proc.stderr.startswith(f"pathcast: error: {ckpt}.json: graph file {gpath} "
+                                      f"has sha256 "), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
 
 class TestModelDims:
     def test_defaults_and_ints_are_accepted(self):

@@ -1,16 +1,18 @@
 """Decoder model: candidate masking, step distributions, path scoring and
 free-running sampling."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from pathcast import numerics as nm
-from pathcast.labelgraph import NodeKind
+from pathcast.evaldecode import greedy_decode
+from pathcast.labelgraph import NodeKind, load_graph, save_graph, serialize
 from pathcast.model import (InvalidPath, LabelPathModel, NoCandidates,
-                            SampledPath, greedy_choice, load_model, read_sidecar,
-                            save_model)
+                            SampledPath, graph_digest, greedy_choice, load_model,
+                            read_sidecar, save_model)
 from pathcast.numerics import CorruptCheckpoint
 
 from reference import figure2_subgraph, path_log_prob, random_dag, sum_all
@@ -69,7 +71,7 @@ class TestStep:
     def test_start_forces_root(self):
         g = figure2_subgraph()
         m = make_model(g)
-        f = m.encode(np.zeros(5))
+        f = m.encode(np.zeros(5)).data
         dist, _ = m.step(f, m.start_token)
         assert dist.tokens == (g.root,)
         assert dist.probs[0] == 1.0
@@ -77,7 +79,7 @@ class TestStep:
     def test_cat_has_two_blocks_summing_to_one(self):
         g = figure2_subgraph()
         m = make_model(g, seed=5)
-        f = m.encode(np.random.default_rng(2).normal(size=5))
+        f = m.encode(np.random.default_rng(2).normal(size=5)).data
         dist, _ = m.step(f, g.id_of("cat"))
         names = {g.node(t).name for t in dist.tokens}
         assert names == {"shorthair", "longhair", "solid-color",
@@ -108,7 +110,7 @@ class TestStep:
     def test_label_leaf_offers_eop_only(self):
         g = figure2_subgraph()
         m = make_model(g)
-        f = m.encode(np.zeros(5))
+        f = m.encode(np.zeros(5)).data
         dist, _ = m.step(f, g.id_of("british-shorthair"))
         assert dist.tokens == (m.eop_token,)
         assert dist.probs[0] == 1.0
@@ -118,7 +120,7 @@ class TestStep:
         for _ in range(15):
             g = random_dag(rng)
             m = make_model(g, seed=int(rng.integers(1000)))
-            f = m.encode(rng.normal(size=5))
+            f = m.encode(rng.normal(size=5)).data
             for tok in range(len(g.nodes)):
                 try:
                     dist, _ = m.step(f, tok)
@@ -127,10 +129,18 @@ class TestStep:
                 for t in dist.tokens:
                     assert t == m.eop_token or t in g.children(tok)
 
+    def test_token_outside_the_vocabulary_is_rejected(self):
+        # a negative id must not wrap around to the last embedding row
+        m = make_model(figure2_subgraph())
+        f = m.encode(np.zeros(5)).data
+        for tok in (-1, m.vocab_size):
+            with pytest.raises(nm.IndexOutOfRange):
+                m.step(f, tok)
+
     def test_mass_outside_candidates_is_zero_by_construction(self):
         g = figure2_subgraph()
         m = make_model(g, seed=1)
-        f = m.encode(np.ones(5))
+        f = m.encode(np.ones(5)).data
         dist, _ = m.step(f, g.id_of("cat"))
         assert len(dist.tokens) == len(dist.probs)
         total = sum(dist.probs[list(b)].sum() for b in dist.blocks)
@@ -310,7 +320,7 @@ class TestSamplePath:
         g = figure2_subgraph()
         m = make_model(g, seed=11)
         x = np.random.default_rng(5).normal(size=5)
-        f = m.encode(x)
+        f = m.encode(x).data
         dist, _ = m.step(f, g.id_of("cat"))
         rng = np.random.default_rng(123)
         counts = {t: 0 for t in dist.tokens}
@@ -397,6 +407,35 @@ class TestGreedyChoice:
         assert tok == 3 and p == 0.5
 
 
+NON_FINITE_SITES = ["enc.w1", "enc.b1", "enc.w2", "emb", "gru.w_re", "gru.w_rf", "gru.w_cf",
+                    "gru.b_r", "gru.b_u", "gru.b_c", "out.w", "out.b"]
+
+
+class TestNonFiniteWeights:
+    """Where a non-finite weight is caught by the decode. NaN always is. An
+    infinity is caught in the encoder, the embedding and the output head,
+    but a GRU gate saturates it away (sigmoid or tanh of +-inf is finite),
+    so such a model decodes as usual."""
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("name", NON_FINITE_SITES)
+    def test_outcome(self, name, value):
+        g = figure2_subgraph()
+        m = make_model(g, seed=4)
+        x = np.random.default_rng(6).normal(size=5)
+        # one entry: the START row for the embedding, the first otherwise
+        m.params[name].data[(m.start_token, 0) if name == "emb" else 0] = value
+        decodes = [lambda: greedy_decode(m, x, 6),
+                   lambda: m.sample_path(x, np.random.default_rng(0), 6)]
+        for decode in decodes:
+            if np.isnan(value) or not name.startswith("gru."):
+                with pytest.raises(ValueError, match="tensor values must be finite"):
+                    decode()
+            else:
+                assert decode().step_probs  # decodes, with finite probabilities
+                assert np.isfinite(decode().step_probs).all()
+
+
 class TestCheckpointRoundTrip:
     def test_save_load_preserves_outputs(self, tmp_path):
         g = figure2_subgraph()
@@ -421,8 +460,9 @@ class TestCheckpointRoundTrip:
         ckpt = str(tmp_path / "m.pck")
         save_model(ckpt, m)
         side = json.load(open(ckpt + ".json"))
-        assert set(side) == {"graph_file", "input_dim", "embed_dim", "hidden"}
+        assert set(side) == {"graph_file", "input_dim", "embed_dim", "hidden", "graph_sha256"}
         assert side["input_dim"] == 5
+        assert side["graph_sha256"] == hashlib.sha256(serialize(g).encode("utf-8")).hexdigest()
 
     def test_unexpected_parameter_rejected(self, tmp_path):
         g = chain_graph()
@@ -474,4 +514,73 @@ class TestCorruptSidecar:
         m = make_model(chain_graph())
         m.graph_file = "graph.json"
         save_model(ckpt, m)
-        assert read_sidecar(ckpt) == SIDECAR
+        assert read_sidecar(ckpt) == {**SIDECAR, "graph_sha256": graph_digest(m.graph)}
+
+    @pytest.mark.parametrize("digest, message", [
+        (None, "missing key 'graph_sha256'"),
+        (7, "'graph_sha256' must be 64 lowercase hex digits, not 7"),
+        ("ab" * 31, "'graph_sha256' must be 64 lowercase hex digits"),
+        ("AB" * 32, "'graph_sha256' must be 64 lowercase hex digits"),
+        ("ag" * 32, "'graph_sha256' must be 64 lowercase hex digits"),
+    ])
+    def test_digest_must_be_a_sha256_hex_string(self, tmp_path, digest, message):
+        # one sidecar format: a sidecar without the digest is rejected as well
+        g = chain_graph()
+        ckpt = str(tmp_path / "m.pck")
+        save_model(ckpt, make_model(g))
+        side = {**SIDECAR, "graph_sha256": digest}
+        if digest is None:
+            del side["graph_sha256"]
+        with open(ckpt + ".json", "w") as f:
+            json.dump(side, f)
+        for read in (read_sidecar, lambda path: load_model(path, g)):
+            with pytest.raises(CorruptCheckpoint) as err:
+                read(ckpt)
+            assert str(err.value).startswith(f"{ckpt}.json: {message}")
+
+
+class TestGraphDigest:
+    def _saved(self, tmp_path, graph_file):
+        m = make_model(figure2_subgraph(), seed=2)
+        m.graph_file = graph_file
+        ckpt = str(tmp_path / "m.pck")
+        save_model(ckpt, m)
+        return m, ckpt
+
+    def test_digest_is_of_the_canonical_graph_json(self, tmp_path):
+        g = figure2_subgraph()
+        gpath = str(tmp_path / "graph.json")
+        save_graph(gpath, g)
+        with open(gpath, "rb") as f:
+            assert graph_digest(g) == hashlib.sha256(f.read()).hexdigest()
+        assert graph_digest(load_graph(gpath)) == graph_digest(g)
+        assert graph_digest(chain_graph()) != graph_digest(g)
+
+    def test_given_graph_that_differs_is_rejected(self, tmp_path):
+        _, ckpt = self._saved(tmp_path, "graph.json")
+        with pytest.raises(CorruptCheckpoint) as err:
+            load_model(ckpt, chain_graph())
+        assert str(err.value).startswith(f"{ckpt}.json: the given graph has sha256 "
+                                          f"{graph_digest(chain_graph())}")
+
+    def test_graph_file_that_changed_is_rejected(self, tmp_path):
+        gpath = str(tmp_path / "graph.json")
+        m, ckpt = self._saved(tmp_path, gpath)
+        save_graph(gpath, m.graph)
+        assert load_model(ckpt).graph.nodes == m.graph.nodes
+        save_graph(gpath, chain_graph())
+        with pytest.raises(CorruptCheckpoint) as err:
+            load_model(ckpt)
+        assert str(err.value).startswith(f"{ckpt}.json: graph file {gpath} has sha256")
+
+    def test_graph_found_by_basename_is_checked_too(self, tmp_path):
+        # the recorded path is gone; the file of that name next to the
+        # checkpoint is used only when its digest matches
+        m, ckpt = self._saved(tmp_path, str(tmp_path / "moved" / "graph.json"))
+        local = str(tmp_path / "graph.json")
+        save_graph(local, m.graph)
+        assert load_model(ckpt).graph.edges == m.graph.edges
+        save_graph(local, chain_graph())
+        with pytest.raises(CorruptCheckpoint) as err:
+            load_model(ckpt)
+        assert str(err.value).startswith(f"{ckpt}.json: graph file {local} has sha256")

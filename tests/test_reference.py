@@ -1,12 +1,15 @@
 """Seeded differential test: each fast path in pathcast against its oracle in
 ``reference.py``. A new fast path adds its case here."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from pathcast import numerics as nm
-from pathcast.model import LabelPathModel
-from pathcast.numerics import backward, block_log_prob, gru_step
+from pathcast.evaldecode import greedy_decode
+from pathcast.model import LabelPathModel, _sample_cross_block, greedy_choice
+from pathcast.numerics import backward, block_log_prob, gru_forward, gru_step
 from pathcast.trainer import PathBook
 
 import reference as ref
@@ -37,6 +40,78 @@ def test_gru_step_matches_composition(seed):
     assert fused.tobytes() == composed.tobytes()
     for name, want in g_composed.items():
         np.testing.assert_allclose(g_fused[name], want, rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_gru_forward_is_the_trace_node_value(seed):
+    rng = np.random.default_rng(seed)
+    d, hdim, m = (int(n) for n in rng.integers(1, 7, size=3))
+    raw = {}
+    p = nm.GruParams.init(d, hdim, rng, "g", raw)
+    for t in raw.values():
+        t.data = t.data + rng.normal(0, 0.5, t.data.shape)
+    e, f = rng.normal(size=(m, d)), rng.normal(size=(m, hdim))
+    traced = gru_step(p, nm.constant(e), nm.constant(f))
+    assert gru_forward(p, e, f)[-1].tobytes() == traced.data.tobytes()
+
+
+def test_branch_free_sigmoid_matches_masked_oracle():
+    rng = np.random.default_rng(0)
+    extremes = [0.0, 37.0, -37.0, 745.0, -745.0, 1000.0, -1000.0, np.inf, -np.inf]
+    x = np.concatenate([rng.normal(0, s, 200_000) for s in (1, 5, 40, 400)] + [extremes])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or invalid-value warning
+        got = nm._stable_sigmoid(x)
+    want = ref.masked_sigmoid(x)
+    assert np.abs(got - want).max() <= 2.0 ** -52
+    assert got[-2:].tolist() == [1.0, 0.0]
+
+
+def _decode_graphs(rng):
+    yield ref.figure2_subgraph()
+    for _ in range(5):
+        yield ref.random_dag(rng)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_plain_walk_matches_traced_walk(seed):
+    rng = np.random.default_rng(seed)
+    for g in _decode_graphs(rng):
+        m = LabelPathModel(g, input_dim=5, embed_dim=6, hidden=8, seed=int(rng.integers(1000)))
+        for t in m.params.values():  # nonzero biases, sharper distributions
+            t.data = t.data + rng.normal(0, 0.5, t.data.shape)
+        for x in rng.normal(size=(4, 5)):
+            max_len = int(rng.integers(2, 7))
+            want = ref.traced_walk(m, x, max_len, greedy_choice)
+            got = greedy_decode(m, x, max_len)
+            assert (got.path, got.step_probs) == (want.tokens, want.step_probs)
+            assert got.terminated_by == ("eop" if want.ended_with_eop else "max_len")
+            draw_seed = int(rng.integers(2**32))
+            draws = np.random.default_rng(draw_seed)
+            want = ref.traced_walk(m, x, max_len, lambda dist: _sample_cross_block(dist, draws))
+            got = m.sample_path(x, np.random.default_rng(draw_seed), max_len)
+            assert got == want
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_plain_encoding_and_logits_are_the_traced_values(seed):
+    rng = np.random.default_rng(seed)
+    g = ref.figure2_subgraph() if seed % 2 == 0 else ref.random_dag(rng)
+    m = LabelPathModel(g, input_dim=5, embed_dim=6, hidden=8, seed=seed)
+    for t in m.params.values():
+        t.data = t.data + rng.normal(0, 0.5, t.data.shape)
+    xs = rng.normal(size=(3, 5))
+    assert m.encode_values(xs).tobytes() == m.encode(xs).data.tobytes()
+    seen = []
+    m.distribution = lambda z_row, prev: (seen.append(z_row.copy()),
+                                          LabelPathModel.distribution(m, z_row, prev))[1]
+    f = m.encode_values(xs[:1])
+    for prev in (m.start_token, *m.candidates(g.root).tokens[:1], g.root):
+        _, f_plain = m.step(f, prev)
+        f_traced, z = m.decode_logits(nm.constant(f), [prev])
+        assert seen.pop().tobytes() == z.data[0].tobytes()
+        assert f_plain.tobytes() == f_traced.data.tobytes()
+        f = f_plain
 
 
 @pytest.mark.parametrize("seed", SEEDS)

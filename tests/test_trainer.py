@@ -572,7 +572,7 @@ class TestBandit:
                 zero_grads(m.params)
                 backward(loss)
                 adam_step(adam, m.params, collect_grads(m.params))
-            f = m.encode(x)
+            f = m.encode(x).data
             dist, _ = m.step(f, g.root)
             p_win = dist.probs[dist.tokens.index(g.id_of("a"))]
             wins += p_win >= 0.95
