@@ -6,10 +6,15 @@ the same label carries a different member of the same competing group: the
 annotation alone cannot tell which branch the instance took. Everything here
 is a pure function over an immutable graph; results may be cached freely.
 
-On DAGs with cross-links the number of paths grows exponentially with depth.
-Only :func:`all_paths_to` and the split, which return the paths themselves,
-enumerate them; the split is then linear in their total length. The certain
-set, the nondeterministic groups and the union of all paths come from
+On DAGs with cross-links the number of paths grows exponentially with depth,
+so no function here builds them unless asked to. :func:`all_paths_to`
+returns a counted :class:`Paths` sequence: one backward path count over the
+target's ancestor sub-DAG, from which any path is unranked in time linear in
+its length times the out-degree, and iteration builds each path in turn.
+The split counts the paths that touch each competing group, so it is
+polynomial too; only :func:`enumerate_paths` and :func:`classify_paths`,
+the public forms that serve as oracles, build every path. The certain set,
+the nondeterministic groups and the union of all paths come from
 :func:`_path_counts`, which is linear in the size of the label's ancestor
 sub-DAG: it takes that sub-DAG with ``labelgraph._closure`` and orders it
 with ``labelgraph._topo_order``, the two graph walks of the package.
@@ -17,8 +22,8 @@ with ``labelgraph._topo_order``, the two graph walks of the package.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import islice
 
 from .labelgraph import LabelGraph, NodeKind, _closure, _topo_order
 
@@ -51,44 +56,126 @@ def _require_label(graph: LabelGraph, node_id: int) -> None:
         raise NotALabelNode(f"node {graph.node(node_id).name!r} is not a label node")
 
 
-def all_paths_to(graph: LabelGraph, target: int) -> list[tuple[int, ...]]:
-    """Exhaustive simple root-to-target paths, lexicographic by id sequence.
+class Paths:
+    """Simple root-to-target paths of a DAG, counted, and built only when
+    indexed or iterated, in lexicographic order of their id sequences.
 
-    Plain DFS without memoisation. Its output can be exponential in the
-    graph's depth, so only callers that want the paths themselves use it;
-    questions about the set of paths go through :func:`_path_counts`. Works
-    for any non-root target node; the public :func:`enumerate_paths`
-    restricts it to label nodes.
+    ``counts[v]`` is the number of paths from v to the target in the set's
+    sub-DAG; nodes with no such path are left out. With ``through``, only the
+    paths that meet one of its nodes belong to the set, and ``around[v]``
+    counts the v-to-target paths that meet none of them. ``total`` is the
+    exact size, which ``len`` also gives while it fits a machine word.
+    Indexing unranks one path by walking the children in id order and
+    subtracting each child's count, and keeps the path; iteration is a DFS
+    in child-id order, pruned to children with a nonzero count. Both are
+    loops, so the depth of the graph is not bounded by Python's recursion
+    limit.
     """
-    root = graph.root
-    out: list[tuple[int, ...]] = []
-    if target == root:
-        return [(root,)]
-    path = [root]
-    on_path = {root}
 
-    def dfs(node: int) -> None:
-        for child in graph.children(node):  # children are sorted by id
-            if child in on_path:
-                continue
-            if child == target:
-                out.append(tuple(path) + (child,))
-                continue
-            path.append(child)
-            on_path.add(child)
-            dfs(child)
-            path.pop()
-            on_path.remove(child)
+    def __init__(self, graph: LabelGraph, target: int, counts: dict[int, int],
+                 through: frozenset[int] = frozenset(), around: dict[int, int] | None = None):
+        self.graph, self.target = graph, target
+        self._counts, self._through, self._around = counts, through, around or {}
+        self._built: dict[int, tuple[int, ...]] = {}
+        self.total, _ = self._left(graph.root, False)
 
-    dfs(root)
-    out.sort()
-    return out
+    def _left(self, node: int, met: bool) -> tuple[int, bool]:
+        """Paths of the set that go on from ``node``, reached by a prefix that
+        ``met`` the ``through`` nodes or not; and whether the prefix up to
+        ``node`` has met them."""
+        met = met or node in self._through
+        return self._counts.get(node, 0) - (0 if met else self._around.get(node, 0)), met
+
+    def _branches(self, node: int, met: bool):
+        """(child, paths of the set that go on through it, met) per child of
+        ``node`` that some of them go on through, in id order."""
+        for child in self.graph.children(node):  # children are sorted by id
+            n, child_met = self._left(child, met)
+            if n:
+                yield child, n, child_met
+
+    def __len__(self) -> int:
+        return self.total
+
+    def __bool__(self) -> bool:
+        return self.total > 0
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        root = self.graph.root
+        if not self.total:
+            return
+        if root == self.target:
+            yield (root,)
+            return
+        path, todo = [root], [self._branches(root, root in self._through)]
+        while todo:
+            step = next(todo[-1], None)
+            if step is None:
+                todo.pop()
+                path.pop()
+                continue
+            child, _, met = step
+            if child == self.target:
+                yield (*path, child)
+            else:
+                path.append(child)
+                todo.append(self._branches(child, met))
+
+    def __getitem__(self, key: int | slice):
+        """The path of rank ``key``, or a list of the paths a slice picks."""
+        ranks = range(self.total)[key]  # IndexError past either end
+        if isinstance(key, slice):
+            return [self._path(k) for k in ranks]
+        return self._path(ranks)
+
+    def _path(self, k: int) -> tuple[int, ...]:
+        # Training indexes the same few paths of a label in every batch.
+        if k not in self._built:
+            self._built[k] = self._unrank(k)
+        return self._built[k]
+
+    def _unrank(self, k: int) -> tuple[int, ...]:
+        node = self.graph.root
+        met = node in self._through
+        path = [node]
+        while node != self.target:
+            for child, n, child_met in self._branches(node, met):
+                if k < n:
+                    break
+                k -= n
+            node, met = child, child_met
+            path.append(node)
+        return tuple(path)
+
+
+def _counts_to(graph: LabelGraph, target: int, order: list[int]) -> dict[int, int]:
+    """Paths from each node of ``order``, a topological order, to ``target``
+    over the edges among those nodes; nodes with none are left out."""
+    counts: dict[int, int] = {}
+    for v in reversed(order):
+        n = 1 if v == target else sum(counts.get(c, 0) for c in graph.children(v))
+        if n:
+            counts[v] = n
+    return counts
+
+
+def all_paths_to(graph: LabelGraph, target: int, avoid: frozenset[int] = frozenset()) -> Paths:
+    """Simple root-to-target paths that meet no node of ``avoid``, counted.
+
+    One backward count over the target's ancestor sub-DAG minus ``avoid``;
+    no path is built until the result is indexed or iterated. Works for any
+    target node; the public :func:`enumerate_paths` restricts it to label
+    nodes. Raises CycleDetected when the target's ancestors contain a cycle,
+    which only an unvalidated graph can have.
+    """
+    up = _closure(graph, target, up=True) - avoid
+    return Paths(graph, target, _counts_to(graph, target, _topo_order(graph, up)))
 
 
 def enumerate_paths(graph: LabelGraph, label: int) -> list[tuple[int, ...]]:
-    """All simple root-to-label prediction paths for a label node."""
+    """All simple root-to-label prediction paths for a label node, built."""
     _require_label(graph, label)
-    return all_paths_to(graph, label)
+    return list(all_paths_to(graph, label))
 
 
 def are_competing(graph: LabelGraph, u: int, w: int) -> bool:
@@ -118,10 +205,7 @@ def _path_counts(graph: LabelGraph, target: int
     for v in _topo_order(graph, up):
         fwd[v] = 1 if v == root else sum(fwd[p] for p in graph.parents(v))
     order = [v for v in fwd if fwd[v]]  # drops ancestors the root cannot reach
-    bwd = {target: 1}
-    for v in reversed(order[:-1]):
-        bwd[v] = sum(bwd.get(c, 0) for c in graph.children(v))
-    return order, fwd, bwd
+    return order, fwd, _counts_to(graph, target, order)
 
 
 def _competing_groups(graph: LabelGraph, nodes) -> dict[str, set[int]]:
@@ -134,21 +218,24 @@ def _competing_groups(graph: LabelGraph, nodes) -> dict[str, set[int]]:
     return {name: members for name, members in seen.items() if len(members) >= 2}
 
 
-def _split_paths(graph: LabelGraph, target: int) -> PathSet:
-    paths = all_paths_to(graph, target)
-    sets = [frozenset(p) for p in paths]
-    # A group taints the label when two of its members lie on its paths and
-    # two paths touch it; a path is nondeterministic iff it touches a
-    # tainted group. One path holding two members of an otherwise untouched
-    # group stays deterministic: the pairwise definition needs another path.
-    tainted: set[int] = set()
-    for members in _competing_groups(graph, frozenset().union(*sets)).values():
-        touching = (s for s in sets if not s.isdisjoint(members))
-        if len(list(islice(touching, 2))) == 2:
+def _split_paths(graph: LabelGraph, target: int) -> tuple[Paths, Paths]:
+    """The label's deterministic and nondeterministic paths, counted.
+
+    A group taints the label when two of its members lie on its paths and
+    two paths touch it; a path is nondeterministic iff it touches a tainted
+    group. One path holding two members of an otherwise untouched group
+    stays deterministic: the pairwise definition needs another path. The
+    paths that touch a group are all paths minus those that avoid its
+    members, so each test is one count.
+    """
+    order, _, counts = _path_counts(graph, target)
+    total = counts.get(graph.root, 0)
+    tainted: frozenset[int] = frozenset()
+    for members in _competing_groups(graph, order).values():
+        if total - all_paths_to(graph, target, frozenset(members)).total >= 2:
             tainted |= members
-    det = tuple(p for p, s in zip(paths, sets) if s.isdisjoint(tainted))
-    ndet = tuple(p for p, s in zip(paths, sets) if not s.isdisjoint(tainted))
-    return PathSet(label=target, deterministic=det, nondeterministic=ndet)
+    det = all_paths_to(graph, target, tainted)
+    return det, Paths(graph, target, counts, tainted, det._counts)
 
 
 def classify_paths(graph: LabelGraph, label: int) -> PathSet:
@@ -160,7 +247,8 @@ def classify_paths(graph: LabelGraph, label: int) -> PathSet:
     their enumeration order.
     """
     _require_label(graph, label)
-    return _split_paths(graph, label)
+    det, nd = _split_paths(graph, label)
+    return PathSet(label=label, deterministic=tuple(det), nondeterministic=tuple(nd))
 
 
 def _certain_members(graph: LabelGraph, target: int) -> frozenset[int]:

@@ -22,7 +22,7 @@ from . import numerics as nm
 from .labelgraph import LabelGraph
 from .model import LabelPathModel
 from .numerics import AdamState, Tensor, adam_step
-from .pathalg import _certain_members, _split_paths
+from .pathalg import Paths, _certain_members, _split_paths
 
 
 class EmptyRewardSet(ValueError):
@@ -151,16 +151,17 @@ class PathBook:
 
     def __init__(self, graph: LabelGraph):
         self.graph = graph
-        self._split: dict[int, tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]] = {}
+        self._split: dict[int, tuple[Paths, Paths]] = {}
         self._certain: dict[int, frozenset[int]] = {}
 
-    def split(self, node: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    def split(self, node: int) -> tuple[Paths, Paths]:
+        """The node's deterministic and nondeterministic paths, counted; a
+        path is built only when it is indexed or iterated."""
         if node not in self._split:
-            ps = _split_paths(self.graph, node)
-            self._split[node] = (ps.deterministic, ps.nondeterministic)
+            self._split[node] = _split_paths(self.graph, node)
         return self._split[node]
 
-    def deterministic_paths(self, node: int) -> tuple[tuple[int, ...], ...]:
+    def deterministic_paths(self, node: int) -> Paths:
         return self.split(node)[0]
 
     def reward_members(self, node: int, reward_set: str) -> frozenset[int]:
@@ -346,7 +347,7 @@ def build_batch(samples: Sequence[LabeledSample], cfg: TrainConfig,
         elif cfg.path_agg == "random":
             target_paths.append([det[int(rng.integers(len(det)))]])
         else:
-            target_paths.append(list(det[:cfg.n_p]))
+            target_paths.append(det[:cfg.n_p])
     return Batch(inputs=inputs, target_paths=target_paths,
                  pg_indexes=tuple(pg), labels=labels)
 

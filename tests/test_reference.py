@@ -1,6 +1,7 @@
 """Seeded differential test: each fast path in pathcast against its oracle in
 ``reference.py``. A new fast path adds its case here."""
 
+import time
 import warnings
 
 import numpy as np
@@ -10,7 +11,9 @@ from pathcast import numerics as nm
 from pathcast.evaldecode import greedy_decode
 from pathcast.model import LabelPathModel, _sample_cross_block, greedy_choice
 from pathcast.numerics import backward, block_log_prob, gru_forward, gru_step
-from pathcast.trainer import PathBook
+from pathcast.labelgraph import build_graph
+from pathcast.pathalg import all_paths_to, classify_paths, enumerate_paths
+from pathcast.trainer import LabeledSample, PathBook, TrainConfig, build_batch
 
 import reference as ref
 
@@ -188,3 +191,97 @@ def test_pathbook_split_matches_pairwise_oracle(seed):
         for label in g.label_ids():
             det, nd = book.split(label)
             assert (list(det), list(nd)) == ref.oracle_classify(g, label)
+
+
+def _assert_counted(paths, want):
+    """A counted path set against the oracle's list: its length, every index,
+    negative ones too, slices with steps, iteration order, and IndexError
+    just past either end."""
+    n = len(want)
+    assert (len(paths), bool(paths)) == (n, bool(want))
+    assert [paths[k] for k in range(-n, n)] == want + want
+    for cut in (slice(None), slice(1, None), slice(None, 3), slice(None, None, 2),
+                slice(1, -1, 3), slice(None, None, -1), slice(-2, None, -2)):
+        assert paths[cut] == want[cut], cut
+    assert list(paths) == want
+    for k in (n, -n - 1):
+        with pytest.raises(IndexError):
+            paths[k]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_counted_paths_match_oracle(seed):
+    """``all_paths_to``, with and without ``avoid``, and both halves of the
+    split against the enumerating oracles."""
+    rng = np.random.default_rng(seed)
+    for g in _split_graphs(rng):
+        book = PathBook(g)
+        for label in g.label_ids():
+            want = ref.oracle_all_paths(g, label)
+            _assert_counted(all_paths_to(g, label), want)
+            on_paths = sorted({v for p in want for v in p} - {g.root, label})
+            for _ in range(3):
+                avoid = frozenset(v for v in on_paths if rng.random() < 0.3)
+                _assert_counted(all_paths_to(g, label, avoid),
+                                [p for p in want if avoid.isdisjoint(p)])
+            for half, want_half in zip(book.split(label), ref.oracle_classify(g, label)):
+                _assert_counted(half, want_half)
+
+
+def _layered_path(g, rank, depth):
+    """Closed form of the path of ``rank`` in ``ref.layered_dag(depth)``: bit
+    ``depth - k`` of the rank picks the larger id of layer k."""
+    pairs = [sorted(g.id_of(n) for n in (f"a{k}", f"b{k}")) for k in range(1, depth + 1)]
+    return (g.root, *(pair[(rank >> (depth - k)) & 1] for k, pair in enumerate(pairs, 1)),
+            g.id_of("x"))
+
+
+@pytest.mark.parametrize("singleton", (False, True))
+def test_million_path_split_in_polynomial_time(singleton):
+    depth, n_p = 20, 4
+    g = ref.layered_dag(depth, singleton=singleton)
+    t0 = time.perf_counter()
+    det, nd = PathBook(g).split(g.id_of("x"))
+    counts, firsts = (len(det), len(nd)), (det[:n_p], nd[:n_p])
+    elapsed = time.perf_counter() - t0
+    assert counts == ((2 ** depth, 0) if singleton else (0, 2 ** depth))
+    some = [_layered_path(g, k, depth) for k in range(n_p)]
+    assert firsts == ((some, []) if singleton else ([], some))
+    assert elapsed < 1.0
+    ranks = (2 ** depth - 1, 2 ** 19 + 12345, 777)
+    assert [(det or nd)[k] for k in ranks] == [_layered_path(g, k, depth) for k in ranks]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_random_path_agg_draws_the_oracle_paths(seed):
+    for g in _split_graphs(np.random.default_rng(seed)):
+        labels = [lb for lb in g.label_ids() if ref.oracle_classify(g, lb)[0]]
+        samples = [LabeledSample(np.zeros(3), lb) for lb in labels * 3]
+        if not samples:
+            continue
+        cfg = TrainConfig(path_agg="random")
+        batch = build_batch(samples, cfg, PathBook(g), np.random.default_rng(seed))
+        draws = np.random.default_rng(seed)
+        want = []
+        for s in samples:
+            det = [tuple(p) for p in ref.oracle_classify(g, s.label)[0]]
+            want.append([det[int(draws.integers(len(det)))]])
+        assert batch.target_paths == want
+
+
+def test_deep_chain_splits_without_recursion():
+    """root -> {a, b} -> n1 -> ... -> n5000 -> x: two paths, each 5,003 nodes
+    long, deeper than Python's recursion limit."""
+    depth = 5000
+    chain = [(f"n{k}", [f"n{k - 1}"]) for k in range(2, depth + 1)]
+    g = build_graph([("d", ["x"])], [("a", ["root"]), ("b", ["root"]), ("n1", ["a", "b"])]
+                    + chain, [(f"n{depth}", "x")], [("only-a", ["a"]), ("only-b", ["b"])])
+    x = g.id_of("x")
+    middle = tuple(g.id_of(f"n{k}") for k in range(1, depth + 1))
+    want = [(g.root, g.id_of(first), *middle, x) for first in ("a", "b")]
+    det, nd = PathBook(g).split(x)
+    assert (len(det), len(nd)) == (2, 0)
+    assert [det[0], det[1], det[-1]] == want + want[1:]
+    assert det[::-1] == want[::-1] and list(det) == want
+    assert enumerate_paths(g, x) == want
+    assert classify_paths(g, x).deterministic == tuple(want)
