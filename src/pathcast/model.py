@@ -34,11 +34,14 @@ class NoCandidates(RuntimeError):
 
 class Candidates(NamedTuple):
     """Candidates after one token: ``tokens`` ascend, ``blocks`` hold index
-    positions into them, ``block_of`` maps each to its block as token ids."""
+    positions into them, ``block_of`` maps each to its block as token ids,
+    and ``segments`` is the checked segment form of the blocks over the
+    token ids, which the decode step's block softmax runs on."""
 
     tokens: tuple[int, ...]
     blocks: tuple[tuple[int, ...], ...]
     block_of: dict[int, tuple[int, ...]]
+    segments: nm.Segments
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,8 @@ class LabelPathModel:
     The candidate table is built with the model: per token, the graph
     children partitioned into their groups restricted to the candidate set,
     singleton blocks for ungrouped children, and an EOP singleton when the
-    token is a label node.
+    token is a label node. Each entry's partition is checked and compiled to
+    segment form there, once, so no decode step validates it again.
     """
 
     def __init__(self, graph: LabelGraph, input_dim: int, embed_dim: int,
@@ -114,7 +118,7 @@ class LabelPathModel:
 
     def _candidate_table(self) -> dict[int, Candidates]:
         root, eop = self.graph.root, self.eop_token
-        table = {self.start_token: Candidates((root,), ((0,),), {root: (root,)})}
+        parts = {self.start_token: ((root,), ((0,),))}
         for node in self.graph.nodes:
             toks = self.graph.children(node.id)
             if node.kind is NodeKind.LABEL:
@@ -124,10 +128,11 @@ class LabelPathModel:
                 g = self.graph.group_of(t)
                 groups.setdefault(t if g is None else g, []).append(i)
             if groups:
-                blocks = tuple(map(tuple, groups.values()))
-                block_of = {toks[i]: tuple(toks[j] for j in b) for b in blocks for i in b}
-                table[node.id] = Candidates(toks, blocks, block_of)
-        return table
+                parts[node.id] = (toks, tuple(map(tuple, groups.values())))
+        return {prev: Candidates(toks, blocks,
+                                 {toks[i]: tuple(toks[j] for j in b) for b in blocks for i in b},
+                                 nm.compile_blocks(blocks, toks))
+                for prev, (toks, blocks) in parts.items()}
 
     def candidates(self, prev_token: int) -> Candidates:
         """Candidate tokens and their blocks after ``prev_token``."""
@@ -178,9 +183,9 @@ class LabelPathModel:
     def distribution(self, z_row: np.ndarray, prev_token: int) -> StepDistribution:
         """Block-softmax distribution over the candidates after ``prev_token``,
         taken from one row of vocabulary logits."""
-        toks, blocks, _ = self.candidates(prev_token)
-        probs = nm.block_softmax(z_row[list(toks)], blocks)
-        return StepDistribution(tokens=toks, probs=probs, blocks=blocks)
+        cands = self.candidates(prev_token)
+        probs = nm.block_softmax(z_row, cands.segments)
+        return StepDistribution(tokens=cands.tokens, probs=probs, blocks=cands.blocks)
 
     def step(self, f_prev: np.ndarray, prev_token: int) -> tuple[StepDistribution, np.ndarray]:
         """Single-sample decode step on plain arrays: next-token distribution
@@ -190,7 +195,7 @@ class LabelPathModel:
         error; a non-finite state makes every logit non-finite."""
         if not 0 <= prev_token < self.vocab_size:  # no wrap-around for a negative id
             raise nm.IndexOutOfRange(f"step: token {prev_token} outside the vocabulary")
-        e = self.params["emb"].data[[prev_token]]
+        e = self.params["emb"].data[prev_token:prev_token + 1]
         nm.require_finite(e)
         f_t = nm.gru_forward(self.gru, e, f_prev)[-1]
         z = f_t @ self.params["out.w"].data + self.params["out.b"].data[None, :]
@@ -289,10 +294,20 @@ class LabelPathModel:
 
 
 def _sample_cross_block(dist: StepDistribution, rng: np.random.Generator) -> tuple[int, float]:
+    """One draw per block, in block order, by inverse CDF on one
+    ``rng.random()``: the arithmetic of ``rng.choice(len(blk), p=p / p.sum())``,
+    so the picks and the generator state are that call's. The drawn member
+    with the highest probability wins, ties to the lowest token id."""
     best_tok, best_p = None, -1.0
     for blk in dist.blocks:
-        p = dist.probs[list(blk)]
-        pick = blk[int(rng.choice(len(blk), p=p / p.sum()))]
+        u = rng.random()
+        if len(blk) == 1:
+            pick = blk[0]  # its CDF is [1.0] and u < 1
+        else:
+            p = dist.probs[list(blk)]
+            cdf = (p / p.sum()).cumsum()
+            cdf /= cdf[-1]
+            pick = blk[int(cdf.searchsorted(u, side="right"))]
         tok, prob = dist.tokens[pick], float(dist.probs[pick])
         if prob > best_p or (prob == best_p and tok < best_tok):
             best_tok, best_p = tok, prob
@@ -301,7 +316,7 @@ def _sample_cross_block(dist: StepDistribution, rng: np.random.Generator) -> tup
 
 def greedy_choice(dist: StepDistribution) -> tuple[int, float]:
     """Global argmax across every candidate block; ties to lowest token id."""
-    i = int(np.argmax(dist.probs))  # tokens ascend, argmax takes the first max
+    i = int(dist.probs.argmax())  # tokens ascend, argmax takes the first max
     return dist.tokens[i], float(dist.probs[i])
 
 

@@ -332,6 +332,20 @@ def _batch_rng(seed: int, epoch: int, batch_idx: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(epoch, batch_idx)))
 
 
+def _uniform_rank(n: int, rng: np.random.Generator) -> int:
+    """A uniform draw from ``range(n)``: ``rng.integers(n)`` while ``n`` fits
+    its int64 bound, else rejection sampling over whole 64-bit words, cut
+    to the bit length of ``n - 1``."""
+    if n <= 2 ** 63:
+        return int(rng.integers(n))
+    bits = (n - 1).bit_length()
+    words = -(-bits // 64)
+    while True:
+        k = int.from_bytes(rng.bytes(8 * words), "little") >> (64 * words - bits)
+        if k < n:
+            return k
+
+
 def build_batch(samples: Sequence[LabeledSample], cfg: TrainConfig,
                 book: PathBook, rng: np.random.Generator) -> Batch:
     """Select target paths per sample; nondeterministic-only labels go to I_pg."""
@@ -345,7 +359,7 @@ def build_batch(samples: Sequence[LabeledSample], cfg: TrainConfig,
             pg.append(i)
             target_paths.append([])
         elif cfg.path_agg == "random":
-            target_paths.append([det[int(rng.integers(len(det)))]])
+            target_paths.append([det[_uniform_rank(det.total, rng)]])
         else:
             target_paths.append(det[:cfg.n_p])
     return Batch(inputs=inputs, target_paths=target_paths,

@@ -155,6 +155,36 @@ def block_log_prob_row(logits: Tensor, block, target: int) -> Tensor:
     return out
 
 
+def block_softmax(z: np.ndarray, blocks) -> np.ndarray:
+    """Per-block oracle of ``nm.block_softmax``, on a vector and a list of
+    blocks that it checks on every call; each block is summed by ``e.sum()``."""
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 1:
+        raise nm.ShapeMismatch(f"block_softmax: expected vector, got {z.shape}")
+    nm._check_partition(blocks, z.shape[0])
+    y = np.empty_like(z)
+    for b in blocks:
+        bb = np.asarray(b, dtype=np.intp)
+        zb = z[bb]
+        e = np.exp(zb - zb.max())
+        y[bb] = e / e.sum()
+    return y
+
+
+def choice_cross_block(dist, rng: np.random.Generator):
+    """Oracle of ``model._sample_cross_block``: each block drawn by
+    ``rng.choice`` on its renormalised probabilities, in block order; the
+    drawn member with the highest probability wins, ties to the lowest id."""
+    best_tok, best_p = None, -1.0
+    for blk in dist.blocks:
+        p = dist.probs[list(blk)]
+        pick = blk[int(rng.choice(len(blk), p=p / p.sum()))]
+        tok, prob = dist.tokens[pick], float(dist.probs[pick])
+        if prob > best_p or (prob == best_p and tok < best_tok):
+            best_tok, best_p = tok, prob
+    return best_tok, best_p
+
+
 def composed_gru_step(p: nm.GruParams, e_t: Tensor, f_prev: Tensor) -> Tensor:
     """Reference GRU update built from one engine primitive per operation."""
     r = sigmoid(nm.add_rowvec(add(nm.matmul(e_t, p.w_re), nm.matmul(f_prev, p.w_rf)), p.b_r))

@@ -17,7 +17,7 @@ from pathcast.evaldecode import audit_nondeterministic, evaluate
 from pathcast.harness import SynthSpec, fuse, resolve_samples, synth_generate
 from pathcast.labelgraph import build_graph
 from pathcast.model import LabelPathModel
-from pathcast.numerics import AdamState, adam_step, backward, block_softmax
+from pathcast.numerics import AdamState, adam_step, backward, block_softmax, compile_blocks
 from pathcast.pathalg import classify_paths, enumerate_paths
 from pathcast.trainer import (Batch, BaselineEstimator, LabeledSample, PathBook,
                               ScheduleConfig, ScheduleState, TrainConfig,
@@ -56,7 +56,7 @@ def test_block_softmax_sums_and_independence():
         k = int(rng.integers(1, 12))
         blocks = random_partition(rng, k)
         z = rng.normal(0, 4, k)
-        y = block_softmax(z, blocks)
+        y = block_softmax(z, compile_blocks(blocks, range(k)))
         for b in blocks:
             worst_sum = max(worst_sum, abs(y[list(b)].sum() - 1.0))
         target = blocks[int(rng.integers(len(blocks)))]
@@ -64,7 +64,7 @@ def test_block_softmax_sums_and_independence():
         out = [i for i in range(k) if i not in target]
         if out:
             z2[out] += rng.normal(0, 6, len(out))
-        y2 = block_softmax(z2, blocks)
+        y2 = block_softmax(z2, compile_blocks(blocks, range(k)))
         worst_cross = max(worst_cross, np.abs(y2[list(target)] - y[list(target)]).max())
     elapsed = time.time() - t0
     report("block softmax", worst_sum < 1e-12 and worst_cross < 1e-12 and elapsed < 5,

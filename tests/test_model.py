@@ -105,7 +105,8 @@ class TestStep:
         dist = m.distribution(z_row, g.id_of("cat"))
         assert built[0] == 0
         assert type(dist.probs) is np.ndarray
-        assert type(nm.block_softmax(z_row[:3], [[0, 1], [2]])) is np.ndarray
+        seg = nm.compile_blocks([[0, 1], [2]], range(3))
+        assert type(nm.block_softmax(z_row, seg)) is np.ndarray
 
     def test_label_leaf_offers_eop_only(self):
         g = figure2_subgraph()
@@ -208,6 +209,25 @@ class TestCandidateTable:
                     assert cands.block_of[t] == tuple(cands.tokens[j] for j in owner[i])
         # some augmented nodes are leaves: dead ends
         assert dead_ends > 0
+
+    def test_partitions_are_checked_once_when_the_table_is_built(self, monkeypatch):
+        checked = [0]
+        check = nm._check_partition
+
+        def counting_check(blocks, k):
+            checked[0] += 1
+            check(blocks, k)
+
+        monkeypatch.setattr(nm, "_check_partition", counting_check)
+        g = figure2_subgraph()
+        m = make_model(g, seed=3)
+        assert checked[0] == len(m._table)
+        checked[0] = 0
+        rng = np.random.default_rng(1)
+        for x in rng.normal(size=(5, 5)):
+            assert greedy_decode(m, x, 6).step_probs
+            assert m.sample_path(x, rng, 6).step_probs
+        assert checked[0] == 0
 
     def test_eop_and_out_of_range_tokens_are_invalid(self):
         for g in self.graphs():
@@ -434,6 +454,21 @@ class TestNonFiniteWeights:
             else:
                 assert decode().step_probs  # decodes, with finite probabilities
                 assert np.isfinite(decode().step_probs).all()
+
+
+    def test_nan_logit_in_a_sampled_block_raises_at_step(self):
+        # the sampler draws by inverse CDF, without rng.choice's own checks
+        # on p: the logits are checked at step, before any block is drawn
+        g = figure2_subgraph()
+        m = make_model(g, seed=4)
+        cat = g.id_of("cat")
+        blk = next(b for b in m.candidates(cat).blocks if len(b) > 1)
+        m.params["out.b"].data[m.candidates(cat).tokens[blk[0]]] = np.nan
+        f = m.encode_values(np.ones(5))
+        with pytest.raises(ValueError, match="tensor values must be finite"):
+            m.step(f, cat)
+        with pytest.raises(ValueError, match="tensor values must be finite"):
+            m.sample_path(np.ones(5), np.random.default_rng(0), 6)
 
 
 class TestCheckpointRoundTrip:

@@ -9,7 +9,7 @@ import pytest
 
 from pathcast import numerics as nm
 from pathcast.evaldecode import greedy_decode
-from pathcast.model import LabelPathModel, _sample_cross_block, greedy_choice
+from pathcast.model import LabelPathModel, StepDistribution, _sample_cross_block, greedy_choice
 from pathcast.numerics import backward, block_log_prob, gru_forward, gru_step
 from pathcast.labelgraph import build_graph
 from pathcast.pathalg import all_paths_to, classify_paths, enumerate_paths
@@ -115,6 +115,43 @@ def test_plain_encoding_and_logits_are_the_traced_values(seed):
         assert seen.pop().tobytes() == z.data[0].tobytes()
         assert f_plain.tobytes() == f_traced.data.tobytes()
         f = f_plain
+
+
+def _random_blocks(rng):
+    """Logits over ``v`` columns and a random partition of ``k`` ascending
+    columns among them, some blocks far apart in scale."""
+    v = int(rng.integers(1, 30))
+    k = int(rng.integers(1, v + 1))
+    cols = np.sort(rng.choice(v, size=k, replace=False))
+    z = rng.normal(0, float(rng.choice([0.1, 3.0, 40.0])), v)
+    return z, cols, ref.random_partition(rng, k)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_segment_block_softmax_matches_per_block_oracle(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(300):
+        z, cols, blocks = _random_blocks(rng)
+        got = nm.block_softmax(z, nm.compile_blocks(blocks, cols))
+        want = ref.block_softmax(z[cols], blocks)
+        assert got.argmax() == want.argmax()
+        # segment sums run in another order than e.sum() for blocks of 3 or more
+        assert (np.abs(got - want) <= 4 * np.spacing(want)).all()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_inverse_cdf_sampler_matches_choice_oracle(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(60):
+        z, cols, blocks = _random_blocks(rng)
+        dist = StepDistribution(tokens=tuple(int(c) for c in cols),
+                                probs=ref.block_softmax(z[cols], blocks), blocks=tuple(blocks))
+        draw_seed = int(rng.integers(2**32))
+        got_rng, want_rng = np.random.default_rng(draw_seed), np.random.default_rng(draw_seed)
+        got = [_sample_cross_block(dist, got_rng) for _ in range(40)]
+        want = [ref.choice_cross_block(dist, want_rng) for _ in range(40)]
+        assert got == want
+        assert got_rng.random() == want_rng.random()  # the same generator state
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -267,6 +304,27 @@ def test_random_path_agg_draws_the_oracle_paths(seed):
             det = [tuple(p) for p in ref.oracle_classify(g, s.label)[0]]
             want.append([det[int(draws.integers(len(det)))]])
         assert batch.target_paths == want
+
+
+def test_random_path_agg_draws_past_int64():
+    """2^64 deterministic paths: more than ``rng.integers`` can bound, so the
+    draw falls back to 64-bit words, and still reaches either half of the
+    ranks (bit 63 picks layer 1's larger id)."""
+    depth = 64
+    g = ref.layered_dag(depth, singleton=True)
+    x = g.id_of("x")
+    samples = [LabeledSample(np.zeros(3), x)] * 16
+    book = PathBook(g)
+    assert book.deterministic_paths(x).total == 2 ** depth
+    batch = build_batch(samples, TrainConfig(path_agg="random"), book,
+                        np.random.default_rng(0))
+    pairs = [sorted(g.id_of(n) for n in (f"a{k}", f"b{k}")) for k in range(1, depth + 1)]
+    halves = set()
+    for (path,) in batch.target_paths:
+        assert len(path) == depth + 2 and (path[0], path[-1]) == (g.root, x)
+        assert all(node in pair for node, pair in zip(path[1:-1], pairs))
+        halves.add(pairs[0].index(path[1]))
+    assert halves == {0, 1}
 
 
 def test_deep_chain_splits_without_recursion():
