@@ -10,8 +10,13 @@ from typing import Sequence
 import numpy as np
 
 from .labelgraph import LabelGraph, NodeKind
-from .model import LabelPathModel, greedy_choice
+from .model import LabelPathModel, greedy_pick
 from .pathalg import _competing_groups, _path_counts
+
+
+# Rows decoded in lockstep per walk by evaluate. Decoding every row at once
+# is no faster and holds the whole dataset's decode state in memory.
+DECODE_ROWS = 256
 
 
 class EmptyDataset(ValueError):
@@ -49,18 +54,24 @@ class MetricsReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def greedy_decode(model: LabelPathModel, x: np.ndarray, max_len: int) -> DecodedResult:
-    """Walk the graph from START taking the most probable candidate each step.
+def decode_rows(model: LabelPathModel, x: np.ndarray, max_len: int) -> list[DecodedResult]:
+    """Walk the graph from START for every row of ``x [m, d]`` in lockstep,
+    taking the most probable candidate each step.
 
     The choice is the global maximum across the candidate blocks, ties going
-    to the lowest token id; stops at EOP or after ``max_len`` steps. A walk
-    that ends at a dead-end augmented node is scored like a truncation.
+    to the lowest token id; a row stops at EOP or after ``max_len`` steps. A
+    walk that ends at a dead-end augmented node is scored like a truncation.
     """
-    walked = model.walk(x, max_len, greedy_choice)
-    return DecodedResult(path=walked.tokens,
-                         terminated_by="eop" if walked.ended_with_eop else "max_len",
-                         predicted_label=extract_label(model.graph, walked.tokens),
-                         step_probs=walked.step_probs)
+    return [DecodedResult(path=w.tokens,
+                          terminated_by="eop" if w.ended_with_eop else "max_len",
+                          predicted_label=extract_label(model.graph, w.tokens),
+                          step_probs=w.step_probs)
+            for w in model.walk(x, max_len, greedy_pick)]
+
+
+def greedy_decode(model: LabelPathModel, x: np.ndarray, max_len: int) -> DecodedResult:
+    """:func:`decode_rows` of one input ``x [d]``."""
+    return decode_rows(model, np.reshape(x, (1, -1)), max_len)[0]
 
 
 def extract_label(graph: LabelGraph, path: Sequence[int]) -> int | None:
@@ -110,21 +121,25 @@ def classification_report(gold_names: Sequence[str],
 
 def evaluate(model: LabelPathModel, dataset: Sequence, max_len: int,
              decoded: list[DecodedResult] | None = None) -> MetricsReport:
-    """:func:`classification_report` of greedily decoded labels over a dataset.
+    """:func:`classification_report` of greedily decoded labels over a dataset,
+    decoded in lockstep blocks of ``DECODE_ROWS`` rows.
 
     ``dataset`` yields (x, label_id) pairs. A decode without any label node
     counts as incorrect. ``decoded`` (when given) collects each sample's
     :class:`DecodedResult`, in dataset order.
     """
     graph = model.graph
+    pairs = list(dataset)
     gold, pred = [], []
-    for x, label in dataset:
-        result = greedy_decode(model, x, max_len)
-        if decoded is not None:
-            decoded.append(result)
-        gold.append(graph.node(label).name)
-        pred.append(graph.node(result.predicted_label).name
-                    if result.predicted_label is not None else None)
+    for i in range(0, len(pairs), DECODE_ROWS):
+        block = pairs[i:i + DECODE_ROWS]
+        for (_, label), result in zip(block, decode_rows(model, np.stack([x for x, _ in block]),
+                                                         max_len)):
+            if decoded is not None:
+                decoded.append(result)
+            gold.append(graph.node(label).name)
+            pred.append(graph.node(result.predicted_label).name
+                        if result.predicted_label is not None else None)
     return classification_report(gold, pred)
 
 

@@ -35,26 +35,15 @@ class NoCandidates(RuntimeError):
 class Candidates(NamedTuple):
     """Candidates after one token: ``tokens`` ascend, ``blocks`` hold index
     positions into them, ``block_of`` maps each to its block as token ids,
-    and ``segments`` is the checked segment form of the blocks over the
-    token ids, which the decode step's block softmax runs on."""
+    ``segments`` is the checked segment form of the blocks over the token
+    ids, which the decode step's block softmax runs on, and ``ids`` holds
+    ``tokens`` as an index array."""
 
     tokens: tuple[int, ...]
     blocks: tuple[tuple[int, ...], ...]
     block_of: dict[int, tuple[int, ...]]
     segments: nm.Segments
-
-
-@dataclass(frozen=True)
-class StepDistribution:
-    """Candidate tokens for one decode step with their block-softmax mass.
-
-    ``blocks`` holds index positions into ``tokens``; each block's
-    probabilities sum to one and different blocks are independent.
-    """
-
-    tokens: tuple[int, ...]
-    probs: np.ndarray
-    blocks: tuple[tuple[int, ...], ...]
+    ids: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -75,6 +64,8 @@ class LabelPathModel:
     singleton blocks for ungrouped children, and an EOP singleton when the
     token is a label node. Each entry's partition is checked and compiled to
     segment form there, once, so no decode step validates it again.
+    ``_n_blocks`` holds each token's block count, 0 for a token without an
+    entry (EOP, or a dead end), and ``_has_entry`` marks the tokens with one.
     """
 
     def __init__(self, graph: LabelGraph, input_dim: int, embed_dim: int,
@@ -109,6 +100,10 @@ class LabelPathModel:
         self.params = p
 
         self._table = self._candidate_table()
+        self._n_blocks = np.zeros(self.vocab_size, dtype=np.intp)
+        for prev, cands in self._table.items():
+            self._n_blocks[prev] = len(cands.blocks)
+        self._has_entry = self._n_blocks > 0
 
     @property
     def encoder_param_names(self) -> tuple[str, ...]:
@@ -131,7 +126,7 @@ class LabelPathModel:
                 parts[node.id] = (toks, tuple(map(tuple, groups.values())))
         return {prev: Candidates(toks, blocks,
                                  {toks[i]: tuple(toks[j] for j in b) for b in blocks for i in b},
-                                 nm.compile_blocks(blocks, toks))
+                                 nm.compile_blocks(blocks, toks), np.asarray(toks, dtype=np.intp))
                 for prev, (toks, blocks) in parts.items()}
 
     def candidates(self, prev_token: int) -> Candidates:
@@ -180,27 +175,62 @@ class LabelPathModel:
         z = nm.add_rowvec(nm.matmul(f_t, self.params["out.w"]), self.params["out.b"])
         return f_t, z
 
-    def distribution(self, z_row: np.ndarray, prev_token: int) -> StepDistribution:
-        """Block-softmax distribution over the candidates after ``prev_token``,
-        taken from one row of vocabulary logits."""
-        cands = self.candidates(prev_token)
-        probs = nm.block_softmax(z_row, cands.segments)
-        return StepDistribution(tokens=cands.tokens, probs=probs, blocks=cands.blocks)
+    def _groups(self, prev: np.ndarray) -> list[tuple[np.ndarray | slice, Candidates]]:
+        """The rows of ``prev`` per distinct token, with its candidates; one
+        token for every row gives the rows as ``slice(None)``. A token
+        outside the vocabulary raises IndexOutOfRange (no wrap-around for a
+        negative id); one without an entry raises NoCandidates or
+        InvalidPath."""
+        if prev.size == 1 or (prev.size and (prev == prev[0]).all()):
+            toks, rows = [int(prev[0])], [slice(None)]
+        else:  # sorted(set()) and not np.unique, whose first call costs 1.7 MB of RSS
+            toks = sorted(set(prev.tolist()))
+            rows = [np.flatnonzero(prev == t) for t in toks]
+        groups = []
+        for t, r in zip(toks, rows):
+            cands = self._table.get(t)
+            if cands is None:
+                if not 0 <= t < self.vocab_size:
+                    raise nm.IndexOutOfRange(f"token {t} outside the vocabulary")
+                self.candidates(t)  # raises
+            groups.append((r, cands))
+        return groups
 
-    def step(self, f_prev: np.ndarray, prev_token: int) -> tuple[StepDistribution, np.ndarray]:
-        """Single-sample decode step on plain arrays: next-token distribution
-        plus the new state [1,h]. The values are those of ``decode_logits``
-        (the GRU runs through the same ``nm.gru_forward``), with no trace.
-        A non-finite embedding row or logit raises the Tensor finiteness
-        error; a non-finite state makes every logit non-finite."""
-        if not 0 <= prev_token < self.vocab_size:  # no wrap-around for a negative id
-            raise nm.IndexOutOfRange(f"step: token {prev_token} outside the vocabulary")
-        e = self.params["emb"].data[prev_token:prev_token + 1]
+    def _probs(self, z: np.ndarray, groups: list[tuple[np.ndarray | slice, Candidates]]
+               ) -> np.ndarray:
+        probs = np.zeros_like(z)
+        for rows, cands in groups:
+            block = nm.block_softmax(z[rows], cands.segments)
+            if isinstance(rows, slice):
+                probs[:, cands.ids] = block
+            else:
+                probs[rows[:, None], cands.ids] = block
+        return probs
+
+    def block_probs(self, z: np.ndarray, prev: np.ndarray) -> np.ndarray:
+        """Block-softmax probabilities ``[m, vocab]`` of the candidates after
+        each row's ``prev`` token, from logits ``z [m, vocab]``; 0 off the
+        candidates. One rows-form ``nm.block_softmax`` per distinct token."""
+        return self._probs(z, self._groups(prev))
+
+    def step(self, f_prev: np.ndarray,
+             prev: Sequence[int] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Decode step of ``m`` rows on plain arrays: from states ``[m,h]`` and
+        previous tokens ``[m]``, the next-token probabilities ``[m, vocab]``
+        (:meth:`block_probs`) and the new states ``[m,h]``. The values are
+        those of ``decode_logits`` (the GRU runs through the same
+        ``nm.gru_forward``), with no trace. The tokens are checked before any
+        arithmetic (see :meth:`_groups`). A non-finite embedding row or logit
+        raises the Tensor finiteness error; a non-finite state makes every
+        logit of its row non-finite."""
+        prev = np.asarray(prev, dtype=np.intp)
+        groups = self._groups(prev)
+        e = self.params["emb"].data.take(prev, axis=0)
         nm.require_finite(e)
         f_t = nm.gru_forward(self.gru, e, f_prev)[-1]
         z = f_t @ self.params["out.w"].data + self.params["out.b"].data[None, :]
         nm.require_finite(z)
-        return self.distribution(z[0], prev_token), f_t
+        return self._probs(z, groups), f_t
 
     def score_lanes(self, f: Tensor, lanes: Sequence[Sequence[int]], teacher: bool) -> Tensor:
         """Differentiable summed log-probability of each lane's target tokens.
@@ -209,7 +239,8 @@ class LabelPathModel:
         and an empty lane or a first target that is not a candidate after
         START raises InvalidPath. Under ``teacher`` a lane is fed its previous
         target, and any target that is not a candidate raises InvalidPath.
-        Otherwise a lane is fed the model's greedy token, a later step whose
+        Otherwise a lane is fed the model's greedy token (:func:`greedy_pick`,
+        one call per step over the lanes still feeding), a later step whose
         target is not a candidate after that token is skipped, and the lane
         stops at EOP or at a token without candidates. Returns the per-lane
         totals as one ``[lanes]`` Tensor, built from one rows-form
@@ -224,6 +255,7 @@ class LabelPathModel:
             f, z = self.decode_logits(f, fed)
             step_blocks: list[tuple[int, ...] | None] = [None] * len(lanes)
             step_targets = [0] * len(lanes)
+            free: list[int] = []  # lanes that feed their greedy pick
             for li, targets in enumerate(lanes):
                 if t >= len(targets) or not alive[li]:
                     continue
@@ -240,49 +272,97 @@ class LabelPathModel:
                     step_targets[li] = target
                 elif teacher or t == 0:
                     raise InvalidPath(f"token {target} is not a candidate after {prev}")
-                # candidates(prev) succeeded above, so this pick cannot fail
-                nxt = target if teacher else greedy_choice(self.distribution(z.data[li], prev))[0]
-                if not teacher and nxt == self.eop_token:
-                    alive[li] = False  # frozen on prev; no further loss from this lane
+                if teacher:
+                    fed[li] = target
                 else:
-                    fed[li] = nxt
+                    free.append(li)
+            if free:  # candidates(prev) succeeded above, so this pick cannot fail
+                fed_free = np.array([fed[li] for li in free], dtype=np.intp)
+                picks, _ = greedy_pick(self.block_probs(z.data[free], fed_free), fed_free)
+                for li, nxt in zip(free, picks.tolist()):
+                    if nxt == self.eop_token:
+                        alive[li] = False  # frozen on prev; no further loss from this lane
+                    else:
+                        fed[li] = nxt
             steps.append(nm.block_log_prob(z, step_blocks, step_targets))
         return nm.add_n(steps)
 
     def walk(self, x: np.ndarray, max_len: int,
-             choose: Callable[[StepDistribution], tuple[int, float]]) -> SampledPath:
-        """Free-run the decoder from START; ``choose`` picks each step's token
-        and its probability. Stops at EOP, after ``max_len`` steps, or at a
-        dead-end augmented node (possible on subgraphs; the walk truncates).
+             pick: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+             ) -> list[SampledPath]:
+        """Free-run the decoder from START for every row of ``x [m, d]`` in
+        lockstep: one :meth:`step` over the rows still walking, then
+        ``pick(probs, prev)`` gives each such row's token and its
+        probability. A row stops at EOP, after ``max_len`` steps, or at a
+        dead-end augmented node (possible on subgraphs; its walk truncates
+        there, with no step from it). Returns one walk per row, in row order.
         """
         if max_len < 2:
             raise ValueError("max_len must be at least 2")
         f = self.encode_values(x)
-        prev = self.start_token
-        tokens: list[int] = []
-        probs: list[float] = []
-        for _ in range(max_len):
-            try:
-                dist, f = self.step(f, prev)
-            except NoCandidates:
+        m = f.shape[0]
+        toks = np.zeros((max_len, m), dtype=np.intp)  # step-major, so a step
+        probs = np.zeros((max_len, m))  # writes one row of each
+        steps = np.full(m, max_len)
+        ended = np.zeros(m, dtype=bool)
+        rows = np.arange(m)  # the rows still walking
+        prev = np.full(m, self.start_token, dtype=np.intp)
+        for t in range(max_len):
+            if not rows.size:
                 break
-            tok, p = choose(dist)
-            probs.append(p)
-            if tok == self.eop_token:
-                return SampledPath(tuple(tokens), tuple(probs), ended_with_eop=True)
-            tokens.append(tok)
+            p, f = self.step(f, prev)
+            tok, probs[t][rows] = pick(p, prev)
+            toks[t][rows] = tok
+            going = self._has_entry[tok]  # neither EOP nor a dead end
+            if np.count_nonzero(going) != going.size:  # cheaper than .all() on few rows
+                stop = rows[~going]
+                steps[stop] = t + 1
+                ended[stop] = tok[~going] == self.eop_token
+                rows, tok, f = rows[going], tok[going], f[going]
             prev = tok
-        return SampledPath(tuple(tokens), tuple(probs), ended_with_eop=False)
+        return [SampledPath(tuple(tk[:n - e]), tuple(pr[:n]), ended_with_eop=e)
+                for tk, pr, n, e in zip(toks.T.tolist(), probs.T.tolist(), steps.tolist(),
+                                        ended.tolist())]
 
     def sample_path(self, x: np.ndarray, rng: np.random.Generator,
-                    max_len: int) -> SampledPath:
-        """Ancestral sample from the decoder, free-running from START.
+                    max_len: int) -> list[SampledPath]:
+        """Ancestral samples from the decoder, one per row of ``x [m, d]``,
+        free-running from START in lockstep.
 
         Within each candidate block one member is drawn from the block's
         distribution; across blocks the drawn member with the highest
-        probability wins (ties to the lowest token id).
+        probability wins (ties to the lowest token id). Draws are step-major:
+        at each step the rows still walking, in row order, each take one
+        ``rng.random()`` per block, in block order.
         """
-        return self.walk(x, max_len, lambda dist: _sample_cross_block(dist, rng))
+        return self.walk(x, max_len, lambda p, prev: self._draw(p, prev, rng))
+
+    def _draw(self, p: np.ndarray, prev: np.ndarray,
+              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """One sampled token per row of ``p [m, vocab]``, with its
+        probability. Each block is drawn by inverse CDF on one
+        ``rng.random()``, the arithmetic of ``rng.choice(size, p=q / q.sum())``;
+        the draws go row after row, each row's in block order."""
+        n_blocks = self._n_blocks[prev]
+        u = rng.random(int(n_blocks.sum()))
+        first = np.cumsum(n_blocks) - n_blocks  # each row's first draw
+        tok, top = np.empty(prev.size, dtype=np.intp), np.empty(prev.size)
+        for rows, cands in self._groups(prev):
+            seg, pr = cands.segments, p[rows]
+            drawn = np.empty((pr.shape[0], seg.sizes.size), dtype=np.intp)
+            for j, (s0, size) in enumerate(zip(seg.starts.tolist(), seg.sizes.tolist())):
+                if size == 1:
+                    drawn[:, j] = seg.index[s0]  # its CDF is [1.0] and u < 1
+                    continue
+                q = pr.take(seg.index[s0:s0 + size], axis=1)
+                cdf = (q / q.sum(axis=1, keepdims=True)).cumsum(axis=1)
+                cdf /= cdf[:, -1:]
+                # searchsorted(side="right") on each row's ascending CDF
+                drawn[:, j] = seg.index[s0 + (cdf <= u[first[rows] + j, None]).sum(axis=1)]
+            mass = pr[np.arange(pr.shape[0])[:, None], drawn]
+            top[rows] = best = mass.max(axis=1)
+            tok[rows] = np.where(mass == best[:, None], drawn, self.vocab_size).min(axis=1)
+        return tok, top
 
     def sampled_path_log_prob(self, x: np.ndarray, sampled: Sequence[SampledPath]) -> Tensor:
         """Differentiable re-scoring of sampled trajectories (same choices):
@@ -293,31 +373,12 @@ class LabelPathModel:
         return self.score_lanes(self.encode(x), lanes, teacher=True)
 
 
-def _sample_cross_block(dist: StepDistribution, rng: np.random.Generator) -> tuple[int, float]:
-    """One draw per block, in block order, by inverse CDF on one
-    ``rng.random()``: the arithmetic of ``rng.choice(len(blk), p=p / p.sum())``,
-    so the picks and the generator state are that call's. The drawn member
-    with the highest probability wins, ties to the lowest token id."""
-    best_tok, best_p = None, -1.0
-    for blk in dist.blocks:
-        u = rng.random()
-        if len(blk) == 1:
-            pick = blk[0]  # its CDF is [1.0] and u < 1
-        else:
-            p = dist.probs[list(blk)]
-            cdf = (p / p.sum()).cumsum()
-            cdf /= cdf[-1]
-            pick = blk[int(cdf.searchsorted(u, side="right"))]
-        tok, prob = dist.tokens[pick], float(dist.probs[pick])
-        if prob > best_p or (prob == best_p and tok < best_tok):
-            best_tok, best_p = tok, prob
-    return best_tok, best_p
-
-
-def greedy_choice(dist: StepDistribution) -> tuple[int, float]:
-    """Global argmax across every candidate block; ties to lowest token id."""
-    i = int(dist.probs.argmax())  # tokens ascend, argmax takes the first max
-    return dist.tokens[i], float(dist.probs[i])
+def greedy_pick(probs: np.ndarray, prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the global argmax of :meth:`LabelPathModel.block_probs`
+    across every candidate block, and its probability; ties to the lowest
+    token id (``argmax`` takes the first maximum, and no token off the
+    candidates has mass)."""
+    return probs.argmax(axis=1), probs.max(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -223,8 +223,9 @@ def policy_gradient_loss(model: LabelPathModel, batch: Batch,
                          ) -> tuple[Tensor | None, list[float]]:
     """Surrogate loss -(r - b) * sum_t log p(chosen_t), meaned over I_pg.
 
-    Each selected sample free-runs one trajectory from START, in order; its
-    reward is the certain-node coverage of the emitted path. All trajectories
+    Each selected sample free-runs one trajectory from START, all of them in
+    one lockstep ``sample_path`` with step-major draws; a trajectory's
+    reward is the certain-node coverage of its emitted path. All trajectories
     are rescored in one pass and pooled with one weight each. Rewards and the
     baseline are constants to the differentiator; the baseline is updated
     with the batch-mean reward after its value has been used.
@@ -232,7 +233,7 @@ def policy_gradient_loss(model: LabelPathModel, batch: Batch,
     if not batch.pg_indexes:
         return None, []
     pg = list(batch.pg_indexes)
-    samples = [model.sample_path(batch.inputs[i], rng, cfg.max_len) for i in pg]
+    samples = model.sample_path(batch.inputs[pg], rng, cfg.max_len)
     rewards = [reward(s.tokens, book.reward_members(batch.labels[i], cfg.reward_set))
                for i, s in zip(pg, samples)]
     b = baseline.value

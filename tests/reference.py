@@ -1,12 +1,15 @@
 """Reference code that only the tests run.
 
-Composed engine ops, the masked sigmoid, one-row or one-path scorers and the
-Tensor-built walk serve as oracles for the fused kernels, the rows forms and
-the plain-array decode in ``pathcast``; brute-force path oracles
+Composed engine ops, the masked sigmoid, one-row or one-path scorers, the
+one-row decode step with its pick routines and the Tensor-built walk serve as
+oracles for the fused kernels, the rows forms and the lockstep decode in
+``pathcast``; brute-force path oracles
 check the path algorithms; the graph generators feed all of them. Nothing in
 ``src/`` imports this module. ``tests/test_reference.py`` runs each fast path
 against its oracle.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,7 +175,7 @@ def block_softmax(z: np.ndarray, blocks) -> np.ndarray:
 
 
 def choice_cross_block(dist, rng: np.random.Generator):
-    """Oracle of ``model._sample_cross_block``: each block drawn by
+    """Oracle of :func:`sample_cross_block`: each block drawn by
     ``rng.choice`` on its renormalised probabilities, in block order; the
     drawn member with the highest probability wins, ties to the lowest id."""
     best_tok, best_p = None, -1.0
@@ -201,10 +204,108 @@ def path_log_prob(model, x: np.ndarray, path) -> Tensor:
     return sum_all(model.score_lanes(model.encode(x), [list(path)], teacher=True))
 
 
+# ---------------------------------------------------------------------------
+# One-row decode: the oracles of the lockstep engine
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class StepDistribution:
+    """Candidate tokens for one decode step with their block-softmax mass.
+
+    ``blocks`` holds index positions into ``tokens``; each block's
+    probabilities sum to one and different blocks are independent.
+    """
+
+    tokens: tuple
+    probs: np.ndarray
+    blocks: tuple
+
+
+def distribution(model, z_row: np.ndarray, prev_token: int) -> StepDistribution:
+    """Block-softmax distribution over the candidates after ``prev_token``,
+    taken from one row of vocabulary logits."""
+    cands = model.candidates(prev_token)
+    probs = nm.block_softmax(z_row[None, :], cands.segments)[0]
+    return StepDistribution(tokens=cands.tokens, probs=probs, blocks=cands.blocks)
+
+
+def step(model, f_prev: np.ndarray, prev_token: int):
+    """One-row oracle of ``model.step``: the distribution after
+    ``prev_token`` and the new state [1,h], with the same checks."""
+    if not 0 <= prev_token < model.vocab_size:  # no wrap-around for a negative id
+        raise nm.IndexOutOfRange(f"step: token {prev_token} outside the vocabulary")
+    e = model.params["emb"].data[prev_token:prev_token + 1]
+    nm.require_finite(e)
+    f_t = nm.gru_forward(model.gru, e, f_prev)[-1]
+    z = f_t @ model.params["out.w"].data + model.params["out.b"].data[None, :]
+    nm.require_finite(z)
+    return distribution(model, z[0], prev_token), f_t
+
+
+def greedy_choice(dist: StepDistribution):
+    """Global argmax across every candidate block; ties to lowest token id."""
+    i = int(dist.probs.argmax())  # tokens ascend, argmax takes the first max
+    return dist.tokens[i], float(dist.probs[i])
+
+
+def sample_cross_block(dist: StepDistribution, rng: np.random.Generator):
+    """One draw per block, in block order, by inverse CDF on one
+    ``rng.random()``: the arithmetic of ``rng.choice(len(blk), p=p / p.sum())``.
+    The drawn member with the highest probability wins, ties to the lowest
+    token id."""
+    best_tok, best_p = None, -1.0
+    for blk in dist.blocks:
+        u = rng.random()
+        if len(blk) == 1:
+            pick = blk[0]  # its CDF is [1.0] and u < 1
+        else:
+            p = dist.probs[list(blk)]
+            cdf = (p / p.sum()).cumsum()
+            cdf /= cdf[-1]
+            pick = blk[int(cdf.searchsorted(u, side="right"))]
+        tok, prob = dist.tokens[pick], float(dist.probs[pick])
+        if prob > best_p or (prob == best_p and tok < best_tok):
+            best_tok, best_p = tok, prob
+    return best_tok, best_p
+
+
+def step_major_walk(model, xs: np.ndarray, max_len: int, choose) -> list:
+    """Per-row oracle of ``model.walk``: every row of ``xs [m, d]`` walks
+    with the one-row :func:`step` and ``choose(dist) -> (token, prob)``, the
+    rows taking turns step after step, so that a sampling ``choose`` draws
+    in the engine's step-major order. Stops as the engine does: EOP,
+    ``max_len`` steps, or a dead end."""
+    if max_len < 2:
+        raise ValueError("max_len must be at least 2")
+    f = [model.encode_values(x) for x in xs]
+    prev = [model.start_token] * len(xs)
+    tokens, probs = [[] for _ in xs], [[] for _ in xs]
+    ended = [None] * len(xs)  # True at EOP, False at a dead end, None while walking
+    for _ in range(max_len):
+        for i in range(len(xs)):
+            if ended[i] is not None:
+                continue
+            try:
+                dist, f[i] = step(model, f[i], prev[i])
+            except NoCandidates:
+                ended[i] = False
+                continue
+            tok, p = choose(dist)
+            probs[i].append(p)
+            if tok == model.eop_token:
+                ended[i] = True
+            else:
+                tokens[i].append(tok)
+                prev[i] = tok
+    return [SampledPath(tuple(t), tuple(p), ended_with_eop=bool(e))
+            for t, p, e in zip(tokens, probs, ended)]
+
+
 def traced_walk(model, x: np.ndarray, max_len: int, choose) -> SampledPath:
     """The walk built from Tensors: ``encode``, then ``decode_logits`` and
-    ``distribution`` per step. The oracle of ``model.walk`` on plain arrays,
-    with the same stops: EOP, ``max_len`` steps, or a dead end."""
+    :func:`distribution` per step. The one-row oracle of ``model.walk`` on
+    plain arrays, with the same stops: EOP, ``max_len`` steps, or a dead end."""
     if max_len < 2:
         raise ValueError("max_len must be at least 2")
     f = model.encode(x)
@@ -213,7 +314,7 @@ def traced_walk(model, x: np.ndarray, max_len: int, choose) -> SampledPath:
     for _ in range(max_len):
         f, z = model.decode_logits(f, [prev])
         try:
-            dist = model.distribution(z.data[0], prev)
+            dist = distribution(model, z.data[0], prev)
         except NoCandidates:
             break
         tok, p = choose(dist)
@@ -289,6 +390,13 @@ def figure2_subgraph():
         group_spec=[("hair", ["shorthair", "longhair"]),
                     ("color", ["solid-color", "tabby-color", "point-color"])],
         root_name="animal")
+
+
+def dead_end_graph():
+    """Root with the competing group {a, b}; a leads to the label x, and the
+    augmented b has no children: a walk that picks b stops at a dead end."""
+    return build_graph([("d", ["x"])], [("a", ["root"]), ("b", ["root"])], [("a", "x")],
+                       [("ab", ["a", "b"])])
 
 
 def figure2_with_back_edge():

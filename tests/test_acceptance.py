@@ -56,7 +56,7 @@ def test_block_softmax_sums_and_independence():
         k = int(rng.integers(1, 12))
         blocks = random_partition(rng, k)
         z = rng.normal(0, 4, k)
-        y = block_softmax(z, compile_blocks(blocks, range(k)))
+        y = block_softmax(z[None, :], compile_blocks(blocks, range(k)))[0]
         for b in blocks:
             worst_sum = max(worst_sum, abs(y[list(b)].sum() - 1.0))
         target = blocks[int(rng.integers(len(blocks)))]
@@ -64,7 +64,7 @@ def test_block_softmax_sums_and_independence():
         out = [i for i in range(k) if i not in target]
         if out:
             z2[out] += rng.normal(0, 6, len(out))
-        y2 = block_softmax(z2, compile_blocks(blocks, range(k)))
+        y2 = block_softmax(z2[None, :], compile_blocks(blocks, range(k)))[0]
         worst_cross = max(worst_cross, np.abs(y2[list(target)] - y[list(target)]).max())
     elapsed = time.time() - t0
     report("block softmax", worst_sum < 1e-12 and worst_cross < 1e-12 and elapsed < 5,
@@ -107,7 +107,7 @@ def test_gradient_fidelity_20_seeds():
             worst = max(worst, _sampled_fd_err(ld, raw, grads, rng, coords=6))
 
         # policy-gradient surrogate on a frozen sampled trajectory
-        sampled = model.sample_path(xs[0], np.random.default_rng(seed + 1), 6)
+        sampled = model.sample_path(xs[:1], np.random.default_rng(seed + 1), 6)[0]
         if not sampled.tokens:
             continue
         weight = -(1.0 - 0.4)  # (r - b) is a constant to the differentiator
@@ -188,8 +188,8 @@ def test_bandit_convergence():
             nm.zero_grads(model.params)
             backward(loss)
             adam_step(adam, model.params, nm.collect_grads(model.params))
-        dist, _ = model.step(model.encode(np.zeros(4)).data, g.root)
-        p_win = float(dist.probs[dist.tokens.index(g.id_of("a"))])
+        probs, _ = model.step(model.encode(np.zeros(4)).data, [g.root])
+        p_win = float(probs[0, g.id_of("a")])
         wins += p_win >= 0.95
     elapsed = time.time() - t0
     report("bandit convergence", wins >= 9 and elapsed < 60,

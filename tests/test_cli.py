@@ -344,6 +344,7 @@ class TestEvalDecodesOnce:
         from pathcast import cli, evaldecode
         from pathcast.harness import load_dataset
         from pathcast.labelgraph import load_graph
+        from pathcast.model import LabelPathModel
 
         root, cfg_path = workdir
         spec = tmp_path / "spec.json"
@@ -352,14 +353,19 @@ class TestEvalDecodesOnce:
         assert cli.main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 0
         ck = tmp_path / "m.pck"
         assert cli.main(["train", "--config", str(cfg_path), "--out", str(ck)]) == 0
-        calls = []
-        decode = evaldecode.greedy_decode
+        calls, rows = [], []
+        decode, walk = evaldecode.greedy_decode, LabelPathModel.walk
 
         def counting(*args, **kwargs):
             calls.append(1)
             return decode(*args, **kwargs)
 
+        def counting_walk(model, x, *args, **kwargs):
+            rows.append(len(x))
+            return walk(model, x, *args, **kwargs)
+
         monkeypatch.setattr(evaldecode, "greedy_decode", counting)
+        monkeypatch.setattr(LabelPathModel, "walk", counting_walk)
         dump = tmp_path / "paths.jsonl"
         assert cli.main(["eval", "--ckpt", str(ck), "--data", str(tmp_path / "test.jsonl"),
                          "--max-len", "6", "--audit", "--dump-paths", str(dump)]) == 0
@@ -368,7 +374,8 @@ class TestEvalDecodesOnce:
         audited = sum(1 for s in samples if s.attrs and
                       evaldecode.nondeterministic_groups(graph, graph.id_of(s.label)))
         assert len(samples) == 200 and 0 < audited < 200
-        assert len(calls) == len(samples)
+        # every row decoded once, through the lockstep engine
+        assert sum(rows) == len(samples) and not calls
         assert len(dump.read_text().splitlines()) == len(samples)
 
 

@@ -11,11 +11,11 @@ from pathcast import numerics as nm
 from pathcast.evaldecode import greedy_decode
 from pathcast.labelgraph import NodeKind, load_graph, save_graph, serialize
 from pathcast.model import (InvalidPath, LabelPathModel, NoCandidates,
-                            SampledPath, graph_digest, greedy_choice, load_model,
+                            SampledPath, graph_digest, greedy_pick, load_model,
                             read_sidecar, save_model)
 from pathcast.numerics import CorruptCheckpoint
 
-from reference import figure2_subgraph, path_log_prob, random_dag, sum_all
+from reference import figure2_subgraph, path_log_prob, random_dag, step, sum_all
 
 
 def make_model(graph, seed=0, input_dim=5, embed_dim=6, hidden=8):
@@ -72,22 +72,23 @@ class TestStep:
         g = figure2_subgraph()
         m = make_model(g)
         f = m.encode(np.zeros(5)).data
-        dist, _ = m.step(f, m.start_token)
-        assert dist.tokens == (g.root,)
-        assert dist.probs[0] == 1.0
+        probs, _ = m.step(f, [m.start_token])
+        assert np.flatnonzero(probs[0]).tolist() == [g.root]
+        assert probs[0, g.root] == 1.0
 
     def test_cat_has_two_blocks_summing_to_one(self):
         g = figure2_subgraph()
         m = make_model(g, seed=5)
         f = m.encode(np.random.default_rng(2).normal(size=5)).data
-        dist, _ = m.step(f, g.id_of("cat"))
-        names = {g.node(t).name for t in dist.tokens}
+        probs, _ = m.step(f, [g.id_of("cat")])
+        names = {g.node(t).name for t in np.flatnonzero(probs[0])}
         assert names == {"shorthair", "longhair", "solid-color",
                          "tabby-color", "point-color"}
-        assert len(dist.blocks) == 2
-        for blk in dist.blocks:
-            assert abs(dist.probs[list(blk)].sum() - 1.0) < 1e-12
-        assert m.eop_token not in dist.tokens  # cat is augmented here
+        cands = m.candidates(g.id_of("cat"))
+        assert len(cands.blocks) == 2
+        for blk in cands.blocks:
+            assert abs(probs[0, cands.ids[list(blk)]].sum() - 1.0) < 1e-12
+        assert probs[0, m.eop_token] == 0.0  # cat is augmented here
 
     def test_distribution_builds_no_tensor(self, monkeypatch):
         # the block softmax is plain numpy: picking a token adds no trace node
@@ -102,19 +103,19 @@ class TestStep:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(nm.Tensor, "__init__", counting_init)
-        dist = m.distribution(z_row, g.id_of("cat"))
+        probs = m.block_probs(z_row[None, :], np.array([g.id_of("cat")]))
         assert built[0] == 0
-        assert type(dist.probs) is np.ndarray
+        assert type(probs) is np.ndarray
         seg = nm.compile_blocks([[0, 1], [2]], range(3))
-        assert type(nm.block_softmax(z_row, seg)) is np.ndarray
+        assert type(nm.block_softmax(z_row[None, :], seg)) is np.ndarray
 
     def test_label_leaf_offers_eop_only(self):
         g = figure2_subgraph()
         m = make_model(g)
         f = m.encode(np.zeros(5)).data
-        dist, _ = m.step(f, g.id_of("british-shorthair"))
-        assert dist.tokens == (m.eop_token,)
-        assert dist.probs[0] == 1.0
+        probs, _ = m.step(f, [g.id_of("british-shorthair")])
+        assert np.flatnonzero(probs[0]).tolist() == [m.eop_token]
+        assert probs[0, m.eop_token] == 1.0
 
     def test_candidates_are_graph_children_or_eop(self):
         rng = np.random.default_rng(3)
@@ -122,13 +123,19 @@ class TestStep:
             g = random_dag(rng)
             m = make_model(g, seed=int(rng.integers(1000)))
             f = m.encode(rng.normal(size=5)).data
+            live = []
             for tok in range(len(g.nodes)):
                 try:
-                    dist, _ = m.step(f, tok)
+                    probs, _ = m.step(f, [tok])
                 except NoCandidates:
                     continue
-                for t in dist.tokens:
+                live.append(tok)
+                for t in np.flatnonzero(probs[0]):
                     assert t == m.eop_token or t in g.children(tok)
+            # one step over every live token at once gives each row its own
+            probs, _ = m.step(np.repeat(f, len(live), axis=0), live)
+            for row, tok in zip(probs, live):
+                np.testing.assert_allclose(row, m.step(f, [tok])[0][0], rtol=0, atol=1e-12)
 
     def test_token_outside_the_vocabulary_is_rejected(self):
         # a negative id must not wrap around to the last embedding row
@@ -136,16 +143,18 @@ class TestStep:
         f = m.encode(np.zeros(5)).data
         for tok in (-1, m.vocab_size):
             with pytest.raises(nm.IndexOutOfRange):
-                m.step(f, tok)
+                m.step(f, [tok])
+            with pytest.raises(nm.IndexOutOfRange):
+                m.step(np.repeat(f, 2, axis=0), [m.start_token, tok])
 
     def test_mass_outside_candidates_is_zero_by_construction(self):
         g = figure2_subgraph()
         m = make_model(g, seed=1)
         f = m.encode(np.ones(5)).data
-        dist, _ = m.step(f, g.id_of("cat"))
-        assert len(dist.tokens) == len(dist.probs)
-        total = sum(dist.probs[list(b)].sum() for b in dist.blocks)
-        assert abs(total - len(dist.blocks)) < 1e-12
+        probs, _ = m.step(f, [g.id_of("cat")])
+        cands = m.candidates(g.id_of("cat"))
+        assert set(np.flatnonzero(probs[0])) <= set(cands.tokens)
+        assert abs(probs.sum() - len(cands.blocks)) < 1e-12
 
 
 def nested_labels_graph():
@@ -226,7 +235,7 @@ class TestCandidateTable:
         rng = np.random.default_rng(1)
         for x in rng.normal(size=(5, 5)):
             assert greedy_decode(m, x, 6).step_probs
-            assert m.sample_path(x, rng, 6).step_probs
+            assert m.sample_path(x[None, :], rng, 6)[0].step_probs
         assert checked[0] == 0
 
     def test_eop_and_out_of_range_tokens_are_invalid(self):
@@ -324,14 +333,14 @@ class TestSamplePath:
         g = chain_graph()
         m = make_model(g, seed=9)
         for seed in range(5):
-            sp = m.sample_path(np.zeros(5), np.random.default_rng(seed), max_len=6)
+            sp, = m.sample_path(np.zeros((1, 5)), np.random.default_rng(seed), max_len=6)
             assert sp.tokens == (g.root, g.id_of("a"), g.id_of("x"))
             assert sp.ended_with_eop
 
     def test_truncation_at_max_len(self):
         g = figure2_subgraph()
         m = make_model(g, seed=10)
-        sp = m.sample_path(np.zeros(5), np.random.default_rng(0), max_len=2)
+        sp, = m.sample_path(np.zeros((1, 5)), np.random.default_rng(0), max_len=2)
         assert len(sp.tokens) <= 2
         assert not sp.ended_with_eop
 
@@ -341,7 +350,7 @@ class TestSamplePath:
         m = make_model(g, seed=11)
         x = np.random.default_rng(5).normal(size=5)
         f = m.encode(x).data
-        dist, _ = m.step(f, g.id_of("cat"))
+        dist, _ = step(m, f, g.id_of("cat"))
         rng = np.random.default_rng(123)
         counts = {t: 0 for t in dist.tokens}
         n = 100_000
@@ -363,7 +372,7 @@ class TestSamplePath:
         rng = np.random.default_rng(7)
         x = rng.normal(size=5)
         for _ in range(20):
-            sp = m.sample_path(x, rng, max_len=6)
+            sp, = m.sample_path(x[None, :], rng, max_len=6)
             if not sp.tokens:
                 continue
             lp = m.sampled_path_log_prob(x[None, :], [sp]).data[0]
@@ -375,7 +384,8 @@ class TestSamplePath:
         rng = np.random.default_rng(9)
         xs = rng.normal(size=(6, 5))
         # ragged: short budgets truncate some walks before EOP
-        samples = [m.sample_path(x, rng, max_len=2 + i % 4) for i, x in enumerate(xs)]
+        samples = [m.sample_path(x[None, :], rng, max_len=2 + i % 4)[0]
+                   for i, x in enumerate(xs)]
         assert {s.ended_with_eop for s in samples} == {True, False}
         w = rng.normal(size=len(samples))
 
@@ -411,7 +421,7 @@ class TestSamplePath:
             g = random_dag(rng)
             m = make_model(g, seed=int(rng.integers(1000)))
             x = rng.normal(size=5)
-            sp = m.sample_path(x, rng, max_len=8)
+            sp, = m.sample_path(x[None, :], rng, max_len=8)
             for a, b in zip(sp.tokens, sp.tokens[1:]):
                 assert b in g.children(a)
             if sp.tokens:
@@ -420,11 +430,11 @@ class TestSamplePath:
 
 class TestGreedyChoice:
     def test_tie_breaks_to_lowest_token(self):
-        from pathcast.model import StepDistribution
-        dist = StepDistribution(tokens=(3, 7), probs=np.array([0.5, 0.5]),
-                                blocks=((0, 1),))
-        tok, p = greedy_choice(dist)
-        assert tok == 3 and p == 0.5
+        probs = np.zeros((2, 9))
+        probs[0, [3, 7]] = 0.5
+        probs[1, [2, 5, 8]] = [0.25, 0.5, 0.5]
+        toks, top = greedy_pick(probs, np.array([0, 1]))
+        assert toks.tolist() == [3, 5] and top.tolist() == [0.5, 0.5]
 
 
 NON_FINITE_SITES = ["enc.w1", "enc.b1", "enc.w2", "emb", "gru.w_re", "gru.w_rf", "gru.w_cf",
@@ -446,7 +456,7 @@ class TestNonFiniteWeights:
         # one entry: the START row for the embedding, the first otherwise
         m.params[name].data[(m.start_token, 0) if name == "emb" else 0] = value
         decodes = [lambda: greedy_decode(m, x, 6),
-                   lambda: m.sample_path(x, np.random.default_rng(0), 6)]
+                   lambda: m.sample_path(x[None, :], np.random.default_rng(0), 6)[0]]
         for decode in decodes:
             if np.isnan(value) or not name.startswith("gru."):
                 with pytest.raises(ValueError, match="tensor values must be finite"):
@@ -466,9 +476,9 @@ class TestNonFiniteWeights:
         m.params["out.b"].data[m.candidates(cat).tokens[blk[0]]] = np.nan
         f = m.encode_values(np.ones(5))
         with pytest.raises(ValueError, match="tensor values must be finite"):
-            m.step(f, cat)
+            m.step(f, [cat])
         with pytest.raises(ValueError, match="tensor values must be finite"):
-            m.sample_path(np.ones(5), np.random.default_rng(0), 6)
+            m.sample_path(np.ones((1, 5)), np.random.default_rng(0), 6)
 
 
 class TestCheckpointRoundTrip:

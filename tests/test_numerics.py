@@ -16,17 +16,17 @@ from reference import composed_gru_step, finite_difference, max_rel_err, random_
 
 class TestBlockSoftmax:
     def test_within_block_symmetry(self):
-        out = block_softmax(np.array([0.0, 0.0, 1.0, 1.0, 1.0]),
-                            compile_blocks([[0, 1], [2, 3, 4]], range(5)))
+        out = block_softmax(np.array([[0.0, 0.0, 1.0, 1.0, 1.0]]),
+                            compile_blocks([[0, 1], [2, 3, 4]], range(5)))[0]
         np.testing.assert_allclose(out, [0.5, 0.5, 1 / 3, 1 / 3, 1 / 3])
 
     def test_singleton_block(self):
-        out = block_softmax(np.array([123.4]), compile_blocks([[0]], range(1)))
+        out = block_softmax(np.array([[123.4]]), compile_blocks([[0]], range(1)))[0]
         assert out[0] == 1.0
 
     def test_matches_direct_formula(self):
         # exp(z)/sum(exp(z)) evaluated in full precision for [1,2,3]
-        out = block_softmax(np.array([1.0, 2.0, 3.0]), compile_blocks([[0, 1, 2]], range(3)))
+        out = block_softmax(np.array([[1.0, 2.0, 3.0]]), compile_blocks([[0, 1, 2]], range(3)))[0]
         e = np.exp([1.0, 2.0, 3.0])
         np.testing.assert_allclose(out, e / e.sum(), atol=1e-5)
         np.testing.assert_allclose(out, [0.09003057, 0.24472847, 0.66524096], atol=1e-5)
@@ -37,7 +37,7 @@ class TestBlockSoftmax:
             k = int(rng.integers(1, 10))
             blocks = random_partition(rng, k)
             z = rng.normal(0, 3, k)
-            y = block_softmax(z, compile_blocks(blocks, range(k)))
+            y = block_softmax(z[None, :], compile_blocks(blocks, range(k)))[0]
             for b in blocks:
                 assert abs(y[list(b)].sum() - 1.0) < 1e-12
             # perturbing logits outside a block must not change it
@@ -46,17 +46,17 @@ class TestBlockSoftmax:
             for i in range(k):
                 if i not in target:
                     z2[i] += rng.normal(0, 5)
-            y2 = block_softmax(z2, compile_blocks(blocks, range(k)))
+            y2 = block_softmax(z2[None, :], compile_blocks(blocks, range(k)))[0]
             np.testing.assert_allclose(y2[list(target)], y[list(target)], atol=1e-12)
 
     def test_shift_invariance_per_block(self):
         rng = np.random.default_rng(11)
         z = rng.normal(size=6)
         blocks = compile_blocks([[0, 2, 4], [1, 3], [5]], range(6))
-        y = block_softmax(z, blocks)
+        y = block_softmax(z[None, :], blocks)[0]
         z2 = z.copy()
         z2[[0, 2, 4]] += 17.5
-        y2 = block_softmax(z2, blocks)
+        y2 = block_softmax(z2[None, :], blocks)[0]
         np.testing.assert_allclose(y2, y, atol=1e-12)
 
     def test_partition_validation(self):
@@ -176,7 +176,7 @@ class TestBackward:
         rng = np.random.default_rng(9)
         z = rng.normal(0, 4, 7)
         blocks = [[0, 3, 5], [1, 2], [4, 6]]
-        y = block_softmax(z, compile_blocks(blocks, range(7)))
+        y = block_softmax(z[None, :], compile_blocks(blocks, range(7)))[0]
         for blk in blocks:
             for t in blk:
                 lp = block_log_prob(Tensor(z[None, :]), [blk], [t]).data[0]

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from pathcast import numerics as nm
-from pathcast.evaldecode import greedy_decode
-from pathcast.model import LabelPathModel, StepDistribution, _sample_cross_block, greedy_choice
+from pathcast.evaldecode import EmptyDataset, decode_rows, evaluate, extract_label, greedy_decode
+from pathcast.model import LabelPathModel, SampledPath
 from pathcast.numerics import backward, block_log_prob, gru_forward, gru_step
 from pathcast.labelgraph import build_graph
 from pathcast.pathalg import all_paths_to, classify_paths, enumerate_paths
@@ -85,14 +85,14 @@ def test_plain_walk_matches_traced_walk(seed):
             t.data = t.data + rng.normal(0, 0.5, t.data.shape)
         for x in rng.normal(size=(4, 5)):
             max_len = int(rng.integers(2, 7))
-            want = ref.traced_walk(m, x, max_len, greedy_choice)
+            want = ref.traced_walk(m, x, max_len, ref.greedy_choice)
             got = greedy_decode(m, x, max_len)
             assert (got.path, got.step_probs) == (want.tokens, want.step_probs)
             assert got.terminated_by == ("eop" if want.ended_with_eop else "max_len")
             draw_seed = int(rng.integers(2**32))
             draws = np.random.default_rng(draw_seed)
-            want = ref.traced_walk(m, x, max_len, lambda dist: _sample_cross_block(dist, draws))
-            got = m.sample_path(x, np.random.default_rng(draw_seed), max_len)
+            want = ref.traced_walk(m, x, max_len, lambda dist: ref.sample_cross_block(dist, draws))
+            got, = m.sample_path(x[None, :], np.random.default_rng(draw_seed), max_len)
             assert got == want
 
 
@@ -106,15 +106,99 @@ def test_plain_encoding_and_logits_are_the_traced_values(seed):
     xs = rng.normal(size=(3, 5))
     assert m.encode_values(xs).tobytes() == m.encode(xs).data.tobytes()
     seen = []
-    m.distribution = lambda z_row, prev: (seen.append(z_row.copy()),
-                                          LabelPathModel.distribution(m, z_row, prev))[1]
+    m._probs = lambda z, groups: (seen.append(z.copy()), LabelPathModel._probs(m, z, groups))[1]
     f = m.encode_values(xs[:1])
     for prev in (m.start_token, *m.candidates(g.root).tokens[:1], g.root):
-        _, f_plain = m.step(f, prev)
+        _, f_plain = m.step(f, [prev])
         f_traced, z = m.decode_logits(nm.constant(f), [prev])
-        assert seen.pop().tobytes() == z.data[0].tobytes()
+        assert seen.pop().tobytes() == z.data.tobytes()
         assert f_plain.tobytes() == f_traced.data.tobytes()
         f = f_plain
+
+
+# Batch sizes of the lockstep engine: none, one, and both sides of evaluate's
+# 256-row blocks.
+ENGINE_ROWS = (0, 1, 255, 256, 257, 513)
+# An [m, k] product and a [1, k] product differ in their last bits (OpenBLAS),
+# so step_probs of a batch are within this many ulp of the one-row walk's.
+# The largest seen: 11 in these tests, 16 on the benchmark's trained models.
+ENGINE_ULP = 64
+
+
+def _engine_cases(rng):
+    """Random models, sharpened by nonzero biases, each with a random
+    ``max_len``: first on the dead-end graph with its output biases zeroed,
+    so that the input decides and about half the rows stop at the dead end
+    while the rest reach EOP (a ``max_len`` of 4 or more fits both), then on
+    the figure-2 subgraph, whose ``longhair`` is a dead end too, and on
+    random DAGs."""
+    cases = ((ref.dead_end_graph(), 4, True), (ref.figure2_subgraph(), 2, False),
+             (ref.random_dag(rng), 2, False), (ref.random_dag(rng), 2, False))
+    for g, shortest, no_bias in cases:
+        m = LabelPathModel(g, input_dim=5, embed_dim=6, hidden=8, seed=int(rng.integers(1000)))
+        for t in m.params.values():
+            t.data = t.data + rng.normal(0, 0.5, t.data.shape)
+        if no_bias:
+            m.params["out.b"].data[:] = 0.0
+        yield m, int(rng.integers(shortest, 7))
+
+
+def _assert_same_walks(got, want):
+    """Paths and stops exact; step probabilities within ``ENGINE_ULP``."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.tokens, a.ended_with_eop) == (b.tokens, b.ended_with_eop)
+        pa, pb = np.array(a.step_probs), np.array(b.step_probs)
+        assert pa.shape == pb.shape
+        assert (np.abs(pa - pb) <= ENGINE_ULP * np.spacing(pb)).all()
+
+
+def _stop(walk, max_len):
+    if walk.ended_with_eop:
+        return "eop"
+    return "max_len" if len(walk.step_probs) == max_len else "dead_end"
+
+
+@pytest.mark.parametrize("rows", ENGINE_ROWS)
+def test_lockstep_greedy_matches_one_row_oracle(rows):
+    rng = np.random.default_rng(rows)
+    for case, (m, max_len) in enumerate(_engine_cases(rng)):
+        xs = rng.normal(size=(rows, 5))
+        want = ref.step_major_walk(m, xs, max_len, ref.greedy_choice)
+        got = decode_rows(m, xs, max_len)
+        _assert_same_walks([SampledPath(r.path, r.step_probs, r.terminated_by == "eop")
+                            for r in got], want)
+        assert [r.predicted_label for r in got] == [extract_label(m.graph, w.tokens)
+                                                    for w in want]
+        if case == 0 and rows > 1:  # dead ends stop among rows that walk on to EOP
+            assert {"dead_end", "eop"} <= {_stop(w, max_len) for w in want}
+        labels = rng.integers(len(m.graph.nodes), size=rows)
+        data = [(x, int(label)) for x, label in zip(xs, labels)]
+        if not data:
+            with pytest.raises(EmptyDataset):
+                evaluate(m, data, max_len)
+            continue
+        evaluated = []
+        report = evaluate(m, data, max_len, evaluated)  # in blocks of 256 rows
+        _assert_same_walks([SampledPath(r.path, r.step_probs, r.terminated_by == "eop")
+                            for r in evaluated], want)
+        assert [r.predicted_label for r in evaluated] == [r.predicted_label for r in got]
+        assert report.accuracy == np.mean([r.predicted_label == label
+                                           for r, label in zip(got, labels)])
+
+
+@pytest.mark.parametrize("rows", ENGINE_ROWS)
+def test_lockstep_sampling_matches_step_major_oracle(rows):
+    rng = np.random.default_rng(100 + rows)
+    for m, max_len in _engine_cases(rng):
+        xs = rng.normal(size=(rows, 5))
+        draw_seed = int(rng.integers(2**32))
+        got_rng, want_rng = np.random.default_rng(draw_seed), np.random.default_rng(draw_seed)
+        got = m.sample_path(xs, got_rng, max_len)
+        want = ref.step_major_walk(m, xs, max_len,
+                                   lambda dist: ref.sample_cross_block(dist, want_rng))
+        _assert_same_walks(got, want)
+        assert got_rng.random() == want_rng.random()  # the same draws, in the same order
 
 
 def _random_blocks(rng):
@@ -132,11 +216,17 @@ def test_segment_block_softmax_matches_per_block_oracle(seed):
     rng = np.random.default_rng(seed)
     for _ in range(300):
         z, cols, blocks = _random_blocks(rng)
-        got = nm.block_softmax(z, nm.compile_blocks(blocks, cols))
+        seg = nm.compile_blocks(blocks, cols)
+        got = nm.block_softmax(z[None, :], seg)[0]
         want = ref.block_softmax(z[cols], blocks)
         assert got.argmax() == want.argmax()
         # segment sums run in another order than e.sum() for blocks of 3 or more
         assert (np.abs(got - want) <= 4 * np.spacing(want)).all()
+        # each row of a rows call is that row's own call, bit for bit
+        zs = np.stack([z, *rng.normal(0, 3.0, (int(rng.integers(0, 5)), z.size))])
+        rows = nm.block_softmax(zs, seg)
+        for z_row, row in zip(zs, rows):
+            assert row.tobytes() == nm.block_softmax(z_row[None, :], seg)[0].tobytes()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -144,11 +234,12 @@ def test_inverse_cdf_sampler_matches_choice_oracle(seed):
     rng = np.random.default_rng(seed)
     for _ in range(60):
         z, cols, blocks = _random_blocks(rng)
-        dist = StepDistribution(tokens=tuple(int(c) for c in cols),
-                                probs=ref.block_softmax(z[cols], blocks), blocks=tuple(blocks))
+        dist = ref.StepDistribution(tokens=tuple(int(c) for c in cols),
+                                    probs=ref.block_softmax(z[cols], blocks),
+                                    blocks=tuple(blocks))
         draw_seed = int(rng.integers(2**32))
         got_rng, want_rng = np.random.default_rng(draw_seed), np.random.default_rng(draw_seed)
-        got = [_sample_cross_block(dist, got_rng) for _ in range(40)]
+        got = [ref.sample_cross_block(dist, got_rng) for _ in range(40)]
         want = [ref.choice_cross_block(dist, want_rng) for _ in range(40)]
         assert got == want
         assert got_rng.random() == want_rng.random()  # the same generator state
@@ -192,7 +283,7 @@ def test_rows_rescoring_matches_per_path_oracle(seed):
     m = LabelPathModel(g, input_dim=5, embed_dim=6, hidden=8, seed=seed)
     xs = rng.normal(size=(6, 5))
     # ragged: short budgets truncate some walks before EOP
-    samples = [m.sample_path(x, rng, max_len=2 + i % 4) for i, x in enumerate(xs)]
+    samples = [m.sample_path(x[None, :], rng, max_len=2 + i % 4)[0] for i, x in enumerate(xs)]
     weights = rng.normal(size=len(samples))
 
     def grads_of(loss):

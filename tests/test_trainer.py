@@ -16,7 +16,7 @@ from pathcast.trainer import (Batch, BaselineEstimator, EmptyRewardSet,
                               train, train_epoch, typed_fields)
 
 from reference import (figure2_subgraph, finite_difference, max_rel_err, path_log_prob,
-                       sum_all)
+                       sample_cross_block, step_major_walk, sum_all)
 
 
 def bandit_graph():
@@ -311,12 +311,13 @@ class TestDeterministicLoss:
         assert trace_tf[:2] == trace_fr[:2]  # START and root agree
 
     def test_free_running_feeds_the_greedy_token_of_each_step(self):
-        # every fed token after START is greedy_choice over model.distribution
-        # of the logits that lane saw one step earlier, up to the lane's last
-        # target; after an EOP pick the lane stays frozen on its token. In the
-        # second graph cat is a label with grouped children, where greedy
-        # decoding picks EOP, so its lane freezes one step before its end.
-        from pathcast.model import greedy_choice
+        # every fed token after START is the one-row oracle's greedy_choice
+        # over distribution of the logits that lane saw one step earlier, up
+        # to the lane's last target; after an EOP pick the lane stays frozen
+        # on its token. In the second graph cat is a label with grouped
+        # children, where greedy decoding picks EOP, so its lane freezes one
+        # step before its end.
+        from reference import distribution, greedy_choice
         coarse = build_graph([("coarse", ["cat"]), ("fine", ["a", "b"]), ("finer", ["x"])],
                              (), [("root", "cat"), ("cat", "a"), ("cat", "b"), ("a", "x")], ())
         f2 = figure2_subgraph()
@@ -340,7 +341,7 @@ class TestDeterministicLoss:
                 for li, targets in enumerate(lanes):
                     assert fed[0][li] == m.start_token
                     for t in range(1, len(targets)):
-                        dist = m.distribution(logits[t - 1][li], fed[t - 1][li])
+                        dist = distribution(m, logits[t - 1][li], fed[t - 1][li])
                         pick = greedy_choice(dist)[0]
                         if pick == m.eop_token:
                             eop_picks += 1
@@ -456,7 +457,7 @@ class TestPolicyGradientLoss:
         g = bandit_graph()
         m = make_model(g, seed=9)
         x = np.random.default_rng(3).normal(size=4)
-        sampled = m.sample_path(x, np.random.default_rng(1), max_len=6)
+        sampled, = m.sample_path(x[None, :], np.random.default_rng(1), max_len=6)
         weight = -(1.0 - 0.4)  # frozen (r - b)
         raw = {k: v.data.copy() for k, v in m.params.items()}
 
@@ -505,11 +506,13 @@ class TestPolicyGradientLoss:
 
     def test_matches_per_sample_composition(self):
         def per_sample_loss(m, batch, baseline, cfg, rng, book):
-            # one encode, one rescoring and one scale per sample, then pooled
+            # one-row walks drawing step-major, as the lockstep sampler does;
+            # then one encode, one rescoring and one scale per sample, pooled
             b = baseline.value
             terms, rewards = [], []
-            for i in batch.pg_indexes:
-                sampled = m.sample_path(batch.inputs[i], rng, cfg.max_len)
+            walks = step_major_walk(m, batch.inputs[list(batch.pg_indexes)], cfg.max_len,
+                                    lambda dist: sample_cross_block(dist, rng))
+            for i, sampled in zip(batch.pg_indexes, walks):
                 r = reward(sampled.tokens, book.reward_members(batch.labels[i], cfg.reward_set))
                 rewards.append(r)
                 logp = sum_all(m.sampled_path_log_prob(batch.inputs[i][None, :], [sampled]))
@@ -573,8 +576,8 @@ class TestBandit:
                 backward(loss)
                 adam_step(adam, m.params, collect_grads(m.params))
             f = m.encode(x).data
-            dist, _ = m.step(f, g.root)
-            p_win = dist.probs[dist.tokens.index(g.id_of("a"))]
+            probs, _ = m.step(f, [g.root])
+            p_win = probs[0, g.id_of("a")]
             wins += p_win >= 0.95
         assert wins >= 9
 
