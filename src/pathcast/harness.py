@@ -318,9 +318,10 @@ def save_dataset(path: str, ds: DatasetSpec) -> None:
 
 
 def load_dataset(path: str, name: str | None = None) -> DatasetSpec:
-    """Read JSONL rows ``{"x": [numbers], "label": str}``. A row that breaks
-    this, or whose ``x`` is empty, non-finite or not as wide as the first
-    row's, raises :class:`InvalidDataset` naming the file and line."""
+    """Read JSONL rows ``{"x": [numbers], "label": str}``, with an optional
+    ``"attrs": {str: str}``. A row that breaks this, or whose ``x`` is empty,
+    non-finite or not as wide as the first row's, raises
+    :class:`InvalidDataset` naming the file and line."""
     samples: list[SynthSample] = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -344,7 +345,11 @@ def load_dataset(path: str, name: str | None = None) -> DatasetSpec:
                 raise InvalidDataset(f"{where} 'x' has {x.size} values, not {samples[0].x.size}")
             if not isinstance(rec["label"], str):
                 raise InvalidDataset(f"{where} 'label' must be a string")
-            samples.append(SynthSample(x=x, label=rec["label"], attrs=rec.get("attrs")))
+            attrs = rec.get("attrs")
+            if attrs is not None and not (isinstance(attrs, dict) and all(
+                    isinstance(v, str) for v in attrs.values())):
+                raise InvalidDataset(f"{where} 'attrs' must map group names to member names")
+            samples.append(SynthSample(x=x, label=rec["label"], attrs=attrs))
     labels = {s.label for s in samples}
     return DatasetSpec(name or path, samples, k=len(labels))
 
@@ -458,10 +463,13 @@ def _report(net: _EncoderHead, test_ds: DatasetSpec, classes: Sequence[str],
 
 def _cross_entropy(ys: np.ndarray) -> Callable:
     """Batch-mean cross-entropy of the logits rows against the class ids
-    ``ys[idx]``: one rows-form ``block_log_prob`` over all classes."""
+    ``ys[idx]``: one ``block_log_prob`` with one block of all classes per
+    row."""
     def loss_fn(z: Tensor, idx: np.ndarray) -> Tensor:
-        all_classes = range(z.data.shape[1])
-        lp = nm.block_log_prob(z, [all_classes] * len(idx), ys[idx])
+        rows, k = np.arange(len(idx)), z.data.shape[1]
+        every = nm.Blocks(rows.repeat(k), np.tile(np.arange(k), rows.size), rows * k,
+                          np.full(rows.size, k))
+        lp = nm.block_log_prob(z, every, ys[idx])
         return nm.weighted_sum(lp, np.full(len(idx), -1.0 / len(idx)))
     return loss_fn
 

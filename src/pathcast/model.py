@@ -15,7 +15,7 @@ import json
 import os
 import re
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,20 +30,6 @@ class InvalidPath(ValueError):
 
 class NoCandidates(RuntimeError):
     """A non-label leaf was reached; valid graphs never produce this."""
-
-
-class Candidates(NamedTuple):
-    """Candidates after one token: ``tokens`` ascend, ``blocks`` hold index
-    positions into them, ``block_of`` maps each to its block as token ids,
-    ``segments`` is the checked segment form of the blocks over the token
-    ids, which the decode step's block softmax runs on, and ``ids`` holds
-    ``tokens`` as an index array."""
-
-    tokens: tuple[int, ...]
-    blocks: tuple[tuple[int, ...], ...]
-    block_of: dict[int, tuple[int, ...]]
-    segments: nm.Segments
-    ids: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -63,9 +49,10 @@ class LabelPathModel:
     children partitioned into their groups restricted to the candidate set,
     singleton blocks for ungrouped children, and an EOP singleton when the
     token is a label node. Each entry's partition is checked and compiled to
-    segment form there, once, so no decode step validates it again.
-    ``_n_blocks`` holds each token's block count, 0 for a token without an
-    entry (EOP, or a dead end), and ``_has_entry`` marks the tokens with one.
+    a one-row ``nm.Blocks`` there, once (``_entries``). ``_table`` stacks
+    them in token order, each on its token's row; ``_first`` and
+    ``_n_blocks`` give each token's blocks in it (none for EOP or a dead
+    end), and ``_block_of`` maps (token, candidate) to the candidate's block.
     """
 
     def __init__(self, graph: LabelGraph, input_dim: int, embed_dim: int,
@@ -99,11 +86,15 @@ class LabelPathModel:
         b("out.b", self.vocab_size)
         self.params = p
 
-        self._table = self._candidate_table()
-        self._n_blocks = np.zeros(self.vocab_size, dtype=np.intp)
-        for prev, cands in self._table.items():
-            self._n_blocks[prev] = len(cands.blocks)
+        self._entries = self._candidate_table()
+        toks = sorted(self._entries)
+        self._table = table = nm.stack_blocks([self._entries[t] for t in toks], toks)
+        block_rows = table.rows[table.starts]
+        self._n_blocks = np.bincount(block_rows, minlength=self.vocab_size)
+        self._first = np.cumsum(self._n_blocks) - self._n_blocks
         self._has_entry = self._n_blocks > 0
+        self._block_of = dict(zip(zip(table.rows.tolist(), table.cols.tolist()),
+                                  np.repeat(np.arange(block_rows.size), table.sizes).tolist()))
 
     @property
     def encoder_param_names(self) -> tuple[str, ...]:
@@ -111,7 +102,7 @@ class LabelPathModel:
 
     # -- candidate sets -------------------------------------------------------
 
-    def _candidate_table(self) -> dict[int, Candidates]:
+    def _candidate_table(self) -> dict[int, nm.Blocks]:
         root, eop = self.graph.root, self.eop_token
         parts = {self.start_token: ((root,), ((0,),))}
         for node in self.graph.nodes:
@@ -124,20 +115,34 @@ class LabelPathModel:
                 groups.setdefault(t if g is None else g, []).append(i)
             if groups:
                 parts[node.id] = (toks, tuple(map(tuple, groups.values())))
-        return {prev: Candidates(toks, blocks,
-                                 {toks[i]: tuple(toks[j] for j in b) for b in blocks for i in b},
-                                 nm.compile_blocks(blocks, toks), np.asarray(toks, dtype=np.intp))
-                for prev, (toks, blocks) in parts.items()}
+        return {prev: nm.compile_blocks(blocks, toks) for prev, (toks, blocks) in parts.items()}
 
-    def candidates(self, prev_token: int) -> Candidates:
-        """Candidate tokens and their blocks after ``prev_token``."""
-        hit = self._table.get(prev_token)
-        if hit is not None:
-            return hit
-        if 0 <= prev_token < len(self.graph.nodes):
-            name = self.graph.node(prev_token).name
+    def candidates(self, prev: Sequence[int] | np.ndarray) -> nm.Blocks:
+        """The candidate blocks after each token of ``prev [m]``, as one
+        layout on rows ``0..m-1``, each token's blocks in table order: one
+        row is its token's entry, more are one ragged gather from the table.
+        A token without an entry raises NoCandidates if it is a graph node (a
+        dead end) and InvalidPath otherwise (EOP, or outside the vocabulary).
+        """
+        prev = np.asarray(prev, dtype=np.intp)
+        if prev.size == 1:
+            one = self._entries.get(int(prev[0]))
+            if one is None:
+                self._no_entry(int(prev[0]))
+            return one
+        n = self._n_blocks.take(prev, mode="clip")
+        bad = (n == 0) | (prev < 0) | (prev >= self.vocab_size)
+        if bad.any():
+            self._no_entry(int(prev[bad][0]))
+        ends = n.cumsum()
+        ids = (self._first[prev] + n - ends).repeat(n) + np.arange(n.sum())
+        return nm.gather_blocks(self._table, np.arange(prev.size).repeat(n), ids)
+
+    def _no_entry(self, token: int) -> None:
+        if 0 <= token < len(self.graph.nodes):
+            name = self.graph.node(token).name
             raise NoCandidates(f"node {name!r} has no children and no EOP")
-        raise InvalidPath(f"token {prev_token} cannot start a decode step")
+        raise InvalidPath(f"token {token} cannot start a decode step")
 
     # -- forward passes -------------------------------------------------------
 
@@ -175,43 +180,11 @@ class LabelPathModel:
         z = nm.add_rowvec(nm.matmul(f_t, self.params["out.w"]), self.params["out.b"])
         return f_t, z
 
-    def _groups(self, prev: np.ndarray) -> list[tuple[np.ndarray | slice, Candidates]]:
-        """The rows of ``prev`` per distinct token, with its candidates; one
-        token for every row gives the rows as ``slice(None)``. A token
-        outside the vocabulary raises IndexOutOfRange (no wrap-around for a
-        negative id); one without an entry raises NoCandidates or
-        InvalidPath."""
-        if prev.size == 1 or (prev.size and (prev == prev[0]).all()):
-            toks, rows = [int(prev[0])], [slice(None)]
-        else:  # sorted(set()) and not np.unique, whose first call costs 1.7 MB of RSS
-            toks = sorted(set(prev.tolist()))
-            rows = [np.flatnonzero(prev == t) for t in toks]
-        groups = []
-        for t, r in zip(toks, rows):
-            cands = self._table.get(t)
-            if cands is None:
-                if not 0 <= t < self.vocab_size:
-                    raise nm.IndexOutOfRange(f"token {t} outside the vocabulary")
-                self.candidates(t)  # raises
-            groups.append((r, cands))
-        return groups
-
-    def _probs(self, z: np.ndarray, groups: list[tuple[np.ndarray | slice, Candidates]]
-               ) -> np.ndarray:
-        probs = np.zeros_like(z)
-        for rows, cands in groups:
-            block = nm.block_softmax(z[rows], cands.segments)
-            if isinstance(rows, slice):
-                probs[:, cands.ids] = block
-            else:
-                probs[rows[:, None], cands.ids] = block
-        return probs
-
     def block_probs(self, z: np.ndarray, prev: np.ndarray) -> np.ndarray:
         """Block-softmax probabilities ``[m, vocab]`` of the candidates after
         each row's ``prev`` token, from logits ``z [m, vocab]``; 0 off the
-        candidates. One rows-form ``nm.block_softmax`` per distinct token."""
-        return self._probs(z, self._groups(prev))
+        candidates. One ``nm.block_softmax`` over :meth:`candidates`."""
+        return nm.block_softmax(z, self.candidates(prev))
 
     def step(self, f_prev: np.ndarray,
              prev: Sequence[int] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -220,17 +193,23 @@ class LabelPathModel:
         (:meth:`block_probs`) and the new states ``[m,h]``. The values are
         those of ``decode_logits`` (the GRU runs through the same
         ``nm.gru_forward``), with no trace. The tokens are checked before any
-        arithmetic (see :meth:`_groups`). A non-finite embedding row or logit
-        raises the Tensor finiteness error; a non-finite state makes every
-        logit of its row non-finite."""
+        arithmetic (see :meth:`candidates`; a token outside the vocabulary
+        raises IndexOutOfRange, with no wrap-around for a negative id). A
+        non-finite embedding row or logit raises the Tensor finiteness error;
+        a non-finite state makes every logit of its row non-finite."""
         prev = np.asarray(prev, dtype=np.intp)
-        groups = self._groups(prev)
+        try:
+            blocks = self.candidates(prev)
+        except InvalidPath:
+            if ((prev < 0) | (prev >= self.vocab_size)).any():
+                raise nm.IndexOutOfRange("step: token outside the vocabulary") from None
+            raise
         e = self.params["emb"].data.take(prev, axis=0)
         nm.require_finite(e)
         f_t = nm.gru_forward(self.gru, e, f_prev)[-1]
         z = f_t @ self.params["out.w"].data + self.params["out.b"].data[None, :]
         nm.require_finite(z)
-        return self._probs(z, groups), f_t
+        return nm.block_softmax(z, blocks), f_t
 
     def score_lanes(self, f: Tensor, lanes: Sequence[Sequence[int]], teacher: bool) -> Tensor:
         """Differentiable summed log-probability of each lane's target tokens.
@@ -243,8 +222,8 @@ class LabelPathModel:
         one call per step over the lanes still feeding), a later step whose
         target is not a candidate after that token is skipped, and the lane
         stops at EOP or at a token without candidates. Returns the per-lane
-        totals as one ``[lanes]`` Tensor, built from one rows-form
-        ``block_log_prob`` per step.
+        totals as one ``[lanes]`` Tensor, built from one ``block_log_prob``
+        per step over the step's target blocks, gathered from the table.
         """
         if not all(lanes):
             raise InvalidPath("empty lane")
@@ -253,30 +232,31 @@ class LabelPathModel:
         steps: list[Tensor] = []
         for t in range(max(map(len, lanes))):
             f, z = self.decode_logits(f, fed)
-            step_blocks: list[tuple[int, ...] | None] = [None] * len(lanes)
-            step_targets = [0] * len(lanes)
+            rows: list[int] = []  # the scored lanes, their blocks and targets
+            ids: list[int] = []
+            step_targets: list[int] = []
             free: list[int] = []  # lanes that feed their greedy pick
             for li, targets in enumerate(lanes):
                 if t >= len(targets) or not alive[li]:
                     continue
                 prev, target = fed[li], targets[t]
-                try:
-                    block = self.candidates(prev).block_of.get(target)
-                except NoCandidates:
+                block = self._block_of.get((prev, target))
+                if block is not None:
+                    rows.append(li)
+                    ids.append(block)
+                    step_targets.append(target)
+                elif not self._has_entry[prev]:  # a dead end
                     if teacher:
-                        raise
+                        self._no_entry(prev)
                     alive[li] = False
                     continue
-                if block is not None:
-                    step_blocks[li] = block
-                    step_targets[li] = target
                 elif teacher or t == 0:
                     raise InvalidPath(f"token {target} is not a candidate after {prev}")
                 if teacher:
                     fed[li] = target
                 else:
                     free.append(li)
-            if free:  # candidates(prev) succeeded above, so this pick cannot fail
+            if free:  # every fed token has an entry, so this pick cannot fail
                 fed_free = np.array([fed[li] for li in free], dtype=np.intp)
                 picks, _ = greedy_pick(self.block_probs(z.data[free], fed_free), fed_free)
                 for li, nxt in zip(free, picks.tolist()):
@@ -284,7 +264,8 @@ class LabelPathModel:
                         alive[li] = False  # frozen on prev; no further loss from this lane
                     else:
                         fed[li] = nxt
-            steps.append(nm.block_log_prob(z, step_blocks, step_targets))
+            steps.append(nm.block_log_prob(z, nm.gather_blocks(self._table, rows, ids),
+                                           step_targets))
         return nm.add_n(steps)
 
     def walk(self, x: np.ndarray, max_len: int,
@@ -340,29 +321,34 @@ class LabelPathModel:
     def _draw(self, p: np.ndarray, prev: np.ndarray,
               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """One sampled token per row of ``p [m, vocab]``, with its
-        probability. Each block is drawn by inverse CDF on one
-        ``rng.random()``, the arithmetic of ``rng.choice(size, p=q / q.sum())``;
-        the draws go row after row, each row's in block order."""
-        n_blocks = self._n_blocks[prev]
-        u = rng.random(int(n_blocks.sum()))
-        first = np.cumsum(n_blocks) - n_blocks  # each row's first draw
-        tok, top = np.empty(prev.size, dtype=np.intp), np.empty(prev.size)
-        for rows, cands in self._groups(prev):
-            seg, pr = cands.segments, p[rows]
-            drawn = np.empty((pr.shape[0], seg.sizes.size), dtype=np.intp)
-            for j, (s0, size) in enumerate(zip(seg.starts.tolist(), seg.sizes.tolist())):
-                if size == 1:
-                    drawn[:, j] = seg.index[s0]  # its CDF is [1.0] and u < 1
-                    continue
-                q = pr.take(seg.index[s0:s0 + size], axis=1)
-                cdf = (q / q.sum(axis=1, keepdims=True)).cumsum(axis=1)
-                cdf /= cdf[:, -1:]
-                # searchsorted(side="right") on each row's ascending CDF
-                drawn[:, j] = seg.index[s0 + (cdf <= u[first[rows] + j, None]).sum(axis=1)]
-            mass = pr[np.arange(pr.shape[0])[:, None], drawn]
-            top[rows] = best = mass.max(axis=1)
-            tok[rows] = np.where(mass == best[:, None], drawn, self.vocab_size).min(axis=1)
-        return tok, top
+        probability, in one pass over the rows' candidate layout. Each block
+        is drawn by inverse CDF on one ``rng.random()``, the arithmetic of
+        ``rng.choice(size, p=q / q.sum())``; the draws go row after row, each
+        row's in block order."""
+        b = self.candidates(prev)
+        nb = b.sizes.size
+        u = rng.random(nb)
+        q = p[b.rows, b.cols]
+        entry, block = np.arange(q.size), np.arange(nb).repeat(b.sizes)
+        # reduceat adds a segment's first term to the pairwise sum of the
+        # rest; a leading zero per block makes that numpy's sum of a vector
+        lead = np.zeros(q.size + nb)
+        lead[entry + block + 1] = q
+        total = np.add.reduceat(lead, b.starts + np.arange(nb))
+        # zero-padded rows: a block's CDF sums in its own order, and its
+        # last value fills the padding
+        cdf = np.zeros((nb, int(b.sizes.max())))
+        cdf[block, entry - b.starts[block]] = q / total[block]
+        cdf = cdf.cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        # searchsorted(side="right") on each block's ascending CDF; a
+        # singleton's CDF is [1.0] and u < 1
+        drawn = b.starts + (cdf <= u[:, None]).sum(axis=1)
+        mass, row = q[drawn], b.rows[b.starts]
+        first = row.searchsorted(np.arange(prev.size))  # each row's first block
+        top = np.maximum.reduceat(mass, first)
+        tok = np.where(mass == top[row], b.cols[drawn], self.vocab_size)
+        return np.minimum.reduceat(tok, first), top
 
     def sampled_path_log_prob(self, x: np.ndarray, sampled: Sequence[SampledPath]) -> Tensor:
         """Differentiable re-scoring of sampled trajectories (same choices):

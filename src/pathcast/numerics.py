@@ -221,90 +221,106 @@ def _check_partition(blocks: Sequence[Sequence[int]], k: int) -> None:
         raise ValueError(f"partition covers {len(seen)} of {k} indices")
 
 
-class Segments(NamedTuple):
-    """A checked partition in segment form. ``index`` lists the columns
-    block after block; block j is ``index[starts[j]:starts[j] + sizes[j]]``;
-    ``inverse`` reorders block order back to the order the columns were
-    given in."""
+class Blocks(NamedTuple):
+    """Blocks of logit entries in flat segment form: entry i is
+    ``z[rows[i], cols[i]]``, and block j holds entries ``starts[j]`` to
+    ``starts[j] + sizes[j]``. A block's entries share a row, and a row's
+    blocks are consecutive."""
 
-    index: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
     starts: np.ndarray
     sizes: np.ndarray
-    inverse: np.ndarray
 
 
-def compile_blocks(blocks: Sequence[Sequence[int]], columns: Sequence[int]) -> Segments:
-    """Segment form of ``blocks``, a partition of the positions of
-    ``columns``. The partition is checked here, once: an empty block, a
-    position out of range, an uncovered position or an overlap raises."""
+def compile_blocks(blocks: Sequence[Sequence[int]], columns: Sequence[int]) -> Blocks:
+    """``blocks``, a partition of the positions of ``columns``, as the
+    columns of row 0, block after block. The partition is checked here,
+    once: an empty block, a position out of range, an uncovered position or
+    an overlap raises."""
     k = len(columns)
     _check_partition(blocks, k)
     sizes = np.fromiter(map(len, blocks), dtype=np.intp, count=len(blocks))
     order = np.fromiter(chain.from_iterable(blocks), dtype=np.intp, count=k)
-    inverse = np.empty(k, dtype=np.intp)
-    inverse[order] = np.arange(k)
-    return Segments(np.asarray(columns, dtype=np.intp)[order], np.cumsum(sizes) - sizes,
-                    sizes, inverse)
+    return Blocks(np.zeros(k, dtype=np.intp), np.asarray(columns, dtype=np.intp)[order],
+                  np.cumsum(sizes) - sizes, sizes)
 
 
-def block_softmax(z: np.ndarray, seg: Segments) -> np.ndarray:
-    """Softmax normalised independently within each competing-node block,
-    for every row of the logits ``z [m, V]``.
+def stack_blocks(layouts: Sequence[Blocks], rows: Sequence[int]) -> Blocks:
+    """One layout of the blocks of ``layouts[k]`` on row ``rows[k]``, in order."""
+    sizes = np.concatenate([b.sizes for b in layouts])
+    return Blocks(np.repeat(np.asarray(rows, dtype=np.intp), [b.cols.size for b in layouts]),
+                  np.concatenate([b.cols for b in layouts]), np.cumsum(sizes) - sizes, sizes)
 
-    Returns ``[m, k]``: one probability per column of ``seg``, in the order
-    the columns were compiled in. Within a block the outputs are positive
-    and sum to one; logits outside a block never influence it. Each block is
-    stabilised by subtracting its own maximum before exponentiation; maxima
-    and sums are segment reductions along the rows, with no loop over blocks
-    or rows, and a row's values do not depend on the other rows. Plain
-    arrays with no trace node: training scores through
-    :func:`block_log_prob`, which is differentiable.
+
+def gather_blocks(table: Blocks, rows: Sequence[int] | np.ndarray,
+                  ids: Sequence[int] | np.ndarray) -> Blocks:
+    """Block ``ids[j]`` of ``table`` on row ``rows[j]``, for every j in
+    order: one ragged gather of the blocks' entries."""
+    ids = np.asarray(ids, dtype=np.intp)
+    sizes = table.sizes[ids]
+    starts = sizes.cumsum() - sizes
+    entries = (table.starts[ids] - starts).repeat(sizes) + np.arange(sizes.sum())
+    return Blocks(np.asarray(rows, dtype=np.intp).repeat(sizes), table.cols[entries],
+                  starts, sizes)
+
+
+def _block_exp(zb: np.ndarray, blocks: Blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The segment reductions of both block-softmax forms on the entries'
+    logits: each block's max, each ``exp(z - max)``, and each block's sum."""
+    zmax = np.maximum.reduceat(zb, blocks.starts)
+    e = np.exp(zb - zmax.repeat(blocks.sizes))
+    return zmax, e, np.add.reduceat(e, blocks.starts)
+
+
+def block_softmax(z: np.ndarray, blocks: Blocks) -> np.ndarray:
+    """Softmax normalised independently within each competing-node block of
+    the logits ``z [m, V]``.
+
+    Returns ``[m, V]`` probabilities, 0 off the blocks' entries. Within a
+    block the outputs are positive and sum to one; logits outside a block
+    never influence it. Each block is stabilised by subtracting its own
+    maximum before exponentiation; maxima and sums are one segment reduction
+    each over all blocks, with no loop over blocks or rows. Plain arrays with
+    no trace node: training scores through :func:`block_log_prob`, which is
+    differentiable.
     """
     if z.ndim != 2:
         raise ShapeMismatch(f"block_softmax: expected [m, V] rows, got {z.shape}")
-    zb = z.take(seg.index, axis=1)  # cheaper than z[:, index] on few rows
-    e = np.exp(zb - np.maximum.reduceat(zb, seg.starts, axis=1).repeat(seg.sizes, axis=1))
-    e /= np.add.reduceat(e, seg.starts, axis=1).repeat(seg.sizes, axis=1)
-    return e.take(seg.inverse, axis=1)
+    _, e, sums = _block_exp(z[blocks.rows, blocks.cols], blocks)
+    probs = np.zeros_like(z)
+    probs[blocks.rows, blocks.cols] = e / sums.repeat(blocks.sizes)
+    return probs
 
 
-def block_log_prob(logits: Tensor, blocks, targets) -> Tensor:
-    """log of the block-softmax probability of each row's target within its
-    block.
+def block_log_prob(logits: Tensor, blocks: Blocks, targets) -> Tensor:
+    """log of the block-softmax probability of each block's target within
+    it.
 
-    ``logits [m,V]``, one block of indices per row (``None`` leaves the row
-    unscored) and one target per row; returns one ``[m]`` node that is 0 in
-    unscored rows. Equivalent to ``log(block_softmax(z, ...)[target])`` per
-    row but fused and stabilised as ``z[target] - logsumexp(z[block])``: one
-    segment logsumexp over the concatenated blocks, with one scatter in the
-    backward pass. Only each row's block receives gradient, matching block
-    independence.
+    ``logits [m,V]``, a layout with at most one block per row and one target
+    column per block; returns one ``[m]`` node that is 0 in rows without a
+    block. Equivalent to ``log(block_softmax(z, blocks)[row, target])`` but
+    fused and stabilised as ``z[target] - logsumexp(z[block])``, with one
+    scatter in the backward pass. Only each row's block receives gradient,
+    matching block independence. A target outside its block raises
+    IndexOutOfRange.
     """
     zz = logits.data
     if zz.ndim != 2:
         raise ShapeMismatch(f"block_log_prob: expected matrix, got {zz.shape}")
-    if len(blocks) != zz.shape[0] or len(targets) != zz.shape[0]:
-        raise ShapeMismatch(f"block_log_prob: {len(blocks)} blocks and {len(targets)} "
-                            f"targets for {zz.shape[0]} rows")
-    rows = np.array([i for i, b in enumerate(blocks) if b is not None], dtype=np.intp)
-    sizes = np.array([len(blocks[i]) for i in rows], dtype=np.intp)
+    tgt = np.asarray(targets, dtype=np.intp)
+    if tgt.shape != blocks.sizes.shape:
+        raise ShapeMismatch(f"block_log_prob: {tgt.size} targets for "
+                            f"{blocks.sizes.size} blocks")
+    rows = blocks.rows[blocks.starts]
     lp = np.zeros(zz.shape[0])
     if rows.size:
-        if sizes.min() == 0:
-            raise EmptyBlock("empty block")
-        cols = np.fromiter(chain.from_iterable(blocks[i] for i in rows), dtype=np.intp,
-                           count=int(sizes.sum()))
-        if cols.min() < 0 or cols.max() >= zz.shape[1]:
-            raise IndexOutOfRange("block index out of range")
-        tgt = np.array([targets[i] for i in rows], dtype=np.intp)
-        starts = np.cumsum(sizes) - sizes
-        hits = np.add.reduceat(cols == np.repeat(tgt, sizes), starts)
+        hits = np.add.reduceat(blocks.cols == tgt.repeat(blocks.sizes), blocks.starts)
         if not hits.all():
             raise IndexOutOfRange(f"target {tgt[hits == 0][0]} not inside its block")
-        flat_rows = np.repeat(rows, sizes)
-        z = zz[flat_rows, cols]
-        zmax = np.maximum.reduceat(z, starts)
-        lse = zmax + np.log(np.add.reduceat(np.exp(z - np.repeat(zmax, sizes)), starts))
+        z = zz[blocks.rows, blocks.cols]
+        zmax, _, sums = _block_exp(z, blocks)
+        lse = zmax + np.log(sums)
         lp[rows] = zz[rows, tgt] - lse
     out = Tensor(lp, _parents=(logits,))
 
@@ -312,7 +328,8 @@ def block_log_prob(logits: Tensor, blocks, targets) -> Tensor:
         if logits.requires_grad and rows.size:
             gr = g[rows]
             gz = np.zeros_like(zz)
-            gz[flat_rows, cols] = -np.exp(z - np.repeat(lse, sizes)) * np.repeat(gr, sizes)
+            gz[blocks.rows, blocks.cols] = (-np.exp(z - lse.repeat(blocks.sizes))
+                                            * gr.repeat(blocks.sizes))
             gz[rows, tgt] += gr
             logits._accum(gz)
 

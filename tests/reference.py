@@ -158,6 +158,14 @@ def block_log_prob_row(logits: Tensor, block, target: int) -> Tensor:
     return out
 
 
+def row_blocks(blocks) -> nm.Blocks:
+    """The layout of one block of columns per row, ``blocks[i]`` on row i;
+    ``None`` leaves a row without one."""
+    rows = [i for i, b in enumerate(blocks) if b is not None]
+    layouts = [nm.compile_blocks([range(len(blocks[i]))], blocks[i]) for i in rows]
+    return nm.stack_blocks(layouts or [nm.compile_blocks((), ())], rows or [0])
+
+
 def block_softmax(z: np.ndarray, blocks) -> np.ndarray:
     """Per-block oracle of ``nm.block_softmax``, on a vector and a list of
     blocks that it checks on every call; each block is summed by ``e.sum()``."""
@@ -222,12 +230,22 @@ class StepDistribution:
     blocks: tuple
 
 
+def candidate_blocks(model, prev_token: int):
+    """The candidates after ``prev_token`` as ascending tokens and blocks of
+    index positions into them, read from the model's one-row layout."""
+    b = model.candidates([prev_token])
+    tokens = tuple(sorted(b.cols.tolist()))
+    pos = {t: i for i, t in enumerate(tokens)}
+    return tokens, tuple(tuple(pos[t] for t in b.cols[s:s + n].tolist())
+                         for s, n in zip(b.starts.tolist(), b.sizes.tolist()))
+
+
 def distribution(model, z_row: np.ndarray, prev_token: int) -> StepDistribution:
     """Block-softmax distribution over the candidates after ``prev_token``,
     taken from one row of vocabulary logits."""
-    cands = model.candidates(prev_token)
-    probs = nm.block_softmax(z_row[None, :], cands.segments)[0]
-    return StepDistribution(tokens=cands.tokens, probs=probs, blocks=cands.blocks)
+    tokens, blocks = candidate_blocks(model, prev_token)
+    probs = nm.block_softmax(z_row[None, :], model.candidates([prev_token]))[0]
+    return StepDistribution(tokens=tokens, probs=probs[list(tokens)], blocks=blocks)
 
 
 def step(model, f_prev: np.ndarray, prev_token: int):

@@ -337,6 +337,23 @@ class TestEvalAudit:
         assert report["path_correctness"] is not None
         assert 0.0 <= report["path_correctness"] <= 1.0
 
+    @pytest.mark.parametrize("attrs", [["cat-hair"], "cat-hair-0", {"cat-hair": 0}])
+    def test_malformed_attrs_are_rejected(self, workdir, tmp_path, attrs):
+        root, cfg_path = workdir
+        ck = tmp_path / "aud.pck"
+        run_cli("train", "--config", str(cfg_path), "--out", str(ck))
+        rows = (root / "test.jsonl").read_text().splitlines()
+        bad_row = json.loads(rows[1])
+        bad_row["attrs"] = attrs
+        rows[1] = json.dumps(bad_row)
+        bad = tmp_path / "attrs.jsonl"
+        bad.write_text("\n".join(rows) + "\n")
+        proc = run_cli("eval", "--ckpt", str(ck), "--data", str(bad), "--max-len", "6",
+                       "--audit", expect=1)
+        assert (f"pathcast: error: {bad}:2: 'attrs' must map group names to member names"
+                in proc.stderr)
+        assert "Traceback" not in proc.stderr
+
 
 class TestEvalDecodesOnce:
     def test_dump_paths_reuses_the_evaluation_decodes(self, workdir, tmp_path,

@@ -191,6 +191,12 @@ class TestDatasetFiles:
         msg = self._load_with_row(tmp_path, f'{{"x": [1, 2, 3], "label": {label}}}')
         assert "'label' must be a string" in msg
 
+    @pytest.mark.parametrize("attrs", ['["cat-hair"]', '"cat-hair-0"', "7",
+                                       '{"cat-hair": 0}', '{"cat-hair": null}'])
+    def test_rejects_attrs_that_do_not_map_strings_to_strings(self, tmp_path, attrs):
+        msg = self._load_with_row(tmp_path, f'{{"x": [1, 2, 3], "label": "a", "attrs": {attrs}}}')
+        assert "'attrs' must map group names to member names" in msg
+
     def test_resolve_samples_rejects_unknown_label(self):
         graph, fine, _, _ = synth_generate(small_spec(n_train_fine=5))
         ds = DatasetSpec("bad",

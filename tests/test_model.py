@@ -15,7 +15,7 @@ from pathcast.model import (InvalidPath, LabelPathModel, NoCandidates,
                             read_sidecar, save_model)
 from pathcast.numerics import CorruptCheckpoint
 
-from reference import figure2_subgraph, path_log_prob, random_dag, step, sum_all
+from reference import candidate_blocks, figure2_subgraph, path_log_prob, random_dag, step, sum_all
 
 
 def make_model(graph, seed=0, input_dim=5, embed_dim=6, hidden=8):
@@ -84,10 +84,10 @@ class TestStep:
         names = {g.node(t).name for t in np.flatnonzero(probs[0])}
         assert names == {"shorthair", "longhair", "solid-color",
                          "tabby-color", "point-color"}
-        cands = m.candidates(g.id_of("cat"))
-        assert len(cands.blocks) == 2
-        for blk in cands.blocks:
-            assert abs(probs[0, cands.ids[list(blk)]].sum() - 1.0) < 1e-12
+        cands = m.candidates([g.id_of("cat")])
+        assert cands.sizes.size == 2
+        for s0, n in zip(cands.starts, cands.sizes):
+            assert abs(probs[0, cands.cols[s0:s0 + n]].sum() - 1.0) < 1e-12
         assert probs[0, m.eop_token] == 0.0  # cat is augmented here
 
     def test_distribution_builds_no_tensor(self, monkeypatch):
@@ -152,9 +152,9 @@ class TestStep:
         m = make_model(g, seed=1)
         f = m.encode(np.ones(5)).data
         probs, _ = m.step(f, [g.id_of("cat")])
-        cands = m.candidates(g.id_of("cat"))
-        assert set(np.flatnonzero(probs[0])) <= set(cands.tokens)
-        assert abs(probs.sum() - len(cands.blocks)) < 1e-12
+        cands = m.candidates([g.id_of("cat")])
+        assert set(np.flatnonzero(probs[0])) <= set(cands.cols)
+        assert abs(probs.sum() - cands.sizes.size) < 1e-12
 
 
 def nested_labels_graph():
@@ -207,15 +207,27 @@ class TestCandidateTable:
                 except NoCandidates:
                     dead_ends += 1
                     with pytest.raises(NoCandidates, match=repr(g.node(tok).name)):
-                        m.candidates(tok)
+                        m.candidates([tok])
                     continue
-                cands = m.candidates(tok)
-                assert (cands.tokens, cands.blocks) == want
-                owner = {i: blk for blk in cands.blocks for i in blk}
-                assert sorted(owner) == list(range(len(cands.tokens)))
-                assert sorted(cands.block_of) == list(cands.tokens)
-                for i, t in enumerate(cands.tokens):
-                    assert cands.block_of[t] == tuple(cands.tokens[j] for j in owner[i])
+                tokens, blocks = candidate_blocks(m, tok)
+                assert (tokens, blocks) == want
+                owner = {i: blk for blk in blocks for i in blk}
+                assert sorted(owner) == list(range(len(tokens)))
+                # the (token, candidate) -> block map: each candidate's block as token ids
+                assert sorted(t for p, t in m._block_of if p == tok) == list(tokens)
+                table = m._table
+                for i, t in enumerate(tokens):
+                    j = m._block_of[(tok, t)]
+                    block = table.cols[table.starts[j]:table.starts[j] + table.sizes[j]]
+                    assert tuple(block) == tuple(tokens[k] for k in owner[i])
+            # every live token in one call: each row holds its token's blocks
+            live = np.flatnonzero(m._has_entry)
+            rows = m.candidates(live)
+            for r, tok in enumerate(live):
+                one = m.candidates([tok])
+                mine = rows.rows == r
+                assert rows.cols[mine].tolist() == one.cols.tolist()
+                assert rows.sizes[rows.rows[rows.starts] == r].tolist() == one.sizes.tolist()
         # some augmented nodes are leaves: dead ends
         assert dead_ends > 0
 
@@ -230,12 +242,14 @@ class TestCandidateTable:
         monkeypatch.setattr(nm, "_check_partition", counting_check)
         g = figure2_subgraph()
         m = make_model(g, seed=3)
-        assert checked[0] == len(m._table)
+        assert checked[0] == np.count_nonzero(m._has_entry)
         checked[0] = 0
         rng = np.random.default_rng(1)
         for x in rng.normal(size=(5, 5)):
             assert greedy_decode(m, x, 6).step_probs
             assert m.sample_path(x[None, :], rng, 6)[0].step_probs
+        m.sample_path(rng.normal(size=(5, 5)), rng, 6)
+        m.candidates(np.flatnonzero(m._has_entry))
         assert checked[0] == 0
 
     def test_eop_and_out_of_range_tokens_are_invalid(self):
@@ -243,7 +257,9 @@ class TestCandidateTable:
             m = make_model(g)
             for tok in (m.eop_token, m.eop_token + 1, -1):
                 with pytest.raises(InvalidPath):
-                    m.candidates(tok)
+                    m.candidates([tok])
+                with pytest.raises(InvalidPath):
+                    m.candidates([m.start_token, tok])
 
     def test_eop_is_a_singleton_block(self):
         offered = 0
@@ -251,12 +267,14 @@ class TestCandidateTable:
             m = make_model(g)
             for tok in range(m.start_token + 1):
                 try:
-                    cands = m.candidates(tok)
+                    cands = m.candidates([tok])
                 except NoCandidates:
                     continue
-                if m.eop_token in cands.tokens:
+                if m.eop_token in cands.cols:
                     offered += 1
-                    assert cands.block_of[m.eop_token] == (m.eop_token,)
+                    j = m._block_of[(tok, m.eop_token)]
+                    assert m._table.sizes[j] == 1
+                    assert m._table.cols[m._table.starts[j]] == m.eop_token
         assert offered > 0
 
     def test_closing_eop_adds_nothing_to_scores_or_gradients(self):
@@ -472,8 +490,8 @@ class TestNonFiniteWeights:
         g = figure2_subgraph()
         m = make_model(g, seed=4)
         cat = g.id_of("cat")
-        blk = next(b for b in m.candidates(cat).blocks if len(b) > 1)
-        m.params["out.b"].data[m.candidates(cat).tokens[blk[0]]] = np.nan
+        cands = m.candidates([cat])
+        m.params["out.b"].data[cands.cols[cands.starts[cands.sizes > 1][0]]] = np.nan
         f = m.encode_values(np.ones(5))
         with pytest.raises(ValueError, match="tensor values must be finite"):
             m.step(f, [cat])

@@ -114,7 +114,7 @@ class TestBackward:
             ts = {k: nm.parameter(v) for k, v in p.items()}
             h = nm.tanh(nm.add_rowvec(nm.matmul(nm.constant(x), ts["w1"]), ts["b1"]))
             z = nm.add_rowvec(nm.matmul(h, ts["w2"]), ts["b2"])
-            lp = block_log_prob(z, blocks[:2], [1, 4])
+            lp = block_log_prob(z, ref.row_blocks(blocks[:2]), [1, 4])
             return ref.neg(ref.sum_all(lp)), ts
 
         loss, ts = build(params)
@@ -179,7 +179,7 @@ class TestBackward:
         y = block_softmax(z[None, :], compile_blocks(blocks, range(7)))[0]
         for blk in blocks:
             for t in blk:
-                lp = block_log_prob(Tensor(z[None, :]), [blk], [t]).data[0]
+                lp = block_log_prob(Tensor(z[None, :]), ref.row_blocks([blk]), [t]).data[0]
                 assert abs(np.exp(lp) - y[t]) < 1e-12
 
 
@@ -281,7 +281,8 @@ class TestFusedKernels:
     def test_rows_block_log_prob_matches_per_row_vector_calls(self):
         z0, blocks, targets, weights = self._rows_case(np.random.default_rng(12))
         z_rows, z_vec = nm.parameter(z0), nm.parameter(z0)
-        rows = block_log_prob(z_rows, blocks, targets)
+        rows = block_log_prob(z_rows, ref.row_blocks(blocks),
+                              [t for b, t in zip(blocks, targets) if b is not None])
         backward(nm.weighted_sum(rows, weights))
         terms = []
         for i, (blk, t) in enumerate(zip(blocks, targets)):
@@ -300,7 +301,9 @@ class TestFusedKernels:
 
         def build(p):
             z = nm.parameter(p["z"])
-            return nm.weighted_sum(block_log_prob(z, blocks, targets), weights), z
+            lp = block_log_prob(z, ref.row_blocks(blocks),
+                                [t for b, t in zip(blocks, targets) if b is not None])
+            return nm.weighted_sum(lp, weights), z
 
         loss, z = build({"z": z0})
         backward(loss)
@@ -310,12 +313,12 @@ class TestFusedKernels:
     def test_rows_block_log_prob_checks_every_row(self):
         z = nm.constant(np.zeros((2, 4)))
         with pytest.raises(nm.IndexOutOfRange):
-            block_log_prob(z, [[0, 1], [2, 3]], [1, 0])  # row 1's target outside
+            block_log_prob(z, ref.row_blocks([[0, 1], [2, 3]]), [1, 0])  # row 1's target outside
         with pytest.raises(nm.EmptyBlock):
-            block_log_prob(z, [[0, 1], []], [1, 0])
+            block_log_prob(z, ref.row_blocks([[0, 1], []]), [1, 0])
         with pytest.raises(nm.ShapeMismatch):
-            block_log_prob(z, [[0, 1]], [1])  # one block for two rows
-        assert not block_log_prob(z, [None, None], [0, 0]).data.any()
+            block_log_prob(z, ref.row_blocks([[0, 1]]), [1, 0])  # two targets for one block
+        assert not block_log_prob(z, ref.row_blocks([None, None]), []).data.any()
 
 
 class TestAdam:

@@ -16,6 +16,7 @@ from pathcast.pathalg import all_paths_to, classify_paths, enumerate_paths
 from pathcast.trainer import LabeledSample, PathBook, TrainConfig, build_batch
 
 import reference as ref
+from test_model import oracle_candidates
 
 SEEDS = range(8)
 GRU_FIELDS = ("w_re", "w_rf", "b_r", "w_ue", "w_uf", "b_u", "w_ce", "w_cf", "b_c")
@@ -97,7 +98,7 @@ def test_plain_walk_matches_traced_walk(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_plain_encoding_and_logits_are_the_traced_values(seed):
+def test_plain_encoding_and_logits_are_the_traced_values(seed, monkeypatch):
     rng = np.random.default_rng(seed)
     g = ref.figure2_subgraph() if seed % 2 == 0 else ref.random_dag(rng)
     m = LabelPathModel(g, input_dim=5, embed_dim=6, hidden=8, seed=seed)
@@ -106,9 +107,11 @@ def test_plain_encoding_and_logits_are_the_traced_values(seed):
     xs = rng.normal(size=(3, 5))
     assert m.encode_values(xs).tobytes() == m.encode(xs).data.tobytes()
     seen = []
-    m._probs = lambda z, groups: (seen.append(z.copy()), LabelPathModel._probs(m, z, groups))[1]
+    softmax = nm.block_softmax
+    monkeypatch.setattr(nm, "block_softmax",
+                        lambda z, blocks: (seen.append(z.copy()), softmax(z, blocks))[1])
     f = m.encode_values(xs[:1])
-    for prev in (m.start_token, *m.candidates(g.root).tokens[:1], g.root):
+    for prev in (m.start_token, *ref.candidate_blocks(m, g.root)[0][:1], g.root):
         _, f_plain = m.step(f, [prev])
         f_traced, z = m.decode_logits(nm.constant(f), [prev])
         assert seen.pop().tobytes() == z.data.tobytes()
@@ -201,6 +204,90 @@ def test_lockstep_sampling_matches_step_major_oracle(rows):
         assert got_rng.random() == want_rng.random()  # the same draws, in the same order
 
 
+def _wide_dag(rng):
+    """root -> augmented layer -> 8 to 23 labels, the first 8 under mid-0,
+    the rest under one or two random mids: a mid's first-claimed children
+    form one block, of 8 or more members under mid-0. The ``dead-*`` nodes
+    have no children: dead ends."""
+    mids = [f"mid-{i}" for i in range(int(rng.integers(2, 5)))]
+    dead = [f"dead-{i}" for i in range(int(rng.integers(1, 3)))]
+    labels = [f"leaf-{i}" for i in range(int(rng.integers(8, 24)))]
+    edges = [("mid-0", name) for name in labels[:8]]
+    for name in labels[8:]:
+        edges += [(str(p), name) for p in rng.choice(mids, size=int(rng.integers(1, 3)),
+                                                     replace=False)]
+    return build_graph([("ds", labels)], [(n, ["root"]) for n in mids + dead], edges, [])
+
+
+def _row_blocks(layout, r):
+    """The blocks of row ``r`` of a layout, as tuples of token ids."""
+    return [tuple(layout.cols[s0:s0 + n].tolist())
+            for s0, n in zip(layout.starts, layout.sizes) if layout.rows[s0] == r]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_table_layouts_and_draws_on_wide_blocks(seed):
+    """On graphs with dead ends and blocks of 8 or more members (where numpy
+    sums a vector pairwise): every token's one-row layout, and the same
+    token among 257 gathered rows, hold the blocks of ``oracle_candidates``;
+    and one ``_draw`` over those rows equals ``ref.sample_cross_block`` row
+    after row, and leaves the same generator state."""
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        g = _wide_dag(rng)
+        m = LabelPathModel(g, input_dim=5, embed_dim=6, hidden=8, seed=int(rng.integers(1000)))
+        live = np.flatnonzero(m._has_entry)
+        assert m._table.sizes.max() >= 8
+        assert any(g.node(t).name.startswith("dead-") for t in set(range(m.start_token))
+                   - set(live.tolist()))
+        prev = rng.permutation(np.concatenate([live, rng.choice(live, 257 - live.size)]))
+        rows = m.candidates(prev)
+        oracle = {}
+        for tok in live.tolist():
+            toks, blocks = oracle_candidates(g, tok)
+            oracle[tok] = toks, blocks
+            want = [tuple(toks[i] for i in b) for b in blocks]
+            assert _row_blocks(m.candidates([tok]), 0) == want
+            for r in np.flatnonzero(prev == tok):
+                assert _row_blocks(rows, r) == want
+        p = m.block_probs(rng.normal(0, 3.0, (prev.size, m.vocab_size)), prev)
+        draw_seed = int(rng.integers(2**32))
+        got_rng, want_rng = np.random.default_rng(draw_seed), np.random.default_rng(draw_seed)
+        dists = [ref.StepDistribution(tokens=oracle[t][0], probs=p[i, list(oracle[t][0])],
+                                      blocks=oracle[t][1]) for i, t in enumerate(prev.tolist())]
+        tok, top = m._draw(p, prev, got_rng)
+        want = [ref.sample_cross_block(dist, want_rng) for dist in dists]
+        assert list(zip(tok.tolist(), top.tolist())) == want
+        assert got_rng.random() == want_rng.random()
+        # draws that fall on a CDF value: an ulp of difference in a block's
+        # sum or CDF changes the pick
+        u = []
+        for dist in dists:
+            for blk in dist.blocks:
+                q = dist.probs[list(blk)]
+                cdf = (q / q.sum()).cumsum()
+                cdf /= cdf[-1]
+                inner = cdf[:-1][cdf[:-1] < 1.0]
+                u.append(float(rng.choice(inner)) if inner.size else float(rng.random()))
+        tok, top = m._draw(p, prev, _GivenDraws(u))
+        given = _GivenDraws(u)
+        assert list(zip(tok.tolist(), top.tolist())) == [ref.sample_cross_block(dist, given)
+                                                         for dist in dists]
+
+
+class _GivenDraws:
+    """A generator stand-in whose ``random`` returns the given values in order."""
+
+    def __init__(self, u):
+        self.u = list(u)
+
+    def random(self, size=None):
+        if size is None:
+            return self.u.pop(0)
+        out, self.u = np.array(self.u[:size]), self.u[size:]
+        return out
+
+
 def _random_blocks(rng):
     """Logits over ``v`` columns and a random partition of ``k`` ascending
     columns among them, some blocks far apart in scale."""
@@ -219,12 +306,15 @@ def test_segment_block_softmax_matches_per_block_oracle(seed):
         seg = nm.compile_blocks(blocks, cols)
         got = nm.block_softmax(z[None, :], seg)[0]
         want = ref.block_softmax(z[cols], blocks)
-        assert got.argmax() == want.argmax()
+        assert got[cols].argmax() == want.argmax()
+        assert not np.delete(got, cols).any()  # 0 off the blocks
         # segment sums run in another order than e.sum() for blocks of 3 or more
-        assert (np.abs(got - want) <= 4 * np.spacing(want)).all()
-        # each row of a rows call is that row's own call, bit for bit
+        assert (np.abs(got[cols] - want) <= 4 * np.spacing(want)).all()
+        # each row of a gathered layout is that row's own call, bit for bit
         zs = np.stack([z, *rng.normal(0, 3.0, (int(rng.integers(0, 5)), z.size))])
-        rows = nm.block_softmax(zs, seg)
+        nb = seg.sizes.size
+        rows = nm.block_softmax(zs, nm.gather_blocks(seg, np.arange(len(zs)).repeat(nb),
+                                                     np.tile(np.arange(nb), len(zs))))
         for z_row, row in zip(zs, rows):
             assert row.tobytes() == nm.block_softmax(z_row[None, :], seg)[0].tobytes()
 
@@ -262,7 +352,8 @@ def test_rows_block_log_prob_matches_one_row_oracle(seed):
     weights = rng.normal(size=m)
 
     z_rows, z_one = nm.parameter(z0), nm.parameter(z0)
-    rows = block_log_prob(z_rows, blocks, targets)
+    rows = block_log_prob(z_rows, ref.row_blocks(blocks),
+                          [t for b, t in zip(blocks, targets) if b is not None])
     backward(nm.weighted_sum(rows, weights))
     terms = []
     for i, (blk, t) in enumerate(zip(blocks, targets)):
