@@ -66,7 +66,7 @@ def decode_rows(model: LabelPathModel, x: np.ndarray, max_len: int) -> list[Deco
                           terminated_by="eop" if w.ended_with_eop else "max_len",
                           predicted_label=extract_label(model.graph, w.tokens),
                           step_probs=w.step_probs)
-            for w in model.walk(x, max_len, greedy_pick)]
+            for w in model.walk(model.encode_values(x), max_len, greedy_pick)]
 
 
 def greedy_decode(model: LabelPathModel, x: np.ndarray, max_len: int) -> DecodedResult:

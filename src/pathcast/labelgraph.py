@@ -429,16 +429,30 @@ def serialize(graph: LabelGraph) -> str:
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 
+def _typed(value, kind: type, what: str):
+    """``value`` when its JSON type is ``kind``; a bool is not an int."""
+    if type(value) is not kind:
+        raise ValueError(f"{what} must be a JSON {kind.__name__}, not {value!r}")
+    return value
+
+
 def deserialize(text: str) -> LabelGraph:
-    """Parse a graph file without validating; run :func:`validate` to check."""
+    """Parse a graph file without validating; run :func:`validate` to check.
+    Values are not coerced: ids, edge ends and members must be ints, names
+    and tags strings, and tags, members and each edge lists."""
     payload = json.loads(text)
     try:
-        nodes = [GraphNode(int(n["id"]), str(n["name"]), NodeKind(n["kind"]),
-                           frozenset(str(t) for t in n.get("tags", [])))
+        nodes = [GraphNode(_typed(n["id"], int, "a node id"), _typed(n["name"], str, "a name"),
+                           NodeKind(n["kind"]),
+                           frozenset(_typed(t, str, "a tag")
+                                     for t in _typed(n.get("tags", []), list, "tags")))
                  for n in payload["nodes"]]
         nodes.sort(key=lambda nd: nd.id)
-        edges = [(int(a), int(b)) for a, b in payload["edges"]]
-        groups = [Group(str(g["name"]), frozenset(int(m) for m in g["members"]))
+        edges = [(_typed(a, int, "an edge end"), _typed(b, int, "an edge end"))
+                 for a, b in (_typed(e, list, "an edge") for e in payload["edges"])]
+        groups = [Group(_typed(g["name"], str, "a name"),
+                        frozenset(_typed(m, int, "a member")
+                                  for m in _typed(g["members"], list, "members")))
                   for g in payload["groups"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed graph file: {exc}") from exc

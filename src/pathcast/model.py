@@ -15,6 +15,7 @@ import json
 import os
 import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -52,8 +53,8 @@ class LabelPathModel:
     a one-row ``nm.Blocks`` there, once (``_entries``). ``_table`` stacks
     them in token order, each on its token's row; ``_first`` and
     ``_n_blocks`` give each token's blocks in it (none for EOP or a dead
-    end), and ``_block_of`` maps (token, candidate) to the candidate's block.
-    """
+    end), and ``_key_block`` is the block of each sorted ``_keys`` entry,
+    ``token * vocab_size + candidate``."""
 
     def __init__(self, graph: LabelGraph, input_dim: int, embed_dim: int,
                  hidden: int, seed: int = 0, graph_file: str = ""):
@@ -93,8 +94,10 @@ class LabelPathModel:
         self._n_blocks = np.bincount(block_rows, minlength=self.vocab_size)
         self._first = np.cumsum(self._n_blocks) - self._n_blocks
         self._has_entry = self._n_blocks > 0
-        self._block_of = dict(zip(zip(table.rows.tolist(), table.cols.tolist()),
-                                  np.repeat(np.arange(block_rows.size), table.sizes).tolist()))
+        keys = table.rows * self.vocab_size + table.cols
+        order = keys.argsort()
+        self._keys = keys[order]
+        self._key_block = np.arange(block_rows.size).repeat(table.sizes)[order]
 
     @property
     def encoder_param_names(self) -> tuple[str, ...]:
@@ -180,18 +183,12 @@ class LabelPathModel:
         z = nm.add_rowvec(nm.matmul(f_t, self.params["out.w"]), self.params["out.b"])
         return f_t, z
 
-    def block_probs(self, z: np.ndarray, prev: np.ndarray) -> np.ndarray:
-        """Block-softmax probabilities ``[m, vocab]`` of the candidates after
-        each row's ``prev`` token, from logits ``z [m, vocab]``; 0 off the
-        candidates. One ``nm.block_softmax`` over :meth:`candidates`."""
-        return nm.block_softmax(z, self.candidates(prev))
-
     def step(self, f_prev: np.ndarray,
-             prev: Sequence[int] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+             prev: Sequence[int] | np.ndarray) -> tuple[np.ndarray, np.ndarray, nm.Blocks]:
         """Decode step of ``m`` rows on plain arrays: from states ``[m,h]`` and
-        previous tokens ``[m]``, the next-token probabilities ``[m, vocab]``
-        (:meth:`block_probs`) and the new states ``[m,h]``. The values are
-        those of ``decode_logits`` (the GRU runs through the same
+        previous tokens ``[m]``, the next-token block softmax ``[m, vocab]``,
+        the new states ``[m,h]`` and the rows' :meth:`candidates` layout. The
+        values are those of ``decode_logits`` (the GRU runs through the same
         ``nm.gru_forward``), with no trace. The tokens are checked before any
         arithmetic (see :meth:`candidates`; a token outside the vocabulary
         raises IndexOutOfRange, with no wrap-around for a negative id). A
@@ -209,78 +206,59 @@ class LabelPathModel:
         f_t = nm.gru_forward(self.gru, e, f_prev)[-1]
         z = f_t @ self.params["out.w"].data + self.params["out.b"].data[None, :]
         nm.require_finite(z)
-        return nm.block_softmax(z, blocks), f_t
+        return nm.block_softmax(z, blocks), f_t, blocks
 
     def score_lanes(self, f: Tensor, lanes: Sequence[Sequence[int]], teacher: bool) -> Tensor:
         """Differentiable summed log-probability of each lane's target tokens.
 
-        ``f`` holds one decoder state per lane; every lane is fed START first,
-        and an empty lane or a first target that is not a candidate after
-        START raises InvalidPath. Under ``teacher`` a lane is fed its previous
-        target, and any target that is not a candidate raises InvalidPath.
-        Otherwise a lane is fed the model's greedy token (:func:`greedy_pick`,
-        one call per step over the lanes still feeding), a later step whose
-        target is not a candidate after that token is skipped, and the lane
-        stops at EOP or at a token without candidates. Returns the per-lane
-        totals as one ``[lanes]`` Tensor, built from one ``block_log_prob``
-        per step over the step's target blocks, gathered from the table.
+        ``f`` holds one decoder state per lane. A lane is fed START and then,
+        under ``teacher``, its targets, and otherwise its greedy :meth:`walk`
+        from ``f``; a lane whose feed has ended is fed its last token again.
+        An empty lane, or a first target that is not a candidate after START,
+        raises InvalidPath, and under ``teacher`` so does the first other one
+        in step-major order (NoCandidates after a dead end). Otherwise such a
+        target is skipped, as is every step after the walk's EOP. Returns the
+        per-lane totals as one ``[lanes]`` Tensor; each step is one
+        ``decode_logits``, ``gather_blocks`` and ``block_log_prob``.
         """
         if not all(lanes):
             raise InvalidPath("empty lane")
-        fed = [self.start_token] * len(lanes)
-        alive = [True] * len(lanes)  # feeding still on a usable token
-        steps: list[Tensor] = []
-        for t in range(max(map(len, lanes))):
-            f, z = self.decode_logits(f, fed)
-            rows: list[int] = []  # the scored lanes, their blocks and targets
-            ids: list[int] = []
-            step_targets: list[int] = []
-            free: list[int] = []  # lanes that feed their greedy pick
-            for li, targets in enumerate(lanes):
-                if t >= len(targets) or not alive[li]:
-                    continue
-                prev, target = fed[li], targets[t]
-                block = self._block_of.get((prev, target))
-                if block is not None:
-                    rows.append(li)
-                    ids.append(block)
-                    step_targets.append(target)
-                elif not self._has_entry[prev]:  # a dead end
-                    if teacher:
-                        self._no_entry(prev)
-                    alive[li] = False
-                    continue
-                elif teacher or t == 0:
-                    raise InvalidPath(f"token {target} is not a candidate after {prev}")
-                if teacher:
-                    fed[li] = target
-                else:
-                    free.append(li)
-            if free:  # every fed token has an entry, so this pick cannot fail
-                fed_free = np.array([fed[li] for li in free], dtype=np.intp)
-                picks, _ = greedy_pick(self.block_probs(z.data[free], fed_free), fed_free)
-                for li, nxt in zip(free, picks.tolist()):
-                    if nxt == self.eop_token:
-                        alive[li] = False  # frozen on prev; no further loss from this lane
-                    else:
-                        fed[li] = nxt
-            steps.append(nm.block_log_prob(z, nm.gather_blocks(self._table, rows, ids),
-                                           step_targets))
-        return nm.add_n(steps)
+        T = max(map(len, lanes))
+        target, n = _step_major(lanes, T)  # [T, m] and [m]
+        walks = () if teacher else self.walk(f.data, max(T - 1, 2), greedy_pick)
+        after, n_fed = _step_major(lanes if teacher else [w.tokens for w in walks], T - 1)
+        fed = np.vstack([np.full((1, n.size), self.start_token), after])
+        scored = np.arange(T)[:, None] < np.minimum(n, n_fed + 1)  # none after a walk's EOP
+        key = fed * self.vocab_size + target  # a real pair's key for some out-of-range targets
+        at = self._keys.searchsorted(key).clip(max=self._keys.size - 1)
+        hit = (self._keys[at] == key) & (target >= 0) & (target < self.vocab_size)
+        miss = np.flatnonzero(~hit & scored if teacher else ~hit[0])  # free-running: step 0
+        if miss.size:
+            prev = int(fed.flat[miss[0]])
+            self.candidates([prev])  # NoCandidates after a dead end, InvalidPath after EOP
+            raise InvalidPath(f"token {target.flat[miss[0]]} is not a candidate after {prev}")
+        scored &= hit
+        totals: list[Tensor] = []
+        for t, on in enumerate(scored):
+            f, z = self.decode_logits(f, fed[t])
+            rows = np.flatnonzero(on)
+            blocks = nm.gather_blocks(self._table, rows, self._key_block[at[t, rows]])
+            totals.append(nm.block_log_prob(z, blocks, target[t, rows]))
+        return nm.add_n(totals)
 
-    def walk(self, x: np.ndarray, max_len: int,
-             pick: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+    def walk(self, f: np.ndarray, max_len: int,
+             pick: Callable[[np.ndarray, nm.Blocks], tuple[np.ndarray, np.ndarray]]
              ) -> list[SampledPath]:
-        """Free-run the decoder from START for every row of ``x [m, d]`` in
-        lockstep: one :meth:`step` over the rows still walking, then
-        ``pick(probs, prev)`` gives each such row's token and its
-        probability. A row stops at EOP, after ``max_len`` steps, or at a
-        dead-end augmented node (possible on subgraphs; its walk truncates
-        there, with no step from it). Returns one walk per row, in row order.
+        """Free-run the decoder from START for every row of the states
+        ``f [m, h]`` in lockstep: one :meth:`step` over the rows still
+        walking, whose probabilities and candidate layout ``pick`` turns into
+        each such row's token and its probability. A row stops at EOP, after
+        ``max_len`` steps, or at a dead-end augmented node (possible on
+        subgraphs; its walk truncates there, with no step from it). Returns
+        one walk per row, in row order.
         """
         if max_len < 2:
             raise ValueError("max_len must be at least 2")
-        f = self.encode_values(x)
         m = f.shape[0]
         toks = np.zeros((max_len, m), dtype=np.intp)  # step-major, so a step
         probs = np.zeros((max_len, m))  # writes one row of each
@@ -291,8 +269,8 @@ class LabelPathModel:
         for t in range(max_len):
             if not rows.size:
                 break
-            p, f = self.step(f, prev)
-            tok, probs[t][rows] = pick(p, prev)
+            p, f, blocks = self.step(f, prev)
+            tok, probs[t][rows] = pick(p, blocks)
             toks[t][rows] = tok
             going = self._has_entry[tok]  # neither EOP nor a dead end
             if np.count_nonzero(going) != going.size:  # cheaper than .all() on few rows
@@ -316,16 +294,15 @@ class LabelPathModel:
         at each step the rows still walking, in row order, each take one
         ``rng.random()`` per block, in block order.
         """
-        return self.walk(x, max_len, lambda p, prev: self._draw(p, prev, rng))
+        return self.walk(self.encode_values(x), max_len, lambda p, b: self._draw(p, b, rng))
 
-    def _draw(self, p: np.ndarray, prev: np.ndarray,
+    def _draw(self, p: np.ndarray, b: nm.Blocks,
               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """One sampled token per row of ``p [m, vocab]``, with its
-        probability, in one pass over the rows' candidate layout. Each block
-        is drawn by inverse CDF on one ``rng.random()``, the arithmetic of
-        ``rng.choice(size, p=q / q.sum())``; the draws go row after row, each
-        row's in block order."""
-        b = self.candidates(prev)
+        probability, in one pass over the rows' candidate layout ``b``. Each
+        block is drawn by inverse CDF on one ``rng.random()``, the arithmetic
+        of ``rng.choice(size, p=q / q.sum())``; the draws go row after row,
+        each row's in block order."""
         nb = b.sizes.size
         u = rng.random(nb)
         q = p[b.rows, b.cols]
@@ -345,7 +322,7 @@ class LabelPathModel:
         # singleton's CDF is [1.0] and u < 1
         drawn = b.starts + (cdf <= u[:, None]).sum(axis=1)
         mass, row = q[drawn], b.rows[b.starts]
-        first = row.searchsorted(np.arange(prev.size))  # each row's first block
+        first = row.searchsorted(np.arange(p.shape[0]))  # each row's first block
         top = np.maximum.reduceat(mass, first)
         tok = np.where(mass == top[row], b.cols[drawn], self.vocab_size)
         return np.minimum.reduceat(tok, first), top
@@ -359,12 +336,20 @@ class LabelPathModel:
         return self.score_lanes(self.encode(x), lanes, teacher=True)
 
 
-def greedy_pick(probs: np.ndarray, prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the global argmax of :meth:`LabelPathModel.block_probs`
-    across every candidate block, and its probability; ties to the lowest
-    token id (``argmax`` takes the first maximum, and no token off the
-    candidates has mass)."""
+def greedy_pick(probs: np.ndarray, blocks: nm.Blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the global argmax of a :meth:`LabelPathModel.step`'s
+    probabilities across every candidate block, and its probability; ties to
+    the lowest token id (``argmax`` takes the first maximum, and no token off
+    the candidates has mass, so ``blocks`` is not read)."""
     return probs.argmax(axis=1), probs.max(axis=1)
+
+
+def _step_major(seqs: Sequence[Sequence[int]], steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Non-empty sequences of int tokens as ``[steps, len(seqs)]``, one a
+    column, each last token repeated past its end; and their lengths."""
+    n = np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs))
+    flat = np.array(list(chain.from_iterable(seqs))).astype(np.intp, casting="safe")
+    return flat[n.cumsum() - n + np.minimum(np.arange(steps)[:, None], n - 1)], n
 
 
 # ---------------------------------------------------------------------------

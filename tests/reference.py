@@ -15,7 +15,7 @@ import numpy as np
 
 from pathcast import numerics as nm
 from pathcast.labelgraph import LabelGraph, build_graph
-from pathcast.model import NoCandidates, SampledPath
+from pathcast.model import InvalidPath, NoCandidates, SampledPath
 from pathcast.numerics import Tensor
 
 # ---------------------------------------------------------------------------
@@ -288,6 +288,33 @@ def sample_cross_block(dist: StepDistribution, rng: np.random.Generator):
     return best_tok, best_p
 
 
+def lane_log_prob(model, f: np.ndarray, targets, teacher: bool) -> float:
+    """One-lane oracle of ``model.score_lanes`` from the state ``f [1,h]``:
+    the sum of the logs of the one-row :func:`step` probabilities of the
+    targets along the lane's feed. Under ``teacher`` the lane is fed its
+    targets, and a target that is not a candidate raises InvalidPath.
+    Otherwise it is fed its :func:`greedy_choice` walk, a later target that
+    is not a candidate is skipped, and the lane ends where the walk picks
+    EOP or is fed a dead end."""
+    total, prev = 0.0, model.start_token
+    for t, target in enumerate(targets):
+        try:
+            dist, f = step(model, f, prev)
+        except NoCandidates:
+            if teacher:
+                raise
+            break
+        probs = dict(zip(dist.tokens, dist.probs.tolist()))
+        if target in probs:
+            total += float(np.log(probs[target]))
+        elif teacher or t == 0:
+            raise InvalidPath(f"token {target} is not a candidate after {prev}")
+        prev = target if teacher else greedy_choice(dist)[0]
+        if prev == model.eop_token:
+            break
+    return total
+
+
 def step_major_walk(model, xs: np.ndarray, max_len: int, choose) -> list:
     """Per-row oracle of ``model.walk``: every row of ``xs [m, d]`` walks
     with the one-row :func:`step` and ``choose(dist) -> (token, prob)``, the
@@ -415,6 +442,15 @@ def dead_end_graph():
     augmented b has no children: a walk that picks b stops at a dead end."""
     return build_graph([("d", ["x"])], [("a", ["root"]), ("b", ["root"])], [("a", "x")],
                        [("ab", ["a", "b"])])
+
+
+def coarse_label_graph():
+    """The coarse label ``cat`` over the grouped ``a``, ``b`` and ``x``, and
+    ``x`` also under ``a``: greedy decoding picks EOP at ``cat``, although
+    the lane root, cat, a, x goes on to a token that is a candidate after
+    ``cat`` too."""
+    return build_graph([("coarse", ["cat"]), ("fine", ["a", "b"]), ("finer", ["x"])], (),
+                       [("root", "cat"), ("cat", "a"), ("cat", "b"), ("cat", "x"), ("a", "x")])
 
 
 def figure2_with_back_edge():

@@ -188,7 +188,7 @@ def test_bandit_convergence():
             nm.zero_grads(model.params)
             backward(loss)
             adam_step(adam, model.params, nm.collect_grads(model.params))
-        probs, _ = model.step(model.encode(np.zeros(4)).data, [g.root])
+        probs, _, _ = model.step(model.encode(np.zeros(4)).data, [g.root])
         p_win = float(probs[0, g.id_of("a")])
         wins += p_win >= 0.95
     elapsed = time.time() - t0

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from pathcast import cli
 from pathcast.labelgraph import (CycleDetected, DuplicateGroupMembership,
                                  GraphNode, Group, InvalidGraph, LabelGraph,
                                  NodeKind, UnknownName, _topo_order, build_graph,
@@ -316,3 +317,33 @@ class TestLoadGraph:
 
         exc = self.assert_rejected(self.write_bad(tmp_path, add_back_edge), "CycleDetected")
         assert "bengal" in exc.names
+
+    @pytest.mark.parametrize("where, value", [
+        (("nodes", 1, "tags"), "pet-a"),  # once read as the tags {p, e, t, -, a}
+        (("nodes", 1, "tags"), ["pet-a", 7]),
+        (("nodes", 3, "name"), 3),
+        (("nodes", 0, "id"), 0.9),  # once read as 0
+        (("nodes", 1, "id"), True),  # once read as 1
+        (("edges", 0), "03"),  # once read as the edge (0, 3)
+        (("edges", 0, 1), 3.7),  # once read as 3
+        (("edges", 0), [0, 3, 4]),
+        (("groups", 1, "name"), 5),
+        (("groups", 2, "members"), "12"),  # once read as {1, 2}
+        (("groups", 0, "members"), [6, 7, 8.0]),
+        (("groups", 1, "members"), [4, "5"]),
+    ])
+    def test_values_of_another_json_type_are_rejected(self, tmp_path, capsys, where, value):
+        # each of these edits was coerced into a graph that validates clean
+        def put(g, blob):
+            *keys, last = where
+            for k in keys:
+                blob = blob[k]
+            blob[last] = value
+
+        path = self.write_bad(tmp_path, put)
+        with pytest.raises(InvalidGraph) as info:
+            load_graph(str(path))
+        assert [v.code for v in info.value.violations] == ["MalformedFile"]
+        assert str(info.value).startswith(f"{path}: malformed graph file: ")
+        assert cli.main(["graph", "validate", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"pathcast: error: {path}: ")

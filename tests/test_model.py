@@ -72,7 +72,7 @@ class TestStep:
         g = figure2_subgraph()
         m = make_model(g)
         f = m.encode(np.zeros(5)).data
-        probs, _ = m.step(f, [m.start_token])
+        probs, _, _ = m.step(f, [m.start_token])
         assert np.flatnonzero(probs[0]).tolist() == [g.root]
         assert probs[0, g.root] == 1.0
 
@@ -80,7 +80,7 @@ class TestStep:
         g = figure2_subgraph()
         m = make_model(g, seed=5)
         f = m.encode(np.random.default_rng(2).normal(size=5)).data
-        probs, _ = m.step(f, [g.id_of("cat")])
+        probs, _, _ = m.step(f, [g.id_of("cat")])
         names = {g.node(t).name for t in np.flatnonzero(probs[0])}
         assert names == {"shorthair", "longhair", "solid-color",
                          "tabby-color", "point-color"}
@@ -103,7 +103,7 @@ class TestStep:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(nm.Tensor, "__init__", counting_init)
-        probs = m.block_probs(z_row[None, :], np.array([g.id_of("cat")]))
+        probs = nm.block_softmax(z_row[None, :], m.candidates([g.id_of("cat")]))
         assert built[0] == 0
         assert type(probs) is np.ndarray
         seg = nm.compile_blocks([[0, 1], [2]], range(3))
@@ -113,7 +113,7 @@ class TestStep:
         g = figure2_subgraph()
         m = make_model(g)
         f = m.encode(np.zeros(5)).data
-        probs, _ = m.step(f, [g.id_of("british-shorthair")])
+        probs, _, _ = m.step(f, [g.id_of("british-shorthair")])
         assert np.flatnonzero(probs[0]).tolist() == [m.eop_token]
         assert probs[0, m.eop_token] == 1.0
 
@@ -126,14 +126,14 @@ class TestStep:
             live = []
             for tok in range(len(g.nodes)):
                 try:
-                    probs, _ = m.step(f, [tok])
+                    probs, _, _ = m.step(f, [tok])
                 except NoCandidates:
                     continue
                 live.append(tok)
                 for t in np.flatnonzero(probs[0]):
                     assert t == m.eop_token or t in g.children(tok)
             # one step over every live token at once gives each row its own
-            probs, _ = m.step(np.repeat(f, len(live), axis=0), live)
+            probs, _, _ = m.step(np.repeat(f, len(live), axis=0), live)
             for row, tok in zip(probs, live):
                 np.testing.assert_allclose(row, m.step(f, [tok])[0][0], rtol=0, atol=1e-12)
 
@@ -151,7 +151,7 @@ class TestStep:
         g = figure2_subgraph()
         m = make_model(g, seed=1)
         f = m.encode(np.ones(5)).data
-        probs, _ = m.step(f, [g.id_of("cat")])
+        probs, _, _ = m.step(f, [g.id_of("cat")])
         cands = m.candidates([g.id_of("cat")])
         assert set(np.flatnonzero(probs[0])) <= set(cands.cols)
         assert abs(probs.sum() - cands.sizes.size) < 1e-12
@@ -213,11 +213,12 @@ class TestCandidateTable:
                 assert (tokens, blocks) == want
                 owner = {i: blk for blk in blocks for i in blk}
                 assert sorted(owner) == list(range(len(tokens)))
-                # the (token, candidate) -> block map: each candidate's block as token ids
-                assert sorted(t for p, t in m._block_of if p == tok) == list(tokens)
+                # the sorted (token, candidate) keys: each candidate's block as token ids
+                keyed = m._keys // m.vocab_size == tok
+                assert (m._keys[keyed] % m.vocab_size).tolist() == list(tokens)
                 table = m._table
                 for i, t in enumerate(tokens):
-                    j = m._block_of[(tok, t)]
+                    j = m._key_block[m._keys.searchsorted(tok * m.vocab_size + t)]
                     block = table.cols[table.starts[j]:table.starts[j] + table.sizes[j]]
                     assert tuple(block) == tuple(tokens[k] for k in owner[i])
             # every live token in one call: each row holds its token's blocks
@@ -272,7 +273,7 @@ class TestCandidateTable:
                     continue
                 if m.eop_token in cands.cols:
                     offered += 1
-                    j = m._block_of[(tok, m.eop_token)]
+                    j = m._key_block[m._keys.searchsorted(tok * m.vocab_size + m.eop_token)]
                     assert m._table.sizes[j] == 1
                     assert m._table.cols[m._table.starts[j]] == m.eop_token
         assert offered > 0
@@ -345,6 +346,16 @@ class TestPathLogProb:
         with pytest.raises(InvalidPath):
             m.score_lanes(f, [[g.root, cat], [cat, m.eop_token]], teacher=False)
 
+    @pytest.mark.parametrize("token", [3.5, 3.0, None, 2**70])
+    def test_lane_tokens_must_be_ints(self, token):
+        # no token is truncated or wrapped into a real one (3.5 is not cat, id 3)
+        g = figure2_subgraph()
+        m = make_model(g)
+        f = m.encode(np.zeros((1, 5)))
+        for teacher in (True, False):
+            with pytest.raises(TypeError):
+                m.score_lanes(f, [[g.root, token]], teacher)
+
 
 class TestSamplePath:
     def test_chain_is_deterministic(self):
@@ -354,6 +365,21 @@ class TestSamplePath:
             sp, = m.sample_path(np.zeros((1, 5)), np.random.default_rng(seed), max_len=6)
             assert sp.tokens == (g.root, g.id_of("a"), g.id_of("x"))
             assert sp.ended_with_eop
+
+    def test_draws_read_the_layout_of_their_step(self, monkeypatch):
+        # one candidate lookup per decode step: the draw reuses the step's
+        m = make_model(figure2_subgraph(), seed=3)
+        calls = {"step": 0, "candidates": 0}
+        for name in calls:
+            method = getattr(m, name)
+
+            def counted(*args, _name=name, _method=method):
+                calls[_name] += 1
+                return _method(*args)
+
+            monkeypatch.setattr(m, name, counted)
+        m.sample_path(np.random.default_rng(1).normal(size=(6, 5)), np.random.default_rng(2), 8)
+        assert calls["step"] > 1 and calls["candidates"] == calls["step"]
 
     def test_truncation_at_max_len(self):
         g = figure2_subgraph()
@@ -451,7 +477,9 @@ class TestGreedyChoice:
         probs = np.zeros((2, 9))
         probs[0, [3, 7]] = 0.5
         probs[1, [2, 5, 8]] = [0.25, 0.5, 0.5]
-        toks, top = greedy_pick(probs, np.array([0, 1]))
+        blocks = nm.stack_blocks([nm.compile_blocks([[0, 1]], [3, 7]),
+                                  nm.compile_blocks([[0], [1, 2]], [2, 5, 8])], [0, 1])
+        toks, top = greedy_pick(probs, blocks)
         assert toks.tolist() == [3, 5] and top.tolist() == [0.5, 0.5]
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from pathcast import numerics as nm
 from pathcast.evaldecode import EmptyDataset, decode_rows, evaluate, extract_label, greedy_decode
-from pathcast.model import LabelPathModel, SampledPath
+from pathcast.model import InvalidPath, LabelPathModel, SampledPath
 from pathcast.numerics import backward, block_log_prob, gru_forward, gru_step
 from pathcast.labelgraph import build_graph
 from pathcast.pathalg import all_paths_to, classify_paths, enumerate_paths
@@ -112,7 +112,7 @@ def test_plain_encoding_and_logits_are_the_traced_values(seed, monkeypatch):
                         lambda z, blocks: (seen.append(z.copy()), softmax(z, blocks))[1])
     f = m.encode_values(xs[:1])
     for prev in (m.start_token, *ref.candidate_blocks(m, g.root)[0][:1], g.root):
-        _, f_plain = m.step(f, [prev])
+        _, f_plain, _ = m.step(f, [prev])
         f_traced, z = m.decode_logits(nm.constant(f), [prev])
         assert seen.pop().tobytes() == z.data.tobytes()
         assert f_plain.tobytes() == f_traced.data.tobytes()
@@ -250,12 +250,12 @@ def test_table_layouts_and_draws_on_wide_blocks(seed):
             assert _row_blocks(m.candidates([tok]), 0) == want
             for r in np.flatnonzero(prev == tok):
                 assert _row_blocks(rows, r) == want
-        p = m.block_probs(rng.normal(0, 3.0, (prev.size, m.vocab_size)), prev)
+        p = nm.block_softmax(rng.normal(0, 3.0, (prev.size, m.vocab_size)), rows)
         draw_seed = int(rng.integers(2**32))
         got_rng, want_rng = np.random.default_rng(draw_seed), np.random.default_rng(draw_seed)
         dists = [ref.StepDistribution(tokens=oracle[t][0], probs=p[i, list(oracle[t][0])],
                                       blocks=oracle[t][1]) for i, t in enumerate(prev.tolist())]
-        tok, top = m._draw(p, prev, got_rng)
+        tok, top = m._draw(p, rows, got_rng)
         want = [ref.sample_cross_block(dist, want_rng) for dist in dists]
         assert list(zip(tok.tolist(), top.tolist())) == want
         assert got_rng.random() == want_rng.random()
@@ -269,7 +269,7 @@ def test_table_layouts_and_draws_on_wide_blocks(seed):
                 cdf /= cdf[-1]
                 inner = cdf[:-1][cdf[:-1] < 1.0]
                 u.append(float(rng.choice(inner)) if inner.size else float(rng.random()))
-        tok, top = m._draw(p, prev, _GivenDraws(u))
+        tok, top = m._draw(p, rows, _GivenDraws(u))
         given = _GivenDraws(u)
         assert list(zip(tok.tolist(), top.tolist())) == [ref.sample_cross_block(dist, given)
                                                          for dist in dists]
@@ -391,6 +391,66 @@ def test_rows_rescoring_matches_per_path_oracle(seed):
     g_singles = grads_of(nm.add_n([nm.scale(s, w) for s, w in zip(singles, weights)]))
     for name, want in g_singles.items():
         np.testing.assert_allclose(g_rows[name], want, rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_score_lanes_matches_one_lane_oracle(seed):
+    """Per lane, the ``score_lanes`` totals are ``ref.lane_log_prob``'s, teacher
+    forced and free running, on ragged lanes, some with later targets outside
+    the vocabulary (skipped when free running). Some free-running walks stop
+    inside their lanes: at EOP on the coarse label, or at the dead end ``b``,
+    which its logit bias makes the pick after the root."""
+    rng = np.random.default_rng(seed)
+    stops = {"eop": 0, "dead_end": 0}
+    for g, favoured in ((ref.figure2_subgraph(), None), (ref.dead_end_graph(), "b"),
+                        (ref.coarse_label_graph(), None), (ref.random_dag(rng), None)):
+        m = LabelPathModel(g, input_dim=5, embed_dim=6, hidden=8, seed=seed)
+        for t in m.params.values():
+            t.data = t.data + rng.normal(0, 0.5, t.data.shape)
+        if favoured:
+            m.params["out.b"].data[g.id_of(favoured)] += 8.0
+        paths = [list(p) for label in g.label_ids() for p in enumerate_paths(g, label)]
+        lanes = [max(paths, key=len)] + [paths[i][:int(rng.integers(1, len(paths[i]) + 1))]
+                                         for i in rng.integers(len(paths), size=6)]
+        xs = rng.normal(size=(len(lanes) + 2, 5))
+        f = m.encode(xs)
+        free = lanes + [lanes[0] + [m.vocab_size], lanes[0][:1] + [-1, 2 * m.vocab_size - 1]]
+        for teacher, batch in ((True, lanes), (False, free)):
+            got = m.score_lanes(nm.gather_rows(f, range(len(batch))), batch, teacher).data
+            want = [ref.lane_log_prob(m, f.data[i:i + 1], lane, teacher)
+                    for i, lane in enumerate(batch)]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for lane, w in zip(lanes, ref.step_major_walk(m, xs[:len(lanes)], 8, ref.greedy_choice)):
+            if w.ended_with_eop and len(w.tokens) + 1 < len(lane):
+                stops["eop"] += 1
+            elif not w.ended_with_eop and len(w.tokens) < len(lane) <= 8:
+                stops["dead_end"] += 1
+    assert stops["eop"] and stops["dead_end"]
+
+
+@pytest.mark.parametrize("teacher", (True, False))
+def test_score_lanes_rejects_targets_outside_the_vocabulary(teacher):
+    """A target at or past ``vocab_size`` or below 0 raises InvalidPath, even
+    one whose ``prev * vocab_size + target`` key is a real pair's: that of
+    the token after ``prev`` or the token before it. Free running checks
+    the first target only."""
+    g = ref.figure2_subgraph()
+    m = LabelPathModel(g, input_dim=5, embed_dim=6, hidden=8, seed=1)
+    v = m.vocab_size
+    path = [g.id_of(n) for n in ("animal", "cat", "shorthair", "british-shorthair")]
+    f = m.encode(np.zeros((1, 5)))
+    rejected = 0
+    for k in range(len(path) if teacher else 1):
+        prev = path[k - 1] if k else m.start_token
+        bad = [v, v + 3, -1, -v]
+        for q, shift in ((prev + 1, v), (prev - 1, -v)):
+            if 0 <= q < v and m._has_entry[q]:  # aliases the pair (q, first candidate)
+                bad.append(int(m.candidates([q]).cols[0]) + shift)
+        for target in bad:
+            with pytest.raises(InvalidPath, match=f"token {target} is not a candidate"):
+                m.score_lanes(f, [path[:k] + [target]], teacher)
+            rejected += 1
+    assert rejected >= (20 if teacher else 4)
 
 
 def _split_graphs(rng):

@@ -576,7 +576,7 @@ class TestBandit:
                 backward(loss)
                 adam_step(adam, m.params, collect_grads(m.params))
             f = m.encode(x).data
-            probs, _ = m.step(f, [g.root])
+            probs, _, _ = m.step(f, [g.root])
             p_win = probs[0, g.id_of("a")]
             wins += p_win >= 0.95
         assert wins >= 9
@@ -607,7 +607,8 @@ class TestBandit:
 
 
 class TestTrainEpochDeterminism:
-    def test_identical_seeds_bitwise_identical_parameters(self):
+    @pytest.mark.parametrize("r_tf", [1.0, 0.5, 0.0])
+    def test_identical_seeds_bitwise_identical_parameters(self, r_tf):
         g = figure2_subgraph()
         rng = np.random.default_rng(0)
         samples = [LabeledSample(rng.normal(size=4),
@@ -616,7 +617,7 @@ class TestTrainEpochDeterminism:
 
         def run():
             m = make_model(g, seed=21, input_dim=4)
-            cfg = TrainConfig(batch_size=4, max_len=6, seed=21)
+            cfg = TrainConfig(batch_size=4, max_len=6, seed=21, r_tf=r_tf)
             state = TrainState.init(m, cfg)
             train_epoch(m, samples, cfg, state)
             return {k: v.data.tobytes() for k, v in m.params.items()}
