@@ -24,8 +24,8 @@ from .model import LabelPathModel
 from .numerics import AdamState, Tensor
 from .pathalg import NotALabelNode, _path_counts, _require_label
 from .trainer import (LabeledSample, ScheduleConfig, ScheduleState, TrainConfig,
-                      descend, minibatches, schedule_update, train, typed_fields,
-                      typed_value)
+                      descend, minibatches, reject_unknown_keys, schedule_update, train,
+                      typed_fields, typed_value)
 from .evaldecode import EmptyDataset, MetricsReport, classification_report, evaluate
 
 
@@ -172,6 +172,7 @@ class SynthSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "SynthSpec":
+        reject_unknown_keys(SynthSpec, d, "spec")
         scalars = ("n_fine_labels", "n_coarse", "noise_sigma", "wild_scale", "branch_scale",
                    "n_train_fine", "n_train_coarse", "n_test", "seed")
         defaults = SynthSpec()
@@ -428,9 +429,9 @@ class _EncoderHead:
 
     def logits(self, x: np.ndarray) -> Tensor:
         p = self.params
-        h = nm.tanh(nm.add_rowvec(nm.matmul(nm.constant(x), p["enc.w1"]), p["enc.b1"]))
-        h = nm.tanh(nm.add_rowvec(nm.matmul(h, p["enc.w2"]), p["enc.b2"]))
-        return nm.add_rowvec(nm.matmul(h, p["head.w"]), p["head.b"])
+        h = nm.tanh(nm.affine(nm.constant(x), p["enc.w1"], p["enc.b1"]))
+        h = nm.tanh(nm.affine(h, p["enc.w2"], p["enc.b2"]))
+        return nm.affine(h, p["head.w"], p["head.b"])
 
 
 def _fit_classifier(cfg: BaselineConfig, xs: np.ndarray, out_dim: int,

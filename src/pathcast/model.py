@@ -160,9 +160,8 @@ class LabelPathModel:
     def encode(self, x: np.ndarray) -> Tensor:
         """Feature matrix [m, hidden] for inputs [m, input_dim] (or one row)."""
         p = self.params
-        h = nm.tanh(nm.add_rowvec(nm.matmul(nm.constant(self._input_rows(x)), p["enc.w1"]),
-                                  p["enc.b1"]))
-        return nm.add_rowvec(nm.matmul(h, p["enc.w2"]), p["enc.b2"])
+        h = nm.tanh(nm.affine(nm.constant(self._input_rows(x)), p["enc.w1"], p["enc.b1"]))
+        return nm.affine(h, p["enc.w2"], p["enc.b2"])
 
     def encode_values(self, x: np.ndarray) -> np.ndarray:
         """The values of :meth:`encode` as a plain array, from the same
@@ -180,8 +179,7 @@ class LabelPathModel:
         """One batched GRU step: new state [m,h] and logits [m, vocab]."""
         e = nm.gather_rows(self.params["emb"], tokens_in)
         f_t = nm.gru_step(self.gru, e, f_state)
-        z = nm.add_rowvec(nm.matmul(f_t, self.params["out.w"]), self.params["out.b"])
-        return f_t, z
+        return f_t, nm.affine(f_t, self.params["out.w"], self.params["out.b"])
 
     def step(self, f_prev: np.ndarray,
              prev: Sequence[int] | np.ndarray) -> tuple[np.ndarray, np.ndarray, nm.Blocks]:

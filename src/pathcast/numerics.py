@@ -4,8 +4,8 @@ Everything downstream (the path model, both trainers, the baselines) runs on
 this engine. It is deliberately small: values are row-major float64 ndarrays,
 operations build an implicit computation trace by linking output tensors to
 their inputs, and ``backward`` replays that trace once in reverse topological
-order. There is no broadcasting beyond explicit matrix products, row-vector
-bias addition and same-shape elementwise ops.
+order. There is no broadcasting beyond the dense layer (a matrix product
+plus a row-vector bias) and same-shape elementwise ops.
 """
 
 from __future__ import annotations
@@ -105,33 +105,21 @@ def scale(a: Tensor, c: float) -> Tensor:
     return out
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Product of a [m,k] matrix with a [k,n] matrix."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeMismatch(f"matmul: {a.data.shape} @ {b.data.shape}")
-    out = Tensor(a.data @ b.data, _parents=(a, b))
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Dense layer ``x @ w + b`` of a [m,k] matrix, a [k,n] weight and a
+    length-n bias added to every row, as one trace node."""
+    if (x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1
+            or x.data.shape[1] != w.data.shape[0] or w.data.shape[1] != b.data.shape[0]):
+        raise ShapeMismatch(f"affine: {x.data.shape} @ {w.data.shape} + {b.data.shape}")
+    out = Tensor(x.data @ w.data + b.data[None, :], _parents=(x, w, b))
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(g @ b.data.T)
+        if x.requires_grad:
+            x._accum(g @ w.data.T)
+        if w.requires_grad:
+            w._accum(x.data.T @ g)
         if b.requires_grad:
-            b._accum(a.data.T @ g)
-
-    out._backward = bw
-    return out
-
-
-def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
-    """Add a length-n vector to every row of a [m,n] matrix (explicit bias op)."""
-    if a.data.ndim != 2 or v.data.ndim != 1 or a.data.shape[1] != v.data.shape[0]:
-        raise ShapeMismatch(f"add_rowvec: {a.data.shape} + {v.data.shape}")
-    out = Tensor(a.data + v.data[None, :], _parents=(a, v))
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(g)
-        if v.requires_grad:
-            v._accum(g.sum(axis=0))
+            b._accum(g.sum(axis=0))
 
     out._backward = bw
     return out
@@ -454,7 +442,7 @@ def gru_forward(p: GruParams, e: np.ndarray, f: np.ndarray) -> tuple[np.ndarray,
         raise ShapeMismatch(f"gru_forward: e {e.shape}, f {f.shape} for "
                             f"weights {p.w_re.data.shape} / {p.w_rf.data.shape}")
     # Each gate uses the expressions, in the order, of its composition from
-    # one engine op per operation (tests/reference.py), so the values equal
+    # one trace node per operation (tests/reference.py), so the values equal
     # that composition bit for bit.
     r = _stable_sigmoid((e @ p.w_re.data + f @ p.w_rf.data) + p.b_r.data)
     u = _stable_sigmoid((e @ p.w_ue.data + f @ p.w_uf.data) + p.b_u.data)
@@ -501,26 +489,26 @@ def gru_step(params: GruParams, e_t: Tensor, f_prev: Tensor) -> Tensor:
 # Adam
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """Per-parameter first/second moments plus a shared step counter."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def adam_step(state: AdamState, params: dict[str, Tensor],
-              grads: dict[str, np.ndarray], lr_scale: float = 1.0) -> dict[str, Tensor]:
+              grads: dict[str, np.ndarray], lr_scale: float = 1.0) -> None:
     """Standard bias-corrected Adam update, applied in place."""
     state.step_count += 1
     t = state.step_count
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     lr = state.lr * lr_scale
     for name, p in params.items():
         g = grads[name]
@@ -531,12 +519,11 @@ def adam_step(state: AdamState, params: dict[str, Tensor],
             state.v[name] = np.zeros_like(p.data)
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.data = p.data - lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-    return params
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p.data = p.data - lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

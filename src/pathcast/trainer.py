@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -48,6 +48,15 @@ def typed_value(key: str, value, kind: type):
     return kind(value)
 
 
+def reject_unknown_keys(cls, raw: dict, what: str) -> None:
+    """Raise ValueError naming a key of ``raw`` that is no field of the
+    dataclass ``cls``, so that a misspelt key of a ``what`` object is not
+    silently ignored."""
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {what} key {unknown[0]!r}")
+
+
 def typed_fields(cls, raw: dict, names: Sequence[str], required: bool) -> dict:
     """Constructor arguments for the dataclass ``cls`` read from a config dict.
 
@@ -75,6 +84,7 @@ class ScheduleConfig:
     def from_dict(raw: dict) -> "ScheduleConfig":
         if not isinstance(raw, dict):
             raise ValueError(f"schedule must be an object, not {raw!r}")
+        reject_unknown_keys(ScheduleConfig, raw, "schedule")
         return ScheduleConfig(**typed_fields(ScheduleConfig, raw, ("kind", "n"), required=False))
 
 
@@ -130,15 +140,17 @@ class Batch:
     labels: tuple[int, ...] = ()
 
 
+BASELINE_DECAY = 0.9
+
+
 @dataclass
 class BaselineEstimator:
     """Exponential moving average of observed rewards."""
 
-    decay: float = 0.9
     value: float = 0.0
 
     def update(self, mean_reward: float) -> float:
-        self.value = self.decay * self.value + (1.0 - self.decay) * mean_reward
+        self.value = BASELINE_DECAY * self.value + (1.0 - BASELINE_DECAY) * mean_reward
         return self.value
 
 

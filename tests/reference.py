@@ -23,6 +23,39 @@ from pathcast.numerics import Tensor
 # ---------------------------------------------------------------------------
 
 
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Product of a [m,k] matrix with a [k,n] matrix."""
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+        raise nm.ShapeMismatch(f"matmul: {a.data.shape} @ {b.data.shape}")
+    out = Tensor(a.data @ b.data, _parents=(a, b))
+
+    def bw(g):
+        if a.requires_grad:
+            a._accum(g @ b.data.T)
+        if b.requires_grad:
+            b._accum(a.data.T @ g)
+
+    out._backward = bw
+    return out
+
+
+def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
+    """Add a length-n vector to every row of a [m,n] matrix: with
+    :func:`matmul`, the oracle of ``nm.affine``."""
+    if a.data.ndim != 2 or v.data.ndim != 1 or a.data.shape[1] != v.data.shape[0]:
+        raise nm.ShapeMismatch(f"add_rowvec: {a.data.shape} + {v.data.shape}")
+    out = Tensor(a.data + v.data[None, :], _parents=(a, v))
+
+    def bw(g):
+        if a.requires_grad:
+            a._accum(g)
+        if v.requires_grad:
+            v._accum(g.sum(axis=0))
+
+    out._backward = bw
+    return out
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     nm._check_same_shape(a, b, "add")
     out = Tensor(a.data + b.data, _parents=(a, b))
@@ -197,11 +230,10 @@ def choice_cross_block(dist, rng: np.random.Generator):
 
 
 def composed_gru_step(p: nm.GruParams, e_t: Tensor, f_prev: Tensor) -> Tensor:
-    """Reference GRU update built from one engine primitive per operation."""
-    r = sigmoid(nm.add_rowvec(add(nm.matmul(e_t, p.w_re), nm.matmul(f_prev, p.w_rf)), p.b_r))
-    u = sigmoid(nm.add_rowvec(add(nm.matmul(e_t, p.w_ue), nm.matmul(f_prev, p.w_uf)), p.b_u))
-    c = nm.tanh(nm.add_rowvec(add(nm.matmul(e_t, p.w_ce),
-                                  nm.matmul(mul(r, f_prev), p.w_cf)), p.b_c))
+    """Reference GRU update built from one trace node per operation."""
+    r = sigmoid(add_rowvec(add(matmul(e_t, p.w_re), matmul(f_prev, p.w_rf)), p.b_r))
+    u = sigmoid(add_rowvec(add(matmul(e_t, p.w_ue), matmul(f_prev, p.w_uf)), p.b_u))
+    c = nm.tanh(add_rowvec(add(matmul(e_t, p.w_ce), matmul(mul(r, f_prev), p.w_cf)), p.b_c))
     ones = nm.constant(np.ones_like(u.data))
     return add(mul(sub(ones, u), f_prev), mul(u, c))
 

@@ -176,7 +176,7 @@ def test_bandit_convergence():
         model = LabelPathModel(g, input_dim=4, embed_dim=5, hidden=8, seed=seed)
         book = PathBook(g)
         cfg = TrainConfig(reward_set="label_only", max_len=6)
-        baseline = BaselineEstimator(decay=0.9)
+        baseline = BaselineEstimator()
         adam = AdamState(lr=0.05)
         batch = Batch(inputs=np.zeros((1, 4)), target_paths=[[]], pg_indexes=(0,),
                       labels=(g.id_of("win"),))

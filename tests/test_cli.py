@@ -158,7 +158,8 @@ class TestSynthAndFuse:
                 ('{"noise_sigma": true}', "'noise_sigma' must be a float, not True"),
                 ('{"group_sizes": [3, 1.5]}', "'group_sizes' must be an int, not 1.5"),
                 ('{"label_profiles": [[0, 0, 0.5]]}', "'label_profiles' must be an int, not 0.5"),
-                ('{"n_coarse": 5}', "n_fine_labels must divide evenly")]):
+                ('{"n_coarse": 5}', "n_fine_labels must divide evenly"),
+                ('{"n_train_fien": 5}', "unknown spec key 'n_train_fien'")]):
             spec = tmp_path / f"spec-{i}.json"
             spec.write_text(text)
             out = tmp_path / f"out-{i}"
@@ -293,6 +294,7 @@ class TestTrainEvalCycle:
             ({**cfg, "epochs": "x"}, "'epochs' must be an int, not 'x'"),
             ({**cfg, "epochs": -1}, "batch_size/max_len/n_p/epochs out of range"),
             ({**cfg, "schedule": {"kind": "dynamic", "n": 0}}, "schedule n must be at least 1"),
+            ({**cfg, "schedule": {"knd": "dynamic"}}, "unknown schedule key 'knd'"),
             ({**cfg, "embed_dim": "wide"}, "'embed_dim' must be an int, not 'wide'"),
             ({**cfg, "hidden": 0}, "embed_dim and hidden must be at least 1"),
             ({**cfg, "epochs": 1.9}, "'epochs' must be an int, not 1.9"),

@@ -64,6 +64,7 @@ class TestSynthSpec:
         ({"group_sizes": [3, True, 4]}, "'group_sizes' must be an int, not True"),
         ({"label_profiles": [[0, 0, 1.0]]}, "'label_profiles' must be an int, not 1.0"),
         ({"label_profiles": [[0, [0, "1"], 1]]}, "'label_profiles' must be an int, not '1'"),
+        ({"n_train_fien": 5}, "unknown spec key 'n_train_fien'"),
     ])
     def test_from_dict_rejects_wrong_types(self, raw, message):
         with pytest.raises(ValueError, match=message):

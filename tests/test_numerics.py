@@ -112,8 +112,8 @@ class TestBackward:
 
         def build(p):
             ts = {k: nm.parameter(v) for k, v in p.items()}
-            h = nm.tanh(nm.add_rowvec(nm.matmul(nm.constant(x), ts["w1"]), ts["b1"]))
-            z = nm.add_rowvec(nm.matmul(h, ts["w2"]), ts["b2"])
+            h = nm.tanh(nm.affine(nm.constant(x), ts["w1"], ts["b1"]))
+            z = nm.affine(h, ts["w2"], ts["b2"])
             lp = block_log_prob(z, ref.row_blocks(blocks[:2]), [1, 4])
             return ref.neg(ref.sum_all(lp)), ts
 
@@ -159,7 +159,7 @@ class TestBackward:
             a = nm.parameter(p["a"])
             b = nm.parameter(p["b"])
             v = nm.parameter(p["v"])
-            m = nm.add_rowvec(nm.matmul(a, b), v)
+            m = nm.affine(a, b, v)
             y = ref.mul(nm.tanh(m), ref.sigmoid(m))
             row = ref.take_row(nm.gather_rows(y, [2, 0, 1]), 0)
             lp = ref.block_log_prob_row(row, [0, 1], 1)

@@ -59,6 +59,34 @@ def test_gru_forward_is_the_trace_node_value(seed):
     assert gru_forward(p, e, f)[-1].tobytes() == traced.data.tobytes()
 
 
+@pytest.mark.parametrize("rows", (0, 1, 7, 64))
+def test_affine_matches_matmul_plus_rowvec(rows):
+    rng = np.random.default_rng(rows)
+    x0, w0, b0 = rng.normal(size=(rows, 5)), rng.normal(size=(5, 3)), rng.normal(size=3)
+    upstream = rng.normal(size=(rows, 3))
+
+    def run(layer):
+        x, w, b = (nm.parameter(a) for a in (x0, w0, b0))
+        out = layer(x, w, b)
+        backward(ref.sum_all(ref.mul(out, nm.constant(upstream))))
+        return [a.tobytes() for a in (out.data, x.grad, w.grad, b.grad)]
+
+    assert run(nm.affine) == run(lambda x, w, b: ref.add_rowvec(ref.matmul(x, w), b))
+
+
+@pytest.mark.parametrize("x, w, b", [
+    ((2, 4), (3, 5), (5,)),  # inner dimensions differ
+    ((2, 3), (3, 5), (4,)),  # a bias of the wrong length
+    ((3,), (3, 5), (5,)),  # x is not a matrix
+])
+def test_affine_rejects_what_the_composition_rejects(x, w, b):
+    x, w, b = (nm.constant(np.zeros(shape)) for shape in (x, w, b))
+    with pytest.raises(nm.ShapeMismatch, match="affine"):
+        nm.affine(x, w, b)
+    with pytest.raises(nm.ShapeMismatch):
+        ref.add_rowvec(ref.matmul(x, w), b)
+
+
 def test_branch_free_sigmoid_matches_masked_oracle():
     rng = np.random.default_rng(0)
     extremes = [0.0, 37.0, -37.0, 745.0, -745.0, 1000.0, -1000.0, np.inf, -np.inf]

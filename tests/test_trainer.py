@@ -79,7 +79,7 @@ class TestReward:
 
 class TestBaseline:
     def test_ema_update(self):
-        b = BaselineEstimator(decay=0.9)
+        b = BaselineEstimator()
         b.update(1.0)
         assert b.value == pytest.approx(0.1)
         b.update(1.0)
@@ -87,7 +87,7 @@ class TestBaseline:
 
     def test_stays_in_reward_hull(self):
         rng = np.random.default_rng(1)
-        b = BaselineEstimator(decay=0.9)
+        b = BaselineEstimator()
         for _ in range(500):
             b.update(float(rng.uniform()))
             assert 0.0 <= b.value <= 1.0
@@ -154,6 +154,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize("raw, message", [
         ({"n": 0}, "schedule n must be at least 1"),
         ({"kind": "nope"}, "unknown schedule kind 'nope'"),
+        ({"knd": "dynamic"}, "unknown schedule key 'knd'"),
     ])
     def test_schedule_is_checked_where_it_is_read(self, raw, message):
         with pytest.raises(ValueError, match=message):
@@ -417,7 +418,7 @@ class TestPolicyGradientLoss:
         m = make_model(g, seed=6)
         book = PathBook(g)
         cfg = TrainConfig(reward_set="certain")
-        baseline = BaselineEstimator(decay=0.9, value=1.0)  # happens to match r
+        baseline = BaselineEstimator(value=1.0)  # happens to match r
         batch = Batch(inputs=np.zeros((1, 4)), target_paths=[[]], pg_indexes=(0,),
                       labels=(g.id_of("win"),))
         # force the sampler down the rewarded arm by biasing the logits
@@ -447,7 +448,7 @@ class TestPolicyGradientLoss:
         m = make_model(g, seed=8)
         book = PathBook(g)
         cfg = TrainConfig()
-        baseline = BaselineEstimator(decay=0.9)
+        baseline = BaselineEstimator()
         batch = Batch(inputs=np.zeros((1, 4)), target_paths=[[]], pg_indexes=(0,),
                       labels=(g.id_of("x"),))
         policy_gradient_loss(m, batch, baseline, cfg, np.random.default_rng(0), book)
@@ -492,7 +493,7 @@ class TestPolicyGradientLoss:
         samples_b = []
         trials = 4000
         for _ in range(trials):
-            baseline = BaselineEstimator(decay=0.9, value=0.5)  # fixed across trials
+            baseline = BaselineEstimator(value=0.5)  # fixed across trials
             loss, rewards = policy_gradient_loss(m, batch, baseline, cfg, rng, book)
             assert rewards == [1.0]
             zero_grads(m.params)
@@ -562,7 +563,7 @@ class TestBandit:
             m = make_model(g, seed=seed)
             book = PathBook(g)
             cfg = TrainConfig(reward_set="label_only", max_len=6)
-            baseline = BaselineEstimator(decay=0.9)
+            baseline = BaselineEstimator()
             adam = AdamState(lr=0.05)
             x = np.zeros(4)
             batch = Batch(inputs=np.stack([x]), target_paths=[[]], pg_indexes=(0,),
