@@ -429,7 +429,7 @@ class _EncoderHead:
 
     def logits(self, x: np.ndarray) -> Tensor:
         p = self.params
-        h = nm.tanh(nm.affine(nm.constant(x), p["enc.w1"], p["enc.b1"]))
+        h = nm.tanh(nm.affine(Tensor(x), p["enc.w1"], p["enc.b1"]))
         h = nm.tanh(nm.affine(h, p["enc.w2"], p["enc.b2"]))
         return nm.affine(h, p["head.w"], p["head.b"])
 
@@ -439,7 +439,7 @@ def _fit_classifier(cfg: BaselineConfig, xs: np.ndarray, out_dim: int,
     """An encoder-head network with ``out_dim`` outputs, trained with Adam on
     the rows ``xs`` against ``loss_fn(logits, sample indexes)``."""
     net = _EncoderHead(xs.shape[1], cfg.hidden, out_dim, cfg.seed)
-    adam = [(AdamState(lr=cfg.lr), net.params)]
+    adam = AdamState(lr=dict.fromkeys(net.params, cfg.lr))
     sched = ScheduleState(kind=cfg.schedule.kind, n=cfg.schedule.n)
     for epoch in range(1, cfg.epochs + 1):
         epoch_loss = 0.0

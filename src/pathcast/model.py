@@ -160,7 +160,7 @@ class LabelPathModel:
     def encode(self, x: np.ndarray) -> Tensor:
         """Feature matrix [m, hidden] for inputs [m, input_dim] (or one row)."""
         p = self.params
-        h = nm.tanh(nm.affine(nm.constant(self._input_rows(x)), p["enc.w1"], p["enc.b1"]))
+        h = nm.tanh(nm.affine(Tensor(self._input_rows(x)), p["enc.w1"], p["enc.b1"]))
         return nm.affine(h, p["enc.w2"], p["enc.b2"])
 
     def encode_values(self, x: np.ndarray) -> np.ndarray:

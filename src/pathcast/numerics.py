@@ -41,18 +41,18 @@ class Tensor:
     ``data`` is always a float64 ndarray (shape ``()`` for scalars) and must be
     finite; the constructor enforces both. ``_parents`` / ``_backward`` record
     how the node was produced so that :func:`backward` can route the output
-    gradient to every parameter exactly once.
+    gradient to every parent exactly once. A Tensor built from data is a
+    constant or, through :func:`parameter`, a parameter; both receive their
+    gradient, and only a parameter's is read.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False,
-                 _parents: tuple = (), _backward: Callable | None = None):
+    def __init__(self, data, _parents: tuple = (), _backward: Callable | None = None):
         arr = np.asarray(data, dtype=np.float64)
         require_finite(arr)
         self.data = arr
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
         self._parents = _parents
         self._backward = _backward
 
@@ -64,12 +64,12 @@ class Tensor:
         return float(self.data)
 
     def _accum(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        # Out of place: a first gradient may be an array that add_n also hands
+        # to another parent.
+        self.grad = g if self.grad is None else self.grad + g
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape})"
 
 
 def require_finite(arr: np.ndarray) -> None:
@@ -79,12 +79,9 @@ def require_finite(arr: np.ndarray) -> None:
         raise ValueError("tensor values must be finite")
 
 
-def constant(data) -> Tensor:
-    return Tensor(data, requires_grad=False)
-
-
 def parameter(data) -> Tensor:
-    return Tensor(np.array(data, dtype=np.float64, copy=True), requires_grad=True)
+    """A Tensor holding its own copy of ``data``, for the optimiser to update."""
+    return Tensor(np.array(data, dtype=np.float64, copy=True))
 
 
 def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -98,8 +95,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     out = Tensor(a.data * c, _parents=(a,))
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(g * c)
+        a._accum(g * c)
 
     out._backward = bw
     return out
@@ -114,12 +110,9 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out = Tensor(x.data @ w.data + b.data[None, :], _parents=(x, w, b))
 
     def bw(g):
-        if x.requires_grad:
-            x._accum(g @ w.data.T)
-        if w.requires_grad:
-            w._accum(x.data.T @ g)
-        if b.requires_grad:
-            b._accum(g.sum(axis=0))
+        x._accum(g @ w.data.T)
+        w._accum(x.data.T @ g)
+        b._accum(g.sum(axis=0))
 
     out._backward = bw
     return out
@@ -130,8 +123,7 @@ def tanh(a: Tensor) -> Tensor:
     out = Tensor(y, _parents=(a,))
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(g * (1.0 - y * y))
+        a._accum(g * (1.0 - y * y))
 
     out._backward = bw
     return out
@@ -150,8 +142,7 @@ def weighted_sum(a: Tensor, w: np.ndarray) -> Tensor:
     out = Tensor(np.dot(w, a.data), _parents=(a,))
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(w * float(g))
+        a._accum(w * float(g))
 
     out._backward = bw
     return out
@@ -168,8 +159,7 @@ def add_n(ts: Sequence[Tensor]) -> Tensor:
 
     def bw(g):
         for t in ts:
-            if t.requires_grad:
-                t._accum(g)
+            t._accum(g)
 
     out._backward = bw
     return out
@@ -185,10 +175,10 @@ def gather_rows(a: Tensor, idx: Sequence[int]) -> Tensor:
     out = Tensor(a.data[ii], _parents=(a,))
 
     def bw(g):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            np.add.at(a.grad, ii, g)
+        # scattered into a buffer of its own, in the order of np.add.at
+        grad = np.zeros_like(a.data) if a.grad is None else a.grad.copy()
+        np.add.at(grad, ii, g)
+        a.grad = grad
 
     out._backward = bw
     return out
@@ -313,7 +303,7 @@ def block_log_prob(logits: Tensor, blocks: Blocks, targets) -> Tensor:
     out = Tensor(lp, _parents=(logits,))
 
     def bw(g):
-        if logits.requires_grad and rows.size:
+        if rows.size:
             gr = g[rows]
             gz = np.zeros_like(zz)
             gz[blocks.rows, blocks.cols] = (-np.exp(z - lse.repeat(blocks.sizes))
@@ -336,8 +326,7 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     out = Tensor(np.asarray(loss.sum()), _parents=(logits,))
 
     def bw(g):
-        if logits.requires_grad:
-            logits._accum((_stable_sigmoid(z) - t) * float(g))
+        logits._accum((_stable_sigmoid(z) - t) * float(g))
 
     out._backward = bw
     return out
@@ -347,7 +336,7 @@ def backward(loss: Tensor) -> None:
     """Run reverse-mode differentiation from a scalar loss.
 
     Visits every trace node reachable from ``loss`` exactly once, in reverse
-    topological order. Leaf tensors with ``requires_grad`` end up with their
+    topological order. Every leaf reachable from the loss ends up with its
     ``grad`` populated; parameters not reachable from the loss keep
     ``grad is None`` (a disconnected parameter's gradient is zero).
     """
@@ -372,12 +361,6 @@ def backward(loss: Tensor) -> None:
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
-
-
-def collect_grads(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    """Gradients per named parameter; disconnected parameters report zeros."""
-    return {name: (p.grad if p.grad is not None else np.zeros_like(p.data))
-            for name, p in params.items()}
 
 
 def zero_grads(params: dict[str, Tensor]) -> None:
@@ -469,17 +452,12 @@ def gru_step(params: GruParams, e_t: Tensor, f_prev: Tensor) -> Tensor:
         for pre, inp, w_e, w_f, b in ((g_r, f, p.w_re, p.w_rf, p.b_r),
                                       (g_u, f, p.w_ue, p.w_uf, p.b_u),
                                       (g_c, rf, p.w_ce, p.w_cf, p.b_c)):
-            if w_e.requires_grad:
-                w_e._accum(e.T @ pre)
-            if w_f.requires_grad:
-                w_f._accum(inp.T @ pre)
-            if b.requires_grad:
-                b._accum(pre.sum(axis=0))
-        if e_t.requires_grad:
-            e_t._accum(g_r @ p.w_re.data.T + g_u @ p.w_ue.data.T + g_c @ p.w_ce.data.T)
-        if f_prev.requires_grad:
-            f_prev._accum(g * (1.0 - u) + g_rf * r
-                          + g_r @ p.w_rf.data.T + g_u @ p.w_uf.data.T)
+            w_e._accum(e.T @ pre)
+            w_f._accum(inp.T @ pre)
+            b._accum(pre.sum(axis=0))
+        e_t._accum(g_r @ p.w_re.data.T + g_u @ p.w_ue.data.T + g_c @ p.w_ce.data.T)
+        f_prev._accum(g * (1.0 - u) + g_rf * r
+                      + g_r @ p.w_rf.data.T + g_u @ p.w_uf.data.T)
 
     f_t._backward = bw
     return f_t
@@ -494,24 +472,25 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moments plus a shared step counter."""
+    """Learning rate and first/second moments per parameter, and one step counter."""
 
-    lr: float
+    lr: dict[str, float]
     step_count: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def adam_step(state: AdamState, params: dict[str, Tensor],
-              grads: dict[str, np.ndarray], lr_scale: float = 1.0) -> None:
-    """Standard bias-corrected Adam update, applied in place."""
+def adam_step(state: AdamState, params: dict[str, Tensor], lr_scale: float = 1.0) -> None:
+    """Standard bias-corrected Adam update of every parameter from its
+    ``grad``, applied in place. The update is elementwise, so one step serves
+    every learning rate; a ``grad`` of None (a disconnected parameter) is
+    zero."""
     state.step_count += 1
     t = state.step_count
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t
-    lr = state.lr * lr_scale
     for name, p in params.items():
-        g = grads[name]
+        g = np.zeros_like(p.data) if p.grad is None else p.grad
         if g.shape != p.data.shape:
             raise ShapeMismatch(f"adam_step: grad shape for {name}")
         if name not in state.m:
@@ -523,7 +502,7 @@ def adam_step(state: AdamState, params: dict[str, Tensor],
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * g * g
-        p.data = p.data - lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        p.data = p.data - state.lr[name] * lr_scale * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ nondeterministic paths are collected into the policy-gradient index set.
 from __future__ import annotations
 
 import json
+import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Iterator, NamedTuple, Sequence
@@ -40,11 +41,14 @@ _TYPE_NAMES = {int: "an int", float: "a float", str: "a string"}
 
 def typed_value(key: str, value, kind: type):
     """``value`` as a ``kind`` (int, float or str), read strictly from JSON: an
-    int takes an integer, a float an integer or a float, a str a string; a
-    bool is none of them. Anything else raises ValueError naming ``key``."""
+    int takes an integer, a float an integer or a float within the float
+    range (``json`` reads ``NaN`` and ``Infinity``), a str a string; a bool
+    is none of them. Anything else raises ValueError naming ``key``."""
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ValueError(f"{key!r} must be {_TYPE_NAMES[kind]}, not {value!r}")
+    if kind is float and not abs(value) <= sys.float_info.max:  # false for NaN
+        raise ValueError(f"{key!r} must be a finite number, not {value!r}")
     return kind(value)
 
 
@@ -302,7 +306,7 @@ def schedule_update(state: ScheduleState, epoch: int,
 
 @dataclass
 class TrainState:
-    adam: list[tuple[AdamState, dict[str, Tensor]]]  # (state, parameter group) per learning rate
+    adam: AdamState  # lr_e for the encoder parameters, lr for the rest
     baseline: BaselineEstimator
     schedule: ScheduleState
     book: PathBook
@@ -310,10 +314,9 @@ class TrainState:
 
     @staticmethod
     def init(model: LabelPathModel, cfg: TrainConfig) -> "TrainState":
-        enc_params = {k: v for k, v in model.params.items() if k in model.encoder_param_names}
-        rest_params = {k: v for k, v in model.params.items() if k not in enc_params}
+        lr = {k: cfg.lr_e if k in model.encoder_param_names else cfg.lr for k in model.params}
         return TrainState(
-            adam=[(AdamState(lr=cfg.lr_e), enc_params), (AdamState(lr=cfg.lr), rest_params)],
+            adam=AdamState(lr=lr),
             baseline=BaselineEstimator(),
             schedule=ScheduleState(kind=cfg.schedule.kind, n=cfg.schedule.n),
             book=PathBook(model.graph),
@@ -328,15 +331,12 @@ def minibatches(n: int, batch_size: int, seed: int, epoch: int) -> Iterator[tupl
         yield bi, order[start:start + batch_size]
 
 
-def descend(loss: Tensor, params: dict[str, Tensor],
-            adam: Sequence[tuple[AdamState, dict[str, Tensor]]], lr_scale: float) -> None:
+def descend(loss: Tensor, params: dict[str, Tensor], adam: AdamState, lr_scale: float) -> None:
     """One optimiser step on ``loss``: backpropagate into ``params``, then one
-    Adam step per ``(state, parameter group)`` in ``adam``."""
+    Adam step over all of them."""
     nm.zero_grads(params)
     nm.backward(loss)
-    grads = nm.collect_grads(params)
-    for state, group in adam:
-        adam_step(state, group, grads, lr_scale=lr_scale)
+    adam_step(adam, params, lr_scale)
 
 
 def _batch_rng(seed: int, epoch: int, batch_idx: int) -> np.random.Generator:

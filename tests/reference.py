@@ -9,7 +9,7 @@ check the path algorithms; the graph generators feed all of them. Nothing in
 against its oracle.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,10 +30,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data @ b.data, _parents=(a, b))
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(g @ b.data.T)
-        if b.requires_grad:
-            b._accum(a.data.T @ g)
+        a._accum(g @ b.data.T)
+        b._accum(a.data.T @ g)
 
     out._backward = bw
     return out
@@ -47,10 +45,8 @@ def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
     out = Tensor(a.data + v.data[None, :], _parents=(a, v))
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(g)
-        if v.requires_grad:
-            v._accum(g.sum(axis=0))
+        a._accum(g)
+        v._accum(g.sum(axis=0))
 
     out._backward = bw
     return out
@@ -61,10 +57,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data, _parents=(a, b))
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(g)
-        if b.requires_grad:
-            b._accum(g)
+        a._accum(g)
+        b._accum(g)
 
     out._backward = bw
     return out
@@ -75,10 +69,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data - b.data, _parents=(a, b))
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(g)
-        if b.requires_grad:
-            b._accum(-g)
+        a._accum(g)
+        b._accum(-g)
 
     out._backward = bw
     return out
@@ -90,10 +82,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data, _parents=(a, b))
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(g * b.data)
-        if b.requires_grad:
-            b._accum(g * a.data)
+        a._accum(g * b.data)
+        b._accum(g * a.data)
 
     out._backward = bw
     return out
@@ -103,8 +93,7 @@ def neg(a: Tensor) -> Tensor:
     out = Tensor(-a.data, _parents=(a,))
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(-g)
+        a._accum(-g)
 
     out._backward = bw
     return out
@@ -116,8 +105,7 @@ def sigmoid(a: Tensor) -> Tensor:
     out = Tensor(y, _parents=(a,))
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(g * y * (1.0 - y))
+        a._accum(g * y * (1.0 - y))
 
     out._backward = bw
     return out
@@ -139,8 +127,7 @@ def sum_all(a: Tensor) -> Tensor:
     out = Tensor(a.data.sum(), _parents=(a,))
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(np.full_like(a.data, float(g)))
+        a._accum(np.full_like(a.data, float(g)))
 
     out._backward = bw
     return out
@@ -155,10 +142,9 @@ def take_row(a: Tensor, i: int) -> Tensor:
     out = Tensor(a.data[i], _parents=(a,))
 
     def bw(g):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[i] += g
+        grad = np.zeros_like(a.data) if a.grad is None else a.grad.copy()
+        grad[i] += g
+        a.grad = grad
 
     out._backward = bw
     return out
@@ -181,11 +167,10 @@ def block_log_prob_row(logits: Tensor, block, target: int) -> Tensor:
     out = Tensor(logits.data[target] - lse, _parents=(logits,))
 
     def bw(g):
-        if logits.requires_grad:
-            gz = np.zeros_like(logits.data)
-            gz[bb] = -np.exp(z - lse) * g
-            gz[target] += g
-            logits._accum(gz)
+        gz = np.zeros_like(logits.data)
+        gz[bb] = -np.exp(z - lse) * g
+        gz[target] += g
+        logits._accum(gz)
 
     out._backward = bw
     return out
@@ -234,7 +219,7 @@ def composed_gru_step(p: nm.GruParams, e_t: Tensor, f_prev: Tensor) -> Tensor:
     r = sigmoid(add_rowvec(add(matmul(e_t, p.w_re), matmul(f_prev, p.w_rf)), p.b_r))
     u = sigmoid(add_rowvec(add(matmul(e_t, p.w_ue), matmul(f_prev, p.w_uf)), p.b_u))
     c = nm.tanh(add_rowvec(add(matmul(e_t, p.w_ce), matmul(mul(r, f_prev), p.w_cf)), p.b_c))
-    ones = nm.constant(np.ones_like(u.data))
+    ones = Tensor(np.ones_like(u.data))
     return add(mul(sub(ones, u), f_prev), mul(u, c))
 
 
@@ -242,6 +227,46 @@ def path_log_prob(model, x: np.ndarray, path) -> Tensor:
     """Scalar teacher-forced log-probability of one path from one input
     ``x[d]``: the one-path oracle of ``model.sampled_path_log_prob``."""
     return sum_all(model.score_lanes(model.encode(x), [list(path)], teacher=True))
+
+
+def collect_grads(params: dict) -> dict:
+    """Gradients per named parameter; disconnected parameters report zeros."""
+    return {name: (p.grad if p.grad is not None else np.zeros_like(p.data))
+            for name, p in params.items()}
+
+
+@dataclass
+class GroupAdamState:
+    """Adam moments of one parameter group with one scalar learning rate."""
+
+    lr: float
+    step_count: int = 0
+    m: dict = field(default_factory=dict)
+    v: dict = field(default_factory=dict)
+
+
+def group_adam_step(state: GroupAdamState, params: dict, grads: dict,
+                    lr_scale: float = 1.0) -> None:
+    """Adam over one parameter group from explicit gradients: the oracle of
+    ``nm.adam_step``, which steps every group at once with a learning rate
+    per parameter."""
+    state.step_count += 1
+    t = state.step_count
+    c1 = 1.0 - nm.ADAM_BETA1 ** t
+    c2 = 1.0 - nm.ADAM_BETA2 ** t
+    lr = state.lr * lr_scale
+    for name, p in params.items():
+        g = grads[name]
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
+        m = state.m[name]
+        v = state.v[name]
+        m *= nm.ADAM_BETA1
+        m += (1.0 - nm.ADAM_BETA1) * g
+        v *= nm.ADAM_BETA2
+        v += (1.0 - nm.ADAM_BETA2) * g * g
+        p.data = p.data - lr * (m / c1) / (np.sqrt(v / c2) + nm.ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ from pathcast.trainer import (Batch, BaselineEstimator, LabeledSample, PathBook,
                               build_batch, deterministic_loss,
                               policy_gradient_loss, schedule_update, train)
 
-from reference import (figure2_subgraph, oracle_all_paths, oracle_classify, random_dag,
-                       random_partition, sum_all, three_level_graph)
+from reference import (collect_grads, figure2_subgraph, oracle_all_paths, oracle_classify,
+                       random_dag, random_partition, sum_all, three_level_graph)
 
 
 def report(name, ok, detail=""):
@@ -103,7 +103,7 @@ def test_gradient_fidelity_20_seeds():
 
             nm.zero_grads(model.params)
             backward(loss)
-            grads = nm.collect_grads(model.params)
+            grads = collect_grads(model.params)
             worst = max(worst, _sampled_fd_err(ld, raw, grads, rng, coords=6))
 
         # policy-gradient surrogate on a frozen sampled trajectory
@@ -119,7 +119,7 @@ def test_gradient_fidelity_20_seeds():
         loss_pg = nm.scale(sum_all(model.sampled_path_log_prob(xs[:1], [sampled])), weight)
         nm.zero_grads(model.params)
         backward(loss_pg)
-        grads_pg = nm.collect_grads(model.params)
+        grads_pg = collect_grads(model.params)
         worst = max(worst, _sampled_fd_err(lpg, raw, grads_pg, rng, coords=6))
     elapsed = time.time() - t0
     report("gradient fidelity", worst < 1e-4 and elapsed < 60,
@@ -177,7 +177,7 @@ def test_bandit_convergence():
         book = PathBook(g)
         cfg = TrainConfig(reward_set="label_only", max_len=6)
         baseline = BaselineEstimator()
-        adam = AdamState(lr=0.05)
+        adam = AdamState(lr=dict.fromkeys(model.params, 0.05))
         batch = Batch(inputs=np.zeros((1, 4)), target_paths=[[]], pg_indexes=(0,),
                       labels=(g.id_of("win"),))
         rng = np.random.default_rng(500 + seed)
@@ -187,7 +187,7 @@ def test_bandit_convergence():
                 continue
             nm.zero_grads(model.params)
             backward(loss)
-            adam_step(adam, model.params, nm.collect_grads(model.params))
+            adam_step(adam, model.params)
         probs, _, _ = model.step(model.encode(np.zeros(4)).data, [g.root])
         p_win = float(probs[0, g.id_of("a")])
         wins += p_win >= 0.95

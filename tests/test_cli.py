@@ -156,6 +156,8 @@ class TestSynthAndFuse:
                 ('{"n_coarse": "x"}', "'n_coarse' must be an int, not 'x'"),
                 ('{"n_coarse": 1.7}', "'n_coarse' must be an int, not 1.7"),
                 ('{"noise_sigma": true}', "'noise_sigma' must be a float, not True"),
+                ('{"noise_sigma": NaN}', "'noise_sigma' must be a finite number, not nan"),
+                ('{"wild_scale": -Infinity}', "'wild_scale' must be a finite number, not -inf"),
                 ('{"group_sizes": [3, 1.5]}', "'group_sizes' must be an int, not 1.5"),
                 ('{"label_profiles": [[0, 0, 0.5]]}', "'label_profiles' must be an int, not 0.5"),
                 ('{"n_coarse": 5}', "n_fine_labels must divide evenly"),
@@ -302,6 +304,8 @@ class TestTrainEvalCycle:
             ({**cfg, "lr": "0.01"}, "'lr' must be a float, not '0.01'"),
             ({**cfg, "hidden": 8.9}, "'hidden' must be an int, not 8.9"),
             ({**cfg, "embed_dim": True}, "'embed_dim' must be an int, not True"),
+            ({**cfg, "lr": float("nan")}, "'lr' must be a finite number"),
+            ({**cfg, "alpha": float("inf")}, "'alpha' must be a finite number"),
         ])
         assert not out.exists()
         assert not (tmp_path / "m.pck.metrics.jsonl").exists()
@@ -505,6 +509,7 @@ class TestBaselineCommand:
             ({**cfg, "epochs": 1.9}, "'epochs' must be an int, not 1.9"),
             ({**cfg, "hidden": 8.9}, "'hidden' must be an int, not 8.9"),
             ({**cfg, "lr": "0.02"}, "'lr' must be a float, not '0.02'"),
+            ({**cfg, "lr": float("inf")}, "'lr' must be a finite number"),
         ])
 
     def test_bad_values_fail_before_training(self, workdir, tmp_path):

@@ -65,6 +65,9 @@ class TestSynthSpec:
         ({"label_profiles": [[0, 0, 1.0]]}, "'label_profiles' must be an int, not 1.0"),
         ({"label_profiles": [[0, [0, "1"], 1]]}, "'label_profiles' must be an int, not '1'"),
         ({"n_train_fien": 5}, "unknown spec key 'n_train_fien'"),
+        ({"noise_sigma": float("nan")}, "'noise_sigma' must be a finite number, not nan"),
+        ({"wild_scale": float("inf")}, "'wild_scale' must be a finite number, not inf"),
+        ({"branch_scale": float("-inf")}, "'branch_scale' must be a finite number, not -inf"),
     ])
     def test_from_dict_rejects_wrong_types(self, raw, message):
         with pytest.raises(ValueError, match=message):
@@ -284,6 +287,9 @@ class TestBaselineConfig:
         ({"hidden": 8.9}, "'hidden' must be an int, not 8.9"),
         ({"epochs": "2"}, "'epochs' must be an int, not '2'"),
         ({"lr": True}, "'lr' must be a float, not True"),
+        ({"lr": float("nan")}, "'lr' must be a finite number, not nan"),
+        ({"lr": float("inf")}, "'lr' must be a finite number, not inf"),
+        ({"lr": float("-inf")}, "'lr' must be a finite number, not -inf"),
     ])
     def test_wrong_types_are_rejected(self, raw, message):
         with pytest.raises(ValueError, match=message):

@@ -15,7 +15,8 @@ from pathcast.model import (InvalidPath, LabelPathModel, NoCandidates,
                             read_sidecar, save_model)
 from pathcast.numerics import CorruptCheckpoint
 
-from reference import candidate_blocks, figure2_subgraph, path_log_prob, random_dag, step, sum_all
+from reference import (candidate_blocks, collect_grads, figure2_subgraph, path_log_prob,
+                       random_dag, step, sum_all)
 
 
 def make_model(graph, seed=0, input_dim=5, embed_dim=6, hidden=8):
@@ -295,7 +296,7 @@ class TestCandidateTable:
                     nm.zero_grads(m.params)
                     nm.backward(nm.weighted_sum(totals, w))
                     runs.append((totals.data.copy(),
-                                 {k: v.copy() for k, v in nm.collect_grads(m.params).items()}))
+                                 {k: v.copy() for k, v in collect_grads(m.params).items()}))
                 (bare, g_bare), (closed, g_closed) = runs
                 np.testing.assert_array_equal(closed, bare)
                 for name in m.params:
@@ -436,7 +437,7 @@ class TestSamplePath:
         def grads_of(loss):
             nm.zero_grads(m.params)
             nm.backward(loss)
-            return {k: v.copy() for k, v in nm.collect_grads(m.params).items()}
+            return {k: v.copy() for k, v in collect_grads(m.params).items()}
 
         rows = m.sampled_path_log_prob(xs, samples)
         singles = [sum_all(m.sampled_path_log_prob(x[None, :], [s])) for x, s in zip(xs, samples)]

@@ -83,7 +83,7 @@ class TestBackward:
         unused = nm.parameter(5.0)
         loss = ref.mul(x, x)
         backward(loss)
-        grads = nm.collect_grads({"x": x, "unused": unused})
+        grads = ref.collect_grads({"x": x, "unused": unused})
         assert grads["unused"] == pytest.approx(0.0)
 
     def test_backward_requires_scalar(self):
@@ -99,6 +99,27 @@ class TestBackward:
         backward(loss)
         assert abs(float(x.grad) - 8 * 1.5) < 1e-12
 
+    @pytest.mark.parametrize("add_n_first", [True, False])
+    def test_add_n_parent_that_feeds_another_node_matches_fd(self, add_n_first):
+        # add_n hands one gradient array to both of its parents, and ``a``
+        # also feeds tanh: tanh's gradient must not be added into the array
+        # that ``b`` holds too. Each order of the two loss terms runs the
+        # add_n node's backward before, or after, the tanh node's.
+        rng = np.random.default_rng(4)
+        params = {"a": rng.normal(size=(2, 3)), "b": rng.normal(size=(2, 3))}
+
+        def build(p):
+            a, b = nm.parameter(p["a"]), nm.parameter(p["b"])
+            s = nm.add_n([a, b])
+            terms = [ref.sum_all(ref.mul(s, s)), ref.sum_all(nm.tanh(a))]
+            return ref.add(*(terms if add_n_first else terms[::-1])), (a, b)
+
+        loss, (a, b) = build(params)
+        backward(loss)
+        fd = finite_difference(lambda p: build(p)[0].item(), params)
+        assert max_rel_err(a.grad, fd["a"]) < 1e-6
+        assert max_rel_err(b.grad, fd["b"]) < 1e-6
+
     def test_mlp_block_softmax_nll_matches_fd(self):
         rng = np.random.default_rng(3)
         params = {
@@ -112,7 +133,7 @@ class TestBackward:
 
         def build(p):
             ts = {k: nm.parameter(v) for k, v in p.items()}
-            h = nm.tanh(nm.affine(nm.constant(x), ts["w1"], ts["b1"]))
+            h = nm.tanh(nm.affine(Tensor(x), ts["w1"], ts["b1"]))
             z = nm.affine(h, ts["w2"], ts["b2"])
             lp = block_log_prob(z, ref.row_blocks(blocks[:2]), [1, 4])
             return ref.neg(ref.sum_all(lp)), ts
@@ -136,9 +157,9 @@ class TestBackward:
             g = nm.GruParams(*[ts[f"g.{f}"] for f in
                                ("w_re", "w_rf", "b_r", "w_ue", "w_uf", "b_u",
                                 "w_ce", "w_cf", "b_c")])
-            f = nm.constant(np.zeros((1, hdim)))
+            f = Tensor(np.zeros((1, hdim)))
             for t in range(5):
-                f = gru_step(g, nm.constant(xs[t][None, :]), f)
+                f = gru_step(g, Tensor(xs[t][None, :]), f)
             return ref.sum_all(nm.tanh(f)), ts
 
         loss, ts = build(params)
@@ -190,7 +211,7 @@ class TestGru:
         gp = nm.GruParams.init(3, 4, rng, "g", raw)
         for t in raw.values():
             t.data = np.zeros_like(t.data)
-        out = gru_step(gp, nm.constant(np.zeros((1, 3))), nm.constant(np.zeros((1, 4))))
+        out = gru_step(gp, Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 4))))
         np.testing.assert_allclose(out.data, np.zeros((1, 4)))
 
     def test_matches_scalar_loop(self):
@@ -200,7 +221,7 @@ class TestGru:
         gp = nm.GruParams.init(d, hdim, rng, "g", raw)
         e = rng.normal(size=d)
         f = rng.normal(size=hdim)
-        out = gru_step(gp, nm.constant(e[None, :]), nm.constant(f[None, :])).data[0]
+        out = gru_step(gp, Tensor(e[None, :]), Tensor(f[None, :])).data[0]
 
         def sig(v):
             return 1.0 / (1.0 + np.exp(-v))
@@ -229,7 +250,7 @@ class TestGru:
         gp = nm.GruParams.init(3, 4, rng, "g", raw)
         raw["g.b_u"].data = np.full(4, -50.0)  # u ~ 0 => f_t ~ f_prev
         f_prev = rng.normal(size=(1, 4))
-        out = gru_step(gp, nm.constant(rng.normal(size=(1, 3))), nm.constant(f_prev)).data
+        out = gru_step(gp, Tensor(rng.normal(size=(1, 3))), Tensor(f_prev)).data
         np.testing.assert_allclose(out, f_prev, atol=1e-6)
 
     def test_shape_mismatch(self):
@@ -237,7 +258,7 @@ class TestGru:
         raw = {}
         gp = nm.GruParams.init(3, 4, rng, "g", raw)
         with pytest.raises(nm.ShapeMismatch):
-            gru_step(gp, nm.constant(np.zeros((1, 5))), nm.constant(np.zeros((1, 4))))
+            gru_step(gp, Tensor(np.zeros((1, 5))), Tensor(np.zeros((1, 4))))
 
 
 GRU_FIELDS = ("w_re", "w_rf", "b_r", "w_ue", "w_uf", "b_u", "w_ce", "w_cf", "b_c")
@@ -258,7 +279,7 @@ class TestFusedKernels:
             ts = {k: nm.parameter(arrays[k]) for k in GRU_FIELDS}
             e, f = nm.parameter(e0), nm.parameter(f0)
             out = step(nm.GruParams(*[ts[k] for k in GRU_FIELDS]), e, f)
-            backward(ref.sum_all(ref.mul(out, nm.constant(upstream))))
+            backward(ref.sum_all(ref.mul(out, Tensor(upstream))))
             grads = {k: t.grad for k, t in ts.items()}
             grads.update(e_t=e.grad, f_prev=f.grad)
             return out, grads
@@ -311,7 +332,7 @@ class TestFusedKernels:
         assert max_rel_err(z.grad, fd["z"]) < 1e-6
 
     def test_rows_block_log_prob_checks_every_row(self):
-        z = nm.constant(np.zeros((2, 4)))
+        z = Tensor(np.zeros((2, 4)))
         with pytest.raises(nm.IndexOutOfRange):
             block_log_prob(z, ref.row_blocks([[0, 1], [2, 3]]), [1, 0])  # row 1's target outside
         with pytest.raises(nm.EmptyBlock):
@@ -324,41 +345,46 @@ class TestFusedKernels:
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         p = {"w": nm.parameter([1.0, -2.0])}
-        st = AdamState(lr=0.1)
-        adam_step(st, p, {"w": np.zeros(2)})
+        st = AdamState(lr={"w": 0.1})
+        p["w"].grad = np.zeros(2)
+        adam_step(st, p)
         np.testing.assert_allclose(p["w"].data, [1.0, -2.0])
 
     def test_first_step_closed_form(self):
         # constant gradient 1 with lr 0.1: bias-corrected step is lr/(1+eps)
         p = {"w": nm.parameter([0.0])}
-        st = AdamState(lr=0.1)
-        adam_step(st, p, {"w": np.ones(1)})
+        st = AdamState(lr={"w": 0.1})
+        p["w"].grad = np.ones(1)
+        adam_step(st, p)
         assert abs(float(p["w"].data[0]) + 0.1) < 1e-8
 
     def test_quadratic_bowl_descends(self):
         p = {"w": nm.parameter([5.0, -4.0])}
-        st = AdamState(lr=0.05)
+        st = AdamState(lr={"w": 0.05})
         losses = []
         for _ in range(100):
             losses.append(float(np.sum(p["w"].data ** 2)))
-            adam_step(st, p, {"w": 2 * p["w"].data})
+            p["w"].grad = 2 * p["w"].data
+            adam_step(st, p)
         assert all(b <= a + 1e-12 for a, b in zip(losses[5:], losses[6:]))
         assert losses[-1] < losses[0] * 0.1
 
     def test_deterministic_updates(self):
         def run():
             p = {"w": nm.parameter([0.3, 0.7])}
-            st = AdamState(lr=0.01)
+            st = AdamState(lr={"w": 0.01})
             for k in range(10):
-                adam_step(st, p, {"w": np.array([np.sin(k), np.cos(k)])})
+                p["w"].grad = np.array([np.sin(k), np.cos(k)])
+                adam_step(st, p)
             return p["w"].data.tobytes()
 
         assert run() == run()
 
     def test_shape_check(self):
         p = {"w": nm.parameter([1.0, 2.0])}
+        p["w"].grad = np.zeros(3)
         with pytest.raises(nm.ShapeMismatch):
-            adam_step(AdamState(lr=0.1), p, {"w": np.zeros(3)})
+            adam_step(AdamState(lr={"w": 0.1}), p)
 
 
 class TestTensorInvariants:

@@ -37,7 +37,7 @@ def test_gru_step_matches_composition(seed):
         ts = {k: nm.parameter(arrays[k]) for k in GRU_FIELDS}
         e, f = nm.parameter(e0), nm.parameter(f0)
         out = step(nm.GruParams(*[ts[k] for k in GRU_FIELDS]), e, f)
-        backward(ref.sum_all(ref.mul(out, nm.constant(upstream))))
+        backward(ref.sum_all(ref.mul(out, nm.Tensor(upstream))))
         return out.data, {**{k: t.grad for k, t in ts.items()}, "e_t": e.grad, "f_prev": f.grad}
 
     (fused, g_fused), (composed, g_composed) = run(gru_step), run(ref.composed_gru_step)
@@ -55,7 +55,7 @@ def test_gru_forward_is_the_trace_node_value(seed):
     for t in raw.values():
         t.data = t.data + rng.normal(0, 0.5, t.data.shape)
     e, f = rng.normal(size=(m, d)), rng.normal(size=(m, hdim))
-    traced = gru_step(p, nm.constant(e), nm.constant(f))
+    traced = gru_step(p, nm.Tensor(e), nm.Tensor(f))
     assert gru_forward(p, e, f)[-1].tobytes() == traced.data.tobytes()
 
 
@@ -68,7 +68,7 @@ def test_affine_matches_matmul_plus_rowvec(rows):
     def run(layer):
         x, w, b = (nm.parameter(a) for a in (x0, w0, b0))
         out = layer(x, w, b)
-        backward(ref.sum_all(ref.mul(out, nm.constant(upstream))))
+        backward(ref.sum_all(ref.mul(out, nm.Tensor(upstream))))
         return [a.tobytes() for a in (out.data, x.grad, w.grad, b.grad)]
 
     assert run(nm.affine) == run(lambda x, w, b: ref.add_rowvec(ref.matmul(x, w), b))
@@ -80,11 +80,38 @@ def test_affine_matches_matmul_plus_rowvec(rows):
     ((3,), (3, 5), (5,)),  # x is not a matrix
 ])
 def test_affine_rejects_what_the_composition_rejects(x, w, b):
-    x, w, b = (nm.constant(np.zeros(shape)) for shape in (x, w, b))
+    x, w, b = (nm.Tensor(np.zeros(shape)) for shape in (x, w, b))
     with pytest.raises(nm.ShapeMismatch, match="affine"):
         nm.affine(x, w, b)
     with pytest.raises(nm.ShapeMismatch):
         ref.add_rowvec(ref.matmul(x, w), b)
+
+
+def test_one_adam_step_matches_a_step_per_group():
+    # one state with a learning rate per parameter against the former one
+    # state per group with a scalar learning rate, on the same gradients;
+    # "out.cut" is disconnected (grad None) after its first two steps
+    rng = np.random.default_rng(0)
+    arrays = {"enc.w": rng.normal(size=(3, 4)), "enc.b": rng.normal(size=4),
+              "out.w": rng.normal(size=(4, 2)), "out.cut": rng.normal(size=2)}
+    lrs = {"enc": 0.03, "out": 0.01}
+    flat = {k: nm.parameter(v) for k, v in arrays.items()}
+    state = nm.AdamState(lr={k: lrs[k.split(".")[0]] for k in arrays})
+    grouped = {k: nm.parameter(v) for k, v in arrays.items()}
+    groups = [({k: t for k, t in grouped.items() if k.startswith(g)}, ref.GroupAdamState(lr=lr))
+              for g, lr in lrs.items()]
+    for step in range(5):
+        grads = {k: rng.normal(size=v.shape) for k, v in arrays.items()
+                 if k != "out.cut" or step < 2}
+        for params in (flat, grouped):
+            for k, t in params.items():
+                t.grad = grads.get(k)
+        nm.adam_step(state, flat, lr_scale=0.5)
+        for params, group_state in groups:
+            ref.group_adam_step(group_state, params, ref.collect_grads(params), lr_scale=0.5)
+        for k in arrays:
+            assert flat[k].data.tobytes() == grouped[k].data.tobytes(), (step, k)
+    assert not np.array_equal(flat["out.cut"].data, arrays["out.cut"])
 
 
 def test_branch_free_sigmoid_matches_masked_oracle():
@@ -141,7 +168,7 @@ def test_plain_encoding_and_logits_are_the_traced_values(seed, monkeypatch):
     f = m.encode_values(xs[:1])
     for prev in (m.start_token, *ref.candidate_blocks(m, g.root)[0][:1], g.root):
         _, f_plain, _ = m.step(f, [prev])
-        f_traced, z = m.decode_logits(nm.constant(f), [prev])
+        f_traced, z = m.decode_logits(nm.Tensor(f), [prev])
         assert seen.pop().tobytes() == z.data.tobytes()
         assert f_plain.tobytes() == f_traced.data.tobytes()
         f = f_plain
@@ -408,7 +435,7 @@ def test_rows_rescoring_matches_per_path_oracle(seed):
     def grads_of(loss):
         nm.zero_grads(m.params)
         backward(loss)
-        return {k: v.copy() for k, v in nm.collect_grads(m.params).items()}
+        return {k: v.copy() for k, v in ref.collect_grads(m.params).items()}
 
     rows = m.sampled_path_log_prob(xs, samples)
     singles = [ref.path_log_prob(m, x, s.tokens + ((m.eop_token,) if s.ended_with_eop else ()))

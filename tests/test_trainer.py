@@ -7,7 +7,7 @@ from pathcast import numerics as nm
 from pathcast.evaldecode import EmptyDataset
 from pathcast.labelgraph import build_graph
 from pathcast.model import LabelPathModel
-from pathcast.numerics import AdamState, adam_step, backward, collect_grads, zero_grads
+from pathcast.numerics import AdamState, adam_step, backward, zero_grads
 from pathcast.trainer import (Batch, BaselineEstimator, EmptyRewardSet,
                               LabeledSample, PathBook, ScheduleConfig,
                               ScheduleState, TrainConfig, TrainState,
@@ -15,8 +15,9 @@ from pathcast.trainer import (Batch, BaselineEstimator, EmptyRewardSet,
                               policy_gradient_loss, reward, schedule_update,
                               train, train_epoch, typed_fields)
 
-from reference import (figure2_subgraph, finite_difference, max_rel_err, path_log_prob,
-                       sample_cross_block, step_major_walk, sum_all)
+from reference import (GroupAdamState, collect_grads, figure2_subgraph, finite_difference,
+                       group_adam_step, max_rel_err, path_log_prob, sample_cross_block,
+                       step_major_walk, sum_all)
 
 
 def bandit_graph():
@@ -184,6 +185,9 @@ class TestTypedFields:
         ("lr", "0.1", "'lr' must be a float, not '0.1'"),
         ("lr", False, "'lr' must be a float, not False"),
         ("lr", [0.1], r"'lr' must be a float, not \[0.1\]"),
+        ("lr", float("nan"), "'lr' must be a finite number, not nan"),
+        ("lr", float("inf"), "'lr' must be a finite number, not inf"),
+        ("lr", float("-inf"), "'lr' must be a finite number, not -inf"),
         ("path_agg", 3, "'path_agg' must be a string, not 3"),
         ("path_agg", None, "'path_agg' must be a string, not None"),
     ])
@@ -200,6 +204,10 @@ class TestTypedFields:
         assert TrainConfig.from_dict({**base, "r_tf": 1}).r_tf == 1.0
         with pytest.raises(ValueError, match="'batch_size' must be an int, not 32.5"):
             TrainConfig.from_dict({**base, "batch_size": 32.5})
+        for key, value in (("lr", float("nan")), ("alpha", float("inf")),
+                           ("r_tf", float("-inf")), ("beta", 10 ** 400)):
+            with pytest.raises(ValueError, match=f"'{key}' must be a finite number"):
+                TrainConfig.from_dict({**base, key: value})
 
 
 class TestDeterministicLoss:
@@ -564,7 +572,7 @@ class TestBandit:
             book = PathBook(g)
             cfg = TrainConfig(reward_set="label_only", max_len=6)
             baseline = BaselineEstimator()
-            adam = AdamState(lr=0.05)
+            adam = AdamState(lr=dict.fromkeys(m.params, 0.05))
             x = np.zeros(4)
             batch = Batch(inputs=np.stack([x]), target_paths=[[]], pg_indexes=(0,),
                           labels=(g.id_of("win"),))
@@ -575,7 +583,7 @@ class TestBandit:
                     continue
                 zero_grads(m.params)
                 backward(loss)
-                adam_step(adam, m.params, collect_grads(m.params))
+                adam_step(adam, m.params)
             f = m.encode(x).data
             probs, _, _ = m.step(f, [g.root])
             p_win = probs[0, g.id_of("a")]
@@ -594,15 +602,15 @@ class TestBandit:
         book = PathBook(g)
         enc = {k: v for k, v in m2.params.items() if k in m2.encoder_param_names}
         rest = {k: v for k, v in m2.params.items() if k not in m2.encoder_param_names}
-        a_enc, a_rest = AdamState(lr=cfg.lr_e), AdamState(lr=cfg.lr)
+        a_enc, a_rest = GroupAdamState(lr=cfg.lr_e), GroupAdamState(lr=cfg.lr)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=11, spawn_key=(1, 0)))
         batch = build_batch(samples, cfg, book, rng)
         loss = deterministic_loss(m2, batch, cfg, rng)
         zero_grads(m2.params)
         backward(loss)
         grads = collect_grads(m2.params)
-        adam_step(a_enc, enc, grads)
-        adam_step(a_rest, rest, grads)
+        group_adam_step(a_enc, enc, grads)
+        group_adam_step(a_rest, rest, grads)
         for name in m1.params:
             np.testing.assert_array_equal(m1.params[name].data, m2.params[name].data)
 
