@@ -124,7 +124,8 @@ def cmd_train(args) -> int:
     with _naming(args.config):
         embed_dim, hidden = _model_dims(raw)
     train_ds = harness.load_dataset(raw["train"])
-    dev_ds = harness.load_dataset(raw["dev"]) if raw.get("dev") else None
+    dev_ds = (harness.load_dataset(raw["dev"], width=train_ds.input_dim)
+              if raw.get("dev") else None)
     model = harness.fit_model(graph, train_ds, dev_ds, cfg, embed_dim, hidden,
                               graph_file=raw["graph"], metrics_path=args.out + ".metrics.jsonl")
     save_model(args.out, model)
@@ -134,7 +135,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = load_model(args.ckpt)
     graph = model.graph
-    ds = harness.load_dataset(args.data)
+    ds = harness.load_dataset(args.data, width=model.input_dim)
     samples = harness.resolve_samples(ds, graph)
     decoded: list[evaldecode.DecodedResult] = []
     report = evaldecode.evaluate(model, samples, args.max_len, decoded)
@@ -197,17 +198,15 @@ def cmd_fuse(args) -> int:
 def cmd_baseline(args) -> int:
     files = ("fine", "coarse") if args.kind == "pseudo" else ("train",)
     raw, cfg, graph = _config(args, harness.BaselineConfig, ("test", *files))
-    test_ds = harness.load_dataset(raw["test"])
+    train_ds = harness.load_dataset(raw[files[0]])
+    test_ds = harness.load_dataset(raw["test"], width=train_ds.input_dim)
     if args.kind == "ffn":
-        report = harness.baseline_ffn(cfg, harness.load_dataset(raw["train"]), test_ds)
+        report = harness.baseline_ffn(cfg, train_ds, test_ds)
     elif args.kind == "labelset":
-        report = harness.baseline_label_set(cfg, harness.load_dataset(raw["train"]),
-                                            test_ds, graph)
+        report = harness.baseline_label_set(cfg, train_ds, test_ds, graph)
     else:
-        report, info = harness.baseline_pseudo_label(
-            cfg, harness.load_dataset(raw["fine"]),
-            harness.load_dataset(raw["coarse"]),
-            test_ds, graph)
+        coarse = harness.load_dataset(raw["coarse"], width=train_ds.input_dim)
+        report, info = harness.baseline_pseudo_label(cfg, train_ds, coarse, test_ds, graph)
         summary = {k: v for k, v in info.items() if k != "survivors"}
         print(json.dumps(summary, sort_keys=True))
     print(report.to_json())
@@ -222,9 +221,11 @@ def cmd_ablate(args) -> int:
                         lambda f: type(f) in (int, float) and 0 <= f <= 1)
         aggs = _listed(raw, "aggregations", ["sum", "random"],
                        f"path aggregations {PATH_AGGS}", lambda a: a in PATH_AGGS)
-    rows = harness.ablate(graph, harness.load_dataset(raw["train"]),
-                          harness.load_dataset(raw["dev"]), harness.load_dataset(raw["test"]),
-                          cfg, embed_dim, hidden, tuple(map(float, trims)), aggs)
+    train_ds = harness.load_dataset(raw["train"])
+    dev_ds = harness.load_dataset(raw["dev"], width=train_ds.input_dim)
+    test_ds = harness.load_dataset(raw["test"], width=train_ds.input_dim)
+    rows = harness.ablate(graph, train_ds, dev_ds, test_ds, cfg, embed_dim, hidden,
+                          tuple(map(float, trims)), aggs)
     print(json.dumps(rows, indent=2, sort_keys=True))
     return 0
 

@@ -318,11 +318,11 @@ def save_dataset(path: str, ds: DatasetSpec) -> None:
             f.write(json.dumps(rec) + "\n")
 
 
-def load_dataset(path: str, name: str | None = None) -> DatasetSpec:
+def load_dataset(path: str, name: str | None = None, width: int | None = None) -> DatasetSpec:
     """Read JSONL rows ``{"x": [numbers], "label": str}``, with an optional
     ``"attrs": {str: str}``. A row that breaks this, or whose ``x`` is empty,
-    non-finite or not as wide as the first row's, raises
-    :class:`InvalidDataset` naming the file and line."""
+    non-finite or not ``width`` values wide (by default, as wide as the first
+    row's), raises :class:`InvalidDataset` naming the file and line."""
     samples: list[SynthSample] = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -342,8 +342,9 @@ def load_dataset(path: str, name: str | None = None) -> DatasetSpec:
             x = np.asarray(rec["x"], dtype=np.float64)
             if not np.all(np.isfinite(x)):
                 raise InvalidDataset(f"{where} 'x' has a non-finite value")
-            if samples and x.size != samples[0].x.size:
-                raise InvalidDataset(f"{where} 'x' has {x.size} values, not {samples[0].x.size}")
+            width = x.size if width is None else width
+            if x.size != width:
+                raise InvalidDataset(f"{where} 'x' has {x.size} values, not {width}")
             if not isinstance(rec["label"], str):
                 raise InvalidDataset(f"{where} 'label' must be a string")
             attrs = rec.get("attrs")
@@ -357,12 +358,16 @@ def load_dataset(path: str, name: str | None = None) -> DatasetSpec:
 
 def resolve_samples(ds: DatasetSpec, graph: LabelGraph) -> list[LabeledSample]:
     """Map label names onto graph node ids for the trainer/evaluator."""
-    out = []
-    for s in ds.samples:
+    return [LabeledSample(x=s.x, label=i) for s, i in zip(ds.samples, _label_ids(ds, graph))]
+
+
+def _label_ids(ds: DatasetSpec, graph: LabelGraph) -> list[int]:
+    """Each sample's label as a graph node id; one not in the graph raises
+    UnresolvableLabel naming the dataset (its file, when loaded) and row."""
+    for row, s in enumerate(ds.samples, 1):
         if not graph.has_name(s.label):
-            raise UnresolvableLabel(f"label {s.label!r} not in graph")
-        out.append(LabeledSample(x=s.x, label=graph.id_of(s.label)))
-    return out
+            raise UnresolvableLabel(f"{ds.name}: row {row}: label {s.label!r} not in graph")
+    return [graph.id_of(s.label) for s in ds.samples]
 
 
 def fuse(fine: DatasetSpec, coarse: DatasetSpec, graph: LabelGraph) -> FusionResult:
@@ -372,9 +377,7 @@ def fuse(fine: DatasetSpec, coarse: DatasetSpec, graph: LabelGraph) -> FusionRes
     class count plus the coarse labels not already present in the fine set.
     """
     for ds in (fine, coarse):
-        for s in ds.samples:
-            if not graph.has_name(s.label):
-                raise UnresolvableLabel(f"label {s.label!r} not in graph")
+        _label_ids(ds, graph)
     fine_labels = set(fine.label_names())
     extra = [n for n in coarse.label_names() if n not in fine_labels]
     fused = DatasetSpec(
@@ -418,14 +421,12 @@ class _EncoderHead:
 
     def __init__(self, input_dim: int, hidden: int, out_dim: int, seed: int):
         rng = np.random.default_rng(seed)
-        p: dict[str, Tensor] = {}
-        p["enc.w1"] = nm.parameter(rng.normal(0, 1 / np.sqrt(input_dim), (input_dim, hidden)))
-        p["enc.b1"] = nm.parameter(np.zeros(hidden))
-        p["enc.w2"] = nm.parameter(rng.normal(0, 1 / np.sqrt(hidden), (hidden, hidden)))
-        p["enc.b2"] = nm.parameter(np.zeros(hidden))
-        p["head.w"] = nm.parameter(rng.normal(0, 1 / np.sqrt(hidden), (hidden, out_dim)))
-        p["head.b"] = nm.parameter(np.zeros(out_dim))
-        self.params = p
+        d, h, k = input_dim, hidden, out_dim
+        self.params = nm.parameters({  # drawn in this order
+            "enc.w1": rng.normal(0, 1 / np.sqrt(d), (d, h)), "enc.b1": np.zeros(h),
+            "enc.w2": rng.normal(0, 1 / np.sqrt(h), (h, h)), "enc.b2": np.zeros(h),
+            "head.w": rng.normal(0, 1 / np.sqrt(h), (h, k)), "head.b": np.zeros(k),
+        })
 
     def logits(self, x: np.ndarray) -> Tensor:
         p = self.params
@@ -439,7 +440,7 @@ def _fit_classifier(cfg: BaselineConfig, xs: np.ndarray, out_dim: int,
     """An encoder-head network with ``out_dim`` outputs, trained with Adam on
     the rows ``xs`` against ``loss_fn(logits, sample indexes)``."""
     net = _EncoderHead(xs.shape[1], cfg.hidden, out_dim, cfg.seed)
-    adam = AdamState(lr=dict.fromkeys(net.params, cfg.lr))
+    adam = AdamState(net.params, dict.fromkeys(net.params, cfg.lr))
     sched = ScheduleState(kind=cfg.schedule.kind, n=cfg.schedule.n)
     for epoch in range(1, cfg.epochs + 1):
         epoch_loss = 0.0

@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 from typing import Callable, Sequence
 
@@ -69,23 +69,21 @@ class LabelPathModel:
         self.vocab_size = n + 2
 
         rng = np.random.default_rng(seed)
-        p: dict[str, Tensor] = {}
-
-        def w(name, rows, cols):
-            p[name] = nm.parameter(rng.normal(0.0, 1.0 / np.sqrt(rows), size=(rows, cols)))
-
-        def b(name, size):
-            p[name] = nm.parameter(np.zeros(size))
-
-        w("enc.w1", self.input_dim, hidden)
-        b("enc.b1", hidden)
-        w("enc.w2", hidden, hidden)
-        b("enc.b2", hidden)
-        p["emb"] = nm.parameter(rng.normal(0.0, 0.1, size=(self.vocab_size, embed_dim)))
-        self.gru = nm.GruParams.init(embed_dim, hidden, rng, "gru", p)
-        w("out.w", hidden, self.vocab_size)
-        b("out.b", self.vocab_size)
-        self.params = p
+        d, e, h, v = self.input_dim, self.embed_dim, self.hidden, self.vocab_size
+        sd_d, sd_e, sd_h = 1.0 / np.sqrt(d), 1.0 / np.sqrt(e), 1.0 / np.sqrt(h)
+        self.params = p = nm.parameters({  # drawn in this order
+            "enc.w1": rng.normal(0.0, sd_d, (d, h)), "enc.b1": np.zeros(h),
+            "enc.w2": rng.normal(0.0, sd_h, (h, h)), "enc.b2": np.zeros(h),
+            "emb": rng.normal(0.0, 0.1, (v, e)),
+            "gru.w_re": rng.normal(0.0, sd_e, (e, h)), "gru.w_rf": rng.normal(0.0, sd_h, (h, h)),
+            "gru.b_r": np.zeros(h),
+            "gru.w_ue": rng.normal(0.0, sd_e, (e, h)), "gru.w_uf": rng.normal(0.0, sd_h, (h, h)),
+            "gru.b_u": np.zeros(h),
+            "gru.w_ce": rng.normal(0.0, sd_e, (e, h)), "gru.w_cf": rng.normal(0.0, sd_h, (h, h)),
+            "gru.b_c": np.zeros(h),
+            "out.w": rng.normal(0.0, sd_h, (h, v)), "out.b": np.zeros(v),
+        })
+        self.gru = nm.GruParams(*(p["gru." + f.name] for f in fields(nm.GruParams)))
 
         self._entries = self._candidate_table()
         toks = sorted(self._entries)
@@ -432,5 +430,5 @@ def load_model(path: str, graph: LabelGraph | None = None) -> LabelPathModel:
             raise ValueError(f"checkpoint missing parameter {name!r}")
         if weights[name].shape != tensor.data.shape:
             raise ValueError(f"checkpoint shape mismatch for {name!r}")
-        tensor.data = weights[name]
+        tensor.data[...] = weights[name]
     return model

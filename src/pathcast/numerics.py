@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
@@ -35,6 +35,10 @@ class CorruptCheckpoint(ValueError):
     pass
 
 
+class NonFiniteValue(ValueError):
+    pass
+
+
 class Tensor:
     """One node of the computation trace.
 
@@ -42,7 +46,7 @@ class Tensor:
     finite; the constructor enforces both. ``_parents`` / ``_backward`` record
     how the node was produced so that :func:`backward` can route the output
     gradient to every parent exactly once. A Tensor built from data is a
-    constant or, through :func:`parameter`, a parameter; both receive their
+    constant or, through :func:`parameters`, a parameter; both receive their
     gradient, and only a parameter's is read.
     """
 
@@ -79,9 +83,15 @@ def require_finite(arr: np.ndarray) -> None:
         raise ValueError("tensor values must be finite")
 
 
-def parameter(data) -> Tensor:
-    """A Tensor holding its own copy of ``data``, for the optimiser to update."""
-    return Tensor(np.array(data, dtype=np.float64, copy=True))
+def parameters(arrays: dict[str, object]) -> dict[str, Tensor]:
+    """The parameters of one network: copies of ``arrays``, in order, in one
+    flat float64 buffer, as one Tensor per name whose ``data`` is a view of
+    that buffer. :class:`AdamState` updates the buffer in place, so a weight
+    is set by writing into its view (``data[...] = ...``), never rebound."""
+    arrs = [np.asarray(a, dtype=np.float64) for a in arrays.values()]
+    ends = np.cumsum([a.size for a in arrs])
+    flat = np.split(np.concatenate([a.ravel() for a in arrs]), ends[:-1])
+    return {name: Tensor(v.reshape(a.shape)) for name, a, v in zip(arrays, arrs, flat)}
 
 
 def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -390,25 +400,6 @@ class GruParams:
     w_cf: Tensor
     b_c: Tensor
 
-    @staticmethod
-    def init(embed_dim: int, hidden: int, rng: np.random.Generator, prefix: str,
-             out: dict[str, Tensor]) -> "GruParams":
-        def w(name, rows, cols):
-            t = parameter(rng.normal(0.0, 1.0 / np.sqrt(rows), size=(rows, cols)))
-            out[f"{prefix}.{name}"] = t
-            return t
-
-        def b(name, n):
-            t = parameter(np.zeros(n))
-            out[f"{prefix}.{name}"] = t
-            return t
-
-        return GruParams(
-            w_re=w("w_re", embed_dim, hidden), w_rf=w("w_rf", hidden, hidden), b_r=b("b_r", hidden),
-            w_ue=w("w_ue", embed_dim, hidden), w_uf=w("w_uf", hidden, hidden), b_u=b("b_u", hidden),
-            w_ce=w("w_ce", embed_dim, hidden), w_cf=w("w_cf", hidden, hidden), b_c=b("b_c", hidden),
-        )
-
 
 def gru_forward(p: GruParams, e: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, ...]:
     """Plain-array GRU update on [m,d]/[m,h] matrices: returns the reset gate
@@ -470,39 +461,47 @@ def gru_step(params: GruParams, e_t: Tensor, f_prev: Tensor) -> Tensor:
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-@dataclass
 class AdamState:
-    """Learning rate and first/second moments per parameter, and one step counter."""
+    """Adam over one :func:`parameters` buffer: a learning rate per element,
+    flat first and second moments and a step count."""
 
-    lr: dict[str, float]
-    step_count: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    def __init__(self, params: dict[str, Tensor], lr_by_name: dict[str, float]):
+        self.views = tuple(p.data for p in params.values())
+        self.buffer = buf = self.views[0].base
+        sizes = [v.size for v in self.views]
+        if buf is None or sum(sizes) != buf.size or any(
+                v.base is not buf or v.ctypes.data != buf.ctypes.data + 8 * at
+                for v, at in zip(self.views, np.cumsum([0] + sizes).tolist())):
+            raise ValueError("the parameters must tile one parameter buffer, in order")
+        self.lr = np.repeat([float(lr_by_name[n]) for n in params], sizes)
+        self.m, self.v, self.step_count = np.zeros_like(buf), np.zeros_like(buf), 0
 
 
 def adam_step(state: AdamState, params: dict[str, Tensor], lr_scale: float = 1.0) -> None:
-    """Standard bias-corrected Adam update of every parameter from its
-    ``grad``, applied in place. The update is elementwise, so one step serves
-    every learning rate; a ``grad`` of None (a disconnected parameter) is
-    zero."""
-    state.step_count += 1
-    t = state.step_count
-    c1 = 1.0 - ADAM_BETA1 ** t
-    c2 = 1.0 - ADAM_BETA2 ** t
-    for name, p in params.items():
-        g = np.zeros_like(p.data) if p.grad is None else p.grad
-        if g.shape != p.data.shape:
+    """Bias-corrected Adam update of the state's buffer from the parameters'
+    ``grad``s (None, a disconnected parameter, is zero): one elementwise step
+    in place. ``params`` are the state's, each ``data`` still its view of the
+    buffer, or ValueError; a weight left non-finite raises NonFiniteValue."""
+    grads = []
+    for (name, p), view in zip(params.items(), state.views, strict=True):
+        if p.data is not view:
+            raise ValueError(f"adam_step: parameter {name!r} is no longer a view of its buffer")
+        g = np.zeros_like(view) if p.grad is None else p.grad
+        if g.shape != view.shape:
             raise ShapeMismatch(f"adam_step: grad shape for {name}")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        m = state.m[name]
-        v = state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p.data = p.data - state.lr[name] * lr_scale * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        grads.append(g.ravel())
+    g = np.concatenate(grads)
+    state.step_count = t = state.step_count + 1
+    c1, c2 = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * g
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * g * g
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        state.buffer -= state.lr * lr_scale * (state.m / c1) / (np.sqrt(state.v / c2) + ADAM_EPS)
+    if np.count_nonzero(np.isfinite(state.buffer)) != state.buffer.size:
+        name = next(n for n, p in params.items() if not np.isfinite(p.data).all())
+        raise NonFiniteValue(f"adam step {t}: parameter {name!r} is not finite")
 
 
 # ---------------------------------------------------------------------------

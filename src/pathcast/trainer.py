@@ -316,7 +316,7 @@ class TrainState:
     def init(model: LabelPathModel, cfg: TrainConfig) -> "TrainState":
         lr = {k: cfg.lr_e if k in model.encoder_param_names else cfg.lr for k in model.params}
         return TrainState(
-            adam=AdamState(lr=lr),
+            adam=AdamState(model.params, lr),
             baseline=BaselineEstimator(),
             schedule=ScheduleState(kind=cfg.schedule.kind, n=cfg.schedule.n),
             book=PathBook(model.graph),

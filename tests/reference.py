@@ -223,6 +223,19 @@ def composed_gru_step(p: nm.GruParams, e_t: Tensor, f_prev: Tensor) -> Tensor:
     return add(mul(sub(ones, u), f_prev), mul(u, c))
 
 
+def gru_init(embed_dim: int, hidden: int, rng: np.random.Generator, prefix: str,
+             out: dict) -> nm.GruParams:
+    """GRU weights drawn as the path model draws its own, in the same order
+    and scales, as parameters ``<prefix>.<field>`` added to ``out``."""
+    drawn = {}
+    for name in ("w_re", "w_rf", "b_r", "w_ue", "w_uf", "b_u", "w_ce", "w_cf", "b_c"):
+        rows = embed_dim if name.endswith("e") else hidden
+        drawn[f"{prefix}.{name}"] = (np.zeros(hidden) if name.startswith("b") else
+                                     rng.normal(0.0, 1.0 / np.sqrt(rows), size=(rows, hidden)))
+    out.update(nm.parameters(drawn))
+    return nm.GruParams(*(out[name] for name in drawn))
+
+
 def path_log_prob(model, x: np.ndarray, path) -> Tensor:
     """Scalar teacher-forced log-probability of one path from one input
     ``x[d]``: the one-path oracle of ``model.sampled_path_log_prob``."""

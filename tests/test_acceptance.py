@@ -177,7 +177,7 @@ def test_bandit_convergence():
         book = PathBook(g)
         cfg = TrainConfig(reward_set="label_only", max_len=6)
         baseline = BaselineEstimator()
-        adam = AdamState(lr=dict.fromkeys(model.params, 0.05))
+        adam = AdamState(model.params, dict.fromkeys(model.params, 0.05))
         batch = Batch(inputs=np.zeros((1, 4)), target_paths=[[]], pg_indexes=(0,),
                       labels=(g.id_of("win"),))
         rng = np.random.default_rng(500 + seed)

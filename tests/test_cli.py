@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from pathcast.labelgraph import save_graph, serialize
@@ -330,6 +331,83 @@ class TestTrainEvalCycle:
         for line in lines:
             rec = json.loads(line)
             assert "epoch" in rec and "loss_d" in rec and "dev_accuracy" in rec
+
+
+@pytest.fixture(scope="module")
+def checkpoint(workdir):
+    """A one-epoch checkpoint of the workdir task."""
+    root, cfg_path = workdir
+    cfg = root / "one-epoch.json"
+    cfg.write_text(json.dumps({**json.loads(cfg_path.read_text()), "epochs": 1}))
+    ck = root / "one-epoch.pck"
+    run_cli("train", "--config", str(cfg), "--out", str(ck))
+    return ck
+
+
+def rewritten(src, dst, edit):
+    """``src`` with ``edit`` applied to every row, written to ``dst``."""
+    rows = [json.loads(line) for line in src.read_text().splitlines()]
+    dst.write_text("".join(json.dumps(edit(i, row)) + "\n" for i, row in enumerate(rows)))
+    return dst
+
+
+class TestDatasetChecks:
+    """A dataset that cannot be used fails where it is read, before any
+    training, with one error line that names its file."""
+
+    @pytest.mark.parametrize("command", ["train", "eval", "baseline", "ablate"])
+    def test_a_wider_dataset_is_rejected(self, workdir, checkpoint, tmp_path, command):
+        root, cfg_path = workdir
+        wide = rewritten(root / "test.jsonl", tmp_path / "wide.jsonl",
+                         lambda i, row: {**row, "x": row["x"] + [0.0]})
+        cfg = {**json.loads(cfg_path.read_text()), "dev": str(wide), "test": str(wide)}
+        if command == "baseline":
+            cfg = {k: cfg[k] for k in ("graph", "train", "test", "hidden", "epochs", "lr")}
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(cfg))
+        out = tmp_path / "m.pck"
+        args = {"train": ("train", "--config", str(cfg_file), "--out", str(out)),
+                "eval": ("eval", "--ckpt", str(checkpoint), "--data", str(wide)),
+                "baseline": ("baseline", "ffn", "--config", str(cfg_file)),
+                "ablate": ("ablate", "--config", str(cfg_file))}[command]
+        proc = run_cli(*args, expect=1)
+        assert proc.stderr == f"pathcast: error: {wide}:1: 'x' has 12 values, not 11\n"
+        assert proc.stdout == ""
+        assert not out.exists()
+        assert not (tmp_path / "m.pck.metrics.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_a_label_not_in_the_graph_names_the_file_and_row(self, workdir, checkpoint,
+                                                              tmp_path, command):
+        root, cfg_path = workdir
+        bad = rewritten(root / "fine.jsonl", tmp_path / "zebra.jsonl",
+                        lambda i, row: {**row, "label": "zebra"} if i == 1 else row)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({**json.loads(cfg_path.read_text()), "train": str(bad)}))
+        out = tmp_path / "m.pck"
+        args = {"train": ("train", "--config", str(cfg_file), "--out", str(out)),
+                "eval": ("eval", "--ckpt", str(checkpoint), "--data", str(bad))}[command]
+        proc = run_cli(*args, expect=1)
+        assert proc.stderr == f"pathcast: error: {bad}: row 2: label 'zebra' not in graph\n"
+        assert not out.exists()
+
+
+class TestNonFiniteTraining:
+    def test_a_non_finite_adam_step_is_one_error_line(self, workdir, tmp_path, monkeypatch,
+                                                      capsys):
+        from pathcast import cli, numerics, trainer
+
+        def poisoned(state, params, lr_scale=1.0):
+            params["gru.b_r"].grad = np.full(params["gru.b_r"].shape, np.inf)
+            numerics.adam_step(state, params, lr_scale)
+
+        _, cfg_path = workdir
+        monkeypatch.setattr(trainer, "adam_step", poisoned)
+        out = tmp_path / "m.pck"
+        assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "pathcast: error: adam step 1: parameter 'gru.b_r' is not finite\n"
+        assert not out.exists()
 
 
 class TestEvalAudit:

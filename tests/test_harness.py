@@ -13,6 +13,7 @@ from pathcast.harness import (BaselineConfig, DatasetSpec, InconsistentSpec,
                               synth_generate, trim_graph)
 from pathcast.labelgraph import NodeKind, stats, validate
 from pathcast import harness
+from pathcast.numerics import AdamState
 from pathcast.pathalg import NotALabelNode, enumerate_paths
 from pathcast.trainer import ScheduleConfig, TrainConfig, schedule_update
 
@@ -201,6 +202,22 @@ class TestDatasetFiles:
         msg = self._load_with_row(tmp_path, f'{{"x": [1, 2, 3], "label": "a", "attrs": {attrs}}}')
         assert "'attrs' must map group names to member names" in msg
 
+    def test_rejects_rows_not_of_the_expected_width(self, tmp_path):
+        p = tmp_path / "rows.jsonl"
+        p.write_text(json.dumps({"x": [0.0, 1.0, 2.0], "label": "a"}) + "\n")
+        assert len(load_dataset(str(p), width=3).samples) == 1
+        with pytest.raises(InvalidDataset, match=f"^{p}:1: 'x' has 3 values, not 4$"):
+            load_dataset(str(p), width=4)
+
+    def test_unknown_label_names_the_dataset_and_row(self):
+        graph, fine, _, _ = synth_generate(small_spec(n_train_fine=5))
+        ds = DatasetSpec("rows.jsonl", [fine.samples[0], SynthSample(np.zeros(3), "unicorn")],
+                         k=2)
+        for call in (lambda: resolve_samples(ds, graph), lambda: fuse(fine, ds, graph)):
+            with pytest.raises(UnresolvableLabel,
+                               match="^rows.jsonl: row 2: label 'unicorn' not in graph$"):
+                call()
+
     def test_resolve_samples_rejects_unknown_label(self):
         graph, fine, _, _ = synth_generate(small_spec(n_train_fine=5))
         ds = DatasetSpec("bad",
@@ -297,6 +314,13 @@ class TestBaselineConfig:
 
 
 class TestBaselines:
+
+    def test_encoder_head_parameters_are_views_of_one_buffer(self):
+        net = harness._EncoderHead(4, 3, 2, seed=0)
+        state = AdamState(net.params, dict.fromkeys(net.params, 0.01))
+        assert list(net.params) == ["enc.w1", "enc.b1", "enc.w2", "enc.b2", "head.w", "head.b"]
+        assert state.buffer.size == 4 * 3 + 3 + 3 * 3 + 3 + 3 * 2 + 2
+        assert all(t.data.base is state.buffer for t in net.params.values())
 
     def test_ffn_separable(self, task):
         _, (graph, fine, coarse, test) = task

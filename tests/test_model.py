@@ -489,10 +489,13 @@ NON_FINITE_SITES = ["enc.w1", "enc.b1", "enc.w2", "emb", "gru.w_re", "gru.w_rf",
 
 
 class TestNonFiniteWeights:
-    """Where a non-finite weight is caught by the decode. NaN always is. An
-    infinity is caught in the encoder, the embedding and the output head,
-    but a GRU gate saturates it away (sigmoid or tanh of +-inf is finite),
-    so such a model decodes as usual."""
+    """Where a non-finite weight set by hand is caught by the decode. NaN
+    always is. An infinity is caught in the encoder, the embedding and the
+    output head, but a GRU gate saturates it away (sigmoid or tanh of +-inf
+    is finite), so such a model decodes as usual. Only a hand-set weight can
+    get there: init, ``load_params`` and ``adam_step`` are the only code that
+    writes weights, and each rejects non-finite values, so the next Adam step
+    stops on such a weight."""
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("name", NON_FINITE_SITES)
@@ -512,6 +515,15 @@ class TestNonFiniteWeights:
                 assert decode().step_probs  # decodes, with finite probabilities
                 assert np.isfinite(decode().step_probs).all()
 
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    @pytest.mark.parametrize("name", [n for n in NON_FINITE_SITES if n.startswith("gru.")])
+    def test_the_next_adam_step_rejects_a_gru_infinity(self, name, value):
+        m = make_model(figure2_subgraph(), seed=4)
+        state = nm.AdamState(m.params, dict.fromkeys(m.params, 0.01))
+        m.params[name].data[0] = value
+        with pytest.raises(nm.NonFiniteValue, match=f"adam step 1: parameter {name!r}"):
+            nm.adam_step(state, m.params)
 
     def test_nan_logit_in_a_sampled_block_raises_at_step(self):
         # the sampler draws by inverse CDF, without rng.choice's own checks
@@ -555,6 +567,21 @@ class TestCheckpointRoundTrip:
         assert set(side) == {"graph_file", "input_dim", "embed_dim", "hidden", "graph_sha256"}
         assert side["input_dim"] == 5
         assert side["graph_sha256"] == hashlib.sha256(serialize(g).encode("utf-8")).hexdigest()
+
+    def test_loaded_weights_are_views_of_one_buffer_that_adam_moves(self, tmp_path):
+        g = chain_graph()
+        m = make_model(g, seed=5)
+        ckpt = str(tmp_path / "m.pck")
+        save_model(ckpt, m)
+        loaded = load_model(ckpt, g)
+        state = nm.AdamState(loaded.params, dict.fromkeys(loaded.params, 0.01))
+        assert all(t.data.base is state.buffer for t in loaded.params.values())
+        for name, t in loaded.params.items():
+            assert t.data.tobytes() == m.params[name].data.tobytes()
+            t.grad = np.ones_like(t.data)
+        nm.adam_step(state, loaded.params)
+        for name, t in loaded.params.items():
+            assert not np.array_equal(t.data, m.params[name].data), name
 
     def test_unexpected_parameter_rejected(self, tmp_path):
         g = chain_graph()

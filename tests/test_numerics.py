@@ -73,27 +73,27 @@ class TestBlockSoftmax:
 
 class TestBackward:
     def test_square_gradient(self):
-        x = nm.parameter(3.0)
+        x = Tensor(3.0)
         loss = ref.mul(x, x)
         backward(loss)
         assert abs(float(x.grad) - 6.0) < 1e-12
 
     def test_disconnected_parameter_reports_zero(self):
-        x = nm.parameter(2.0)
-        unused = nm.parameter(5.0)
+        x = Tensor(2.0)
+        unused = Tensor(5.0)
         loss = ref.mul(x, x)
         backward(loss)
         grads = ref.collect_grads({"x": x, "unused": unused})
         assert grads["unused"] == pytest.approx(0.0)
 
     def test_backward_requires_scalar(self):
-        x = nm.parameter([1.0, 2.0])
+        x = Tensor([1.0, 2.0])
         with pytest.raises(nm.ShapeMismatch):
             backward(nm.tanh(x))
 
     def test_each_node_visited_once(self):
         # diamond: y = (x+x) * (x+x); gradient must be 8x, not accumulated twice
-        x = nm.parameter(1.5)
+        x = Tensor(1.5)
         s = ref.add(x, x)
         loss = ref.mul(s, s)
         backward(loss)
@@ -109,7 +109,7 @@ class TestBackward:
         params = {"a": rng.normal(size=(2, 3)), "b": rng.normal(size=(2, 3))}
 
         def build(p):
-            a, b = nm.parameter(p["a"]), nm.parameter(p["b"])
+            a, b = Tensor(p["a"]), Tensor(p["b"])
             s = nm.add_n([a, b])
             terms = [ref.sum_all(ref.mul(s, s)), ref.sum_all(nm.tanh(a))]
             return ref.add(*(terms if add_n_first else terms[::-1])), (a, b)
@@ -132,7 +132,7 @@ class TestBackward:
         blocks = [[0, 1, 2], [3, 4], [5]]
 
         def build(p):
-            ts = {k: nm.parameter(v) for k, v in p.items()}
+            ts = nm.parameters(p)
             h = nm.tanh(nm.affine(Tensor(x), ts["w1"], ts["b1"]))
             z = nm.affine(h, ts["w2"], ts["b2"])
             lp = block_log_prob(z, ref.row_blocks(blocks[:2]), [1, 4])
@@ -148,12 +148,12 @@ class TestBackward:
         rng = np.random.default_rng(5)
         d, hdim = 3, 4
         raw = {}
-        gp = nm.GruParams.init(d, hdim, rng, "g", raw)
+        gp = ref.gru_init(d, hdim, rng, "g", raw)
         params = {k: v.data.copy() for k, v in raw.items()}
         xs = rng.normal(size=(5, d))
 
         def build(p):
-            ts = {k: nm.parameter(v) for k, v in p.items()}
+            ts = nm.parameters(p)
             g = nm.GruParams(*[ts[f"g.{f}"] for f in
                                ("w_re", "w_rf", "b_r", "w_ue", "w_uf", "b_u",
                                 "w_ce", "w_cf", "b_c")])
@@ -177,9 +177,9 @@ class TestBackward:
         params = {"a": a0, "b": b0, "v": v0}
 
         def build(p):
-            a = nm.parameter(p["a"])
-            b = nm.parameter(p["b"])
-            v = nm.parameter(p["v"])
+            a = Tensor(p["a"])
+            b = Tensor(p["b"])
+            v = Tensor(p["v"])
             m = nm.affine(a, b, v)
             y = ref.mul(nm.tanh(m), ref.sigmoid(m))
             row = ref.take_row(nm.gather_rows(y, [2, 0, 1]), 0)
@@ -208,7 +208,7 @@ class TestGru:
     def test_zero_params_zero_inputs(self):
         rng = np.random.default_rng(0)
         raw = {}
-        gp = nm.GruParams.init(3, 4, rng, "g", raw)
+        gp = ref.gru_init(3, 4, rng, "g", raw)
         for t in raw.values():
             t.data = np.zeros_like(t.data)
         out = gru_step(gp, Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 4))))
@@ -218,7 +218,7 @@ class TestGru:
         rng = np.random.default_rng(1)
         d, hdim = 3, 5
         raw = {}
-        gp = nm.GruParams.init(d, hdim, rng, "g", raw)
+        gp = ref.gru_init(d, hdim, rng, "g", raw)
         e = rng.normal(size=d)
         f = rng.normal(size=hdim)
         out = gru_step(gp, Tensor(e[None, :]), Tensor(f[None, :])).data[0]
@@ -247,7 +247,7 @@ class TestGru:
     def test_saturated_update_gate_keeps_state(self):
         rng = np.random.default_rng(2)
         raw = {}
-        gp = nm.GruParams.init(3, 4, rng, "g", raw)
+        gp = ref.gru_init(3, 4, rng, "g", raw)
         raw["g.b_u"].data = np.full(4, -50.0)  # u ~ 0 => f_t ~ f_prev
         f_prev = rng.normal(size=(1, 4))
         out = gru_step(gp, Tensor(rng.normal(size=(1, 3))), Tensor(f_prev)).data
@@ -256,7 +256,7 @@ class TestGru:
     def test_shape_mismatch(self):
         rng = np.random.default_rng(3)
         raw = {}
-        gp = nm.GruParams.init(3, 4, rng, "g", raw)
+        gp = ref.gru_init(3, 4, rng, "g", raw)
         with pytest.raises(nm.ShapeMismatch):
             gru_step(gp, Tensor(np.zeros((1, 5))), Tensor(np.zeros((1, 4))))
 
@@ -269,15 +269,15 @@ class TestFusedKernels:
         rng = np.random.default_rng(11)
         d, hdim, m = 4, 6, 3
         raw = {}
-        nm.GruParams.init(d, hdim, rng, "g", raw)
+        ref.gru_init(d, hdim, rng, "g", raw)
         arrays = {k.split(".")[1]: v.data + rng.normal(0, 0.1, v.data.shape)
                   for k, v in raw.items()}  # nonzero biases too
         e0, f0 = rng.normal(size=(m, d)), rng.normal(size=(m, hdim))
         upstream = rng.normal(size=(m, hdim))
 
         def run(step):
-            ts = {k: nm.parameter(arrays[k]) for k in GRU_FIELDS}
-            e, f = nm.parameter(e0), nm.parameter(f0)
+            ts = nm.parameters({k: arrays[k] for k in GRU_FIELDS})
+            e, f = Tensor(e0), Tensor(f0)
             out = step(nm.GruParams(*[ts[k] for k in GRU_FIELDS]), e, f)
             backward(ref.sum_all(ref.mul(out, Tensor(upstream))))
             grads = {k: t.grad for k, t in ts.items()}
@@ -301,7 +301,7 @@ class TestFusedKernels:
 
     def test_rows_block_log_prob_matches_per_row_vector_calls(self):
         z0, blocks, targets, weights = self._rows_case(np.random.default_rng(12))
-        z_rows, z_vec = nm.parameter(z0), nm.parameter(z0)
+        z_rows, z_vec = Tensor(z0), Tensor(z0)
         rows = block_log_prob(z_rows, ref.row_blocks(blocks),
                               [t for b, t in zip(blocks, targets) if b is not None])
         backward(nm.weighted_sum(rows, weights))
@@ -321,7 +321,7 @@ class TestFusedKernels:
         z0, blocks, targets, weights = self._rows_case(np.random.default_rng(13))
 
         def build(p):
-            z = nm.parameter(p["z"])
+            z = Tensor(p["z"])
             lp = block_log_prob(z, ref.row_blocks(blocks),
                                 [t for b, t in zip(blocks, targets) if b is not None])
             return nm.weighted_sum(lp, weights), z
@@ -344,23 +344,23 @@ class TestFusedKernels:
 
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
-        p = {"w": nm.parameter([1.0, -2.0])}
-        st = AdamState(lr={"w": 0.1})
+        p = nm.parameters({"w": [1.0, -2.0]})
+        st = AdamState(p, {"w": 0.1})
         p["w"].grad = np.zeros(2)
         adam_step(st, p)
         np.testing.assert_allclose(p["w"].data, [1.0, -2.0])
 
     def test_first_step_closed_form(self):
         # constant gradient 1 with lr 0.1: bias-corrected step is lr/(1+eps)
-        p = {"w": nm.parameter([0.0])}
-        st = AdamState(lr={"w": 0.1})
+        p = nm.parameters({"w": [0.0]})
+        st = AdamState(p, {"w": 0.1})
         p["w"].grad = np.ones(1)
         adam_step(st, p)
         assert abs(float(p["w"].data[0]) + 0.1) < 1e-8
 
     def test_quadratic_bowl_descends(self):
-        p = {"w": nm.parameter([5.0, -4.0])}
-        st = AdamState(lr={"w": 0.05})
+        p = nm.parameters({"w": [5.0, -4.0]})
+        st = AdamState(p, {"w": 0.05})
         losses = []
         for _ in range(100):
             losses.append(float(np.sum(p["w"].data ** 2)))
@@ -371,8 +371,8 @@ class TestAdam:
 
     def test_deterministic_updates(self):
         def run():
-            p = {"w": nm.parameter([0.3, 0.7])}
-            st = AdamState(lr={"w": 0.01})
+            p = nm.parameters({"w": [0.3, 0.7]})
+            st = AdamState(p, {"w": 0.01})
             for k in range(10):
                 p["w"].grad = np.array([np.sin(k), np.cos(k)])
                 adam_step(st, p)
@@ -381,10 +381,48 @@ class TestAdam:
         assert run() == run()
 
     def test_shape_check(self):
-        p = {"w": nm.parameter([1.0, 2.0])}
+        p = nm.parameters({"w": [1.0, 2.0]})
         p["w"].grad = np.zeros(3)
         with pytest.raises(nm.ShapeMismatch):
-            adam_step(AdamState(lr={"w": 0.1}), p)
+            adam_step(AdamState(p, {"w": 0.1}), p)
+
+    def test_parameters_are_views_of_one_buffer(self):
+        p = nm.parameters({"w": [[1.0, 2.0], [3.0, 4.0]], "b": 5.0, "v": [6.0]})
+        st = AdamState(p, dict.fromkeys(p, 0.1))
+        assert st.buffer.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        assert [t.shape for t in p.values()] == [(2, 2), (), (1,)]
+        assert all(t.data.base is st.buffer for t in p.values())
+
+    def test_parameters_copy_their_arrays(self):
+        w = np.array([1.0, 2.0])
+        p = nm.parameters({"w": w})
+        p["w"].data[0] = 7.0
+        assert w.tolist() == [1.0, 2.0]
+
+    def test_state_needs_one_buffer_in_order(self):
+        q = nm.parameters({"w": [1.0], "b": [2.0]})
+        for params in ({**nm.parameters({"w": [1.0]}), **nm.parameters({"b": [2.0]})},
+                       {"b": q["b"], "w": q["w"]}, {"w": q["w"]}):
+            with pytest.raises(ValueError, match="one parameter buffer"):
+                AdamState(params, dict.fromkeys(params, 0.1))
+
+    def test_rebound_data_raises(self):
+        p = nm.parameters({"w": [1.0, 2.0], "b": [0.5]})
+        st = AdamState(p, dict.fromkeys(p, 0.1))
+        adam_step(st, p)
+        p["b"].data = p["b"].data + 1.0
+        with pytest.raises(ValueError, match="parameter 'b' is no longer a view"):
+            adam_step(st, p)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_gradient_names_the_parameter(self, bad):
+        p = nm.parameters({"w": [1.0, 2.0], "b": [0.5, 0.5]})
+        st = AdamState(p, dict.fromkeys(p, 0.1))
+        p["w"].grad = np.ones(2)
+        adam_step(st, p)
+        p["b"].grad = np.array([0.0, bad])
+        with pytest.raises(nm.NonFiniteValue, match="adam step 2: parameter 'b' is not finite"):
+            adam_step(st, p)
 
 
 class TestTensorInvariants:

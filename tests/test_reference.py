@@ -27,15 +27,15 @@ def test_gru_step_matches_composition(seed):
     rng = np.random.default_rng(seed)
     d, hdim, m = (int(n) for n in rng.integers(1, 7, size=3))
     raw = {}
-    nm.GruParams.init(d, hdim, rng, "g", raw)
+    ref.gru_init(d, hdim, rng, "g", raw)
     arrays = {k.split(".")[1]: v.data + rng.normal(0, 0.1, v.data.shape)
               for k, v in raw.items()}  # nonzero biases too
     e0, f0 = rng.normal(size=(m, d)), rng.normal(size=(m, hdim))
     upstream = rng.normal(size=(m, hdim))
 
     def run(step):
-        ts = {k: nm.parameter(arrays[k]) for k in GRU_FIELDS}
-        e, f = nm.parameter(e0), nm.parameter(f0)
+        ts = nm.parameters({k: arrays[k] for k in GRU_FIELDS})
+        e, f = nm.Tensor(e0), nm.Tensor(f0)
         out = step(nm.GruParams(*[ts[k] for k in GRU_FIELDS]), e, f)
         backward(ref.sum_all(ref.mul(out, nm.Tensor(upstream))))
         return out.data, {**{k: t.grad for k, t in ts.items()}, "e_t": e.grad, "f_prev": f.grad}
@@ -51,7 +51,7 @@ def test_gru_forward_is_the_trace_node_value(seed):
     rng = np.random.default_rng(seed)
     d, hdim, m = (int(n) for n in rng.integers(1, 7, size=3))
     raw = {}
-    p = nm.GruParams.init(d, hdim, rng, "g", raw)
+    p = ref.gru_init(d, hdim, rng, "g", raw)
     for t in raw.values():
         t.data = t.data + rng.normal(0, 0.5, t.data.shape)
     e, f = rng.normal(size=(m, d)), rng.normal(size=(m, hdim))
@@ -66,7 +66,7 @@ def test_affine_matches_matmul_plus_rowvec(rows):
     upstream = rng.normal(size=(rows, 3))
 
     def run(layer):
-        x, w, b = (nm.parameter(a) for a in (x0, w0, b0))
+        x, w, b = (nm.Tensor(a) for a in (x0, w0, b0))
         out = layer(x, w, b)
         backward(ref.sum_all(ref.mul(out, nm.Tensor(upstream))))
         return [a.tobytes() for a in (out.data, x.grad, w.grad, b.grad)]
@@ -95,9 +95,9 @@ def test_one_adam_step_matches_a_step_per_group():
     arrays = {"enc.w": rng.normal(size=(3, 4)), "enc.b": rng.normal(size=4),
               "out.w": rng.normal(size=(4, 2)), "out.cut": rng.normal(size=2)}
     lrs = {"enc": 0.03, "out": 0.01}
-    flat = {k: nm.parameter(v) for k, v in arrays.items()}
-    state = nm.AdamState(lr={k: lrs[k.split(".")[0]] for k in arrays})
-    grouped = {k: nm.parameter(v) for k, v in arrays.items()}
+    flat = nm.parameters(arrays)
+    state = nm.AdamState(flat, {k: lrs[k.split(".")[0]] for k in arrays})
+    grouped = nm.parameters(arrays)
     groups = [({k: t for k, t in grouped.items() if k.startswith(g)}, ref.GroupAdamState(lr=lr))
               for g, lr in lrs.items()]
     for step in range(5):
@@ -406,7 +406,7 @@ def test_rows_block_log_prob_matches_one_row_oracle(seed):
         targets.append(blk[int(rng.integers(len(blk)))])
     weights = rng.normal(size=m)
 
-    z_rows, z_one = nm.parameter(z0), nm.parameter(z0)
+    z_rows, z_one = nm.Tensor(z0), nm.Tensor(z0)
     rows = block_log_prob(z_rows, ref.row_blocks(blocks),
                           [t for b, t in zip(blocks, targets) if b is not None])
     backward(nm.weighted_sum(rows, weights))

@@ -572,7 +572,7 @@ class TestBandit:
             book = PathBook(g)
             cfg = TrainConfig(reward_set="label_only", max_len=6)
             baseline = BaselineEstimator()
-            adam = AdamState(lr=dict.fromkeys(m.params, 0.05))
+            adam = AdamState(m.params, dict.fromkeys(m.params, 0.05))
             x = np.zeros(4)
             batch = Batch(inputs=np.stack([x]), target_paths=[[]], pg_indexes=(0,),
                           labels=(g.id_of("win"),))
