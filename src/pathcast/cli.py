@@ -8,10 +8,11 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 
 from . import evaldecode, harness, labelgraph
 from .model import load_model, read_sidecar, save_model
-from .trainer import PATH_AGGS, TrainConfig, typed_value
+from .trainer import PATH_AGGS, TrainConfig, read_config, typed_value
 
 
 class InvalidConfig(ValueError):
@@ -38,22 +39,22 @@ def _naming(path: str):
         raise InvalidConfig(f"{path}: {exc}") from None
 
 
-def _config(args, cls, files: tuple[str, ...]):
+def _config(args, cls, files: tuple[str, ...], required: bool):
     """The training commands' prologue: ``(raw, cfg, graph)`` from
-    ``args.config``, with ``--seed`` applied to ``cfg``. ``graph`` and each
-    key in ``files`` must name a file, and so must any other file key that
-    is present."""
+    ``args.config``, where ``cfg`` is the dataclass ``cls`` read from the
+    open config by :func:`read_config` (``required`` passed on) with
+    ``--seed`` applied. ``graph`` and each key in ``files`` must name a
+    file, and so must any other file key that is present."""
     with _naming(args.config):
         raw = _read_json(args.config)
         if not isinstance(raw, dict):
             raise ValueError("a config must be a JSON object")
-        required = ("graph", *files)
         for key in _FILE_KEYS:
-            if (key in required or key in raw) and not isinstance(raw[key], str):
+            if (key in ("graph", *files) or key in raw) and not isinstance(raw[key], str):
                 raise ValueError(f"{key!r} must name a file")
-        cfg = cls.from_dict(raw)
-    if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = read_config(cls, raw, "config", required, closed=False)
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
     return raw, cfg, labelgraph.load_graph(raw["graph"])
 
 
@@ -120,7 +121,7 @@ def cmd_model_inspect(args) -> int:
 
 
 def cmd_train(args) -> int:
-    raw, cfg, graph = _config(args, TrainConfig, ("train",))
+    raw, cfg, graph = _config(args, TrainConfig, ("train",), required=True)
     with _naming(args.config):
         embed_dim, hidden = _model_dims(raw)
     train_ds = harness.load_dataset(raw["train"])
@@ -165,9 +166,9 @@ def cmd_synth(args) -> int:
         raw = _read_json(args.spec)
         if not isinstance(raw, dict):
             raise ValueError("a spec must be a JSON object")
+        spec = read_config(harness.SynthSpec, raw, "spec", required=False, closed=True)
         if args.seed is not None:
-            raw["seed"] = args.seed
-        spec = harness.SynthSpec.from_dict(raw)
+            spec = replace(spec, seed=args.seed)
     graph, fine, coarse, test = harness.synth_generate(spec)
     os.makedirs(args.out_dir, exist_ok=True)
     labelgraph.save_graph(os.path.join(args.out_dir, "graph.json"), graph)
@@ -187,7 +188,7 @@ def cmd_synth(args) -> int:
 def cmd_fuse(args) -> int:
     graph = labelgraph.load_graph(args.graph)
     fine = harness.load_dataset(args.fine)
-    coarse = harness.load_dataset(args.coarse)
+    coarse = harness.load_dataset(args.coarse, width=fine.input_dim)
     result = harness.fuse(fine, coarse, graph)
     harness.save_dataset(args.out, result.dataset)
     print(json.dumps({"out": args.out, "size": len(result.dataset.samples),
@@ -197,7 +198,7 @@ def cmd_fuse(args) -> int:
 
 def cmd_baseline(args) -> int:
     files = ("fine", "coarse") if args.kind == "pseudo" else ("train",)
-    raw, cfg, graph = _config(args, harness.BaselineConfig, ("test", *files))
+    raw, cfg, graph = _config(args, harness.BaselineConfig, ("test", *files), required=False)
     train_ds = harness.load_dataset(raw[files[0]])
     test_ds = harness.load_dataset(raw["test"], width=train_ds.input_dim)
     if args.kind == "ffn":
@@ -214,7 +215,7 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    raw, cfg, graph = _config(args, TrainConfig, ("train", "dev", "test"))
+    raw, cfg, graph = _config(args, TrainConfig, ("train", "dev", "test"), required=True)
     with _naming(args.config):
         embed_dim, hidden = _model_dims(raw)
         trims = _listed(raw, "trim_fractions", [0.36, 0.63], "numbers in [0,1]",

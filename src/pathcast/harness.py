@@ -24,8 +24,7 @@ from .model import LabelPathModel
 from .numerics import AdamState, Tensor
 from .pathalg import NotALabelNode, _path_counts, _require_label
 from .trainer import (LabeledSample, ScheduleConfig, ScheduleState, TrainConfig,
-                      descend, minibatches, reject_unknown_keys, schedule_update, train,
-                      typed_fields, typed_value)
+                      descend, minibatches, schedule_update, train, typed_value)
 from .evaldecode import EmptyDataset, MetricsReport, classification_report, evaluate
 
 
@@ -52,6 +51,18 @@ def _member_choices(entry, size: int) -> tuple[int, ...]:
     if isinstance(entry, (tuple, list)):
         return tuple(int(k) for k in entry)
     return (int(entry),)
+
+
+def _read_profiles(key: str, raw) -> tuple[tuple, ...]:
+    """``label_profiles`` read from JSON: a list of profiles, each a list of
+    entries, each null, an int or a list of ints."""
+    def entry(m):
+        if m is None:
+            return None
+        if isinstance(m, list):
+            return tuple(typed_value(key, k, int) for k in m)
+        return typed_value(key, m, int)
+    return tuple(tuple(entry(m) for m in p) for p in raw)
 
 
 @dataclass(frozen=True)
@@ -101,9 +112,9 @@ class SynthSpec:
     # hand-built pet graph; nondeterministic-only labels (trained purely by
     # policy gradient) arise from custom profiles such as subset-sampled
     # ones, or all-None wildcards identified by a flag dimension.
-    label_profiles: tuple[tuple, ...] = (
+    label_profiles: tuple[tuple, ...] = field(default=(
         (0, 0, 0), (1, 1, 1), (2, 0, 2), (0, 1, 3),
-        (1, None, 0), (2, None, 1))
+        (1, None, 0), (2, None, 1)), metadata={"read": _read_profiles})
     noise_sigma: float = 0.1
     wild_scale: float = 2.0
     # Scale of the coarse-category one-hot in x. Shrinking it makes the
@@ -115,7 +126,7 @@ class SynthSpec:
     n_test: int = 2000
     seed: int = 0
 
-    def check(self) -> None:
+    def __post_init__(self):
         if self.n_fine_labels < 1 or self.n_coarse < 1:
             raise InconsistentSpec("need at least one fine label and one coarse category")
         if self.n_fine_labels % self.n_coarse:
@@ -157,34 +168,10 @@ class SynthSpec:
         return sum(1 for i in range(self.per_coarse)
                    if all(m is None for m in self.profile(i)))
 
-    @staticmethod
-    def _parse_profile_entry(m):
-        if m is None:
-            return None
-        if isinstance(m, (tuple, list)):
-            return tuple(typed_value("label_profiles", k, int) for k in m)
-        return typed_value("label_profiles", m, int)
-
     @property
     def input_dim(self) -> int:
         # coarse one-hot + attribute one-hots + wildcard-class flags
         return self.n_coarse + sum(self.group_sizes) + self.n_wild_slots
-
-    @staticmethod
-    def from_dict(d: dict) -> "SynthSpec":
-        reject_unknown_keys(SynthSpec, d, "spec")
-        scalars = ("n_fine_labels", "n_coarse", "noise_sigma", "wild_scale", "branch_scale",
-                   "n_train_fine", "n_train_coarse", "n_test", "seed")
-        defaults = SynthSpec()
-        spec = SynthSpec(
-            **typed_fields(SynthSpec, d, scalars, required=False),
-            group_sizes=tuple(typed_value("group_sizes", x, int)
-                              for x in d.get("group_sizes", defaults.group_sizes)),
-            label_profiles=tuple(tuple(SynthSpec._parse_profile_entry(m) for m in p)
-                                 for p in d.get("label_profiles", defaults.label_profiles)),
-        )
-        spec.check()
-        return spec
 
 
 @dataclass
@@ -209,7 +196,6 @@ def synth_generate(spec: SynthSpec) -> tuple[LabelGraph, DatasetSpec, DatasetSpe
     cyclically; sampled ones are drawn uniformly per instance. Fully seeded:
     the same spec always produces byte-identical datasets.
     """
-    spec.check()
     rng = np.random.default_rng(spec.seed)
     per_coarse = spec.per_coarse
     coarse_names = [_coarse_name(i) for i in range(spec.n_coarse)]
@@ -393,27 +379,20 @@ def fuse(fine: DatasetSpec, coarse: DatasetSpec, graph: LabelGraph) -> FusionRes
 # Baselines
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class BaselineConfig:
     hidden: int = 32
     epochs: int = 15
     batch_size: int = 32
     lr: float = 0.01
-    schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
+    schedule: ScheduleConfig = ScheduleConfig()
     seed: int = 0
 
-    @staticmethod
-    def from_dict(raw: dict) -> "BaselineConfig":
-        """Validated config from a baseline-config dict; missing keys keep
-        their defaults."""
-        keys = ("hidden", "epochs", "batch_size", "lr", "seed")
-        cfg = BaselineConfig(**typed_fields(BaselineConfig, raw, keys, required=False),
-                             schedule=ScheduleConfig.from_dict(raw.get("schedule", {})))
-        if cfg.hidden < 1 or cfg.batch_size < 1 or cfg.epochs < 0:
+    def __post_init__(self):
+        if self.hidden < 1 or self.batch_size < 1 or self.epochs < 0:
             raise ValueError("hidden/batch_size/epochs out of range")
-        if cfg.lr <= 0:
+        if self.lr <= 0:
             raise ValueError("lr must be positive")
-        return cfg
 
 
 class _EncoderHead:
@@ -441,7 +420,7 @@ def _fit_classifier(cfg: BaselineConfig, xs: np.ndarray, out_dim: int,
     the rows ``xs`` against ``loss_fn(logits, sample indexes)``."""
     net = _EncoderHead(xs.shape[1], cfg.hidden, out_dim, cfg.seed)
     adam = AdamState(net.params, dict.fromkeys(net.params, cfg.lr))
-    sched = ScheduleState(kind=cfg.schedule.kind, n=cfg.schedule.n)
+    sched = ScheduleState(cfg.schedule)
     for epoch in range(1, cfg.epochs + 1):
         epoch_loss = 0.0
         for _, idx in minibatches(len(xs), cfg.batch_size, cfg.seed, epoch):
@@ -648,7 +627,7 @@ def ablate(graph: LabelGraph, train_ds: DatasetSpec, dev_ds: DatasetSpec,
 
     Every variant shares the base config's seed; rows report accuracy and its
     delta against the full configuration. Graphs are trimmed and configs
-    validated before any variant trains.
+    built, and so checked, before any variant trains.
     """
     from dataclasses import replace
 
@@ -659,8 +638,6 @@ def ablate(graph: LabelGraph, train_ds: DatasetSpec, dev_ds: DatasetSpec,
         variants.append((f"trim-{int(frac * 100)}", trim_graph(graph, frac, rng), base_cfg))
     variants += [(f"agg-{agg}", graph, replace(base_cfg, path_agg=agg))
                  for agg in aggregations if agg != base_cfg.path_agg]
-    for _, _, cfg in variants:
-        cfg.validate()
     rows: list[dict] = []
     for name, g, cfg in variants:
         model = fit_model(g, train_ds, dev_ds, cfg, embed_dim, hidden)

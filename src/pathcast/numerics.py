@@ -481,7 +481,9 @@ def adam_step(state: AdamState, params: dict[str, Tensor], lr_scale: float = 1.0
     """Bias-corrected Adam update of the state's buffer from the parameters'
     ``grad``s (None, a disconnected parameter, is zero): one elementwise step
     in place. ``params`` are the state's, each ``data`` still its view of the
-    buffer, or ValueError; a weight left non-finite raises NonFiniteValue."""
+    buffer, or ValueError. A weight left non-finite, or a second moment
+    that overflows (a finite gradient above about 1e154 would otherwise
+    freeze its weight for good), raises NonFiniteValue."""
     grads = []
     for (name, p), view in zip(params.items(), state.views, strict=True):
         if p.data is not view:
@@ -496,12 +498,17 @@ def adam_step(state: AdamState, params: dict[str, Tensor], lr_scale: float = 1.0
     state.m *= ADAM_BETA1
     state.m += (1.0 - ADAM_BETA1) * g
     state.v *= ADAM_BETA2
-    state.v += (1.0 - ADAM_BETA2) * g * g
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        state.v += (1.0 - ADAM_BETA2) * g * g
         state.buffer -= state.lr * lr_scale * (state.m / c1) / (np.sqrt(state.v / c2) + ADAM_EPS)
-    if np.count_nonzero(np.isfinite(state.buffer)) != state.buffer.size:
-        name = next(n for n, p in params.items() if not np.isfinite(p.data).all())
-        raise NonFiniteValue(f"adam step {t}: parameter {name!r} is not finite")
+    finite = np.isfinite(state.buffer) & np.isfinite(state.v)
+    if np.count_nonzero(finite) != finite.size:
+        at = int(np.argmin(finite))
+        ends = np.cumsum([v.size for v in state.views])
+        name = list(params)[int(np.searchsorted(ends, at, side="right"))]
+        what = "has a second moment that overflows" if np.isfinite(state.buffer[at]) else \
+            "is not finite"
+        raise NonFiniteValue(f"adam step {t}: parameter {name!r} {what}")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -52,25 +52,41 @@ def typed_value(key: str, value, kind: type):
     return kind(value)
 
 
-def reject_unknown_keys(cls, raw: dict, what: str) -> None:
-    """Raise ValueError naming a key of ``raw`` that is no field of the
-    dataclass ``cls``, so that a misspelt key of a ``what`` object is not
-    silently ignored."""
-    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError(f"unknown {what} key {unknown[0]!r}")
+def read_config(cls, raw, what: str, required: bool, closed: bool):
+    """The dataclass ``cls`` built from ``raw``, a ``what`` object read from JSON.
 
-
-def typed_fields(cls, raw: dict, names: Sequence[str], required: bool) -> dict:
-    """Constructor arguments for the dataclass ``cls`` read from a config dict.
-
-    Each value goes through :func:`typed_value` with the type of the field's
-    default. A missing key raises KeyError when ``required``, and otherwise
-    keeps the default.
+    Each field is read as the type of its default through :func:`typed_value`;
+    a tuple default as a list of its first item's type; a dataclass default
+    as a closed object of that dataclass; a field whose metadata has a
+    ``read`` function through ``read(key, value)``. A missing key raises
+    KeyError when ``required`` and otherwise keeps its default, as a missing
+    dataclass-valued key always does. A key that is no field raises
+    ValueError when ``closed``. ``cls`` checks its ranges when it is built.
     """
-    defaults = cls()
-    return {name: typed_value(name, raw[name], type(getattr(defaults, name)))
-            for name in names if required or name in raw}
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be an object, not {raw!r}")
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    if closed and unknown:
+        raise ValueError(f"unknown {what} key {unknown[0]!r}")
+    defaults, args = cls(), {}
+    for f in fields(cls):
+        default = getattr(defaults, f.name)
+        if f.name not in raw:
+            if required and not is_dataclass(default):
+                raise KeyError(f.name)
+            continue
+        value = raw[f.name]
+        if "read" in f.metadata:
+            args[f.name] = f.metadata["read"](f.name, value)
+        elif is_dataclass(default):
+            args[f.name] = read_config(type(default), value, f.name, required=False, closed=True)
+        elif isinstance(default, tuple):
+            if not isinstance(value, list):
+                raise ValueError(f"{f.name!r} must be a list, not {value!r}")
+            args[f.name] = tuple(typed_value(f.name, v, type(default[0])) for v in value)
+        else:
+            args[f.name] = typed_value(f.name, value, type(default))
+    return cls(**args)
 
 
 @dataclass(frozen=True)
@@ -84,15 +100,8 @@ class ScheduleConfig:
         if self.n < 1:
             raise ValueError("schedule n must be at least 1")
 
-    @staticmethod
-    def from_dict(raw: dict) -> "ScheduleConfig":
-        if not isinstance(raw, dict):
-            raise ValueError(f"schedule must be an object, not {raw!r}")
-        reject_unknown_keys(ScheduleConfig, raw, "schedule")
-        return ScheduleConfig(**typed_fields(ScheduleConfig, raw, ("kind", "n"), required=False))
 
-
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 32
     max_len: int = 8
@@ -104,22 +113,11 @@ class TrainConfig:
     reward_set: str = "certain"  # certain | label_only
     lr_e: float = 0.01
     lr: float = 0.01
-    schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
+    schedule: ScheduleConfig = ScheduleConfig()
     epochs: int = 10
     seed: int = 0
 
-    @staticmethod
-    def from_dict(raw: dict) -> "TrainConfig":
-        """Validated config from a train-config dict; every key but
-        ``schedule`` is required."""
-        keys = ("batch_size", "max_len", "r_tf", "alpha", "beta", "path_agg", "n_p",
-                "reward_set", "lr_e", "lr", "epochs", "seed")
-        cfg = TrainConfig(**typed_fields(TrainConfig, raw, keys, required=True),
-                          schedule=ScheduleConfig.from_dict(raw.get("schedule", {})))
-        cfg.validate()
-        return cfg
-
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.batch_size < 1 or self.max_len < 2 or self.n_p < 1 or self.epochs < 0:
             raise ValueError("batch_size/max_len/n_p/epochs out of range")
         if not 0.0 <= self.r_tf <= 1.0:
@@ -266,8 +264,7 @@ def policy_gradient_loss(model: LabelPathModel, batch: Batch,
 class ScheduleState:
     """Learning-rate halving state; ``scale`` multiplies both initial rates."""
 
-    kind: str
-    n: int
+    config: ScheduleConfig
     scale: float = 1.0
     best: float | None = None
     stale: int = 0
@@ -281,22 +278,19 @@ def schedule_update(state: ScheduleState, epoch: int,
     (higher is better) has not improved for n consecutive epochs; the patience
     counter resets on improvement and on each reduction.
     """
-    if state.kind == "fixed":
-        if epoch % state.n == 0:
+    if state.config.kind == "fixed":
+        if epoch % state.config.n == 0:
             state.scale *= 0.5
-    elif state.kind == "dynamic":
-        if dev_metric is None:
-            raise ValueError("DynamicReduce requires a dev metric")
-        if state.best is None or dev_metric > state.best:
-            state.best = dev_metric
-            state.stale = 0
-        else:
-            state.stale += 1
-            if state.stale >= state.n:
-                state.scale *= 0.5
-                state.stale = 0
+    elif dev_metric is None:
+        raise ValueError("DynamicReduce requires a dev metric")
+    elif state.best is None or dev_metric > state.best:
+        state.best = dev_metric
+        state.stale = 0
     else:
-        raise ValueError(f"unknown schedule kind {state.kind!r}")
+        state.stale += 1
+        if state.stale >= state.config.n:
+            state.scale *= 0.5
+            state.stale = 0
     return state.scale
 
 
@@ -318,7 +312,7 @@ class TrainState:
         return TrainState(
             adam=AdamState(model.params, lr),
             baseline=BaselineEstimator(),
-            schedule=ScheduleState(kind=cfg.schedule.kind, n=cfg.schedule.n),
+            schedule=ScheduleState(cfg.schedule),
             book=PathBook(model.graph),
         )
 
@@ -427,7 +421,6 @@ def train(model: LabelPathModel, train_set: Sequence[LabeledSample],
     """Full training run; appends one JSON line of metrics per epoch."""
     from .evaldecode import EmptyDataset, evaluate  # local import, avoids a module cycle
 
-    cfg.validate()
     if dev_set is not None and not dev_set:
         raise EmptyDataset("dev set has no samples")
     if cfg.schedule.kind == "dynamic" and dev_set is None:

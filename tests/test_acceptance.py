@@ -273,7 +273,7 @@ def test_determinism_of_cli_runs(tmp_path):
 
 
 def test_schedules_on_scripted_traces():
-    fixed = ScheduleState(kind="fixed", n=10)
+    fixed = ScheduleState(ScheduleConfig("fixed", 10))
     lr0 = 0.0004
     halvings = []
     for epoch in range(1, 31):
@@ -283,7 +283,7 @@ def test_schedules_on_scripted_traces():
             halvings.append(epoch)
     ok_fixed = halvings == [10, 20, 30] and lr0 * fixed.scale == pytest.approx(0.00005)
 
-    dyn = ScheduleState(kind="dynamic", n=5)
+    dyn = ScheduleState(ScheduleConfig("dynamic", 5))
     trace = [0.50, 0.60, 0.60, 0.60, 0.60, 0.60, 0.60]  # 5 flat epochs after a peak
     reduced_at = []
     for epoch, metric in enumerate(trace, start=1):

@@ -355,7 +355,7 @@ class TestDatasetChecks:
     """A dataset that cannot be used fails where it is read, before any
     training, with one error line that names its file."""
 
-    @pytest.mark.parametrize("command", ["train", "eval", "baseline", "ablate"])
+    @pytest.mark.parametrize("command", ["train", "eval", "baseline", "ablate", "fuse"])
     def test_a_wider_dataset_is_rejected(self, workdir, checkpoint, tmp_path, command):
         root, cfg_path = workdir
         wide = rewritten(root / "test.jsonl", tmp_path / "wide.jsonl",
@@ -369,7 +369,9 @@ class TestDatasetChecks:
         args = {"train": ("train", "--config", str(cfg_file), "--out", str(out)),
                 "eval": ("eval", "--ckpt", str(checkpoint), "--data", str(wide)),
                 "baseline": ("baseline", "ffn", "--config", str(cfg_file)),
-                "ablate": ("ablate", "--config", str(cfg_file))}[command]
+                "ablate": ("ablate", "--config", str(cfg_file)),
+                "fuse": ("fuse", "--fine", str(root / "fine.jsonl"), "--coarse", str(wide),
+                         "--graph", str(root / "graph.json"), "--out", str(out))}[command]
         proc = run_cli(*args, expect=1)
         assert proc.stderr == f"pathcast: error: {wide}:1: 'x' has 12 values, not 11\n"
         assert proc.stdout == ""

@@ -15,7 +15,7 @@ from pathcast.labelgraph import NodeKind, stats, validate
 from pathcast import harness
 from pathcast.numerics import AdamState
 from pathcast.pathalg import NotALabelNode, enumerate_paths
-from pathcast.trainer import ScheduleConfig, TrainConfig, schedule_update
+from pathcast.trainer import ScheduleConfig, TrainConfig, read_config, schedule_update
 
 from reference import figure2_subgraph, oracle_all_paths, random_dag
 
@@ -28,32 +28,33 @@ def small_spec(**kw):
 
 class TestSynthSpec:
     def test_default_is_consistent(self):
-        SynthSpec().check()
+        SynthSpec()
 
     def test_bad_specs_rejected(self):
         with pytest.raises(InconsistentSpec):
-            SynthSpec(n_fine_labels=0).check()
+            SynthSpec(n_fine_labels=0)
         with pytest.raises(InconsistentSpec):
-            SynthSpec(n_fine_labels=13, n_coarse=2).check()
+            SynthSpec(n_fine_labels=13, n_coarse=2)
         with pytest.raises(InconsistentSpec):
-            SynthSpec(label_profiles=((0, 0),)).check()  # wrong arity
+            SynthSpec(label_profiles=((0, 0),))  # wrong arity
         with pytest.raises(InconsistentSpec):
-            SynthSpec(label_profiles=((9, 0, 0),)).check()  # member out of range
+            SynthSpec(label_profiles=((9, 0, 0),))  # member out of range
         with pytest.raises(InconsistentSpec):
-            SynthSpec(label_profiles=(((), (), ()),)).check()  # disconnected
+            SynthSpec(label_profiles=(((), (), ()),))  # disconnected
         with pytest.raises(InconsistentSpec):
-            SynthSpec(noise_sigma=-1.0).check()
+            SynthSpec(noise_sigma=-1.0)
 
     def test_duplicate_profiles_rejected(self):
         with pytest.raises(InconsistentSpec):
             SynthSpec(n_fine_labels=4, n_coarse=2,
-                      label_profiles=((0, 0, 0), (0, 0, 0))).check()
+                      label_profiles=((0, 0, 0), (0, 0, 0)))
 
     def test_from_dict_round_trip(self):
-        spec = SynthSpec.from_dict({"n_fine_labels": 4, "n_coarse": 2,
-                                    "group_sizes": [2, 2, 2],
-                                    "label_profiles": [[0, 0, 0], [1, None, 1]],
-                                    "noise_sigma": 0.0, "seed": 7})
+        spec = read_config(SynthSpec, {"n_fine_labels": 4, "n_coarse": 2,
+                                       "group_sizes": [2, 2, 2],
+                                       "label_profiles": [[0, 0, 0], [1, None, 1]],
+                                       "noise_sigma": 0.0, "seed": 7},
+                           "spec", required=False, closed=True)
         assert spec.per_coarse == 2
         assert spec.label_profiles[1][1] is None
 
@@ -72,7 +73,7 @@ class TestSynthSpec:
     ])
     def test_from_dict_rejects_wrong_types(self, raw, message):
         with pytest.raises(ValueError, match=message):
-            SynthSpec.from_dict(raw)
+            read_config(SynthSpec, raw, "spec", required=False, closed=True)
 
 
 class TestSynthGenerate:
@@ -284,8 +285,8 @@ def task():
 
 class TestBaselineConfig:
     def test_defaults_and_zero_epochs_are_accepted(self):
-        assert BaselineConfig.from_dict({}) == BaselineConfig()
-        assert BaselineConfig.from_dict({"epochs": 0}).epochs == 0
+        assert read_config(BaselineConfig, {}, "config", False, False) == BaselineConfig()
+        assert read_config(BaselineConfig, {"epochs": 0}, "config", False, False).epochs == 0
 
     @pytest.mark.parametrize("raw, message", [
         ({"hidden": 0}, "out of range"),
@@ -298,7 +299,7 @@ class TestBaselineConfig:
     ])
     def test_out_of_range_values_are_rejected(self, raw, message):
         with pytest.raises(ValueError, match=message):
-            BaselineConfig.from_dict(raw)
+            read_config(BaselineConfig, raw, "config", required=False, closed=False)
 
     @pytest.mark.parametrize("raw, message", [
         ({"hidden": 8.9}, "'hidden' must be an int, not 8.9"),
@@ -310,7 +311,7 @@ class TestBaselineConfig:
     ])
     def test_wrong_types_are_rejected(self, raw, message):
         with pytest.raises(ValueError, match=message):
-            BaselineConfig.from_dict(raw)
+            read_config(BaselineConfig, raw, "config", required=False, closed=False)
 
 
 class TestBaselines:

@@ -424,6 +424,17 @@ class TestAdam:
         with pytest.raises(nm.NonFiniteValue, match="adam step 2: parameter 'b' is not finite"):
             adam_step(st, p)
 
+    def test_an_overflowing_second_moment_names_the_parameter(self):
+        # (1 - beta2) * g * g overflows for a finite g above about 1e154; left
+        # unchecked, v stays inf and every later update of the weight is 0
+        p = nm.parameters({"b": [0.5], "w": [1.0, 1.0]})
+        st = AdamState(p, dict.fromkeys(p, 0.1))
+        p["b"].grad = np.ones(1)
+        p["w"].grad = np.array([1e200, 1.0])
+        with pytest.raises(nm.NonFiniteValue,
+                           match="adam step 1: parameter 'w' has a second moment that overflows"):
+            adam_step(st, p)
+
 
 class TestTensorInvariants:
     def test_rejects_non_finite(self):

@@ -1,10 +1,14 @@
 """Trainer mechanics: rewards, losses, schedules, baselines, determinism."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from pathcast import numerics as nm
 from pathcast.evaldecode import EmptyDataset
+from pathcast.harness import BaselineConfig, SynthSpec
 from pathcast.labelgraph import build_graph
 from pathcast.model import LabelPathModel
 from pathcast.numerics import AdamState, adam_step, backward, zero_grads
@@ -13,7 +17,7 @@ from pathcast.trainer import (Batch, BaselineEstimator, EmptyRewardSet,
                               ScheduleState, TrainConfig, TrainState,
                               build_batch, deterministic_loss,
                               policy_gradient_loss, reward, schedule_update,
-                              train, train_epoch, typed_fields)
+                              read_config, train, train_epoch, typed_value)
 
 from reference import (GroupAdamState, collect_grads, figure2_subgraph, finite_difference,
                        group_adam_step, max_rel_err, path_log_prob, sample_cross_block,
@@ -96,14 +100,14 @@ class TestBaseline:
 
 class TestSchedules:
     def test_fixed_decay_halves_on_period(self):
-        st = ScheduleState(kind="fixed", n=10)
+        st = ScheduleState(ScheduleConfig("fixed", 10))
         lr = 0.0004
         for epoch in range(1, 31):
             schedule_update(st, epoch)
         assert lr * st.scale == pytest.approx(0.0004 / 8)
 
     def test_fixed_decay_epoch_10_exact(self):
-        st = ScheduleState(kind="fixed", n=10)
+        st = ScheduleState(ScheduleConfig("fixed", 10))
         for epoch in range(1, 10):
             schedule_update(st, epoch)
             assert st.scale == 1.0
@@ -111,13 +115,13 @@ class TestSchedules:
         assert 0.0004 * st.scale == pytest.approx(0.0002)
 
     def test_dynamic_no_reduction_while_improving(self):
-        st = ScheduleState(kind="dynamic", n=5)
+        st = ScheduleState(ScheduleConfig("dynamic", 5))
         for epoch, metric in enumerate([0.1, 0.2, 0.3, 0.4, 0.5, 0.6], start=1):
             schedule_update(st, epoch, metric)
         assert st.scale == 1.0
 
     def test_dynamic_five_flat_epochs_halve_once(self):
-        st = ScheduleState(kind="dynamic", n=5)
+        st = ScheduleState(ScheduleConfig("dynamic", 5))
         schedule_update(st, 1, 0.5)
         for epoch in range(2, 7):
             schedule_update(st, epoch, 0.5)  # five non-improving epochs
@@ -126,31 +130,31 @@ class TestSchedules:
         assert st.scale == 0.5  # patience was reset by the reduction
 
     def test_dynamic_counter_resets_on_improvement(self):
-        st = ScheduleState(kind="dynamic", n=3)
+        st = ScheduleState(ScheduleConfig("dynamic", 3))
         for epoch, metric in enumerate([0.5, 0.5, 0.5, 0.6, 0.6, 0.6], start=1):
             schedule_update(st, epoch, metric)
         # stale ran 2, reset by the improvement at epoch 4, then 2 more
         assert st.scale == 1.0
 
     def test_dynamic_requires_metric(self):
-        st = ScheduleState(kind="dynamic", n=5)
+        st = ScheduleState(ScheduleConfig("dynamic", 5))
         with pytest.raises(ValueError):
             schedule_update(st, 1, None)
 
 
 class TestTrainConfig:
     def test_validation(self):
-        TrainConfig().validate()
+        TrainConfig()
         with pytest.raises(ValueError):
-            TrainConfig(r_tf=1.5).validate()
+            TrainConfig(r_tf=1.5)
         with pytest.raises(ValueError):
-            TrainConfig(path_agg="median").validate()
+            TrainConfig(path_agg="median")
         with pytest.raises(ValueError):
-            TrainConfig(reward_set="everything").validate()
+            TrainConfig(reward_set="everything")
         with pytest.raises(ValueError):
-            TrainConfig(lr=0.0).validate()
+            TrainConfig(lr=0.0)
         with pytest.raises(ValueError):
-            TrainConfig(schedule=ScheduleConfig(kind="exotic")).validate()
+            TrainConfig(schedule=ScheduleConfig(kind="exotic"))
 
     @pytest.mark.parametrize("raw, message", [
         ({"n": 0}, "schedule n must be at least 1"),
@@ -159,12 +163,35 @@ class TestTrainConfig:
     ])
     def test_schedule_is_checked_where_it_is_read(self, raw, message):
         with pytest.raises(ValueError, match=message):
-            ScheduleConfig.from_dict(raw)
+            read_config(ScheduleConfig, raw, "schedule", required=False, closed=True)
         base = {"batch_size": 32, "max_len": 8, "r_tf": 1.0, "alpha": 1.0, "beta": 1.0,
                 "path_agg": "mean", "n_p": 4, "reward_set": "certain", "lr_e": 0.01,
                 "lr": 0.01, "epochs": 1, "seed": 0}
         with pytest.raises(ValueError, match=message):
-            TrainConfig.from_dict({**base, "schedule": raw})
+            read_config(TrainConfig, {**base, "schedule": raw}, "config", required=True,
+                        closed=False)
+
+
+CONFIGS = [ScheduleConfig, TrainConfig, BaselineConfig, SynthSpec]
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("cls", CONFIGS, ids=lambda cls: cls.__name__)
+    def test_defaults_round_trip_through_json(self, cls):
+        raw = json.loads(json.dumps(asdict(cls())))
+        assert read_config(cls, raw, "config", required=True, closed=True) == cls()
+
+    @pytest.mark.parametrize("cls, bad, message", [
+        (ScheduleConfig, {"kind": "exotic"}, "unknown schedule kind 'exotic'"),
+        (TrainConfig, {"max_len": 1}, "batch_size/max_len/n_p/epochs out of range"),
+        (BaselineConfig, {"lr": -0.01}, "lr must be positive"),
+        (BaselineConfig, {"hidden": 0}, "hidden/batch_size/epochs out of range"),
+        (SynthSpec, {"group_sizes": (3, 0, 4)}, "group sizes must be positive"),
+    ], ids=["ScheduleConfig", "TrainConfig", "BaselineConfig-lr", "BaselineConfig-hidden",
+            "SynthSpec"])
+    def test_an_out_of_range_value_fails_when_built(self, cls, bad, message):
+        with pytest.raises(ValueError, match=message):
+            cls(**bad)
 
 
 class TestTypedFields:
@@ -173,7 +200,7 @@ class TestTypedFields:
         ("epochs", 3), ("epochs", -1), ("lr", 0.5), ("lr", 2), ("path_agg", "sum"),
     ])
     def test_json_types_are_accepted(self, key, value):
-        got = typed_fields(TrainConfig, {key: value}, (key,), required=True)[key]
+        got = typed_value(key, value, type(getattr(TrainConfig(), key)))
         assert got == value and type(got) is type(getattr(TrainConfig(), key))
 
     @pytest.mark.parametrize("key, value, message", [
@@ -193,21 +220,24 @@ class TestTypedFields:
     ])
     def test_other_types_are_rejected(self, key, value, message):
         with pytest.raises(ValueError, match=message):
-            typed_fields(TrainConfig, {key: value}, (key,), required=True)
+            typed_value(key, value, type(getattr(TrainConfig(), key)))
 
     def test_every_config_reads_strictly(self):
         with pytest.raises(ValueError, match="'n' must be an int, not 2.5"):
-            ScheduleConfig.from_dict({"n": 2.5})
+            read_config(ScheduleConfig, {"n": 2.5}, "schedule", required=False, closed=True)
         base = {"batch_size": 32, "max_len": 8, "r_tf": 1.0, "alpha": 1.0, "beta": 1.0,
                 "path_agg": "mean", "n_p": 4, "reward_set": "certain", "lr_e": 0.01,
                 "lr": 0.01, "epochs": 1, "seed": 0}
-        assert TrainConfig.from_dict({**base, "r_tf": 1}).r_tf == 1.0
+        assert read_config(TrainConfig, {**base, "r_tf": 1}, "config", required=True,
+                           closed=False).r_tf == 1.0
         with pytest.raises(ValueError, match="'batch_size' must be an int, not 32.5"):
-            TrainConfig.from_dict({**base, "batch_size": 32.5})
+            read_config(TrainConfig, {**base, "batch_size": 32.5}, "config", required=True,
+                        closed=False)
         for key, value in (("lr", float("nan")), ("alpha", float("inf")),
                            ("r_tf", float("-inf")), ("beta", 10 ** 400)):
             with pytest.raises(ValueError, match=f"'{key}' must be a finite number"):
-                TrainConfig.from_dict({**base, key: value})
+                read_config(TrainConfig, {**base, key: value}, "config", required=True,
+                            closed=False)
 
 
 class TestDeterministicLoss:
