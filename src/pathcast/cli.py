@@ -141,7 +141,7 @@ def cmd_eval(args) -> int:
     decoded: list[evaldecode.DecodedResult] = []
     report = evaldecode.evaluate(model, samples, args.max_len, decoded)
     if args.audit:
-        triples = [(s.x, graph.id_of(s.label), s.attrs) for s in ds.samples]
+        triples = [(s.x, t.label, s.attrs) for s, t in zip(ds.samples, samples)]
         report.path_correctness = evaldecode.audit_nondeterministic(
             model, triples, args.max_len, decoded)
     if args.dump_paths:

@@ -24,7 +24,8 @@ from .model import LabelPathModel
 from .numerics import AdamState, Tensor
 from .pathalg import NotALabelNode, _path_counts, _require_label
 from .trainer import (LabeledSample, ScheduleConfig, ScheduleState, TrainConfig,
-                      descend, minibatches, schedule_update, train, typed_value)
+                      descend, minibatches, require_non_negative, schedule_update,
+                      train, typed_value)
 from .evaldecode import EmptyDataset, MetricsReport, classification_report, evaluate
 
 
@@ -135,6 +136,7 @@ class SynthSpec:
             raise InconsistentSpec("group sizes must be positive")
         if self.noise_sigma < 0:
             raise InconsistentSpec("noise_sigma must be non-negative")
+        require_non_negative(self, "n_train_fine", "n_train_coarse", "n_test", "seed")
         if not self.label_profiles:
             raise InconsistentSpec("label_profiles must not be empty")
         seen: set[tuple] = set()
@@ -197,97 +199,72 @@ def synth_generate(spec: SynthSpec) -> tuple[LabelGraph, DatasetSpec, DatasetSpe
     the same spec always produces byte-identical datasets.
     """
     rng = np.random.default_rng(spec.seed)
-    per_coarse = spec.per_coarse
+    input_dim = spec.input_dim  # read once: the property rescans the label profiles
+    # column in x of each group's first member, then of the first wildcard flag
+    offsets = np.cumsum((spec.n_coarse,) + spec.group_sizes).tolist()
     coarse_names = [_coarse_name(i) for i in range(spec.n_coarse)]
-
-    fine_names: list[str] = []
-    label_coarse: dict[str, int] = {}
-    # fixed_member[label][group] -> member index; None when sampled per instance
-    fixed_member: dict[str, tuple[int | None, ...]] = {}
-    # wildcard labels (every group sampled) get a dedicated identity flag;
-    # all other labels are identified by their fixed-attribute combination
-    wild_slot: dict[str, int] = {}
-    for c in range(spec.n_coarse):
-        n_wild = 0
-        for i in range(per_coarse):
-            name = f"{coarse_names[c]}-breed-{i}"
-            fine_names.append(name)
-            label_coarse[name] = c
-            prof = spec.profile(i)
-            fixed_member[name] = prof
-            if all(m is None for m in prof):
-                wild_slot[name] = n_wild
-                n_wild += 1
 
     augmented: list[tuple[str, list[str]]] = []
     groups: list[tuple[str, list[str]]] = []
+    edges: list[tuple[str, str]] = []
+    # One row per fine label: (name, coarse name, x before the picks, and for
+    # each connected group (attribute key, member names, x columns) of its
+    # choices). Wildcard labels (every group sampled) get a dedicated identity
+    # flag; all other labels are identified by their fixed-attribute combination.
+    rows: list[tuple[str, str, np.ndarray, list[tuple]]] = []
     for c, cname in enumerate(coarse_names):
         augmented.append((cname, ["root"]))
-        for j, size in enumerate(spec.group_sizes):
-            members = [f"{cname}-{_group_name(j)}-{k}" for k in range(size)]
-            for m in members:
-                augmented.append((m, [cname]))
-            groups.append((f"{cname}-{_group_name(j)}", members))
+        keys = [f"{cname}-{_group_name(j)}" for j in range(len(spec.group_sizes))]
+        for key, size in zip(keys, spec.group_sizes):
+            members = [f"{key}-{k}" for k in range(size)]
+            augmented.extend((m, [cname]) for m in members)
+            groups.append((key, members))
+        breeds = [f"{cname}-breed-{i}" for i in range(spec.per_coarse)]
         # All breeds of a branch are mutually exclusive: one curated group
         # under their shared ancestor, like the hand-built pet graph. Left
         # implicit they would split by first shared parent and stop competing
         # with each other.
-        if per_coarse >= 2:
-            groups.append((f"{cname}-breeds",
-                           [n for n in fine_names if label_coarse[n] == c]))
+        if len(breeds) >= 2:
+            groups.append((f"{cname}-breeds", breeds))
+        n_wild = 0
+        for i, name in enumerate(breeds):
+            prof = spec.profile(i)
+            base = np.zeros(input_dim)
+            base[c] = spec.branch_scale
+            if all(m is None for m in prof):
+                base[offsets[-1] + n_wild] = spec.wild_scale
+                n_wild += 1
+            picks = []
+            for j, (key, size) in enumerate(zip(keys, spec.group_sizes)):
+                choices = _member_choices(prof[j], size)
+                members = [f"{key}-{k}" for k in choices]
+                edges.extend((m, name) for m in members)
+                if choices:
+                    picks.append((key, members, [offsets[j] + k for k in choices]))
+            rows.append((name, cname, base, picks))
 
-    edges: list[tuple[str, str]] = []
-    for name in fine_names:
-        c = label_coarse[name]
-        cname = coarse_names[c]
-        for j, size in enumerate(spec.group_sizes):
-            for k in _member_choices(fixed_member[name][j], size):
-                edges.append((f"{cname}-{_group_name(j)}-{k}", name))
-
-    graph = build_graph([("synth-fine", fine_names)], augmented, edges, groups)
-    input_dim = spec.input_dim  # read once: the property rescans the label profiles
-
-    def draw(label: str, annotate: bool) -> SynthSample:
-        c = label_coarse[label]
-        cname = coarse_names[c]
-        picks: list[int | None] = []
-        attrs: dict[str, str] = {}
-        for j, size in enumerate(spec.group_sizes):
-            choices = _member_choices(fixed_member[label][j], size)
-            if not choices:
-                picks.append(None)
-                continue
-            k = choices[int(rng.integers(len(choices)))] if len(choices) > 1 else choices[0]
-            picks.append(k)
-            attrs[f"{cname}-{_group_name(j)}"] = f"{cname}-{_group_name(j)}-{k}"
-        x = np.zeros(input_dim)
-        x[c] = spec.branch_scale
-        off = spec.n_coarse
-        for j, size in enumerate(spec.group_sizes):
-            if picks[j] is not None:
-                x[off + picks[j]] = 1.0
-            off += size
-        if label in wild_slot:
-            x[off + wild_slot[label]] = spec.wild_scale
-        if spec.noise_sigma > 0:
-            x = x + rng.normal(0.0, spec.noise_sigma, size=x.shape)
-        return SynthSample(x=x, label=label, attrs=attrs if annotate else None)
+    graph = build_graph([("synth-fine", [row[0] for row in rows])], augmented, edges, groups)
 
     def draw_set(n: int, coarse: bool, annotate: bool) -> list[SynthSample]:
         out = []
         for _ in range(n):
-            label = fine_names[int(rng.integers(len(fine_names)))]
-            s = draw(label, annotate)
-            if coarse:
-                s = SynthSample(x=s.x, label=coarse_names[label_coarse[label]], attrs=None)
-            out.append(s)
+            name, cname, base, picks = rows[int(rng.integers(len(rows)))]
+            x = base.copy()
+            attrs: dict[str, str] = {}
+            for key, members, cols in picks:
+                k = int(rng.integers(len(cols))) if len(cols) > 1 else 0
+                x[cols[k]] = 1.0
+                attrs[key] = members[k]
+            if spec.noise_sigma > 0:
+                x = x + rng.normal(0.0, spec.noise_sigma, size=x.shape)
+            out.append(SynthSample(x=x, label=cname if coarse else name,
+                                   attrs=attrs if annotate else None))
         return out
 
-    fine = DatasetSpec("synth-fine", draw_set(spec.n_train_fine, False, False),
-                       k=len(fine_names))
+    fine = DatasetSpec("synth-fine", draw_set(spec.n_train_fine, False, False), k=len(rows))
     coarse = DatasetSpec("synth-coarse", draw_set(spec.n_train_coarse, True, False),
                          k=len(coarse_names))
-    test = DatasetSpec("synth-test", draw_set(spec.n_test, False, True), k=len(fine_names))
+    test = DatasetSpec("synth-test", draw_set(spec.n_test, False, True), k=len(rows))
     return graph, fine, coarse, test
 
 
@@ -348,12 +325,16 @@ def resolve_samples(ds: DatasetSpec, graph: LabelGraph) -> list[LabeledSample]:
 
 
 def _label_ids(ds: DatasetSpec, graph: LabelGraph) -> list[int]:
-    """Each sample's label as a graph node id; one not in the graph raises
-    UnresolvableLabel naming the dataset (its file, when loaded) and row."""
+    """Each sample's label as a graph node id, each distinct name looked up
+    once; one not in the graph raises UnresolvableLabel naming the dataset
+    (its file, when loaded) and its first row."""
+    ids: dict[str, int] = {}
     for row, s in enumerate(ds.samples, 1):
-        if not graph.has_name(s.label):
-            raise UnresolvableLabel(f"{ds.name}: row {row}: label {s.label!r} not in graph")
-    return [graph.id_of(s.label) for s in ds.samples]
+        if s.label not in ids:
+            if not graph.has_name(s.label):
+                raise UnresolvableLabel(f"{ds.name}: row {row}: label {s.label!r} not in graph")
+            ids[s.label] = graph.id_of(s.label)
+    return [ids[s.label] for s in ds.samples]
 
 
 def fuse(fine: DatasetSpec, coarse: DatasetSpec, graph: LabelGraph) -> FusionResult:
@@ -393,6 +374,7 @@ class BaselineConfig:
             raise ValueError("hidden/batch_size/epochs out of range")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
+        require_non_negative(self, "seed")
 
 
 class _EncoderHead:

@@ -52,6 +52,14 @@ def typed_value(key: str, value, kind: type):
     return kind(value)
 
 
+def require_non_negative(cfg, *keys: str) -> None:
+    """Raise ValueError naming the first int field of ``cfg`` in ``keys``
+    that is negative."""
+    for key in keys:
+        if getattr(cfg, key) < 0:
+            raise ValueError(f"{key!r} must be a non-negative int, not {getattr(cfg, key)!r}")
+
+
 def read_config(cls, raw, what: str, required: bool, closed: bool):
     """The dataclass ``cls`` built from ``raw``, a ``what`` object read from JSON.
 
@@ -130,6 +138,7 @@ class TrainConfig:
             raise ValueError(f"unknown path aggregation {self.path_agg!r}")
         if self.reward_set not in ("certain", "label_only"):
             raise ValueError(f"unknown reward set {self.reward_set!r}")
+        require_non_negative(self, "seed")
 
 
 @dataclass

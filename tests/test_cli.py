@@ -151,7 +151,7 @@ class TestSynthAndFuse:
                    (tmp_path / "b" / name).read_bytes()
 
     def test_spec_errors_name_the_file(self, tmp_path):
-        for i, (text, fragment) in enumerate([
+        for i, (text, fragment, *args) in enumerate([
                 ('{"n_coarse": 2,\n', "Expecting property name"),
                 ("[]", "a spec must be a JSON object"),
                 ('{"n_coarse": "x"}', "'n_coarse' must be an int, not 'x'"),
@@ -162,11 +162,14 @@ class TestSynthAndFuse:
                 ('{"group_sizes": [3, 1.5]}', "'group_sizes' must be an int, not 1.5"),
                 ('{"label_profiles": [[0, 0, 0.5]]}', "'label_profiles' must be an int, not 0.5"),
                 ('{"n_coarse": 5}', "n_fine_labels must divide evenly"),
+                ('{"n_test": -3}', "'n_test' must be a non-negative int, not -3"),
+                ("{}", "'seed' must be a non-negative int, not -1", "--seed", "-1"),
                 ('{"n_train_fien": 5}', "unknown spec key 'n_train_fien'")]):
             spec = tmp_path / f"spec-{i}.json"
             spec.write_text(text)
             out = tmp_path / f"out-{i}"
-            proc = run_cli("synth", "--spec", str(spec), "--out-dir", str(out), expect=1)
+            proc = run_cli("synth", "--spec", str(spec), "--out-dir", str(out), *args,
+                           expect=1)
             assert proc.stderr.startswith(f"pathcast: error: {spec}: {fragment}"), proc.stderr
             assert "Traceback" not in proc.stderr
             assert not out.exists()

@@ -120,6 +120,38 @@ class TestSynthGenerate:
                 assert s.label == t.label
                 assert s.x.tobytes() == t.x.tobytes()
 
+    def test_x_layout_follows_each_label_profile(self):
+        # fixed, subset, absent and all-None entries, over more coarse
+        # categories and groups than have built-in names (kind-4, attr-4)
+        spec = SynthSpec(n_fine_labels=20, n_coarse=5, group_sizes=(3, 2, 4, 2, 3),
+                         label_profiles=((0, 1, 2, 0, 1), ((0, 2), (0, 1), 3, 1, None),
+                                         (1, (), (1, 3), (), 0), (None,) * 5),
+                         noise_sigma=0.0, n_train_fine=200, n_train_coarse=100,
+                         n_test=200, seed=3)
+        _, _, _, test = synth_generate(spec)
+        coarse = ["cat", "dog", "bird", "fish", "kind-4"]
+        groups = ["hair", "color", "ears", "tail", "attr-4"]
+        # column of each group's member 0, then of the first wildcard flag
+        starts = np.cumsum([spec.n_coarse, *spec.group_sizes])
+        assert len({s.label for s in test.samples}) == 20
+        for s in test.samples:
+            cname, i = s.label.rsplit("-breed-", 1)
+            prof = spec.profile(int(i))
+            want = np.zeros(spec.input_dim)
+            want[coarse.index(cname)] = spec.branch_scale
+            connected = [j for j, m in enumerate(prof) if m != ()]
+            assert sorted(s.attrs) == sorted(f"{cname}-{groups[j]}" for j in connected)
+            for j in connected:
+                prefix, k = s.attrs[f"{cname}-{groups[j]}"].rsplit("-", 1)
+                allowed = (range(spec.group_sizes[j]) if prof[j] is None
+                           else prof[j] if isinstance(prof[j], tuple) else (prof[j],))
+                assert prefix == f"{cname}-{groups[j]}" and int(k) in allowed
+                want[starts[j] + int(k)] = 1.0
+            if all(m is None for m in prof):
+                slot = sum(all(m is None for m in spec.profile(h)) for h in range(int(i)))
+                want[starts[-1] + slot] = spec.wild_scale
+            np.testing.assert_array_equal(s.x, want)
+
     def test_sampled_attribute_marginals_uniform(self):
         spec = small_spec(n_train_fine=10_000, noise_sigma=0.0)
         graph, fine, _, _ = synth_generate(spec)

@@ -187,8 +187,16 @@ class TestConfigSchema:
         (BaselineConfig, {"lr": -0.01}, "lr must be positive"),
         (BaselineConfig, {"hidden": 0}, "hidden/batch_size/epochs out of range"),
         (SynthSpec, {"group_sizes": (3, 0, 4)}, "group sizes must be positive"),
+        (TrainConfig, {"seed": -1}, "'seed' must be a non-negative int, not -1"),
+        (BaselineConfig, {"seed": -1}, "'seed' must be a non-negative int, not -1"),
+        (SynthSpec, {"seed": -1}, "'seed' must be a non-negative int, not -1"),
+        (SynthSpec, {"n_train_fine": -1}, "'n_train_fine' must be a non-negative int, not -1"),
+        (SynthSpec, {"n_train_coarse": -2},
+         "'n_train_coarse' must be a non-negative int, not -2"),
+        (SynthSpec, {"n_test": -3}, "'n_test' must be a non-negative int, not -3"),
     ], ids=["ScheduleConfig", "TrainConfig", "BaselineConfig-lr", "BaselineConfig-hidden",
-            "SynthSpec"])
+            "SynthSpec", "TrainConfig-seed", "BaselineConfig-seed", "SynthSpec-seed",
+            "SynthSpec-n_train_fine", "SynthSpec-n_train_coarse", "SynthSpec-n_test"])
     def test_an_out_of_range_value_fails_when_built(self, cls, bad, message):
         with pytest.raises(ValueError, match=message):
             cls(**bad)
