@@ -151,9 +151,9 @@ class SynthSpec:
                 connected = connected or bool(choices)
             if not connected:
                 raise InconsistentSpec("a label must connect to at least one group")
-        used = self.label_profiles[:min(self.per_coarse, len(self.label_profiles))]
-        for prof in used:
-            if prof in seen:
+        # what each label of a branch gets; a wildcard label has its own flag
+        for prof in map(self.profile, range(self.per_coarse)):
+            if prof in seen and any(m is not None for m in prof):
                 raise InconsistentSpec(
                     f"profile {prof} appears twice; its labels would be indistinguishable")
             seen.add(prof)

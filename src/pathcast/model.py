@@ -173,11 +173,13 @@ class LabelPathModel:
         nm.require_finite(f)
         return f
 
-    def decode_logits(self, f_state: Tensor, tokens_in: list[int]) -> tuple[Tensor, Tensor]:
-        """One batched GRU step: new state [m,h] and logits [m, vocab]."""
-        e = nm.gather_rows(self.params["emb"], tokens_in)
-        f_t = nm.gru_step(self.gru, e, f_state)
-        return f_t, nm.affine(f_t, self.params["out.w"], self.params["out.b"])
+    def decode_logits(self, f0: Tensor, tokens) -> tuple[Tensor, Tensor]:
+        """States and logits from ``f0 [m,h]`` fed ``tokens`` ``[m]`` or step-major
+        ``[T, m]`` (row ``t*m + i`` is lane i at step t): one ``gather_rows``,
+        one ``gru_step`` and one ``affine``."""
+        e = nm.gather_rows(self.params["emb"], np.ravel(tokens))
+        f = nm.gru_step(self.gru, e, f0)
+        return f, nm.affine(f, self.params["out.w"], self.params["out.b"])
 
     def step(self, f_prev: np.ndarray,
              prev: Sequence[int] | np.ndarray) -> tuple[np.ndarray, np.ndarray, nm.Blocks]:
@@ -214,8 +216,9 @@ class LabelPathModel:
         raises InvalidPath, and under ``teacher`` so does the first other one
         in step-major order (NoCandidates after a dead end). Otherwise such a
         target is skipped, as is every step after the walk's EOP. Returns the
-        per-lane totals as one ``[lanes]`` Tensor; each step is one
-        ``decode_logits``, ``gather_blocks`` and ``block_log_prob``.
+        per-lane totals as one ``[lanes]`` Tensor, from one
+        ``decode_logits`` over every step, one ``gather_blocks`` and one
+        ``block_log_prob`` of the scored steps, and one ``sum_steps``.
         """
         if not all(lanes):
             raise InvalidPath("empty lane")
@@ -233,14 +236,10 @@ class LabelPathModel:
             prev = int(fed.flat[miss[0]])
             self.candidates([prev])  # NoCandidates after a dead end, InvalidPath after EOP
             raise InvalidPath(f"token {target.flat[miss[0]]} is not a candidate after {prev}")
-        scored &= hit
-        totals: list[Tensor] = []
-        for t, on in enumerate(scored):
-            f, z = self.decode_logits(f, fed[t])
-            rows = np.flatnonzero(on)
-            blocks = nm.gather_blocks(self._table, rows, self._key_block[at[t, rows]])
-            totals.append(nm.block_log_prob(z, blocks, target[t, rows]))
-        return nm.add_n(totals)
+        rows = np.flatnonzero(scored & hit)  # row t*m + lane of each scored step
+        _, z = self.decode_logits(f, fed)
+        blocks = nm.gather_blocks(self._table, rows, self._key_block[at.flat[rows]])
+        return nm.sum_steps(nm.block_log_prob(z, blocks, target.flat[rows]), n.size)
 
     def walk(self, f: np.ndarray, max_len: int,
              pick: Callable[[np.ndarray, nm.Blocks], tuple[np.ndarray, np.ndarray]]

@@ -80,7 +80,7 @@ def require_finite(arr: np.ndarray) -> None:
     """The finiteness invariant of every Tensor, also checked by the plain
     decode path at the points where a non-finite value could hide."""
     if np.count_nonzero(np.isfinite(arr)) != arr.size:  # cheaper than .all() on small arrays
-        raise ValueError("tensor values must be finite")
+        raise NonFiniteValue("tensor values must be finite")
 
 
 def parameters(arrays: dict[str, object]) -> dict[str, Tensor]:
@@ -170,6 +170,19 @@ def add_n(ts: Sequence[Tensor]) -> Tensor:
     def bw(g):
         for t in ts:
             t._accum(g)
+
+    out._backward = bw
+    return out
+
+
+def sum_steps(a: Tensor, m: int) -> Tensor:
+    """One node: the [m] lane totals of a step-major [T*m] vector (lane i, step t at t*m+i)."""
+    if a.data.ndim != 1 or m < 1 or a.data.size % m:
+        raise ShapeMismatch(f"sum_steps: {a.data.shape} into {m} lanes")
+    out = Tensor(a.data.reshape(-1, m).sum(axis=0), _parents=(a,))
+
+    def bw(g):
+        a._accum(np.tile(g, a.data.size // m))
 
     out._backward = bw
     return out
@@ -425,33 +438,46 @@ def gru_forward(p: GruParams, e: np.ndarray, f: np.ndarray) -> tuple[np.ndarray,
     return r, u, rf, c, (1.0 - u) * f + u * c
 
 
-def gru_step(params: GruParams, e_t: Tensor, f_prev: Tensor) -> Tensor:
-    """:func:`gru_forward` as one trace node, whose backward is derived by
-    hand for the nine weights, ``e_t`` and ``f_prev``."""
-    p = params
-    e, f = e_t.data, f_prev.data
-    r, u, rf, c, f_new = gru_forward(p, e, f)
+def gru_step(p: GruParams, e: Tensor, f0: Tensor) -> Tensor:
+    """T >= 1 steps of :func:`gru_forward` from the states ``f0 [m,h]`` as one
+    trace node: rows ``t*m`` to ``t*m+m`` of ``e [T*m, d]`` and of the states
+    ``[T*m, h]`` are step t's. Its backward runs back through time with three
+    products per step, then one product over all rows per weight and for e."""
+    n, m = (len(t.data) if t.data.ndim == 2 else 0 for t in (e, f0))
+    if not 0 < m <= n or n % m:
+        raise ShapeMismatch(f"gru_step: e {e.data.shape} is not whole steps of f0 {f0.data.shape}")
+    f, steps = f0.data, []
+    for t in range(0, n, m):
+        steps.append((f,) + gru_forward(p, e.data[t:t + m], f))
+        f = steps[-1][-1]
+    f, r, u, rf, c, states = map(np.concatenate, zip(*steps))  # f: each step's input
     weights = (p.w_re, p.w_rf, p.b_r, p.w_ue, p.w_uf, p.b_u, p.w_ce, p.w_cf, p.b_c)
-    f_t = Tensor(f_new, _parents=(e_t, f_prev) + weights)
+    out = Tensor(states, _parents=(e, f0) + weights)
 
     def bw(g):
-        # pre-activation gradients of the candidate, update and reset gates
-        g_c = g * u * (1.0 - c * c)
-        g_u = g * (c - f) * u * (1.0 - u)
-        g_rf = g_c @ p.w_cf.data.T
-        g_r = g_rf * f * r * (1.0 - r)
+        # pre-activation gradients of the reset, update and candidate gates
+        g_r, g_u, g_c = (np.empty_like(g) for _ in range(3))
+        g_f = None  # the gradient a step's state gets from the next step
+        for t in range(n - m, -1, -m):
+            s = slice(t, t + m)
+            g_t = g[s] if g_f is None else g[s] + g_f
+            g_c[s] = g_t * u[s] * (1.0 - c[s] * c[s])
+            g_u[s] = g_t * (c[s] - f[s]) * u[s] * (1.0 - u[s])
+            g_rf = g_c[s] @ p.w_cf.data.T
+            g_r[s] = g_rf * f[s] * r[s] * (1.0 - r[s])
+            g_f = (g_t * (1.0 - u[s]) + g_rf * r[s]
+                   + g_r[s] @ p.w_rf.data.T + g_u[s] @ p.w_uf.data.T)
         for pre, inp, w_e, w_f, b in ((g_r, f, p.w_re, p.w_rf, p.b_r),
                                       (g_u, f, p.w_ue, p.w_uf, p.b_u),
                                       (g_c, rf, p.w_ce, p.w_cf, p.b_c)):
-            w_e._accum(e.T @ pre)
+            w_e._accum(e.data.T @ pre)
             w_f._accum(inp.T @ pre)
             b._accum(pre.sum(axis=0))
-        e_t._accum(g_r @ p.w_re.data.T + g_u @ p.w_ue.data.T + g_c @ p.w_ce.data.T)
-        f_prev._accum(g * (1.0 - u) + g_rf * r
-                      + g_r @ p.w_rf.data.T + g_u @ p.w_uf.data.T)
+        e._accum(g_r @ p.w_re.data.T + g_u @ p.w_ue.data.T + g_c @ p.w_ce.data.T)
+        f0._accum(g_f)
 
-    f_t._backward = bw
-    return f_t
+    out._backward = bw
+    return out
 
 
 # ---------------------------------------------------------------------------

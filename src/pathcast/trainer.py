@@ -22,7 +22,7 @@ import numpy as np
 from . import numerics as nm
 from .labelgraph import LabelGraph
 from .model import LabelPathModel
-from .numerics import AdamState, Tensor, adam_step
+from .numerics import AdamState, NonFiniteValue, Tensor, adam_step
 from .pathalg import Paths, _certain_members, _split_paths
 
 
@@ -384,34 +384,39 @@ def build_batch(samples: Sequence[LabeledSample], cfg: TrainConfig,
 
 def train_epoch(model: LabelPathModel, dataset: Sequence[LabeledSample],
                 cfg: TrainConfig, state: TrainState) -> dict:
-    """One pass over the dataset; one Adam step per batch. Returns metrics."""
+    """One pass over the dataset; one Adam step per batch. Returns metrics.
+    A batch's NonFiniteValue is raised again naming its epoch and batch."""
     state.epoch += 1
     epoch = state.epoch
     loss_d_sum = loss_pg_sum = 0.0
     n_d = n_pg = 0
     reward_sum, reward_n = 0.0, 0
     for bi, idx in minibatches(len(dataset), cfg.batch_size, cfg.seed, epoch):
-        rng = _batch_rng(cfg.seed, epoch, bi)
-        batch = build_batch([dataset[j] for j in idx], cfg, state.book, rng)
+        try:
+            rng = _batch_rng(cfg.seed, epoch, bi)
+            batch = build_batch([dataset[j] for j in idx], cfg, state.book, rng)
 
-        parts: list[Tensor] = []
-        ld = deterministic_loss(model, batch, cfg, rng)
-        if ld is not None and cfg.alpha != 0.0:
-            parts.append(nm.scale(ld, cfg.alpha))
-            loss_d_sum += ld.item()
-            n_d += 1
-        lpg, rewards = (None, [])
-        if cfg.beta != 0.0:
-            lpg, rewards = policy_gradient_loss(model, batch, state.baseline, cfg, rng, state.book)
-        if lpg is not None:
-            parts.append(nm.scale(lpg, cfg.beta))
-            loss_pg_sum += lpg.item()
-            n_pg += 1
-        reward_sum += sum(rewards)
-        reward_n += len(rewards)
-        if parts:
-            descend(parts[0] if len(parts) == 1 else nm.add_n(parts), model.params,
-                    state.adam, state.schedule.scale)
+            parts: list[Tensor] = []
+            ld = deterministic_loss(model, batch, cfg, rng)
+            if ld is not None and cfg.alpha != 0.0:
+                parts.append(nm.scale(ld, cfg.alpha))
+                loss_d_sum += ld.item()
+                n_d += 1
+            lpg, rewards = (None, [])
+            if cfg.beta != 0.0:
+                lpg, rewards = policy_gradient_loss(model, batch, state.baseline, cfg, rng,
+                                                    state.book)
+            if lpg is not None:
+                parts.append(nm.scale(lpg, cfg.beta))
+                loss_pg_sum += lpg.item()
+                n_pg += 1
+            reward_sum += sum(rewards)
+            reward_n += len(rewards)
+            if parts:
+                descend(parts[0] if len(parts) == 1 else nm.add_n(parts), model.params,
+                        state.adam, state.schedule.scale)
+        except NonFiniteValue as exc:
+            raise NonFiniteValue(f"epoch {epoch}, batch {bi + 1}: {exc}") from None
 
     return {
         "epoch": epoch,

@@ -223,6 +223,31 @@ def composed_gru_step(p: nm.GruParams, e_t: Tensor, f_prev: Tensor) -> Tensor:
     return add(mul(sub(ones, u), f_prev), mul(u, c))
 
 
+def stack_rows(ts) -> Tensor:
+    """Matrices stacked row-wise, as one trace node."""
+    out = Tensor(np.vstack([t.data for t in ts]), _parents=tuple(ts))
+    ends = np.cumsum([t.data.shape[0] for t in ts])[:-1]
+
+    def bw(g):
+        for t, part in zip(ts, np.split(g, ends)):
+            t._accum(part)
+
+    out._backward = bw
+    return out
+
+
+def chained_gru_steps(p: nm.GruParams, e: Tensor, f0: Tensor) -> Tensor:
+    """Oracle of ``nm.gru_step`` over T steps: one one-step node per step,
+    fed its rows ``t*m`` to ``t*m+m`` of ``e``, and the states of every
+    step stacked in step order."""
+    m = f0.data.shape[0]
+    f, states = f0, []
+    for t in range(e.data.shape[0] // m):
+        f = nm.gru_step(p, nm.gather_rows(e, range(t * m, t * m + m)), f)
+        states.append(f)
+    return stack_rows(states)
+
+
 def gru_init(embed_dim: int, hidden: int, rng: np.random.Generator, prefix: str,
              out: dict) -> nm.GruParams:
     """GRU weights drawn as the path model draws its own, in the same order

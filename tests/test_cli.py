@@ -411,7 +411,21 @@ class TestNonFiniteTraining:
         out = tmp_path / "m.pck"
         assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err == "pathcast: error: adam step 1: parameter 'gru.b_r' is not finite\n"
+        assert err == ("pathcast: error: epoch 1, batch 1: adam step 1: parameter 'gru.b_r' "
+                       "is not finite\n")
+        assert not out.exists()
+
+    def test_an_overflowing_learning_rate_names_the_epoch_and_batch(self, workdir, tmp_path):
+        # the first step takes the weights to about 1e308, still finite; the
+        # next batch's forward pass overflows
+        _, cfg_path = workdir
+        cfg = tmp_path / "lr.json"
+        cfg.write_text(json.dumps({**json.loads(cfg_path.read_text()), "lr": 1e308}))
+        out = tmp_path / "m.pck"
+        proc = run_cli("train", "--config", str(cfg), "--out", str(out), expect=1)
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("pathcast:")]
+        assert errors == ["pathcast: error: epoch 1, batch 2: tensor values must be finite"]
+        assert "Traceback" not in proc.stderr
         assert not out.exists()
 
 

@@ -49,6 +49,24 @@ class TestSynthSpec:
             SynthSpec(n_fine_labels=4, n_coarse=2,
                       label_profiles=((0, 0, 0), (0, 0, 0)))
 
+    def test_a_profile_cycled_onto_two_labels_of_a_branch_is_rejected(self):
+        # labels 0 and 2 of each branch both get (0, 0, 0)
+        with pytest.raises(InconsistentSpec, match="appears twice"):
+            SynthSpec(n_fine_labels=8, n_coarse=2, noise_sigma=0.0,
+                      label_profiles=((0, 0, 0), (None, None, None)))
+
+    def test_cycled_wildcards_are_told_apart_by_their_flags(self):
+        spec = SynthSpec(n_fine_labels=8, n_coarse=2, noise_sigma=0.0, n_train_fine=200,
+                         label_profiles=((None, None, None),))
+        _, fine, _, _ = harness.synth_generate(spec)
+        # each label's branch one-hot and wildcard flags, the x no pick sets
+        ids = {}
+        for s in fine.samples:
+            x = np.asarray(s.x)
+            ids.setdefault(s.label, set()).add(tuple(x[:2]) + tuple(x[-spec.n_wild_slots:]))
+        assert len(ids) == 8 and all(len(i) == 1 for i in ids.values())
+        assert len(set().union(*ids.values())) == 8
+
     def test_from_dict_round_trip(self):
         spec = read_config(SynthSpec, {"n_fine_labels": 4, "n_coarse": 2,
                                        "group_sizes": [2, 2, 2],

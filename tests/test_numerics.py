@@ -443,6 +443,11 @@ class TestTensorInvariants:
         with pytest.raises(ValueError):
             Tensor([np.nan])
 
+    def test_non_finite_raises_the_named_error(self):
+        with pytest.raises(nm.NonFiniteValue, match="^tensor values must be finite$"):
+            Tensor([[0.0, -np.inf]])
+        assert issubclass(nm.NonFiniteValue, ValueError)
+
     def test_sigmoid_extreme_inputs_stay_finite(self):
         out = ref.sigmoid(Tensor([-1000.0, 0.0, 1000.0]))
         np.testing.assert_allclose(out.data, [0.0, 0.5, 1.0], atol=1e-12)

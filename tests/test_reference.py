@@ -46,6 +46,43 @@ def test_gru_step_matches_composition(seed):
         np.testing.assert_allclose(g_fused[name], want, rtol=0, atol=1e-12, err_msg=name)
 
 
+@pytest.mark.parametrize("T", [1, 2, 5])
+@pytest.mark.parametrize("m", [1, 7])
+def test_gru_step_over_steps_matches_the_chain_of_one_step_nodes(T, m):
+    rng = np.random.default_rng(10 * T + m)
+    d, hdim = 3, 4
+    raw = {}
+    ref.gru_init(d, hdim, rng, "g", raw)
+    arrays = {k.split(".")[1]: v.data + rng.normal(0, 0.1, v.data.shape)
+              for k, v in raw.items()}  # nonzero biases too
+    arrays.update(e=rng.normal(size=(T * m, d)), f0=rng.normal(size=(m, hdim)))
+    upstream = rng.normal(size=(T * m, hdim))
+
+    def run(unroll, a):
+        ts = nm.parameters(a)
+        out = unroll(nm.GruParams(*[ts[k] for k in GRU_FIELDS]), ts["e"], ts["f0"])
+        return out, ref.sum_all(ref.mul(out, nm.Tensor(upstream))), ts
+
+    out, loss, ts = run(gru_step, arrays)
+    chain, chain_loss, chain_ts = run(ref.chained_gru_steps, arrays)
+    assert out.shape == (T * m, hdim) and out.data.tobytes() == chain.data.tobytes()
+    backward(loss)
+    backward(chain_loss)
+    fd = ref.finite_difference(lambda a: run(gru_step, a)[1].item(), arrays)
+    for name in arrays:
+        np.testing.assert_allclose(ts[name].grad, chain_ts[name].grad, rtol=1e-12, atol=0,
+                                   err_msg=name)
+        assert ref.max_rel_err(ts[name].grad, fd[name]) < 1e-4, name
+
+
+@pytest.mark.parametrize("m, rows", [(2, 3), (7, 6), (7, 15), (7, 0), (0, 0)])
+def test_gru_step_rejects_rows_that_are_not_whole_steps(m, rows):
+    p = ref.gru_init(3, 4, np.random.default_rng(0), "g", {})
+    with pytest.raises(nm.ShapeMismatch, match=r"e \(%d, 3\) is not whole steps of f0 \(%d, 4\)"
+                       % (rows, m)):
+        gru_step(p, nm.Tensor(np.zeros((rows, 3))), nm.Tensor(np.zeros((m, 4))))
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_gru_forward_is_the_trace_node_value(seed):
     rng = np.random.default_rng(seed)
@@ -172,6 +209,20 @@ def test_plain_encoding_and_logits_are_the_traced_values(seed, monkeypatch):
         assert seen.pop().tobytes() == z.data.tobytes()
         assert f_plain.tobytes() == f_traced.data.tobytes()
         f = f_plain
+
+
+def test_decode_logits_over_steps_is_the_chain_of_one_step_calls():
+    rng = np.random.default_rng(3)
+    m = LabelPathModel(ref.figure2_subgraph(), input_dim=5, embed_dim=6, hidden=8, seed=3)
+    f0 = m.encode(rng.normal(size=(4, 5)))
+    tokens = rng.integers(0, m.vocab_size, size=(3, 4))
+    states, z = m.decode_logits(f0, tokens)
+    f = f0
+    for t, row in enumerate(tokens):
+        f, z_t = m.decode_logits(f, row)
+        assert f.data.tobytes() == states.data[4 * t:4 * t + 4].tobytes()
+        # one head product over all steps: BLAS may round it differently
+        np.testing.assert_allclose(z_t.data, z.data[4 * t:4 * t + 4], rtol=1e-14, atol=1e-15)
 
 
 # Batch sizes of the lockstep engine: none, one, and both sides of evaluate's

@@ -43,15 +43,17 @@ def make_model(graph, seed=0, input_dim=4):
 
 def record_decode_steps(m):
     """Wrap ``m.decode_logits``; returns the lists it fills with each decode
-    step's fed tokens (one per lane) and the logits that step produced."""
+    step's fed tokens (one per lane) and the logits that step produced. A
+    call fed ``[T, m]`` step-major tokens is recorded as its T steps."""
     fed: list[list[int]] = []
     logits: list[np.ndarray] = []
     decode = m.decode_logits
 
     def recording(f, tokens):
         f_t, z = decode(f, tokens)
-        fed.append(list(tokens))  # score_lanes reuses its list across steps
-        logits.append(z.data.copy())
+        steps = np.atleast_2d(tokens).tolist()
+        fed.extend(steps)
+        logits.extend(np.split(z.data.copy(), len(steps)))
         return f_t, z
 
     m.decode_logits = recording
