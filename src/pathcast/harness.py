@@ -136,6 +136,9 @@ class SynthSpec:
             raise InconsistentSpec("group sizes must be positive")
         if self.noise_sigma < 0:
             raise InconsistentSpec("noise_sigma must be non-negative")
+        for key in ("wild_scale", "branch_scale"):  # at 0, two labels would draw the same x
+            if getattr(self, key) <= 0:
+                raise InconsistentSpec(f"{key!r} must be positive, not {getattr(self, key)!r}")
         require_non_negative(self, "n_train_fine", "n_train_coarse", "n_test", "seed")
         if not self.label_profiles:
             raise InconsistentSpec("label_profiles must not be empty")
@@ -453,7 +456,7 @@ def label_set_targets(graph: LabelGraph, label_name: str) -> np.ndarray:
     nid = graph.id_of(label_name)
     _require_label(graph, nid)
     hot = np.zeros(len(graph.nodes))
-    hot[_path_counts(graph, nid)[0]] = 1.0
+    hot[list(_path_counts(graph, nid)[0])] = 1.0
     return hot
 
 

@@ -97,11 +97,13 @@ class LabelGraph:
     Instances are cheap read-only views: adjacency, the name index and the
     node-to-group map are precomputed once. Construct through
     :func:`build_graph` or :func:`deserialize`; direct construction skips
-    validation.
+    validation. ``_counted`` starts empty and holds, per target asked for,
+    the counted ancestor sub-DAG that ``pathalg._path_counts`` builds once,
+    so the memo lives and dies with its graph.
     """
 
     __slots__ = ("nodes", "edges", "groups", "root",
-                 "_children", "_parents", "_by_name", "_group_of")
+                 "_children", "_parents", "_by_name", "_group_of", "_counted")
 
     def __init__(self, nodes: Sequence[GraphNode], edges: Sequence[tuple[int, int]],
                  groups: Sequence[Group], root: int = 0):
@@ -124,6 +126,7 @@ class LabelGraph:
             for m in g.members:
                 group_of.setdefault(m, g)
         self._group_of = group_of
+        self._counted: dict[int, tuple] = {}
 
     # -- queries ------------------------------------------------------------
 

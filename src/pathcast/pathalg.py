@@ -4,26 +4,29 @@ and the certain-node set used by the policy-gradient reward.
 A groundtruth path is *nondeterministic* when some other groundtruth path for
 the same label carries a different member of the same competing group: the
 annotation alone cannot tell which branch the instance took. Everything here
-is a pure function over an immutable graph; results may be cached freely.
+is a pure function over an immutable graph.
 
 On DAGs with cross-links the number of paths grows exponentially with depth,
-so no function here builds them unless asked to. :func:`all_paths_to`
-returns a counted :class:`Paths` sequence: one backward path count over the
-target's ancestor sub-DAG, from which any path is unranked in time linear in
-its length times the out-degree, and iteration builds each path in turn.
-The split counts the paths that touch each competing group, so it is
-polynomial too; only :func:`enumerate_paths` and :func:`classify_paths`,
-the public forms that serve as oracles, build every path. The certain set,
-the nondeterministic groups and the union of all paths come from
-:func:`_path_counts`, which is linear in the size of the label's ancestor
-sub-DAG: it takes that sub-DAG with ``labelgraph._closure`` and orders it
-with ``labelgraph._topo_order``, the two graph walks of the package.
+so no function here builds them unless asked to. Every query starts from
+:func:`_path_counts`, the target's counted ancestor sub-DAG: taken with
+``labelgraph._closure``, ordered with ``labelgraph._topo_order`` (the two
+graph walks of the package) and counted forward from the root and backward
+to the target, once per graph and target, then kept on the graph. The
+certain set, the nondeterministic groups and the union of all paths read
+those counts. :func:`all_paths_to` returns a counted :class:`Paths`
+sequence: the backward count, or one more backward pass over the memo's
+order minus the avoided nodes, from which any path is unranked in time
+linear in its length times the out-degree, and iteration builds each path
+in turn. The split counts the paths that touch each competing group, so it
+is polynomial too; only :func:`enumerate_paths` and :func:`classify_paths`,
+the public forms that serve as oracles, build every path.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .labelgraph import LabelGraph, NodeKind, _closure, _topo_order
 
@@ -72,8 +75,8 @@ class Paths:
     limit.
     """
 
-    def __init__(self, graph: LabelGraph, target: int, counts: dict[int, int],
-                 through: frozenset[int] = frozenset(), around: dict[int, int] | None = None):
+    def __init__(self, graph: LabelGraph, target: int, counts: Mapping[int, int],
+                 through: frozenset[int] = frozenset(), around: Mapping[int, int] | None = None):
         self.graph, self.target = graph, target
         self._counts, self._through, self._around = counts, through, around or {}
         self._built: dict[int, tuple[int, ...]] = {}
@@ -148,12 +151,18 @@ class Paths:
         return tuple(path)
 
 
-def _counts_to(graph: LabelGraph, target: int, order: list[int]) -> dict[int, int]:
+def _counts_to(graph: LabelGraph, target: int, order: Sequence[int]) -> dict[int, int]:
     """Paths from each node of ``order``, a topological order, to ``target``
     over the edges among those nodes; nodes with none are left out."""
     counts: dict[int, int] = {}
+    get, children = counts.get, graph.children
     for v in reversed(order):
-        n = 1 if v == target else sum(counts.get(c, 0) for c in graph.children(v))
+        if v == target:
+            counts[v] = 1
+            continue
+        n = 0
+        for c in children(v):
+            n += get(c, 0)
         if n:
             counts[v] = n
     return counts
@@ -162,14 +171,18 @@ def _counts_to(graph: LabelGraph, target: int, order: list[int]) -> dict[int, in
 def all_paths_to(graph: LabelGraph, target: int, avoid: frozenset[int] = frozenset()) -> Paths:
     """Simple root-to-target paths that meet no node of ``avoid``, counted.
 
-    One backward count over the target's ancestor sub-DAG minus ``avoid``;
-    no path is built until the result is indexed or iterated. Works for any
-    target node; the public :func:`enumerate_paths` restricts it to label
-    nodes. Raises CycleDetected when the target's ancestors contain a cycle,
-    which only an unvalidated graph can have.
+    The backward count of :func:`_path_counts`, or, with ``avoid``, one
+    backward count over its order minus ``avoid`` (still a topological
+    order); no path is built until the result is indexed or iterated. Works
+    for any target node; the public :func:`enumerate_paths` restricts it to
+    label nodes. Raises CycleDetected when the target's ancestors contain a
+    cycle, which only an unvalidated graph can have, even one inside
+    ``avoid``.
     """
-    up = _closure(graph, target, up=True) - avoid
-    return Paths(graph, target, _counts_to(graph, target, _topo_order(graph, up)))
+    order, _, bwd = _path_counts(graph, target)
+    if not avoid:
+        return Paths(graph, target, bwd)
+    return Paths(graph, target, _counts_to(graph, target, [v for v in order if v not in avoid]))
 
 
 def enumerate_paths(graph: LabelGraph, label: int) -> list[tuple[int, ...]]:
@@ -187,25 +200,29 @@ def are_competing(graph: LabelGraph, u: int, w: int) -> bool:
 
 
 def _path_counts(graph: LabelGraph, target: int
-                 ) -> tuple[list[int], dict[int, int], dict[int, int]]:
+                 ) -> tuple[tuple[int, ...], Mapping[int, int], Mapping[int, int]]:
     """Nodes on some root-to-target path, in topological order, with the
     number of paths from the root to each (``fwd``) and from each to the
     target (``bwd``); ``fwd[v] * bwd[v]`` paths pass through v.
 
     The nodes are the target's ancestors that the root reaches, plus the
-    target; the counts are exact ints. Empty when the root cannot reach the
-    target. Raises CycleDetected when the target's ancestors contain a
-    cycle, which only an unvalidated graph can have.
+    target; the counts are exact ints, in read-only mappings. Empty when the
+    root cannot reach the target. Built on the first call for a target and
+    kept on the graph, so each label's ancestors are walked once per graph.
+    Raises CycleDetected when the target's ancestors contain a cycle, which
+    only an unvalidated graph can have, whether or not the root reaches it.
     """
+    counted = graph._counted.get(target)
+    if counted is not None:
+        return counted
     root = graph.root
-    up = _closure(graph, target, up=True)
-    if root not in up:
-        return [], {}, {}
     fwd: dict[int, int] = {}
-    for v in _topo_order(graph, up):
+    for v in _topo_order(graph, _closure(graph, target, up=True)):
         fwd[v] = 1 if v == root else sum(fwd[p] for p in graph.parents(v))
-    order = [v for v in fwd if fwd[v]]  # drops ancestors the root cannot reach
-    return order, fwd, _counts_to(graph, target, order)
+    order = tuple(v for v in fwd if fwd[v])  # drops ancestors the root cannot reach
+    counted = order, MappingProxyType(fwd), MappingProxyType(_counts_to(graph, target, order))
+    graph._counted[target] = counted
+    return counted
 
 
 def _competing_groups(graph: LabelGraph, nodes) -> dict[str, set[int]]:

@@ -12,6 +12,7 @@ nondeterministic paths are collected into the policy-gradient index set.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, fields, is_dataclass
@@ -393,28 +394,30 @@ def train_epoch(model: LabelPathModel, dataset: Sequence[LabeledSample],
     reward_sum, reward_n = 0.0, 0
     for bi, idx in minibatches(len(dataset), cfg.batch_size, cfg.seed, epoch):
         try:
-            rng = _batch_rng(cfg.seed, epoch, bi)
-            batch = build_batch([dataset[j] for j in idx], cfg, state.book, rng)
+            # an overflow is left to the Tensor finiteness check, which raises
+            with np.errstate(over="ignore", invalid="ignore"):
+                rng = _batch_rng(cfg.seed, epoch, bi)
+                batch = build_batch([dataset[j] for j in idx], cfg, state.book, rng)
 
-            parts: list[Tensor] = []
-            ld = deterministic_loss(model, batch, cfg, rng)
-            if ld is not None and cfg.alpha != 0.0:
-                parts.append(nm.scale(ld, cfg.alpha))
-                loss_d_sum += ld.item()
-                n_d += 1
-            lpg, rewards = (None, [])
-            if cfg.beta != 0.0:
-                lpg, rewards = policy_gradient_loss(model, batch, state.baseline, cfg, rng,
-                                                    state.book)
-            if lpg is not None:
-                parts.append(nm.scale(lpg, cfg.beta))
-                loss_pg_sum += lpg.item()
-                n_pg += 1
-            reward_sum += sum(rewards)
-            reward_n += len(rewards)
-            if parts:
-                descend(parts[0] if len(parts) == 1 else nm.add_n(parts), model.params,
-                        state.adam, state.schedule.scale)
+                parts: list[Tensor] = []
+                ld = deterministic_loss(model, batch, cfg, rng)
+                if ld is not None and cfg.alpha != 0.0:
+                    parts.append(nm.scale(ld, cfg.alpha))
+                    loss_d_sum += ld.item()
+                    n_d += 1
+                lpg, rewards = (None, [])
+                if cfg.beta != 0.0:
+                    lpg, rewards = policy_gradient_loss(model, batch, state.baseline, cfg, rng,
+                                                        state.book)
+                if lpg is not None:
+                    parts.append(nm.scale(lpg, cfg.beta))
+                    loss_pg_sum += lpg.item()
+                    n_pg += 1
+                reward_sum += sum(rewards)
+                reward_n += len(rewards)
+                if parts:
+                    descend(parts[0] if len(parts) == 1 else nm.add_n(parts), model.params,
+                            state.adam, state.schedule.scale)
         except NonFiniteValue as exc:
             raise NonFiniteValue(f"epoch {epoch}, batch {bi + 1}: {exc}") from None
 
@@ -432,7 +435,8 @@ def train_epoch(model: LabelPathModel, dataset: Sequence[LabeledSample],
 def train(model: LabelPathModel, train_set: Sequence[LabeledSample],
           cfg: TrainConfig, dev_set: Sequence[LabeledSample] | None = None,
           metrics_path: str | None = None) -> list[dict]:
-    """Full training run; appends one JSON line of metrics per epoch."""
+    """Full training run; appends one JSON line of metrics per epoch. A run
+    that raises removes the metrics file it opened."""
     from .evaldecode import EmptyDataset, evaluate  # local import, avoids a module cycle
 
     if dev_set is not None and not dev_set:
@@ -447,7 +451,11 @@ def train(model: LabelPathModel, train_set: Sequence[LabeledSample],
             rec = train_epoch(model, train_set, cfg, state)
             dev_acc = None
             if dev_set:
-                dev_acc = evaluate(model, dev_set, cfg.max_len).accuracy
+                try:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        dev_acc = evaluate(model, dev_set, cfg.max_len).accuracy
+                except NonFiniteValue as exc:
+                    raise NonFiniteValue(f"epoch {state.epoch}, dev evaluation: {exc}") from None
             rec["dev_accuracy"] = dev_acc
             schedule_update(state.schedule, state.epoch, dev_acc)
             rec["next_lr"] = cfg.lr * state.schedule.scale
@@ -455,7 +463,11 @@ def train(model: LabelPathModel, train_set: Sequence[LabeledSample],
             if sink:
                 sink.write(json.dumps(rec, sort_keys=True) + "\n")
                 sink.flush()
-    finally:
+    except BaseException:
         if sink:
             sink.close()
+            os.remove(metrics_path)
+        raise
+    if sink:
+        sink.close()
     return records

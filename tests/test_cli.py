@@ -159,6 +159,8 @@ class TestSynthAndFuse:
                 ('{"noise_sigma": true}', "'noise_sigma' must be a float, not True"),
                 ('{"noise_sigma": NaN}', "'noise_sigma' must be a finite number, not nan"),
                 ('{"wild_scale": -Infinity}', "'wild_scale' must be a finite number, not -inf"),
+                ('{"wild_scale": 0.0}', "'wild_scale' must be positive, not 0.0"),
+                ('{"branch_scale": -1.0}', "'branch_scale' must be positive, not -1.0"),
                 ('{"group_sizes": [3, 1.5]}', "'group_sizes' must be an int, not 1.5"),
                 ('{"label_profiles": [[0, 0, 0.5]]}', "'label_profiles' must be an int, not 0.5"),
                 ('{"n_coarse": 5}', "n_fine_labels must divide evenly"),
@@ -414,6 +416,7 @@ class TestNonFiniteTraining:
         assert err == ("pathcast: error: epoch 1, batch 1: adam step 1: parameter 'gru.b_r' "
                        "is not finite\n")
         assert not out.exists()
+        assert not (tmp_path / "m.pck.metrics.jsonl").exists()
 
     def test_an_overflowing_learning_rate_names_the_epoch_and_batch(self, workdir, tmp_path):
         # the first step takes the weights to about 1e308, still finite; the
@@ -423,10 +426,25 @@ class TestNonFiniteTraining:
         cfg.write_text(json.dumps({**json.loads(cfg_path.read_text()), "lr": 1e308}))
         out = tmp_path / "m.pck"
         proc = run_cli("train", "--config", str(cfg), "--out", str(out), expect=1)
-        errors = [line for line in proc.stderr.splitlines() if line.startswith("pathcast:")]
-        assert errors == ["pathcast: error: epoch 1, batch 2: tensor values must be finite"]
-        assert "Traceback" not in proc.stderr
+        # the overflow warns nothing: the one line is all of stderr
+        assert proc.stderr == "pathcast: error: epoch 1, batch 2: tensor values must be finite\n"
         assert not out.exists()
+        assert not (tmp_path / "m.pck.metrics.jsonl").exists()
+
+    def test_an_overflow_first_met_by_the_dev_evaluation_names_the_epoch(self, workdir,
+                                                                         tmp_path):
+        # one batch per epoch: the step to about 1e308 is the epoch's last,
+        # so the dev evaluation runs the first overflowing forward pass
+        _, cfg_path = workdir
+        cfg = tmp_path / "lr.json"
+        cfg.write_text(json.dumps({**json.loads(cfg_path.read_text()), "lr": 1e308,
+                                   "batch_size": 256}))
+        out = tmp_path / "m.pck"
+        proc = run_cli("train", "--config", str(cfg), "--out", str(out), expect=1)
+        assert proc.stderr == ("pathcast: error: epoch 1, dev evaluation: "
+                               "tensor values must be finite\n")
+        assert not out.exists()
+        assert not (tmp_path / "m.pck.metrics.jsonl").exists()
 
 
 class TestEvalAudit:

@@ -93,6 +93,18 @@ class TestSynthSpec:
         with pytest.raises(ValueError, match=message):
             read_config(SynthSpec, raw, "spec", required=False, closed=True)
 
+    @pytest.mark.parametrize("raw, message", [
+        ({"noise_sigma": -1.0}, "noise_sigma must be non-negative"),
+        ({"n_test": -3}, "'n_test' must be a non-negative int, not -3"),
+        ({"wild_scale": 0.0}, "'wild_scale' must be positive, not 0.0"),
+        ({"wild_scale": -2.0}, "'wild_scale' must be positive, not -2.0"),
+        ({"branch_scale": 0.0}, "'branch_scale' must be positive, not 0.0"),
+        ({"branch_scale": -1e-9}, "'branch_scale' must be positive, not -1e-09"),
+    ])
+    def test_out_of_range_values_are_rejected(self, raw, message):
+        with pytest.raises(ValueError, match=message):
+            read_config(SynthSpec, raw, "spec", required=False, closed=True)
+
 
 class TestSynthGenerate:
     def test_graph_is_valid_and_sized(self):

@@ -6,12 +6,14 @@ import time
 import numpy as np
 import pytest
 
+from pathcast import pathalg
 from pathcast.evaldecode import nondeterministic_groups
 from pathcast.harness import label_set_targets
 from pathcast.labelgraph import (CycleDetected, GraphNode, LabelGraph, NodeKind,
                                  build_graph)
-from pathcast.pathalg import (NotALabelNode, are_competing, certain_nodes,
+from pathcast.pathalg import (NotALabelNode, all_paths_to, are_competing, certain_nodes,
                               classify_paths, enumerate_paths)
+from pathcast.trainer import PathBook
 
 from reference import (figure2_subgraph, layered_dag, oracle_all_paths, oracle_classify,
                        random_dag)
@@ -243,3 +245,114 @@ class TestCertainNodes:
                 members = certain_nodes(g, label).members
                 for p in enumerate_paths(g, label):
                     assert members <= set(p) | {label}
+
+
+def copy_of(g):
+    """The same graph built again from its parts, with an empty memo."""
+    return LabelGraph(g.nodes, g.edges, g.groups, g.root)
+
+
+def answers(g, label):
+    """Every path query of one label, as plain values."""
+    det, nd = PathBook(g).split(label)
+    groups = nondeterministic_groups(g, label)
+    return (list(det), list(nd), certain_nodes(g, label).members, groups,
+            label_set_targets(g, g.node(label).name).tolist(),
+            {name: list(all_paths_to(g, label, frozenset(m))) for name, m in groups.items()})
+
+
+class TestCountedSubDag:
+    def count_walks(self, monkeypatch):
+        walks = {"closure_up": 0, "topo_order": 0}
+        closure, topo_order = pathalg._closure, pathalg._topo_order
+
+        def counted_closure(graph, start, up=False):
+            walks["closure_up"] += up
+            return closure(graph, start, up)
+
+        def counted_topo_order(graph, nodes=None):
+            walks["topo_order"] += 1
+            return topo_order(graph, nodes)
+
+        monkeypatch.setattr(pathalg, "_closure", counted_closure)
+        monkeypatch.setattr(pathalg, "_topo_order", counted_topo_order)
+        return walks
+
+    @pytest.mark.parametrize("singleton", [False, True])
+    def test_each_label_is_walked_once_per_graph(self, monkeypatch, singleton):
+        g = layered_dag(8, singleton=singleton)
+        x = g.id_of("x")
+        walks = self.count_walks(monkeypatch)
+        for _ in range(2):  # a fresh PathBook per pass, as the benchmark's taxonomy phase
+            book = PathBook(g)
+            det, nd = book.split(x)
+            certain = book.reward_members(x, "certain")
+            groups = nondeterministic_groups(g, x)
+        assert walks == {"closure_up": 1, "topo_order": 1}
+        assert (len(det), len(nd)) == ((256, 0) if singleton else (0, 256))
+        assert certain == frozenset({g.root, x})
+        assert len(groups) == (0 if singleton else 8)
+
+    def test_a_graph_built_from_the_same_parts_starts_with_an_empty_memo(self, monkeypatch):
+        g = layered_dag(4)
+        x = g.id_of("x")
+        certain_nodes(g, x)
+        assert set(g._counted) == {x}
+        walks = self.count_walks(monkeypatch)
+        again = copy_of(g)
+        assert again._counted == {}
+        assert certain_nodes(again, x) == certain_nodes(g, x)
+        assert walks == {"closure_up": 1, "topo_order": 1}
+
+    def test_memoised_and_fresh_results_agree_with_the_oracles(self):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            g = random_dag(rng)
+            for label in g.label_ids():
+                first, memoised = answers(g, label), answers(g, label)
+                assert first == memoised == answers(copy_of(g), label)
+                det, nd = oracle_classify(g, label)
+                assert (sorted(first[0]), sorted(first[1])) == (det, nd)
+                paths = oracle_all_paths(g, label)
+                assert first[2] == frozenset(set(paths[0]).intersection(*paths[1:]) | {label})
+
+    def test_mutating_a_result_cannot_change_a_later_one(self):
+        g = figure2_subgraph()
+        label = g.id_of("british-shorthair")
+        want = answers(copy_of(g), label)
+        det, nd, certain, groups, hot, avoiding = answers(g, label)
+        det.clear()
+        nd.append((0,))
+        for members in groups.values():
+            members.add(label)
+        hot[0] = 7.0
+        avoiding.clear()
+        order, fwd, bwd = pathalg._path_counts(g, label)
+        assert isinstance(order, tuple)
+        with pytest.raises(TypeError):
+            fwd[label] = 0
+        with pytest.raises(TypeError):
+            bwd[g.root] = 0
+        assert answers(g, label) == want
+
+    def test_cycles_among_the_ancestors_are_still_rejected(self):
+        g = cyclic_graph()
+        for _ in range(2):  # a failed count is not kept
+            for fn in (lambda: all_paths_to(g, 3), lambda: PathBook(g).split(3),
+                       lambda: certain_nodes(g, 3)):
+                with pytest.raises(CycleDetected):
+                    fn()
+        assert 3 not in g._counted
+        # the cycle a <-> b is rejected even when every path must avoid it
+        with pytest.raises(CycleDetected):
+            all_paths_to(g, 3, frozenset({1, 2}))
+
+    def test_a_cycle_above_a_label_the_root_cannot_reach_is_rejected(self):
+        kinds = [NodeKind.ROOT, NodeKind.AUGMENTED, NodeKind.AUGMENTED, NodeKind.LABEL]
+        nodes = [GraphNode(i, n, k, frozenset({"d"}) if k is NodeKind.LABEL else frozenset())
+                 for i, (n, k) in enumerate(zip(["root", "c", "d", "z"], kinds))]
+        g = LabelGraph(nodes, [(1, 2), (2, 1), (2, 3)], [])
+        for fn in (lambda: all_paths_to(g, 3), lambda: certain_nodes(g, 3),
+                   lambda: nondeterministic_groups(g, 3)):
+            with pytest.raises(CycleDetected):
+                fn()
