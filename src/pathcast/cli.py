@@ -11,7 +11,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 from . import evaldecode, harness, labelgraph
-from .model import load_model, read_sidecar, save_model
+from .model import Walk, load_model, read_sidecar, save_model
 from .trainer import PATH_AGGS, TrainConfig, read_config, typed_value
 
 
@@ -137,22 +137,27 @@ def cmd_eval(args) -> int:
     model = load_model(args.ckpt)
     graph = model.graph
     ds = harness.load_dataset(args.data, width=model.input_dim)
+    if not ds.samples:
+        raise evaldecode.EmptyDataset(f"dataset {args.data!r} has no samples")
     samples = harness.resolve_samples(ds, graph)
-    decoded: list[evaldecode.DecodedResult] = []
+    decoded: list[Walk] = []
     report = evaldecode.evaluate(model, samples, args.max_len, decoded)
     if args.audit:
         triples = [(s.x, t.label, s.attrs) for s, t in zip(ds.samples, samples)]
-        report.path_correctness = evaldecode.audit_nondeterministic(
-            model, triples, args.max_len, decoded)
+        try:
+            report.path_correctness = evaldecode.audit_nondeterministic(
+                model, triples, args.max_len, decoded)
+        except evaldecode.NoAuditableSamples as exc:
+            raise evaldecode.NoAuditableSamples(f"{args.data}: {exc}") from None
     if args.dump_paths:
         with open(args.dump_paths, "w", encoding="utf-8") as f:
-            for i, (s, r) in enumerate(zip(ds.samples, decoded)):
+            for i, (s, w) in enumerate(zip(ds.samples, decoded)):
+                pred = evaldecode.extract_label(graph, w.tokens)
                 f.write(json.dumps({
                     "input_id": i,
-                    "path": [graph.node(t).name for t in r.path],
-                    "terminated_by": r.terminated_by,
-                    "pred": graph.node(r.predicted_label).name
-                            if r.predicted_label is not None else None,
+                    "path": [graph.node(t).name for t in w.tokens],
+                    "terminated_by": w.terminated_by,
+                    "pred": graph.node(pred).name if pred is not None else None,
                     "gold": s.label,
                 }, sort_keys=True) + "\n")
     print(report.to_json())

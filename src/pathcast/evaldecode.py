@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .labelgraph import LabelGraph, NodeKind
-from .model import LabelPathModel, greedy_pick
+from .model import LabelPathModel, Walk, greedy_pick
 from .pathalg import _competing_groups, _path_counts
 
 
@@ -25,16 +25,6 @@ class EmptyDataset(ValueError):
 
 class NoAuditableSamples(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class DecodedResult:
-    """One greedy decode: visited graph nodes, stop reason, per-step probs."""
-
-    path: tuple[int, ...]
-    terminated_by: str  # "eop" | "max_len"
-    predicted_label: int | None
-    step_probs: tuple[float, ...]
 
 
 @dataclass
@@ -54,22 +44,15 @@ class MetricsReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def decode_rows(model: LabelPathModel, x: np.ndarray, max_len: int) -> list[DecodedResult]:
+def decode_rows(model: LabelPathModel, x: np.ndarray, max_len: int) -> list[Walk]:
     """Walk the graph from START for every row of ``x [m, d]`` in lockstep,
-    taking the most probable candidate each step.
-
-    The choice is the global maximum across the candidate blocks, ties going
-    to the lowest token id; a row stops at EOP or after ``max_len`` steps. A
-    walk that ends at a dead-end augmented node is scored like a truncation.
-    """
-    return [DecodedResult(path=w.tokens,
-                          terminated_by="eop" if w.ended_with_eop else "max_len",
-                          predicted_label=extract_label(model.graph, w.tokens),
-                          step_probs=w.step_probs)
-            for w in model.walk(model.encode_values(x), max_len, greedy_pick)]
+    taking the most probable candidate each step: the global maximum across
+    the candidate blocks, ties going to the lowest token id. A row stops at
+    EOP, after ``max_len`` steps, or at a dead end (see :class:`Walk`)."""
+    return model.walk(model.encode_values(x), max_len, greedy_pick)
 
 
-def greedy_decode(model: LabelPathModel, x: np.ndarray, max_len: int) -> DecodedResult:
+def greedy_decode(model: LabelPathModel, x: np.ndarray, max_len: int) -> Walk:
     """:func:`decode_rows` of one input ``x [d]``."""
     return decode_rows(model, np.reshape(x, (1, -1)), max_len)[0]
 
@@ -120,26 +103,26 @@ def classification_report(gold_names: Sequence[str],
 
 
 def evaluate(model: LabelPathModel, dataset: Sequence, max_len: int,
-             decoded: list[DecodedResult] | None = None) -> MetricsReport:
+             decoded: list[Walk] | None = None) -> MetricsReport:
     """:func:`classification_report` of greedily decoded labels over a dataset,
     decoded in lockstep blocks of ``DECODE_ROWS`` rows.
 
     ``dataset`` yields (x, label_id) pairs. A decode without any label node
     counts as incorrect. ``decoded`` (when given) collects each sample's
-    :class:`DecodedResult`, in dataset order.
+    :class:`Walk`, in dataset order.
     """
     graph = model.graph
     pairs = list(dataset)
     gold, pred = [], []
     for i in range(0, len(pairs), DECODE_ROWS):
         block = pairs[i:i + DECODE_ROWS]
-        for (_, label), result in zip(block, decode_rows(model, np.stack([x for x, _ in block]),
-                                                         max_len)):
+        for (_, label), w in zip(block, decode_rows(model, np.stack([x for x, _ in block]),
+                                                    max_len)):
             if decoded is not None:
-                decoded.append(result)
+                decoded.append(w)
             gold.append(graph.node(label).name)
-            pred.append(graph.node(result.predicted_label).name
-                        if result.predicted_label is not None else None)
+            got = extract_label(graph, w.tokens)
+            pred.append(graph.node(got).name if got is not None else None)
     return classification_report(gold, pred)
 
 
@@ -155,7 +138,7 @@ def nondeterministic_groups(graph: LabelGraph, label: int) -> dict[str, set[int]
 
 
 def audit_nondeterministic(model: LabelPathModel, dataset: Sequence, max_len: int,
-                           decoded: Sequence[DecodedResult] | None = None) -> float:
+                           decoded: Sequence[Walk] | None = None) -> float:
     """Fraction of decoded nondeterministic attribute choices that match the
     instance's true attribute.
 
@@ -176,8 +159,8 @@ def audit_nondeterministic(model: LabelPathModel, dataset: Sequence, max_len: in
         nd_groups = nd_cache[gold]
         if not nd_groups:
             continue
-        result = decoded[i] if decoded is not None else greedy_decode(model, x, max_len)
-        for node in result.path:
+        w = decoded[i] if decoded is not None else greedy_decode(model, x, max_len)
+        for node in w.tokens:
             g = graph.group_of(node)
             if g is None or g.name not in nd_groups:
                 continue

@@ -34,12 +34,15 @@ class NoCandidates(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SampledPath:
-    """One free-running walk: visited graph nodes plus the chosen-step probs."""
+class Walk:
+    """One free-running walk: the visited graph nodes, the probability of
+    each step's choice, and why it stopped: ``"eop"`` (it picked EOP),
+    ``"max_len"`` (``max_len`` steps without EOP) or ``"dead_end"`` (a node
+    with no candidates, reached in fewer steps)."""
 
     tokens: tuple[int, ...]
     step_probs: tuple[float, ...]
-    ended_with_eop: bool
+    terminated_by: str
 
 
 class LabelPathModel:
@@ -243,14 +246,14 @@ class LabelPathModel:
 
     def walk(self, f: np.ndarray, max_len: int,
              pick: Callable[[np.ndarray, nm.Blocks], tuple[np.ndarray, np.ndarray]]
-             ) -> list[SampledPath]:
+             ) -> list[Walk]:
         """Free-run the decoder from START for every row of the states
         ``f [m, h]`` in lockstep: one :meth:`step` over the rows still
         walking, whose probabilities and candidate layout ``pick`` turns into
         each such row's token and its probability. A row stops at EOP, after
         ``max_len`` steps, or at a dead-end augmented node (possible on
         subgraphs; its walk truncates there, with no step from it). Returns
-        one walk per row, in row order.
+        one :class:`Walk` per row, in row order.
         """
         if max_len < 2:
             raise ValueError("max_len must be at least 2")
@@ -274,12 +277,13 @@ class LabelPathModel:
                 ended[stop] = tok[~going] == self.eop_token
                 rows, tok, f = rows[going], tok[going], f[going]
             prev = tok
-        return [SampledPath(tuple(tk[:n - e]), tuple(pr[:n]), ended_with_eop=e)
+        return [Walk(tuple(tk[:n - e]), tuple(pr[:n]),
+                     "eop" if e else "max_len" if n == max_len else "dead_end")
                 for tk, pr, n, e in zip(toks.T.tolist(), probs.T.tolist(), steps.tolist(),
                                         ended.tolist())]
 
     def sample_path(self, x: np.ndarray, rng: np.random.Generator,
-                    max_len: int) -> list[SampledPath]:
+                    max_len: int) -> list[Walk]:
         """Ancestral samples from the decoder, one per row of ``x [m, d]``,
         free-running from START in lockstep.
 
@@ -322,11 +326,11 @@ class LabelPathModel:
         tok = np.where(mass == top[row], b.cols[drawn], self.vocab_size)
         return np.minimum.reduceat(tok, first), top
 
-    def sampled_path_log_prob(self, x: np.ndarray, sampled: Sequence[SampledPath]) -> Tensor:
+    def sampled_path_log_prob(self, x: np.ndarray, sampled: Sequence[Walk]) -> Tensor:
         """Differentiable re-scoring of sampled trajectories (same choices):
-        rows ``x[m, d]`` with m paths give their ``[m]`` totals from one
+        rows ``x[m, d]`` with m walks give their ``[m]`` totals from one
         teacher-forced ``score_lanes`` pass over one ``encode``."""
-        lanes = [list(s.tokens) + ([self.eop_token] if s.ended_with_eop else [])
+        lanes = [list(s.tokens) + ([self.eop_token] if s.terminated_by == "eop" else [])
                  for s in sampled]
         return self.score_lanes(self.encode(x), lanes, teacher=True)
 
@@ -423,11 +427,12 @@ def load_model(path: str, graph: LabelGraph | None = None) -> LabelPathModel:
     weights = nm.load_params(path)
     unexpected = sorted(set(weights) - set(model.params))
     if unexpected:
-        raise ValueError(f"checkpoint has unexpected parameter {unexpected[0]!r}")
+        raise ValueError(f"{path}: unexpected parameter {unexpected[0]!r}")
     for name, tensor in model.params.items():
         if name not in weights:
-            raise ValueError(f"checkpoint missing parameter {name!r}")
+            raise ValueError(f"{path}: missing parameter {name!r}")
         if weights[name].shape != tensor.data.shape:
-            raise ValueError(f"checkpoint shape mismatch for {name!r}")
+            raise ValueError(f"{path}: parameter {name!r} has shape "
+                             f"{list(weights[name].shape)}, not {list(tensor.data.shape)}")
         tensor.data[...] = weights[name]
     return model

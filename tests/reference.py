@@ -15,7 +15,7 @@ import numpy as np
 
 from pathcast import numerics as nm
 from pathcast.labelgraph import LabelGraph, build_graph
-from pathcast.model import InvalidPath, NoCandidates, SampledPath
+from pathcast.model import InvalidPath, NoCandidates, Walk
 from pathcast.numerics import Tensor
 
 # ---------------------------------------------------------------------------
@@ -421,28 +421,27 @@ def step_major_walk(model, xs: np.ndarray, max_len: int, choose) -> list:
     f = [model.encode_values(x) for x in xs]
     prev = [model.start_token] * len(xs)
     tokens, probs = [[] for _ in xs], [[] for _ in xs]
-    ended = [None] * len(xs)  # True at EOP, False at a dead end, None while walking
+    stop = [None] * len(xs)  # each row's stop reason, None while walking
     for _ in range(max_len):
         for i in range(len(xs)):
-            if ended[i] is not None:
+            if stop[i] is not None:
                 continue
             try:
                 dist, f[i] = step(model, f[i], prev[i])
             except NoCandidates:
-                ended[i] = False
+                stop[i] = "dead_end"
                 continue
             tok, p = choose(dist)
             probs[i].append(p)
             if tok == model.eop_token:
-                ended[i] = True
+                stop[i] = "eop"
             else:
                 tokens[i].append(tok)
                 prev[i] = tok
-    return [SampledPath(tuple(t), tuple(p), ended_with_eop=bool(e))
-            for t, p, e in zip(tokens, probs, ended)]
+    return [Walk(tuple(t), tuple(p), s or "max_len") for t, p, s in zip(tokens, probs, stop)]
 
 
-def traced_walk(model, x: np.ndarray, max_len: int, choose) -> SampledPath:
+def traced_walk(model, x: np.ndarray, max_len: int, choose) -> Walk:
     """The walk built from Tensors: ``encode``, then ``decode_logits`` and
     :func:`distribution` per step. The one-row oracle of ``model.walk`` on
     plain arrays, with the same stops: EOP, ``max_len`` steps, or a dead end."""
@@ -456,14 +455,14 @@ def traced_walk(model, x: np.ndarray, max_len: int, choose) -> SampledPath:
         try:
             dist = distribution(model, z.data[0], prev)
         except NoCandidates:
-            break
+            return Walk(tuple(tokens), tuple(probs), "dead_end")
         tok, p = choose(dist)
         probs.append(p)
         if tok == model.eop_token:
-            return SampledPath(tuple(tokens), tuple(probs), ended_with_eop=True)
+            return Walk(tuple(tokens), tuple(probs), "eop")
         tokens.append(tok)
         prev = tok
-    return SampledPath(tuple(tokens), tuple(probs), ended_with_eop=False)
+    return Walk(tuple(tokens), tuple(probs), "max_len")
 
 
 # ---------------------------------------------------------------------------

@@ -398,6 +398,16 @@ class TestDatasetChecks:
         assert proc.stderr == f"pathcast: error: {bad}: row 2: label 'zebra' not in graph\n"
         assert not out.exists()
 
+    def test_an_empty_file_is_rejected_by_eval(self, checkpoint, tmp_path):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        dump = tmp_path / "paths.jsonl"
+        proc = run_cli("eval", "--ckpt", str(checkpoint), "--data", str(empty),
+                       "--dump-paths", str(dump), expect=1)
+        assert proc.stderr == f"pathcast: error: dataset {str(empty)!r} has no samples\n"
+        assert proc.stdout == ""
+        assert not dump.exists()
+
 
 class TestNonFiniteTraining:
     def test_a_non_finite_adam_step_is_one_error_line(self, workdir, tmp_path, monkeypatch,
@@ -474,6 +484,16 @@ class TestEvalAudit:
         assert (f"pathcast: error: {bad}:2: 'attrs' must map group names to member names"
                 in proc.stderr)
         assert "Traceback" not in proc.stderr
+
+    def test_nothing_auditable_names_the_data_file(self, workdir, checkpoint, tmp_path):
+        root, _ = workdir
+        data, dump = root / "fine.jsonl", tmp_path / "paths.jsonl"  # rows without attrs
+        proc = run_cli("eval", "--ckpt", str(checkpoint), "--data", str(data), "--audit",
+                       "--dump-paths", str(dump), expect=1)
+        assert proc.stderr == (f"pathcast: error: {data}: no decoded nondeterministic "
+                               "group traversals\n")
+        assert proc.stdout == ""
+        assert not dump.exists()
 
 
 class TestEvalDecodesOnce:
@@ -673,6 +693,28 @@ class TestCorruptSidecar:
                                       f"has sha256 "), proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda w: {**w, "extra": np.zeros(2)}, "unexpected parameter 'extra'"),
+        (lambda w: without(w, "out.b"), "missing parameter 'out.b'"),
+        (lambda w: {**w, "emb": np.zeros((w["emb"].shape[0], 3))},
+         "parameter 'emb' has shape [{v}, 3], not [{v}, 4]"),
+    ])
+    def test_parameter_errors_name_the_checkpoint(self, tmp_path, edit, message):
+        from pathcast.model import LabelPathModel, save_model
+        from pathcast.numerics import load_params, save_params
+        gpath, ckpt, dump = tmp_path / "g.json", tmp_path / "m.pck", tmp_path / "paths.jsonl"
+        save_graph(str(gpath), figure2_subgraph())
+        model = LabelPathModel(figure2_subgraph(), 5, 4, 6, graph_file=str(gpath))
+        save_model(str(ckpt), model)
+        save_params(str(ckpt), edit(load_params(str(ckpt))))
+        proc = run_cli("eval", "--data", "x.jsonl", "--ckpt", str(ckpt),
+                       "--dump-paths", str(dump), expect=1)
+        assert proc.stderr == (f"pathcast: error: {ckpt}: "
+                               f"{message.format(v=model.vocab_size)}\n")
+        assert proc.stdout == ""
+        assert not dump.exists()
 
 
 class TestModelDims:

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from pathcast import evaldecode
-from pathcast.evaldecode import (DecodedResult, EmptyDataset,
-                                 NoAuditableSamples, audit_nondeterministic,
-                                 evaluate, extract_label, greedy_decode,
-                                 nondeterministic_groups)
+from pathcast.evaldecode import (EmptyDataset, NoAuditableSamples,
+                                 audit_nondeterministic, evaluate, extract_label,
+                                 greedy_decode, nondeterministic_groups)
 from pathcast.labelgraph import build_graph
-from pathcast.model import LabelPathModel
+from pathcast.model import LabelPathModel, Walk
 
 from reference import figure2_subgraph, oracle_all_paths, random_dag
 
@@ -28,9 +27,9 @@ class TestGreedyDecode:
         g = chain_graph()
         m = make_model(g, seed=1)
         r = greedy_decode(m, np.zeros(5), 6)
-        assert r.path == (g.root, g.id_of("a"), g.id_of("x"))
+        assert r.tokens == (g.root, g.id_of("a"), g.id_of("x"))
         assert r.terminated_by == "eop"
-        assert r.predicted_label == g.id_of("x")
+        assert extract_label(g, r.tokens) == g.id_of("x")
 
     def test_hand_set_logits_follow_preference(self):
         g = figure2_subgraph()
@@ -40,7 +39,7 @@ class TestGreedyDecode:
         m.params["out.b"].data[g.id_of("shorthair")] = 4.0
         m.params["out.b"].data[g.id_of("british-shorthair")] = 4.0
         r = greedy_decode(m, np.zeros(5), 6)
-        names = tuple(g.node(t).name for t in r.path)
+        names = tuple(g.node(t).name for t in r.tokens)
         assert names == ("animal", "cat", "shorthair", "british-shorthair")
         assert r.terminated_by == "eop"
 
@@ -54,15 +53,15 @@ class TestGreedyDecode:
         # among the highest-probability candidates at the cat step (the 2-way
         # hair block beats the 3-way color block), then onward
         hair_ids = sorted([g.id_of("shorthair"), g.id_of("longhair")])
-        assert r.path[2] == hair_ids[0]
+        assert r.tokens[2] == hair_ids[0]
 
     def test_max_len_truncation(self):
         g = figure2_subgraph()
         m = make_model(g, seed=4)
         r = greedy_decode(m, np.zeros(5), 2)
         assert r.terminated_by == "max_len"
-        assert len(r.path) == 2
-        assert r.predicted_label is None  # no label node reached
+        assert len(r.tokens) == 2
+        assert extract_label(g, r.tokens) is None  # no label node reached
 
     def test_decode_is_deterministic(self):
         g = figure2_subgraph()
@@ -79,9 +78,9 @@ class TestGreedyDecode:
             m = make_model(g, seed=int(rng.integers(10_000)))
             for _ in range(3):
                 r = greedy_decode(m, rng.normal(size=5), 8)
-                if r.path:
-                    assert r.path[0] == g.root
-                for a, b in zip(r.path, r.path[1:]):
+                if r.tokens:
+                    assert r.tokens[0] == g.root
+                for a, b in zip(r.tokens, r.tokens[1:]):
                     assert b in g.children(a)
 
 
@@ -105,9 +104,8 @@ class TestExtractLabel:
 
     def test_accepts_decoded_result(self):
         g = chain_graph()
-        r = DecodedResult(path=(0, g.id_of("a"), g.id_of("x")), terminated_by="eop",
-                          predicted_label=None, step_probs=())
-        assert extract_label(g, r.path) == g.id_of("x")
+        r = Walk(tokens=(0, g.id_of("a"), g.id_of("x")), step_probs=(), terminated_by="eop")
+        assert extract_label(g, r.tokens) == g.id_of("x")
 
 
 class TestEvaluate:
@@ -143,7 +141,8 @@ class TestEvaluate:
         labels = [g.id_of("british-shorthair"), g.id_of("bengal")]
         data = [(rng.normal(size=5), labels[int(rng.integers(2))]) for _ in range(30)]
         rep = evaluate(m, data, 6)
-        recount = np.mean([greedy_decode(m, x, 6).predicted_label == y for x, y in data])
+        recount = np.mean([extract_label(g, greedy_decode(m, x, 6).tokens) == y
+                           for x, y in data])
         assert rep.accuracy == pytest.approx(float(recount))
 
     def test_per_class_counts_sum_to_samples(self):
@@ -201,10 +200,11 @@ class TestDecodedGroupNodes:
         train(model, resolve_samples(fine, graph), cfg)
         for x, gold in resolve_samples(test, graph)[:60]:
             r = greedy_decode(model, x, 6)
-            if r.predicted_label is None:
+            label = extract_label(graph, r.tokens)
+            if label is None:
                 continue
-            allowed = {n for p in all_paths_to(graph, r.predicted_label) for n in p}
-            for node in r.path:
+            allowed = {n for p in all_paths_to(graph, label) for n in p}
+            for node in r.tokens:
                 if graph.group_of(node) is not None:
                     assert node in allowed
 

@@ -10,9 +10,9 @@ import pytest
 from pathcast import numerics as nm
 from pathcast.evaldecode import greedy_decode
 from pathcast.labelgraph import NodeKind, load_graph, save_graph, serialize
-from pathcast.model import (InvalidPath, LabelPathModel, NoCandidates,
-                            SampledPath, graph_digest, greedy_pick, load_model,
-                            read_sidecar, save_model)
+from pathcast.model import (InvalidPath, LabelPathModel, NoCandidates, Walk,
+                            graph_digest, greedy_pick, load_model, read_sidecar,
+                            save_model)
 from pathcast.numerics import CorruptCheckpoint
 
 from reference import (candidate_blocks, collect_grads, figure2_subgraph, path_log_prob,
@@ -365,7 +365,7 @@ class TestSamplePath:
         for seed in range(5):
             sp, = m.sample_path(np.zeros((1, 5)), np.random.default_rng(seed), max_len=6)
             assert sp.tokens == (g.root, g.id_of("a"), g.id_of("x"))
-            assert sp.ended_with_eop
+            assert sp.terminated_by == "eop"
 
     def test_draws_read_the_layout_of_their_step(self, monkeypatch):
         # one candidate lookup per decode step: the draw reuses the step's
@@ -387,7 +387,7 @@ class TestSamplePath:
         m = make_model(g, seed=10)
         sp, = m.sample_path(np.zeros((1, 5)), np.random.default_rng(0), max_len=2)
         assert len(sp.tokens) <= 2
-        assert not sp.ended_with_eop
+        assert sp.terminated_by == "max_len"
 
     def test_within_block_frequencies_match_probabilities(self):
         # Monte-Carlo check at the cat step of the figure-2 subgraph
@@ -431,7 +431,7 @@ class TestSamplePath:
         # ragged: short budgets truncate some walks before EOP
         samples = [m.sample_path(x[None, :], rng, max_len=2 + i % 4)[0]
                    for i, x in enumerate(xs)]
-        assert {s.ended_with_eop for s in samples} == {True, False}
+        assert {s.terminated_by for s in samples} == {"eop", "max_len"}
         w = rng.normal(size=len(samples))
 
         def grads_of(loss):
@@ -451,11 +451,11 @@ class TestSamplePath:
     def test_rescoring_rejects_non_candidate_tokens(self):
         g = figure2_subgraph()
         m = make_model(g, seed=13)
-        skips_cat = SampledPath(tokens=(g.root, g.id_of("shorthair")),
-                                step_probs=(1.0, 0.5), ended_with_eop=False)
+        skips_cat = Walk(tokens=(g.root, g.id_of("shorthair")), step_probs=(1.0, 0.5),
+                         terminated_by="max_len")
         # a free-running walk is offered EOP only after a label node
-        eop_after_cat = SampledPath(tokens=(g.root, g.id_of("cat")),
-                                    step_probs=(1.0, 0.5, 0.5), ended_with_eop=True)
+        eop_after_cat = Walk(tokens=(g.root, g.id_of("cat")), step_probs=(1.0, 0.5, 0.5),
+                             terminated_by="eop")
         for sampled in (skips_cat, eop_after_cat):
             with pytest.raises(InvalidPath):
                 m.sampled_path_log_prob(np.zeros((1, 5)), [sampled])

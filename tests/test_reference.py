@@ -9,7 +9,7 @@ import pytest
 
 from pathcast import numerics as nm
 from pathcast.evaldecode import EmptyDataset, decode_rows, evaluate, extract_label, greedy_decode
-from pathcast.model import InvalidPath, LabelPathModel, SampledPath
+from pathcast.model import InvalidPath, LabelPathModel
 from pathcast.numerics import backward, block_log_prob, gru_forward, gru_step
 from pathcast.labelgraph import build_graph
 from pathcast.pathalg import all_paths_to, classify_paths, enumerate_paths
@@ -179,9 +179,7 @@ def test_plain_walk_matches_traced_walk(seed):
         for x in rng.normal(size=(4, 5)):
             max_len = int(rng.integers(2, 7))
             want = ref.traced_walk(m, x, max_len, ref.greedy_choice)
-            got = greedy_decode(m, x, max_len)
-            assert (got.path, got.step_probs) == (want.tokens, want.step_probs)
-            assert got.terminated_by == ("eop" if want.ended_with_eop else "max_len")
+            assert greedy_decode(m, x, max_len) == want
             draw_seed = int(rng.integers(2**32))
             draws = np.random.default_rng(draw_seed)
             want = ref.traced_walk(m, x, max_len, lambda dist: ref.sample_cross_block(dist, draws))
@@ -256,16 +254,10 @@ def _assert_same_walks(got, want):
     """Paths and stops exact; step probabilities within ``ENGINE_ULP``."""
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        assert (a.tokens, a.ended_with_eop) == (b.tokens, b.ended_with_eop)
+        assert (a.tokens, a.terminated_by) == (b.tokens, b.terminated_by)
         pa, pb = np.array(a.step_probs), np.array(b.step_probs)
         assert pa.shape == pb.shape
         assert (np.abs(pa - pb) <= ENGINE_ULP * np.spacing(pb)).all()
-
-
-def _stop(walk, max_len):
-    if walk.ended_with_eop:
-        return "eop"
-    return "max_len" if len(walk.step_probs) == max_len else "dead_end"
 
 
 @pytest.mark.parametrize("rows", ENGINE_ROWS)
@@ -275,12 +267,9 @@ def test_lockstep_greedy_matches_one_row_oracle(rows):
         xs = rng.normal(size=(rows, 5))
         want = ref.step_major_walk(m, xs, max_len, ref.greedy_choice)
         got = decode_rows(m, xs, max_len)
-        _assert_same_walks([SampledPath(r.path, r.step_probs, r.terminated_by == "eop")
-                            for r in got], want)
-        assert [r.predicted_label for r in got] == [extract_label(m.graph, w.tokens)
-                                                    for w in want]
+        _assert_same_walks(got, want)
         if case == 0 and rows > 1:  # dead ends stop among rows that walk on to EOP
-            assert {"dead_end", "eop"} <= {_stop(w, max_len) for w in want}
+            assert {"dead_end", "eop"} <= {w.terminated_by for w in want}
         labels = rng.integers(len(m.graph.nodes), size=rows)
         data = [(x, int(label)) for x, label in zip(xs, labels)]
         if not data:
@@ -289,11 +278,9 @@ def test_lockstep_greedy_matches_one_row_oracle(rows):
             continue
         evaluated = []
         report = evaluate(m, data, max_len, evaluated)  # in blocks of 256 rows
-        _assert_same_walks([SampledPath(r.path, r.step_probs, r.terminated_by == "eop")
-                            for r in evaluated], want)
-        assert [r.predicted_label for r in evaluated] == [r.predicted_label for r in got]
-        assert report.accuracy == np.mean([r.predicted_label == label
-                                           for r, label in zip(got, labels)])
+        _assert_same_walks(evaluated, want)
+        assert report.accuracy == np.mean([extract_label(m.graph, w.tokens) == label
+                                           for w, label in zip(got, labels)])
 
 
 @pytest.mark.parametrize("rows", ENGINE_ROWS)
@@ -308,6 +295,37 @@ def test_lockstep_sampling_matches_step_major_oracle(rows):
                                    lambda dist: ref.sample_cross_block(dist, want_rng))
         _assert_same_walks(got, want)
         assert got_rng.random() == want_rng.random()  # the same draws, in the same order
+
+
+def test_walks_that_stop_at_a_dead_end_report_dead_end():
+    """On the dead-end graph with its output biases zeroed, the input decides
+    between ``a`` (on to ``x`` and EOP) and the dead end ``b``. A walk that
+    picks ``b`` stops there after two of its ``max_len`` steps, and
+    ``decode_rows``, ``greedy_decode`` and ``sample_path`` report it as
+    ``dead_end``, as the oracles do; every other walk reports ``eop``."""
+    rng = np.random.default_rng(0)
+    g = ref.dead_end_graph()
+    m = LabelPathModel(g, input_dim=5, embed_dim=6, hidden=8, seed=0)
+    for t in m.params.values():
+        t.data = t.data + rng.normal(0, 0.5, t.data.shape)
+    m.params["out.b"].data[:] = 0.0
+    xs, max_len = rng.normal(size=(40, 5)), 6
+    greedy = decode_rows(m, xs, max_len)
+    _assert_same_walks(greedy, ref.step_major_walk(m, xs, max_len, ref.greedy_choice))
+    draws = np.random.default_rng(1)
+    sampled = m.sample_path(xs, np.random.default_rng(1), max_len)
+    _assert_same_walks(sampled, ref.step_major_walk(
+        m, xs, max_len, lambda dist: ref.sample_cross_block(dist, draws)))
+    for walks in (greedy, sampled):
+        assert {w.terminated_by for w in walks} == {"dead_end", "eop"}
+        for w in walks:
+            at_b = w.tokens == (g.root, g.id_of("b"))
+            assert (w.terminated_by == "dead_end") == at_b
+            assert len(w.step_probs) == (2 if at_b else 4)
+    for x, w in zip(xs, greedy):
+        one = greedy_decode(m, x, max_len)
+        assert one == ref.traced_walk(m, x, max_len, ref.greedy_choice)
+        assert one.terminated_by == w.terminated_by
 
 
 def _wide_dag(rng):
@@ -489,7 +507,8 @@ def test_rows_rescoring_matches_per_path_oracle(seed):
         return {k: v.copy() for k, v in ref.collect_grads(m.params).items()}
 
     rows = m.sampled_path_log_prob(xs, samples)
-    singles = [ref.path_log_prob(m, x, s.tokens + ((m.eop_token,) if s.ended_with_eop else ()))
+    singles = [ref.path_log_prob(m, x, s.tokens + ((m.eop_token,) if s.terminated_by == "eop"
+                                                   else ()))
                for x, s in zip(xs, samples)]
     assert rows.data.shape == (len(samples),)
     np.testing.assert_allclose(rows.data, [s.item() for s in singles], rtol=0, atol=1e-12)
@@ -527,9 +546,9 @@ def test_score_lanes_matches_one_lane_oracle(seed):
                     for i, lane in enumerate(batch)]
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         for lane, w in zip(lanes, ref.step_major_walk(m, xs[:len(lanes)], 8, ref.greedy_choice)):
-            if w.ended_with_eop and len(w.tokens) + 1 < len(lane):
+            if w.terminated_by == "eop" and len(w.tokens) + 1 < len(lane):
                 stops["eop"] += 1
-            elif not w.ended_with_eop and len(w.tokens) < len(lane) <= 8:
+            elif w.terminated_by == "dead_end" and len(w.tokens) < len(lane) <= 8:
                 stops["dead_end"] += 1
     assert stops["eop"] and stops["dead_end"]
 
