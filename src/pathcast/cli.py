@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -56,6 +57,36 @@ def _config(args, cls, files: tuple[str, ...], required: bool):
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
     return raw, cfg, labelgraph.load_graph(raw["graph"])
+
+
+def _max_len(text: str) -> int:
+    """The ``--max-len`` option: an int of at least 2, as decoding needs."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be an int of at least 2, not {text!r}")
+    return value
+
+
+@contextmanager
+def _written(path: str | None):
+    """``path`` opened for writing, or None without a path; removed again if
+    the block raises. A path that cannot be opened raises OSError naming it."""
+    if path is None:
+        yield None
+        return
+    try:
+        f = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise OSError(f"{path}: {exc.strerror}") from None
+    try:
+        with f:
+            yield f
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def _model_dims(raw: dict) -> tuple[int, int]:
@@ -116,6 +147,7 @@ def cmd_paths(args) -> int:
 
 
 def cmd_model_inspect(args) -> int:
+    load_model(args.ckpt)  # the checks of eval: the sidecar, the graph and the parameters
     print(json.dumps(read_sidecar(args.ckpt), indent=2, sort_keys=True))
     return 0
 
@@ -141,16 +173,16 @@ def cmd_eval(args) -> int:
         raise evaldecode.EmptyDataset(f"dataset {args.data!r} has no samples")
     samples = harness.resolve_samples(ds, graph)
     decoded: list[Walk] = []
-    report = evaldecode.evaluate(model, samples, args.max_len, decoded)
-    if args.audit:
-        triples = [(s.x, t.label, s.attrs) for s, t in zip(ds.samples, samples)]
-        try:
-            report.path_correctness = evaldecode.audit_nondeterministic(
-                model, triples, args.max_len, decoded)
-        except evaldecode.NoAuditableSamples as exc:
-            raise evaldecode.NoAuditableSamples(f"{args.data}: {exc}") from None
-    if args.dump_paths:
-        with open(args.dump_paths, "w", encoding="utf-8") as f:
+    with _written(args.dump_paths) as f:  # opened before the decodes
+        report = evaldecode.evaluate(model, samples, args.max_len, decoded)
+        if args.audit:
+            triples = [(s.x, t.label, s.attrs) for s, t in zip(ds.samples, samples)]
+            try:
+                report.path_correctness = evaldecode.audit_nondeterministic(
+                    model, triples, args.max_len, decoded)
+            except evaldecode.NoAuditableSamples as exc:
+                raise evaldecode.NoAuditableSamples(f"{args.data}: {exc}") from None
+        if f is not None:
             for i, (s, w) in enumerate(zip(ds.samples, decoded)):
                 pred = evaldecode.extract_label(graph, w.tokens)
                 f.write(json.dumps({
@@ -271,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--data", required=True)
     e.add_argument("--audit", action="store_true")
     e.add_argument("--dump-paths", default=None)
-    e.add_argument("--max-len", type=int, default=8)
+    e.add_argument("--max-len", type=_max_len, default=8)
     e.set_defaults(func=cmd_eval)
 
     s = sub.add_parser("synth", help="generate the synthetic task")

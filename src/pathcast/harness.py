@@ -476,11 +476,8 @@ def baseline_label_set(cfg: BaselineConfig, train_ds: DatasetSpec,
     targets = {c: label_set_targets(graph, c) for c in classes}
     xs = np.stack([s.x for s in train_ds.samples])
     tmat = np.stack([targets[s.label] for s in train_ds.samples])
-
-    def loss_fn(z: Tensor, idx: np.ndarray) -> Tensor:
-        return nm.scale(nm.bce_with_logits(z, tmat[idx]), 1.0 / len(idx))
-
-    net = _fit_classifier(cfg, xs, len(graph.nodes), loss_fn)
+    net = _fit_classifier(cfg, xs, len(graph.nodes),
+                          lambda z, idx: nm.bce_with_logits(z, tmat[idx]))
     return _report(net, test_ds, classes, class_nodes)
 
 

@@ -209,32 +209,40 @@ class LabelPathModel:
         nm.require_finite(z)
         return nm.block_softmax(z, blocks), f_t, blocks
 
-    def score_lanes(self, f: Tensor, lanes: Sequence[Sequence[int]], teacher: bool) -> Tensor:
+    def score_lanes(self, f: Tensor, target: np.ndarray, n: np.ndarray,
+                    teacher: np.ndarray) -> Tensor:
         """Differentiable summed log-probability of each lane's target tokens.
 
-        ``f`` holds one decoder state per lane. A lane is fed START and then,
-        under ``teacher``, its targets, and otherwise its greedy :meth:`walk`
-        from ``f``; a lane whose feed has ended is fed its last token again.
-        An empty lane, or a first target that is not a candidate after START,
-        raises InvalidPath, and under ``teacher`` so does the first other one
+        A lane is a column of the step-major ``target [T, m]`` with its
+        length in ``n [m]`` (see :func:`step_major`), and ``f`` holds its
+        decoder state. It is fed START and then, where its flag in the bools
+        ``teacher [m]`` is set, its targets, and otherwise its greedy
+        :meth:`walk` from ``f``, which runs on those lanes only and to their
+        longest length; a lane whose feed has ended is fed its last token
+        again. A first target that is not a candidate after START raises
+        InvalidPath, and on a teacher-forced lane so does the first other one
         in step-major order (NoCandidates after a dead end). Otherwise such a
         target is skipped, as is every step after the walk's EOP. Returns the
-        per-lane totals as one ``[lanes]`` Tensor, from one
-        ``decode_logits`` over every step, one ``gather_blocks`` and one
-        ``block_log_prob`` of the scored steps, and one ``sum_steps``.
+        per-lane totals as one ``[m]`` Tensor, from one ``decode_logits``
+        over every step, one ``gather_blocks`` and one ``block_log_prob`` of
+        the scored steps, and one ``sum_steps``.
         """
-        if not all(lanes):
-            raise InvalidPath("empty lane")
-        T = max(map(len, lanes))
-        target, n = _step_major(lanes, T)  # [T, m] and [m]
-        walks = () if teacher else self.walk(f.data, max(T - 1, 2), greedy_pick)
-        after, n_fed = _step_major(lanes if teacher else [w.tokens for w in walks], T - 1)
-        fed = np.vstack([np.full((1, n.size), self.start_token), after])
+        T, m = target.shape
+        fed = np.empty_like(target)  # START, then the targets or the walks
+        fed[0], fed[1:] = self.start_token, target[:-1]
+        n_fed = n
+        free = np.flatnonzero(~teacher)
+        if free.size:
+            walks = self.walk(f.data[free], max(int(n[free].max()) - 1, 2), greedy_pick)
+            n_fed = n.copy()
+            fed[1:, free], n_fed[free] = step_major([w.tokens for w in walks], T - 1)
         scored = np.arange(T)[:, None] < np.minimum(n, n_fed + 1)  # none after a walk's EOP
         key = fed * self.vocab_size + target  # a real pair's key for some out-of-range targets
         at = self._keys.searchsorted(key).clip(max=self._keys.size - 1)
         hit = (self._keys[at] == key) & (target >= 0) & (target < self.vocab_size)
-        miss = np.flatnonzero(~hit & scored if teacher else ~hit[0])  # free-running: step 0
+        checked = scored & teacher  # free-running lanes: step 0 only
+        checked[0] = True
+        miss = np.flatnonzero(~hit & checked)
         if miss.size:
             prev = int(fed.flat[miss[0]])
             self.candidates([prev])  # NoCandidates after a dead end, InvalidPath after EOP
@@ -242,7 +250,7 @@ class LabelPathModel:
         rows = np.flatnonzero(scored & hit)  # row t*m + lane of each scored step
         _, z = self.decode_logits(f, fed)
         blocks = nm.gather_blocks(self._table, rows, self._key_block[at.flat[rows]])
-        return nm.sum_steps(nm.block_log_prob(z, blocks, target.flat[rows]), n.size)
+        return nm.sum_steps(nm.block_log_prob(z, blocks, target.flat[rows]), m)
 
     def walk(self, f: np.ndarray, max_len: int,
              pick: Callable[[np.ndarray, nm.Blocks], tuple[np.ndarray, np.ndarray]]
@@ -326,13 +334,15 @@ class LabelPathModel:
         tok = np.where(mass == top[row], b.cols[drawn], self.vocab_size)
         return np.minimum.reduceat(tok, first), top
 
-    def sampled_path_log_prob(self, x: np.ndarray, sampled: Sequence[Walk]) -> Tensor:
-        """Differentiable re-scoring of sampled trajectories (same choices):
-        rows ``x[m, d]`` with m walks give their ``[m]`` totals from one
-        teacher-forced ``score_lanes`` pass over one ``encode``."""
-        lanes = [list(s.tokens) + ([self.eop_token] if s.terminated_by == "eop" else [])
+    def sampled_path_log_prob(self, sampled: Sequence[Walk]) -> tuple[np.ndarray, np.ndarray]:
+        """The rescoring lanes of sampled walks, as :func:`step_major`
+        targets and lengths: each walk's tokens, closed with EOP when it
+        picked EOP. :meth:`score_lanes`, teacher-forced from the states the
+        walks started from, gives each walk's log-probability along the same
+        choices."""
+        lanes = [s.tokens + ((self.eop_token,) if s.terminated_by == "eop" else ())
                  for s in sampled]
-        return self.score_lanes(self.encode(x), lanes, teacher=True)
+        return step_major(lanes, max(map(len, lanes)))
 
 
 def greedy_pick(probs: np.ndarray, blocks: nm.Blocks) -> tuple[np.ndarray, np.ndarray]:
@@ -343,10 +353,15 @@ def greedy_pick(probs: np.ndarray, blocks: nm.Blocks) -> tuple[np.ndarray, np.nd
     return probs.argmax(axis=1), probs.max(axis=1)
 
 
-def _step_major(seqs: Sequence[Sequence[int]], steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Non-empty sequences of int tokens as ``[steps, len(seqs)]``, one a
-    column, each last token repeated past its end; and their lengths."""
+def step_major(seqs: Sequence[Sequence[int]], steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sequences of int tokens as ``[steps, len(seqs)]``, one a column, each
+    last token repeated past its end; and their lengths. An empty sequence
+    raises InvalidPath, and a token that is no int TypeError."""
     n = np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs))
+    if not n.all():
+        raise InvalidPath("empty lane")
+    if not n.size:
+        return np.zeros((steps, 0), dtype=np.intp), n
     flat = np.array(list(chain.from_iterable(seqs))).astype(np.intp, casting="safe")
     return flat[n.cumsum() - n + np.minimum(np.arange(steps)[:, None], n - 1)], n
 

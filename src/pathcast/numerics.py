@@ -68,8 +68,8 @@ class Tensor:
         return float(self.data)
 
     def _accum(self, g: np.ndarray) -> None:
-        # Out of place: a first gradient may be an array that add_n also hands
-        # to another parent.
+        # Out of place: a first gradient may be an array that its node also
+        # hands to another parent.
         self.grad = g if self.grad is None else self.grad + g
 
     def __repr__(self) -> str:
@@ -92,23 +92,6 @@ def parameters(arrays: dict[str, object]) -> dict[str, Tensor]:
     ends = np.cumsum([a.size for a in arrs])
     flat = np.split(np.concatenate([a.ravel() for a in arrs]), ends[:-1])
     return {name: Tensor(v.reshape(a.shape)) for name, a, v in zip(arrays, arrs, flat)}
-
-
-def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.data.shape != b.data.shape:
-        raise ShapeMismatch(f"{op}: {a.data.shape} vs {b.data.shape}")
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    """Multiply by a python float; ``c`` is a constant to the differentiator."""
-    c = float(c)
-    out = Tensor(a.data * c, _parents=(a,))
-
-    def bw(g):
-        a._accum(g * c)
-
-    out._backward = bw
-    return out
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -153,23 +136,6 @@ def weighted_sum(a: Tensor, w: np.ndarray) -> Tensor:
 
     def bw(g):
         a._accum(w * float(g))
-
-    out._backward = bw
-    return out
-
-
-def add_n(ts: Sequence[Tensor]) -> Tensor:
-    """Sum a non-empty list of same-shape tensors in one trace node."""
-    if not ts:
-        raise ValueError("add_n of an empty list")
-    first = ts[0]
-    for t in ts[1:]:
-        _check_same_shape(first, t, "add_n")
-    out = Tensor(sum(t.data for t in ts), _parents=tuple(ts))
-
-    def bw(g):
-        for t in ts:
-            t._accum(g)
 
     out._backward = bw
     return out
@@ -339,17 +305,17 @@ def block_log_prob(logits: Tensor, blocks: Blocks, targets) -> Tensor:
 
 
 def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Summed binary cross-entropy between sigmoid(logits) and 0/1 targets."""
+    """Binary cross-entropy of sigmoid(logits) and 0/1 targets, row sums meaned."""
     if logits.data.shape != np.asarray(targets).shape:
         raise ShapeMismatch("bce_with_logits: logits/targets shape mismatch")
     t = np.asarray(targets, dtype=np.float64)
-    z = logits.data
+    z, c = logits.data, 1.0 / len(logits.data)
     # max(z,0) - z*t + log(1 + exp(-|z|)), elementwise stable form
     loss = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
-    out = Tensor(np.asarray(loss.sum()), _parents=(logits,))
+    out = Tensor(np.asarray(loss.sum()) * c, _parents=(logits,))
 
     def bw(g):
-        logits._accum((_stable_sigmoid(z) - t) * float(g))
+        logits._accum((_stable_sigmoid(z) - t) * (float(g) * c))
 
     out._backward = bw
     return out

@@ -7,6 +7,7 @@ parameters. Samples whose label has at least one deterministic groundtruth
 path are trained by teacher forcing over up to ``n_p`` of those paths
 (mean/sum pooled, or one random path); samples whose label only has
 nondeterministic paths are collected into the policy-gradient index set.
+Both branches build lanes, which one ``score_lanes`` pass scores.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from collections import Counter
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import numerics as nm
 from .labelgraph import LabelGraph
-from .model import LabelPathModel
+from .model import LabelPathModel, step_major
 from .numerics import AdamState, NonFiniteValue, Tensor, adam_step
 from .pathalg import Paths, _certain_members, _split_paths
 
@@ -144,12 +144,31 @@ class TrainConfig:
 
 @dataclass
 class Batch:
-    """Assembled minibatch: inputs, chosen target paths, PG sample indexes."""
+    """Assembled minibatch: inputs, PG sample indexes, and the samples' target
+    paths cut to ``max_len``, ``counts[i]`` for sample i, in sample order, one
+    a column of the step-major ``targets`` with its length in ``lengths``."""
 
     inputs: np.ndarray
-    target_paths: list[list[tuple[int, ...]]]  # per sample; empty => PG-only
+    targets: np.ndarray
+    lengths: np.ndarray
+    counts: np.ndarray
     pg_indexes: tuple[int, ...]
     labels: tuple[int, ...] = ()
+
+    @property
+    def target_paths(self) -> list[np.ndarray]:
+        """Per sample, the columns of ``targets`` that hold its lanes."""
+        return np.split(np.arange(self.lengths.size), self.counts.cumsum()[:-1])
+
+
+class Lanes(NamedTuple):
+    """Lanes as ``score_lanes`` takes them, with each one's input row and pooling weight."""
+
+    targets: np.ndarray
+    lengths: np.ndarray
+    rows: np.ndarray
+    weights: np.ndarray
+    teacher: np.ndarray
 
 
 BASELINE_DECAY = 0.9
@@ -177,6 +196,8 @@ class PathBook:
         self.graph = graph
         self._split: dict[int, tuple[Paths, Paths]] = {}
         self._certain: dict[int, frozenset[int]] = {}
+        # (n_p, max_len) -> lane targets, lengths, each node's first lane and count (-1: unbuilt)
+        self._tables: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
 
     def split(self, node: int) -> tuple[Paths, Paths]:
         """The node's deterministic and nondeterministic paths, counted; a
@@ -187,6 +208,29 @@ class PathBook:
 
     def deterministic_paths(self, node: int) -> Paths:
         return self.split(node)[0]
+
+    def lanes(self, nodes: np.ndarray, n_p: int, max_len: int
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(targets, lengths, counts)`` of a ``Batch`` whose labels are
+        ``nodes``: each node's ``det[:n_p]`` cut to ``max_len``, in one gather
+        from the lane table, where a node's lanes go when first asked for."""
+        key, size = (n_p, max_len), len(self.graph.nodes)
+        if key not in self._tables:
+            self._tables[key] = (np.zeros((max_len, 0), dtype=np.intp), np.zeros(0, dtype=np.intp),
+                                 np.zeros(size, dtype=np.intp), np.full(size, -1))
+        tokens, lengths, first, count = self._tables[key]
+        if count[nodes].min(initial=0) < 0:
+            new = sorted(set(nodes[count[nodes] < 0].tolist()))
+            paths = [self.deterministic_paths(v)[:n_p] for v in new]
+            n = np.fromiter(map(len, paths), dtype=np.intp, count=len(paths))
+            more, more_lengths = step_major([p[:max_len] for ps in paths for p in ps], max_len)
+            first[new], count[new] = lengths.size + n.cumsum() - n, n
+            tokens, lengths = np.hstack([tokens, more]), np.append(lengths, more_lengths)
+            self._tables[key] = tokens, lengths, first, count
+        n = count[nodes]
+        cols = (first[nodes] + n - n.cumsum()).repeat(n) + np.arange(n.sum())
+        lengths = lengths[cols]
+        return tokens.take(cols, axis=1)[:lengths.max(initial=0)], lengths, n
 
     def reward_members(self, node: int, reward_set: str) -> frozenset[int]:
         if reward_set == "label_only":
@@ -207,34 +251,21 @@ def reward(tokens: Sequence[int], members: frozenset[int]) -> float:
 # Deterministic branch (teacher forcing)
 # ---------------------------------------------------------------------------
 
-def deterministic_loss(model: LabelPathModel, batch: Batch, cfg: TrainConfig,
-                       rng: np.random.Generator) -> Tensor | None:
-    """Negative log-likelihood of the batch's target paths, batch-averaged.
-
-    One coin per batch decides the decoder inputs for every step: groundtruth
-    tokens when ``coin <= r_tf``, the model's own greedy tokens otherwise.
-    The loss always targets the groundtruth token; free-running steps whose
-    groundtruth target is no longer reachable from the fed token are excluded,
-    as are the steps after a free-running lane picks EOP. A lane's targets
-    are its path's nodes, cut to ``max_len``, with no closing EOP: EOP is a
-    singleton block, so its log-probability is exactly 0 wherever it is
-    offered. Returns None when no sample carries a target path.
-    """
-    lanes: list[tuple[int, list[int]]] = []  # (sample index, target tokens)
-    for i, paths in enumerate(batch.target_paths):
-        for p in paths:
-            lanes.append((i, list(p[:cfg.max_len])))
-    if not lanes:
+def deterministic_loss(batch: Batch, cfg: TrainConfig,
+                       rng: np.random.Generator) -> Lanes | None:
+    """The batch's teacher-forced lanes, or None when it has none; pooled,
+    their totals are the batch-mean negative log-likelihood of the target
+    paths, each sample's lanes meaned or summed. One coin per batch, drawn
+    here, feeds every lane its targets when ``coin <= r_tf``, else its greedy
+    walk (``score_lanes``). A lane has no closing EOP: EOP is a singleton
+    block, so its log-probability is exactly 0 wherever it is offered."""
+    m, counts = batch.lengths.size, batch.counts
+    if not m:
         return None
     teacher = float(rng.uniform()) <= cfg.r_tf
-    f = nm.gather_rows(model.encode(batch.inputs), [s for s, _ in lanes])
-    totals = model.score_lanes(f, [t for _, t in lanes], teacher)
-    # One weight per lane pools it into its sample (mean or sum over that
-    # sample's lanes) and the sample into the batch mean.
-    per_sample = Counter(si for si, _ in lanes)
-    weights = [-1.0 / ((per_sample[si] if cfg.path_agg == "mean" else 1) * len(per_sample))
-               for si, _ in lanes]
-    return nm.weighted_sum(totals, weights)
+    share = counts.repeat(counts) if cfg.path_agg == "mean" else np.ones(m, dtype=np.intp)
+    return Lanes(batch.targets, batch.lengths, np.arange(counts.size).repeat(counts),
+                 -1.0 / (share * np.count_nonzero(counts)), np.full(m, teacher))
 
 
 # ---------------------------------------------------------------------------
@@ -244,26 +275,33 @@ def deterministic_loss(model: LabelPathModel, batch: Batch, cfg: TrainConfig,
 def policy_gradient_loss(model: LabelPathModel, batch: Batch,
                          baseline: BaselineEstimator, cfg: TrainConfig,
                          rng: np.random.Generator, book: PathBook
-                         ) -> tuple[Tensor | None, list[float]]:
-    """Surrogate loss -(r - b) * sum_t log p(chosen_t), meaned over I_pg.
-
-    Each selected sample free-runs one trajectory from START, all of them in
-    one lockstep ``sample_path`` with step-major draws; a trajectory's
-    reward is the certain-node coverage of its emitted path. All trajectories
-    are rescored in one pass and pooled with one weight each. Rewards and the
-    baseline are constants to the differentiator; the baseline is updated
-    with the batch-mean reward after its value has been used.
-    """
+                         ) -> tuple[Lanes | None, list[float]]:
+    """The lanes of the batch's I_pg and their rewards, ``(None, [])`` for
+    none; pooled, their totals are -(r - b) * sum_t log p(chosen_t), meaned.
+    Each sample free-runs one trajectory from START, all of them in one
+    lockstep ``sample_path`` with step-major draws, rewarded by its coverage
+    of the certain nodes; its lane rescores its choices. The baseline is
+    updated with the batch-mean reward after its value has been used."""
     if not batch.pg_indexes:
         return None, []
-    pg = list(batch.pg_indexes)
+    pg = np.array(batch.pg_indexes)
     samples = model.sample_path(batch.inputs[pg], rng, cfg.max_len)
     rewards = [reward(s.tokens, book.reward_members(batch.labels[i], cfg.reward_set))
-               for i, s in zip(pg, samples)]
+               for i, s in zip(batch.pg_indexes, samples)]
     b = baseline.value
     baseline.update(float(np.mean(rewards)))
-    totals = model.sampled_path_log_prob(batch.inputs[pg], samples)
-    return nm.weighted_sum(totals, [-(r - b) / len(pg) for r in rewards]), rewards
+    return Lanes(*model.sampled_path_log_prob(samples), pg, -(np.array(rewards) - b) / pg.size,
+                 np.ones(pg.size, dtype=bool)), rewards
+
+
+def _joined(parts: Sequence[tuple[Lanes | None, float]]) -> Lanes:
+    """The lanes of ``parts`` that are not None side by side, weights times
+    their part's scale; a part's targets are padded by repeating its last step."""
+    parts = [(p, c) for p, c in parts if p is not None]
+    steps = np.arange(max(len(p.targets) for p, _ in parts))
+    return Lanes(np.hstack([p.targets[np.minimum(steps, len(p.targets) - 1)] for p, _ in parts]),
+                 *map(np.concatenate, zip(*((p.lengths, p.rows, c * p.weights, p.teacher)
+                                            for p, c in parts))))
 
 
 # ---------------------------------------------------------------------------
@@ -365,22 +403,20 @@ def _uniform_rank(n: int, rng: np.random.Generator) -> int:
 
 def build_batch(samples: Sequence[LabeledSample], cfg: TrainConfig,
                 book: PathBook, rng: np.random.Generator) -> Batch:
-    """Select target paths per sample; nondeterministic-only labels go to I_pg."""
+    """Each sample's lanes, ``det[:n_p]`` of its label from the book's lane
+    table, or one path drawn from all of ``det`` under ``path_agg="random"``;
+    nondeterministic-only labels go to I_pg."""
     inputs = np.stack([np.asarray(s.x, dtype=np.float64) for s in samples])
-    target_paths: list[list[tuple[int, ...]]] = []
-    pg: list[int] = []
     labels = tuple(s.label for s in samples)
-    for i, s in enumerate(samples):
-        det = book.deterministic_paths(s.label)
-        if not det:
-            pg.append(i)
-            target_paths.append([])
-        elif cfg.path_agg == "random":
-            target_paths.append([det[_uniform_rank(det.total, rng)]])
-        else:
-            target_paths.append(det[:cfg.n_p])
-    return Batch(inputs=inputs, target_paths=target_paths,
-                 pg_indexes=tuple(pg), labels=labels)
+    if cfg.path_agg == "random":
+        dets = [book.deterministic_paths(s.label) for s in samples]
+        lanes = [d[_uniform_rank(d.total, rng)][:cfg.max_len] for d in dets if d]
+        targets, lengths = step_major(lanes, max(map(len, lanes), default=0))
+        counts = np.array([bool(d) for d in dets], dtype=np.intp)
+    else:
+        targets, lengths, counts = book.lanes(np.array(labels), cfg.n_p, cfg.max_len)
+    return Batch(inputs, targets, lengths, counts, tuple(np.flatnonzero(counts == 0).tolist()),
+                 labels)
 
 
 def train_epoch(model: LabelPathModel, dataset: Sequence[LabeledSample],
@@ -398,26 +434,24 @@ def train_epoch(model: LabelPathModel, dataset: Sequence[LabeledSample],
             with np.errstate(over="ignore", invalid="ignore"):
                 rng = _batch_rng(cfg.seed, epoch, bi)
                 batch = build_batch([dataset[j] for j in idx], cfg, state.book, rng)
-
-                parts: list[Tensor] = []
-                ld = deterministic_loss(model, batch, cfg, rng)
-                if ld is not None and cfg.alpha != 0.0:
-                    parts.append(nm.scale(ld, cfg.alpha))
-                    loss_d_sum += ld.item()
-                    n_d += 1
-                lpg, rewards = (None, [])
-                if cfg.beta != 0.0:
-                    lpg, rewards = policy_gradient_loss(model, batch, state.baseline, cfg, rng,
-                                                        state.book)
-                if lpg is not None:
-                    parts.append(nm.scale(lpg, cfg.beta))
-                    loss_pg_sum += lpg.item()
-                    n_pg += 1
+                tf = deterministic_loss(batch, cfg, rng)  # draws the coin, even at alpha 0
+                tf = tf if cfg.alpha != 0.0 else None
+                pg, rewards = (policy_gradient_loss(model, batch, state.baseline, cfg, rng,
+                                                    state.book) if cfg.beta != 0.0 else (None, []))
                 reward_sum += sum(rewards)
                 reward_n += len(rewards)
-                if parts:
-                    descend(parts[0] if len(parts) == 1 else nm.add_n(parts), model.params,
-                            state.adam, state.schedule.scale)
+                if tf is not None or pg is not None:
+                    lanes = _joined(((tf, cfg.alpha), (pg, cfg.beta)))
+                    f = nm.gather_rows(model.encode(batch.inputs), lanes.rows)
+                    totals = model.score_lanes(f, lanes.targets, lanes.lengths, lanes.teacher)
+                    if tf is not None:  # the records read the one pass's totals
+                        loss_d_sum += float(np.dot(tf.weights, totals.data[:len(tf.rows)]))
+                        n_d += 1
+                    if pg is not None:
+                        loss_pg_sum += float(np.dot(pg.weights, totals.data[-len(pg.rows):]))
+                        n_pg += 1
+                    descend(nm.weighted_sum(totals, lanes.weights), model.params, state.adam,
+                            state.schedule.scale)
         except NonFiniteValue as exc:
             raise NonFiniteValue(f"epoch {epoch}, batch {bi + 1}: {exc}") from None
 

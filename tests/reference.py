@@ -15,8 +15,9 @@ import numpy as np
 
 from pathcast import numerics as nm
 from pathcast.labelgraph import LabelGraph, build_graph
-from pathcast.model import InvalidPath, NoCandidates, Walk
+from pathcast.model import InvalidPath, NoCandidates, Walk, step_major
 from pathcast.numerics import Tensor
+from pathcast.trainer import Batch
 
 # ---------------------------------------------------------------------------
 # Composed engine ops: one trace node per elementary operation
@@ -52,8 +53,25 @@ def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
     return out
 
 
+def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
+    if a.data.shape != b.data.shape:
+        raise nm.ShapeMismatch(f"{op}: {a.data.shape} vs {b.data.shape}")
+
+
+def scale(a: Tensor, c: float) -> Tensor:
+    """Multiply by a python float; ``c`` is a constant to the differentiator."""
+    c = float(c)
+    out = Tensor(a.data * c, _parents=(a,))
+
+    def bw(g):
+        a._accum(g * c)
+
+    out._backward = bw
+    return out
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    nm._check_same_shape(a, b, "add")
+    _check_same_shape(a, b, "add")
     out = Tensor(a.data + b.data, _parents=(a, b))
 
     def bw(g):
@@ -64,8 +82,25 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def add_n(ts) -> Tensor:
+    """Sum a non-empty list of same-shape tensors in one trace node."""
+    if not ts:
+        raise ValueError("add_n of an empty list")
+    first = ts[0]
+    for t in ts[1:]:
+        _check_same_shape(first, t, "add_n")
+    out = Tensor(sum(t.data for t in ts), _parents=tuple(ts))
+
+    def bw(g):
+        for t in ts:
+            t._accum(g)
+
+    out._backward = bw
+    return out
+
+
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    nm._check_same_shape(a, b, "sub")
+    _check_same_shape(a, b, "sub")
     out = Tensor(a.data - b.data, _parents=(a, b))
 
     def bw(g):
@@ -78,7 +113,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise (Hadamard) product of same-shape tensors."""
-    nm._check_same_shape(a, b, "mul")
+    _check_same_shape(a, b, "mul")
     out = Tensor(a.data * b.data, _parents=(a, b))
 
     def bw(g):
@@ -263,8 +298,54 @@ def gru_init(embed_dim: int, hidden: int, rng: np.random.Generator, prefix: str,
 
 def path_log_prob(model, x: np.ndarray, path) -> Tensor:
     """Scalar teacher-forced log-probability of one path from one input
-    ``x[d]``: the one-path oracle of ``model.sampled_path_log_prob``."""
-    return sum_all(model.score_lanes(model.encode(x), [list(path)], teacher=True))
+    ``x[d]``: the one-path oracle of :func:`rescored`."""
+    return sum_all(score(model, model.encode(x), [list(path)], teacher=True))
+
+
+def score(model, f: Tensor, lanes, teacher) -> Tensor:
+    """``model.score_lanes`` of ``lanes``, lists of target tokens, from the
+    states ``f``: every lane fed its targets under ``teacher``, every lane
+    free running otherwise."""
+    return model.score_lanes(f, *step_major(lanes, max(map(len, lanes))),
+                             np.full(len(lanes), teacher))
+
+
+def rescored(model, x: np.ndarray, walks) -> Tensor:
+    """Each walk's log-probability along its own choices, from the rows
+    ``x [m, d]`` it started from: ``model.sampled_path_log_prob``'s lanes,
+    scored teacher-forced over one encode."""
+    return model.score_lanes(model.encode(x), *model.sampled_path_log_prob(walks),
+                             np.ones(len(walks), dtype=bool))
+
+
+def pooled(model, inputs: np.ndarray, lanes) -> Tensor:
+    """The scored pass of ``trainer.train_epoch`` over ``lanes`` (a
+    ``trainer.Lanes``, or None) of a batch's ``inputs``: one encode, one
+    ``gather_rows``, one ``score_lanes`` and one ``weighted_sum`` of the
+    totals by the lanes' weights. None for no lanes."""
+    if lanes is None:
+        return None
+    f = nm.gather_rows(model.encode(inputs), lanes.rows)
+    totals = model.score_lanes(f, lanes.targets, lanes.lengths, lanes.teacher)
+    return nm.weighted_sum(totals, lanes.weights)
+
+
+def lane_paths(batch: Batch) -> list:
+    """Per sample of a ``trainer.Batch``, its lanes' target tokens as tuples."""
+    return [[tuple(batch.targets[:batch.lengths[c], c].tolist()) for c in cols]
+            for cols in batch.target_paths]
+
+
+def batch_of(inputs, target_paths, labels=(), max_len: int = 8, pg_indexes=None) -> Batch:
+    """A ``trainer.Batch`` of explicit target paths, a list per sample, cut
+    to ``max_len``; ``pg_indexes`` defaults to the samples without one."""
+    lanes = [list(p)[:max_len] for paths in target_paths for p in paths]
+    counts = np.array([len(paths) for paths in target_paths], dtype=np.intp)
+    if pg_indexes is None:
+        pg_indexes = tuple(np.flatnonzero(counts == 0).tolist())
+    return Batch(np.asarray(inputs, dtype=np.float64),
+                 *step_major(lanes, max(map(len, lanes), default=0)), counts,
+                 tuple(pg_indexes), tuple(labels))
 
 
 def collect_grads(params: dict) -> dict:

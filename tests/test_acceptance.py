@@ -19,13 +19,14 @@ from pathcast.labelgraph import build_graph
 from pathcast.model import LabelPathModel
 from pathcast.numerics import AdamState, adam_step, backward, block_softmax, compile_blocks
 from pathcast.pathalg import classify_paths, enumerate_paths
-from pathcast.trainer import (Batch, BaselineEstimator, LabeledSample, PathBook,
+from pathcast.trainer import (BaselineEstimator, LabeledSample, PathBook,
                               ScheduleConfig, ScheduleState, TrainConfig,
                               build_batch, deterministic_loss,
                               policy_gradient_loss, schedule_update, train)
 
-from reference import (collect_grads, figure2_subgraph, oracle_all_paths, oracle_classify,
-                       random_dag, random_partition, sum_all, three_level_graph)
+from reference import (batch_of, collect_grads, figure2_subgraph, oracle_all_paths,
+                       oracle_classify, pooled, random_dag, random_partition, rescored, scale,
+                       sum_all, three_level_graph)
 
 
 def report(name, ok, detail=""):
@@ -95,11 +96,11 @@ def test_gradient_fidelity_20_seeds():
             return m2
 
         # deterministic branch (teacher-forced likelihood)
-        loss = deterministic_loss(model, batch, cfg, np.random.default_rng(1))
+        loss = pooled(model, batch.inputs, deterministic_loss(batch, cfg, np.random.default_rng(1)))
         if loss is not None:
             def ld(p):
-                return deterministic_loss(rebuild_model(p), batch, cfg,
-                                          np.random.default_rng(1)).item()
+                return pooled(rebuild_model(p), batch.inputs,
+                              deterministic_loss(batch, cfg, np.random.default_rng(1))).item()
 
             nm.zero_grads(model.params)
             backward(loss)
@@ -113,10 +114,9 @@ def test_gradient_fidelity_20_seeds():
         weight = -(1.0 - 0.4)  # (r - b) is a constant to the differentiator
 
         def lpg(p):
-            return nm.scale(sum_all(rebuild_model(p).sampled_path_log_prob(xs[:1], [sampled])),
-                            weight).item()
+            return scale(sum_all(rescored(rebuild_model(p), xs[:1], [sampled])), weight).item()
 
-        loss_pg = nm.scale(sum_all(model.sampled_path_log_prob(xs[:1], [sampled])), weight)
+        loss_pg = scale(sum_all(rescored(model, xs[:1], [sampled])), weight)
         nm.zero_grads(model.params)
         backward(loss_pg)
         grads_pg = collect_grads(model.params)
@@ -178,15 +178,14 @@ def test_bandit_convergence():
         cfg = TrainConfig(reward_set="label_only", max_len=6)
         baseline = BaselineEstimator()
         adam = AdamState(model.params, dict.fromkeys(model.params, 0.05))
-        batch = Batch(inputs=np.zeros((1, 4)), target_paths=[[]], pg_indexes=(0,),
-                      labels=(g.id_of("win"),))
+        batch = batch_of(np.zeros((1, 4)), [[]], labels=(g.id_of("win"),))
         rng = np.random.default_rng(500 + seed)
         for _ in range(500):
-            loss, _ = policy_gradient_loss(model, batch, baseline, cfg, rng, book)
-            if loss is None:
+            lanes, _ = policy_gradient_loss(model, batch, baseline, cfg, rng, book)
+            if lanes is None:
                 continue
             nm.zero_grads(model.params)
-            backward(loss)
+            backward(pooled(model, batch.inputs, lanes))
             adam_step(adam, model.params)
         probs, _, _ = model.step(model.encode(np.zeros(4)).data, [g.root])
         p_win = float(probs[0, g.id_of("a")])

@@ -537,6 +537,50 @@ class TestEvalDecodesOnce:
         assert len(dump.read_text().splitlines()) == len(samples)
 
 
+class TestEvalOptions:
+    @pytest.mark.parametrize("value", ["1", "0", "-3", "2.5", "six"])
+    def test_a_bad_max_len_is_rejected_before_any_file_is_read(self, tmp_path, value):
+        # neither file exists: reading either would fail naming it instead
+        proc = run_cli("eval", "--ckpt", str(tmp_path / "none.pck"),
+                       "--data", str(tmp_path / "none.jsonl"), "--max-len", value, expect=2)
+        errors = [line for line in proc.stderr.splitlines() if "error" in line]
+        assert errors == [f"pathcast eval: error: argument --max-len: must be an int of at "
+                          f"least 2, not {value!r}"]
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+    def test_an_unwritable_dump_path_fails_before_decoding(self, workdir, checkpoint, tmp_path,
+                                                           monkeypatch, capsys):
+        from pathcast import cli, evaldecode
+
+        def no_decode(*args, **kwargs):
+            raise AssertionError("decoded before the dump path was opened")
+
+        monkeypatch.setattr(evaldecode, "evaluate", no_decode)
+        root, _ = workdir
+        dump = tmp_path / "nodir" / "paths.jsonl"
+        assert cli.main(["eval", "--ckpt", str(checkpoint), "--data", str(root / "test.jsonl"),
+                         "--dump-paths", str(dump)]) == 1
+        out = capsys.readouterr()
+        assert out.err == f"pathcast: error: {dump}: No such file or directory\n"
+        assert out.out == ""
+
+    def test_a_failure_after_the_dump_opens_leaves_no_dump(self, workdir, checkpoint, tmp_path,
+                                                           monkeypatch, capsys):
+        from pathcast import cli, evaldecode
+
+        def failing(*args, **kwargs):
+            assert dump.exists()  # opened, and empty
+            raise evaldecode.EmptyDataset("stopped after the dump was opened")
+
+        monkeypatch.setattr(evaldecode, "evaluate", failing)
+        root, _ = workdir
+        dump = tmp_path / "paths.jsonl"
+        assert cli.main(["eval", "--ckpt", str(checkpoint), "--data", str(root / "test.jsonl"),
+                         "--dump-paths", str(dump)]) == 1
+        assert capsys.readouterr().err == "pathcast: error: stopped after the dump was opened\n"
+        assert not dump.exists()
+
+
 class TestAblateCommand:
     def test_ablate_emits_variant_rows(self, workdir, tmp_path):
         root, _ = workdir
@@ -663,6 +707,14 @@ class TestBaselineCommand:
         ])
 
 
+PARAMETER_ERRORS = [
+    (lambda w: {**w, "extra": np.zeros(2)}, "unexpected parameter 'extra'"),
+    (lambda w: without(w, "out.b"), "missing parameter 'out.b'"),
+    (lambda w: {**w, "emb": np.zeros((w["emb"].shape[0], 3))},
+     "parameter 'emb' has shape [{v}, 3], not [{v}, 4]"),
+]
+
+
 class TestCorruptSidecar:
     @pytest.mark.parametrize("command", [("model", "inspect"), ("eval", "--data", "x.jsonl",
                                                                  "--ckpt")])
@@ -695,12 +747,7 @@ class TestCorruptSidecar:
         assert proc.stdout == ""
 
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda w: {**w, "extra": np.zeros(2)}, "unexpected parameter 'extra'"),
-        (lambda w: without(w, "out.b"), "missing parameter 'out.b'"),
-        (lambda w: {**w, "emb": np.zeros((w["emb"].shape[0], 3))},
-         "parameter 'emb' has shape [{v}, 3], not [{v}, 4]"),
-    ])
+    @pytest.mark.parametrize("edit, message", PARAMETER_ERRORS)
     def test_parameter_errors_name_the_checkpoint(self, tmp_path, edit, message):
         from pathcast.model import LabelPathModel, save_model
         from pathcast.numerics import load_params, save_params
@@ -715,6 +762,21 @@ class TestCorruptSidecar:
                                f"{message.format(v=model.vocab_size)}\n")
         assert proc.stdout == ""
         assert not dump.exists()
+
+    @pytest.mark.parametrize("edit, message", PARAMETER_ERRORS)
+    def test_model_inspect_checks_the_parameters_as_eval_does(self, tmp_path, edit, message):
+        from pathcast.model import LabelPathModel, save_model
+        from pathcast.numerics import load_params, save_params
+        gpath, ckpt = tmp_path / "g.json", tmp_path / "m.pck"
+        save_graph(str(gpath), figure2_subgraph())
+        model = LabelPathModel(figure2_subgraph(), 5, 4, 6, graph_file=str(gpath))
+        save_model(str(ckpt), model)
+        assert json.loads(run_cli("model", "inspect", str(ckpt)).stdout)["embed_dim"] == 4
+        save_params(str(ckpt), edit(load_params(str(ckpt))))
+        proc = run_cli("model", "inspect", str(ckpt), expect=1)
+        assert proc.stderr == (f"pathcast: error: {ckpt}: "
+                               f"{message.format(v=model.vocab_size)}\n")
+        assert proc.stdout == ""
 
 
 class TestModelDims:

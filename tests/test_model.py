@@ -15,8 +15,8 @@ from pathcast.model import (InvalidPath, LabelPathModel, NoCandidates, Walk,
                             save_model)
 from pathcast.numerics import CorruptCheckpoint
 
-from reference import (candidate_blocks, collect_grads, figure2_subgraph, path_log_prob,
-                       random_dag, step, sum_all)
+from reference import (add_n, candidate_blocks, collect_grads, figure2_subgraph, path_log_prob,
+                       random_dag, rescored, scale, score, step, sum_all)
 
 
 def make_model(graph, seed=0, input_dim=5, embed_dim=6, hidden=8):
@@ -292,7 +292,7 @@ class TestCandidateTable:
                 w = rng.normal(size=len(paths))
                 runs = []
                 for lanes in (paths, [p + [m.eop_token] for p in paths]):
-                    totals = m.score_lanes(m.encode(xs), lanes, teacher=True)
+                    totals = score(m, m.encode(xs), lanes, teacher=True)
                     nm.zero_grads(m.params)
                     nm.backward(nm.weighted_sum(totals, w))
                     runs.append((totals.data.copy(),
@@ -345,7 +345,7 @@ class TestPathLogProb:
         cat = g.id_of("cat")
         f = m.encode(np.zeros((2, 5)))
         with pytest.raises(InvalidPath):
-            m.score_lanes(f, [[g.root, cat], [cat, m.eop_token]], teacher=False)
+            score(m, f, [[g.root, cat], [cat, m.eop_token]], teacher=False)
 
     @pytest.mark.parametrize("token", [3.5, 3.0, None, 2**70])
     def test_lane_tokens_must_be_ints(self, token):
@@ -355,7 +355,7 @@ class TestPathLogProb:
         f = m.encode(np.zeros((1, 5)))
         for teacher in (True, False):
             with pytest.raises(TypeError):
-                m.score_lanes(f, [[g.root, token]], teacher)
+                score(m, f, [[g.root, token]], teacher)
 
 
 class TestSamplePath:
@@ -420,7 +420,7 @@ class TestSamplePath:
             sp, = m.sample_path(x[None, :], rng, max_len=6)
             if not sp.tokens:
                 continue
-            lp = m.sampled_path_log_prob(x[None, :], [sp]).data[0]
+            lp = rescored(m, x[None, :], [sp]).data[0]
             assert abs(np.exp(lp) - np.prod(sp.step_probs)) < 1e-10
 
     def test_rows_rescoring_matches_single_calls(self):
@@ -439,12 +439,12 @@ class TestSamplePath:
             nm.backward(loss)
             return {k: v.copy() for k, v in collect_grads(m.params).items()}
 
-        rows = m.sampled_path_log_prob(xs, samples)
-        singles = [sum_all(m.sampled_path_log_prob(x[None, :], [s])) for x, s in zip(xs, samples)]
+        rows = rescored(m, xs, samples)
+        singles = [sum_all(rescored(m, x[None, :], [s])) for x, s in zip(xs, samples)]
         assert rows.data.shape == (6,)
         np.testing.assert_allclose(rows.data, [s.item() for s in singles], rtol=0, atol=1e-12)
         g_rows = grads_of(nm.weighted_sum(rows, w))
-        g_singles = grads_of(nm.add_n([nm.scale(s, wi) for s, wi in zip(singles, w)]))
+        g_singles = grads_of(add_n([scale(s, wi) for s, wi in zip(singles, w)]))
         for name in m.params:
             np.testing.assert_allclose(g_rows[name], g_singles[name], rtol=0, atol=1e-12)
 
@@ -458,7 +458,7 @@ class TestSamplePath:
                              terminated_by="eop")
         for sampled in (skips_cat, eop_after_cat):
             with pytest.raises(InvalidPath):
-                m.sampled_path_log_prob(np.zeros((1, 5)), [sampled])
+                rescored(m, np.zeros((1, 5)), [sampled])
 
     def test_sampled_paths_are_graph_valid(self):
         rng = np.random.default_rng(8)

@@ -9,11 +9,11 @@ import pytest
 
 from pathcast import numerics as nm
 from pathcast.evaldecode import EmptyDataset, decode_rows, evaluate, extract_label, greedy_decode
-from pathcast.model import InvalidPath, LabelPathModel
+from pathcast.model import InvalidPath, LabelPathModel, step_major
 from pathcast.numerics import backward, block_log_prob, gru_forward, gru_step
 from pathcast.labelgraph import build_graph
 from pathcast.pathalg import all_paths_to, classify_paths, enumerate_paths
-from pathcast.trainer import LabeledSample, PathBook, TrainConfig, build_batch
+from pathcast.trainer import LabeledSample, Lanes, PathBook, TrainConfig, _joined, build_batch
 
 import reference as ref
 from test_model import oracle_candidates
@@ -486,8 +486,8 @@ def test_rows_block_log_prob_matches_one_row_oracle(seed):
             continue
         one = ref.block_log_prob_row(ref.take_row(z_one, i), blk, t)
         assert rows.data[i] == one.item()
-        terms.append(nm.scale(one, weights[i]))
-    backward(nm.add_n(terms))
+        terms.append(ref.scale(one, weights[i]))
+    backward(ref.add_n(terms))
     np.testing.assert_allclose(z_rows.grad, z_one.grad, rtol=0, atol=1e-12)
 
 
@@ -506,14 +506,14 @@ def test_rows_rescoring_matches_per_path_oracle(seed):
         backward(loss)
         return {k: v.copy() for k, v in ref.collect_grads(m.params).items()}
 
-    rows = m.sampled_path_log_prob(xs, samples)
+    rows = ref.rescored(m, xs, samples)
     singles = [ref.path_log_prob(m, x, s.tokens + ((m.eop_token,) if s.terminated_by == "eop"
                                                    else ()))
                for x, s in zip(xs, samples)]
     assert rows.data.shape == (len(samples),)
     np.testing.assert_allclose(rows.data, [s.item() for s in singles], rtol=0, atol=1e-12)
     g_rows = grads_of(nm.weighted_sum(rows, weights))
-    g_singles = grads_of(nm.add_n([nm.scale(s, w) for s, w in zip(singles, weights)]))
+    g_singles = grads_of(ref.add_n([ref.scale(s, w) for s, w in zip(singles, weights)]))
     for name, want in g_singles.items():
         np.testing.assert_allclose(g_rows[name], want, rtol=0, atol=1e-12, err_msg=name)
 
@@ -541,7 +541,7 @@ def test_score_lanes_matches_one_lane_oracle(seed):
         f = m.encode(xs)
         free = lanes + [lanes[0] + [m.vocab_size], lanes[0][:1] + [-1, 2 * m.vocab_size - 1]]
         for teacher, batch in ((True, lanes), (False, free)):
-            got = m.score_lanes(nm.gather_rows(f, range(len(batch))), batch, teacher).data
+            got = ref.score(m, nm.gather_rows(f, range(len(batch))), batch, teacher).data
             want = [ref.lane_log_prob(m, f.data[i:i + 1], lane, teacher)
                     for i, lane in enumerate(batch)]
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -551,6 +551,34 @@ def test_score_lanes_matches_one_lane_oracle(seed):
             elif w.terminated_by == "dead_end" and len(w.tokens) < len(lane) <= 8:
                 stops["dead_end"] += 1
     assert stops["eop"] and stops["dead_end"]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_one_pass_of_mixed_lanes_matches_two_passes(seed):
+    """Teacher-forced lanes, fed their targets or their greedy walks by the
+    coin, and PG rescoring lanes, always fed their own tokens, in one
+    ``score_lanes`` call with one flag per lane as ``train_epoch`` joins
+    them: each lane's total is its own group's separate pass's, within
+    ``ENGINE_ULP``. The lanes are of other lengths than the walks."""
+    rng = np.random.default_rng(seed)
+    g = ref.figure2_subgraph() if seed % 2 == 0 else ref.random_dag(rng)
+    m = LabelPathModel(g, input_dim=5, embed_dim=6, hidden=8, seed=seed)
+    for t in m.params.values():
+        t.data[...] += rng.normal(0, 0.5, t.data.shape)
+    paths = [list(p) for label in g.label_ids() for p in enumerate_paths(g, label)]
+    lanes = [paths[i][:int(rng.integers(1, 7))] for i in rng.integers(len(paths), size=5)]
+    xs = rng.normal(size=(9, 5))
+    walks = m.sample_path(xs[5:], rng, 2 + seed % 5)
+    f, tf, pg = m.encode(xs), step_major(lanes, max(map(len, lanes))), m.sampled_path_log_prob(walks)
+    for coin in (True, False):
+        joined = _joined(((Lanes(*tf, np.arange(5), np.ones(5), np.full(5, coin)), 1.0),
+                          (Lanes(*pg, np.arange(5, 9), np.ones(4), np.ones(4, dtype=bool)), 1.0)))
+        one = m.score_lanes(nm.gather_rows(f, joined.rows), joined.targets, joined.lengths,
+                            joined.teacher).data
+        two = np.concatenate([
+            m.score_lanes(nm.gather_rows(f, range(5)), *tf, np.full(5, coin)).data,
+            m.score_lanes(nm.gather_rows(f, range(5, 9)), *pg, np.ones(4, dtype=bool)).data])
+        assert (np.abs(one - two) <= ENGINE_ULP * np.abs(np.spacing(two))).all(), (one, two)
 
 
 @pytest.mark.parametrize("teacher", (True, False))
@@ -573,7 +601,7 @@ def test_score_lanes_rejects_targets_outside_the_vocabulary(teacher):
                 bad.append(int(m.candidates([q]).cols[0]) + shift)
         for target in bad:
             with pytest.raises(InvalidPath, match=f"token {target} is not a candidate"):
-                m.score_lanes(f, [path[:k] + [target]], teacher)
+                ref.score(m, f, [path[:k] + [target]], teacher)
             rejected += 1
     assert rejected >= (20 if teacher else 4)
 
@@ -657,6 +685,31 @@ def test_million_path_split_in_polynomial_time(singleton):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+def test_lane_table_gathers_each_targets_first_deterministic_paths(seed):
+    """Each sample's lanes, gathered from the book's lane table, are its
+    target's oracle ``det[:n_p]`` cut to ``max_len``, for label nodes and
+    augmented targets (coarse labels) alike, over batches that add targets
+    to the table; a target without a deterministic path gets none and goes
+    to I_pg. Each target's paths are split once per table."""
+    rng = np.random.default_rng(seed)
+    for g in list(_split_graphs(rng))[::3]:
+        book, split = PathBook(g), PathBook.split
+        targets = [n.id for n in g.nodes if n.id != g.root]
+        oracle = {v: ref.oracle_classify(g, v)[0] for v in targets}
+        for n_p, max_len in ((1, 8), (4, 3), (4, 8)):
+            calls = []
+            book.split = lambda v: calls.append(v) or split(book, v)
+            for _ in range(3):
+                labels = [int(v) for v in rng.choice(targets, size=6)]
+                batch = build_batch([LabeledSample(np.zeros(3), v) for v in labels],
+                                    TrainConfig(n_p=n_p, max_len=max_len), book, rng)
+                want = [[p[:max_len] for p in oracle[v][:n_p]] for v in labels]
+                assert ref.lane_paths(batch) == want
+                assert batch.pg_indexes == tuple(i for i, w in enumerate(want) if not w)
+            assert len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_random_path_agg_draws_the_oracle_paths(seed):
     for g in _split_graphs(np.random.default_rng(seed)):
         labels = [lb for lb in g.label_ids() if ref.oracle_classify(g, lb)[0]]
@@ -669,8 +722,8 @@ def test_random_path_agg_draws_the_oracle_paths(seed):
         want = []
         for s in samples:
             det = [tuple(p) for p in ref.oracle_classify(g, s.label)[0]]
-            want.append([det[int(draws.integers(len(det)))]])
-        assert batch.target_paths == want
+            want.append([det[int(draws.integers(len(det)))][:cfg.max_len]])
+        assert ref.lane_paths(batch) == want
 
 
 def test_random_path_agg_draws_past_int64():
@@ -683,11 +736,12 @@ def test_random_path_agg_draws_past_int64():
     samples = [LabeledSample(np.zeros(3), x)] * 16
     book = PathBook(g)
     assert book.deterministic_paths(x).total == 2 ** depth
-    batch = build_batch(samples, TrainConfig(path_agg="random"), book,
+    # lanes are cut to max_len: this one keeps whole paths
+    batch = build_batch(samples, TrainConfig(path_agg="random", max_len=depth + 2), book,
                         np.random.default_rng(0))
     pairs = [sorted(g.id_of(n) for n in (f"a{k}", f"b{k}")) for k in range(1, depth + 1)]
     halves = set()
-    for (path,) in batch.target_paths:
+    for (path,) in ref.lane_paths(batch):
         assert len(path) == depth + 2 and (path[0], path[-1]) == (g.root, x)
         assert all(node in pair for node, pair in zip(path[1:-1], pairs))
         halves.add(pairs[0].index(path[1]))

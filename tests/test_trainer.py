@@ -1,5 +1,6 @@
 """Trainer mechanics: rewards, losses, schedules, baselines, determinism."""
 
+import hashlib
 import json
 from dataclasses import asdict
 
@@ -10,18 +11,18 @@ from pathcast import numerics as nm
 from pathcast.evaldecode import EmptyDataset
 from pathcast.harness import BaselineConfig, SynthSpec
 from pathcast.labelgraph import build_graph
-from pathcast.model import LabelPathModel
+from pathcast.model import LabelPathModel, greedy_pick
 from pathcast.numerics import AdamState, adam_step, backward, zero_grads
-from pathcast.trainer import (Batch, BaselineEstimator, EmptyRewardSet,
+from pathcast.trainer import (BaselineEstimator, EmptyRewardSet,
                               LabeledSample, PathBook, ScheduleConfig,
                               ScheduleState, TrainConfig, TrainState,
                               build_batch, deterministic_loss,
                               policy_gradient_loss, reward, schedule_update,
                               read_config, train, train_epoch, typed_value)
 
-from reference import (GroupAdamState, collect_grads, figure2_subgraph, finite_difference,
-                       group_adam_step, max_rel_err, path_log_prob, sample_cross_block,
-                       step_major_walk, sum_all)
+from reference import (GroupAdamState, add_n, batch_of, collect_grads, figure2_subgraph,
+                       finite_difference, group_adam_step, max_rel_err, path_log_prob, pooled,
+                       rescored, sample_cross_block, scale, step_major_walk, sum_all)
 
 
 def bandit_graph():
@@ -258,7 +259,7 @@ class TestDeterministicLoss:
         rng = np.random.default_rng(0)
         cfg = TrainConfig(max_len=6)
         batch = build_batch([LabeledSample(np.zeros(4), g.id_of("x"))], cfg, book, rng)
-        loss = deterministic_loss(m, batch, cfg, rng)
+        loss = pooled(m, batch.inputs, deterministic_loss(batch, cfg, rng))
         assert abs(loss.item()) < 1e-12
 
     def test_two_way_block_uniform_init_gives_ln2(self):
@@ -271,7 +272,7 @@ class TestDeterministicLoss:
         cfg = TrainConfig(max_len=6)
         rng = np.random.default_rng(0)
         batch = build_batch([LabeledSample(np.zeros(4), g.id_of("win"))], cfg, book, rng)
-        loss = deterministic_loss(m, batch, cfg, rng)
+        loss = pooled(m, batch.inputs, deterministic_loss(batch, cfg, rng))
         assert loss.item() == pytest.approx(np.log(2), abs=1e-9)
 
     def test_gradient_matches_finite_differences(self):
@@ -289,9 +290,10 @@ class TestDeterministicLoss:
             m2 = make_model(g, seed=3, input_dim=4)
             for k, t in m2.params.items():
                 t.data = p[k]
-            return deterministic_loss(m2, batch, cfg, np.random.default_rng(2)).item()
+            return pooled(m2, batch.inputs,
+                          deterministic_loss(batch, cfg, np.random.default_rng(2))).item()
 
-        loss = deterministic_loss(m, batch, cfg, np.random.default_rng(2))
+        loss = pooled(m, batch.inputs, deterministic_loss(batch, cfg, np.random.default_rng(2)))
         zero_grads(m.params)
         backward(loss)
         grads = collect_grads(m.params)
@@ -306,10 +308,9 @@ class TestDeterministicLoss:
         m = make_model(g, seed=6, input_dim=4)
         path = tuple(g.id_of(n) for n in ("animal", "cat", "shorthair", "british-shorthair"))
         x = np.random.default_rng(3).normal(size=4)
-        batch = Batch(inputs=np.stack([x]), target_paths=[[path]], pg_indexes=(),
-                      labels=(path[-1],))
-        loss = deterministic_loss(m, batch, TrainConfig(max_len=8, r_tf=1.0),
-                                  np.random.default_rng(0))
+        batch = batch_of(np.stack([x]), [[path]], labels=(path[-1],))
+        loss = pooled(m, batch.inputs, deterministic_loss(batch, TrainConfig(max_len=8, r_tf=1.0),
+                                                          np.random.default_rng(0)))
         assert -loss.item() == path_log_prob(m, x, path).item()
 
     def test_padding_steps_do_not_contribute(self):
@@ -318,22 +319,16 @@ class TestDeterministicLoss:
         m = make_model(g, seed=4, input_dim=4)
         cfg = TrainConfig(max_len=8)
         x = np.zeros(4)
-        short = Batch(inputs=np.stack([x]), target_paths=[[(0, g.id_of("cat"))]],
-                      pg_indexes=(), labels=(g.id_of("cat"),))
-        longer = Batch(
-            inputs=np.stack([x, x]),
-            target_paths=[[(0, g.id_of("cat"))],
-                          [(0, g.id_of("cat"), g.id_of("shorthair"), g.id_of("bengal"))]],
-            pg_indexes=(), labels=(g.id_of("cat"), g.id_of("bengal")))
-        rng = np.random.default_rng(0)
-        a = deterministic_loss(m, short, cfg, np.random.default_rng(0)).item()
-        both = deterministic_loss(m, longer, cfg, np.random.default_rng(0)).item()
-        rng = np.random.default_rng(0)
-        only_long = Batch(inputs=np.stack([x]),
-                          target_paths=[[(0, g.id_of("cat"), g.id_of("shorthair"),
-                                          g.id_of("bengal"))]],
-                          pg_indexes=(), labels=(g.id_of("bengal"),))
-        b = deterministic_loss(m, only_long, cfg, np.random.default_rng(0)).item()
+        short = batch_of(np.stack([x]), [[(0, g.id_of("cat"))]], labels=(g.id_of("cat"),))
+        longer = batch_of(
+            np.stack([x, x]),
+            [[(0, g.id_of("cat"))], [(0, g.id_of("cat"), g.id_of("shorthair"), g.id_of("bengal"))]],
+            labels=(g.id_of("cat"), g.id_of("bengal")))
+        only_long = batch_of(np.stack([x]),
+                             [[(0, g.id_of("cat"), g.id_of("shorthair"), g.id_of("bengal"))]],
+                             labels=(g.id_of("bengal"),))
+        a, both, b = (pooled(m, bt.inputs, deterministic_loss(bt, cfg, np.random.default_rng(0)))
+                      .item() for bt in (short, longer, only_long))
         assert both == pytest.approx((a + b) / 2, abs=1e-12)
 
     def test_teacher_forcing_rate_changes_input_streams(self):
@@ -343,16 +338,15 @@ class TestDeterministicLoss:
         m.params["out.b"].data[g.id_of("longhair")] = 5.0
         cfg_tf = TrainConfig(max_len=6, r_tf=1.0)
         cfg_fr = TrainConfig(max_len=6, r_tf=0.0)
-        batch = Batch(
-            inputs=np.zeros((1, 4)),
-            target_paths=[[(0, g.id_of("cat"), g.id_of("shorthair"),
-                            g.id_of("british-shorthair"))]],
-            pg_indexes=(), labels=(g.id_of("british-shorthair"),))
+        batch = batch_of(
+            np.zeros((1, 4)),
+            [[(0, g.id_of("cat"), g.id_of("shorthair"), g.id_of("british-shorthair"))]],
+            labels=(g.id_of("british-shorthair"),))
         fed, _ = record_decode_steps(m)
-        deterministic_loss(m, batch, cfg_tf, np.random.default_rng(0))
+        pooled(m, batch.inputs, deterministic_loss(batch, cfg_tf, np.random.default_rng(0)))
         trace_tf = [step[0] for step in fed]
         fed.clear()
-        deterministic_loss(m, batch, cfg_fr, np.random.default_rng(0))
+        pooled(m, batch.inputs, deterministic_loss(batch, cfg_fr, np.random.default_rng(0)))
         trace_fr = [step[0] for step in fed]
         # four steps, none after the lane's end; EOP is not offered at root or cat
         assert len(trace_tf) == len(trace_fr) == 4
@@ -379,13 +373,11 @@ class TestDeterministicLoss:
                 m = make_model(g, seed=seed, input_dim=4)
                 fed, logits = record_decode_steps(m)
                 rows = np.random.default_rng(seed).normal(size=(len(labels), 4))
-                batch = Batch(inputs=rows,
-                              target_paths=[list(book.split(lb)[0]) + list(book.split(lb)[1])
-                                            for lb in labels],
-                              pg_indexes=(), labels=tuple(labels))
-                lanes = [p[:6] for paths in batch.target_paths for p in paths]
-                loss = deterministic_loss(m, batch, TrainConfig(max_len=6, r_tf=0.0),
-                                          np.random.default_rng(0))
+                paths = [list(book.split(lb)[0]) + list(book.split(lb)[1]) for lb in labels]
+                batch = batch_of(rows, paths, labels, max_len=6)
+                lanes = [p[:6] for ps in paths for p in ps]
+                loss = pooled(m, batch.inputs, deterministic_loss(
+                    batch, TrainConfig(max_len=6, r_tf=0.0), np.random.default_rng(0)))
                 assert loss is not None and len(fed) == max(map(len, lanes))
                 for li, targets in enumerate(lanes):
                     assert fed[0][li] == m.start_token
@@ -408,25 +400,24 @@ class TestDeterministicLoss:
         m = make_model(g, seed=2, input_dim=4)
         cat = g.id_of("cat")
         longest = (0, cat, g.id_of("shorthair"), g.id_of("british-shorthair"))
-        batch = Batch(inputs=np.zeros((2, 4)), target_paths=[[longest], [(0, cat)]],
-                      pg_indexes=(), labels=(longest[-1], cat))
-        short = Batch(inputs=np.zeros((1, 4)), target_paths=[[(0, cat)]],
-                      pg_indexes=(), labels=(cat,))
+        batch = batch_of(np.zeros((2, 4)), [[longest], [(0, cat)]], labels=(longest[-1], cat))
+        short = batch_of(np.zeros((1, 4)), [[(0, cat)]], labels=(cat,))
         fed, _ = record_decode_steps(m)
         cfg = TrainConfig(max_len=8, r_tf=r_tf)
-        assert deterministic_loss(m, batch, cfg, np.random.default_rng(0)) is not None
+        assert pooled(m, batch.inputs,
+                      deterministic_loss(batch, cfg, np.random.default_rng(0))) is not None
         assert len(fed) == 4
         fed.clear()
-        assert deterministic_loss(m, short, cfg, np.random.default_rng(0)) is not None
+        assert pooled(m, short.inputs,
+                      deterministic_loss(short, cfg, np.random.default_rng(0))) is not None
         assert len(fed) == 2
 
     def test_returns_none_without_lanes(self):
         g = chain_graph()
         m = make_model(g)
         cfg = TrainConfig()
-        batch = Batch(inputs=np.zeros((1, 4)), target_paths=[[]], pg_indexes=(0,),
-                      labels=(g.id_of("x"),))
-        assert deterministic_loss(m, batch, cfg, np.random.default_rng(0)) is None
+        batch = batch_of(np.zeros((1, 4)), [[]], labels=(g.id_of("x"),))
+        assert deterministic_loss(batch, cfg, np.random.default_rng(0)) is None
 
     @pytest.mark.parametrize("r_tf", [1.0, 0.0])
     def test_trace_nodes_do_not_grow_with_lanes(self, monkeypatch, r_tf):
@@ -451,7 +442,8 @@ class TestDeterministicLoss:
             cfg = TrainConfig(max_len=6, r_tf=r_tf, n_p=4)
             batch = build_batch(samples, cfg, book, np.random.default_rng(0))
             built[0] = 0
-            assert deterministic_loss(m, batch, cfg, np.random.default_rng(0)) is not None
+            assert pooled(m, batch.inputs,
+                      deterministic_loss(batch, cfg, np.random.default_rng(0))) is not None
             return built[0], sum(len(p) for p in batch.target_paths)
 
         nodes, lanes = count(2)
@@ -467,12 +459,12 @@ class TestPolicyGradientLoss:
         book = PathBook(g)
         cfg = TrainConfig(reward_set="certain")
         baseline = BaselineEstimator(value=1.0)  # happens to match r
-        batch = Batch(inputs=np.zeros((1, 4)), target_paths=[[]], pg_indexes=(0,),
-                      labels=(g.id_of("win"),))
+        batch = batch_of(np.zeros((1, 4)), [[]], labels=(g.id_of("win"),))
         # force the sampler down the rewarded arm by biasing the logits
         m.params["out.b"].data[g.id_of("a")] = 50.0
-        loss, rewards = policy_gradient_loss(m, batch, baseline, cfg,
-                                             np.random.default_rng(0), book)
+        lanes, rewards = policy_gradient_loss(m, batch, baseline, cfg,
+                                              np.random.default_rng(0), book)
+        loss = pooled(m, batch.inputs, lanes)
         assert rewards == [1.0]
         zero_grads(m.params)
         backward(loss)
@@ -485,10 +477,10 @@ class TestPolicyGradientLoss:
         book = PathBook(g)
         cfg = TrainConfig()
         baseline = BaselineEstimator()
-        batch = Batch(inputs=np.zeros((1, 4)), target_paths=[[]], pg_indexes=(0,),
-                      labels=(g.id_of("x"),))
-        loss, rewards = policy_gradient_loss(m, batch, baseline, cfg,
-                                             np.random.default_rng(0), book)
+        batch = batch_of(np.zeros((1, 4)), [[]], labels=(g.id_of("x"),))
+        lanes, rewards = policy_gradient_loss(m, batch, baseline, cfg,
+                                              np.random.default_rng(0), book)
+        loss = pooled(m, batch.inputs, lanes)
         assert abs(loss.item()) < 1e-12  # all probabilities along the chain are 1
 
     def test_baseline_updated_after_use(self):
@@ -497,8 +489,7 @@ class TestPolicyGradientLoss:
         book = PathBook(g)
         cfg = TrainConfig()
         baseline = BaselineEstimator()
-        batch = Batch(inputs=np.zeros((1, 4)), target_paths=[[]], pg_indexes=(0,),
-                      labels=(g.id_of("x"),))
+        batch = batch_of(np.zeros((1, 4)), [[]], labels=(g.id_of("x"),))
         policy_gradient_loss(m, batch, baseline, cfg, np.random.default_rng(0), book)
         assert baseline.value == pytest.approx(0.1)  # 0.9*0 + 0.1*1.0
 
@@ -514,9 +505,9 @@ class TestPolicyGradientLoss:
             m2 = make_model(g, seed=9)
             for k, t in m2.params.items():
                 t.data = p[k]
-            return nm.scale(sum_all(m2.sampled_path_log_prob(x[None, :], [sampled])), weight).item()
+            return scale(sum_all(rescored(m2, x[None, :], [sampled])), weight).item()
 
-        loss = nm.scale(sum_all(m.sampled_path_log_prob(x[None, :], [sampled])), weight)
+        loss = scale(sum_all(rescored(m, x[None, :], [sampled])), weight)
         zero_grads(m.params)
         backward(loss)
         grads = collect_grads(m.params)
@@ -534,18 +525,17 @@ class TestPolicyGradientLoss:
         m = make_model(g, seed=10)
         book = PathBook(g)
         cfg = TrainConfig(reward_set="certain")
-        batch = Batch(inputs=np.zeros((1, 4)), target_paths=[[]], pg_indexes=(0,),
-                      labels=(g.id_of("win"),))
+        batch = batch_of(np.zeros((1, 4)), [[]], labels=(g.id_of("win"),))
         rng = np.random.default_rng(42)
         samples_a = []
         samples_b = []
         trials = 4000
         for _ in range(trials):
             baseline = BaselineEstimator(value=0.5)  # fixed across trials
-            loss, rewards = policy_gradient_loss(m, batch, baseline, cfg, rng, book)
+            lanes, rewards = policy_gradient_loss(m, batch, baseline, cfg, rng, book)
             assert rewards == [1.0]
             zero_grads(m.params)
-            backward(loss)
+            backward(pooled(m, batch.inputs, lanes))
             samples_a.append(float(m.params["out.b"].grad[g.id_of("a")]))
             samples_b.append(float(m.params["out.b"].grad[g.id_of("b")]))
         for vals in (samples_a, samples_b):
@@ -564,19 +554,23 @@ class TestPolicyGradientLoss:
             for i, sampled in zip(batch.pg_indexes, walks):
                 r = reward(sampled.tokens, book.reward_members(batch.labels[i], cfg.reward_set))
                 rewards.append(r)
-                logp = sum_all(m.sampled_path_log_prob(batch.inputs[i][None, :], [sampled]))
-                terms.append(nm.scale(logp, -(r - b)))
+                logp = sum_all(rescored(m, batch.inputs[i][None, :], [sampled]))
+                terms.append(scale(logp, -(r - b)))
             baseline.update(float(np.mean(rewards)))
-            return nm.scale(nm.add_n(terms), 1.0 / len(batch.pg_indexes)), rewards
+            return scale(add_n(terms), 1.0 / len(batch.pg_indexes)), rewards
+
+        def batched_loss(m, batch, baseline, cfg, rng, book):
+            lanes, rewards = policy_gradient_loss(m, batch, baseline, cfg, rng, book)
+            return pooled(m, batch.inputs, lanes), rewards
 
         g = bandit_graph()
         labels = (g.id_of("win"), g.id_of("lose"))
         cfg = TrainConfig(max_len=6)
         inputs = np.random.default_rng(16).normal(size=(8, 4))
-        batch = Batch(inputs=inputs, target_paths=[[]] * 8, pg_indexes=(1, 2, 4, 5, 6, 7),
-                      labels=tuple(labels[i % 2] for i in range(8)))
+        batch = batch_of(inputs, [[]] * 8, tuple(labels[i % 2] for i in range(8)),
+                         pg_indexes=(1, 2, 4, 5, 6, 7))
         results = []
-        for loss_fn in (policy_gradient_loss, per_sample_loss):
+        for loss_fn in (batched_loss, per_sample_loss):
             m = make_model(g, seed=15)
             baseline = BaselineEstimator(value=0.3)
             loss, rewards = loss_fn(m, batch, baseline, cfg, np.random.default_rng(17),
@@ -595,11 +589,11 @@ class TestPolicyGradientLoss:
         g = chain_graph()
         m = make_model(g)
         book = PathBook(g)
-        loss, rewards = policy_gradient_loss(
-            m, Batch(inputs=np.zeros((1, 4)), target_paths=[[(0, g.id_of("a"), g.id_of("x"))]],
-                     pg_indexes=(), labels=(g.id_of("x"),)),
+        lanes, rewards = policy_gradient_loss(
+            m, batch_of(np.zeros((1, 4)), [[(0, g.id_of("a"), g.id_of("x"))]],
+                        labels=(g.id_of("x"),)),
             BaselineEstimator(), TrainConfig(), np.random.default_rng(0), book)
-        assert loss is None and rewards == []
+        assert lanes is None and rewards == []
 
 
 class TestBandit:
@@ -614,15 +608,14 @@ class TestBandit:
             baseline = BaselineEstimator()
             adam = AdamState(m.params, dict.fromkeys(m.params, 0.05))
             x = np.zeros(4)
-            batch = Batch(inputs=np.stack([x]), target_paths=[[]], pg_indexes=(0,),
-                          labels=(g.id_of("win"),))
+            batch = batch_of(np.stack([x]), [[]], labels=(g.id_of("win"),))
             rng = np.random.default_rng(1000 + seed)
             for _ in range(500):
-                loss, _ = policy_gradient_loss(m, batch, baseline, cfg, rng, book)
-                if loss is None:
+                lanes, _ = policy_gradient_loss(m, batch, baseline, cfg, rng, book)
+                if lanes is None:
                     continue
                 zero_grads(m.params)
-                backward(loss)
+                backward(pooled(m, batch.inputs, lanes))
                 adam_step(adam, m.params)
             f = m.encode(x).data
             probs, _, _ = m.step(f, [g.root])
@@ -645,7 +638,7 @@ class TestBandit:
         a_enc, a_rest = GroupAdamState(lr=cfg.lr_e), GroupAdamState(lr=cfg.lr)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=11, spawn_key=(1, 0)))
         batch = build_batch(samples, cfg, book, rng)
-        loss = deterministic_loss(m2, batch, cfg, rng)
+        loss = pooled(m2, batch.inputs, deterministic_loss(batch, cfg, rng))
         zero_grads(m2.params)
         backward(loss)
         grads = collect_grads(m2.params)
@@ -653,6 +646,46 @@ class TestBandit:
         group_adam_step(a_rest, rest, grads)
         for name in m1.params:
             np.testing.assert_array_equal(m1.params[name].data, m2.params[name].data)
+
+
+class TestOnePassIdentity:
+    """A batch's teacher-forced lanes and PG trajectories share one scored
+    pass. Its losses may differ from two passes in their last bits, but the
+    rewards drawn in a short seeded run, and the greedy paths its model then
+    decodes, are those of two passes, pinned here by digest: with PG lanes in
+    the pass at each teacher-forcing rate, and with either branch off."""
+
+    @pytest.mark.parametrize("r_tf, alpha, beta, digest, n_rewards", [
+        (1.0, 1.0, 1.0, "89bdb6e78a409cd6", 14),
+        (0.5, 1.0, 1.0, "d298da9d236bf32a", 14),
+        (0.0, 1.0, 1.0, "984853b370e53e2e", 14),
+        (1.0, 0.0, 1.0, "c4ffe77c323bea9d", 14),
+        (0.5, 1.0, 0.0, "c57f8eb48adef5ed", 0),
+    ])
+    def test_rewards_and_decoded_paths_are_pinned(self, monkeypatch, r_tf, alpha, beta, digest,
+                                                  n_rewards):
+        from pathcast import trainer
+        from pathcast.harness import fuse, resolve_samples, synth_generate
+        # the sixth label samples every attribute: it trains by REINFORCE
+        spec = SynthSpec(seed=7, n_train_fine=48, n_train_coarse=24, n_test=24,
+                         label_profiles=SynthSpec().label_profiles[:5] + ((None, None, None),))
+        graph, fine, coarse, test = synth_generate(spec)
+        model = LabelPathModel(graph, spec.input_dim, embed_dim=6, hidden=8, seed=7)
+        cfg = TrainConfig(batch_size=8, max_len=6, epochs=2, r_tf=r_tf, alpha=alpha, beta=beta,
+                          seed=7, n_p=2)
+        rewards, pg_lanes = [], trainer.policy_gradient_loss
+
+        def recording(*args):
+            out = pg_lanes(*args)
+            rewards.extend(out[1])
+            return out
+
+        monkeypatch.setattr(trainer, "policy_gradient_loss", recording)
+        train(model, resolve_samples(fuse(fine, coarse, graph).dataset, graph), cfg)
+        xs = np.stack([s.x for s in resolve_samples(test, graph)])
+        paths = [list(w.tokens) for w in model.walk(model.encode_values(xs), 6, greedy_pick)]
+        got = hashlib.sha256(json.dumps([rewards, paths]).encode()).hexdigest()[:16]
+        assert (got, len(rewards)) == (digest, n_rewards)
 
 
 class TestTrainEpochDeterminism:
