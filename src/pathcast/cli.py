@@ -13,7 +13,7 @@ from dataclasses import replace
 
 from . import evaldecode, harness, labelgraph
 from .model import Walk, load_model, read_sidecar, save_model
-from .trainer import PATH_AGGS, TrainConfig, read_config, typed_value
+from .trainer import PATH_AGGS, TrainConfig, read_config, typed_value, written
 
 
 class InvalidConfig(ValueError):
@@ -68,25 +68,6 @@ def _max_len(text: str) -> int:
     if value < 2:
         raise argparse.ArgumentTypeError(f"must be an int of at least 2, not {text!r}")
     return value
-
-
-@contextmanager
-def _written(path: str | None):
-    """``path`` opened for writing, or None without a path; removed again if
-    the block raises. A path that cannot be opened raises OSError naming it."""
-    if path is None:
-        yield None
-        return
-    try:
-        f = open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"{path}: {exc.strerror}") from None
-    try:
-        with f:
-            yield f
-    except BaseException:
-        os.remove(path)
-        raise
 
 
 def _model_dims(raw: dict) -> tuple[int, int]:
@@ -173,7 +154,7 @@ def cmd_eval(args) -> int:
         raise evaldecode.EmptyDataset(f"dataset {args.data!r} has no samples")
     samples = harness.resolve_samples(ds, graph)
     decoded: list[Walk] = []
-    with _written(args.dump_paths) as f:  # opened before the decodes
+    with written(args.dump_paths) as f:  # opened before the decodes
         report = evaldecode.evaluate(model, samples, args.max_len, decoded)
         if args.audit:
             triples = [(s.x, t.label, s.attrs) for s, t in zip(ds.samples, samples)]
@@ -197,8 +178,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    import os
-
     with _naming(args.spec):
         raw = _read_json(args.spec)
         if not isinstance(raw, dict):

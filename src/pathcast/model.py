@@ -56,8 +56,9 @@ class LabelPathModel:
     a one-row ``nm.Blocks`` there, once (``_entries``). ``_table`` stacks
     them in token order, each on its token's row; ``_first`` and
     ``_n_blocks`` give each token's blocks in it (none for EOP or a dead
-    end), and ``_key_block`` is the block of each sorted ``_keys`` entry,
-    ``token * vocab_size + candidate``."""
+    end), ``_key_block`` is the block of each sorted ``_keys`` entry,
+    ``token * vocab_size + candidate``, and ``_offers_eop`` flags the tokens
+    whose entry holds EOP: the label nodes."""
 
     def __init__(self, graph: LabelGraph, input_dim: int, embed_dim: int,
                  hidden: int, seed: int = 0, graph_file: str = ""):
@@ -95,6 +96,8 @@ class LabelPathModel:
         self._n_blocks = np.bincount(block_rows, minlength=self.vocab_size)
         self._first = np.cumsum(self._n_blocks) - self._n_blocks
         self._has_entry = self._n_blocks > 0
+        self._offers_eop = np.zeros(self.vocab_size, dtype=bool)
+        self._offers_eop[table.rows[table.cols == self.eop_token]] = True
         keys = table.rows * self.vocab_size + table.cols
         order = keys.argsort()
         self._keys = keys[order]
@@ -336,13 +339,21 @@ class LabelPathModel:
 
     def sampled_path_log_prob(self, sampled: Sequence[Walk]) -> tuple[np.ndarray, np.ndarray]:
         """The rescoring lanes of sampled walks, as :func:`step_major`
-        targets and lengths: each walk's tokens, closed with EOP when it
-        picked EOP. :meth:`score_lanes`, teacher-forced from the states the
-        walks started from, gives each walk's log-probability along the same
-        choices."""
-        lanes = [s.tokens + ((self.eop_token,) if s.terminated_by == "eop" else ())
-                 for s in sampled]
-        return step_major(lanes, max(map(len, lanes)))
+        targets and lengths: each walk's own tokens. :meth:`score_lanes`,
+        teacher-forced from the states the walks started from, gives each
+        walk's log-probability along the same choices. A walk that picked
+        EOP gets no closing EOP, as a teacher-forced lane gets none: EOP is a
+        singleton block, so its log-probability is exactly 0. Such a walk
+        whose last token offers no EOP (no label node) raises InvalidPath.
+        """
+        target, n = step_major([s.tokens for s in sampled], max(len(s.tokens) for s in sampled))
+        last = target[-1]  # each lane's last token, repeated to the end
+        offers = (last >= 0) & (last < self.vocab_size) & self._offers_eop.take(last, mode="clip")
+        bad = np.array([s.terminated_by == "eop" for s in sampled]) & ~offers
+        if bad.any():
+            raise InvalidPath(f"token {self.eop_token} is not a candidate after "
+                              f"{int(last[bad][0])}")
+        return target, n
 
 
 def greedy_pick(probs: np.ndarray, blocks: nm.Blocks) -> tuple[np.ndarray, np.ndarray]:

@@ -17,9 +17,11 @@ those counts. :func:`all_paths_to` returns a counted :class:`Paths`
 sequence: the backward count, or one more backward pass over the memo's
 order minus the avoided nodes, from which any path is unranked in time
 linear in its length times the out-degree, and iteration builds each path
-in turn. The split counts the paths that touch each competing group, so it
-is polynomial too; only :func:`enumerate_paths` and :func:`classify_paths`,
-the public forms that serve as oracles, build every path.
+in turn. The split reads a competing group's taint from those counts when
+one of its members lies on two or more paths, and otherwise counts the
+paths that touch the group, so it is polynomial too; only
+:func:`enumerate_paths` and :func:`classify_paths`, the public forms that
+serve as oracles, build every path.
 """
 
 from __future__ import annotations
@@ -242,17 +244,20 @@ def _split_paths(graph: LabelGraph, target: int) -> tuple[Paths, Paths]:
     two paths touch it; a path is nondeterministic iff it touches a tainted
     group. One path holding two members of an otherwise untouched group
     stays deterministic: the pairwise definition needs another path. The
-    paths that touch a group are all paths minus those that avoid its
-    members, so each test is one count.
+    counts read the test off at once when a member v lies on two or more
+    paths (``fwd[v] > 1`` or ``bwd[v] > 1``). Only a group whose every
+    member lies on one path is counted again: the paths that touch it are
+    all paths minus those that avoid its members.
     """
-    order, _, counts = _path_counts(graph, target)
-    total = counts.get(graph.root, 0)
+    order, fwd, bwd = _path_counts(graph, target)
+    total = bwd.get(graph.root, 0)
     tainted: frozenset[int] = frozenset()
     for members in _competing_groups(graph, order).values():
-        if total - all_paths_to(graph, target, frozenset(members)).total >= 2:
+        if any(fwd[v] > 1 or bwd[v] > 1 for v in members) or \
+                total - all_paths_to(graph, target, frozenset(members)).total >= 2:
             tainted |= members
     det = all_paths_to(graph, target, tainted)
-    return det, Paths(graph, target, counts, tainted, det._counts)
+    return det, Paths(graph, target, bwd, tainted, det._counts)
 
 
 def classify_paths(graph: LabelGraph, label: int) -> PathSet:

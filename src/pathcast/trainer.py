@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -466,6 +467,25 @@ def train_epoch(model: LabelPathModel, dataset: Sequence[LabeledSample],
     }
 
 
+@contextmanager
+def written(path: str | None):
+    """``path`` opened for writing, or None without a path; removed again if
+    the block raises. A path that cannot be opened raises OSError naming it."""
+    if path is None:
+        yield None
+        return
+    try:
+        f = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise OSError(f"{path}: {exc.strerror}") from None
+    try:
+        with f:
+            yield f
+    except BaseException:
+        os.remove(path)
+        raise
+
+
 def train(model: LabelPathModel, train_set: Sequence[LabeledSample],
           cfg: TrainConfig, dev_set: Sequence[LabeledSample] | None = None,
           metrics_path: str | None = None) -> list[dict]:
@@ -478,9 +498,8 @@ def train(model: LabelPathModel, train_set: Sequence[LabeledSample],
     if cfg.schedule.kind == "dynamic" and dev_set is None:
         raise ValueError("DynamicReduce schedule needs a dev set")
     state = TrainState.init(model, cfg)
-    sink = open(metrics_path, "w", encoding="utf-8") if metrics_path else None
     records = []
-    try:
+    with written(metrics_path or None) as sink:
         for _ in range(cfg.epochs):
             rec = train_epoch(model, train_set, cfg, state)
             dev_acc = None
@@ -497,11 +516,4 @@ def train(model: LabelPathModel, train_set: Sequence[LabeledSample],
             if sink:
                 sink.write(json.dumps(rec, sort_keys=True) + "\n")
                 sink.flush()
-    except BaseException:
-        if sink:
-            sink.close()
-            os.remove(metrics_path)
-        raise
-    if sink:
-        sink.close()
     return records

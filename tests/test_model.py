@@ -460,6 +460,23 @@ class TestSamplePath:
             with pytest.raises(InvalidPath):
                 rescored(m, np.zeros((1, 5)), [sampled])
 
+    def test_rescoring_lanes_are_the_walks_own_tokens(self):
+        # an EOP step scores exactly 0 (a singleton block), so an "eop" walk's
+        # lane stops at its last node, as a teacher-forced lane does
+        g = figure2_subgraph()
+        m = make_model(g, seed=15)
+        rng = np.random.default_rng(11)
+        walks = m.sample_path(rng.normal(size=(8, 5)), rng, max_len=5)
+        assert {w.terminated_by for w in walks} == {"eop", "dead_end"}
+        target, n = m.sampled_path_log_prob(walks)
+        assert n.tolist() == [len(w.tokens) for w in walks]
+        assert len(target) == max(n)
+        for i, w in enumerate(walks):
+            assert tuple(target[:n[i], i].tolist()) == w.tokens
+        path = tuple(g.id_of(k) for k in ("animal", "cat", "shorthair", "british-shorthair"))
+        target, n = m.sampled_path_log_prob([Walk(path, (1.0, 0.5, 0.5, 0.5, 1.0), "eop")])
+        assert target.shape == (4, 1) and n.tolist() == [4]
+
     def test_sampled_paths_are_graph_valid(self):
         rng = np.random.default_rng(8)
         for _ in range(10):

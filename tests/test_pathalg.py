@@ -173,6 +173,28 @@ class TestClassifyPaths:
         assert (list(ps.deterministic), list(ps.nondeterministic)) == (det, nd)
         assert sorted(map(len, nd)) == [4, 5] and det == [(0, g.id_of("c"), g.id_of("x"))]
 
+    def test_group_tainted_only_by_the_count(self, monkeypatch):
+        # root -> a -> x and root -> b -> x with the group {a, b}: each member
+        # lies on one path, so only the paths that touch the group, counted
+        # again, show that two of them do
+        g = build_graph([("d", ["x"])], augmented_spec=[("a", ["root"]), ("b", ["root"])],
+                        edge_spec=[("a", "x"), ("b", "x")], group_spec=[("pair", ["a", "b"])])
+        x = g.id_of("x")
+        avoided = []
+        counts_to = pathalg._counts_to
+
+        def counting(graph, target, order):
+            avoided.append(sorted(set(range(len(g.nodes))) - set(order)))
+            return counts_to(graph, target, order)
+
+        monkeypatch.setattr(pathalg, "_counts_to", counting)
+        ps = classify_paths(g, x)
+        assert oracle_classify(g, x) == ([], list(ps.nondeterministic))
+        assert len(ps.nondeterministic) == 2
+        # the sub-DAG, the count around the group and the deterministic count
+        pair = sorted([g.id_of("a"), g.id_of("b")])
+        assert avoided == [[], pair, pair]
+
 
 class TestCertainNodes:
     def test_chain(self):
@@ -292,6 +314,24 @@ class TestCountedSubDag:
         assert (len(det), len(nd)) == ((256, 0) if singleton else (0, 256))
         assert certain == frozenset({g.root, x})
         assert len(groups) == (0 if singleton else 8)
+
+    @pytest.mark.parametrize("singleton", [False, True])
+    def test_a_split_counts_the_sub_dag_at_most_twice(self, monkeypatch, singleton):
+        # every member of a layer lies on two or more paths, so no group is
+        # counted again: the sub-DAG, then the paths that avoid every
+        # tainted group (none without one)
+        g = layered_dag(8, singleton=singleton)
+        calls = [0]
+        counts_to = pathalg._counts_to
+
+        def counting(*args):
+            calls[0] += 1
+            return counts_to(*args)
+
+        monkeypatch.setattr(pathalg, "_counts_to", counting)
+        det, nd = PathBook(g).split(g.id_of("x"))
+        assert calls[0] == (1 if singleton else 2)
+        assert (len(det), len(nd)) == ((256, 0) if singleton else (0, 256))
 
     def test_a_graph_built_from_the_same_parts_starts_with_an_empty_memo(self, monkeypatch):
         g = layered_dag(4)

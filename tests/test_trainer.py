@@ -585,6 +585,34 @@ class TestPolicyGradientLoss:
         for name, gr in grads.items():
             np.testing.assert_allclose(gr, ref_grads[name], rtol=0, atol=1e-12)
 
+    def test_walks_ending_in_eop_after_four_nodes_score_four_steps(self, monkeypatch):
+        # root -> c -> {a, b} (competing) -> x: every walk is four nodes and
+        # then EOP, the only candidate after the leaf label x
+        g = build_graph([("d", ["x"])], augmented_spec=[("c", ["root"]), ("a", ["c"]),
+                                                        ("b", ["c"])],
+                        edge_spec=[("a", "x"), ("b", "x")])
+        m = make_model(g, seed=11)
+        walks, steps = [], []
+        sample_path, score_lanes = m.sample_path, m.score_lanes
+
+        def sampling(*args):
+            walks.extend(sample_path(*args))
+            return walks[-len(args[0]):]
+
+        def scoring(f, target, n, teacher):
+            steps.append((len(target), n.tolist(), teacher.tolist()))
+            return score_lanes(f, target, n, teacher)
+
+        monkeypatch.setattr(m, "sample_path", sampling)
+        monkeypatch.setattr(m, "score_lanes", scoring)
+        samples = [LabeledSample(x, g.id_of("x"))
+                   for x in np.random.default_rng(12).normal(size=(6, 4))]
+        train_epoch(m, samples, TrainConfig(batch_size=3, max_len=6),
+                    TrainState.init(m, TrainConfig()))
+        assert len(walks) == 6
+        assert {(len(w.tokens), w.terminated_by) for w in walks} == {(4, "eop")}
+        assert steps == [(4, [4, 4, 4], [True] * 3)] * 2
+
     def test_empty_pg_set(self):
         g = chain_graph()
         m = make_model(g)
