@@ -146,8 +146,11 @@ def audit_nondeterministic(model: LabelPathModel, dataset: Sequence, max_len: in
     group name to the true member node name. Only decode steps through a
     group that is nondeterministic for the sample's label are audited.
     ``decoded`` (when given) holds each sample's decode, in dataset order,
-    and is used instead of decoding again.
+    and is used instead of decoding again; one of another length than the
+    dataset raises ValueError.
     """
+    if decoded is not None and len(decoded) != len(dataset):
+        raise ValueError(f"{len(decoded)} decoded walks for {len(dataset)} samples")
     graph = model.graph
     nd_cache: dict[int, dict[str, set[int]]] = {}
     audited = matches = 0

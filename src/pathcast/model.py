@@ -57,8 +57,11 @@ class LabelPathModel:
     them in token order, each on its token's row; ``_first`` and
     ``_n_blocks`` give each token's blocks in it (none for EOP or a dead
     end), ``_key_block`` is the block of each sorted ``_keys`` entry,
-    ``token * vocab_size + candidate``, and ``_offers_eop`` flags the tokens
-    whose entry holds EOP: the label nodes."""
+    ``token * vocab_size + candidate``, and ``_key_choice`` flags the keys
+    whose block has more than one member. ``_offers_eop`` flags the tokens
+    whose entry holds EOP: the label nodes; ``_forced`` gives each token
+    whose entry is one singleton block that block's member, and -1 for every
+    other token: START's is the root, a leaf label's EOP."""
 
     def __init__(self, graph: LabelGraph, input_dim: int, embed_dim: int,
                  hidden: int, seed: int = 0, graph_file: str = ""):
@@ -98,10 +101,15 @@ class LabelPathModel:
         self._has_entry = self._n_blocks > 0
         self._offers_eop = np.zeros(self.vocab_size, dtype=bool)
         self._offers_eop[table.rows[table.cols == self.eop_token]] = True
+        self._forced = np.full(self.vocab_size, -1, dtype=np.intp)
+        one = np.flatnonzero(self._n_blocks == 1)
+        one = one[table.sizes[self._first[one]] == 1]
+        self._forced[one] = table.cols[table.starts[self._first[one]]]
         keys = table.rows * self.vocab_size + table.cols
         order = keys.argsort()
         self._keys = keys[order]
         self._key_block = np.arange(block_rows.size).repeat(table.sizes)[order]
+        self._key_choice = table.sizes[self._key_block] > 1
 
     @property
     def encoder_param_names(self) -> tuple[str, ...]:
@@ -228,7 +236,9 @@ class LabelPathModel:
         target is skipped, as is every step after the walk's EOP. Returns the
         per-lane totals as one ``[m]`` Tensor, from one ``decode_logits``
         over every step, one ``gather_blocks`` and one ``block_log_prob`` of
-        the scored steps, and one ``sum_steps``.
+        the scored steps, and one ``sum_steps``. A step whose target is alone
+        in its block (every lane's START -> root) scores exactly 0 with a
+        zero gradient, so it is left out of the gather and the log-softmax.
         """
         T, m = target.shape
         fed = np.empty_like(target)  # START, then the targets or the walks
@@ -250,14 +260,14 @@ class LabelPathModel:
             prev = int(fed.flat[miss[0]])
             self.candidates([prev])  # NoCandidates after a dead end, InvalidPath after EOP
             raise InvalidPath(f"token {target.flat[miss[0]]} is not a candidate after {prev}")
-        rows = np.flatnonzero(scored & hit)  # row t*m + lane of each scored step
+        rows = np.flatnonzero(scored & hit & self._key_choice[at])  # row t*m + lane
         _, z = self.decode_logits(f, fed)
         blocks = nm.gather_blocks(self._table, rows, self._key_block[at.flat[rows]])
         return nm.sum_steps(nm.block_log_prob(z, blocks, target.flat[rows]), m)
 
     def walk(self, f: np.ndarray, max_len: int,
-             pick: Callable[[np.ndarray, nm.Blocks], tuple[np.ndarray, np.ndarray]]
-             ) -> list[Walk]:
+             pick: Callable[[np.ndarray | None, nm.Blocks | np.ndarray],
+                            tuple[np.ndarray, np.ndarray]]) -> list[Walk]:
         """Free-run the decoder from START for every row of the states
         ``f [m, h]`` in lockstep: one :meth:`step` over the rows still
         walking, whose probabilities and candidate layout ``pick`` turns into
@@ -265,9 +275,21 @@ class LabelPathModel:
         ``max_len`` steps, or at a dead-end augmented node (possible on
         subgraphs; its walk truncates there, with no step from it). Returns
         one :class:`Walk` per row, in row order.
+
+        A step is forced when every such row's token has one candidate, one
+        singleton block (``_forced``): START's root, a leaf label's EOP. It
+        runs no head, softmax or candidate lookup: ``pick(None, tokens)``
+        takes the forced tokens with probability 1.0, what the softmax of a
+        singleton gives, and the GRU updates the states only if some row
+        walks on to a next step. Its embedding rows are still checked to be
+        finite. The output head's weights are checked once per walk, in place
+        of the logits of the heads a forced step skips; a state whose head
+        was skipped is checked by the next head that reads it, or never read.
         """
         if max_len < 2:
             raise ValueError("max_len must be at least 2")
+        nm.require_finite(self.params["out.w"].data)
+        nm.require_finite(self.params["out.b"].data)
         m = f.shape[0]
         toks = np.zeros((max_len, m), dtype=np.intp)  # step-major, so a step
         probs = np.zeros((max_len, m))  # writes one row of each
@@ -278,8 +300,16 @@ class LabelPathModel:
         for t in range(max_len):
             if not rows.size:
                 break
-            p, f, blocks = self.step(f, prev)
-            tok, probs[t][rows] = pick(p, blocks)
+            forced = self._forced[prev]
+            if forced.min() < 0:
+                p, f, blocks = self.step(f, prev)
+                tok, probs[t][rows] = pick(p, blocks)
+            else:  # forced: no head, softmax or candidate lookup
+                e = self.params["emb"].data.take(prev, axis=0)
+                nm.require_finite(e)
+                tok, probs[t][rows] = pick(None, forced)
+                if t + 1 < max_len and np.count_nonzero(self._has_entry[tok]):
+                    f = nm.gru_forward(self.gru, e, f)[-1]
             toks[t][rows] = tok
             going = self._has_entry[tok]  # neither EOP nor a dead end
             if np.count_nonzero(going) != going.size:  # cheaper than .all() on few rows
@@ -302,17 +332,24 @@ class LabelPathModel:
         distribution; across blocks the drawn member with the highest
         probability wins (ties to the lowest token id). Draws are step-major:
         at each step the rows still walking, in row order, each take one
-        ``rng.random()`` per block, in block order.
+        ``rng.random()`` per block, in block order. A forced step (see
+        :meth:`walk`) computes no probabilities but still takes its one draw
+        per row, so the samples are those of drawing every step.
         """
         return self.walk(self.encode_values(x), max_len, lambda p, b: self._draw(p, b, rng))
 
-    def _draw(self, p: np.ndarray, b: nm.Blocks,
+    def _draw(self, p: np.ndarray | None, b: nm.Blocks | np.ndarray,
               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """One sampled token per row of ``p [m, vocab]``, with its
         probability, in one pass over the rows' candidate layout ``b``. Each
         block is drawn by inverse CDF on one ``rng.random()``, the arithmetic
         of ``rng.choice(size, p=q / q.sum())``; the draws go row after row,
-        each row's in block order."""
+        each row's in block order. On a forced step ``p`` is None and ``b``
+        the forced tokens: each row's one singleton block takes its draw and
+        gives its token, with probability 1.0."""
+        if p is None:
+            rng.random(b.size)
+            return b, np.ones(b.size)
         nb = b.sizes.size
         u = rng.random(nb)
         q = p[b.rows, b.cols]
@@ -356,11 +393,16 @@ class LabelPathModel:
         return target, n
 
 
-def greedy_pick(probs: np.ndarray, blocks: nm.Blocks) -> tuple[np.ndarray, np.ndarray]:
+def greedy_pick(probs: np.ndarray | None,
+                blocks: nm.Blocks | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the global argmax of a :meth:`LabelPathModel.step`'s
     probabilities across every candidate block, and its probability; ties to
     the lowest token id (``argmax`` takes the first maximum, and no token off
-    the candidates has mass, so ``blocks`` is not read)."""
+    the candidates has mass, so ``blocks`` is not read). On a forced step of
+    :meth:`LabelPathModel.walk` ``probs`` is None and ``blocks`` the forced
+    tokens, each the only candidate of its row: probability 1.0."""
+    if probs is None:
+        return blocks, np.ones(blocks.size)
     return probs.argmax(axis=1), probs.max(axis=1)
 
 

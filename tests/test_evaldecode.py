@@ -31,6 +31,19 @@ class TestGreedyDecode:
         assert r.terminated_by == "eop"
         assert extract_label(g, r.tokens) == g.id_of("x")
 
+    def test_a_chain_of_forced_steps_runs_no_step(self, monkeypatch):
+        # START -> root -> a -> x -> EOP: every token has one candidate
+        g = chain_graph()
+        m = make_model(g, seed=1)
+        monkeypatch.setattr(m, "step", lambda *args: pytest.fail("a forced step ran step"))
+        want = Walk((g.root, g.id_of("a"), g.id_of("x")), (1.0,) * 4, "eop")
+        assert greedy_decode(m, np.zeros(5), 6) == want
+        rng = np.random.default_rng(2)
+        assert m.sample_path(np.zeros((3, 5)), rng, 6) == [want] * 3
+        drawn = np.random.default_rng(2)
+        drawn.random(3 * 4)  # one draw per row and step, as if each were drawn
+        assert rng.random() == drawn.random()
+
     def test_hand_set_logits_follow_preference(self):
         g = figure2_subgraph()
         m = make_model(g, seed=2)
@@ -238,6 +251,19 @@ class TestAudit:
         want = audit_nondeterministic(m, data, 6)
         monkeypatch.setattr(evaldecode, "greedy_decode", None)
         assert audit_nondeterministic(m, data, 6, decoded) == want
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_decodes_of_another_length_are_rejected(self, extra):
+        # two audited rows, and one walk too few or too many
+        g = figure2_subgraph()
+        m = make_model(g, seed=14)
+        rng = np.random.default_rng(5)
+        data = [(rng.normal(size=5), g.id_of("british-shorthair"), {"color": "tabby-color"})
+                for _ in range(2)]
+        decoded = [greedy_decode(m, x, 6) for x, _, _ in data]
+        decoded = decoded[:extra] if extra < 0 else decoded + decoded[:extra]
+        with pytest.raises(ValueError, match=f"^{2 + extra} decoded walks for 2 samples$"):
+            audit_nondeterministic(m, data, 6, decoded)
 
     def test_no_auditable_samples(self):
         g = chain_graph()

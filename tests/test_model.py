@@ -542,6 +542,19 @@ class TestNonFiniteWeights:
         with pytest.raises(nm.NonFiniteValue, match=f"adam step 1: parameter {name!r}"):
             nm.adam_step(state, m.params)
 
+    @pytest.mark.parametrize("name", ["emb", "out.b"])
+    def test_forced_steps_check_what_they_skip(self, name):
+        # every step of the chain is forced, so no head is computed: its
+        # weights are checked once per walk, and the leaf label x's
+        # embedding row where its EOP step feeds it
+        g = chain_graph()
+        m = make_model(g, seed=4)
+        m.params[name].data[(g.id_of("x"), 0) if name == "emb" else m.eop_token] = np.nan
+        for decode in (lambda: greedy_decode(m, np.zeros(5), 6),
+                       lambda: m.sample_path(np.zeros((2, 5)), np.random.default_rng(0), 6)):
+            with pytest.raises(ValueError, match="tensor values must be finite"):
+                decode()
+
     def test_nan_logit_in_a_sampled_block_raises_at_step(self):
         # the sampler draws by inverse CDF, without rng.choice's own checks
         # on p: the logits are checked at step, before any block is drawn

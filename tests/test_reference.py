@@ -328,6 +328,34 @@ def test_walks_that_stop_at_a_dead_end_report_dead_end():
         assert one.terminated_by == w.terminated_by
 
 
+def test_forced_steps_run_no_step_and_draw_as_every_step(monkeypatch):
+    """On the figure-2 subgraph the steps from START (to the root), from the
+    root (to ``cat``) and from a leaf label (to EOP) are forced: one
+    candidate each. The greedy and sampled walks are those of the oracle
+    that steps every row at every step, with the same draws, their forced
+    steps have probability 1.0, and ``step`` runs only where some row still
+    walking has a choice."""
+    rng = np.random.default_rng(29)
+    m = LabelPathModel(ref.figure2_subgraph(), input_dim=5, embed_dim=6, hidden=8, seed=29)
+    for t in m.params.values():
+        t.data[...] += rng.normal(0, 0.5, t.data.shape)
+    fed, step = [], m.step
+    monkeypatch.setattr(m, "step", lambda f, prev: (fed.append(np.array(prev)), step(f, prev))[1])
+    xs = rng.normal(size=(64, 5))
+    got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
+    greedy, sampled = decode_rows(m, xs, 6), m.sample_path(xs, got_rng, 6)
+    _assert_same_walks(greedy, ref.step_major_walk(m, xs, 6, ref.greedy_choice))
+    _assert_same_walks(sampled, ref.step_major_walk(
+        m, xs, 6, lambda dist: ref.sample_cross_block(dist, want_rng)))
+    assert got_rng.random() == want_rng.random()
+    assert {w.terminated_by for w in greedy + sampled} == {"eop", "dead_end"}
+    for w in greedy + sampled:
+        assert w.step_probs[:2] == (1.0, 1.0)
+        assert w.terminated_by != "eop" or w.step_probs[-1] == 1.0
+    choice = {t: len(ref.candidate_blocks(m, t)[0]) > 1 for t in np.flatnonzero(m._has_entry)}
+    assert fed and all(any(choice[t] for t in prev.tolist()) for prev in fed)
+
+
 def _wide_dag(rng):
     """root -> augmented layer -> 8 to 23 labels, the first 8 under mid-0,
     the rest under one or two random mids: a mid's first-claimed children
@@ -579,6 +607,46 @@ def test_one_pass_of_mixed_lanes_matches_two_passes(seed):
             m.score_lanes(nm.gather_rows(f, range(5)), *tf, np.full(5, coin)).data,
             m.score_lanes(nm.gather_rows(f, range(5, 9)), *pg, np.ones(4, dtype=bool)).data])
         assert (np.abs(one - two) <= ENGINE_ULP * np.abs(np.spacing(two))).all(), (one, two)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_singleton_steps_are_left_out_bit_for_bit(seed, monkeypatch):
+    """``score_lanes`` leaves out of its gather and log-softmax the steps
+    whose target is alone in its block, such as every lane's START -> root:
+    on mixed teacher-forced and free-running lanes and PG rescoring lanes,
+    the totals, the pooled loss and every gradient are those of scoring
+    every step, byte for byte."""
+    rng = np.random.default_rng(seed)
+    g = ref.figure2_subgraph() if seed % 2 == 0 else ref.random_dag(rng)
+    m = LabelPathModel(g, input_dim=5, embed_dim=6, hidden=8, seed=seed)
+    for t in m.params.values():
+        t.data[...] += rng.normal(0, 0.5, t.data.shape)
+    paths = [list(p) for label in g.label_ids() for p in enumerate_paths(g, label)]
+    lanes = [paths[i][:int(rng.integers(1, 7))] for i in rng.integers(len(paths), size=6)]
+    xs = rng.normal(size=(10, 5))
+    walks = m.sample_path(xs[6:], rng, 2 + seed % 5)
+    joined = _joined(((Lanes(*step_major(lanes, max(map(len, lanes))), np.arange(6),
+                             rng.normal(size=6), np.arange(6) % 2 == 0), 1.0),
+                      (Lanes(*m.sampled_path_log_prob(walks), np.arange(6, 10),
+                             rng.normal(size=4), np.ones(4, dtype=bool)), 0.5)))
+    scored = []
+    log_prob = nm.block_log_prob
+    monkeypatch.setattr(nm, "block_log_prob", lambda z, blocks, targets: (
+        scored.append(blocks.sizes.size), log_prob(z, blocks, targets))[1])
+
+    def run():
+        totals = m.score_lanes(nm.gather_rows(m.encode(xs), joined.rows), joined.targets,
+                               joined.lengths, joined.teacher)
+        nm.zero_grads(m.params)
+        loss = ref.pooled(m, xs, joined)
+        backward(loss)
+        return (totals.data.tobytes(), loss.data.tobytes(),
+                {k: grad.tobytes() for k, grad in ref.collect_grads(m.params).items()})
+
+    got = run()
+    monkeypatch.setattr(m, "_key_choice", np.ones_like(m._key_choice))  # score every step
+    assert got == run()
+    assert scored[0] + joined.lengths.size <= scored[2]  # at least each START -> root
 
 
 @pytest.mark.parametrize("teacher", (True, False))
