@@ -112,7 +112,10 @@ def cmd_paths(args) -> int:
     from .pathalg import certain_nodes, classify_paths
 
     graph = labelgraph.load_graph(args.graph)
-    label = graph.id_of(args.label)
+    try:
+        label = graph.id_of(args.label)
+    except labelgraph.UnknownName as exc:
+        raise labelgraph.UnknownName(f"{args.graph}: {exc}", exc.names) from None
     ps = classify_paths(graph, label)
     certain = certain_nodes(graph, label)
 
@@ -154,7 +157,7 @@ def cmd_eval(args) -> int:
         raise evaldecode.EmptyDataset(f"dataset {args.data!r} has no samples")
     samples = harness.resolve_samples(ds, graph)
     decoded: list[Walk] = []
-    with written(args.dump_paths) as f:  # opened before the decodes
+    with written(args.dump_paths) as write:  # opened before the decodes
         report = evaldecode.evaluate(model, samples, args.max_len, decoded)
         if args.audit:
             triples = [(s.x, t.label, s.attrs) for s, t in zip(ds.samples, samples)]
@@ -163,10 +166,10 @@ def cmd_eval(args) -> int:
                     model, triples, args.max_len, decoded)
             except evaldecode.NoAuditableSamples as exc:
                 raise evaldecode.NoAuditableSamples(f"{args.data}: {exc}") from None
-        if f is not None:
+        if write is not None:
             for i, (s, w) in enumerate(zip(ds.samples, decoded)):
                 pred = evaldecode.extract_label(graph, w.tokens)
-                f.write(json.dumps({
+                write(json.dumps({
                     "input_id": i,
                     "path": [graph.node(t).name for t in w.tokens],
                     "terminated_by": w.terminated_by,

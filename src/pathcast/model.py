@@ -10,6 +10,7 @@ candidates. START and EOP are decoder vocabulary sentinels, never graph nodes.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -187,12 +188,16 @@ class LabelPathModel:
         nm.require_finite(f)
         return f
 
-    def decode_logits(self, f0: Tensor, tokens) -> tuple[Tensor, Tensor]:
-        """States and logits from ``f0 [m,h]`` fed ``tokens`` ``[m]`` or step-major
-        ``[T, m]`` (row ``t*m + i`` is lane i at step t): one ``gather_rows``,
-        one ``gru_step`` and one ``affine``."""
+    def decode_logits(self, f0: Tensor, tokens, parent: Sequence[int] | None = None,
+                      sizes: Sequence[int] | None = None) -> tuple[Tensor, Tensor]:
+        """States and logits of rows fed ``tokens``: one ``gather_rows``, one
+        ``gru_step`` and one ``affine``. Without ``parent`` and ``sizes``
+        ``f0 [m,h]`` is fed ``[m]`` or step-major ``[T, m]`` tokens (row
+        ``t*m + i`` is lane i at step t); with them, ``tokens [N]`` are the
+        nodes of a prefix forest on ``f0``'s rows, as ``nm.gru_step`` takes it
+        (see :func:`prefix_forest`)."""
         e = nm.gather_rows(self.params["emb"], np.ravel(tokens))
-        f = nm.gru_step(self.gru, e, f0)
+        f = nm.gru_step(self.gru, e, f0, parent, sizes)
         return f, nm.affine(f, self.params["out.w"], self.params["out.b"])
 
     def step(self, f_prev: np.ndarray,
@@ -220,25 +225,34 @@ class LabelPathModel:
         nm.require_finite(z)
         return nm.block_softmax(z, blocks), f_t, blocks
 
-    def score_lanes(self, f: Tensor, target: np.ndarray, n: np.ndarray,
+    def score_lanes(self, f: Tensor, rows: np.ndarray, target: np.ndarray, n: np.ndarray,
                     teacher: np.ndarray) -> Tensor:
         """Differentiable summed log-probability of each lane's target tokens.
 
         A lane is a column of the step-major ``target [T, m]`` with its
-        length in ``n [m]`` (see :func:`step_major`), and ``f`` holds its
-        decoder state. It is fed START and then, where its flag in the bools
-        ``teacher [m]`` is set, its targets, and otherwise its greedy
-        :meth:`walk` from ``f``, which runs on those lanes only and to their
-        longest length; a lane whose feed has ended is fed its last token
-        again. A first target that is not a candidate after START raises
-        InvalidPath, and on a teacher-forced lane so does the first other one
-        in step-major order (NoCandidates after a dead end). Otherwise such a
-        target is skipped, as is every step after the walk's EOP. Returns the
-        per-lane totals as one ``[m]`` Tensor, from one ``decode_logits``
-        over every step, one ``gather_blocks`` and one ``block_log_prob`` of
-        the scored steps, and one ``sum_steps``. A step whose target is alone
-        in its block (every lane's START -> root) scores exactly 0 with a
-        zero gradient, so it is left out of the gather and the log-softmax.
+        length in ``n [m]`` (see :func:`step_major`), and its decoder state
+        is row ``rows[i]`` of ``f [b, h]``. It is fed START and then, where
+        its flag in the bools ``teacher [m]`` is set, its targets, and
+        otherwise its greedy :meth:`walk` from its row, which runs on those
+        lanes only and to their longest length; a lane whose feed has ended
+        is fed its last token again. A first target that is not a candidate
+        after START raises InvalidPath, and on a teacher-forced lane so does
+        the first other one in step-major order (NoCandidates after a dead
+        end). Otherwise such a target is skipped, as is every step after the
+        walk's EOP.
+
+        The lanes' steps run as the nodes of one :func:`prefix_forest`, one
+        per distinct row and fed prefix that some lane reaches within its
+        length, so lanes of one row that share a prefix share its states. A
+        lane's closing EOP target runs no node: EOP is alone in its block,
+        so that step scores exactly 0 from whatever logits it reads.
+        Returns the per-lane totals as one ``[m]`` Tensor, from one
+        ``decode_logits`` over the nodes, one ``gather_rows`` of each lane's
+        node's logits at each step, one ``gather_blocks`` and one
+        ``block_log_prob`` of the scored steps, and one ``sum_steps``. A step
+        whose target is alone in its block (every lane's START -> root)
+        scores exactly 0 with a zero gradient, so it is left out of the
+        gather and the log-softmax.
         """
         T, m = target.shape
         fed = np.empty_like(target)  # START, then the targets or the walks
@@ -246,7 +260,7 @@ class LabelPathModel:
         n_fed = n
         free = np.flatnonzero(~teacher)
         if free.size:
-            walks = self.walk(f.data[free], max(int(n[free].max()) - 1, 2), greedy_pick)
+            walks = self.walk(f.data[rows[free]], max(int(n[free].max()) - 1, 2), greedy_pick)
             n_fed = n.copy()
             fed[1:, free], n_fed[free] = step_major([w.tokens for w in walks], T - 1)
         scored = np.arange(T)[:, None] < np.minimum(n, n_fed + 1)  # none after a walk's EOP
@@ -260,10 +274,13 @@ class LabelPathModel:
             prev = int(fed.flat[miss[0]])
             self.candidates([prev])  # NoCandidates after a dead end, InvalidPath after EOP
             raise InvalidPath(f"token {target.flat[miss[0]]} is not a candidate after {prev}")
-        rows = np.flatnonzero(scored & hit & self._key_choice[at])  # row t*m + lane
-        _, z = self.decode_logits(f, fed)
-        blocks = nm.gather_blocks(self._table, rows, self._key_block[at.flat[rows]])
-        return nm.sum_steps(nm.block_log_prob(z, blocks, target.flat[rows]), m)
+        steps = np.flatnonzero(scored & hit & self._key_choice[at])  # t*m + lane
+        closed = target[n - 1, np.arange(m)] == self.eop_token  # runs no node: see above
+        node, tokens, parent, sizes = prefix_forest(fed, rows, n - closed)
+        _, z = self.decode_logits(f, tokens, parent, sizes)
+        blocks = nm.gather_blocks(self._table, steps, self._key_block[at.flat[steps]])
+        return nm.sum_steps(nm.block_log_prob(nm.gather_rows(z, node.ravel()), blocks,
+                                              target.flat[steps]), m)
 
     def walk(self, f: np.ndarray, max_len: int,
              pick: Callable[[np.ndarray | None, nm.Blocks | np.ndarray],
@@ -406,6 +423,34 @@ def greedy_pick(probs: np.ndarray | None,
     return probs.argmax(axis=1), probs.max(axis=1)
 
 
+def prefix_forest(fed: np.ndarray, rows: np.ndarray, n: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The GRU rows of lanes fed the step-major tokens ``fed [T, m]`` from
+    the states ``rows [m]``, lane i for its first ``n[i]`` steps: one node
+    per distinct row and fed prefix, numbered step after step. A lane
+    shares the node of the lane before it at step t when both are of one
+    row, both run step t and were fed alike up to it; so every shared
+    prefix is found when the lanes of a row are adjacent and in
+    lexicographic order, as a batch's lanes are.
+
+    Returns each lane's node at each step ``[T, m]`` (a step past a lane's
+    end holds some node), and the nodes' tokens, parents and the sizes of
+    the steps up to the longest lane's end, as ``nm.gru_step`` takes them:
+    a node of step 0 starts from its row, one of step t from its lane's
+    node of step t-1."""
+    T, m = fed.shape
+    runs = np.arange(T)[:, None] < n
+    apart = np.ones((T, m), dtype=bool)  # lane i is not on lane i-1's node
+    apart[:, 1:] = (fed[:, 1:] != fed[:, :-1]) | ~runs[:, :-1]
+    apart[0, 1:] |= rows[1:] != rows[:-1]
+    new = np.logical_or.accumulate(apart, axis=0) & runs
+    node = new.ravel().cumsum().reshape(T, m) - 1
+    sizes = np.count_nonzero(new, axis=1)
+    own = node - (sizes.cumsum() - sizes)[:, None]  # counted within its step
+    return (node, fed[new], np.concatenate([rows[None], own[:-1]])[new],
+            sizes[:n.max(initial=0)])
+
+
 def step_major(seqs: Sequence[Sequence[int]], steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Sequences of int tokens as ``[steps, len(seqs)]``, one a column, each
     last token repeated past its end; and their lengths. An empty sequence
@@ -474,7 +519,10 @@ def load_model(path: str, graph: LabelGraph | None = None) -> LabelPathModel:
     """Rebuild a model from ``save_model``'s files. Without ``graph`` the
     sidecar's ``graph_file`` is loaded, or else a file of the same basename
     next to the checkpoint. Either way, a graph whose digest differs from the
-    sidecar's ``graph_sha256`` raises CorruptCheckpoint naming the sidecar."""
+    sidecar's ``graph_sha256`` raises CorruptCheckpoint naming the sidecar.
+    A missing checkpoint raises FileNotFoundError naming it, not its sidecar."""
+    if not os.path.exists(path):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     side = read_sidecar(path)
     source = "the given graph"
     if graph is None:

@@ -154,6 +154,13 @@ def sum_steps(a: Tensor, m: int) -> Tensor:
     return out
 
 
+def _row_slots(idx: np.ndarray, k: int) -> np.ndarray:
+    """The flat slots of ``[len(idx), k]`` values scattered into rows ``idx``
+    of a ``[rows, k]`` matrix: ``np.bincount(slots, values.ravel(), rows * k)``
+    sums them in the order of ``np.add.at`` onto zeros."""
+    return (idx[:, None] * k + np.arange(k)).ravel()
+
+
 def gather_rows(a: Tensor, idx: Sequence[int]) -> Tensor:
     """Select rows of a [m,n] matrix; rows may repeat. Backward scatter-adds."""
     if a.data.ndim != 2:
@@ -164,10 +171,8 @@ def gather_rows(a: Tensor, idx: Sequence[int]) -> Tensor:
     out = Tensor(a.data[ii], _parents=(a,))
 
     def bw(g):
-        # scattered into a buffer of its own, in the order of np.add.at
-        grad = np.zeros_like(a.data) if a.grad is None else a.grad.copy()
-        np.add.at(grad, ii, g)
-        a.grad = grad
+        rows, k = a.data.shape
+        a._accum(np.bincount(_row_slots(ii, k), g.ravel(), rows * k).reshape(rows, k))
 
     out._backward = bw
     return out
@@ -404,35 +409,64 @@ def gru_forward(p: GruParams, e: np.ndarray, f: np.ndarray) -> tuple[np.ndarray,
     return r, u, rf, c, (1.0 - u) * f + u * c
 
 
-def gru_step(p: GruParams, e: Tensor, f0: Tensor) -> Tensor:
-    """T >= 1 steps of :func:`gru_forward` from the states ``f0 [m,h]`` as one
-    trace node: rows ``t*m`` to ``t*m+m`` of ``e [T*m, d]`` and of the states
-    ``[T*m, h]`` are step t's. Its backward runs back through time with three
-    products per step, then one product over all rows per weight and for e."""
+def gru_step(p: GruParams, e: Tensor, f0: Tensor, parent: Sequence[int] | None = None,
+             sizes: Sequence[int] | None = None) -> Tensor:
+    """Steps of :func:`gru_forward` over a forest of rows, as one trace node.
+
+    Step t's rows are the next ``sizes[t]`` rows of ``e [N,d]`` and of the
+    states ``[N,h]``, and each starts from its parent's state: ``parent[i]``
+    is a row of ``f0 [b,h]`` for a row of step 0 and a row of step t-1,
+    counted from that step's first, for a row of step t. Without ``parent``
+    and ``sizes`` every row of ``f0 [m,h]`` is a lane, ``e`` holds whole
+    steps of m rows (row ``t*m + i`` is lane i at step t), and each row's
+    parent is its lane one step back. Its backward runs back through time
+    with three products per step and one scatter of the step's state
+    gradient into its parents, then one product over all rows per weight
+    and for e."""
     n, m = (len(t.data) if t.data.ndim == 2 else 0 for t in (e, f0))
-    if not 0 < m <= n or n % m:
-        raise ShapeMismatch(f"gru_step: e {e.data.shape} is not whole steps of f0 {f0.data.shape}")
+    if parent is None:
+        if not 0 < m <= n or n % m:
+            raise ShapeMismatch(f"gru_step: e {e.data.shape} is not whole steps of "
+                                f"f0 {f0.data.shape}")
+        parent, sizes = np.tile(np.arange(m), n // m), np.full(n // m, m)
+    parent, sizes = np.asarray(parent, dtype=np.intp), np.asarray(sizes, dtype=np.intp)
+    if (not m or parent.shape != (n,) or sizes.ndim != 1 or not sizes.size
+            or sizes.min() < 1 or sizes.sum() != n):
+        raise ShapeMismatch(f"gru_step: e {e.data.shape}, f0 {f0.data.shape}, parents "
+                            f"{parent.shape} and steps of sizes {sizes.tolist()}")
+    before = np.concatenate([[m], sizes[:-1]])  # the rows each step's parents index
+    if parent.min() < 0 or (parent >= before.repeat(sizes)).any():
+        raise IndexOutOfRange("gru_step: a parent outside the step before its row's")
+    ends = sizes.cumsum().tolist()
+    spans = [slice(lo, hi) for lo, hi in zip([0] + ends[:-1], ends)]
     f, steps = f0.data, []
-    for t in range(0, n, m):
-        steps.append((f,) + gru_forward(p, e.data[t:t + m], f))
+    for s in spans:
+        f_in = f[parent[s]]
+        steps.append((f_in,) + gru_forward(p, e.data[s], f_in))
         f = steps[-1][-1]
-    f, r, u, rf, c, states = map(np.concatenate, zip(*steps))  # f: each step's input
+    f, r, u, rf, c, states = map(np.concatenate, zip(*steps))  # f: each row's input
     weights = (p.w_re, p.w_rf, p.b_r, p.w_ue, p.w_uf, p.b_u, p.w_ce, p.w_cf, p.b_c)
     out = Tensor(states, _parents=(e, f0) + weights)
 
     def bw(g):
+        h = g.shape[1]
+        slots = _row_slots(parent, h)  # a row's input-state gradient goes to its parent
+        # per row, the derivatives of the candidate, update and reset gates'
+        # pre-activations, and the share of the state its input keeps
+        d_c, d_u, d_r = u * (1.0 - c * c), (c - f) * u * (1.0 - u), f * r * (1.0 - r)
+        keep = 1.0 - u
         # pre-activation gradients of the reset, update and candidate gates
         g_r, g_u, g_c = (np.empty_like(g) for _ in range(3))
-        g_f = None  # the gradient a step's state gets from the next step
-        for t in range(n - m, -1, -m):
-            s = slice(t, t + m)
+        g_f = None  # the gradient a step's states get from the next step's rows
+        for s, rows in zip(reversed(spans), reversed(before.tolist())):
             g_t = g[s] if g_f is None else g[s] + g_f
-            g_c[s] = g_t * u[s] * (1.0 - c[s] * c[s])
-            g_u[s] = g_t * (c[s] - f[s]) * u[s] * (1.0 - u[s])
+            g_c[s] = g_t * d_c[s]
+            g_u[s] = g_t * d_u[s]
             g_rf = g_c[s] @ p.w_cf.data.T
-            g_r[s] = g_rf * f[s] * r[s] * (1.0 - r[s])
-            g_f = (g_t * (1.0 - u[s]) + g_rf * r[s]
-                   + g_r[s] @ p.w_rf.data.T + g_u[s] @ p.w_uf.data.T)
+            g_r[s] = g_rf * d_r[s]
+            g_in = g_t * keep[s] + g_rf * r[s] + g_r[s] @ p.w_rf.data.T + g_u[s] @ p.w_uf.data.T
+            g_f = np.bincount(slots[s.start * h:s.stop * h], g_in.ravel(),
+                              rows * h).reshape(rows, h)
         for pre, inp, w_e, w_f, b in ((g_r, f, p.w_re, p.w_rf, p.b_r),
                                       (g_u, f, p.w_ue, p.w_uf, p.b_u),
                                       (g_c, rf, p.w_ce, p.w_cf, p.b_c)):

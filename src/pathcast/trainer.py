@@ -443,8 +443,8 @@ def train_epoch(model: LabelPathModel, dataset: Sequence[LabeledSample],
                 reward_n += len(rewards)
                 if tf is not None or pg is not None:
                     lanes = _joined(((tf, cfg.alpha), (pg, cfg.beta)))
-                    f = nm.gather_rows(model.encode(batch.inputs), lanes.rows)
-                    totals = model.score_lanes(f, lanes.targets, lanes.lengths, lanes.teacher)
+                    totals = model.score_lanes(model.encode(batch.inputs), lanes.rows,
+                                               lanes.targets, lanes.lengths, lanes.teacher)
                     if tf is not None:  # the records read the one pass's totals
                         loss_d_sum += float(np.dot(tf.weights, totals.data[:len(tf.rows)]))
                         n_d += 1
@@ -468,21 +468,40 @@ def train_epoch(model: LabelPathModel, dataset: Sequence[LabeledSample],
 
 
 @contextmanager
+def _naming_file(path: str):
+    """Re-raise an OSError as one naming ``path``, with its reason."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(f"{path}: {exc.strerror}") from None
+
+
+@contextmanager
 def written(path: str | None):
-    """``path`` opened for writing, or None without a path; removed again if
-    the block raises. A path that cannot be opened raises OSError naming it."""
+    """A function that writes text to ``path`` and flushes it, or None
+    without a path. A failed open, write or close raises OSError naming
+    ``path``. The file is removed again if the block raises; a path that is
+    no regular file, such as a device, is left alone."""
     if path is None:
         yield None
         return
-    try:
+    with _naming_file(path):
         f = open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"{path}: {exc.strerror}") from None
+
+    def write(text: str) -> None:
+        with _naming_file(path):
+            f.write(text)
+            f.flush()
+
     try:
-        with f:
-            yield f
+        try:
+            yield write
+        finally:
+            with _naming_file(path):
+                f.close()
     except BaseException:
-        os.remove(path)
+        if os.path.isfile(path):
+            os.remove(path)
         raise
 
 
@@ -499,7 +518,7 @@ def train(model: LabelPathModel, train_set: Sequence[LabeledSample],
         raise ValueError("DynamicReduce schedule needs a dev set")
     state = TrainState.init(model, cfg)
     records = []
-    with written(metrics_path or None) as sink:
+    with written(metrics_path or None) as write:
         for _ in range(cfg.epochs):
             rec = train_epoch(model, train_set, cfg, state)
             dev_acc = None
@@ -513,7 +532,6 @@ def train(model: LabelPathModel, train_set: Sequence[LabeledSample],
             schedule_update(state.schedule, state.epoch, dev_acc)
             rec["next_lr"] = cfg.lr * state.schedule.scale
             records.append(rec)
-            if sink:
-                sink.write(json.dumps(rec, sort_keys=True) + "\n")
-                sink.flush()
+            if write is not None:
+                write(json.dumps(rec, sort_keys=True) + "\n")
     return records

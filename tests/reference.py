@@ -303,10 +303,10 @@ def path_log_prob(model, x: np.ndarray, path) -> Tensor:
 
 
 def score(model, f: Tensor, lanes, teacher) -> Tensor:
-    """``model.score_lanes`` of ``lanes``, lists of target tokens, from the
-    states ``f``: every lane fed its targets under ``teacher``, every lane
-    free running otherwise."""
-    return model.score_lanes(f, *step_major(lanes, max(map(len, lanes))),
+    """``model.score_lanes`` of ``lanes``, lists of target tokens, lane i
+    from row i of the states ``f``: every lane fed its targets under
+    ``teacher``, every lane free running otherwise."""
+    return model.score_lanes(f, np.arange(len(lanes)), *step_major(lanes, max(map(len, lanes))),
                              np.full(len(lanes), teacher))
 
 
@@ -314,19 +314,19 @@ def rescored(model, x: np.ndarray, walks) -> Tensor:
     """Each walk's log-probability along its own choices, from the rows
     ``x [m, d]`` it started from: ``model.sampled_path_log_prob``'s lanes,
     scored teacher-forced over one encode."""
-    return model.score_lanes(model.encode(x), *model.sampled_path_log_prob(walks),
-                             np.ones(len(walks), dtype=bool))
+    return model.score_lanes(model.encode(x), np.arange(len(walks)),
+                             *model.sampled_path_log_prob(walks), np.ones(len(walks), dtype=bool))
 
 
 def pooled(model, inputs: np.ndarray, lanes) -> Tensor:
     """The scored pass of ``trainer.train_epoch`` over ``lanes`` (a
     ``trainer.Lanes``, or None) of a batch's ``inputs``: one encode, one
-    ``gather_rows``, one ``score_lanes`` and one ``weighted_sum`` of the
+    ``score_lanes`` from the lanes' rows and one ``weighted_sum`` of the
     totals by the lanes' weights. None for no lanes."""
     if lanes is None:
         return None
-    f = nm.gather_rows(model.encode(inputs), lanes.rows)
-    totals = model.score_lanes(f, lanes.targets, lanes.lengths, lanes.teacher)
+    totals = model.score_lanes(model.encode(inputs), lanes.rows, lanes.targets, lanes.lengths,
+                               lanes.teacher)
     return nm.weighted_sum(totals, lanes.weights)
 
 

@@ -92,7 +92,7 @@ def test_gradient_fidelity_20_seeds():
         def rebuild_model(p):
             m2 = LabelPathModel(g, input_dim=6, embed_dim=8, hidden=16, seed=seed)
             for k, t in m2.params.items():
-                t.data = p[k].copy()
+                t.data[...] = p[k]
             return m2
 
         # deterministic branch (teacher-forced likelihood)

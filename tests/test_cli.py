@@ -1,6 +1,7 @@
 """End-to-end CLI coverage through subprocess invocations."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -129,6 +130,13 @@ class TestPathsCommand:
         path = tmp_path / "g.json"
         save_graph(str(path), figure2_subgraph())
         run_cli("paths", str(path), "--label", "gryphon", expect=1)
+
+    def test_an_unknown_label_names_the_graph_file(self, tmp_path):
+        path = tmp_path / "g.json"
+        save_graph(str(path), figure2_subgraph())
+        proc = run_cli("paths", str(path), "--label", "nope", expect=1)
+        assert proc.stderr == f"pathcast: error: {path}: unknown node name 'nope'\n"
+        assert proc.stdout == ""
 
 
 class TestSynthAndFuse:
@@ -579,6 +587,25 @@ class TestEvalOptions:
                          "--dump-paths", str(dump)]) == 1
         assert capsys.readouterr().err == "pathcast: error: stopped after the dump was opened\n"
         assert not dump.exists()
+
+    @pytest.mark.parametrize("command", [("eval", "--data", "x.jsonl", "--ckpt"),
+                                         ("model", "inspect")])
+    def test_a_missing_checkpoint_is_named(self, tmp_path, command):
+        # the sidecar is read first, and is missing too: the error names the checkpoint
+        ckpt = tmp_path / "nope.pck"
+        proc = run_cli(*command, str(ckpt), expect=1)
+        assert proc.stderr == (f"pathcast: error: [Errno 2] No such file or directory: "
+                               f"'{ckpt}'\n")
+        assert proc.stdout == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_a_dump_to_a_full_device_names_it(self, workdir, checkpoint):
+        root, _ = workdir
+        proc = run_cli("eval", "--ckpt", str(checkpoint), "--data", str(root / "test.jsonl"),
+                       "--dump-paths", "/dev/full", expect=1)
+        assert proc.stderr == "pathcast: error: /dev/full: No space left on device\n"
+        assert proc.stdout == ""
+        assert os.path.exists("/dev/full")  # a device is not removed
 
 
 class TestAblateCommand:

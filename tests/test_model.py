@@ -35,7 +35,7 @@ class TestEncode:
         g = chain_graph()
         m = make_model(g)
         for name in m.encoder_param_names:
-            m.params[name].data = np.zeros_like(m.params[name].data)
+            m.params[name].data[...] = 0.0
         out = m.encode(np.ones(5))
         np.testing.assert_allclose(out.data, np.zeros((1, 8)))
 

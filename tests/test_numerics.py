@@ -210,7 +210,7 @@ class TestGru:
         raw = {}
         gp = ref.gru_init(3, 4, rng, "g", raw)
         for t in raw.values():
-            t.data = np.zeros_like(t.data)
+            t.data[...] = 0.0
         out = gru_step(gp, Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 4))))
         np.testing.assert_allclose(out.data, np.zeros((1, 4)))
 
@@ -248,7 +248,7 @@ class TestGru:
         rng = np.random.default_rng(2)
         raw = {}
         gp = ref.gru_init(3, 4, rng, "g", raw)
-        raw["g.b_u"].data = np.full(4, -50.0)  # u ~ 0 => f_t ~ f_prev
+        raw["g.b_u"].data[...] = -50.0  # u ~ 0 => f_t ~ f_prev
         f_prev = rng.normal(size=(1, 4))
         out = gru_step(gp, Tensor(rng.normal(size=(1, 3))), Tensor(f_prev)).data
         np.testing.assert_allclose(out, f_prev, atol=1e-6)

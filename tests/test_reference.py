@@ -83,6 +83,73 @@ def test_gru_step_rejects_rows_that_are_not_whole_steps(m, rows):
         gru_step(p, nm.Tensor(np.zeros((rows, 3))), nm.Tensor(np.zeros((m, 4))))
 
 
+# A forest of 12 rows in ragged steps of 3, 4, 2 and 3 on 3 rows of f0:
+# each row's parent is a row of f0 (step 0) or of the step before, counted
+# within it; parents repeat, and need not ascend.
+FOREST_SIZES = (3, 4, 2, 3)
+FOREST_PARENTS = (2, 0, 0, 0, 0, 1, 2, 3, 1, 0, 0, 1)
+
+
+def _forest_arrays(rng, d=3, hdim=4, b=3):
+    raw = {}
+    ref.gru_init(d, hdim, rng, "g", raw)
+    arrays = {k.split(".")[1]: v.data + rng.normal(0, 0.1, v.data.shape)
+              for k, v in raw.items()}  # nonzero biases too
+    arrays.update(e=rng.normal(size=(sum(FOREST_SIZES), d)), f0=rng.normal(size=(b, hdim)))
+    return arrays
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gru_step_over_a_forest_is_gru_forward_row_by_row(seed):
+    """Each step of ``gru_step`` over a forest is ``gru_forward`` on that
+    step's rows from their parents' states, byte for byte."""
+    a = _forest_arrays(np.random.default_rng(seed))
+    ts = nm.parameters(a)
+    p = nm.GruParams(*[ts[k] for k in GRU_FIELDS])
+    out = gru_step(p, ts["e"], ts["f0"], FOREST_PARENTS, FOREST_SIZES)
+    f, states, lo = a["f0"], [], 0
+    for size in FOREST_SIZES:
+        f = gru_forward(p, a["e"][lo:lo + size], f[list(FOREST_PARENTS[lo:lo + size])])[-1]
+        states.append(f)
+        lo += size
+    assert out.data.tobytes() == np.concatenate(states).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gru_step_over_a_forest_matches_finite_differences(seed):
+    """Over ragged steps whose rows share parents, every gradient of
+    ``gru_step``, the parents' states scattered back included, matches
+    central differences."""
+    rng = np.random.default_rng(seed)
+    arrays = _forest_arrays(rng)
+    upstream = rng.normal(size=(sum(FOREST_SIZES), 4))
+
+    def run(a):
+        ts = nm.parameters(a)
+        out = gru_step(nm.GruParams(*[ts[k] for k in GRU_FIELDS]), ts["e"], ts["f0"],
+                       FOREST_PARENTS, FOREST_SIZES)
+        return ref.sum_all(ref.mul(out, nm.Tensor(upstream))), ts
+
+    loss, ts = run(arrays)
+    backward(loss)
+    fd = ref.finite_difference(lambda a: run(a)[0].item(), arrays)
+    for name in arrays:
+        assert ref.max_rel_err(ts[name].grad, fd[name]) < 1e-4, name
+
+
+@pytest.mark.parametrize("parent, sizes, error", [
+    (FOREST_PARENTS, (3, 4, 2, 2), nm.ShapeMismatch),  # sizes do not sum to the rows
+    (FOREST_PARENTS, (3, 4, 0, 5), nm.ShapeMismatch),  # an empty step
+    (FOREST_PARENTS[:-1], FOREST_SIZES, nm.ShapeMismatch),
+    ((3,) + FOREST_PARENTS[1:], FOREST_SIZES, nm.IndexOutOfRange),  # past f0's 3 rows
+    (FOREST_PARENTS[:7] + (4,) + FOREST_PARENTS[8:], FOREST_SIZES, nm.IndexOutOfRange),
+    ((-1,) + FOREST_PARENTS[1:], FOREST_SIZES, nm.IndexOutOfRange)])
+def test_gru_step_rejects_a_malformed_forest(parent, sizes, error):
+    p = ref.gru_init(3, 4, np.random.default_rng(0), "g", {})
+    with pytest.raises(error):
+        gru_step(p, nm.Tensor(np.zeros((12, 3))), nm.Tensor(np.zeros((3, 4))), parent, sizes)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_gru_forward_is_the_trace_node_value(seed):
     rng = np.random.default_rng(seed)
@@ -90,7 +157,7 @@ def test_gru_forward_is_the_trace_node_value(seed):
     raw = {}
     p = ref.gru_init(d, hdim, rng, "g", raw)
     for t in raw.values():
-        t.data = t.data + rng.normal(0, 0.5, t.data.shape)
+        t.data[...] += rng.normal(0, 0.5, t.data.shape)
     e, f = rng.normal(size=(m, d)), rng.normal(size=(m, hdim))
     traced = gru_step(p, nm.Tensor(e), nm.Tensor(f))
     assert gru_forward(p, e, f)[-1].tobytes() == traced.data.tobytes()
@@ -175,7 +242,7 @@ def test_plain_walk_matches_traced_walk(seed):
     for g in _decode_graphs(rng):
         m = LabelPathModel(g, input_dim=5, embed_dim=6, hidden=8, seed=int(rng.integers(1000)))
         for t in m.params.values():  # nonzero biases, sharper distributions
-            t.data = t.data + rng.normal(0, 0.5, t.data.shape)
+            t.data[...] += rng.normal(0, 0.5, t.data.shape)
         for x in rng.normal(size=(4, 5)):
             max_len = int(rng.integers(2, 7))
             want = ref.traced_walk(m, x, max_len, ref.greedy_choice)
@@ -193,7 +260,7 @@ def test_plain_encoding_and_logits_are_the_traced_values(seed, monkeypatch):
     g = ref.figure2_subgraph() if seed % 2 == 0 else ref.random_dag(rng)
     m = LabelPathModel(g, input_dim=5, embed_dim=6, hidden=8, seed=seed)
     for t in m.params.values():
-        t.data = t.data + rng.normal(0, 0.5, t.data.shape)
+        t.data[...] += rng.normal(0, 0.5, t.data.shape)
     xs = rng.normal(size=(3, 5))
     assert m.encode_values(xs).tobytes() == m.encode(xs).data.tobytes()
     seen = []
@@ -244,7 +311,7 @@ def _engine_cases(rng):
     for g, shortest, no_bias in cases:
         m = LabelPathModel(g, input_dim=5, embed_dim=6, hidden=8, seed=int(rng.integers(1000)))
         for t in m.params.values():
-            t.data = t.data + rng.normal(0, 0.5, t.data.shape)
+            t.data[...] += rng.normal(0, 0.5, t.data.shape)
         if no_bias:
             m.params["out.b"].data[:] = 0.0
         yield m, int(rng.integers(shortest, 7))
@@ -307,7 +374,7 @@ def test_walks_that_stop_at_a_dead_end_report_dead_end():
     g = ref.dead_end_graph()
     m = LabelPathModel(g, input_dim=5, embed_dim=6, hidden=8, seed=0)
     for t in m.params.values():
-        t.data = t.data + rng.normal(0, 0.5, t.data.shape)
+        t.data[...] += rng.normal(0, 0.5, t.data.shape)
     m.params["out.b"].data[:] = 0.0
     xs, max_len = rng.normal(size=(40, 5)), 6
     greedy = decode_rows(m, xs, max_len)
@@ -559,7 +626,7 @@ def test_score_lanes_matches_one_lane_oracle(seed):
                         (ref.coarse_label_graph(), None), (ref.random_dag(rng), None)):
         m = LabelPathModel(g, input_dim=5, embed_dim=6, hidden=8, seed=seed)
         for t in m.params.values():
-            t.data = t.data + rng.normal(0, 0.5, t.data.shape)
+            t.data[...] += rng.normal(0, 0.5, t.data.shape)
         if favoured:
             m.params["out.b"].data[g.id_of(favoured)] += 8.0
         paths = [list(p) for label in g.label_ids() for p in enumerate_paths(g, label)]
@@ -569,7 +636,7 @@ def test_score_lanes_matches_one_lane_oracle(seed):
         f = m.encode(xs)
         free = lanes + [lanes[0] + [m.vocab_size], lanes[0][:1] + [-1, 2 * m.vocab_size - 1]]
         for teacher, batch in ((True, lanes), (False, free)):
-            got = ref.score(m, nm.gather_rows(f, range(len(batch))), batch, teacher).data
+            got = ref.score(m, f, batch, teacher).data
             want = [ref.lane_log_prob(m, f.data[i:i + 1], lane, teacher)
                     for i, lane in enumerate(batch)]
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -601,11 +668,10 @@ def test_one_pass_of_mixed_lanes_matches_two_passes(seed):
     for coin in (True, False):
         joined = _joined(((Lanes(*tf, np.arange(5), np.ones(5), np.full(5, coin)), 1.0),
                           (Lanes(*pg, np.arange(5, 9), np.ones(4), np.ones(4, dtype=bool)), 1.0)))
-        one = m.score_lanes(nm.gather_rows(f, joined.rows), joined.targets, joined.lengths,
-                            joined.teacher).data
+        one = m.score_lanes(f, joined.rows, joined.targets, joined.lengths, joined.teacher).data
         two = np.concatenate([
-            m.score_lanes(nm.gather_rows(f, range(5)), *tf, np.full(5, coin)).data,
-            m.score_lanes(nm.gather_rows(f, range(5, 9)), *pg, np.ones(4, dtype=bool)).data])
+            m.score_lanes(f, np.arange(5), *tf, np.full(5, coin)).data,
+            m.score_lanes(f, np.arange(5, 9), *pg, np.ones(4, dtype=bool)).data])
         assert (np.abs(one - two) <= ENGINE_ULP * np.abs(np.spacing(two))).all(), (one, two)
 
 
@@ -635,8 +701,8 @@ def test_singleton_steps_are_left_out_bit_for_bit(seed, monkeypatch):
         scored.append(blocks.sizes.size), log_prob(z, blocks, targets))[1])
 
     def run():
-        totals = m.score_lanes(nm.gather_rows(m.encode(xs), joined.rows), joined.targets,
-                               joined.lengths, joined.teacher)
+        totals = m.score_lanes(m.encode(xs), joined.rows, joined.targets, joined.lengths,
+                               joined.teacher)
         nm.zero_grads(m.params)
         loss = ref.pooled(m, xs, joined)
         backward(loss)
@@ -647,6 +713,55 @@ def test_singleton_steps_are_left_out_bit_for_bit(seed, monkeypatch):
     monkeypatch.setattr(m, "_key_choice", np.ones_like(m._key_choice))  # score every step
     assert got == run()
     assert scored[0] + joined.lengths.size <= scored[2]  # at least each START -> root
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_lanes_that_share_a_prefix_share_its_gru_rows(seed, monkeypatch):
+    """Lanes of one row that share a fed prefix run one GRU row for it:
+    ``score_lanes`` runs one per distinct (row, fed prefix) within the
+    lanes' lengths, counted by wrapping ``nm.gru_forward``. Each row's
+    lanes are adjacent and in lexicographic order, as a batch's are; some
+    are prefixes of others, some repeat. The totals are those of scoring
+    each lane alone within ``ENGINE_ULP``, and every gradient theirs within
+    1e-12."""
+    rng = np.random.default_rng(seed)
+    g = ref.figure2_subgraph() if seed % 2 == 0 else ref.random_dag(rng)
+    m = LabelPathModel(g, input_dim=5, embed_dim=6, hidden=8, seed=seed)
+    for t in m.params.values():
+        t.data[...] += rng.normal(0, 0.5, t.data.shape)
+    paths = [list(p) for label in g.label_ids() for p in enumerate_paths(g, label)]
+    rows, lanes = [], []
+    for row in range(4):
+        picked = [paths[i][:int(rng.integers(1, 7))] for i in rng.integers(len(paths), size=4)]
+        lanes += sorted(picked)
+        rows += [row] * len(picked)
+    rows, weights, xs = np.array(rows), rng.normal(size=len(lanes)), rng.normal(size=(4, 5))
+    target, n = step_major(lanes, max(map(len, lanes)))
+    teacher = np.ones(len(lanes), dtype=bool)
+    distinct = {(int(r),) + tuple(lane[:t]) for r, lane in zip(rows, lanes)
+                for t in range(len(lane))}
+    assert len(distinct) < target.size  # the batch shares prefixes
+
+    ran = []
+    forward = nm.gru_forward
+    monkeypatch.setattr(nm, "gru_forward",
+                        lambda p, e, f: (ran.append(len(e)), forward(p, e, f))[1])
+
+    def grads_of(loss):
+        nm.zero_grads(m.params)
+        backward(loss)
+        return {k: v.copy() for k, v in ref.collect_grads(m.params).items()}
+
+    totals = m.score_lanes(m.encode(xs), rows, target, n, teacher)
+    assert sum(ran) == len(distinct)
+    g_totals = grads_of(nm.weighted_sum(totals, weights))
+    alone = [m.score_lanes(m.encode(xs), rows[i:i + 1], target[:, i:i + 1], n[i:i + 1],
+                           teacher[i:i + 1]) for i in range(len(lanes))]
+    want = np.concatenate([a.data for a in alone])
+    assert (np.abs(totals.data - want) <= ENGINE_ULP * np.abs(np.spacing(want))).all()
+    g_alone = grads_of(ref.add_n([ref.scale(ref.sum_all(a), w) for a, w in zip(alone, weights)]))
+    for name, want in g_alone.items():
+        np.testing.assert_allclose(g_totals[name], want, rtol=0, atol=1e-12, err_msg=name)
 
 
 @pytest.mark.parametrize("teacher", (True, False))

@@ -1,12 +1,15 @@
 """Trainer mechanics: rewards, losses, schedules, baselines, determinism."""
 
+import errno
 import hashlib
 import json
+import os
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from pathcast import model as model_module
 from pathcast import numerics as nm
 from pathcast.evaldecode import EmptyDataset
 from pathcast.harness import BaselineConfig, SynthSpec
@@ -42,21 +45,27 @@ def make_model(graph, seed=0, input_dim=4):
     return LabelPathModel(graph, input_dim=input_dim, embed_dim=5, hidden=8, seed=seed)
 
 
-def record_decode_steps(m):
-    """Wrap ``m.decode_logits``; returns the lists it fills with each decode
-    step's fed tokens (one per lane) and the logits that step produced. A
-    call fed ``[T, m]`` step-major tokens is recorded as its T steps."""
+def record_decode_steps(m, monkeypatch):
+    """Wrap ``model.prefix_forest`` and ``m.decode_logits``; returns the
+    lists they fill with each scored pass's steps: per step, every lane's
+    fed token, and the logits of the node each lane was fed into."""
     fed: list[list[int]] = []
     logits: list[np.ndarray] = []
-    decode = m.decode_logits
+    nodes = []
+    forest, decode = model_module.prefix_forest, m.decode_logits
 
-    def recording(f, tokens):
-        f_t, z = decode(f, tokens)
-        steps = np.atleast_2d(tokens).tolist()
-        fed.extend(steps)
-        logits.extend(np.split(z.data.copy(), len(steps)))
+    def forest_recording(feeds, rows, n):
+        out = forest(feeds, rows, n)
+        fed.extend(feeds.tolist())
+        nodes.append(out[0])
+        return out
+
+    def recording(f, tokens, parent=None, sizes=None):
+        f_t, z = decode(f, tokens, parent, sizes)
+        logits.extend(z.data[nodes.pop()])
         return f_t, z
 
+    monkeypatch.setattr(model_module, "prefix_forest", forest_recording)
     m.decode_logits = recording
     return fed, logits
 
@@ -266,8 +275,8 @@ class TestDeterministicLoss:
         # one free binary choice per path; output head zeroed => uniform blocks
         g = bandit_graph()
         m = make_model(g, seed=2)
-        m.params["out.w"].data = np.zeros_like(m.params["out.w"].data)
-        m.params["out.b"].data = np.zeros_like(m.params["out.b"].data)
+        m.params["out.w"].data[...] = 0.0
+        m.params["out.b"].data[...] = 0.0
         book = PathBook(g)
         cfg = TrainConfig(max_len=6)
         rng = np.random.default_rng(0)
@@ -289,7 +298,7 @@ class TestDeterministicLoss:
         def rebuild(p):
             m2 = make_model(g, seed=3, input_dim=4)
             for k, t in m2.params.items():
-                t.data = p[k]
+                t.data[...] = p[k]
             return pooled(m2, batch.inputs,
                           deterministic_loss(batch, cfg, np.random.default_rng(2))).item()
 
@@ -331,7 +340,7 @@ class TestDeterministicLoss:
                       .item() for bt in (short, longer, only_long))
         assert both == pytest.approx((a + b) / 2, abs=1e-12)
 
-    def test_teacher_forcing_rate_changes_input_streams(self):
+    def test_teacher_forcing_rate_changes_input_streams(self, monkeypatch):
         g = figure2_subgraph()
         m = make_model(g, seed=5, input_dim=4)
         # skew the output head so the model argmax disagrees with groundtruth
@@ -342,7 +351,7 @@ class TestDeterministicLoss:
             np.zeros((1, 4)),
             [[(0, g.id_of("cat"), g.id_of("shorthair"), g.id_of("british-shorthair"))]],
             labels=(g.id_of("british-shorthair"),))
-        fed, _ = record_decode_steps(m)
+        fed, _ = record_decode_steps(m, monkeypatch)
         pooled(m, batch.inputs, deterministic_loss(batch, cfg_tf, np.random.default_rng(0)))
         trace_tf = [step[0] for step in fed]
         fed.clear()
@@ -353,7 +362,7 @@ class TestDeterministicLoss:
         assert trace_tf != trace_fr
         assert trace_tf[:2] == trace_fr[:2]  # START and root agree
 
-    def test_free_running_feeds_the_greedy_token_of_each_step(self):
+    def test_free_running_feeds_the_greedy_token_of_each_step(self, monkeypatch):
         # every fed token after START is the one-row oracle's greedy_choice
         # over distribution of the logits that lane saw one step earlier, up
         # to the lane's last target; after an EOP pick the lane stays frozen
@@ -371,7 +380,7 @@ class TestDeterministicLoss:
             book = PathBook(g)
             for seed in range(4):
                 m = make_model(g, seed=seed, input_dim=4)
-                fed, logits = record_decode_steps(m)
+                fed, logits = record_decode_steps(m, monkeypatch)
                 rows = np.random.default_rng(seed).normal(size=(len(labels), 4))
                 paths = [list(book.split(lb)[0]) + list(book.split(lb)[1]) for lb in labels]
                 batch = batch_of(rows, paths, labels, max_len=6)
@@ -392,7 +401,7 @@ class TestDeterministicLoss:
         assert eop_picks == 4  # the coarse lane, once per seed
 
     @pytest.mark.parametrize("r_tf", [1.0, 0.0])
-    def test_lanes_carry_no_closing_eop(self, r_tf):
+    def test_lanes_carry_no_closing_eop(self, r_tf, monkeypatch):
         # one decode step per target node: the longest lane has 4 nodes, so
         # the loss runs 4 GRU steps and never a fifth for EOP; the 2-node
         # lane alone runs 2
@@ -402,7 +411,7 @@ class TestDeterministicLoss:
         longest = (0, cat, g.id_of("shorthair"), g.id_of("british-shorthair"))
         batch = batch_of(np.zeros((2, 4)), [[longest], [(0, cat)]], labels=(longest[-1], cat))
         short = batch_of(np.zeros((1, 4)), [[(0, cat)]], labels=(cat,))
-        fed, _ = record_decode_steps(m)
+        fed, _ = record_decode_steps(m, monkeypatch)
         cfg = TrainConfig(max_len=8, r_tf=r_tf)
         assert pooled(m, batch.inputs,
                       deterministic_loss(batch, cfg, np.random.default_rng(0))) is not None
@@ -504,7 +513,7 @@ class TestPolicyGradientLoss:
         def rebuild(p):
             m2 = make_model(g, seed=9)
             for k, t in m2.params.items():
-                t.data = p[k]
+                t.data[...] = p[k]
             return scale(sum_all(rescored(m2, x[None, :], [sampled])), weight).item()
 
         loss = scale(sum_all(rescored(m, x[None, :], [sampled])), weight)
@@ -599,9 +608,9 @@ class TestPolicyGradientLoss:
             walks.extend(sample_path(*args))
             return walks[-len(args[0]):]
 
-        def scoring(f, target, n, teacher):
+        def scoring(f, rows, target, n, teacher):
             steps.append((len(target), n.tolist(), teacher.tolist()))
-            return score_lanes(f, target, n, teacher)
+            return score_lanes(f, rows, target, n, teacher)
 
         monkeypatch.setattr(m, "sample_path", sampling)
         monkeypatch.setattr(m, "score_lanes", scoring)
@@ -748,3 +757,50 @@ class TestTrain:
                   metrics_path=str(metrics))
         assert not metrics.exists()
         assert all(np.array_equal(v.data, before[k]) for k, v in m.params.items())
+
+
+class _FullDisk:
+    """A text file whose flush, or only its close, fails as a full disk does."""
+
+    def __init__(self, f, fail_flush):
+        self.f, self.fail_flush = f, fail_flush
+
+    def write(self, text):
+        return self.f.write(text)
+
+    def flush(self):
+        if self.fail_flush:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def close(self):
+        self.f.close()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestWritten:
+    @pytest.mark.parametrize("fail_flush", [True, False])
+    def test_a_failed_write_or_close_names_the_file_and_removes_it(self, tmp_path, monkeypatch,
+                                                                   fail_flush):
+        import builtins
+
+        from pathcast import trainer
+        path = tmp_path / "out.jsonl"
+        monkeypatch.setattr(trainer, "open", lambda *a, **k: _FullDisk(builtins.open(*a, **k),
+                                                                      fail_flush),
+                            raising=False)
+        with pytest.raises(OSError) as info:
+            with trainer.written(str(path)) as write:
+                write("line\n")
+        assert str(info.value) == f"{path}: No space left on device"
+        assert not path.exists()
+
+    def test_lines_are_written_and_kept(self, tmp_path):
+        from pathcast.trainer import written
+        path = tmp_path / "out.jsonl"
+        with written(str(path)) as write:
+            write("a\n")
+            assert path.read_text() == "a\n"  # flushed as it is written
+            write("b\n")
+        assert path.read_text() == "a\nb\n"
+        with written(None) as write:
+            assert write is None
