@@ -4,8 +4,7 @@ from .labelgraph import (GraphStats, LabelGraph, NodeKind, build_graph,
                          deserialize, load_graph, save_graph, serialize,
                          stats, validate)
 from .model import LabelPathModel, load_model, save_model
-from .pathalg import (CertainNodeSet, PathSet, are_competing, certain_nodes,
-                      classify_paths, enumerate_paths)
+from .pathalg import Paths, all_paths_to
 from .trainer import TrainConfig, train
 
 __version__ = "0.1.0"

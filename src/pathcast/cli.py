@@ -109,23 +109,26 @@ def cmd_graph_stats(args) -> int:
 
 
 def cmd_paths(args) -> int:
-    from .pathalg import certain_nodes, classify_paths
+    from .pathalg import NotALabelNode, _certain_members, _require_label, _split_paths
 
     graph = labelgraph.load_graph(args.graph)
     try:
         label = graph.id_of(args.label)
     except labelgraph.UnknownName as exc:
         raise labelgraph.UnknownName(f"{args.graph}: {exc}", exc.names) from None
-    ps = classify_paths(graph, label)
-    certain = certain_nodes(graph, label)
+    try:
+        _require_label(graph, label)
+    except NotALabelNode as exc:
+        raise NotALabelNode(f"{args.graph}: {exc}") from None
+    det, nd = _split_paths(graph, label)
 
     def names(path):
         return [graph.node(i).name for i in path]
 
     print(json.dumps({
-        "deterministic": [names(p) for p in ps.deterministic],
-        "nondeterministic": [names(p) for p in ps.nondeterministic],
-        "certain": sorted(graph.node(i).name for i in certain.members),
+        "deterministic": [names(p) for p in det],
+        "nondeterministic": [names(p) for p in nd],
+        "certain": sorted(graph.node(i).name for i in _certain_members(graph, label)),
     }, indent=2))
     return 0
 

@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .labelgraph import LabelGraph, NodeKind
 from .model import LabelPathModel, Walk, greedy_pick
-from .pathalg import _competing_groups, _path_counts
+from .pathalg import _tainted
 
 
 # Rows decoded in lockstep per walk by evaluate. Decoding every row at once
@@ -126,15 +126,12 @@ def evaluate(model: LabelPathModel, dataset: Sequence, max_len: int,
     return classification_report(gold, pred)
 
 
-def nondeterministic_groups(graph: LabelGraph, label: int) -> dict[str, set[int]]:
-    """Groups whose member choice is not fixed by the label.
-
-    For each competing group, collect the members appearing on any
-    groundtruth path of the label; a group with two or more such members is
-    a nondeterministic choice for that label. The nodes on some path come
-    from the path-count sub-DAG, so no path is enumerated.
-    """
-    return _competing_groups(graph, _path_counts(graph, label)[0])
+def nondeterministic_groups(graph: LabelGraph, label: int) -> Mapping[str, frozenset[int]]:
+    """Groups whose member choice is not fixed by the label, each with its
+    members on the label's paths: the groups that taint the label's split
+    (``pathalg._tainted``), read-only and kept on the graph, so the audit
+    and training agree on what is nondeterministic."""
+    return _tainted(graph, label)
 
 
 def audit_nondeterministic(model: LabelPathModel, dataset: Sequence, max_len: int,
@@ -152,7 +149,7 @@ def audit_nondeterministic(model: LabelPathModel, dataset: Sequence, max_len: in
     if decoded is not None and len(decoded) != len(dataset):
         raise ValueError(f"{len(decoded)} decoded walks for {len(dataset)} samples")
     graph = model.graph
-    nd_cache: dict[int, dict[str, set[int]]] = {}
+    nd_cache: dict[int, Mapping[str, frozenset[int]]] = {}
     audited = matches = 0
     for i, (x, gold, attrs) in enumerate(dataset):
         if not attrs:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 class NodeKind(Enum):
@@ -97,13 +97,14 @@ class LabelGraph:
     Instances are cheap read-only views: adjacency, the name index and the
     node-to-group map are precomputed once. Construct through
     :func:`build_graph` or :func:`deserialize`; direct construction skips
-    validation. ``_counted`` starts empty and holds, per target asked for,
-    the counted ancestor sub-DAG that ``pathalg._path_counts`` builds once,
-    so the memo lives and dies with its graph.
+    validation. ``_counted`` and ``_taint`` start empty and hold, per target
+    asked for, the counted ancestor sub-DAG that ``pathalg._path_counts``
+    builds once and the tainted groups that ``pathalg._tainted`` reads off
+    it once, so the memos live and die with their graph.
     """
 
     __slots__ = ("nodes", "edges", "groups", "root",
-                 "_children", "_parents", "_by_name", "_group_of", "_counted")
+                 "_children", "_parents", "_by_name", "_group_of", "_counted", "_taint")
 
     def __init__(self, nodes: Sequence[GraphNode], edges: Sequence[tuple[int, int]],
                  groups: Sequence[Group], root: int = 0):
@@ -127,6 +128,7 @@ class LabelGraph:
                 group_of.setdefault(m, g)
         self._group_of = group_of
         self._counted: dict[int, tuple] = {}
+        self._taint: dict[int, Mapping] = {}
 
     # -- queries ------------------------------------------------------------
 

@@ -188,15 +188,13 @@ class LabelPathModel:
         nm.require_finite(f)
         return f
 
-    def decode_logits(self, f0: Tensor, tokens, parent: Sequence[int] | None = None,
-                      sizes: Sequence[int] | None = None) -> tuple[Tensor, Tensor]:
+    def decode_logits(self, f0: Tensor, tokens: Sequence[int], parent: Sequence[int],
+                      sizes: Sequence[int]) -> tuple[Tensor, Tensor]:
         """States and logits of rows fed ``tokens``: one ``gather_rows``, one
-        ``gru_step`` and one ``affine``. Without ``parent`` and ``sizes``
-        ``f0 [m,h]`` is fed ``[m]`` or step-major ``[T, m]`` tokens (row
-        ``t*m + i`` is lane i at step t); with them, ``tokens [N]`` are the
-        nodes of a prefix forest on ``f0``'s rows, as ``nm.gru_step`` takes it
-        (see :func:`prefix_forest`)."""
-        e = nm.gather_rows(self.params["emb"], np.ravel(tokens))
+        ``gru_step`` and one ``affine``. ``tokens [N]`` are the nodes of a
+        prefix forest on ``f0``'s rows, as ``nm.gru_step`` takes it (see
+        :func:`prefix_forest`)."""
+        e = nm.gather_rows(self.params["emb"], tokens)
         f = nm.gru_step(self.gru, e, f0, parent, sizes)
         return f, nm.affine(f, self.params["out.w"], self.params["out.b"])
 

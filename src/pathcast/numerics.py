@@ -409,26 +409,18 @@ def gru_forward(p: GruParams, e: np.ndarray, f: np.ndarray) -> tuple[np.ndarray,
     return r, u, rf, c, (1.0 - u) * f + u * c
 
 
-def gru_step(p: GruParams, e: Tensor, f0: Tensor, parent: Sequence[int] | None = None,
-             sizes: Sequence[int] | None = None) -> Tensor:
+def gru_step(p: GruParams, e: Tensor, f0: Tensor, parent: Sequence[int],
+             sizes: Sequence[int]) -> Tensor:
     """Steps of :func:`gru_forward` over a forest of rows, as one trace node.
 
     Step t's rows are the next ``sizes[t]`` rows of ``e [N,d]`` and of the
     states ``[N,h]``, and each starts from its parent's state: ``parent[i]``
     is a row of ``f0 [b,h]`` for a row of step 0 and a row of step t-1,
-    counted from that step's first, for a row of step t. Without ``parent``
-    and ``sizes`` every row of ``f0 [m,h]`` is a lane, ``e`` holds whole
-    steps of m rows (row ``t*m + i`` is lane i at step t), and each row's
-    parent is its lane one step back. Its backward runs back through time
-    with three products per step and one scatter of the step's state
-    gradient into its parents, then one product over all rows per weight
-    and for e."""
+    counted from that step's first, for a row of step t. Its backward runs
+    back through time with three products per step and one scatter of the
+    step's state gradient into its parents, then one product over all rows
+    per weight and for e."""
     n, m = (len(t.data) if t.data.ndim == 2 else 0 for t in (e, f0))
-    if parent is None:
-        if not 0 < m <= n or n % m:
-            raise ShapeMismatch(f"gru_step: e {e.data.shape} is not whole steps of "
-                                f"f0 {f0.data.shape}")
-        parent, sizes = np.tile(np.arange(m), n // m), np.full(n // m, m)
     parent, sizes = np.asarray(parent, dtype=np.intp), np.asarray(sizes, dtype=np.intp)
     if (not m or parent.shape != (n,) or sizes.ndim != 1 or not sizes.size
             or sizes.min() < 1 or sizes.sum() != n):

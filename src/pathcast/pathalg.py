@@ -1,5 +1,5 @@
-"""Root-to-label path enumeration, deterministic/nondeterministic split,
-and the certain-node set used by the policy-gradient reward.
+"""Root-to-label path sets, the deterministic/nondeterministic split, and
+the certain-node set used by the policy-gradient reward.
 
 A groundtruth path is *nondeterministic* when some other groundtruth path for
 the same label carries a different member of the same competing group: the
@@ -12,22 +12,21 @@ so no function here builds them unless asked to. Every query starts from
 ``labelgraph._closure``, ordered with ``labelgraph._topo_order`` (the two
 graph walks of the package) and counted forward from the root and backward
 to the target, once per graph and target, then kept on the graph. The
-certain set, the nondeterministic groups and the union of all paths read
-those counts. :func:`all_paths_to` returns a counted :class:`Paths`
-sequence: the backward count, or one more backward pass over the memo's
-order minus the avoided nodes, from which any path is unranked in time
-linear in its length times the out-degree, and iteration builds each path
-in turn. The split reads a competing group's taint from those counts when
-one of its members lies on two or more paths, and otherwise counts the
-paths that touch the group, so it is polynomial too; only
-:func:`enumerate_paths` and :func:`classify_paths`, the public forms that
-serve as oracles, build every path.
+certain set, the taint and the union of all paths read those counts.
+:func:`all_paths_to` returns a counted :class:`Paths` sequence: the
+backward count, or one more backward pass over the memo's order minus the
+avoided nodes, from which any path is unranked in time linear in its
+length times the out-degree, and iteration builds each path in turn.
+:func:`_tainted`, the one nondeterminism rule, reads a competing group's
+taint from those counts when one of its members lies on two or more paths,
+and otherwise counts the paths that touch the group, so it is polynomial
+too; it is kept on the graph, and the split and the evaluation audit both
+read it. No function here builds every path.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from types import MappingProxyType
 
 from .labelgraph import LabelGraph, NodeKind, _closure, _topo_order
@@ -35,23 +34,6 @@ from .labelgraph import LabelGraph, NodeKind, _closure, _topo_order
 
 class NotALabelNode(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class PathSet:
-    """All simple root-to-label paths for one label, split by determinism."""
-
-    label: int
-    deterministic: tuple[tuple[int, ...], ...]
-    nondeterministic: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class CertainNodeSet:
-    """Nodes guaranteed correct for a label: on every groundtruth path."""
-
-    label: int
-    members: frozenset[int]
 
 
 def _require_label(graph: LabelGraph, node_id: int) -> None:
@@ -176,29 +158,14 @@ def all_paths_to(graph: LabelGraph, target: int, avoid: frozenset[int] = frozens
     The backward count of :func:`_path_counts`, or, with ``avoid``, one
     backward count over its order minus ``avoid`` (still a topological
     order); no path is built until the result is indexed or iterated. Works
-    for any target node; the public :func:`enumerate_paths` restricts it to
-    label nodes. Raises CycleDetected when the target's ancestors contain a
-    cycle, which only an unvalidated graph can have, even one inside
-    ``avoid``.
+    for any target node. Raises CycleDetected when the target's ancestors
+    contain a cycle, which only an unvalidated graph can have, even one
+    inside ``avoid``.
     """
     order, _, bwd = _path_counts(graph, target)
     if not avoid:
         return Paths(graph, target, bwd)
     return Paths(graph, target, _counts_to(graph, target, [v for v in order if v not in avoid]))
-
-
-def enumerate_paths(graph: LabelGraph, label: int) -> list[tuple[int, ...]]:
-    """All simple root-to-label prediction paths for a label node, built."""
-    _require_label(graph, label)
-    return list(all_paths_to(graph, label))
-
-
-def are_competing(graph: LabelGraph, u: int, w: int) -> bool:
-    """True iff u and w belong to the same (explicit or implicit) group."""
-    if u == w:
-        raise ValueError("are_competing requires two distinct nodes")
-    gu = graph.group_of(u)
-    return gu is not None and w in gu.members
 
 
 def _path_counts(graph: LabelGraph, target: int
@@ -227,66 +194,59 @@ def _path_counts(graph: LabelGraph, target: int
     return counted
 
 
-def _competing_groups(graph: LabelGraph, nodes) -> dict[str, set[int]]:
+def _competing_groups(graph: LabelGraph, nodes) -> dict[str, frozenset[int]]:
     """Members among ``nodes`` of each group that has two or more of them."""
     seen: dict[str, set[int]] = {}
     for node in nodes:
         g = graph.group_of(node)
         if g is not None:
             seen.setdefault(g.name, set()).add(node)
-    return {name: members for name, members in seen.items() if len(members) >= 2}
+    return {name: frozenset(members) for name, members in seen.items() if len(members) >= 2}
+
+
+def _tainted(graph: LabelGraph, target: int) -> Mapping[str, frozenset[int]]:
+    """The competing groups that make some of the target's paths
+    nondeterministic, each with its members on those paths.
+
+    A group taints the target when two of its members lie on its paths and
+    two paths touch it: then some path carries a member that another path
+    does not, which the annotation alone cannot settle. One path holding
+    two members of an otherwise untouched group taints nothing: the
+    pairwise definition needs another path. The counts read the test off
+    at once when a member v lies on two or more paths (``fwd[v] > 1`` or
+    ``bwd[v] > 1``). Only a group whose every member lies on one path is
+    counted again: the paths that touch it are all paths minus those that
+    avoid its members. Built on the first call for a target and kept on
+    the graph, read-only, next to the counts.
+    """
+    taint = graph._taint.get(target)
+    if taint is not None:
+        return taint
+    order, fwd, bwd = _path_counts(graph, target)
+    total = bwd.get(graph.root, 0)
+    taint = MappingProxyType({
+        name: members for name, members in _competing_groups(graph, order).items()
+        if any(fwd[v] > 1 or bwd[v] > 1 for v in members)
+        or total - all_paths_to(graph, target, members).total >= 2})
+    graph._taint[target] = taint
+    return taint
 
 
 def _split_paths(graph: LabelGraph, target: int) -> tuple[Paths, Paths]:
-    """The label's deterministic and nondeterministic paths, counted.
-
-    A group taints the label when two of its members lie on its paths and
-    two paths touch it; a path is nondeterministic iff it touches a tainted
-    group. One path holding two members of an otherwise untouched group
-    stays deterministic: the pairwise definition needs another path. The
-    counts read the test off at once when a member v lies on two or more
-    paths (``fwd[v] > 1`` or ``bwd[v] > 1``). Only a group whose every
-    member lies on one path is counted again: the paths that touch it are
-    all paths minus those that avoid its members.
-    """
-    order, fwd, bwd = _path_counts(graph, target)
-    total = bwd.get(graph.root, 0)
-    tainted: frozenset[int] = frozenset()
-    for members in _competing_groups(graph, order).values():
-        if any(fwd[v] > 1 or bwd[v] > 1 for v in members) or \
-                total - all_paths_to(graph, target, frozenset(members)).total >= 2:
-            tainted |= members
+    """The target's deterministic and nondeterministic paths, counted: a
+    path is nondeterministic iff it touches a group of :func:`_tainted`."""
+    tainted = frozenset().union(*_tainted(graph, target).values())
     det = all_paths_to(graph, target, tainted)
-    return det, Paths(graph, target, bwd, tainted, det._counts)
-
-
-def classify_paths(graph: LabelGraph, label: int) -> PathSet:
-    """Partition a label's groundtruth paths into deterministic/nondeterministic.
-
-    A path P is nondeterministic iff another path P' for the same label
-    contains a node w competing with some u on P with w != u; deterministic
-    otherwise. Classification only depends on the set of paths, never on
-    their enumeration order.
-    """
-    _require_label(graph, label)
-    det, nd = _split_paths(graph, label)
-    return PathSet(label=label, deterministic=tuple(det), nondeterministic=tuple(nd))
+    return det, Paths(graph, target, _path_counts(graph, target)[2], tainted, det._counts)
 
 
 def _certain_members(graph: LabelGraph, target: int) -> frozenset[int]:
+    """Reward set for a target: the nodes on every one of its paths, plus
+    the target. Nodes on every groundtruth path are exactly those the
+    annotation guarantees; ambiguous group members (on some paths but not
+    all) are excluded so sampling them is neither rewarded nor punished."""
     order, fwd, bwd = _path_counts(graph, target)
     if not order:
         return frozenset({target})
     total = fwd[target]
     return frozenset(v for v in order if fwd[v] * bwd[v] == total)
-
-
-def certain_nodes(graph: LabelGraph, label: int) -> CertainNodeSet:
-    """Reward set for a label: intersection of all its paths, plus the label.
-
-    Nodes on every groundtruth path are exactly those the annotation
-    guarantees; ambiguous group members (on some paths but not all) are
-    excluded so sampling them is neither rewarded nor punished.
-    """
-    _require_label(graph, label)
-    return CertainNodeSet(label=label, members=_certain_members(graph, label))

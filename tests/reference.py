@@ -271,14 +271,21 @@ def stack_rows(ts) -> Tensor:
     return out
 
 
+def whole_steps(m: int, steps: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """``parent`` and ``sizes`` of ``nm.gru_step`` for ``steps`` whole steps
+    of ``m`` lanes: row ``t*m + i`` is lane i at step t, fed by its lane one
+    step back (by row i of ``f0`` at step 0)."""
+    return np.tile(np.arange(m), steps), np.full(steps, m)
+
+
 def chained_gru_steps(p: nm.GruParams, e: Tensor, f0: Tensor) -> Tensor:
-    """Oracle of ``nm.gru_step`` over T steps: one one-step node per step,
-    fed its rows ``t*m`` to ``t*m+m`` of ``e``, and the states of every
-    step stacked in step order."""
+    """Oracle of ``nm.gru_step`` over T whole steps: one one-step node per
+    step, fed its rows ``t*m`` to ``t*m+m`` of ``e``, and the states of
+    every step stacked in step order."""
     m = f0.data.shape[0]
     f, states = f0, []
     for t in range(e.data.shape[0] // m):
-        f = nm.gru_step(p, nm.gather_rows(e, range(t * m, t * m + m)), f)
+        f = nm.gru_step(p, nm.gather_rows(e, range(t * m, t * m + m)), f, *whole_steps(m))
         states.append(f)
     return stack_rows(states)
 
@@ -532,7 +539,7 @@ def traced_walk(model, x: np.ndarray, max_len: int, choose) -> Walk:
     prev = model.start_token
     tokens, probs = [], []
     for _ in range(max_len):
-        f, z = model.decode_logits(f, [prev])
+        f, z = model.decode_logits(f, [prev], *whole_steps(1))
         try:
             dist = distribution(model, z.data[0], prev)
         except NoCandidates:

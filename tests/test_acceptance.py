@@ -18,7 +18,7 @@ from pathcast.harness import SynthSpec, fuse, resolve_samples, synth_generate
 from pathcast.labelgraph import build_graph
 from pathcast.model import LabelPathModel
 from pathcast.numerics import AdamState, adam_step, backward, block_softmax, compile_blocks
-from pathcast.pathalg import classify_paths, enumerate_paths
+from pathcast.pathalg import _split_paths, all_paths_to
 from pathcast.trainer import (BaselineEstimator, LabeledSample, PathBook,
                               ScheduleConfig, ScheduleState, TrainConfig,
                               build_batch, deterministic_loss,
@@ -151,19 +151,17 @@ def test_path_oracle_equivalence():
     for _ in range(200):
         g = random_dag(rng, max_nodes=12)
         for label in g.label_ids():
-            assert enumerate_paths(g, label) == oracle_all_paths(g, label)
-            ps = classify_paths(g, label)
-            det, nd = oracle_classify(g, label)
-            assert sorted(ps.deterministic) == det
-            assert sorted(ps.nondeterministic) == nd
+            assert list(all_paths_to(g, label)) == oracle_all_paths(g, label)
+            det, nd = _split_paths(g, label)
+            assert (sorted(det), sorted(nd)) == oracle_classify(g, label)
             checked += 1
     g = figure2_subgraph()
-    ps = classify_paths(g, g.id_of("british-shorthair"))
+    det, nd = _split_paths(g, g.id_of("british-shorthair"))
     elapsed = time.time() - t0
-    ok = (len(ps.deterministic), len(ps.nondeterministic)) == (1, 3) and elapsed < 30
+    ok = (len(det), len(nd)) == (1, 3) and elapsed < 30
     report("path oracle equivalence", ok,
            f"{checked} labels on 200 random DAGs; figure-2 split "
-           f"{len(ps.deterministic)}+{len(ps.nondeterministic)}, {elapsed:.1f}s")
+           f"{len(det)}+{len(nd)}, {elapsed:.1f}s")
 
 
 def test_bandit_convergence():

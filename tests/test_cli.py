@@ -10,7 +10,7 @@ import pytest
 
 from pathcast.labelgraph import save_graph, serialize
 
-from reference import figure2_subgraph
+from reference import figure2_subgraph, layered_dag, oracle_all_paths, oracle_classify
 
 
 def run_cli(*args, expect=0):
@@ -137,6 +137,33 @@ class TestPathsCommand:
         proc = run_cli("paths", str(path), "--label", "nope", expect=1)
         assert proc.stderr == f"pathcast: error: {path}: unknown node name 'nope'\n"
         assert proc.stdout == ""
+
+    def test_a_node_that_is_not_a_label_names_the_graph_file(self, tmp_path):
+        path = tmp_path / "g.json"
+        save_graph(str(path), figure2_subgraph())
+        for name in ("cat", "shorthair"):
+            proc = run_cli("paths", str(path), "--label", name, expect=1)
+            assert proc.stderr == f"pathcast: error: {path}: node {name!r} is not a label node\n"
+            assert proc.stdout == ""
+
+    @pytest.mark.parametrize("singleton", [False, True])
+    def test_output_is_the_oracles_in_lexicographic_order(self, tmp_path, singleton):
+        g = layered_dag(7, np.random.default_rng(5), singleton)
+        path = tmp_path / "g.json"
+        save_graph(str(path), g)
+
+        def names(nodes):
+            return [g.node(i).name for i in nodes]
+
+        for label in g.label_ids():
+            paths = oracle_all_paths(g, label)
+            det, nd = oracle_classify(g, label)
+            assert (det or nd) == paths and (bool(det), bool(nd)) == (singleton, not singleton)
+            want = {"deterministic": [names(p) for p in sorted(det)],
+                    "nondeterministic": [names(p) for p in sorted(nd)],
+                    "certain": sorted(names(set(paths[0]).intersection(*paths[1:]) | {label}))}
+            proc = run_cli("paths", str(path), "--label", g.node(label).name)
+            assert proc.stdout == json.dumps(want, indent=2) + "\n"
 
 
 class TestSynthAndFuse:

@@ -1,5 +1,7 @@
 """Greedy decoding, label extraction, metrics and the attribute audit."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from pathcast.evaldecode import (EmptyDataset, NoAuditableSamples,
 from pathcast.labelgraph import build_graph
 from pathcast.model import LabelPathModel, Walk
 
-from reference import figure2_subgraph, oracle_all_paths, random_dag
+from reference import figure2_subgraph, layered_dag, oracle_all_paths, oracle_classify, random_dag
 
 
 def make_model(graph, seed=0, input_dim=5):
@@ -191,6 +193,22 @@ class TestNondeterministicGroups:
                 on_paths = {n for p in oracle_all_paths(g, label) for n in p}
                 want = {gr.name: set(gr.members & on_paths) for gr in g.groups
                         if len(gr.members & on_paths) >= 2}
+                assert nondeterministic_groups(g, label) == want
+
+    def test_matches_the_split_oracle(self):
+        # a group is nondeterministic iff two of oracle_classify's
+        # nondeterministic paths carry different members of it
+        rng = np.random.default_rng(18)
+        graphs = [random_dag(rng) for _ in range(40)] + [
+            layered_dag(depth, rng) for depth in (1, 2, 3, 4, 5) for _ in range(8)]
+        for g in graphs:
+            for label in g.label_ids():
+                nd = oracle_classify(g, label)[1]
+                want = {}
+                for gr in g.groups:
+                    on = [gr.members.intersection(p) for p in nd]
+                    if any(a and b and len(a | b) >= 2 for a, b in itertools.combinations(on, 2)):
+                        want[gr.name] = frozenset().union(*on)
                 assert nondeterministic_groups(g, label) == want
 
 

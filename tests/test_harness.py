@@ -14,7 +14,7 @@ from pathcast.harness import (BaselineConfig, DatasetSpec, InconsistentSpec,
 from pathcast.labelgraph import NodeKind, stats, validate
 from pathcast import harness
 from pathcast.numerics import AdamState
-from pathcast.pathalg import NotALabelNode, enumerate_paths
+from pathcast.pathalg import NotALabelNode, all_paths_to
 from pathcast.trainer import ScheduleConfig, TrainConfig, read_config, schedule_update
 
 from reference import figure2_subgraph, oracle_all_paths, random_dag
@@ -129,7 +129,7 @@ class TestSynthGenerate:
         # that group; sampled groups must vary across the label's paths
         for i, prof in enumerate(spec.label_profiles):
             name = f"cat-breed-{i}"
-            paths = enumerate_paths(graph, graph.id_of(name))
+            paths = list(all_paths_to(graph, graph.id_of(name)))
             for j, entry in enumerate(prof):
                 group = graph.group_of(graph.id_of(f"cat-{['hair','color','ears'][j]}-0"))
                 members_on_paths = set()
@@ -553,7 +553,7 @@ class TestTrimGraph:
             after = stats(trimmed).augmented_count
             assert after == before - int(before * frac)
             for label in trimmed.label_ids():
-                assert enumerate_paths(trimmed, label)
+                assert all_paths_to(trimmed, label)
 
     def test_zero_fraction_is_identity(self):
         graph, _, _, _ = synth_generate(small_spec())
@@ -564,7 +564,7 @@ class TestTrimGraph:
         trimmed = trim_graph(g, 0.4, np.random.default_rng(2))
         assert validate(trimmed) == []
         for label in trimmed.label_ids():
-            paths = enumerate_paths(trimmed, label)
+            paths = list(all_paths_to(trimmed, label))
             assert paths
             # contracted paths are never longer than the originals
             assert max(len(p) for p in paths) <= 4

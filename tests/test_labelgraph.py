@@ -265,11 +265,11 @@ class TestSerialization:
 
     def test_label_reachability_via_paths(self):
         rng = np.random.default_rng(3)
-        from pathcast.pathalg import enumerate_paths
+        from pathcast.pathalg import all_paths_to
         for _ in range(10):
             g = random_dag(rng)
             for label in g.label_ids():
-                assert enumerate_paths(g, label)
+                assert all_paths_to(g, label)
 
 
 class TestLoadGraph:

@@ -282,12 +282,12 @@ class TestCandidateTable:
     def test_closing_eop_adds_nothing_to_scores_or_gradients(self):
         # EOP's block is itself, so its log-probability is z - z = 0 with a
         # zero gradient: scoring it would change no value and no gradient
-        from pathcast.pathalg import enumerate_paths
+        from pathcast.pathalg import all_paths_to
         rng = np.random.default_rng(12)
         for g in self.graphs() + [nested_labels_graph()]:
             m = make_model(g, seed=int(rng.integers(1000)))
             for label in g.label_ids():
-                paths = [list(p) for p in enumerate_paths(g, label)[:4]]
+                paths = [list(p) for p in all_paths_to(g, label)[:4]]
                 xs = rng.normal(size=(len(paths), 5))
                 w = rng.normal(size=len(paths))
                 runs = []
@@ -330,13 +330,13 @@ class TestPathLogProb:
 
     def test_groundtruth_paths_always_finite(self):
         rng = np.random.default_rng(4)
-        from pathcast.pathalg import enumerate_paths
+        from pathcast.pathalg import all_paths_to
         for _ in range(10):
             g = random_dag(rng)
             m = make_model(g, seed=int(rng.integers(1000)))
             x = rng.normal(size=5)
             for label in g.label_ids():
-                for p in enumerate_paths(g, label)[:4]:
+                for p in all_paths_to(g, label)[:4]:
                     assert np.isfinite(path_log_prob(m, x, list(p)).item())
 
     def test_free_running_lane_must_start_at_root(self):

@@ -159,7 +159,7 @@ class TestBackward:
                                 "w_ce", "w_cf", "b_c")])
             f = Tensor(np.zeros((1, hdim)))
             for t in range(5):
-                f = gru_step(g, Tensor(xs[t][None, :]), f)
+                f = gru_step(g, Tensor(xs[t][None, :]), f, *ref.whole_steps(1))
             return ref.sum_all(nm.tanh(f)), ts
 
         loss, ts = build(params)
@@ -211,7 +211,7 @@ class TestGru:
         gp = ref.gru_init(3, 4, rng, "g", raw)
         for t in raw.values():
             t.data[...] = 0.0
-        out = gru_step(gp, Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 4))))
+        out = gru_step(gp, Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 4))), *ref.whole_steps(1))
         np.testing.assert_allclose(out.data, np.zeros((1, 4)))
 
     def test_matches_scalar_loop(self):
@@ -221,7 +221,7 @@ class TestGru:
         gp = ref.gru_init(d, hdim, rng, "g", raw)
         e = rng.normal(size=d)
         f = rng.normal(size=hdim)
-        out = gru_step(gp, Tensor(e[None, :]), Tensor(f[None, :])).data[0]
+        out = gru_step(gp, Tensor(e[None, :]), Tensor(f[None, :]), *ref.whole_steps(1)).data[0]
 
         def sig(v):
             return 1.0 / (1.0 + np.exp(-v))
@@ -250,7 +250,8 @@ class TestGru:
         gp = ref.gru_init(3, 4, rng, "g", raw)
         raw["g.b_u"].data[...] = -50.0  # u ~ 0 => f_t ~ f_prev
         f_prev = rng.normal(size=(1, 4))
-        out = gru_step(gp, Tensor(rng.normal(size=(1, 3))), Tensor(f_prev)).data
+        out = gru_step(gp, Tensor(rng.normal(size=(1, 3))), Tensor(f_prev),
+                       *ref.whole_steps(1)).data
         np.testing.assert_allclose(out, f_prev, atol=1e-6)
 
     def test_shape_mismatch(self):
@@ -258,7 +259,7 @@ class TestGru:
         raw = {}
         gp = ref.gru_init(3, 4, rng, "g", raw)
         with pytest.raises(nm.ShapeMismatch):
-            gru_step(gp, Tensor(np.zeros((1, 5))), Tensor(np.zeros((1, 4))))
+            gru_step(gp, Tensor(np.zeros((1, 5))), Tensor(np.zeros((1, 4))), *ref.whole_steps(1))
 
 
 GRU_FIELDS = ("w_re", "w_rf", "b_r", "w_ue", "w_uf", "b_u", "w_ce", "w_cf", "b_c")
@@ -284,7 +285,7 @@ class TestFusedKernels:
             grads.update(e_t=e.grad, f_prev=f.grad)
             return out, grads
 
-        fused, g_fused = run(gru_step)
+        fused, g_fused = run(lambda p, e, f: gru_step(p, e, f, *ref.whole_steps(m)))
         composed, g_composed = run(composed_gru_step)
         assert fused.data.tobytes() == composed.data.tobytes()
         assert fused._parents and all(not p._parents for p in fused._parents)  # one node

@@ -11,8 +11,8 @@ from pathcast.evaldecode import nondeterministic_groups
 from pathcast.harness import label_set_targets
 from pathcast.labelgraph import (CycleDetected, GraphNode, LabelGraph, NodeKind,
                                  build_graph)
-from pathcast.pathalg import (NotALabelNode, all_paths_to, are_competing, certain_nodes,
-                              classify_paths, enumerate_paths)
+from pathcast.pathalg import (NotALabelNode, _certain_members, _competing_groups,
+                              _require_label, _split_paths, _tainted, all_paths_to)
 from pathcast.trainer import PathBook
 
 from reference import (figure2_subgraph, layered_dag, oracle_all_paths, oracle_classify,
@@ -30,16 +30,21 @@ def cyclic_graph():
     return LabelGraph(nodes, edges, [])
 
 
+def split(g, label):
+    """The label's deterministic and nondeterministic paths, as two lists."""
+    return tuple(map(list, _split_paths(g, label)))
+
+
 class TestEnumeratePaths:
     def test_chain(self):
         g = build_graph([("d", ["x"])], augmented_spec=[("a", ["root"])],
                         edge_spec=[("a", "x")])
-        paths = enumerate_paths(g, g.id_of("x"))
+        paths = list(all_paths_to(g, g.id_of("x")))
         assert paths == [(0, g.id_of("a"), g.id_of("x"))]
 
     def test_figure2_british_shorthair_has_four_paths(self):
         g = figure2_subgraph()
-        paths = enumerate_paths(g, g.id_of("british-shorthair"))
+        paths = list(all_paths_to(g, g.id_of("british-shorthair")))
         assert len(paths) == 4
         names = {tuple(g.node(i).name for i in p) for p in paths}
         assert ("animal", "cat", "shorthair", "british-shorthair") in names
@@ -47,93 +52,88 @@ class TestEnumeratePaths:
     def test_not_a_label_node(self):
         g = figure2_subgraph()
         with pytest.raises(NotALabelNode):
-            enumerate_paths(g, g.id_of("cat"))
+            _require_label(g, g.id_of("cat"))
         with pytest.raises(NotALabelNode):
-            enumerate_paths(g, 10**6)
+            _require_label(g, 10**6)
 
     def test_matches_brute_force_on_random_dags(self):
         rng = np.random.default_rng(10)
         for _ in range(60):
             g = random_dag(rng)
             for label in g.label_ids():
-                assert enumerate_paths(g, label) == oracle_all_paths(g, label)
+                assert list(all_paths_to(g, label)) == oracle_all_paths(g, label)
 
     def test_lexicographic_order(self):
         g = figure2_subgraph()
-        paths = enumerate_paths(g, g.id_of("british-shorthair"))
+        paths = list(all_paths_to(g, g.id_of("british-shorthair")))
         assert paths == sorted(paths)
 
 
 class TestAreCompeting:
+    """Two nodes compete when they are members of one (explicit or implicit)
+    group: ``_competing_groups`` of the pair holds that group."""
+
     def test_same_group(self):
         g = figure2_subgraph()
-        assert are_competing(g, g.id_of("shorthair"), g.id_of("longhair"))
+        pair = frozenset({g.id_of("shorthair"), g.id_of("longhair")})
+        assert _competing_groups(g, pair) == {"hair": pair}
 
     def test_different_groups(self):
         g = figure2_subgraph()
-        assert not are_competing(g, g.id_of("shorthair"), g.id_of("tabby-color"))
-
-    def test_self_comparison_rejected(self):
-        g = figure2_subgraph()
-        with pytest.raises(ValueError):
-            are_competing(g, g.id_of("shorthair"), g.id_of("shorthair"))
+        assert _competing_groups(g, [g.id_of("shorthair"), g.id_of("tabby-color")]) == {}
 
     def test_ungrouped_node_competes_with_nothing(self):
         g = figure2_subgraph()
-        assert not are_competing(g, g.id_of("cat"), g.id_of("shorthair"))
+        assert _competing_groups(g, [g.id_of("cat"), g.id_of("shorthair")]) == {}
 
 
 class TestClassifyPaths:
     def test_figure2_split(self):
         g = figure2_subgraph()
-        ps = classify_paths(g, g.id_of("british-shorthair"))
-        assert len(ps.deterministic) == 1
-        assert len(ps.nondeterministic) == 3
-        det = ps.deterministic[0]
-        assert tuple(g.node(i).name for i in det) == \
+        det, nd = split(g, g.id_of("british-shorthair"))
+        assert len(det) == 1
+        assert len(nd) == 3
+        assert tuple(g.node(i).name for i in det[0]) == \
             ("animal", "cat", "shorthair", "british-shorthair")
 
     def test_chain_is_deterministic(self):
         g = build_graph([("d", ["x"])], augmented_spec=[("a", ["root"])],
                         edge_spec=[("a", "x")])
-        ps = classify_paths(g, g.id_of("x"))
-        assert len(ps.deterministic) == 1
-        assert len(ps.nondeterministic) == 0
+        det, nd = split(g, g.id_of("x"))
+        assert len(det) == 1
+        assert len(nd) == 0
 
     def test_partition_is_exhaustive(self):
         rng = np.random.default_rng(11)
         for _ in range(40):
             g = random_dag(rng)
             for label in g.label_ids():
-                ps = classify_paths(g, label)
-                assert len(ps.deterministic) + len(ps.nondeterministic) == \
-                    len(enumerate_paths(g, label))
-                assert not (set(ps.deterministic) & set(ps.nondeterministic))
+                det, nd = split(g, label)
+                assert len(det) + len(nd) == len(all_paths_to(g, label))
+                assert not (set(det) & set(nd))
 
     def test_matches_definition_literal_oracle(self):
         rng = np.random.default_rng(12)
         for _ in range(60):
             g = random_dag(rng)
             for label in g.label_ids():
-                ps = classify_paths(g, label)
-                det, nd = oracle_classify(g, label)
-                assert sorted(ps.deterministic) == det
-                assert sorted(ps.nondeterministic) == nd
+                det, nd = split(g, label)
+                assert (sorted(det), sorted(nd)) == oracle_classify(g, label)
 
     def test_order_independence(self):
         g = figure2_subgraph()
         label = g.id_of("british-shorthair")
-        ps = classify_paths(g, label)
+        got_det, got_nd = split(g, label)
         det, nd = oracle_classify(g, label)
         for perm in itertools.permutations(range(4)):
             # the per-path verdict never depends on enumeration order
-            assert set(ps.deterministic) == set(det)
-            assert set(ps.nondeterministic) == set(nd)
+            assert set(got_det) == set(det)
+            assert set(got_nd) == set(nd)
 
     def test_not_a_label_node(self):
         g = figure2_subgraph()
         with pytest.raises(NotALabelNode):
-            classify_paths(g, g.id_of("shorthair"))
+            _require_label(g, g.id_of("shorthair"))
 
     def test_layered_dags_match_oracle(self):
         rng = np.random.default_rng(15)
@@ -142,19 +142,17 @@ class TestClassifyPaths:
             for depth in (1, 2, 3, 4, 5, 6):
                 for g in [layered_dag(depth, singleton=singleton)] + [
                         layered_dag(depth, rng, singleton) for _ in range(20)]:
-                    ps = classify_paths(g, g.id_of("x"))
                     det, nd = oracle_classify(g, g.id_of("x"))
-                    assert list(ps.deterministic) == det
-                    assert list(ps.nondeterministic) == nd
+                    assert split(g, g.id_of("x")) == (det, nd)
                     mixed += bool(det) and bool(nd)
         assert mixed >= 5  # the sweep includes labels with both verdicts
 
     def test_full_layered_split_closed_form(self):
         for singleton in (False, True):
             g = layered_dag(6, singleton=singleton)
-            ps = classify_paths(g, g.id_of("x"))
+            det, nd = _split_paths(g, g.id_of("x"))
             want = (64, 0) if singleton else (0, 64)
-            assert (len(ps.deterministic), len(ps.nondeterministic)) == want
+            assert (len(det), len(nd)) == want
 
     def test_one_path_holding_two_members_stays_deterministic(self):
         # root -> c -> a -> b -> x and c -> x; the group {a, b} lies on one
@@ -162,15 +160,14 @@ class TestClassifyPaths:
         spec = dict(augmented_spec=[("c", ["root"]), ("a", ["c"]), ("b", ["a"])],
                     group_spec=[("pair", ["a", "b"])])
         g = build_graph([("d", ["x"])], edge_spec=[("b", "x"), ("c", "x")], **spec)
-        ps = classify_paths(g, g.id_of("x"))
-        assert len(ps.deterministic) == 2 and ps.nondeterministic == ()
-        assert oracle_classify(g, g.id_of("x")) == (list(ps.deterministic), [])
+        det, nd = split(g, g.id_of("x"))
+        assert len(det) == 2 and nd == []
+        assert oracle_classify(g, g.id_of("x")) == (det, [])
         # a second path through b makes both group paths nondeterministic
         g = build_graph([("d", ["x"])], edge_spec=[("b", "x"), ("c", "x"), ("c", "b")],
                         **spec)
-        ps = classify_paths(g, g.id_of("x"))
         det, nd = oracle_classify(g, g.id_of("x"))
-        assert (list(ps.deterministic), list(ps.nondeterministic)) == (det, nd)
+        assert split(g, g.id_of("x")) == (det, nd)
         assert sorted(map(len, nd)) == [4, 5] and det == [(0, g.id_of("c"), g.id_of("x"))]
 
     def test_group_tainted_only_by_the_count(self, monkeypatch):
@@ -188,33 +185,41 @@ class TestClassifyPaths:
             return counts_to(graph, target, order)
 
         monkeypatch.setattr(pathalg, "_counts_to", counting)
-        ps = classify_paths(g, x)
-        assert oracle_classify(g, x) == ([], list(ps.nondeterministic))
-        assert len(ps.nondeterministic) == 2
+        det, nd = split(g, x)
+        assert oracle_classify(g, x) == (det, nd) == ([], nd)
+        assert len(nd) == 2
         # the sub-DAG, the count around the group and the deterministic count
         pair = sorted([g.id_of("a"), g.id_of("b")])
         assert avoided == [[], pair, pair]
+
+    def test_the_audit_reads_the_split_s_taint(self):
+        # root -> c -> a -> b -> x: one path holds both members of {a, b},
+        # so the split keeps it deterministic and the audit finds no group
+        g = build_graph([("d", ["x"])], [("c", ["root"]), ("a", ["c"]), ("b", ["a"])],
+                        [("b", "x")], [("ab", ["a", "b"])])
+        x = g.id_of("x")
+        det, nd = split(g, x)
+        assert (len(det), nd) == (1, [])
+        assert nondeterministic_groups(g, x) == {}
+        assert nondeterministic_groups(g, x) is _tainted(g, x) is g._taint[x]
 
 
 class TestCertainNodes:
     def test_chain(self):
         g = build_graph([("d", ["x"])], augmented_spec=[("a", ["root"])],
                         edge_spec=[("a", "x")])
-        s = certain_nodes(g, g.id_of("x"))
-        assert s.members == frozenset({0, g.id_of("a"), g.id_of("x")})
+        assert _certain_members(g, g.id_of("x")) == frozenset({0, g.id_of("a"), g.id_of("x")})
 
     def test_figure2_excludes_ambiguous_members(self):
         g = figure2_subgraph()
-        s = certain_nodes(g, g.id_of("british-shorthair"))
-        names = {g.node(i).name for i in s.members}
+        names = {g.node(i).name for i in _certain_members(g, g.id_of("british-shorthair"))}
         assert names == {"animal", "cat", "british-shorthair"}
 
     def test_disjoint_routes_leave_root_and_label(self):
         g = build_graph([("d", ["x"])],
                         augmented_spec=[("a", ["root"]), ("b", ["root"])],
                         edge_spec=[("a", "x"), ("b", "x")])
-        s = certain_nodes(g, g.id_of("x"))
-        assert s.members == frozenset({0, g.id_of("x")})
+        assert _certain_members(g, g.id_of("x")) == frozenset({0, g.id_of("x")})
 
     def test_matches_intersection_oracle(self):
         rng = np.random.default_rng(13)
@@ -226,7 +231,7 @@ class TestCertainNodes:
                 for p in paths[1:]:
                     want &= set(p)
                 want |= {label}
-                assert certain_nodes(g, label).members == frozenset(want)
+                assert _certain_members(g, label) == frozenset(want)
 
     def test_layered_dags_match_intersection_oracle(self):
         rng = np.random.default_rng(16)
@@ -235,13 +240,13 @@ class TestCertainNodes:
                 g = layered_dag(depth, rng)
                 paths = oracle_all_paths(g, g.id_of("x"))
                 want = set(paths[0]).intersection(*paths[1:])
-                assert certain_nodes(g, g.id_of("x")).members == frozenset(want)
+                assert _certain_members(g, g.id_of("x")) == frozenset(want)
 
     def test_million_paths_in_polynomial_time(self):
         g = layered_dag(20)
         x = g.id_of("x")
         t0 = time.perf_counter()
-        certain = certain_nodes(g, x).members
+        certain = _certain_members(g, x)
         groups = nondeterministic_groups(g, x)
         elapsed = time.perf_counter() - t0
         assert certain == frozenset({g.root, x})
@@ -251,12 +256,12 @@ class TestCertainNodes:
 
     def test_cycle_on_a_path_is_rejected(self):
         g = cyclic_graph()
-        for fn in (lambda: certain_nodes(g, 3), lambda: nondeterministic_groups(g, 3),
+        for fn in (lambda: _certain_members(g, 3), lambda: nondeterministic_groups(g, 3),
                    lambda: label_set_targets(g, "x")):
             with pytest.raises(CycleDetected):
                 fn()
         # a cycle off every path of the label does not matter
-        assert certain_nodes(g, 6).members == frozenset({0, 6})
+        assert _certain_members(g, 6) == frozenset({0, 6})
         assert nondeterministic_groups(g, 6) == {}
 
     def test_members_on_every_path(self):
@@ -264,8 +269,8 @@ class TestCertainNodes:
         for _ in range(20):
             g = random_dag(rng)
             for label in g.label_ids():
-                members = certain_nodes(g, label).members
-                for p in enumerate_paths(g, label):
+                members = _certain_members(g, label)
+                for p in all_paths_to(g, label):
                     assert members <= set(p) | {label}
 
 
@@ -278,7 +283,7 @@ def answers(g, label):
     """Every path query of one label, as plain values."""
     det, nd = PathBook(g).split(label)
     groups = nondeterministic_groups(g, label)
-    return (list(det), list(nd), certain_nodes(g, label).members, groups,
+    return (list(det), list(nd), _certain_members(g, label), groups,
             label_set_targets(g, g.node(label).name).tolist(),
             {name: list(all_paths_to(g, label, frozenset(m))) for name, m in groups.items()})
 
@@ -336,12 +341,12 @@ class TestCountedSubDag:
     def test_a_graph_built_from_the_same_parts_starts_with_an_empty_memo(self, monkeypatch):
         g = layered_dag(4)
         x = g.id_of("x")
-        certain_nodes(g, x)
-        assert set(g._counted) == {x}
+        _split_paths(g, x)
+        assert set(g._counted) == set(g._taint) == {x}
         walks = self.count_walks(monkeypatch)
         again = copy_of(g)
-        assert again._counted == {}
-        assert certain_nodes(again, x) == certain_nodes(g, x)
+        assert again._counted == again._taint == {}
+        assert _certain_members(again, x) == _certain_members(g, x)
         assert walks == {"closure_up": 1, "topo_order": 1}
 
     def test_memoised_and_fresh_results_agree_with_the_oracles(self):
@@ -363,8 +368,9 @@ class TestCountedSubDag:
         det, nd, certain, groups, hot, avoiding = answers(g, label)
         det.clear()
         nd.append((0,))
-        for members in groups.values():
-            members.add(label)
+        with pytest.raises(TypeError):  # the groups are the graph's read-only memo
+            groups["color"] = frozenset()
+        assert all(isinstance(members, frozenset) for members in groups.values())
         hot[0] = 7.0
         avoiding.clear()
         order, fwd, bwd = pathalg._path_counts(g, label)
@@ -379,10 +385,10 @@ class TestCountedSubDag:
         g = cyclic_graph()
         for _ in range(2):  # a failed count is not kept
             for fn in (lambda: all_paths_to(g, 3), lambda: PathBook(g).split(3),
-                       lambda: certain_nodes(g, 3)):
+                       lambda: _certain_members(g, 3)):
                 with pytest.raises(CycleDetected):
                     fn()
-        assert 3 not in g._counted
+        assert 3 not in g._counted and 3 not in g._taint
         # the cycle a <-> b is rejected even when every path must avoid it
         with pytest.raises(CycleDetected):
             all_paths_to(g, 3, frozenset({1, 2}))
@@ -392,7 +398,7 @@ class TestCountedSubDag:
         nodes = [GraphNode(i, n, k, frozenset({"d"}) if k is NodeKind.LABEL else frozenset())
                  for i, (n, k) in enumerate(zip(["root", "c", "d", "z"], kinds))]
         g = LabelGraph(nodes, [(1, 2), (2, 1), (2, 3)], [])
-        for fn in (lambda: all_paths_to(g, 3), lambda: certain_nodes(g, 3),
+        for fn in (lambda: all_paths_to(g, 3), lambda: _certain_members(g, 3),
                    lambda: nondeterministic_groups(g, 3)):
             with pytest.raises(CycleDetected):
                 fn()

@@ -12,7 +12,7 @@ from pathcast.evaldecode import EmptyDataset, decode_rows, evaluate, extract_lab
 from pathcast.model import InvalidPath, LabelPathModel, step_major
 from pathcast.numerics import backward, block_log_prob, gru_forward, gru_step
 from pathcast.labelgraph import build_graph
-from pathcast.pathalg import all_paths_to, classify_paths, enumerate_paths
+from pathcast.pathalg import all_paths_to
 from pathcast.trainer import LabeledSample, Lanes, PathBook, TrainConfig, _joined, build_batch
 
 import reference as ref
@@ -40,7 +40,8 @@ def test_gru_step_matches_composition(seed):
         backward(ref.sum_all(ref.mul(out, nm.Tensor(upstream))))
         return out.data, {**{k: t.grad for k, t in ts.items()}, "e_t": e.grad, "f_prev": f.grad}
 
-    (fused, g_fused), (composed, g_composed) = run(gru_step), run(ref.composed_gru_step)
+    (fused, g_fused), (composed, g_composed) = (
+        run(lambda p, e, f: gru_step(p, e, f, *ref.whole_steps(m))), run(ref.composed_gru_step))
     assert fused.tobytes() == composed.tobytes()
     for name, want in g_composed.items():
         np.testing.assert_allclose(g_fused[name], want, rtol=0, atol=1e-12, err_msg=name)
@@ -63,24 +64,19 @@ def test_gru_step_over_steps_matches_the_chain_of_one_step_nodes(T, m):
         out = unroll(nm.GruParams(*[ts[k] for k in GRU_FIELDS]), ts["e"], ts["f0"])
         return out, ref.sum_all(ref.mul(out, nm.Tensor(upstream))), ts
 
-    out, loss, ts = run(gru_step, arrays)
+    def fused(p, e, f0):
+        return gru_step(p, e, f0, *ref.whole_steps(m, T))
+
+    out, loss, ts = run(fused, arrays)
     chain, chain_loss, chain_ts = run(ref.chained_gru_steps, arrays)
     assert out.shape == (T * m, hdim) and out.data.tobytes() == chain.data.tobytes()
     backward(loss)
     backward(chain_loss)
-    fd = ref.finite_difference(lambda a: run(gru_step, a)[1].item(), arrays)
+    fd = ref.finite_difference(lambda a: run(fused, a)[1].item(), arrays)
     for name in arrays:
         np.testing.assert_allclose(ts[name].grad, chain_ts[name].grad, rtol=1e-12, atol=0,
                                    err_msg=name)
         assert ref.max_rel_err(ts[name].grad, fd[name]) < 1e-4, name
-
-
-@pytest.mark.parametrize("m, rows", [(2, 3), (7, 6), (7, 15), (7, 0), (0, 0)])
-def test_gru_step_rejects_rows_that_are_not_whole_steps(m, rows):
-    p = ref.gru_init(3, 4, np.random.default_rng(0), "g", {})
-    with pytest.raises(nm.ShapeMismatch, match=r"e \(%d, 3\) is not whole steps of f0 \(%d, 4\)"
-                       % (rows, m)):
-        gru_step(p, nm.Tensor(np.zeros((rows, 3))), nm.Tensor(np.zeros((m, 4))))
 
 
 # A forest of 12 rows in ragged steps of 3, 4, 2 and 3 on 3 rows of f0:
@@ -159,7 +155,7 @@ def test_gru_forward_is_the_trace_node_value(seed):
     for t in raw.values():
         t.data[...] += rng.normal(0, 0.5, t.data.shape)
     e, f = rng.normal(size=(m, d)), rng.normal(size=(m, hdim))
-    traced = gru_step(p, nm.Tensor(e), nm.Tensor(f))
+    traced = gru_step(p, nm.Tensor(e), nm.Tensor(f), *ref.whole_steps(m))
     assert gru_forward(p, e, f)[-1].tobytes() == traced.data.tobytes()
 
 
@@ -270,7 +266,7 @@ def test_plain_encoding_and_logits_are_the_traced_values(seed, monkeypatch):
     f = m.encode_values(xs[:1])
     for prev in (m.start_token, *ref.candidate_blocks(m, g.root)[0][:1], g.root):
         _, f_plain, _ = m.step(f, [prev])
-        f_traced, z = m.decode_logits(nm.Tensor(f), [prev])
+        f_traced, z = m.decode_logits(nm.Tensor(f), [prev], *ref.whole_steps(1))
         assert seen.pop().tobytes() == z.data.tobytes()
         assert f_plain.tobytes() == f_traced.data.tobytes()
         f = f_plain
@@ -281,10 +277,10 @@ def test_decode_logits_over_steps_is_the_chain_of_one_step_calls():
     m = LabelPathModel(ref.figure2_subgraph(), input_dim=5, embed_dim=6, hidden=8, seed=3)
     f0 = m.encode(rng.normal(size=(4, 5)))
     tokens = rng.integers(0, m.vocab_size, size=(3, 4))
-    states, z = m.decode_logits(f0, tokens)
+    states, z = m.decode_logits(f0, tokens.ravel(), *ref.whole_steps(4, 3))
     f = f0
     for t, row in enumerate(tokens):
-        f, z_t = m.decode_logits(f, row)
+        f, z_t = m.decode_logits(f, row, *ref.whole_steps(4))
         assert f.data.tobytes() == states.data[4 * t:4 * t + 4].tobytes()
         # one head product over all steps: BLAS may round it differently
         np.testing.assert_allclose(z_t.data, z.data[4 * t:4 * t + 4], rtol=1e-14, atol=1e-15)
@@ -629,7 +625,7 @@ def test_score_lanes_matches_one_lane_oracle(seed):
             t.data[...] += rng.normal(0, 0.5, t.data.shape)
         if favoured:
             m.params["out.b"].data[g.id_of(favoured)] += 8.0
-        paths = [list(p) for label in g.label_ids() for p in enumerate_paths(g, label)]
+        paths = [list(p) for label in g.label_ids() for p in all_paths_to(g, label)]
         lanes = [max(paths, key=len)] + [paths[i][:int(rng.integers(1, len(paths[i]) + 1))]
                                          for i in rng.integers(len(paths), size=6)]
         xs = rng.normal(size=(len(lanes) + 2, 5))
@@ -660,7 +656,7 @@ def test_one_pass_of_mixed_lanes_matches_two_passes(seed):
     m = LabelPathModel(g, input_dim=5, embed_dim=6, hidden=8, seed=seed)
     for t in m.params.values():
         t.data[...] += rng.normal(0, 0.5, t.data.shape)
-    paths = [list(p) for label in g.label_ids() for p in enumerate_paths(g, label)]
+    paths = [list(p) for label in g.label_ids() for p in all_paths_to(g, label)]
     lanes = [paths[i][:int(rng.integers(1, 7))] for i in rng.integers(len(paths), size=5)]
     xs = rng.normal(size=(9, 5))
     walks = m.sample_path(xs[5:], rng, 2 + seed % 5)
@@ -687,7 +683,7 @@ def test_singleton_steps_are_left_out_bit_for_bit(seed, monkeypatch):
     m = LabelPathModel(g, input_dim=5, embed_dim=6, hidden=8, seed=seed)
     for t in m.params.values():
         t.data[...] += rng.normal(0, 0.5, t.data.shape)
-    paths = [list(p) for label in g.label_ids() for p in enumerate_paths(g, label)]
+    paths = [list(p) for label in g.label_ids() for p in all_paths_to(g, label)]
     lanes = [paths[i][:int(rng.integers(1, 7))] for i in rng.integers(len(paths), size=6)]
     xs = rng.normal(size=(10, 5))
     walks = m.sample_path(xs[6:], rng, 2 + seed % 5)
@@ -729,7 +725,7 @@ def test_lanes_that_share_a_prefix_share_its_gru_rows(seed, monkeypatch):
     m = LabelPathModel(g, input_dim=5, embed_dim=6, hidden=8, seed=seed)
     for t in m.params.values():
         t.data[...] += rng.normal(0, 0.5, t.data.shape)
-    paths = [list(p) for label in g.label_ids() for p in enumerate_paths(g, label)]
+    paths = [list(p) for label in g.label_ids() for p in all_paths_to(g, label)]
     rows, lanes = [], []
     for row in range(4):
         picked = [paths[i][:int(rng.integers(1, 7))] for i in rng.integers(len(paths), size=4)]
@@ -945,5 +941,4 @@ def test_deep_chain_splits_without_recursion():
     assert (len(det), len(nd)) == (2, 0)
     assert [det[0], det[1], det[-1]] == want + want[1:]
     assert det[::-1] == want[::-1] and list(det) == want
-    assert enumerate_paths(g, x) == want
-    assert classify_paths(g, x).deterministic == tuple(want)
+    assert list(all_paths_to(g, x)) == want
