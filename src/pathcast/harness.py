@@ -56,7 +56,10 @@ def _member_choices(entry, size: int) -> tuple[int, ...]:
 
 def _read_profiles(key: str, raw) -> tuple[tuple, ...]:
     """``label_profiles`` read from JSON: a list of profiles, each a list of
-    entries, each null, an int or a list of ints."""
+    entries, each null, an int or a list of ints. Anything else raises
+    ValueError naming ``key``."""
+    if not isinstance(raw, list) or not all(isinstance(p, list) for p in raw):
+        raise ValueError(f"{key!r} must be a list of lists, not {raw!r}")
     def entry(m):
         if m is None:
             return None
@@ -430,12 +433,12 @@ def _report(net: _EncoderHead, test_ds: DatasetSpec, classes: Sequence[str],
 def _cross_entropy(ys: np.ndarray) -> Callable:
     """Batch-mean cross-entropy of the logits rows against the class ids
     ``ys[idx]``: one ``block_log_prob`` with one block of all classes per
-    row."""
+    row, each row its own lane."""
     def loss_fn(z: Tensor, idx: np.ndarray) -> Tensor:
         rows, k = np.arange(len(idx)), z.data.shape[1]
         every = nm.Blocks(rows.repeat(k), np.tile(np.arange(k), rows.size), rows * k,
                           np.full(rows.size, k))
-        lp = nm.block_log_prob(z, every, ys[idx])
+        lp = nm.block_log_prob(z, every, ys[idx], rows, rows.size)
         return nm.weighted_sum(lp, np.full(len(idx), -1.0 / len(idx)))
     return loss_fn
 

@@ -231,26 +231,24 @@ class LabelPathModel:
         length in ``n [m]`` (see :func:`step_major`), and its decoder state
         is row ``rows[i]`` of ``f [b, h]``. It is fed START and then, where
         its flag in the bools ``teacher [m]`` is set, its targets, and
-        otherwise its greedy :meth:`walk` from its row, which runs on those
-        lanes only and to their longest length; a lane whose feed has ended
-        is fed its last token again. A first target that is not a candidate
-        after START raises InvalidPath, and on a teacher-forced lane so does
-        the first other one in step-major order (NoCandidates after a dead
-        end). Otherwise such a target is skipped, as is every step after the
-        walk's EOP.
+        otherwise its greedy :meth:`walk` from its row, which runs once per
+        distinct row of those lanes and to their longest length; a lane whose
+        feed has ended is fed its last token again. A first target that is
+        not a candidate after START raises InvalidPath, and on a
+        teacher-forced lane so does the first other one in step-major order
+        (NoCandidates after a dead end). Otherwise such a target is skipped,
+        as is every step after the walk's EOP.
 
         The lanes' steps run as the nodes of one :func:`prefix_forest`, one
         per distinct row and fed prefix that some lane reaches within its
-        length, so lanes of one row that share a prefix share its states. A
-        lane's closing EOP target runs no node: EOP is alone in its block,
-        so that step scores exactly 0 from whatever logits it reads.
+        length, so lanes of one row that share a prefix share its states.
         Returns the per-lane totals as one ``[m]`` Tensor, from one
-        ``decode_logits`` over the nodes, one ``gather_rows`` of each lane's
-        node's logits at each step, one ``gather_blocks`` and one
-        ``block_log_prob`` of the scored steps, and one ``sum_steps``. A step
-        whose target is alone in its block (every lane's START -> root)
-        scores exactly 0 with a zero gradient, so it is left out of the
-        gather and the log-softmax.
+        ``decode_logits`` over the nodes and one ``block_log_prob`` whose
+        blocks are the scored steps', each on its lane's node's logits row
+        and summed into its lane in step order. A step whose target is alone
+        in its block (every lane's START -> root, a closing EOP) scores
+        exactly 0 with a zero gradient, so it is left out; a lane's closing
+        EOP runs no node.
         """
         T, m = target.shape
         fed = np.empty_like(target)  # START, then the targets or the walks
@@ -258,9 +256,11 @@ class LabelPathModel:
         n_fed = n
         free = np.flatnonzero(~teacher)
         if free.size:
-            walks = self.walk(f.data[rows[free]], max(int(n[free].max()) - 1, 2), greedy_pick)
+            own, back = np.unique(rows[free], return_inverse=True)  # a row's lanes walk alike
+            walks = self.walk(f.data[own], max(int(n[free].max()) - 1, 2), greedy_pick)
+            toks, lens = step_major([w.tokens for w in walks], T - 1)
             n_fed = n.copy()
-            fed[1:, free], n_fed[free] = step_major([w.tokens for w in walks], T - 1)
+            fed[1:, free], n_fed[free] = toks[:, back], lens[back]
         scored = np.arange(T)[:, None] < np.minimum(n, n_fed + 1)  # none after a walk's EOP
         key = fed * self.vocab_size + target  # a real pair's key for some out-of-range targets
         at = self._keys.searchsorted(key).clip(max=self._keys.size - 1)
@@ -276,9 +276,8 @@ class LabelPathModel:
         closed = target[n - 1, np.arange(m)] == self.eop_token  # runs no node: see above
         node, tokens, parent, sizes = prefix_forest(fed, rows, n - closed)
         _, z = self.decode_logits(f, tokens, parent, sizes)
-        blocks = nm.gather_blocks(self._table, steps, self._key_block[at.flat[steps]])
-        return nm.sum_steps(nm.block_log_prob(nm.gather_rows(z, node.ravel()), blocks,
-                                              target.flat[steps]), m)
+        blocks = nm.gather_blocks(self._table, node.flat[steps], self._key_block[at.flat[steps]])
+        return nm.block_log_prob(z, blocks, target.flat[steps], steps % m, m)
 
     def walk(self, f: np.ndarray, max_len: int,
              pick: Callable[[np.ndarray | None, nm.Blocks | np.ndarray],
@@ -432,10 +431,10 @@ def prefix_forest(fed: np.ndarray, rows: np.ndarray, n: np.ndarray
     lexicographic order, as a batch's lanes are.
 
     Returns each lane's node at each step ``[T, m]`` (a step past a lane's
-    end holds some node), and the nodes' tokens, parents and the sizes of
-    the steps up to the longest lane's end, as ``nm.gru_step`` takes them:
-    a node of step 0 starts from its row, one of step t from its lane's
-    node of step t-1."""
+    end holds some node, which no caller reads), and the nodes' tokens,
+    parents and the sizes of the steps up to the longest lane's end, as
+    ``nm.gru_step`` takes them: a node of step 0 starts from its row, one of
+    step t from its lane's node of step t-1."""
     T, m = fed.shape
     runs = np.arange(T)[:, None] < n
     apart = np.ones((T, m), dtype=bool)  # lane i is not on lane i-1's node

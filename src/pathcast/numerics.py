@@ -141,19 +141,6 @@ def weighted_sum(a: Tensor, w: np.ndarray) -> Tensor:
     return out
 
 
-def sum_steps(a: Tensor, m: int) -> Tensor:
-    """One node: the [m] lane totals of a step-major [T*m] vector (lane i, step t at t*m+i)."""
-    if a.data.ndim != 1 or m < 1 or a.data.size % m:
-        raise ShapeMismatch(f"sum_steps: {a.data.shape} into {m} lanes")
-    out = Tensor(a.data.reshape(-1, m).sum(axis=0), _parents=(a,))
-
-    def bw(g):
-        a._accum(np.tile(g, a.data.size // m))
-
-    out._backward = bw
-    return out
-
-
 def _row_slots(idx: np.ndarray, k: int) -> np.ndarray:
     """The flat slots of ``[len(idx), k]`` values scattered into rows ``idx``
     of a ``[rows, k]`` matrix: ``np.bincount(slots, values.ravel(), rows * k)``
@@ -265,45 +252,49 @@ def block_softmax(z: np.ndarray, blocks: Blocks) -> np.ndarray:
     return probs
 
 
-def block_log_prob(logits: Tensor, blocks: Blocks, targets) -> Tensor:
+def block_log_prob(logits: Tensor, blocks: Blocks, targets, lanes, m: int) -> Tensor:
     """log of the block-softmax probability of each block's target within
-    it.
+    it, summed by lane: block j adds into entry ``lanes[j]`` of the ``[m]``
+    result, in block order.
 
-    ``logits [m,V]``, a layout with at most one block per row and one target
-    column per block; returns one ``[m]`` node that is 0 in rows without a
-    block. Equivalent to ``log(block_softmax(z, blocks)[row, target])`` but
-    fused and stabilised as ``z[target] - logsumexp(z[block])``, with one
-    scatter in the backward pass. Only each row's block receives gradient,
-    matching block independence. A target outside its block raises
-    IndexOutOfRange.
+    ``logits [N,V]``, a layout with one target column per block; any number
+    of blocks may read one row. Each term is
+    ``log(block_softmax(z, blocks)[row, target])``, fused and stabilised as
+    ``z[target] - logsumexp(z[block])``; the lane sums are one bincount, and
+    the backward pass one bincount of the entries' gradients into the
+    logits. Only the blocks' entries receive gradient, matching block
+    independence. A target outside its block or a lane outside ``[0, m)``
+    raises IndexOutOfRange.
     """
     zz = logits.data
     if zz.ndim != 2:
         raise ShapeMismatch(f"block_log_prob: expected matrix, got {zz.shape}")
-    tgt = np.asarray(targets, dtype=np.intp)
-    if tgt.shape != blocks.sizes.shape:
-        raise ShapeMismatch(f"block_log_prob: {tgt.size} targets for "
-                            f"{blocks.sizes.size} blocks")
-    rows = blocks.rows[blocks.starts]
-    lp = np.zeros(zz.shape[0])
-    if rows.size:
-        hits = np.add.reduceat(blocks.cols == tgt.repeat(blocks.sizes), blocks.starts)
+    tgt, lanes = (np.asarray(a, dtype=np.intp) for a in (targets, lanes))
+    if tgt.shape != blocks.sizes.shape or lanes.shape != tgt.shape:
+        raise ShapeMismatch(f"block_log_prob: {tgt.size} targets and {lanes.size} lanes "
+                            f"for {blocks.sizes.size} blocks")
+    if lanes.size and (lanes.min() < 0 or lanes.max() >= m):
+        raise IndexOutOfRange(f"block_log_prob: a lane outside [0, {m})")
+    lp = np.zeros(m)
+    if tgt.size:
+        hit = blocks.cols == tgt.repeat(blocks.sizes)
+        hits = np.add.reduceat(hit, blocks.starts)
         if not hits.all():
             raise IndexOutOfRange(f"target {tgt[hits == 0][0]} not inside its block")
         z = zz[blocks.rows, blocks.cols]
         zmax, _, sums = _block_exp(z, blocks)
         lse = zmax + np.log(sums)
-        lp[rows] = zz[rows, tgt] - lse
+        lp = np.bincount(lanes, zz[blocks.rows[blocks.starts], tgt] - lse, m)
     out = Tensor(lp, _parents=(logits,))
 
     def bw(g):
-        if rows.size:
-            gr = g[rows]
-            gz = np.zeros_like(zz)
-            gz[blocks.rows, blocks.cols] = (-np.exp(z - lse.repeat(blocks.sizes))
-                                            * gr.repeat(blocks.sizes))
-            gz[rows, tgt] += gr
-            logits._accum(gz)
+        if tgt.size:
+            gl = g[lanes].repeat(blocks.sizes)
+            ge = -np.exp(z - lse.repeat(blocks.sizes)) * gl
+            ge[hit] += gl[hit]
+            rows, k = zz.shape
+            logits._accum(np.bincount(blocks.rows * k + blocks.cols, ge, rows * k)
+                          .reshape(rows, k))
 
     out._backward = bw
     return out

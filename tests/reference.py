@@ -219,6 +219,14 @@ def row_blocks(blocks) -> nm.Blocks:
     return nm.stack_blocks(layouts or [nm.compile_blocks((), ())], rows or [0])
 
 
+def row_log_prob(logits: Tensor, blocks: nm.Blocks, targets) -> Tensor:
+    """``nm.block_log_prob`` with each block summed into the lane of its own
+    row: the ``[N]`` log-probabilities of the rows of ``logits [N,V]``, 0 in
+    a row without a block."""
+    return nm.block_log_prob(logits, blocks, targets, blocks.rows[blocks.starts],
+                             len(logits.data))
+
+
 def block_softmax(z: np.ndarray, blocks) -> np.ndarray:
     """Per-block oracle of ``nm.block_softmax``, on a vector and a list of
     blocks that it checks on every call; each block is summed by ``e.sum()``."""

@@ -88,6 +88,11 @@ class TestSynthSpec:
         ({"noise_sigma": float("nan")}, "'noise_sigma' must be a finite number, not nan"),
         ({"wild_scale": float("inf")}, "'wild_scale' must be a finite number, not inf"),
         ({"branch_scale": float("-inf")}, "'branch_scale' must be a finite number, not -inf"),
+        ({"label_profiles": 5}, "'label_profiles' must be a list of lists, not 5"),
+        ({"label_profiles": [5]}, r"'label_profiles' must be a list of lists, not \[5\]"),
+        ({"label_profiles": "abc"}, "'label_profiles' must be a list of lists, not 'abc'"),
+        ({"label_profiles": [{"0": 1}]},
+         r"'label_profiles' must be a list of lists, not \[\{'0': 1\}\]"),
     ])
     def test_from_dict_rejects_wrong_types(self, raw, message):
         with pytest.raises(ValueError, match=message):

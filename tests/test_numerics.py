@@ -135,7 +135,7 @@ class TestBackward:
             ts = nm.parameters(p)
             h = nm.tanh(nm.affine(Tensor(x), ts["w1"], ts["b1"]))
             z = nm.affine(h, ts["w2"], ts["b2"])
-            lp = block_log_prob(z, ref.row_blocks(blocks[:2]), [1, 4])
+            lp = ref.row_log_prob(z, ref.row_blocks(blocks[:2]), [1, 4])
             return ref.neg(ref.sum_all(lp)), ts
 
         loss, ts = build(params)
@@ -200,7 +200,7 @@ class TestBackward:
         y = block_softmax(z[None, :], compile_blocks(blocks, range(7)))[0]
         for blk in blocks:
             for t in blk:
-                lp = block_log_prob(Tensor(z[None, :]), ref.row_blocks([blk]), [t]).data[0]
+                lp = ref.row_log_prob(Tensor(z[None, :]), ref.row_blocks([blk]), [t]).data[0]
                 assert abs(np.exp(lp) - y[t]) < 1e-12
 
 
@@ -303,8 +303,8 @@ class TestFusedKernels:
     def test_rows_block_log_prob_matches_per_row_vector_calls(self):
         z0, blocks, targets, weights = self._rows_case(np.random.default_rng(12))
         z_rows, z_vec = Tensor(z0), Tensor(z0)
-        rows = block_log_prob(z_rows, ref.row_blocks(blocks),
-                              [t for b, t in zip(blocks, targets) if b is not None])
+        rows = ref.row_log_prob(z_rows, ref.row_blocks(blocks),
+                                [t for b, t in zip(blocks, targets) if b is not None])
         backward(nm.weighted_sum(rows, weights))
         terms = []
         for i, (blk, t) in enumerate(zip(blocks, targets)):
@@ -323,8 +323,8 @@ class TestFusedKernels:
 
         def build(p):
             z = Tensor(p["z"])
-            lp = block_log_prob(z, ref.row_blocks(blocks),
-                                [t for b, t in zip(blocks, targets) if b is not None])
+            lp = ref.row_log_prob(z, ref.row_blocks(blocks),
+                                  [t for b, t in zip(blocks, targets) if b is not None])
             return nm.weighted_sum(lp, weights), z
 
         loss, z = build({"z": z0})
@@ -335,12 +335,59 @@ class TestFusedKernels:
     def test_rows_block_log_prob_checks_every_row(self):
         z = Tensor(np.zeros((2, 4)))
         with pytest.raises(nm.IndexOutOfRange):
-            block_log_prob(z, ref.row_blocks([[0, 1], [2, 3]]), [1, 0])  # row 1's target outside
+            ref.row_log_prob(z, ref.row_blocks([[0, 1], [2, 3]]), [1, 0])  # row 1's target outside
         with pytest.raises(nm.EmptyBlock):
-            block_log_prob(z, ref.row_blocks([[0, 1], []]), [1, 0])
+            ref.row_log_prob(z, ref.row_blocks([[0, 1], []]), [1, 0])
         with pytest.raises(nm.ShapeMismatch):
-            block_log_prob(z, ref.row_blocks([[0, 1]]), [1, 0])  # two targets for one block
-        assert not block_log_prob(z, ref.row_blocks([None, None]), []).data.any()
+            ref.row_log_prob(z, ref.row_blocks([[0, 1]]), [1, 0])  # two targets for one block
+        assert not ref.row_log_prob(z, ref.row_blocks([None, None]), []).data.any()
+
+    @staticmethod
+    def _lanes_case(rng):
+        """A layout of blocks on random rows of ``z [N,V]``, into random lanes
+        of ``m``: more blocks than rows and than lanes, so blocks share rows
+        (their columns may overlap) and lanes."""
+        n, v, m = int(rng.integers(1, 5)), int(rng.integers(2, 9)), int(rng.integers(1, 4))
+        rows = rng.integers(n, size=n + m + int(rng.integers(1, 6)))
+        cols = [[int(c) for c in rng.choice(v, size=int(rng.integers(1, v + 1)), replace=False)]
+                for _ in rows]
+        targets = [blk[int(rng.integers(len(blk)))] for blk in cols]
+        layout = nm.stack_blocks([compile_blocks([range(len(b))], b) for b in cols], rows)
+        return (rng.normal(0, 3, (n, v)), layout, rows, cols, targets,
+                rng.integers(m, size=rows.size), m, rng.normal(size=m))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_block_log_prob_sums_blocks_into_their_lanes(self, seed):
+        z0, layout, rows, cols, targets, lanes, m, weights = self._lanes_case(
+            np.random.default_rng(seed))
+        z_lanes, z_one = Tensor(z0), Tensor(z0)
+        lp = block_log_prob(z_lanes, layout, targets, lanes, m)
+        backward(nm.weighted_sum(lp, weights))
+        ones = [ref.block_log_prob_row(ref.take_row(z_one, int(r)), blk, t)
+                for r, blk, t in zip(rows, cols, targets)]
+        for lane in range(m):  # each lane's blocks, added in block order
+            assert lp.data[lane] == sum(o.item() for o, i in zip(ones, lanes) if i == lane)
+        backward(ref.add_n([ref.scale(o, weights[i]) for o, i in zip(ones, lanes)]))
+        np.testing.assert_allclose(z_lanes.grad, z_one.grad, rtol=0, atol=1e-12)
+
+        def build(p):
+            z = Tensor(p["z"])
+            return nm.weighted_sum(block_log_prob(z, layout, targets, lanes, m), weights), z
+
+        loss, z = build({"z": z0})
+        backward(loss)
+        fd = finite_difference(lambda p: build(p)[0].item(), {"z": z0.copy()})
+        assert max_rel_err(z.grad, fd["z"]) < 1e-6
+
+    def test_block_log_prob_checks_its_lanes(self):
+        z = Tensor(np.zeros((2, 4)))
+        layout = ref.row_blocks([[0, 1], [2, 3]])
+        for lanes in ([0, 2], [-1, 0]):
+            with pytest.raises(nm.IndexOutOfRange):
+                block_log_prob(z, layout, [1, 2], lanes, 2)
+        for lanes in ([0], [0, 1, 1]):
+            with pytest.raises(nm.ShapeMismatch):
+                block_log_prob(z, layout, [1, 2], lanes, 2)
 
 
 class TestAdam:

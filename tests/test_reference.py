@@ -10,7 +10,7 @@ import pytest
 from pathcast import numerics as nm
 from pathcast.evaldecode import EmptyDataset, decode_rows, evaluate, extract_label, greedy_decode
 from pathcast.model import InvalidPath, LabelPathModel, step_major
-from pathcast.numerics import backward, block_log_prob, gru_forward, gru_step
+from pathcast.numerics import backward, gru_forward, gru_step
 from pathcast.labelgraph import build_graph
 from pathcast.pathalg import all_paths_to
 from pathcast.trainer import LabeledSample, Lanes, PathBook, TrainConfig, _joined, build_batch
@@ -567,8 +567,8 @@ def test_rows_block_log_prob_matches_one_row_oracle(seed):
     weights = rng.normal(size=m)
 
     z_rows, z_one = nm.Tensor(z0), nm.Tensor(z0)
-    rows = block_log_prob(z_rows, ref.row_blocks(blocks),
-                          [t for b, t in zip(blocks, targets) if b is not None])
+    rows = ref.row_log_prob(z_rows, ref.row_blocks(blocks),
+                            [t for b, t in zip(blocks, targets) if b is not None])
     backward(nm.weighted_sum(rows, weights))
     terms = []
     for i, (blk, t) in enumerate(zip(blocks, targets)):
@@ -693,8 +693,8 @@ def test_singleton_steps_are_left_out_bit_for_bit(seed, monkeypatch):
                              rng.normal(size=4), np.ones(4, dtype=bool)), 0.5)))
     scored = []
     log_prob = nm.block_log_prob
-    monkeypatch.setattr(nm, "block_log_prob", lambda z, blocks, targets: (
-        scored.append(blocks.sizes.size), log_prob(z, blocks, targets))[1])
+    monkeypatch.setattr(nm, "block_log_prob", lambda z, blocks, *rest: (
+        scored.append(blocks.sizes.size), log_prob(z, blocks, *rest))[1])
 
     def run():
         totals = m.score_lanes(m.encode(xs), joined.rows, joined.targets, joined.lengths,
@@ -758,6 +758,30 @@ def test_lanes_that_share_a_prefix_share_its_gru_rows(seed, monkeypatch):
     g_alone = grads_of(ref.add_n([ref.scale(ref.sum_all(a), w) for a, w in zip(alone, weights)]))
     for name, want in g_alone.items():
         np.testing.assert_allclose(g_totals[name], want, rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_free_running_lanes_walk_each_row_once(seed, monkeypatch):
+    """The free-running lanes of one row are fed one greedy walk, walked
+    once: four lanes of one figure-2 sample walk one row, counted by
+    wrapping ``walk``. The totals are those of scoring each lane alone
+    within ``ENGINE_ULP``."""
+    rng = np.random.default_rng(seed)
+    g = ref.figure2_subgraph()
+    m = LabelPathModel(g, input_dim=5, embed_dim=6, hidden=8, seed=seed)
+    for t in m.params.values():
+        t.data[...] += rng.normal(0, 0.5, t.data.shape)
+    lanes = sorted(list(p) for label in g.label_ids() for p in all_paths_to(g, label))[:4]
+    target, n = step_major(lanes, max(map(len, lanes)))
+    rows, teacher, xs = np.zeros(4, dtype=np.intp), np.zeros(4, dtype=bool), rng.normal(size=(1, 5))
+    walked = []
+    walk = m.walk
+    monkeypatch.setattr(m, "walk", lambda f, *rest: (walked.append(len(f)), walk(f, *rest))[1])
+    totals = m.score_lanes(m.encode(xs), rows, target, n, teacher)
+    assert walked == [1]
+    want = np.concatenate([m.score_lanes(m.encode(xs), rows[:1], target[:, i:i + 1],
+                                         n[i:i + 1], teacher[:1]).data for i in range(4)])
+    assert (np.abs(totals.data - want) <= ENGINE_ULP * np.abs(np.spacing(want))).all()
 
 
 @pytest.mark.parametrize("teacher", (True, False))
