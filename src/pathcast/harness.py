@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,8 +69,7 @@ def _read_profiles(key: str, raw) -> tuple[tuple, ...]:
     return tuple(tuple(entry(m) for m in p) for p in raw)
 
 
-@dataclass(frozen=True)
-class SynthSample:
+class SynthSample(NamedTuple):
     x: np.ndarray
     label: str
     attrs: dict[str, str] | None = None
@@ -213,11 +212,12 @@ def synth_generate(spec: SynthSpec) -> tuple[LabelGraph, DatasetSpec, DatasetSpe
     augmented: list[tuple[str, list[str]]] = []
     groups: list[tuple[str, list[str]]] = []
     edges: list[tuple[str, str]] = []
-    # One row per fine label: (name, coarse name, x before the picks, and for
-    # each connected group (attribute key, member names, x columns) of its
-    # choices). Wildcard labels (every group sampled) get a dedicated identity
+    # One row per fine label: (name, coarse name, x with its fixed members
+    # set, for each sampled group (attribute key, member names, x columns) of
+    # its choices, and its attributes with each sampled one None, in group
+    # order). Wildcard labels (every group sampled) get a dedicated identity
     # flag; all other labels are identified by their fixed-attribute combination.
-    rows: list[tuple[str, str, np.ndarray, list[tuple]]] = []
+    rows: list[tuple[str, str, np.ndarray, list[tuple], dict]] = []
     for c, cname in enumerate(coarse_names):
         augmented.append((cname, ["root"]))
         keys = [f"{cname}-{_group_name(j)}" for j in range(len(spec.group_sizes))]
@@ -240,31 +240,39 @@ def synth_generate(spec: SynthSpec) -> tuple[LabelGraph, DatasetSpec, DatasetSpe
             if all(m is None for m in prof):
                 base[offsets[-1] + n_wild] = spec.wild_scale
                 n_wild += 1
-            picks = []
+            picks, attrs = [], {}
             for j, (key, size) in enumerate(zip(keys, spec.group_sizes)):
                 choices = _member_choices(prof[j], size)
                 members = [f"{key}-{k}" for k in choices]
                 edges.extend((m, name) for m in members)
-                if choices:
+                if len(choices) == 1:
+                    base[offsets[j] + choices[0]] = 1.0
+                    attrs[key] = members[0]
+                elif choices:
                     picks.append((key, members, [offsets[j] + k for k in choices]))
-            rows.append((name, cname, base, picks))
+                    attrs[key] = None
+            rows.append((name, cname, base, picks, attrs))
 
     graph = build_graph([("synth-fine", [row[0] for row in rows])], augmented, edges, groups)
 
     def draw_set(n: int, coarse: bool, annotate: bool) -> list[SynthSample]:
+        # The generator calls and their order are the data contract: one
+        # integers per sample, one per pick from two or more members, one
+        # normal per sample.
+        integers, normal, sigma = rng.integers, rng.normal, spec.noise_sigma
         out = []
         for _ in range(n):
-            name, cname, base, picks = rows[int(rng.integers(len(rows)))]
+            name, cname, base, picks, fixed = rows[int(integers(len(rows)))]
             x = base.copy()
-            attrs: dict[str, str] = {}
+            attrs = dict(fixed) if annotate else None
             for key, members, cols in picks:
-                k = int(rng.integers(len(cols))) if len(cols) > 1 else 0
+                k = int(integers(len(cols)))
                 x[cols[k]] = 1.0
-                attrs[key] = members[k]
-            if spec.noise_sigma > 0:
-                x = x + rng.normal(0.0, spec.noise_sigma, size=x.shape)
-            out.append(SynthSample(x=x, label=cname if coarse else name,
-                                   attrs=attrs if annotate else None))
+                if annotate:
+                    attrs[key] = members[k]
+            if sigma > 0:
+                x += normal(0.0, sigma, input_dim)
+            out.append(SynthSample(x, cname if coarse else name, attrs))
         return out
 
     fine = DatasetSpec("synth-fine", draw_set(spec.n_train_fine, False, False), k=len(rows))
@@ -327,7 +335,7 @@ def load_dataset(path: str, name: str | None = None, width: int | None = None) -
 
 def resolve_samples(ds: DatasetSpec, graph: LabelGraph) -> list[LabeledSample]:
     """Map label names onto graph node ids for the trainer/evaluator."""
-    return [LabeledSample(x=s.x, label=i) for s, i in zip(ds.samples, _label_ids(ds, graph))]
+    return [LabeledSample(s.x, i) for s, i in zip(ds.samples, _label_ids(ds, graph))]
 
 
 def _label_ids(ds: DatasetSpec, graph: LabelGraph) -> list[int]:

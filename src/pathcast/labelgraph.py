@@ -153,9 +153,6 @@ class LabelGraph:
     def group_of(self, node_id: int) -> Group | None:
         return self._group_of.get(node_id)
 
-    def label_ids(self) -> tuple[int, ...]:
-        return tuple(nd.id for nd in self.nodes if nd.kind is NodeKind.LABEL)
-
     def __len__(self) -> int:
         return len(self.nodes)
 

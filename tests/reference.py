@@ -4,7 +4,8 @@ Composed engine ops, the masked sigmoid, one-row or one-path scorers, the
 one-row decode step with its pick routines and the Tensor-built walk serve as
 oracles for the fused kernels, the rows forms and the lockstep decode in
 ``pathcast``; brute-force path oracles
-check the path algorithms; the graph generators feed all of them. Nothing in
+check the path algorithms; the per-sample synthetic draw checks the
+generator; the graph generators feed all of them. Nothing in
 ``src/`` imports this module. ``tests/test_reference.py`` runs each fast path
 against its oracle.
 """
@@ -14,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from pathcast import numerics as nm
-from pathcast.labelgraph import LabelGraph, build_graph
+from pathcast.harness import _coarse_name, _group_name
+from pathcast.labelgraph import LabelGraph, NodeKind, build_graph
 from pathcast.model import InvalidPath, NoCandidates, Walk, step_major
 from pathcast.numerics import Tensor
 from pathcast.trainer import Batch
@@ -604,8 +606,67 @@ def random_partition(rng, k):
 
 
 # ---------------------------------------------------------------------------
+# Synthetic data
+# ---------------------------------------------------------------------------
+
+
+def synth_samples(spec):
+    """The fine, coarse and annotated test samples of ``synth_generate(spec)``,
+    each a list of (x, label, attrs), drawn one sample at a time from a label
+    table rebuilt from the spec, every member pick set per sample. The
+    generator calls are the data contract: one ``integers`` per sample, one
+    per pick from two or more members and one ``normal`` per sample."""
+    rng = np.random.default_rng(spec.seed)
+    offsets = np.cumsum((spec.n_coarse,) + spec.group_sizes).tolist()
+    rows = []
+    for c in range(spec.n_coarse):
+        cname = _coarse_name(c)
+        n_wild = 0
+        for i in range(spec.per_coarse):
+            prof = spec.profile(i)
+            base = np.zeros(spec.input_dim)
+            base[c] = spec.branch_scale
+            if all(m is None for m in prof):
+                base[offsets[-1] + n_wild] = spec.wild_scale
+                n_wild += 1
+            picks = []
+            for j, (m, size) in enumerate(zip(prof, spec.group_sizes)):
+                choices = (range(size) if m is None
+                           else m if isinstance(m, tuple) else (m,))
+                key = f"{cname}-{_group_name(j)}"
+                if choices:
+                    picks.append((key, [f"{key}-{k}" for k in choices],
+                                  [offsets[j] + k for k in choices]))
+            rows.append((f"{cname}-breed-{i}", cname, base, picks))
+
+    def draw_set(n, coarse, annotate):
+        out = []
+        for _ in range(n):
+            name, cname, base, picks = rows[int(rng.integers(len(rows)))]
+            x = base.copy()
+            attrs = {}
+            for key, members, cols in picks:
+                k = int(rng.integers(len(cols))) if len(cols) > 1 else 0
+                x[cols[k]] = 1.0
+                attrs[key] = members[k]
+            if spec.noise_sigma > 0:
+                x = x + rng.normal(0.0, spec.noise_sigma, size=x.shape)
+            out.append((x, cname if coarse else name, attrs if annotate else None))
+        return out
+
+    return (draw_set(spec.n_train_fine, False, False),
+            draw_set(spec.n_train_coarse, True, False),
+            draw_set(spec.n_test, False, True))
+
+
+# ---------------------------------------------------------------------------
 # Graph generators
 # ---------------------------------------------------------------------------
+
+
+def label_ids(graph):
+    """The ids of the graph's label nodes, in node order."""
+    return tuple(nd.id for nd in graph.nodes if nd.kind is NodeKind.LABEL)
 
 
 def figure2_subgraph():

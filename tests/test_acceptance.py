@@ -24,7 +24,7 @@ from pathcast.trainer import (BaselineEstimator, LabeledSample, PathBook,
                               build_batch, deterministic_loss,
                               policy_gradient_loss, schedule_update, train)
 
-from reference import (batch_of, collect_grads, figure2_subgraph, oracle_all_paths,
+from reference import (batch_of, collect_grads, figure2_subgraph, label_ids, oracle_all_paths,
                        oracle_classify, pooled, random_dag, random_partition, rescored, scale,
                        sum_all, three_level_graph)
 
@@ -78,7 +78,7 @@ def test_gradient_fidelity_20_seeds():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         g = three_level_graph(rng)
-        labels = list(g.label_ids())
+        labels = list(label_ids(g))
         model = LabelPathModel(g, input_dim=6, embed_dim=8, hidden=16, seed=seed)
         book = PathBook(g)
         cfg = TrainConfig(max_len=6, path_agg="mean", n_p=4, seed=seed)
@@ -150,7 +150,7 @@ def test_path_oracle_equivalence():
     checked = 0
     for _ in range(200):
         g = random_dag(rng, max_nodes=12)
-        for label in g.label_ids():
+        for label in label_ids(g):
             assert list(all_paths_to(g, label)) == oracle_all_paths(g, label)
             det, nd = _split_paths(g, label)
             assert (sorted(det), sorted(nd)) == oracle_classify(g, label)

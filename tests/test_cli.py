@@ -10,7 +10,8 @@ import pytest
 
 from pathcast.labelgraph import save_graph, serialize
 
-from reference import figure2_subgraph, layered_dag, oracle_all_paths, oracle_classify
+from reference import (figure2_subgraph, label_ids, layered_dag, oracle_all_paths,
+                       oracle_classify)
 
 
 def run_cli(*args, expect=0):
@@ -155,7 +156,7 @@ class TestPathsCommand:
         def names(nodes):
             return [g.node(i).name for i in nodes]
 
-        for label in g.label_ids():
+        for label in label_ids(g):
             paths = oracle_all_paths(g, label)
             det, nd = oracle_classify(g, label)
             assert (det or nd) == paths and (bool(det), bool(nd)) == (singleton, not singleton)

@@ -12,7 +12,8 @@ from pathcast.evaldecode import (EmptyDataset, NoAuditableSamples,
 from pathcast.labelgraph import build_graph
 from pathcast.model import LabelPathModel, Walk
 
-from reference import figure2_subgraph, layered_dag, oracle_all_paths, oracle_classify, random_dag
+from reference import (figure2_subgraph, label_ids, layered_dag, oracle_all_paths,
+                       oracle_classify, random_dag)
 
 
 def make_model(graph, seed=0, input_dim=5):
@@ -189,7 +190,7 @@ class TestNondeterministicGroups:
         rng = np.random.default_rng(17)
         for _ in range(60):
             g = random_dag(rng)
-            for label in g.label_ids():
+            for label in label_ids(g):
                 on_paths = {n for p in oracle_all_paths(g, label) for n in p}
                 want = {gr.name: set(gr.members & on_paths) for gr in g.groups
                         if len(gr.members & on_paths) >= 2}
@@ -202,7 +203,7 @@ class TestNondeterministicGroups:
         graphs = [random_dag(rng) for _ in range(40)] + [
             layered_dag(depth, rng) for depth in (1, 2, 3, 4, 5) for _ in range(8)]
         for g in graphs:
-            for label in g.label_ids():
+            for label in label_ids(g):
                 nd = oracle_classify(g, label)[1]
                 want = {}
                 for gr in g.groups:

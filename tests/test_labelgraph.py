@@ -12,7 +12,7 @@ from pathcast.labelgraph import (CycleDetected, DuplicateGroupMembership,
                                  canonical_name, deserialize, load_graph,
                                  save_graph, serialize, stats, validate)
 
-from reference import figure2_subgraph, figure2_with_back_edge, random_dag
+from reference import figure2_subgraph, figure2_with_back_edge, label_ids, random_dag
 
 
 class TestCanonicalName:
@@ -268,7 +268,7 @@ class TestSerialization:
         from pathcast.pathalg import all_paths_to
         for _ in range(10):
             g = random_dag(rng)
-            for label in g.label_ids():
+            for label in label_ids(g):
                 assert all_paths_to(g, label)
 
 

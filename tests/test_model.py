@@ -15,8 +15,8 @@ from pathcast.model import (InvalidPath, LabelPathModel, NoCandidates, Walk,
                             save_model)
 from pathcast.numerics import CorruptCheckpoint
 
-from reference import (add_n, candidate_blocks, collect_grads, figure2_subgraph, path_log_prob,
-                       random_dag, rescored, scale, score, step, sum_all)
+from reference import (add_n, candidate_blocks, collect_grads, figure2_subgraph, label_ids,
+                       path_log_prob, random_dag, rescored, scale, score, step, sum_all)
 
 
 def make_model(graph, seed=0, input_dim=5, embed_dim=6, hidden=8):
@@ -286,7 +286,7 @@ class TestCandidateTable:
         rng = np.random.default_rng(12)
         for g in self.graphs() + [nested_labels_graph()]:
             m = make_model(g, seed=int(rng.integers(1000)))
-            for label in g.label_ids():
+            for label in label_ids(g):
                 paths = [list(p) for p in all_paths_to(g, label)[:4]]
                 xs = rng.normal(size=(len(paths), 5))
                 w = rng.normal(size=len(paths))
@@ -335,7 +335,7 @@ class TestPathLogProb:
             g = random_dag(rng)
             m = make_model(g, seed=int(rng.integers(1000)))
             x = rng.normal(size=5)
-            for label in g.label_ids():
+            for label in label_ids(g):
                 for p in all_paths_to(g, label)[:4]:
                     assert np.isfinite(path_log_prob(m, x, list(p)).item())
 

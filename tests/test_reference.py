@@ -9,6 +9,7 @@ import pytest
 
 from pathcast import numerics as nm
 from pathcast.evaldecode import EmptyDataset, decode_rows, evaluate, extract_label, greedy_decode
+from pathcast.harness import SynthSpec, synth_generate
 from pathcast.model import InvalidPath, LabelPathModel, step_major
 from pathcast.numerics import backward, gru_forward, gru_step
 from pathcast.labelgraph import build_graph
@@ -625,7 +626,7 @@ def test_score_lanes_matches_one_lane_oracle(seed):
             t.data[...] += rng.normal(0, 0.5, t.data.shape)
         if favoured:
             m.params["out.b"].data[g.id_of(favoured)] += 8.0
-        paths = [list(p) for label in g.label_ids() for p in all_paths_to(g, label)]
+        paths = [list(p) for label in ref.label_ids(g) for p in all_paths_to(g, label)]
         lanes = [max(paths, key=len)] + [paths[i][:int(rng.integers(1, len(paths[i]) + 1))]
                                          for i in rng.integers(len(paths), size=6)]
         xs = rng.normal(size=(len(lanes) + 2, 5))
@@ -656,7 +657,7 @@ def test_one_pass_of_mixed_lanes_matches_two_passes(seed):
     m = LabelPathModel(g, input_dim=5, embed_dim=6, hidden=8, seed=seed)
     for t in m.params.values():
         t.data[...] += rng.normal(0, 0.5, t.data.shape)
-    paths = [list(p) for label in g.label_ids() for p in all_paths_to(g, label)]
+    paths = [list(p) for label in ref.label_ids(g) for p in all_paths_to(g, label)]
     lanes = [paths[i][:int(rng.integers(1, 7))] for i in rng.integers(len(paths), size=5)]
     xs = rng.normal(size=(9, 5))
     walks = m.sample_path(xs[5:], rng, 2 + seed % 5)
@@ -683,7 +684,7 @@ def test_singleton_steps_are_left_out_bit_for_bit(seed, monkeypatch):
     m = LabelPathModel(g, input_dim=5, embed_dim=6, hidden=8, seed=seed)
     for t in m.params.values():
         t.data[...] += rng.normal(0, 0.5, t.data.shape)
-    paths = [list(p) for label in g.label_ids() for p in all_paths_to(g, label)]
+    paths = [list(p) for label in ref.label_ids(g) for p in all_paths_to(g, label)]
     lanes = [paths[i][:int(rng.integers(1, 7))] for i in rng.integers(len(paths), size=6)]
     xs = rng.normal(size=(10, 5))
     walks = m.sample_path(xs[6:], rng, 2 + seed % 5)
@@ -725,7 +726,7 @@ def test_lanes_that_share_a_prefix_share_its_gru_rows(seed, monkeypatch):
     m = LabelPathModel(g, input_dim=5, embed_dim=6, hidden=8, seed=seed)
     for t in m.params.values():
         t.data[...] += rng.normal(0, 0.5, t.data.shape)
-    paths = [list(p) for label in g.label_ids() for p in all_paths_to(g, label)]
+    paths = [list(p) for label in ref.label_ids(g) for p in all_paths_to(g, label)]
     rows, lanes = [], []
     for row in range(4):
         picked = [paths[i][:int(rng.integers(1, 7))] for i in rng.integers(len(paths), size=4)]
@@ -771,7 +772,7 @@ def test_free_running_lanes_walk_each_row_once(seed, monkeypatch):
     m = LabelPathModel(g, input_dim=5, embed_dim=6, hidden=8, seed=seed)
     for t in m.params.values():
         t.data[...] += rng.normal(0, 0.5, t.data.shape)
-    lanes = sorted(list(p) for label in g.label_ids() for p in all_paths_to(g, label))[:4]
+    lanes = sorted(list(p) for label in ref.label_ids(g) for p in all_paths_to(g, label))[:4]
     target, n = step_major(lanes, max(map(len, lanes)))
     rows, teacher, xs = np.zeros(4, dtype=np.intp), np.zeros(4, dtype=bool), rng.normal(size=(1, 5))
     walked = []
@@ -823,7 +824,7 @@ def _split_graphs(rng):
 def test_pathbook_split_matches_pairwise_oracle(seed):
     for g in _split_graphs(np.random.default_rng(seed)):
         book = PathBook(g)
-        for label in g.label_ids():
+        for label in ref.label_ids(g):
             det, nd = book.split(label)
             assert (list(det), list(nd)) == ref.oracle_classify(g, label)
 
@@ -851,7 +852,7 @@ def test_counted_paths_match_oracle(seed):
     rng = np.random.default_rng(seed)
     for g in _split_graphs(rng):
         book = PathBook(g)
-        for label in g.label_ids():
+        for label in ref.label_ids(g):
             want = ref.oracle_all_paths(g, label)
             _assert_counted(all_paths_to(g, label), want)
             on_paths = sorted({v for p in want for v in p} - {g.root, label})
@@ -915,7 +916,7 @@ def test_lane_table_gathers_each_targets_first_deterministic_paths(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_path_agg_draws_the_oracle_paths(seed):
     for g in _split_graphs(np.random.default_rng(seed)):
-        labels = [lb for lb in g.label_ids() if ref.oracle_classify(g, lb)[0]]
+        labels = [lb for lb in ref.label_ids(g) if ref.oracle_classify(g, lb)[0]]
         samples = [LabeledSample(np.zeros(3), lb) for lb in labels * 3]
         if not samples:
             continue
@@ -966,3 +967,35 @@ def test_deep_chain_splits_without_recursion():
     assert [det[0], det[1], det[-1]] == want + want[1:]
     assert det[::-1] == want[::-1] and list(det) == want
     assert list(all_paths_to(g, x)) == want
+
+
+SYNTH_SPECS = {
+    "default": SynthSpec(),
+    # the sixth label samples every attribute, as in the pg-mixed benchmark
+    "pg-mixed": SynthSpec(label_profiles=SynthSpec().label_profiles[:5] + ((None,) * 3,)),
+    # fixed, subset, absent and all-None entries over five coarse categories
+    "five-coarse": SynthSpec(n_fine_labels=20, n_coarse=5, group_sizes=(3, 2, 4, 2, 3),
+                             label_profiles=((0, 1, 2, 0, 1), ((0, 2), (0, 1), 3, 1, None),
+                                             (1, (), (1, 3), (), 0), (None,) * 5),
+                             noise_sigma=0.0, n_train_fine=200, n_train_coarse=100,
+                             n_test=200, seed=3),
+    "noiseless": SynthSpec(noise_sigma=0.0),
+    "seed-4242": SynthSpec(seed=4242),
+}
+
+
+@pytest.mark.parametrize("name", SYNTH_SPECS)
+def test_synth_generate_draws_the_reference_samples(name):
+    """The generator's fine, coarse and test sets equal the per-sample
+    oracle's byte for byte: x bytes, labels, and attrs in group order."""
+    spec = SYNTH_SPECS[name]
+    _, *sets = synth_generate(spec)
+    for ds, want in zip(sets, ref.synth_samples(spec)):
+        got = [(s.x.dtype, s.x.shape, s.x.tobytes(), s.label,
+                None if s.attrs is None else list(s.attrs.items())) for s in ds.samples]
+        assert got == [(x.dtype, x.shape, x.tobytes(), label,
+                        None if attrs is None else list(attrs.items()))
+                       for x, label, attrs in want]
+    sample = sets[2].samples[0]
+    with pytest.raises(AttributeError):
+        sample.label = "other"
