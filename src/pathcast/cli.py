@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 from . import evaldecode, harness, labelgraph
-from .model import Walk, load_model, read_sidecar, save_model
+from .model import load_model, read_sidecar, save_model
 from .trainer import PATH_AGGS, TrainConfig, read_config, typed_value, written
 
 
@@ -100,7 +100,7 @@ def cmd_graph_validate(args) -> int:
 
 
 def cmd_graph_stats(args) -> int:
-    graph = labelgraph.read_graph(args.file)
+    graph = labelgraph.load_graph(args.file)
     s = labelgraph.stats(graph)
     print(json.dumps({"label_count": s.label_count, "augmented_count": s.augmented_count,
                       "edge_count": s.edge_count, "group_count": s.group_count,
@@ -159,8 +159,8 @@ def cmd_eval(args) -> int:
     if not ds.samples:
         raise evaldecode.EmptyDataset(f"dataset {args.data!r} has no samples")
     samples = harness.resolve_samples(ds, graph)
-    decoded: list[Walk] = []
     with written(args.dump_paths) as write:  # opened before the decodes
+        decoded = evaldecode.decode_rows(model, [s.x for s in samples], args.max_len)
         report = evaldecode.evaluate(model, samples, args.max_len, decoded)
         if args.audit:
             triples = [(s.x, t.label, s.attrs) for s, t in zip(ds.samples, samples)]
@@ -170,15 +170,13 @@ def cmd_eval(args) -> int:
             except evaldecode.NoAuditableSamples as exc:
                 raise evaldecode.NoAuditableSamples(f"{args.data}: {exc}") from None
         if write is not None:
-            for i, (s, w) in enumerate(zip(ds.samples, decoded)):
-                pred = evaldecode.extract_label(graph, w.tokens)
-                write(json.dumps({
-                    "input_id": i,
-                    "path": [graph.node(t).name for t in w.tokens],
-                    "terminated_by": w.terminated_by,
-                    "pred": graph.node(pred).name if pred is not None else None,
-                    "gold": s.label,
-                }, sort_keys=True) + "\n")
+            names = [nd.name for nd in graph.nodes]
+            for i, (s, tokens, n, stop, pred) in enumerate(zip(
+                    ds.samples, decoded.tokens.T.tolist(), decoded.lengths.tolist(),
+                    decoded.stop.tolist(), evaldecode.predicted_labels(model, decoded))):
+                write(json.dumps({"input_id": i, "path": [names[t] for t in tokens[:n]],
+                                  "terminated_by": stop, "pred": pred, "gold": s.label},
+                                 sort_keys=True) + "\n")
     print(report.to_json())
     return 0
 

@@ -4,17 +4,17 @@ nondeterministic attribute choices against per-instance ground truth."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .labelgraph import LabelGraph, NodeKind
-from .model import LabelPathModel, Walk, greedy_pick
+from .labelgraph import LabelGraph
+from .model import LabelPathModel, Walk, Walks, greedy_pick
 from .pathalg import _tainted
 
 
-# Rows decoded in lockstep per walk by evaluate. Decoding every row at once
+# Rows decoded in lockstep per walk by decode_rows. Decoding every row at once
 # is no faster and holds the whole dataset's decode state in memory.
 DECODE_ROWS = 256
 
@@ -44,26 +44,29 @@ class MetricsReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def decode_rows(model: LabelPathModel, x: np.ndarray, max_len: int) -> list[Walk]:
-    """Walk the graph from START for every row of ``x [m, d]`` in lockstep,
-    taking the most probable candidate each step: the global maximum across
-    the candidate blocks, ties going to the lowest token id. A row stops at
-    EOP, after ``max_len`` steps, or at a dead end (see :class:`Walk`)."""
-    return model.walk(model.encode_values(x), max_len, greedy_pick)
+def decode_rows(model: LabelPathModel, x: Sequence | np.ndarray, max_len: int) -> Walks:
+    """The greedy :class:`Walks` of the rows of ``x [m, d]``, walked in
+    lockstep blocks of ``DECODE_ROWS`` rows: each step takes the global
+    maximum across the candidate blocks, ties to the lowest token id."""
+    parts = [model.walk(model.encode_values(x[i:i + DECODE_ROWS]), max_len, greedy_pick)
+             for i in range(0, max(len(x), 1), DECODE_ROWS)]  # no rows: one empty walk
+    return Walks(*(np.concatenate([getattr(p, f.name) for p in parts], axis=-1)
+                   for f in fields(Walks)))
 
 
 def greedy_decode(model: LabelPathModel, x: np.ndarray, max_len: int) -> Walk:
-    """:func:`decode_rows` of one input ``x [d]``."""
-    return decode_rows(model, np.reshape(x, (1, -1)), max_len)[0]
+    """The greedy walk of one input ``x [d]``, as its one-row view."""
+    return model.walk(model.encode_values(x), max_len, greedy_pick).row(0)
 
 
-def extract_label(graph: LabelGraph, path: Sequence[int]) -> int | None:
-    """Last label-kind node on a decoded path, or None when there is none."""
-    label = None
-    for node in path:
-        if graph.node(node).kind is NodeKind.LABEL:
-            label = node
-    return label
+def predicted_labels(model: LabelPathModel, walks: Walks) -> list[str | None]:
+    """Each row's label name: its last label node (None for none), one masked
+    max down its column (whose padding adds no node) of the EOP-offering flag."""
+    t = np.arange(len(walks.tokens))[:, None]
+    at = np.where(model._offers_eop[walks.tokens], t, -1).max(axis=0)
+    names = [nd.name for nd in model.graph.nodes]
+    return [names[v] if a >= 0 else None
+            for a, v in zip(at.tolist(), walks.tokens[at, np.arange(at.size)].tolist())]
 
 
 def classification_report(gold_names: Sequence[str],
@@ -103,27 +106,18 @@ def classification_report(gold_names: Sequence[str],
 
 
 def evaluate(model: LabelPathModel, dataset: Sequence, max_len: int,
-             decoded: list[Walk] | None = None) -> MetricsReport:
-    """:func:`classification_report` of greedily decoded labels over a dataset,
-    decoded in lockstep blocks of ``DECODE_ROWS`` rows.
-
-    ``dataset`` yields (x, label_id) pairs. A decode without any label node
-    counts as incorrect. ``decoded`` (when given) collects each sample's
-    :class:`Walk`, in dataset order.
-    """
-    graph = model.graph
+             decoded: Walks | None = None) -> MetricsReport:
+    """:func:`classification_report` of the :func:`predicted_labels` of a
+    dataset's (x, label_id) pairs; a decode without a label node counts as
+    incorrect. ``decoded`` (when given) is the pairs' :func:`decode_rows`,
+    read in place of decoding them."""
     pairs = list(dataset)
-    gold, pred = [], []
-    for i in range(0, len(pairs), DECODE_ROWS):
-        block = pairs[i:i + DECODE_ROWS]
-        for (_, label), w in zip(block, decode_rows(model, np.stack([x for x, _ in block]),
-                                                    max_len)):
-            if decoded is not None:
-                decoded.append(w)
-            gold.append(graph.node(label).name)
-            got = extract_label(graph, w.tokens)
-            pred.append(graph.node(got).name if got is not None else None)
-    return classification_report(gold, pred)
+    if not pairs:
+        raise EmptyDataset("cannot evaluate an empty dataset")
+    if decoded is None:
+        decoded = decode_rows(model, [x for x, _ in pairs], max_len)
+    return classification_report([model.graph.node(label).name for _, label in pairs],
+                                 predicted_labels(model, decoded))
 
 
 def nondeterministic_groups(graph: LabelGraph, label: int) -> Mapping[str, frozenset[int]]:
@@ -135,7 +129,7 @@ def nondeterministic_groups(graph: LabelGraph, label: int) -> Mapping[str, froze
 
 
 def audit_nondeterministic(model: LabelPathModel, dataset: Sequence, max_len: int,
-                           decoded: Sequence[Walk] | None = None) -> float:
+                           decoded: Walks | None = None) -> float:
     """Fraction of decoded nondeterministic attribute choices that match the
     instance's true attribute.
 
@@ -146,8 +140,8 @@ def audit_nondeterministic(model: LabelPathModel, dataset: Sequence, max_len: in
     and is used instead of decoding again; one of another length than the
     dataset raises ValueError.
     """
-    if decoded is not None and len(decoded) != len(dataset):
-        raise ValueError(f"{len(decoded)} decoded walks for {len(dataset)} samples")
+    if decoded is not None and decoded.lengths.size != len(dataset):
+        raise ValueError(f"{decoded.lengths.size} decoded walks for {len(dataset)} samples")
     graph = model.graph
     nd_cache: dict[int, Mapping[str, frozenset[int]]] = {}
     audited = matches = 0
@@ -159,7 +153,7 @@ def audit_nondeterministic(model: LabelPathModel, dataset: Sequence, max_len: in
         nd_groups = nd_cache[gold]
         if not nd_groups:
             continue
-        w = decoded[i] if decoded is not None else greedy_decode(model, x, max_len)
+        w = decoded.row(i) if decoded is not None else greedy_decode(model, x, max_len)
         for node in w.tokens:
             g = graph.group_of(node)
             if g is None or g.name not in nd_groups:

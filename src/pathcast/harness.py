@@ -25,7 +25,7 @@ from .numerics import AdamState, Tensor
 from .pathalg import NotALabelNode, _path_counts, _require_label
 from .trainer import (LabeledSample, ScheduleConfig, ScheduleState, TrainConfig,
                       descend, minibatches, require_non_negative, schedule_update,
-                      train, typed_value)
+                      train, typed_value, written)
 from .evaldecode import EmptyDataset, MetricsReport, classification_report, evaluate
 
 
@@ -184,7 +184,6 @@ class SynthSpec:
 @dataclass
 class FusionResult:
     dataset: DatasetSpec
-    source_tags: tuple[str, ...]
 
 
 def _coarse_name(i: int) -> str:
@@ -287,12 +286,12 @@ def synth_generate(spec: SynthSpec) -> tuple[LabelGraph, DatasetSpec, DatasetSpe
 # ---------------------------------------------------------------------------
 
 def save_dataset(path: str, ds: DatasetSpec) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with written(path) as write:
         for s in ds.samples:
             rec: dict = {"x": [float(v) for v in s.x], "label": s.label}
             if s.attrs is not None:
                 rec["attrs"] = {k: s.attrs[k] for k in sorted(s.attrs)}
-            f.write(json.dumps(rec) + "\n")
+            write(json.dumps(rec) + "\n")
 
 
 def load_dataset(path: str, name: str | None = None, width: int | None = None) -> DatasetSpec:
@@ -361,13 +360,8 @@ def fuse(fine: DatasetSpec, coarse: DatasetSpec, graph: LabelGraph) -> FusionRes
         _label_ids(ds, graph)
     fine_labels = set(fine.label_names())
     extra = [n for n in coarse.label_names() if n not in fine_labels]
-    fused = DatasetSpec(
-        name=f"{fine.name}+{coarse.name}",
-        samples=list(fine.samples) + list(coarse.samples),
-        k=fine.k + len(extra),
-    )
-    tags = tuple([fine.name] * len(fine.samples) + [coarse.name] * len(coarse.samples))
-    return FusionResult(dataset=fused, source_tags=tags)
+    samples = list(fine.samples) + list(coarse.samples)
+    return FusionResult(DatasetSpec(f"{fine.name}+{coarse.name}", samples, fine.k + len(extra)))
 
 
 # ---------------------------------------------------------------------------

@@ -314,7 +314,7 @@ def validate(graph: LabelGraph) -> list[Violation]:
     try:
         _topo_order(graph)
     except CycleDetected as exc:
-        out.append(Violation("CycleDetected", "graph contains a cycle", exc.names))
+        out.append(Violation("CycleDetected", str(exc), exc.names))
     else:
         reach = _closure(graph, graph.root)
         missing = [nd.name for nd in graph.nodes if nd.id not in reach]

@@ -36,14 +36,31 @@ class NoCandidates(RuntimeError):
 
 @dataclass(frozen=True)
 class Walk:
-    """One free-running walk: the visited graph nodes, the probability of
-    each step's choice, and why it stopped: ``"eop"`` (it picked EOP),
-    ``"max_len"`` (``max_len`` steps without EOP) or ``"dead_end"`` (a node
-    with no candidates, reached in fewer steps)."""
+    """One row of :class:`Walks`: its nodes, its picks' probabilities and its stop."""
 
     tokens: tuple[int, ...]
     step_probs: tuple[float, ...]
     terminated_by: str
+
+
+@dataclass(frozen=True, eq=False)
+class Walks:
+    """Free-running walks of ``m`` rows, step-major: ``tokens [T, m]`` has each
+    row's visited graph nodes as a column, the last repeated past its end (a
+    :func:`step_major` lane; EOP is never stored), ``lengths [m]`` their counts,
+    ``step_probs [T, m]`` each pick's probability (an EOP pick's too; 0 past the
+    end) and ``stop [m]`` why the row stopped: "eop", "max_len" (``T`` steps
+    without EOP) or "dead_end" (a node with no candidates). :meth:`row` gives a row."""
+
+    tokens: np.ndarray
+    lengths: np.ndarray
+    step_probs: np.ndarray
+    stop: np.ndarray
+
+    def row(self, i: int) -> Walk:
+        n, stop = int(self.lengths[i]), str(self.stop[i])
+        return Walk(tuple(self.tokens[:n, i].tolist()),
+                    tuple(self.step_probs[:n + (stop == "eop"), i].tolist()), stop)
 
 
 class LabelPathModel:
@@ -258,9 +275,9 @@ class LabelPathModel:
         if free.size:
             own, back = np.unique(rows[free], return_inverse=True)  # a row's lanes walk alike
             walks = self.walk(f.data[own], max(int(n[free].max()) - 1, 2), greedy_pick)
-            toks, lens = step_major([w.tokens for w in walks], T - 1)
-            n_fed = n.copy()
-            fed[1:, free], n_fed[free] = toks[:, back], lens[back]
+            n_fed = n.copy()  # T - 1 fed steps: a walk's last step repeats past its end
+            cut = np.minimum(np.arange(T - 1), len(walks.tokens) - 1)[:, None]
+            fed[1:, free], n_fed[free] = walks.tokens[cut, back], walks.lengths[back]
         scored = np.arange(T)[:, None] < np.minimum(n, n_fed + 1)  # none after a walk's EOP
         key = fed * self.vocab_size + target  # a real pair's key for some out-of-range targets
         at = self._keys.searchsorted(key).clip(max=self._keys.size - 1)
@@ -281,14 +298,14 @@ class LabelPathModel:
 
     def walk(self, f: np.ndarray, max_len: int,
              pick: Callable[[np.ndarray | None, nm.Blocks | np.ndarray],
-                            tuple[np.ndarray, np.ndarray]]) -> list[Walk]:
+                            tuple[np.ndarray, np.ndarray]]) -> Walks:
         """Free-run the decoder from START for every row of the states
         ``f [m, h]`` in lockstep: one :meth:`step` over the rows still
         walking, whose probabilities and candidate layout ``pick`` turns into
         each such row's token and its probability. A row stops at EOP, after
         ``max_len`` steps, or at a dead-end augmented node (possible on
         subgraphs; its walk truncates there, with no step from it). Returns
-        one :class:`Walk` per row, in row order.
+        the rows' :class:`Walks`, ``max_len`` steps long.
 
         A step is forced when every such row's token has one candidate, one
         singleton block (``_forced``): START's root, a leaf label's EOP. It
@@ -307,7 +324,7 @@ class LabelPathModel:
         m = f.shape[0]
         toks = np.zeros((max_len, m), dtype=np.intp)  # step-major, so a step
         probs = np.zeros((max_len, m))  # writes one row of each
-        steps = np.full(m, max_len)
+        n = np.full(m, max_len)  # each row's nodes: its steps, less an EOP pick
         ended = np.zeros(m, dtype=bool)
         rows = np.arange(m)  # the rows still walking
         prev = np.full(m, self.start_token, dtype=np.intp)
@@ -328,17 +345,15 @@ class LabelPathModel:
             going = self._has_entry[tok]  # neither EOP nor a dead end
             if np.count_nonzero(going) != going.size:  # cheaper than .all() on few rows
                 stop = rows[~going]
-                steps[stop] = t + 1
                 ended[stop] = tok[~going] == self.eop_token
+                n[stop] = t + 1 - ended[stop]
                 rows, tok, f = rows[going], tok[going], f[going]
             prev = tok
-        return [Walk(tuple(tk[:n - e]), tuple(pr[:n]),
-                     "eop" if e else "max_len" if n == max_len else "dead_end")
-                for tk, pr, n, e in zip(toks.T.tolist(), probs.T.tolist(), steps.tolist(),
-                                        ended.tolist())]
+        return Walks(toks[np.minimum(np.arange(max_len)[:, None], n - 1), np.arange(m)], n, probs,
+                     np.where(ended, "eop", np.where(n == max_len, "max_len", "dead_end")))
 
     def sample_path(self, x: np.ndarray, rng: np.random.Generator,
-                    max_len: int) -> list[Walk]:
+                    max_len: int) -> Walks:
         """Ancestral samples from the decoder, one per row of ``x [m, d]``,
         free-running from START in lockstep.
 
@@ -388,7 +403,7 @@ class LabelPathModel:
         tok = np.where(mass == top[row], b.cols[drawn], self.vocab_size)
         return np.minimum.reduceat(tok, first), top
 
-    def sampled_path_log_prob(self, sampled: Sequence[Walk]) -> tuple[np.ndarray, np.ndarray]:
+    def sampled_path_log_prob(self, sampled: Walks) -> tuple[np.ndarray, np.ndarray]:
         """The rescoring lanes of sampled walks, as :func:`step_major`
         targets and lengths: each walk's own tokens. :meth:`score_lanes`,
         teacher-forced from the states the walks started from, gives each
@@ -397,10 +412,9 @@ class LabelPathModel:
         singleton block, so its log-probability is exactly 0. Such a walk
         whose last token offers no EOP (no label node) raises InvalidPath.
         """
-        target, n = step_major([s.tokens for s in sampled], max(len(s.tokens) for s in sampled))
-        last = target[-1]  # each lane's last token, repeated to the end
-        offers = (last >= 0) & (last < self.vocab_size) & self._offers_eop.take(last, mode="clip")
-        bad = np.array([s.terminated_by == "eop" for s in sampled]) & ~offers
+        target, n = sampled.tokens[:sampled.lengths.max()], sampled.lengths
+        last = target[-1]  # each lane's last token; one out of range clips to root or EOP
+        bad = (sampled.stop == "eop") & ~self._offers_eop.take(last, mode="clip")
         if bad.any():
             raise InvalidPath(f"token {self.eop_token} is not a candidate after "
                               f"{int(last[bad][0])}")

@@ -287,8 +287,8 @@ def policy_gradient_loss(model: LabelPathModel, batch: Batch,
         return None, []
     pg = np.array(batch.pg_indexes)
     samples = model.sample_path(batch.inputs[pg], rng, cfg.max_len)
-    rewards = [reward(s.tokens, book.reward_members(batch.labels[i], cfg.reward_set))
-               for i, s in zip(batch.pg_indexes, samples)]
+    rewards = [reward(tokens[:n], book.reward_members(batch.labels[i], cfg.reward_set))
+               for i, tokens, n in zip(batch.pg_indexes, samples.tokens.T, samples.lengths)]
     b = baseline.value
     baseline.update(float(np.mean(rewards)))
     return Lanes(*model.sampled_path_log_prob(samples), pg, -(np.array(rewards) - b) / pg.size,

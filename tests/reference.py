@@ -1,9 +1,9 @@
 """Reference code that only the tests run.
 
 Composed engine ops, the masked sigmoid, one-row or one-path scorers, the
-one-row decode step with its pick routines and the Tensor-built walk serve as
-oracles for the fused kernels, the rows forms and the lockstep decode in
-``pathcast``; brute-force path oracles
+one-row decode step with its pick routines, the Tensor-built walk and the
+per-row label rule serve as oracles for the fused kernels, the rows forms, the
+lockstep decode and the columnar walk record in ``pathcast``; brute-force path oracles
 check the path algorithms; the per-sample synthetic draw checks the
 generator; the graph generators feed all of them. Nothing in
 ``src/`` imports this module. ``tests/test_reference.py`` runs each fast path
@@ -17,7 +17,7 @@ import numpy as np
 from pathcast import numerics as nm
 from pathcast.harness import _coarse_name, _group_name
 from pathcast.labelgraph import LabelGraph, NodeKind, build_graph
-from pathcast.model import InvalidPath, NoCandidates, Walk, step_major
+from pathcast.model import InvalidPath, NoCandidates, Walk, Walks, step_major
 from pathcast.numerics import Tensor
 from pathcast.trainer import Batch
 
@@ -327,12 +327,13 @@ def score(model, f: Tensor, lanes, teacher) -> Tensor:
                              np.full(len(lanes), teacher))
 
 
-def rescored(model, x: np.ndarray, walks) -> Tensor:
+def rescored(model, x: np.ndarray, walks: Walks) -> Tensor:
     """Each walk's log-probability along its own choices, from the rows
     ``x [m, d]`` it started from: ``model.sampled_path_log_prob``'s lanes,
     scored teacher-forced over one encode."""
-    return model.score_lanes(model.encode(x), np.arange(len(walks)),
-                             *model.sampled_path_log_prob(walks), np.ones(len(walks), dtype=bool))
+    m = walks.lengths.size
+    return model.score_lanes(model.encode(x), np.arange(m), *model.sampled_path_log_prob(walks),
+                             np.ones(m, dtype=bool))
 
 
 def pooled(model, inputs: np.ndarray, lanes) -> Tensor:
@@ -537,6 +538,32 @@ def step_major_walk(model, xs: np.ndarray, max_len: int, choose) -> list:
                 tokens[i].append(tok)
                 prev[i] = tok
     return [Walk(tuple(t), tuple(p), s or "max_len") for t, p, s in zip(tokens, probs, stop)]
+
+
+def rows(walks: Walks) -> list:
+    """Every row of a ``model.Walks`` as its ``Walk`` view, in row order."""
+    return [walks.row(i) for i in range(walks.lengths.size)]
+
+
+def walks_of(walk_rows, max_len: int | None = None) -> Walks:
+    """The ``model.Walks`` record of ``Walk`` rows, ``max_len`` steps long
+    (by default the most steps of any row): the inverse of :func:`rows`."""
+    steps = max(len(w.step_probs) for w in walk_rows) if max_len is None else max_len
+    tokens, n = step_major([w.tokens for w in walk_rows], steps)
+    probs = np.zeros((steps, len(walk_rows)))
+    for i, w in enumerate(walk_rows):
+        probs[:len(w.step_probs), i] = w.step_probs
+    return Walks(tokens, n, probs, np.array([w.terminated_by for w in walk_rows]))
+
+
+def extract_label(graph, path):
+    """Last label-kind node on a decoded path, or None when there is none:
+    the per-row oracle of ``evaldecode.predicted_labels``."""
+    label = None
+    for node in path:
+        if graph.node(node).kind is NodeKind.LABEL:
+            label = node
+    return label
 
 
 def traced_walk(model, x: np.ndarray, max_len: int, choose) -> Walk:

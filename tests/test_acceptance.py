@@ -25,8 +25,8 @@ from pathcast.trainer import (BaselineEstimator, LabeledSample, PathBook,
                               policy_gradient_loss, schedule_update, train)
 
 from reference import (batch_of, collect_grads, figure2_subgraph, label_ids, oracle_all_paths,
-                       oracle_classify, pooled, random_dag, random_partition, rescored, scale,
-                       sum_all, three_level_graph)
+                       oracle_classify, pooled, random_dag, random_partition, rescored, rows,
+                       scale, sum_all, three_level_graph)
 
 
 def report(name, ok, detail=""):
@@ -108,15 +108,15 @@ def test_gradient_fidelity_20_seeds():
             worst = max(worst, _sampled_fd_err(ld, raw, grads, rng, coords=6))
 
         # policy-gradient surrogate on a frozen sampled trajectory
-        sampled = model.sample_path(xs[:1], np.random.default_rng(seed + 1), 6)[0]
-        if not sampled.tokens:
+        sampled = model.sample_path(xs[:1], np.random.default_rng(seed + 1), 6)
+        if not rows(sampled)[0].tokens:
             continue
         weight = -(1.0 - 0.4)  # (r - b) is a constant to the differentiator
 
         def lpg(p):
-            return scale(sum_all(rescored(rebuild_model(p), xs[:1], [sampled])), weight).item()
+            return scale(sum_all(rescored(rebuild_model(p), xs[:1], sampled)), weight).item()
 
-        loss_pg = scale(sum_all(rescored(model, xs[:1], [sampled])), weight)
+        loss_pg = scale(sum_all(rescored(model, xs[:1], sampled)), weight)
         nm.zero_grads(model.params)
         backward(loss_pg)
         grads_pg = collect_grads(model.params)
@@ -235,16 +235,24 @@ def test_fusion_direction():
            f"({', '.join(f'{d:+.3f}' for d in deltas)}), {elapsed:.0f}s")
 
 
-def test_determinism_of_cli_runs(tmp_path):
+@pytest.mark.parametrize("r_tf, profiles, audited", [
+    (1.0, None, False),
+    # the sixth label samples every attribute, so REINFORCE trains it, and
+    # about half the batches feed their lanes greedy walks
+    (0.5, SynthSpec().label_profiles[:5] + ((None, None, None),), True),
+], ids=["teacher-forced", "free-running-and-pg"])
+def test_determinism_of_cli_runs(tmp_path, r_tf, profiles, audited):
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps({"n_train_fine": 120, "n_train_coarse": 40,
-                                     "n_test": 60, "seed": 5}))
+    spec = {"n_train_fine": 120, "n_train_coarse": 40, "n_test": 60, "seed": 5}
+    if profiles is not None:
+        spec["label_profiles"] = profiles
+    spec_path.write_text(json.dumps(spec))
     subprocess.run([sys.executable, "-m", "pathcast", "synth", "--spec",
                     str(spec_path), "--out-dir", str(tmp_path)],
                    check=True, capture_output=True)
     cfg = {"graph": str(tmp_path / "graph.json"), "train": str(tmp_path / "fine.jsonl"),
            "dev": str(tmp_path / "test.jsonl"), "batch_size": 32, "max_len": 6,
-           "r_tf": 1.0, "alpha": 1.0, "beta": 1.0, "path_agg": "mean", "n_p": 4,
+           "r_tf": r_tf, "alpha": 1.0, "beta": 1.0, "path_agg": "mean", "n_p": 4,
            "reward_set": "certain", "lr_e": 0.01, "lr": 0.01,
            "schedule": {"kind": "fixed", "n": 10}, "epochs": 2, "seed": 5,
            "embed_dim": 8, "hidden": 16}
@@ -253,20 +261,26 @@ def test_determinism_of_cli_runs(tmp_path):
 
     outs = []
     evals = []
+    dumps = []
     for name in ("a", "b"):
         ck = tmp_path / f"{name}.pck"
+        dump = tmp_path / f"{name}.paths.jsonl"
+        audit_args = ("--audit", "--dump-paths", str(dump)) if audited else ()
         subprocess.run([sys.executable, "-m", "pathcast", "train", "--config",
                         str(cfg_path), "--out", str(ck)], check=True,
                        capture_output=True)
         outs.append(open(str(ck) + ".metrics.jsonl", "rb").read())
         proc = subprocess.run([sys.executable, "-m", "pathcast", "eval", "--ckpt",
                                str(ck), "--data", str(tmp_path / "test.jsonl"),
-                               "--max-len", "6"], check=True, capture_output=True)
+                               "--max-len", "6", *audit_args],
+                              check=True, capture_output=True)
         evals.append(proc.stdout)
-    ok = outs[0] == outs[1] and evals[0] == evals[1]
+        dumps.append(dump.read_bytes() if audited else b"")
+    ok = outs[0] == outs[1] and evals[0] == evals[1] and dumps[0] == dumps[1]
     report("determinism", ok,
            f"train metrics identical: {outs[0] == outs[1]}, "
-           f"eval reports identical: {evals[0] == evals[1]}")
+           f"eval reports identical: {evals[0] == evals[1]}, "
+           f"path dumps identical: {dumps[0] == dumps[1]}")
 
 
 def test_schedules_on_scripted_traces():

@@ -111,8 +111,19 @@ class TestGraphCommands:
         path.write_text(json.dumps(blob))
         proc = run_cli("graph", "stats", str(path), expect=1)
         assert proc.stdout == ""
-        assert "pathcast: error: graph contains a cycle: " in proc.stderr
+        assert f"pathcast: error: {path}: graph contains a cycle: " in proc.stderr
         assert "bengal -> cat" in proc.stderr  # every cycle uses the added edge
+
+    def test_stats_on_non_dense_ids_fails(self, tmp_path):
+        # ids {0, 5}: the edge (0, 5) would be dropped and the counts printed
+        blob = {"nodes": [{"id": 0, "name": "root", "kind": "root", "tags": []},
+                          {"id": 5, "name": "x", "kind": "label", "tags": ["d"]}],
+                "edges": [[0, 5]], "groups": []}
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps(blob))
+        proc = run_cli("graph", "stats", str(path), expect=1)
+        assert proc.stdout == ""
+        assert proc.stderr == f"pathcast: error: {path}: node ids are not dense 0..n-1\n"
 
 
 class TestPathsCommand:
@@ -223,6 +234,15 @@ class TestSynthAndFuse:
         assert blob["size"] == 150 + 60
         assert blob["k"] == 12 + 2
         assert len(out.read_text().splitlines()) == 210
+
+    def test_a_fuse_to_a_full_device_names_it(self, workdir):
+        root, _ = workdir
+        proc = run_cli("fuse", "--fine", str(root / "fine.jsonl"),
+                       "--coarse", str(root / "coarse.jsonl"), "--graph", str(root / "graph.json"),
+                       "--out", "/dev/full", expect=1)
+        assert proc.stderr == "pathcast: error: /dev/full: No space left on device\n"
+        assert proc.stdout == ""
+        assert os.path.exists("/dev/full")  # a device is not removed
 
 
 class TestTrainEvalCycle:
@@ -591,6 +611,7 @@ class TestEvalOptions:
         def no_decode(*args, **kwargs):
             raise AssertionError("decoded before the dump path was opened")
 
+        monkeypatch.setattr(evaldecode, "decode_rows", no_decode)
         monkeypatch.setattr(evaldecode, "evaluate", no_decode)
         root, _ = workdir
         dump = tmp_path / "nodir" / "paths.jsonl"

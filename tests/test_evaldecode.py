@@ -7,13 +7,13 @@ import pytest
 
 from pathcast import evaldecode
 from pathcast.evaldecode import (EmptyDataset, NoAuditableSamples,
-                                 audit_nondeterministic, evaluate, extract_label,
-                                 greedy_decode, nondeterministic_groups)
+                                 audit_nondeterministic, decode_rows, evaluate,
+                                 greedy_decode, nondeterministic_groups, predicted_labels)
 from pathcast.labelgraph import build_graph
 from pathcast.model import LabelPathModel, Walk
 
-from reference import (figure2_subgraph, label_ids, layered_dag, oracle_all_paths,
-                       oracle_classify, random_dag)
+from reference import (extract_label, figure2_subgraph, label_ids, layered_dag,
+                       oracle_all_paths, oracle_classify, random_dag, rows, walks_of)
 
 
 def make_model(graph, seed=0, input_dim=5):
@@ -42,7 +42,7 @@ class TestGreedyDecode:
         want = Walk((g.root, g.id_of("a"), g.id_of("x")), (1.0,) * 4, "eop")
         assert greedy_decode(m, np.zeros(5), 6) == want
         rng = np.random.default_rng(2)
-        assert m.sample_path(np.zeros((3, 5)), rng, 6) == [want] * 3
+        assert rows(m.sample_path(np.zeros((3, 5)), rng, 6)) == [want] * 3
         drawn = np.random.default_rng(2)
         drawn.random(3 * 4)  # one draw per row and step, as if each were drawn
         assert rng.random() == drawn.random()
@@ -101,27 +101,36 @@ class TestGreedyDecode:
 
 
 class TestExtractLabel:
+    """predicted_labels: each row's last label node within its length."""
+
+    @staticmethod
+    def label(g, *paths):
+        walks = walks_of([Walk(tuple(p), (1.0,) * len(p), "max_len") for p in paths], 6)
+        return [None if name is None else g.id_of(name)
+                for name in predicted_labels(make_model(g), walks)]
+
     def test_last_label_on_path(self):
         g = figure2_subgraph()
         path = (g.root, g.id_of("cat"), g.id_of("shorthair"), g.id_of("british-shorthair"))
-        assert extract_label(g, path) == g.id_of("british-shorthair")
+        assert self.label(g, path) == [g.id_of("british-shorthair")]
 
     def test_augmented_tail_gives_none(self):
         g = figure2_subgraph()
-        assert extract_label(g, (g.root, g.id_of("cat"), g.id_of("longhair"))) is None
+        assert self.label(g, (g.root, g.id_of("cat"), g.id_of("longhair"))) == [None]
 
     def test_coarse_label_path(self):
-        # a label-kind coarse node mid-graph is extractable on its own
+        # a label-kind coarse node mid-graph is extractable on its own, and
+        # a row's repeated last node past its length is not read
         g = build_graph(
             label_sets=[("coarse", ["cat"]), ("fine", ["tabby"])],
             edge_spec=[("root", "cat"), ("cat", "tabby")])
-        assert extract_label(g, (g.root, g.id_of("cat"))) == g.id_of("cat")
-        assert extract_label(g, (g.root, g.id_of("cat"), g.id_of("tabby"))) == g.id_of("tabby")
+        assert self.label(g, (g.root, g.id_of("cat")), (g.root, g.id_of("cat"), g.id_of("tabby")),
+                          (g.root,)) == [g.id_of("cat"), g.id_of("tabby"), None]
 
     def test_accepts_decoded_result(self):
         g = chain_graph()
-        r = Walk(tokens=(0, g.id_of("a"), g.id_of("x")), step_probs=(), terminated_by="eop")
-        assert extract_label(g, r.tokens) == g.id_of("x")
+        got = predicted_labels(make_model(g), decode_rows(make_model(g), np.zeros((2, 5)), 6))
+        assert got == ["x"] * 2
 
 
 class TestEvaluate:
@@ -266,7 +275,7 @@ class TestAudit:
         rng = np.random.default_rng(4)
         data = [(rng.normal(size=5), g.id_of("leaf"),
                  {"color": f"c{int(rng.integers(3))}"}) for _ in range(60)]
-        decoded = [greedy_decode(m, x, 6) for x, _, _ in data]
+        decoded = decode_rows(m, np.stack([x for x, _, _ in data]), 6)
         want = audit_nondeterministic(m, data, 6)
         monkeypatch.setattr(evaldecode, "greedy_decode", None)
         assert audit_nondeterministic(m, data, 6, decoded) == want
@@ -279,8 +288,8 @@ class TestAudit:
         rng = np.random.default_rng(5)
         data = [(rng.normal(size=5), g.id_of("british-shorthair"), {"color": "tabby-color"})
                 for _ in range(2)]
-        decoded = [greedy_decode(m, x, 6) for x, _, _ in data]
-        decoded = decoded[:extra] if extra < 0 else decoded + decoded[:extra]
+        xs = np.stack([x for x, _, _ in data])
+        decoded = decode_rows(m, xs[:extra] if extra < 0 else np.vstack([xs, xs[:extra]]), 6)
         with pytest.raises(ValueError, match=f"^{2 + extra} decoded walks for 2 samples$"):
             audit_nondeterministic(m, data, 6, decoded)
 

@@ -300,8 +300,8 @@ class TestFuse:
         result = fuse(fine, coarse, graph)
         assert len(result.dataset.samples) == 500
         assert result.dataset.k == 12 + 2  # coarse names unseen in the fine set
-        assert result.source_tags.count("synth-fine") == 300
-        assert result.source_tags.count("synth-coarse") == 200
+        # fine's samples, then coarse's, in order
+        assert list(map(id, result.dataset.samples)) == list(map(id, fine.samples + coarse.samples))
 
     def test_pet_fusion_arithmetic(self):
         # 37 fine classes plus 2 coarse-only classes gives 39, per the fused

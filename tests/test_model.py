@@ -8,15 +8,17 @@ import numpy as np
 import pytest
 
 from pathcast import numerics as nm
-from pathcast.evaldecode import greedy_decode
+from pathcast.evaldecode import decode_rows, greedy_decode, predicted_labels
 from pathcast.labelgraph import NodeKind, load_graph, save_graph, serialize
 from pathcast.model import (InvalidPath, LabelPathModel, NoCandidates, Walk,
                             graph_digest, greedy_pick, load_model, read_sidecar,
-                            save_model)
+                            save_model, step_major)
 from pathcast.numerics import CorruptCheckpoint
 
-from reference import (add_n, candidate_blocks, collect_grads, figure2_subgraph, label_ids,
-                       path_log_prob, random_dag, rescored, scale, score, step, sum_all)
+from reference import (add_n, candidate_blocks, collect_grads, dead_end_graph, extract_label,
+                       figure2_subgraph, greedy_choice, label_ids, path_log_prob, random_dag,
+                       rescored, rows, sample_cross_block, scale, score, step, step_major_walk,
+                       sum_all, walks_of)
 
 
 def make_model(graph, seed=0, input_dim=5, embed_dim=6, hidden=8):
@@ -249,7 +251,7 @@ class TestCandidateTable:
         rng = np.random.default_rng(1)
         for x in rng.normal(size=(5, 5)):
             assert greedy_decode(m, x, 6).step_probs
-            assert m.sample_path(x[None, :], rng, 6)[0].step_probs
+            assert rows(m.sample_path(x[None, :], rng, 6))[0].step_probs
         m.sample_path(rng.normal(size=(5, 5)), rng, 6)
         m.candidates(np.flatnonzero(m._has_entry))
         assert checked[0] == 0
@@ -363,7 +365,7 @@ class TestSamplePath:
         g = chain_graph()
         m = make_model(g, seed=9)
         for seed in range(5):
-            sp, = m.sample_path(np.zeros((1, 5)), np.random.default_rng(seed), max_len=6)
+            sp, = rows(m.sample_path(np.zeros((1, 5)), np.random.default_rng(seed), max_len=6))
             assert sp.tokens == (g.root, g.id_of("a"), g.id_of("x"))
             assert sp.terminated_by == "eop"
 
@@ -385,7 +387,7 @@ class TestSamplePath:
     def test_truncation_at_max_len(self):
         g = figure2_subgraph()
         m = make_model(g, seed=10)
-        sp, = m.sample_path(np.zeros((1, 5)), np.random.default_rng(0), max_len=2)
+        sp, = rows(m.sample_path(np.zeros((1, 5)), np.random.default_rng(0), max_len=2))
         assert len(sp.tokens) <= 2
         assert sp.terminated_by == "max_len"
 
@@ -417,10 +419,11 @@ class TestSamplePath:
         rng = np.random.default_rng(7)
         x = rng.normal(size=5)
         for _ in range(20):
-            sp, = m.sample_path(x[None, :], rng, max_len=6)
+            walks = m.sample_path(x[None, :], rng, max_len=6)
+            sp, = rows(walks)
             if not sp.tokens:
                 continue
-            lp = rescored(m, x[None, :], [sp]).data[0]
+            lp = rescored(m, x[None, :], walks).data[0]
             assert abs(np.exp(lp) - np.prod(sp.step_probs)) < 1e-10
 
     def test_rows_rescoring_matches_single_calls(self):
@@ -429,7 +432,7 @@ class TestSamplePath:
         rng = np.random.default_rng(9)
         xs = rng.normal(size=(6, 5))
         # ragged: short budgets truncate some walks before EOP
-        samples = [m.sample_path(x[None, :], rng, max_len=2 + i % 4)[0]
+        samples = [rows(m.sample_path(x[None, :], rng, max_len=2 + i % 4))[0]
                    for i, x in enumerate(xs)]
         assert {s.terminated_by for s in samples} == {"eop", "max_len"}
         w = rng.normal(size=len(samples))
@@ -439,11 +442,11 @@ class TestSamplePath:
             nm.backward(loss)
             return {k: v.copy() for k, v in collect_grads(m.params).items()}
 
-        rows = rescored(m, xs, samples)
-        singles = [sum_all(rescored(m, x[None, :], [s])) for x, s in zip(xs, samples)]
-        assert rows.data.shape == (6,)
-        np.testing.assert_allclose(rows.data, [s.item() for s in singles], rtol=0, atol=1e-12)
-        g_rows = grads_of(nm.weighted_sum(rows, w))
+        joined = rescored(m, xs, walks_of(samples))
+        singles = [sum_all(rescored(m, x[None, :], walks_of([s]))) for x, s in zip(xs, samples)]
+        assert joined.data.shape == (6,)
+        np.testing.assert_allclose(joined.data, [s.item() for s in singles], rtol=0, atol=1e-12)
+        g_rows = grads_of(nm.weighted_sum(joined, w))
         g_singles = grads_of(add_n([scale(s, wi) for s, wi in zip(singles, w)]))
         for name in m.params:
             np.testing.assert_allclose(g_rows[name], g_singles[name], rtol=0, atol=1e-12)
@@ -458,7 +461,7 @@ class TestSamplePath:
                              terminated_by="eop")
         for sampled in (skips_cat, eop_after_cat):
             with pytest.raises(InvalidPath):
-                rescored(m, np.zeros((1, 5)), [sampled])
+                rescored(m, np.zeros((1, 5)), walks_of([sampled]))
 
     def test_rescoring_lanes_are_the_walks_own_tokens(self):
         # an EOP step scores exactly 0 (a singleton block), so an "eop" walk's
@@ -467,14 +470,15 @@ class TestSamplePath:
         m = make_model(g, seed=15)
         rng = np.random.default_rng(11)
         walks = m.sample_path(rng.normal(size=(8, 5)), rng, max_len=5)
-        assert {w.terminated_by for w in walks} == {"eop", "dead_end"}
+        assert {w.terminated_by for w in rows(walks)} == {"eop", "dead_end"}
         target, n = m.sampled_path_log_prob(walks)
-        assert n.tolist() == [len(w.tokens) for w in walks]
+        assert n.tolist() == [len(w.tokens) for w in rows(walks)]
         assert len(target) == max(n)
-        for i, w in enumerate(walks):
+        for i, w in enumerate(rows(walks)):
             assert tuple(target[:n[i], i].tolist()) == w.tokens
         path = tuple(g.id_of(k) for k in ("animal", "cat", "shorthair", "british-shorthair"))
-        target, n = m.sampled_path_log_prob([Walk(path, (1.0, 0.5, 0.5, 0.5, 1.0), "eop")])
+        target, n = m.sampled_path_log_prob(walks_of([Walk(path, (1.0, 0.5, 0.5, 0.5, 1.0),
+                                                           "eop")]))
         assert target.shape == (4, 1) and n.tolist() == [4]
 
     def test_sampled_paths_are_graph_valid(self):
@@ -483,11 +487,53 @@ class TestSamplePath:
             g = random_dag(rng)
             m = make_model(g, seed=int(rng.integers(1000)))
             x = rng.normal(size=5)
-            sp, = m.sample_path(x[None, :], rng, max_len=8)
+            sp, = rows(m.sample_path(x[None, :], rng, max_len=8))
             for a, b in zip(sp.tokens, sp.tokens[1:]):
                 assert b in g.children(a)
             if sp.tokens:
                 assert sp.tokens[0] == g.root
+
+
+class TestWalksRecord:
+    """``walk``'s one record, read through its arrays: its token matrix is
+    the ``step_major`` lanes of its rows, its rows are the one-row oracle's
+    walks, greedy and sampled, and ``predicted_labels`` reads each row's
+    label as the ``extract_label`` oracle does."""
+
+    @pytest.mark.parametrize("m", [1, 7])
+    def test_rows_lanes_and_labels(self, m):
+        # the dead-end graph with its output biases zeroed: the input picks a
+        # (on to x and EOP) or the dead end b; a max_len of 3 stops at x
+        rng = np.random.default_rng(m)
+        g = dead_end_graph()
+        model = make_model(g, seed=3)
+        for t in model.params.values():
+            t.data[...] += rng.normal(0, 0.5, t.data.shape)
+        model.params["out.b"].data[:] = 0.0
+        stops = set()
+        for max_len in (3, 6) * 5:
+            xs, seed = rng.normal(size=(m, 5)), int(rng.integers(2**32))
+            draws = np.random.default_rng(seed)
+            for walks, want in (
+                    (decode_rows(model, xs, max_len),
+                     step_major_walk(model, xs, max_len, greedy_choice)),
+                    (model.sample_path(xs, np.random.default_rng(seed), max_len),
+                     step_major_walk(model, xs, max_len, lambda d: sample_cross_block(d, draws)))):
+                got = rows(walks)
+                tokens, n = step_major([w.tokens for w in got], max_len)
+                assert walks.tokens.tolist() == tokens.tolist()
+                assert walks.lengths.tolist() == n.tolist()
+                steps = n + (walks.stop == "eop")
+                assert not walks.step_probs[np.arange(max_len)[:, None] >= steps].any()
+                assert [(w.tokens, w.terminated_by) for w in got] == [
+                    (w.tokens, w.terminated_by) for w in want]
+                for a, b in zip(got, want):  # an [m, k] product may round apart
+                    np.testing.assert_allclose(a.step_probs, b.step_probs, rtol=1e-13, atol=0)
+                labels = [extract_label(g, w.tokens) for w in got]
+                assert predicted_labels(model, walks) == [
+                    None if v is None else g.node(v).name for v in labels]
+                stops.update(w.terminated_by for w in got)
+        assert stops == {"eop", "max_len", "dead_end"}
 
 
 class TestGreedyChoice:
@@ -523,7 +569,7 @@ class TestNonFiniteWeights:
         # one entry: the START row for the embedding, the first otherwise
         m.params[name].data[(m.start_token, 0) if name == "emb" else 0] = value
         decodes = [lambda: greedy_decode(m, x, 6),
-                   lambda: m.sample_path(x[None, :], np.random.default_rng(0), 6)[0]]
+                   lambda: rows(m.sample_path(x[None, :], np.random.default_rng(0), 6))[0]]
         for decode in decodes:
             if np.isnan(value) or not name.startswith("gru."):
                 with pytest.raises(ValueError, match="tensor values must be finite"):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pathcast import numerics as nm
-from pathcast.evaldecode import EmptyDataset, decode_rows, evaluate, extract_label, greedy_decode
+from pathcast.evaldecode import EmptyDataset, decode_rows, evaluate, greedy_decode
 from pathcast.harness import SynthSpec, synth_generate
 from pathcast.model import InvalidPath, LabelPathModel, step_major
 from pathcast.numerics import backward, gru_forward, gru_step
@@ -247,7 +247,7 @@ def test_plain_walk_matches_traced_walk(seed):
             draw_seed = int(rng.integers(2**32))
             draws = np.random.default_rng(draw_seed)
             want = ref.traced_walk(m, x, max_len, lambda dist: ref.sample_cross_block(dist, draws))
-            got, = m.sample_path(x[None, :], np.random.default_rng(draw_seed), max_len)
+            got, = ref.rows(m.sample_path(x[None, :], np.random.default_rng(draw_seed), max_len))
             assert got == want
 
 
@@ -315,7 +315,9 @@ def _engine_cases(rng):
 
 
 def _assert_same_walks(got, want):
-    """Paths and stops exact; step probabilities within ``ENGINE_ULP``."""
+    """The rows of the record ``got`` against the oracle's walks ``want``:
+    paths and stops exact; step probabilities within ``ENGINE_ULP``."""
+    got = ref.rows(got)
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert (a.tokens, a.terminated_by) == (b.tokens, b.terminated_by)
@@ -340,11 +342,9 @@ def test_lockstep_greedy_matches_one_row_oracle(rows):
             with pytest.raises(EmptyDataset):
                 evaluate(m, data, max_len)
             continue
-        evaluated = []
-        report = evaluate(m, data, max_len, evaluated)  # in blocks of 256 rows
-        _assert_same_walks(evaluated, want)
-        assert report.accuracy == np.mean([extract_label(m.graph, w.tokens) == label
-                                           for w, label in zip(got, labels)])
+        report = evaluate(m, data, max_len)
+        assert report.accuracy == np.mean([ref.extract_label(m.graph, w.tokens) == label
+                                           for w, label in zip(want, labels)])
 
 
 @pytest.mark.parametrize("rows", ENGINE_ROWS)
@@ -380,13 +380,13 @@ def test_walks_that_stop_at_a_dead_end_report_dead_end():
     sampled = m.sample_path(xs, np.random.default_rng(1), max_len)
     _assert_same_walks(sampled, ref.step_major_walk(
         m, xs, max_len, lambda dist: ref.sample_cross_block(dist, draws)))
-    for walks in (greedy, sampled):
+    for walks in (ref.rows(greedy), ref.rows(sampled)):
         assert {w.terminated_by for w in walks} == {"dead_end", "eop"}
         for w in walks:
             at_b = w.tokens == (g.root, g.id_of("b"))
             assert (w.terminated_by == "dead_end") == at_b
             assert len(w.step_probs) == (2 if at_b else 4)
-    for x, w in zip(xs, greedy):
+    for x, w in zip(xs, ref.rows(greedy)):
         one = greedy_decode(m, x, max_len)
         assert one == ref.traced_walk(m, x, max_len, ref.greedy_choice)
         assert one.terminated_by == w.terminated_by
@@ -412,8 +412,9 @@ def test_forced_steps_run_no_step_and_draw_as_every_step(monkeypatch):
     _assert_same_walks(sampled, ref.step_major_walk(
         m, xs, 6, lambda dist: ref.sample_cross_block(dist, want_rng)))
     assert got_rng.random() == want_rng.random()
-    assert {w.terminated_by for w in greedy + sampled} == {"eop", "dead_end"}
-    for w in greedy + sampled:
+    walks = ref.rows(greedy) + ref.rows(sampled)
+    assert {w.terminated_by for w in walks} == {"eop", "dead_end"}
+    for w in walks:
         assert w.step_probs[:2] == (1.0, 1.0)
         assert w.terminated_by != "eop" or w.step_probs[-1] == 1.0
     choice = {t: len(ref.candidate_blocks(m, t)[0]) > 1 for t in np.flatnonzero(m._has_entry)}
@@ -590,7 +591,8 @@ def test_rows_rescoring_matches_per_path_oracle(seed):
     m = LabelPathModel(g, input_dim=5, embed_dim=6, hidden=8, seed=seed)
     xs = rng.normal(size=(6, 5))
     # ragged: short budgets truncate some walks before EOP
-    samples = [m.sample_path(x[None, :], rng, max_len=2 + i % 4)[0] for i, x in enumerate(xs)]
+    samples = [ref.rows(m.sample_path(x[None, :], rng, max_len=2 + i % 4))[0]
+               for i, x in enumerate(xs)]
     weights = rng.normal(size=len(samples))
 
     def grads_of(loss):
@@ -598,7 +600,7 @@ def test_rows_rescoring_matches_per_path_oracle(seed):
         backward(loss)
         return {k: v.copy() for k, v in ref.collect_grads(m.params).items()}
 
-    rows = ref.rescored(m, xs, samples)
+    rows = ref.rescored(m, xs, ref.walks_of(samples))
     singles = [ref.path_log_prob(m, x, s.tokens + ((m.eop_token,) if s.terminated_by == "eop"
                                                    else ()))
                for x, s in zip(xs, samples)]

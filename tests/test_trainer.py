@@ -25,7 +25,8 @@ from pathcast.trainer import (BaselineEstimator, EmptyRewardSet,
 
 from reference import (GroupAdamState, add_n, batch_of, collect_grads, figure2_subgraph,
                        finite_difference, group_adam_step, max_rel_err, path_log_prob, pooled,
-                       rescored, sample_cross_block, scale, step_major_walk, sum_all)
+                       rescored, rows, sample_cross_block, scale, step_major_walk, sum_all,
+                       walks_of)
 
 
 def bandit_graph():
@@ -506,7 +507,7 @@ class TestPolicyGradientLoss:
         g = bandit_graph()
         m = make_model(g, seed=9)
         x = np.random.default_rng(3).normal(size=4)
-        sampled, = m.sample_path(x[None, :], np.random.default_rng(1), max_len=6)
+        sampled = m.sample_path(x[None, :], np.random.default_rng(1), max_len=6)
         weight = -(1.0 - 0.4)  # frozen (r - b)
         raw = {k: v.data.copy() for k, v in m.params.items()}
 
@@ -514,9 +515,9 @@ class TestPolicyGradientLoss:
             m2 = make_model(g, seed=9)
             for k, t in m2.params.items():
                 t.data[...] = p[k]
-            return scale(sum_all(rescored(m2, x[None, :], [sampled])), weight).item()
+            return scale(sum_all(rescored(m2, x[None, :], sampled)), weight).item()
 
-        loss = scale(sum_all(rescored(m, x[None, :], [sampled])), weight)
+        loss = scale(sum_all(rescored(m, x[None, :], sampled)), weight)
         zero_grads(m.params)
         backward(loss)
         grads = collect_grads(m.params)
@@ -563,7 +564,7 @@ class TestPolicyGradientLoss:
             for i, sampled in zip(batch.pg_indexes, walks):
                 r = reward(sampled.tokens, book.reward_members(batch.labels[i], cfg.reward_set))
                 rewards.append(r)
-                logp = sum_all(rescored(m, batch.inputs[i][None, :], [sampled]))
+                logp = sum_all(rescored(m, batch.inputs[i][None, :], walks_of([sampled])))
                 terms.append(scale(logp, -(r - b)))
             baseline.update(float(np.mean(rewards)))
             return scale(add_n(terms), 1.0 / len(batch.pg_indexes)), rewards
@@ -605,8 +606,9 @@ class TestPolicyGradientLoss:
         sample_path, score_lanes = m.sample_path, m.score_lanes
 
         def sampling(*args):
-            walks.extend(sample_path(*args))
-            return walks[-len(args[0]):]
+            out = sample_path(*args)
+            walks.extend(rows(out))
+            return out
 
         def scoring(f, rows, target, n, teacher):
             steps.append((len(target), n.tolist(), teacher.tolist()))
@@ -720,7 +722,8 @@ class TestOnePassIdentity:
         monkeypatch.setattr(trainer, "policy_gradient_loss", recording)
         train(model, resolve_samples(fuse(fine, coarse, graph).dataset, graph), cfg)
         xs = np.stack([s.x for s in resolve_samples(test, graph)])
-        paths = [list(w.tokens) for w in model.walk(model.encode_values(xs), 6, greedy_pick)]
+        walks = model.walk(model.encode_values(xs), 6, greedy_pick)
+        paths = [list(w.tokens) for w in rows(walks)]
         got = hashlib.sha256(json.dumps([rewards, paths]).encode()).hexdigest()[:16]
         assert (got, len(rewards)) == (digest, n_rewards)
 
