@@ -5,6 +5,7 @@ and its outputs validate."""
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -172,10 +173,10 @@ def cmd_eval(args) -> int:
         if write is not None:
             names = [nd.name for nd in graph.nodes]
             for i, (s, tokens, n, stop, pred) in enumerate(zip(
-                    ds.samples, decoded.tokens.T.tolist(), decoded.lengths.tolist(),
+                    samples, decoded.tokens.T.tolist(), decoded.lengths.tolist(),
                     decoded.stop.tolist(), evaldecode.predicted_labels(model, decoded))):
                 write(json.dumps({"input_id": i, "path": [names[t] for t in tokens[:n]],
-                                  "terminated_by": stop, "pred": pred, "gold": s.label},
+                                  "terminated_by": stop, "pred": pred, "gold": names[s.label]},
                                  sort_keys=True) + "\n")
     print(report.to_json())
     return 0
@@ -316,9 +317,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the report was not delivered: one error line naming stdout, and its
+        # fd pointed at /dev/null so the exit's flush drops what is left
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"pathcast: error: stdout: {os.strerror(errno.EPIPE)}", file=sys.stderr)
+        return 1
     except (OSError, ValueError, KeyError, RuntimeError) as exc:
         print(f"pathcast: error: {exc}", file=sys.stderr)
         return 1

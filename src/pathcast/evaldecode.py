@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .labelgraph import LabelGraph
+from .labelgraph import LabelGraph, canonical_name
 from .model import LabelPathModel, Walk, Walks, greedy_pick
 from .pathalg import _tainted
 
@@ -134,7 +134,8 @@ def audit_nondeterministic(model: LabelPathModel, dataset: Sequence, max_len: in
     instance's true attribute.
 
     ``dataset`` yields (x, label_id, attrs) triples where ``attrs`` maps a
-    group name to the true member node name. Only decode steps through a
+    group name to the true member node name, both read in canonical form
+    (``labelgraph.canonical_name``), as labels are. Only decode steps through a
     group that is nondeterministic for the sample's label are audited.
     ``decoded`` (when given) holds each sample's decode, in dataset order,
     and is used instead of decoding again; one of another length than the
@@ -153,6 +154,7 @@ def audit_nondeterministic(model: LabelPathModel, dataset: Sequence, max_len: in
         nd_groups = nd_cache[gold]
         if not nd_groups:
             continue
+        attrs = {canonical_name(k): canonical_name(v) for k, v in attrs.items()}
         w = decoded.row(i) if decoded is not None else greedy_decode(model, x, max_len)
         for node in w.tokens:
             g = graph.group_of(node)

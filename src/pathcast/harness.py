@@ -401,7 +401,9 @@ class _EncoderHead:
         p = self.params
         h = nm.tanh(nm.affine(Tensor(x), p["enc.w1"], p["enc.b1"]))
         h = nm.tanh(nm.affine(h, p["enc.w2"], p["enc.b2"]))
-        return nm.affine(h, p["head.w"], p["head.b"])
+        z = nm.affine(h, p["head.w"], p["head.b"])
+        nm.require_finite(z.data, "logits")
+        return z
 
 
 def _fit_classifier(cfg: BaselineConfig, xs: np.ndarray, out_dim: int,

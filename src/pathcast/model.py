@@ -63,6 +63,10 @@ class Walks:
                     tuple(self.step_probs[:n + (stop == "eop"), i].tolist()), stop)
 
 
+# Walks.stop, indexed by 2 * (the row picked EOP) + (it ran max_len steps)
+_STOPS = np.array(["dead_end", "max_len", "eop", "eop"])
+
+
 class LabelPathModel:
     """Parameters plus the candidate table for one label graph.
 
@@ -185,6 +189,7 @@ class LabelPathModel:
             arr = arr[None, :]
         if arr.ndim != 2 or arr.shape[1] != self.input_dim:
             raise nm.ShapeMismatch(f"encode: expected [m,{self.input_dim}], got {arr.shape}")
+        nm.require_finite(arr, "inputs")
         return arr
 
     def encode(self, x: np.ndarray) -> Tensor:
@@ -195,15 +200,10 @@ class LabelPathModel:
 
     def encode_values(self, x: np.ndarray) -> np.ndarray:
         """The values of :meth:`encode` as a plain array, from the same
-        expressions and with no trace. Raises the Tensor finiteness error for
-        a non-finite pre-activation (``tanh`` would saturate it away) or
-        output."""
+        expressions and with no trace."""
         p = self.params
         pre = self._input_rows(x) @ p["enc.w1"].data + p["enc.b1"].data[None, :]
-        nm.require_finite(pre)
-        f = np.tanh(pre) @ p["enc.w2"].data + p["enc.b2"].data[None, :]
-        nm.require_finite(f)
-        return f
+        return np.tanh(pre) @ p["enc.w2"].data + p["enc.b2"].data[None, :]
 
     def decode_logits(self, f0: Tensor, tokens: Sequence[int], parent: Sequence[int],
                       sizes: Sequence[int]) -> tuple[Tensor, Tensor]:
@@ -224,8 +224,7 @@ class LabelPathModel:
         ``nm.gru_forward``), with no trace. The tokens are checked before any
         arithmetic (see :meth:`candidates`; a token outside the vocabulary
         raises IndexOutOfRange, with no wrap-around for a negative id). A
-        non-finite embedding row or logit raises the Tensor finiteness error;
-        a non-finite state makes every logit of its row non-finite."""
+        non-finite logit raises NonFiniteValue naming the logits."""
         prev = np.asarray(prev, dtype=np.intp)
         try:
             blocks = self.candidates(prev)
@@ -233,11 +232,9 @@ class LabelPathModel:
             if ((prev < 0) | (prev >= self.vocab_size)).any():
                 raise nm.IndexOutOfRange("step: token outside the vocabulary") from None
             raise
-        e = self.params["emb"].data.take(prev, axis=0)
-        nm.require_finite(e)
-        f_t = nm.gru_forward(self.gru, e, f_prev)[-1]
+        f_t = nm.gru_forward(self.gru, self.params["emb"].data.take(prev, axis=0), f_prev)[-1]
         z = f_t @ self.params["out.w"].data + self.params["out.b"].data[None, :]
-        nm.require_finite(z)
+        nm.require_finite(z, "logits")
         return nm.block_softmax(z, blocks), f_t, blocks
 
     def score_lanes(self, f: Tensor, rows: np.ndarray, target: np.ndarray, n: np.ndarray,
@@ -293,6 +290,7 @@ class LabelPathModel:
         closed = target[n - 1, np.arange(m)] == self.eop_token  # runs no node: see above
         node, tokens, parent, sizes = prefix_forest(fed, rows, n - closed)
         _, z = self.decode_logits(f, tokens, parent, sizes)
+        nm.require_finite(z.data, "logits")
         blocks = nm.gather_blocks(self._table, node.flat[steps], self._key_block[at.flat[steps]])
         return nm.block_log_prob(z, blocks, target.flat[steps], steps % m, m)
 
@@ -312,15 +310,12 @@ class LabelPathModel:
         runs no head, softmax or candidate lookup: ``pick(None, tokens)``
         takes the forced tokens with probability 1.0, what the softmax of a
         singleton gives, and the GRU updates the states only if some row
-        walks on to a next step. Its embedding rows are still checked to be
-        finite. The output head's weights are checked once per walk, in place
-        of the logits of the heads a forced step skips; a state whose head
-        was skipped is checked by the next head that reads it, or never read.
+        walks on to a next step. The weights are checked once per walk, so one
+        that only a forced step reads, or that a gate saturates, is named.
         """
         if max_len < 2:
             raise ValueError("max_len must be at least 2")
-        nm.require_finite(self.params["out.w"].data)
-        nm.require_finite(self.params["out.b"].data)
+        nm.require_finite_parameters(self.params)
         m = f.shape[0]
         toks = np.zeros((max_len, m), dtype=np.intp)  # step-major, so a step
         probs = np.zeros((max_len, m))  # writes one row of each
@@ -336,11 +331,9 @@ class LabelPathModel:
                 p, f, blocks = self.step(f, prev)
                 tok, probs[t][rows] = pick(p, blocks)
             else:  # forced: no head, softmax or candidate lookup
-                e = self.params["emb"].data.take(prev, axis=0)
-                nm.require_finite(e)
                 tok, probs[t][rows] = pick(None, forced)
                 if t + 1 < max_len and np.count_nonzero(self._has_entry[tok]):
-                    f = nm.gru_forward(self.gru, e, f)[-1]
+                    f = nm.gru_forward(self.gru, self.params["emb"].data.take(prev, axis=0), f)[-1]
             toks[t][rows] = tok
             going = self._has_entry[tok]  # neither EOP nor a dead end
             if np.count_nonzero(going) != going.size:  # cheaper than .all() on few rows
@@ -350,7 +343,7 @@ class LabelPathModel:
                 rows, tok, f = rows[going], tok[going], f[going]
             prev = tok
         return Walks(toks[np.minimum(np.arange(max_len)[:, None], n - 1), np.arange(m)], n, probs,
-                     np.where(ended, "eop", np.where(n == max_len, "max_len", "dead_end")))
+                     _STOPS[2 * ended + (n == max_len)])
 
     def sample_path(self, x: np.ndarray, rng: np.random.Generator,
                     max_len: int) -> Walks:

@@ -6,6 +6,14 @@ operations build an implicit computation trace by linking output tensors to
 their inputs, and ``backward`` replays that trace once in reverse topological
 order. There is no broadcasting beyond the dense layer (a matrix product
 plus a row-vector bias) and same-shape elementwise ops.
+
+Finiteness is checked at four boundaries only, each raising NonFiniteValue
+that names it: the inputs (``non-finite inputs``), the weights (``parameter
+'<name>' is not finite``, once per walk and after each Adam step, which adds
+the step; a checkpoint's raise CorruptCheckpoint), each pass's logits
+(``non-finite logits``) and the training loss (``non-finite loss``). Nothing
+between them is checked, a Tensor included: an inf that a ``tanh`` saturates
+is caught at the boundary it came through.
 """
 
 from __future__ import annotations
@@ -42,8 +50,9 @@ class NonFiniteValue(ValueError):
 class Tensor:
     """One node of the computation trace.
 
-    ``data`` is always a float64 ndarray (shape ``()`` for scalars) and must be
-    finite; the constructor enforces both. ``_parents`` / ``_backward`` record
+    ``data`` is always a float64 ndarray (shape ``()`` for scalars); it is
+    not checked to be finite, as only the module's boundaries are (see
+    above). ``_parents`` / ``_backward`` record
     how the node was produced so that :func:`backward` can route the output
     gradient to every parent exactly once. A Tensor built from data is a
     constant or, through :func:`parameters`, a parameter; both receive their
@@ -53,9 +62,7 @@ class Tensor:
     __slots__ = ("data", "grad", "_parents", "_backward")
 
     def __init__(self, data, _parents: tuple = (), _backward: Callable | None = None):
-        arr = np.asarray(data, dtype=np.float64)
-        require_finite(arr)
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self._parents = _parents
         self._backward = _backward
@@ -76,11 +83,26 @@ class Tensor:
         return f"Tensor(shape={self.data.shape})"
 
 
-def require_finite(arr: np.ndarray) -> None:
-    """The finiteness invariant of every Tensor, also checked by the plain
-    decode path at the points where a non-finite value could hide."""
+def require_finite(arr: np.ndarray, what: str) -> None:
+    """Raise NonFiniteValue ``non-finite <what>`` unless every value of
+    ``arr`` is finite: the check of one boundary (see the module docstring)."""
     if np.count_nonzero(np.isfinite(arr)) != arr.size:  # cheaper than .all() on small arrays
-        raise NonFiniteValue("tensor values must be finite")
+        raise NonFiniteValue(f"non-finite {what}")
+
+
+def require_finite_parameters(params: dict[str, Tensor], v: np.ndarray | None = None,
+                              prefix: str = "") -> None:
+    """The weights' boundary: one count over the buffer of ``params`` (and
+    Adam's moments ``v``); the first parameter with a non-finite value raises
+    NonFiniteValue ``<prefix>parameter '<name>' is not finite``."""
+    buf = next(iter(params.values())).data.base
+    ok = np.isfinite(buf) if v is None else np.isfinite(buf) & np.isfinite(v)
+    if np.count_nonzero(ok) != ok.size:
+        at = int(np.argmin(ok))
+        ends = np.cumsum([p.data.size for p in params.values()])
+        name = list(params)[int(np.searchsorted(ends, at, side="right"))]
+        what = "has a second moment that overflows" if np.isfinite(buf[at]) else "is not finite"
+        raise NonFiniteValue(f"{prefix}parameter {name!r} {what}")
 
 
 def parameters(arrays: dict[str, object]) -> dict[str, Tensor]:
@@ -510,14 +532,7 @@ def adam_step(state: AdamState, params: dict[str, Tensor], lr_scale: float = 1.0
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         state.v += (1.0 - ADAM_BETA2) * g * g
         state.buffer -= state.lr * lr_scale * (state.m / c1) / (np.sqrt(state.v / c2) + ADAM_EPS)
-    finite = np.isfinite(state.buffer) & np.isfinite(state.v)
-    if np.count_nonzero(finite) != finite.size:
-        at = int(np.argmin(finite))
-        ends = np.cumsum([v.size for v in state.views])
-        name = list(params)[int(np.searchsorted(ends, at, side="right"))]
-        what = "has a second moment that overflows" if np.isfinite(state.buffer[at]) else \
-            "is not finite"
-        raise NonFiniteValue(f"adam step {t}: parameter {name!r} {what}")
+    require_finite_parameters(params, state.v, f"adam step {t}: ")
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +562,7 @@ def load_params(path: str) -> dict[str, np.ndarray]:
 
     Raises CorruptCheckpoint for a wrong magic, a truncated record, trailing
     bytes after the last record, a repeated parameter name or a non-finite
-    payload, so that no bad weight gets past the Tensor finiteness invariant.
+    payload: a checkpoint is a boundary of the weights.
     """
     with open(path, "rb") as f:
         blob = f.read()

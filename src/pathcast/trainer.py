@@ -376,7 +376,8 @@ def minibatches(n: int, batch_size: int, seed: int, epoch: int) -> Iterator[tupl
 
 def descend(loss: Tensor, params: dict[str, Tensor], adam: AdamState, lr_scale: float) -> None:
     """One optimiser step on ``loss``: backpropagate into ``params``, then one
-    Adam step over all of them."""
+    Adam step over all of them. A non-finite loss raises NonFiniteValue first."""
+    nm.require_finite(loss.data, "loss")
     nm.zero_grads(params)
     nm.backward(loss)
     adam_step(adam, params, lr_scale)
@@ -431,7 +432,7 @@ def train_epoch(model: LabelPathModel, dataset: Sequence[LabeledSample],
     reward_sum, reward_n = 0.0, 0
     for bi, idx in minibatches(len(dataset), cfg.batch_size, cfg.seed, epoch):
         try:
-            # an overflow is left to the Tensor finiteness check, which raises
+            # an overflow is left to the boundary checks (logits, loss, Adam), which raise
             with np.errstate(over="ignore", invalid="ignore"):
                 rng = _batch_rng(cfg.seed, epoch, bi)
                 batch = build_batch([dataset[j] for j in idx], cfg, state.book, rng)

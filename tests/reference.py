@@ -448,10 +448,9 @@ def step(model, f_prev: np.ndarray, prev_token: int):
     if not 0 <= prev_token < model.vocab_size:  # no wrap-around for a negative id
         raise nm.IndexOutOfRange(f"step: token {prev_token} outside the vocabulary")
     e = model.params["emb"].data[prev_token:prev_token + 1]
-    nm.require_finite(e)
     f_t = nm.gru_forward(model.gru, e, f_prev)[-1]
     z = f_t @ model.params["out.w"].data + model.params["out.b"].data[None, :]
-    nm.require_finite(z)
+    nm.require_finite(z, "logits")
     return distribution(model, z[0], prev_token), f_t
 
 

@@ -493,7 +493,7 @@ class TestNonFiniteTraining:
         out = tmp_path / "m.pck"
         proc = run_cli("train", "--config", str(cfg), "--out", str(out), expect=1)
         # the overflow warns nothing: the one line is all of stderr
-        assert proc.stderr == "pathcast: error: epoch 1, batch 2: tensor values must be finite\n"
+        assert proc.stderr == "pathcast: error: epoch 1, batch 2: non-finite logits\n"
         assert not out.exists()
         assert not (tmp_path / "m.pck.metrics.jsonl").exists()
 
@@ -507,10 +507,27 @@ class TestNonFiniteTraining:
                                    "batch_size": 256}))
         out = tmp_path / "m.pck"
         proc = run_cli("train", "--config", str(cfg), "--out", str(out), expect=1)
-        assert proc.stderr == ("pathcast: error: epoch 1, dev evaluation: "
-                               "tensor values must be finite\n")
+        assert proc.stderr == "pathcast: error: epoch 1, dev evaluation: non-finite logits\n"
         assert not out.exists()
         assert not (tmp_path / "m.pck.metrics.jsonl").exists()
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("command", ["graph stats", "eval"])
+    def test_a_closed_stdout_is_one_error_line(self, workdir, checkpoint, command):
+        root, _ = workdir
+        args = {"graph stats": ("graph", "stats", str(root / "graph.json")),
+                "eval": ("eval", "--ckpt", str(checkpoint), "--data", str(root / "test.jsonl"),
+                         "--audit")}[command]
+        read, write = os.pipe()
+        os.close(read)  # no reader from the start: the first write to stdout fails
+        try:
+            proc = subprocess.run([sys.executable, "-m", "pathcast", *args], stdout=write,
+                                  stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write)
+        assert proc.returncode == 1
+        assert proc.stderr == "pathcast: error: stdout: Broken pipe\n"
 
 
 class TestEvalAudit:
@@ -550,6 +567,24 @@ class TestEvalAudit:
                                "group traversals\n")
         assert proc.stdout == ""
         assert not dump.exists()
+
+
+    def test_an_upper_cased_file_reads_as_the_lower_cased_one(self, workdir, checkpoint,
+                                                               tmp_path):
+        # labels, group names and members all resolve through their canonical form
+        root, _ = workdir
+        lower = root / "test.jsonl"
+        upper = rewritten(lower, tmp_path / "upper.jsonl", lambda i, row: {
+            **row, "label": row["label"].upper(),
+            "attrs": {k.upper(): v.upper() for k, v in row["attrs"].items()}})
+        runs = []
+        for data in (lower, upper):
+            dump = tmp_path / f"{data.stem}.paths.jsonl"
+            proc = run_cli("eval", "--ckpt", str(checkpoint), "--data", str(data), "--audit",
+                           "--dump-paths", str(dump))
+            runs.append((json.loads(proc.stdout), dump.read_text()))
+        assert runs[0][0]["path_correctness"] > 0
+        assert runs[1] == runs[0]
 
 
 class TestEvalDecodesOnce:

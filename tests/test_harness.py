@@ -13,6 +13,7 @@ from pathcast.harness import (BaselineConfig, DatasetSpec, InconsistentSpec,
                               synth_generate, trim_graph)
 from pathcast.labelgraph import NodeKind, stats, validate
 from pathcast import harness
+from pathcast import numerics as nm
 from pathcast.numerics import AdamState
 from pathcast.pathalg import NotALabelNode, all_paths_to
 from pathcast.trainer import ScheduleConfig, TrainConfig, read_config, schedule_update
@@ -389,6 +390,13 @@ class TestBaselines:
         assert list(net.params) == ["enc.w1", "enc.b1", "enc.w2", "enc.b2", "head.w", "head.b"]
         assert state.buffer.size == 4 * 3 + 3 + 3 * 3 + 3 + 3 * 2 + 2
         assert all(t.data.base is state.buffer for t in net.params.values())
+
+    def test_encoder_head_logits_are_a_boundary(self):
+        # every baseline pass, training, pseudo labelling and the report, reads them
+        net = harness._EncoderHead(4, 3, 2, seed=0)
+        net.params["head.b"].data[1] = np.nan
+        with pytest.raises(nm.NonFiniteValue, match="^non-finite logits$"):
+            net.logits(np.ones((2, 4)))
 
     def test_ffn_separable(self, task):
         _, (graph, fine, coarse, test) = task

@@ -552,11 +552,11 @@ NON_FINITE_SITES = ["enc.w1", "enc.b1", "enc.w2", "emb", "gru.w_re", "gru.w_rf",
 
 
 class TestNonFiniteWeights:
-    """Where a non-finite weight set by hand is caught by the decode. NaN
-    always is. An infinity is caught in the encoder, the embedding and the
-    output head, but a GRU gate saturates it away (sigmoid or tanh of +-inf
-    is finite), so such a model decodes as usual. Only a hand-set weight can
-    get there: init, ``load_params`` and ``adam_step`` are the only code that
+    """Where a non-finite weight set by hand is caught by the decode: at the
+    walk's one count over the parameter buffer, which names the parameter.
+    Without it a GRU infinity would decode as usual, as a gate saturates it
+    (sigmoid or tanh of +-inf is finite). Only a hand-set weight can get
+    there: init, ``load_params`` and ``adam_step`` are the only code that
     writes weights, and each rejects non-finite values, so the next Adam step
     stops on such a weight."""
 
@@ -568,16 +568,14 @@ class TestNonFiniteWeights:
         x = np.random.default_rng(6).normal(size=5)
         # one entry: the START row for the embedding, the first otherwise
         m.params[name].data[(m.start_token, 0) if name == "emb" else 0] = value
-        decodes = [lambda: greedy_decode(m, x, 6),
-                   lambda: rows(m.sample_path(x[None, :], np.random.default_rng(0), 6))[0]]
-        for decode in decodes:
-            if np.isnan(value) or not name.startswith("gru."):
-                with pytest.raises(ValueError, match="tensor values must be finite"):
-                    decode()
-            else:
-                assert decode().step_probs  # decodes, with finite probabilities
-                assert np.isfinite(decode().step_probs).all()
-
+        if name.startswith("gru.") and not np.isnan(value):
+            # the gates saturate the infinity: a step's logits stay finite
+            probs, _, _ = m.step(m.encode_values(x), [m.start_token])
+            assert np.isfinite(probs).all()
+        for decode in (lambda: greedy_decode(m, x, 6),
+                       lambda: m.sample_path(x[None, :], np.random.default_rng(0), 6)):
+            with pytest.raises(nm.NonFiniteValue, match=f"^parameter {name!r} is not finite$"):
+                decode()
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf])
     @pytest.mark.parametrize("name", [n for n in NON_FINITE_SITES if n.startswith("gru.")])
@@ -590,30 +588,69 @@ class TestNonFiniteWeights:
 
     @pytest.mark.parametrize("name", ["emb", "out.b"])
     def test_forced_steps_check_what_they_skip(self, name):
-        # every step of the chain is forced, so no head is computed: its
-        # weights are checked once per walk, and the leaf label x's
-        # embedding row where its EOP step feeds it
+        # every step of the chain is forced, so no head is computed: the
+        # walk's weight check names a NaN in the head or in the leaf label
+        # x's embedding row, which only its EOP step reads
         g = chain_graph()
         m = make_model(g, seed=4)
         m.params[name].data[(g.id_of("x"), 0) if name == "emb" else m.eop_token] = np.nan
         for decode in (lambda: greedy_decode(m, np.zeros(5), 6),
                        lambda: m.sample_path(np.zeros((2, 5)), np.random.default_rng(0), 6)):
-            with pytest.raises(ValueError, match="tensor values must be finite"):
+            with pytest.raises(nm.NonFiniteValue, match=f"^parameter {name!r} is not finite$"):
                 decode()
 
     def test_nan_logit_in_a_sampled_block_raises_at_step(self):
         # the sampler draws by inverse CDF, without rng.choice's own checks
-        # on p: the logits are checked at step, before any block is drawn
+        # on p: the logits are checked at step, before any block is drawn,
+        # and a walk names the weight before its first step
         g = figure2_subgraph()
         m = make_model(g, seed=4)
         cat = g.id_of("cat")
         cands = m.candidates([cat])
         m.params["out.b"].data[cands.cols[cands.starts[cands.sizes > 1][0]]] = np.nan
         f = m.encode_values(np.ones(5))
-        with pytest.raises(ValueError, match="tensor values must be finite"):
+        with pytest.raises(nm.NonFiniteValue, match="^non-finite logits$"):
             m.step(f, [cat])
-        with pytest.raises(ValueError, match="tensor values must be finite"):
+        with pytest.raises(nm.NonFiniteValue, match="^parameter 'out.b' is not finite$"):
             m.sample_path(np.ones((1, 5)), np.random.default_rng(0), 6)
+
+
+class TestFiniteBoundaries:
+    """The inputs' and the scored pass's logits' boundaries (``numerics``)."""
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_a_non_finite_input_row_names_the_inputs(self, value):
+        m = make_model(figure2_subgraph(), seed=4)
+        x = np.ones((2, 5))
+        x[1, 0] = value
+        for run in (lambda: m.encode(x), lambda: m.encode_values(x),
+                    lambda: m.sample_path(x, np.random.default_rng(0), 6),
+                    lambda: greedy_decode(m, x[1], 6)):
+            with pytest.raises(nm.NonFiniteValue, match="^non-finite inputs$"):
+                run()
+
+    def test_an_input_infinity_that_tanh_saturates_is_caught(self):
+        # the encoder's tanh maps the infinite pre-activations to +-1, so
+        # nothing past the inputs would see a non-finite value
+        m = make_model(figure2_subgraph(), seed=4)
+        x = np.zeros(5)
+        x[0] = np.inf
+        p = m.params
+        hidden = np.tanh(x @ p["enc.w1"].data + p["enc.b1"].data)
+        assert np.isfinite(hidden).all() and np.isfinite(hidden @ p["enc.w2"].data).all()
+        with pytest.raises(nm.NonFiniteValue, match="^non-finite inputs$"):
+            m.encode_values(x)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_the_scored_pass_names_its_logits(self, value):
+        # a teacher-forced pass walks nothing, so no weight check runs;
+        # its logits are checked before they are scored
+        g = figure2_subgraph()
+        m = make_model(g, seed=4)
+        m.params["out.b"].data[g.id_of("cat")] = value
+        path = [g.id_of(n) for n in ("animal", "cat", "shorthair", "british-shorthair")]
+        with pytest.raises(nm.NonFiniteValue, match="^non-finite logits$"):
+            path_log_prob(m, np.ones(5), path)
 
 
 class TestCheckpointRoundTrip:

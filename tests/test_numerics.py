@@ -484,18 +484,30 @@ class TestAdam:
             adam_step(st, p)
 
 
-class TestTensorInvariants:
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            Tensor([1.0, np.inf])
-        with pytest.raises(ValueError):
-            Tensor([np.nan])
+class TestFiniteBoundaries:
+    """Finiteness is checked at the boundaries only (see the module
+    docstring), each check naming its boundary; a Tensor holds what it is
+    given."""
 
-    def test_non_finite_raises_the_named_error(self):
-        with pytest.raises(nm.NonFiniteValue, match="^tensor values must be finite$"):
-            Tensor([[0.0, -np.inf]])
+    def test_require_finite_names_its_boundary(self):
+        for bad in (np.inf, -np.inf, np.nan):
+            for what in ("inputs", "logits", "loss"):
+                with pytest.raises(nm.NonFiniteValue, match=f"^non-finite {what}$"):
+                    nm.require_finite(np.array([[0.0, bad]]), what)
+            np.testing.assert_array_equal(Tensor([1.0, bad]).data, [1.0, bad])
+        nm.require_finite(np.zeros((2, 3)), "logits")
+
+    def test_the_weights_boundary_names_the_first_bad_parameter(self):
+        p = nm.parameters({"w": [[1.0, 2.0]], "b": [0.5, 0.5], "v": [3.0]})
+        nm.require_finite_parameters(p)
+        p["v"].data[0] = np.inf
+        p["b"].data[1] = np.nan
+        with pytest.raises(nm.NonFiniteValue, match="^parameter 'b' is not finite$"):
+            nm.require_finite_parameters(p)
         assert issubclass(nm.NonFiniteValue, ValueError)
 
+
+class TestTensorInvariants:
     def test_sigmoid_extreme_inputs_stay_finite(self):
         out = ref.sigmoid(Tensor([-1000.0, 0.0, 1000.0]))
         np.testing.assert_allclose(out.data, [0.0, 0.5, 1.0], atol=1e-12)

@@ -19,7 +19,7 @@ from pathcast.numerics import AdamState, adam_step, backward, zero_grads
 from pathcast.trainer import (BaselineEstimator, EmptyRewardSet,
                               LabeledSample, PathBook, ScheduleConfig,
                               ScheduleState, TrainConfig, TrainState,
-                              build_batch, deterministic_loss,
+                              build_batch, descend, deterministic_loss,
                               policy_gradient_loss, reward, schedule_update,
                               read_config, train, train_epoch, typed_value)
 
@@ -745,6 +745,18 @@ class TestTrainEpochDeterminism:
             return {k: v.data.tobytes() for k, v in m.params.items()}
 
         assert run() == run()
+
+
+class TestDescend:
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_a_non_finite_loss_stops_before_backward(self, bad):
+        # the loss is a boundary: no gradient is taken and no step made
+        p = nm.parameters({"w": [1.0, 2.0]})
+        adam = AdamState(p, {"w": 0.1})
+        with pytest.raises(nm.NonFiniteValue, match="^non-finite loss$"):
+            descend(nm.weighted_sum(p["w"], [bad, 0.0]), p, adam, 1.0)
+        assert p["w"].grad is None and adam.step_count == 0
+        np.testing.assert_array_equal(p["w"].data, [1.0, 2.0])
 
 
 class TestTrain:
