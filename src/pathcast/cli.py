@@ -12,9 +12,12 @@ import sys
 from contextlib import contextmanager
 from dataclasses import replace
 
+import numpy as np
+
 from . import evaldecode, harness, labelgraph
 from .model import load_model, read_sidecar, save_model
-from .trainer import PATH_AGGS, TrainConfig, read_config, typed_value, written
+from .numerics import removed_on_error, written
+from .trainer import PATH_AGGS, TrainConfig, read_config, typed_value
 
 
 class InvalidConfig(ValueError):
@@ -147,9 +150,11 @@ def cmd_train(args) -> int:
     train_ds = harness.load_dataset(raw["train"])
     dev_ds = (harness.load_dataset(raw["dev"], width=train_ds.input_dim)
               if raw.get("dev") else None)
+    metrics = args.out + ".metrics.jsonl"
     model = harness.fit_model(graph, train_ds, dev_ds, cfg, embed_dim, hidden,
-                              graph_file=raw["graph"], metrics_path=args.out + ".metrics.jsonl")
-    save_model(args.out, model)
+                              graph_file=raw["graph"], metrics_path=metrics)
+    with removed_on_error(metrics):  # a failed train leaves none of its three files
+        save_model(args.out, model)
     return 0
 
 
@@ -196,8 +201,6 @@ def cmd_synth(args) -> int:
     harness.save_dataset(os.path.join(args.out_dir, "fine.jsonl"), fine)
     harness.save_dataset(os.path.join(args.out_dir, "coarse.jsonl"), coarse)
     harness.save_dataset(os.path.join(args.out_dir, "test.jsonl"), test)
-    if labelgraph.validate(graph):
-        return 1
     s = labelgraph.stats(graph)
     print(json.dumps({"out_dir": args.out_dir, "labels": s.label_count,
                       "augmented": s.augmented_count, "edges": s.edge_count,
@@ -319,7 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        code = args.func(args)
+        # every non-finite value raises at its boundary, so numpy's warnings
+        # on the way there would only precede the one error line
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = args.func(args)
         sys.stdout.flush()  # so a closed stdout fails here, not at exit
         return code
     except BrokenPipeError:

@@ -21,11 +21,11 @@ import numpy as np
 from . import numerics as nm
 from .labelgraph import LabelGraph, NodeKind, _closure, build_graph, validate
 from .model import LabelPathModel
-from .numerics import AdamState, Tensor
+from .numerics import AdamState, Tensor, written
 from .pathalg import NotALabelNode, _path_counts, _require_label
 from .trainer import (LabeledSample, ScheduleConfig, ScheduleState, TrainConfig,
                       descend, minibatches, require_non_negative, schedule_update,
-                      train, typed_value, written)
+                      train, typed_value)
 from .evaldecode import EmptyDataset, MetricsReport, classification_report, evaluate
 
 
@@ -296,16 +296,21 @@ def save_dataset(path: str, ds: DatasetSpec) -> None:
 
 def load_dataset(path: str, name: str | None = None, width: int | None = None) -> DatasetSpec:
     """Read JSONL rows ``{"x": [numbers], "label": str}``, with an optional
-    ``"attrs": {str: str}``. A row that breaks this, or whose ``x`` is empty,
-    non-finite or not ``width`` values wide (by default, as wide as the first
-    row's), raises :class:`InvalidDataset` naming the file and line."""
+    ``"attrs": {str: str}``. A row that is not UTF-8 or breaks this, or
+    whose ``x`` is empty, non-finite or not ``width`` values wide (by
+    default, as wide as the first row's), raises :class:`InvalidDataset`
+    naming the file and line."""
     samples: list[SynthSample] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
+    with open(path, "rb") as f:  # decoded line by line, so a bad byte names its line
+        for lineno, raw in enumerate(f, 1):
+            where = f"{path}:{lineno}:"
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise InvalidDataset(f"{where} not UTF-8: {exc.reason} at column "
+                                     f"{exc.start + 1}") from None
             if not line:
                 continue
-            where = f"{path}:{lineno}:"
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
@@ -334,20 +339,21 @@ def load_dataset(path: str, name: str | None = None, width: int | None = None) -
 
 def resolve_samples(ds: DatasetSpec, graph: LabelGraph) -> list[LabeledSample]:
     """Map label names onto graph node ids for the trainer/evaluator."""
-    return [LabeledSample(s.x, i) for s, i in zip(ds.samples, _label_ids(ds, graph))]
+    ids = _label_ids(ds, graph)
+    return [LabeledSample(s.x, ids[s.label]) for s in ds.samples]
 
 
-def _label_ids(ds: DatasetSpec, graph: LabelGraph) -> list[int]:
-    """Each sample's label as a graph node id, each distinct name looked up
-    once; one not in the graph raises UnresolvableLabel naming the dataset
-    (its file, when loaded) and its first row."""
+def _label_ids(ds: DatasetSpec, graph: LabelGraph) -> dict[str, int]:
+    """Each label name of ``ds`` as its graph node id, looked up once; one
+    not in the graph raises UnresolvableLabel naming the dataset (its file,
+    when loaded) and its first row. The one way a dataset's labels resolve."""
     ids: dict[str, int] = {}
     for row, s in enumerate(ds.samples, 1):
         if s.label not in ids:
             if not graph.has_name(s.label):
                 raise UnresolvableLabel(f"{ds.name}: row {row}: label {s.label!r} not in graph")
             ids[s.label] = graph.id_of(s.label)
-    return [ids[s.label] for s in ds.samples]
+    return ids
 
 
 def fuse(fine: DatasetSpec, coarse: DatasetSpec, graph: LabelGraph) -> FusionResult:
@@ -475,7 +481,8 @@ def baseline_label_set(cfg: BaselineConfig, train_ds: DatasetSpec,
     prediction picks the fine label whose node scores highest.
     """
     classes = train_ds.label_names()
-    class_nodes = [graph.id_of(c) for c in classes]
+    ids = _label_ids(train_ds, graph)
+    class_nodes = [ids[c] for c in classes]
     for c, nid in zip(classes, class_nodes):
         if graph.node(nid).kind is not NodeKind.LABEL:
             raise NotALabelNode(f"{train_ds.name}: label {c!r} is not a label node; the "
@@ -498,14 +505,14 @@ def baseline_pseudo_label(cfg: BaselineConfig, fine: DatasetSpec, coarse: Datase
     descendant of the sample's coarse label; stage 3 retrains from scratch on
     the fine set plus the survivors.
     """
+    fine_ids, coarse_ids = _label_ids(fine, graph), _label_ids(coarse, graph)
     classes = fine.label_names()
     cls_index = {c: i for i, c in enumerate(classes)}
     xs = np.stack([s.x for s in fine.samples])
     ys = np.array([cls_index[s.label] for s in fine.samples])
     net = _fit_classifier(cfg, xs, len(classes), _cross_entropy(ys))
 
-    descendants = {c: _closure(graph, graph.id_of(c)) - {graph.id_of(c)}
-                   for c in coarse.label_names()}
+    descendants = {c: _closure(graph, i) - {i} for c, i in coarse_ids.items()}
     survivors: list[tuple[np.ndarray, int]] = []
     survivor_labels: list[tuple[str, str]] = []  # (coarse label, pseudo label)
     dropped = 0
@@ -513,7 +520,7 @@ def baseline_pseudo_label(cfg: BaselineConfig, fine: DatasetSpec, coarse: Datase
         z = net.logits(np.stack([s.x for s in coarse.samples]))
         for s, row in zip(coarse.samples, z.data):
             pseudo = classes[int(np.argmax(row))]
-            if graph.id_of(pseudo) in descendants[s.label]:
+            if fine_ids[pseudo] in descendants[s.label]:
                 survivors.append((s.x, cls_index[pseudo]))
                 survivor_labels.append((s.label, pseudo))
             else:

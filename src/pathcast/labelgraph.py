@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
+from .numerics import written
+
 
 class NodeKind(Enum):
     ROOT = "root"
@@ -485,5 +487,5 @@ def load_graph(path: str) -> LabelGraph:
 
 
 def save_graph(path: str, graph: LabelGraph) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(serialize(graph))
+    with written(path) as write:
+        write(serialize(graph))

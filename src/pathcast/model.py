@@ -478,14 +478,15 @@ def graph_digest(graph: LabelGraph) -> str:
 
 
 def save_model(path: str, model: LabelPathModel) -> None:
-    """Write the PCK1 parameter file plus the ``<path>.json`` sidecar."""
-    nm.save_params(path, {k: v.data for k, v in model.params.items()})
+    """Write the PCK1 parameter file plus the ``<path>.json`` sidecar, both
+    through ``nm.written``: the sidecar first, so a checkpoint is written
+    with its sidecar or not at all."""
     sidecar = {"graph_file": model.graph_file, "input_dim": model.input_dim,
                "embed_dim": model.embed_dim, "hidden": model.hidden,
                "graph_sha256": graph_digest(model.graph)}
-    with open(path + ".json", "w", encoding="utf-8") as f:
-        json.dump(sidecar, f, indent=2)
-        f.write("\n")
+    with nm.written(path + ".json") as write:
+        write(json.dumps(sidecar, indent=2) + "\n")
+        nm.save_params(path, {k: v.data for k, v in model.params.items()})
 
 
 def read_sidecar(path: str) -> dict:

@@ -19,7 +19,9 @@ is caught at the boundary it came through.
 from __future__ import annotations
 
 import math
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, NamedTuple, Sequence
@@ -536,25 +538,69 @@ def adam_step(state: AdamState, params: dict[str, Tensor], lr_scale: float = 1.0
 
 
 # ---------------------------------------------------------------------------
-# Parameter checkpoints
+# Output files and parameter checkpoints
 # ---------------------------------------------------------------------------
+
+@contextmanager
+def _naming_file(path: str):
+    """Re-raise an OSError as one naming ``path``, with its reason."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(f"{path}: {exc.strerror}") from None
+
+
+@contextmanager
+def removed_on_error(path: str):
+    """Remove ``path`` again if the block raises; a path that is no regular
+    file, such as a device, is left alone."""
+    try:
+        yield
+    except BaseException:
+        if os.path.isfile(path):
+            os.remove(path)
+        raise
+
+
+@contextmanager
+def written(path: str | None):
+    """A function that writes bytes or UTF-8 text to ``path`` and flushes
+    it, or None without a path: the one writer of every file pathcast
+    writes. A failed open, write or close raises OSError naming ``path``,
+    and the file is removed again if the block raises."""
+    if path is None:
+        yield None
+        return
+    with _naming_file(path):
+        f = open(path, "wb")
+
+    def write(data: bytes | str) -> None:
+        with _naming_file(path):
+            f.write(data.encode("utf-8") if isinstance(data, str) else data)
+            f.flush()
+
+    with removed_on_error(path):
+        try:
+            yield write
+        finally:
+            with _naming_file(path):
+                f.close()
+
 
 _MAGIC = b"PCK1"
 
 
 def save_params(path: str, params: dict[str, np.ndarray]) -> None:
-    """Write parameters as the flat PCK1 binary, names in sorted order."""
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        for name in sorted(params):
-            arr = np.ascontiguousarray(params[name], dtype="<f8")
-            raw = name.encode("utf-8")
-            f.write(struct.pack("<I", len(raw)))
-            f.write(raw)
-            f.write(struct.pack("<I", arr.ndim))
-            for d in arr.shape:
-                f.write(struct.pack("<I", d))
-            f.write(arr.tobytes())
+    """Write parameters as the flat PCK1 binary, names in sorted order, in
+    one write through :func:`written`."""
+    blob = [_MAGIC]
+    for name in sorted(params):
+        arr = np.ascontiguousarray(params[name], dtype="<f8")
+        raw = name.encode("utf-8")
+        blob += [struct.pack(f"<I{len(raw)}sI{arr.ndim}I", len(raw), raw, arr.ndim, *arr.shape),
+                 arr.tobytes()]
+    with written(path) as write:
+        write(b"".join(blob))
 
 
 def load_params(path: str) -> dict[str, np.ndarray]:

@@ -13,9 +13,7 @@ Both branches build lanes, which one ``score_lanes`` pass scores.
 from __future__ import annotations
 
 import json
-import os
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -24,7 +22,7 @@ import numpy as np
 from . import numerics as nm
 from .labelgraph import LabelGraph
 from .model import LabelPathModel, step_major
-from .numerics import AdamState, NonFiniteValue, Tensor, adam_step
+from .numerics import AdamState, NonFiniteValue, Tensor, adam_step, written
 from .pathalg import Paths, _certain_members, _split_paths
 
 
@@ -466,44 +464,6 @@ def train_epoch(model: LabelPathModel, dataset: Sequence[LabeledSample],
         "lr": cfg.lr * state.schedule.scale,
         "lr_e": cfg.lr_e * state.schedule.scale,
     }
-
-
-@contextmanager
-def _naming_file(path: str):
-    """Re-raise an OSError as one naming ``path``, with its reason."""
-    try:
-        yield
-    except OSError as exc:
-        raise OSError(f"{path}: {exc.strerror}") from None
-
-
-@contextmanager
-def written(path: str | None):
-    """A function that writes text to ``path`` and flushes it, or None
-    without a path. A failed open, write or close raises OSError naming
-    ``path``. The file is removed again if the block raises; a path that is
-    no regular file, such as a device, is left alone."""
-    if path is None:
-        yield None
-        return
-    with _naming_file(path):
-        f = open(path, "w", encoding="utf-8")
-
-    def write(text: str) -> None:
-        with _naming_file(path):
-            f.write(text)
-            f.flush()
-
-    try:
-        try:
-            yield write
-        finally:
-            with _naming_file(path):
-                f.close()
-    except BaseException:
-        if os.path.isfile(path):
-            os.remove(path)
-        raise
 
 
 def train(model: LabelPathModel, train_set: Sequence[LabeledSample],

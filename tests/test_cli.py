@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,6 +247,19 @@ class TestSynthAndFuse:
 
 
 class TestTrainEvalCycle:
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_a_checkpoint_to_a_full_device_leaves_no_file(self, workdir, tmp_path):
+        # a link, so that the metrics file and the sidecar land in tmp_path
+        _, cfg_path = workdir
+        cfg = tmp_path / "one-epoch.json"
+        cfg.write_text(json.dumps({**json.loads(cfg_path.read_text()), "epochs": 1}))
+        link = tmp_path / "m.pck"
+        link.symlink_to("/dev/full")
+        proc = run_cli("train", "--config", str(cfg), "--out", str(link), expect=1)
+        assert proc.stderr == f"pathcast: error: {link}: No space left on device\n"
+        assert proc.stdout == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.pck", "one-epoch.json"]
+
     def test_train_eval_inspect_and_determinism(self, workdir, tmp_path):
         root, cfg_path = workdir
         ck1 = tmp_path / "run1.pck"
@@ -454,6 +468,20 @@ class TestDatasetChecks:
         assert proc.stderr == f"pathcast: error: {bad}: row 2: label 'zebra' not in graph\n"
         assert not out.exists()
 
+    def test_a_file_that_is_not_utf8_names_its_line(self, workdir, tmp_path):
+        root, _ = workdir
+        bad = tmp_path / "latin1.jsonl"
+        lines = (root / "fine.jsonl").read_bytes().splitlines(keepends=True)
+        bad.write_bytes(b"".join(lines[:2]) + lines[2].replace(b'"label": "',
+                                                               b'"label": "\xe9'))
+        out = tmp_path / "fused.jsonl"
+        proc = run_cli("fuse", "--fine", str(bad), "--coarse", str(root / "coarse.jsonl"),
+                       "--graph", str(root / "graph.json"), "--out", str(out), expect=1)
+        assert proc.stderr.startswith(f"pathcast: error: {bad}:3: not UTF-8: "
+                                      "invalid continuation byte at column ")
+        assert proc.stderr.count("\n") == 1
+        assert not out.exists()
+
     def test_an_empty_file_is_rejected_by_eval(self, checkpoint, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
@@ -510,6 +538,27 @@ class TestNonFiniteTraining:
         assert proc.stderr == "pathcast: error: epoch 1, dev evaluation: non-finite logits\n"
         assert not out.exists()
         assert not (tmp_path / "m.pck.metrics.jsonl").exists()
+
+
+    def test_an_overflowing_baseline_prints_one_line(self, workdir, tmp_path):
+        root, _ = workdir
+        cfg = tmp_path / "bl.json"
+        cfg.write_text(json.dumps({"graph": str(root / "graph.json"),
+                                   "train": str(root / "fine.jsonl"),
+                                   "test": str(root / "test.jsonl"), "lr": 1e308}))
+        proc = run_cli("baseline", "ffn", "--config", str(cfg), expect=1)
+        assert proc.stderr == "pathcast: error: non-finite logits\n"
+
+    def test_an_eval_that_overflows_prints_one_line(self, workdir, checkpoint, tmp_path):
+        # 1e308 is finite, so the checkpoint loads; the first decode step overflows
+        from pathcast.numerics import load_params, save_params
+        root, _ = workdir
+        ckpt = tmp_path / "big.pck"
+        (tmp_path / "big.pck.json").write_text(Path(f"{checkpoint}.json").read_text())
+        weights = load_params(str(checkpoint))
+        save_params(str(ckpt), {**weights, "out.w": np.full_like(weights["out.w"], 1e308)})
+        proc = run_cli("eval", "--ckpt", str(ckpt), "--data", str(root / "test.jsonl"), expect=1)
+        assert proc.stderr == "pathcast: error: non-finite logits\n"
 
 
 class TestClosedStdout:
@@ -783,6 +832,24 @@ class TestBaselineCommand:
         proc = run_cli("baseline", "labelset", "--config", str(p), expect=1)
         assert f"pathcast: error: {fused}: label " in proc.stderr
         assert "labelset baseline" in proc.stderr
+
+    @pytest.mark.parametrize("kind, key", [("labelset", "train"), ("pseudo", "fine")])
+    def test_a_label_not_in_the_graph_fails_before_training(self, workdir, tmp_path,
+                                                             monkeypatch, capsys, kind, key):
+        from pathcast import cli, harness
+        root, _ = workdir
+        bad = rewritten(root / "fine.jsonl", tmp_path / "bad.jsonl",
+                        lambda i, row: {**row, "label": "no-such-breed"} if i == 4 else row)
+        cfg = tmp_path / "bl.json"
+        cfg.write_text(json.dumps({"graph": str(root / "graph.json"), key: str(bad),
+                                   "coarse": str(root / "coarse.jsonl"),
+                                   "test": str(root / "test.jsonl")}))
+        trained = []
+        monkeypatch.setattr(harness, "_fit_classifier", lambda *a: trained.append(a))
+        assert cli.main(["baseline", kind, "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == (
+            "", f"pathcast: error: {bad}: row 5: label 'no-such-breed' not in graph\n")
+        assert not trained
 
     def test_config_errors_name_the_file(self, workdir, tmp_path):
         root, _ = workdir

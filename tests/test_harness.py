@@ -278,6 +278,14 @@ class TestDatasetFiles:
         with pytest.raises(InvalidDataset, match=f"^{p}:1: 'x' has 3 values, not 4$"):
             load_dataset(str(p), width=4)
 
+    def test_rejects_a_line_that_is_not_utf8(self, tmp_path):
+        p = tmp_path / "latin1.jsonl"
+        good = json.dumps({"x": [0.0, 1.0], "label": "a"}).encode()
+        p.write_bytes(good + b'\n{"x": [0.0, 1.0], "label": "caf\xe9"}\n' + good + b"\n")
+        with pytest.raises(InvalidDataset,
+                           match=f"^{p}:2: not UTF-8: invalid continuation byte at column 32$"):
+            load_dataset(str(p))
+
     def test_unknown_label_names_the_dataset_and_row(self):
         graph, fine, _, _ = synth_generate(small_spec(n_train_fine=5))
         ds = DatasetSpec("rows.jsonl", [fine.samples[0], SynthSample(np.zeros(3), "unicorn")],
@@ -504,6 +512,28 @@ class TestBaselines:
         message = str(err.value)
         assert message.startswith(f"{fused.name}: label {coarse_label!r} ")
         assert "labelset baseline" in message
+        assert not trained
+
+    @pytest.mark.parametrize("kind, where", [("labelset", "train"), ("pseudo", "fine"),
+                                             ("pseudo", "coarse")])
+    def test_a_label_not_in_the_graph_fails_before_training(self, task, tmp_path, monkeypatch,
+                                                            kind, where):
+        _, (graph, fine, coarse, test) = task
+        sets = {"train": fine, "fine": fine, "coarse": coarse}
+        bad = sets[where]
+        path = str(tmp_path / f"{where}.jsonl")
+        save_dataset(path, DatasetSpec(bad.name, [bad.samples[0], SynthSample(
+            bad.samples[1].x, "no-such-breed")] + bad.samples[2:], bad.k))
+        sets[where] = load_dataset(path)
+        trained = []
+        monkeypatch.setattr(harness, "_fit_classifier", lambda *a: trained.append(a))
+        cfg = BaselineConfig(hidden=8, epochs=1, batch_size=32, lr=0.02, seed=0)
+        with pytest.raises(UnresolvableLabel) as err:
+            if kind == "labelset":
+                baseline_label_set(cfg, sets["train"], test, graph)
+            else:
+                baseline_pseudo_label(cfg, sets["fine"], sets["coarse"], test, graph)
+        assert str(err.value) == f"{path}: row 2: label 'no-such-breed' not in graph"
         assert not trained
 
     def test_pseudo_label_pipeline(self, task):

@@ -1,6 +1,7 @@
 """Graph construction, validation, stats and canonical serialization."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -262,6 +263,14 @@ class TestSerialization:
         blob["edges"] = list(reversed(blob["edges"]))
         blob["nodes"] = list(reversed(blob["nodes"]))
         assert serialize(deserialize(json.dumps(blob))) == serialize(g)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_a_failed_save_names_the_file(self, tmp_path):
+        link = tmp_path / "g.json"
+        link.symlink_to("/dev/full")
+        with pytest.raises(OSError, match=f"^{link}: No space left on device$"):
+            save_graph(str(link), figure2_subgraph())
+        assert link.is_symlink()  # what it points at is no regular file, and is kept
 
     def test_label_reachability_via_paths(self):
         rng = np.random.default_rng(3)

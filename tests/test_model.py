@@ -3,6 +3,7 @@ free-running sampling."""
 
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -706,6 +707,22 @@ class TestCheckpointRoundTrip:
         nm.save_params(ckpt, weights)
         with pytest.raises(ValueError, match="extra.bogus"):
             load_model(ckpt, g)
+
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_a_failed_checkpoint_write_leaves_no_sidecar(self, tmp_path):
+        link = tmp_path / "m.pck"
+        link.symlink_to("/dev/full")
+        with pytest.raises(OSError, match=f"^{link}: No space left on device$"):
+            save_model(str(link), make_model(chain_graph()))
+        assert not (tmp_path / "m.pck.json").exists()
+
+    def test_a_sidecar_that_cannot_be_written_leaves_no_checkpoint(self, tmp_path):
+        ckpt = tmp_path / "m.pck"
+        (tmp_path / "m.pck.json").mkdir()
+        with pytest.raises(OSError, match=f"^{ckpt}.json: Is a directory$"):
+            save_model(str(ckpt), make_model(chain_graph()))
+        assert not ckpt.exists()
 
 
 SIDECAR = {"graph_file": "graph.json", "input_dim": 5, "embed_dim": 6, "hidden": 8}

@@ -798,9 +798,9 @@ class TestWritten:
                                                                    fail_flush):
         import builtins
 
-        from pathcast import trainer
+        from pathcast import numerics, trainer
         path = tmp_path / "out.jsonl"
-        monkeypatch.setattr(trainer, "open", lambda *a, **k: _FullDisk(builtins.open(*a, **k),
+        monkeypatch.setattr(numerics, "open", lambda *a, **k: _FullDisk(builtins.open(*a, **k),
                                                                       fail_flush),
                             raising=False)
         with pytest.raises(OSError) as info:
