@@ -9,7 +9,7 @@ import errno
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -197,10 +197,14 @@ def cmd_synth(args) -> int:
             spec = replace(spec, seed=args.seed)
     graph, fine, coarse, test = harness.synth_generate(spec)
     os.makedirs(args.out_dir, exist_ok=True)
-    labelgraph.save_graph(os.path.join(args.out_dir, "graph.json"), graph)
-    harness.save_dataset(os.path.join(args.out_dir, "fine.jsonl"), fine)
-    harness.save_dataset(os.path.join(args.out_dir, "coarse.jsonl"), coarse)
-    harness.save_dataset(os.path.join(args.out_dir, "test.jsonl"), test)
+    with ExitStack() as outputs:  # a failed write removes the files written before it
+        for name, save, data in (("graph.json", labelgraph.save_graph, graph),
+                                 ("fine.jsonl", harness.save_dataset, fine),
+                                 ("coarse.jsonl", harness.save_dataset, coarse),
+                                 ("test.jsonl", harness.save_dataset, test)):
+            path = os.path.join(args.out_dir, name)
+            outputs.enter_context(removed_on_error(path))
+            save(path, data)
     s = labelgraph.stats(graph)
     print(json.dumps({"out_dir": args.out_dir, "labels": s.label_count,
                       "augmented": s.augmented_count, "edges": s.edge_count,

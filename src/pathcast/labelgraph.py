@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .numerics import written
 
@@ -99,14 +99,18 @@ class LabelGraph:
     Instances are cheap read-only views: adjacency, the name index and the
     node-to-group map are precomputed once. Construct through
     :func:`build_graph` or :func:`deserialize`; direct construction skips
-    validation. ``_counted`` and ``_taint`` start empty and hold, per target
-    asked for, the counted ancestor sub-DAG that ``pathalg._path_counts``
-    builds once and the tainted groups that ``pathalg._tainted`` reads off
-    it once, so the memos live and die with their graph.
+    validation. The memos start empty and live and die with their graph:
+    ``_order`` holds the Kahn order of every node (partial when the graph has
+    a cycle), built once by the first :func:`validate`, :func:`stats` or
+    path query; ``_forward`` the rank and root-path count of each ordered
+    node, built by the first path query; and ``_counted`` and ``_taint``,
+    per target asked for, the counted ancestor sub-DAG that
+    ``pathalg._path_counts`` builds once and the tainted groups that
+    ``pathalg._tainted`` reads off it once.
     """
 
-    __slots__ = ("nodes", "edges", "groups", "root",
-                 "_children", "_parents", "_by_name", "_group_of", "_counted", "_taint")
+    __slots__ = ("nodes", "edges", "groups", "root", "_children", "_parents", "_by_name",
+                 "_group_of", "_order", "_forward", "_counted", "_taint")
 
     def __init__(self, nodes: Sequence[GraphNode], edges: Sequence[tuple[int, int]],
                  groups: Sequence[Group], root: int = 0):
@@ -129,6 +133,8 @@ class LabelGraph:
             for m in g.members:
                 group_of.setdefault(m, g)
         self._group_of = group_of
+        self._order: tuple[int, ...] | None = None
+        self._forward: tuple[Mapping, Mapping] | None = None
         self._counted: dict[int, tuple] = {}
         self._taint: dict[int, Mapping] = {}
 
@@ -384,13 +390,41 @@ def stats(graph: LabelGraph) -> GraphStats:
                       max_depth=max(depth) if depth else 0)
 
 
-def _topo_order(graph: LabelGraph, nodes: Iterable[int] | None = None) -> list[int]:
-    """Kahn order of every node, or of ``nodes`` over the edges among them.
+def _topo_order(graph: LabelGraph, nodes: Iterable[int] | None = None) -> Sequence[int]:
+    """Kahn order of every node (the graph's memo), or of ``nodes`` over the
+    edges among them.
 
     Raises CycleDetected naming one cycle (its first name repeated at the
     end) when some of the nodes cannot be ordered.
     """
     keep = range(len(graph.nodes)) if nodes is None else set(nodes)
+    order = _graph_order(graph) if nodes is None else _kahn(graph, keep)
+    if len(order) < len(keep):
+        # Every node left over has a parent left over: walk up until one repeats.
+        left = set(keep).difference(order)
+        walk: list[int] = []
+        at: dict[int, int] = {}
+        v = min(left)
+        while v not in at:
+            at[v] = len(walk)
+            walk.append(v)
+            v = next(p for p in graph.parents(v) if p in left)
+        names = [graph.node(i).name for i in reversed(walk[at[v]:] + [v])]
+        raise CycleDetected("graph contains a cycle: " + " -> ".join(names), names)
+    return order
+
+
+def _graph_order(graph: LabelGraph) -> tuple[int, ...]:
+    """Kahn order of every node, built once and kept on the graph; without
+    the nodes on or below a cycle, when it has one."""
+    if graph._order is None:
+        graph._order = tuple(_kahn(graph, range(len(graph.nodes))))
+    return graph._order
+
+
+def _kahn(graph: LabelGraph, keep: Collection[int]) -> list[int]:
+    """The nodes of ``keep`` that Kahn's algorithm orders over the edges
+    among them: all of them unless some lie on or below a cycle."""
     indeg = {v: sum(p in keep for p in graph.parents(v)) for v in keep}
     order = [v for v in keep if indeg[v] == 0]
     for v in order:
@@ -399,17 +433,6 @@ def _topo_order(graph: LabelGraph, nodes: Iterable[int] | None = None) -> list[i
                 indeg[c] -= 1
                 if indeg[c] == 0:
                     order.append(c)
-    if len(order) < len(indeg):
-        # Every node left over has a parent left over: walk up until one repeats.
-        walk: list[int] = []
-        at: dict[int, int] = {}
-        v = min(v for v in indeg if indeg[v] > 0)
-        while v not in at:
-            at[v] = len(walk)
-            walk.append(v)
-            v = next(p for p in graph.parents(v) if indeg.get(p, 0) > 0)
-        names = [graph.node(i).name for i in reversed(walk[at[v]:] + [v])]
-        raise CycleDetected("graph contains a cycle: " + " -> ".join(names), names)
     return order
 
 

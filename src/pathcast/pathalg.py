@@ -9,10 +9,12 @@ is a pure function over an immutable graph.
 On DAGs with cross-links the number of paths grows exponentially with depth,
 so no function here builds them unless asked to. Every query starts from
 :func:`_path_counts`, the target's counted ancestor sub-DAG: taken with
-``labelgraph._closure``, ordered with ``labelgraph._topo_order`` (the two
-graph walks of the package) and counted forward from the root and backward
-to the target, once per graph and target, then kept on the graph. The
-certain set, the taint and the union of all paths read those counts.
+``labelgraph._closure``, sorted by the graph's one Kahn order (the memo
+that ``labelgraph._topo_order`` and ``validate`` read), read against the
+root-path counts that the first query on the graph builds over that order
+(:func:`_forward`), and counted backward to the target, once per graph and
+target, then kept on the graph. The certain set, the taint and the union of
+all paths read those counts.
 :func:`all_paths_to` returns a counted :class:`Paths` sequence: the
 backward count, or one more backward pass over the memo's order minus the
 avoided nodes, from which any path is unranked in time linear in its
@@ -29,7 +31,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping, Sequence
 from types import MappingProxyType
 
-from .labelgraph import LabelGraph, NodeKind, _closure, _topo_order
+from .labelgraph import LabelGraph, NodeKind, _closure, _graph_order, _topo_order
 
 
 class NotALabelNode(ValueError):
@@ -168,6 +170,22 @@ def all_paths_to(graph: LabelGraph, target: int, avoid: frozenset[int] = frozens
     return Paths(graph, target, _counts_to(graph, target, [v for v in order if v not in avoid]))
 
 
+def _forward(graph: LabelGraph) -> tuple[Mapping[int, int], Mapping[int, int]]:
+    """The rank of each node in the graph's Kahn order and the number of
+    paths from the root to it, built at the first path query on the graph
+    and kept on it. A graph with a cycle ranks and counts only the nodes
+    that are neither on nor below one."""
+    if graph._forward is None:
+        root, parents = graph.root, graph.parents
+        rank: dict[int, int] = {}
+        fwd: dict[int, int] = {}
+        for i, v in enumerate(_graph_order(graph)):
+            rank[v] = i
+            fwd[v] = 1 if v == root else sum(fwd[p] for p in parents(v))
+        graph._forward = rank, MappingProxyType(fwd)
+    return graph._forward
+
+
 def _path_counts(graph: LabelGraph, target: int
                  ) -> tuple[tuple[int, ...], Mapping[int, int], Mapping[int, int]]:
     """Nodes on some root-to-target path, in topological order, with the
@@ -175,21 +193,25 @@ def _path_counts(graph: LabelGraph, target: int
     target (``bwd``); ``fwd[v] * bwd[v]`` paths pass through v.
 
     The nodes are the target's ancestors that the root reaches, plus the
-    target; the counts are exact ints, in read-only mappings. Empty when the
-    root cannot reach the target. Built on the first call for a target and
-    kept on the graph, so each label's ancestors are walked once per graph.
-    Raises CycleDetected when the target's ancestors contain a cycle, which
-    only an unvalidated graph can have, whether or not the root reaches it.
+    target, in the graph's Kahn order; ``fwd`` is the graph's count
+    (:func:`_forward`). The counts are exact ints, in read-only mappings.
+    Empty when the root cannot reach the target. Built on the first call for
+    a target and kept on the graph, so each label's ancestors are walked
+    once per graph. Raises CycleDetected when the target's ancestors contain
+    a cycle, which only an unvalidated graph can have, whether or not the
+    root reaches it.
     """
     counted = graph._counted.get(target)
     if counted is not None:
         return counted
-    root = graph.root
-    fwd: dict[int, int] = {}
-    for v in _topo_order(graph, _closure(graph, target, up=True)):
-        fwd[v] = 1 if v == root else sum(fwd[p] for p in graph.parents(v))
-    order = tuple(v for v in fwd if fwd[v])  # drops ancestors the root cannot reach
-    counted = order, MappingProxyType(fwd), MappingProxyType(_counts_to(graph, target, order))
+    rank, fwd = _forward(graph)
+    ancestors = _closure(graph, target, up=True)
+    if not rank.keys() >= ancestors:
+        # An unranked ancestor lies on or below a cycle among the ancestors.
+        _topo_order(graph, ancestors)
+    # an ancestor the root cannot reach has no root path and is left out
+    order = tuple(sorted((v for v in ancestors if fwd[v]), key=rank.__getitem__))
+    counted = order, fwd, MappingProxyType(_counts_to(graph, target, order))
     graph._counted[target] = counted
     return counted
 

@@ -4,7 +4,8 @@ Composed engine ops, the masked sigmoid, one-row or one-path scorers, the
 one-row decode step with its pick routines, the Tensor-built walk and the
 per-row label rule serve as oracles for the fused kernels, the rows forms, the
 lockstep decode and the columnar walk record in ``pathcast``; brute-force path oracles
-check the path algorithms; the per-sample synthetic draw checks the
+check the path algorithms, and the per-target Kahn order and forward count
+check the shared ones; the per-sample synthetic draw checks the
 generator; the graph generators feed all of them. Nothing in
 ``src/`` imports this module. ``tests/test_reference.py`` runs each fast path
 against its oracle.
@@ -16,7 +17,8 @@ import numpy as np
 
 from pathcast import numerics as nm
 from pathcast.harness import _coarse_name, _group_name
-from pathcast.labelgraph import LabelGraph, NodeKind, build_graph
+from pathcast.labelgraph import (GraphNode, LabelGraph, NodeKind, _closure, _topo_order,
+                                 build_graph)
 from pathcast.model import InvalidPath, NoCandidates, Walk, Walks, step_major
 from pathcast.numerics import Tensor
 from pathcast.trainer import Batch
@@ -737,6 +739,29 @@ def figure2_with_back_edge():
                       g.groups, g.root)
 
 
+def cyclic_graph():
+    """root -> a <-> b -> x, plus an unrelated cycle c <-> d; unvalidated."""
+    return _unvalidated(["root", "a", "b", "x", "c", "d", "y"], [3, 6],
+                        [(0, 1), (1, 2), (2, 1), (2, 3), (0, 4), (4, 5), (5, 4), (0, 6)])
+
+
+def stranded_graph():
+    """root -> a -> x and root -> y, plus u -> v, v -> x and v -> z: the
+    root reaches neither u, v nor the label z; unvalidated."""
+    return _unvalidated(["root", "a", "u", "v", "x", "y", "z"], [4, 5, 6],
+                        [(0, 1), (1, 4), (2, 3), (3, 4), (0, 5), (3, 6)])
+
+
+def _unvalidated(names, labels, edges):
+    """A graph with the root at id 0, the ``labels`` ids as label nodes and
+    every other node augmented, built without validation."""
+    nodes = [GraphNode(i, n, NodeKind.ROOT, frozenset()) if i == 0 else
+             GraphNode(i, n, NodeKind.LABEL, frozenset({"d"})) if i in labels else
+             GraphNode(i, n, NodeKind.AUGMENTED, frozenset())
+             for i, n in enumerate(names)]
+    return LabelGraph(nodes, edges, [])
+
+
 def random_dag(rng, max_nodes=12):
     """Random layered DAG built through build_graph; labels are the leaves."""
     n_aug = int(rng.integers(1, 5))
@@ -839,3 +864,21 @@ def oracle_classify(graph, target):
     det = [p for i, p in enumerate(paths) if i not in nondet]
     nd = [p for i, p in enumerate(paths) if i in nondet]
     return det, nd
+
+
+def oracle_path_counts(graph, target):
+    """The target's counted ancestor sub-DAG, built for that target alone:
+    a Kahn order of its ancestors, the number of root paths to each, and,
+    over the ancestors the root reaches, the number of paths from each to
+    the target (nodes with none left out)."""
+    root = graph.root
+    fwd = {}
+    for v in _topo_order(graph, _closure(graph, target, up=True)):
+        fwd[v] = 1 if v == root else sum(fwd[p] for p in graph.parents(v))
+    order = [v for v in fwd if fwd[v]]
+    bwd = {}
+    for v in reversed(order):
+        n = 1 if v == target else sum(bwd.get(c, 0) for c in graph.children(v))
+        if n:
+            bwd[v] = n
+    return order, fwd, bwd

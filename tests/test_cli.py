@@ -198,6 +198,19 @@ class TestSynthAndFuse:
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_a_failed_synth_leaves_none_of_its_files(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_train_fine": 30, "n_train_coarse": 10, "n_test": 10}))
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "test.jsonl").symlink_to("/dev/full")
+        proc = run_cli("synth", "--spec", str(spec), "--out-dir", str(out), expect=1)
+        assert proc.stderr == f"pathcast: error: {out / 'test.jsonl'}: No space left on device\n"
+        assert proc.stdout == ""
+        assert [p.name for p in out.iterdir()] == ["test.jsonl"]
+        assert (out / "test.jsonl").is_symlink()  # the link and its device are not removed
+
     def test_spec_errors_name_the_file(self, tmp_path):
         for i, (text, fragment, *args) in enumerate([
                 ('{"n_coarse": 2,\n', "Expecting property name"),

@@ -2,32 +2,23 @@
 
 import itertools
 import time
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 
-from pathcast import pathalg
+from pathcast import harness, labelgraph, pathalg
 from pathcast.evaldecode import nondeterministic_groups
 from pathcast.harness import label_set_targets
 from pathcast.labelgraph import (CycleDetected, GraphNode, LabelGraph, NodeKind,
-                                 build_graph)
+                                 build_graph, stats, validate)
 from pathcast.pathalg import (NotALabelNode, _certain_members, _competing_groups,
                               _require_label, _split_paths, _tainted, all_paths_to)
 from pathcast.trainer import PathBook
 
-from reference import (figure2_subgraph, label_ids, layered_dag, oracle_all_paths,
-                       oracle_classify, random_dag)
-
-
-def cyclic_graph():
-    """root -> a <-> b -> x, plus an unrelated cycle c <-> d; unvalidated."""
-    kinds = [NodeKind.ROOT, NodeKind.AUGMENTED, NodeKind.AUGMENTED, NodeKind.LABEL,
-             NodeKind.AUGMENTED, NodeKind.AUGMENTED, NodeKind.LABEL]
-    names = ["root", "a", "b", "x", "c", "d", "y"]
-    nodes = [GraphNode(i, n, k, frozenset({"d"}) if k is NodeKind.LABEL else frozenset())
-             for i, (n, k) in enumerate(zip(names, kinds))]
-    edges = [(0, 1), (1, 2), (2, 1), (2, 3), (0, 4), (4, 5), (5, 4), (0, 6)]
-    return LabelGraph(nodes, edges, [])
+from reference import (cyclic_graph, figure2_subgraph, label_ids, layered_dag,
+                       oracle_all_paths, oracle_classify, oracle_path_counts, random_dag,
+                       stranded_graph)
 
 
 def split(g, label):
@@ -288,34 +279,38 @@ def answers(g, label):
             {name: list(all_paths_to(g, label, frozenset(m))) for name, m in groups.items()})
 
 
+def count_walks(monkeypatch):
+    """Counts of the graph walks from here on: Kahn passes, in validation
+    and path queries alike, and the path queries' ancestor closures."""
+    walks = {"closure_up": 0, "kahn": 0}
+    closure, kahn = pathalg._closure, labelgraph._kahn
+
+    def counted_closure(graph, start, up=False):
+        walks["closure_up"] += up
+        return closure(graph, start, up)
+
+    def counted_kahn(graph, keep):
+        walks["kahn"] += 1
+        return kahn(graph, keep)
+
+    monkeypatch.setattr(pathalg, "_closure", counted_closure)
+    monkeypatch.setattr(labelgraph, "_kahn", counted_kahn)
+    return walks
+
+
 class TestCountedSubDag:
-    def count_walks(self, monkeypatch):
-        walks = {"closure_up": 0, "topo_order": 0}
-        closure, topo_order = pathalg._closure, pathalg._topo_order
-
-        def counted_closure(graph, start, up=False):
-            walks["closure_up"] += up
-            return closure(graph, start, up)
-
-        def counted_topo_order(graph, nodes=None):
-            walks["topo_order"] += 1
-            return topo_order(graph, nodes)
-
-        monkeypatch.setattr(pathalg, "_closure", counted_closure)
-        monkeypatch.setattr(pathalg, "_topo_order", counted_topo_order)
-        return walks
-
     @pytest.mark.parametrize("singleton", [False, True])
     def test_each_label_is_walked_once_per_graph(self, monkeypatch, singleton):
-        g = layered_dag(8, singleton=singleton)
+        walks = count_walks(monkeypatch)
+        g = layered_dag(8, singleton=singleton)  # validation orders the graph once
         x = g.id_of("x")
-        walks = self.count_walks(monkeypatch)
         for _ in range(2):  # a fresh PathBook per pass, as the benchmark's taxonomy phase
             book = PathBook(g)
             det, nd = book.split(x)
             certain = book.reward_members(x, "certain")
             groups = nondeterministic_groups(g, x)
-        assert walks == {"closure_up": 1, "topo_order": 1}
+            stats(g)
+        assert walks == {"closure_up": 1, "kahn": 1}
         assert (len(det), len(nd)) == ((256, 0) if singleton else (0, 256))
         assert certain == frozenset({g.root, x})
         assert len(groups) == (0 if singleton else 8)
@@ -343,11 +338,25 @@ class TestCountedSubDag:
         x = g.id_of("x")
         _split_paths(g, x)
         assert set(g._counted) == set(g._taint) == {x}
-        walks = self.count_walks(monkeypatch)
+        walks = count_walks(monkeypatch)
         again = copy_of(g)
         assert again._counted == again._taint == {}
+        assert again._order is again._forward is None
         assert _certain_members(again, x) == _certain_members(g, x)
-        assert walks == {"closure_up": 1, "topo_order": 1}
+        assert walks == {"closure_up": 1, "kahn": 1}
+
+    @pytest.mark.parametrize("seed", [18, 19])
+    def test_one_kahn_pass_per_graph_and_one_closure_per_label(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        walks = count_walks(monkeypatch)
+        graphs = [figure2_subgraph(), layered_dag(5, rng)] + [random_dag(rng) for _ in range(8)]
+        want = {"closure_up": 0, "kahn": len(graphs)}
+        for g in graphs:
+            for _ in range(2):
+                for label in label_ids(g):
+                    answers(g, label)
+            want["closure_up"] += len(label_ids(g))
+        assert walks == want
 
     def test_memoised_and_fresh_results_agree_with_the_oracles(self):
         rng = np.random.default_rng(17)
@@ -402,3 +411,67 @@ class TestCountedSubDag:
                    lambda: nondeterministic_groups(g, 3)):
             with pytest.raises(CycleDetected):
                 fn()
+
+
+def oracle_cases():
+    """(graph, label) over random DAGs, both flavours of layered DAG and a
+    graph with nodes the root cannot reach."""
+    rng = np.random.default_rng(20)
+    graphs = [random_dag(rng) for _ in range(30)]
+    for singleton in (False, True):
+        for depth in (1, 3, 6):
+            graphs += [layered_dag(depth, singleton=singleton)] + [
+                layered_dag(depth, rng, singleton) for _ in range(5)]
+    graphs.append(stranded_graph())
+    return [(g, label) for g in graphs for label in label_ids(g)]
+
+
+class TestSharedOrder:
+    """Every label's counted sub-DAG reads the graph's one Kahn order and
+    forward count; they agree with the sub-DAG counted for that label alone."""
+
+    def test_counts_match_the_per_target_oracle(self):
+        for g, label in oracle_cases():
+            order, fwd, bwd = pathalg._path_counts(g, label)
+            want_order, want_fwd, want_bwd = oracle_path_counts(g, label)
+            assert set(order) == set(want_order) and len(order) == len(want_order)
+            rank = {v: i for i, v in enumerate(order)}
+            assert all(rank[a] < rank[b] for a, b in g.edges if a in rank and b in rank)
+            assert {v: fwd[v] for v in order} == {v: want_fwd[v] for v in want_order}
+            assert dict(bwd) == want_bwd
+
+    def test_answers_match_those_read_from_the_oracle(self, monkeypatch):
+        cases = oracle_cases()
+        want = [answers(g, label) for g, label in cases]
+
+        def oracle(graph, target):
+            order, fwd, bwd = oracle_path_counts(graph, target)
+            return tuple(order), MappingProxyType(fwd), MappingProxyType(bwd)
+
+        monkeypatch.setattr(pathalg, "_path_counts", oracle)
+        monkeypatch.setattr(harness, "_path_counts", oracle)
+        assert [answers(copy_of(g), label) for g, label in cases] == want
+
+    def test_a_label_the_root_cannot_reach_has_no_paths(self):
+        g = stranded_graph()
+        z = g.id_of("z")
+        assert pathalg._path_counts(g, z)[0] == ()
+        assert not all_paths_to(g, z) and split(g, z) == ([], [])
+        assert _certain_members(g, z) == frozenset({z})
+        x = g.id_of("x")
+        assert list(all_paths_to(g, x)) == [(0, g.id_of("a"), x)]
+
+    def test_a_validated_cyclic_graph_keeps_its_partial_order(self):
+        g = cyclic_graph()
+        assert [v.message for v in validate(g)] == ["graph contains a cycle: a -> b -> a"]
+        assert g._order == (0, 6)  # Kahn's partial order: every other node is on or below a cycle
+        fresh = cyclic_graph()
+        assert _certain_members(g, 6) == _certain_members(fresh, 6) == frozenset({0, 6})
+        assert nondeterministic_groups(g, 6) == nondeterministic_groups(fresh, 6) == {}
+        for _ in range(2):  # a failed query is not kept
+            for fn in (lambda: _certain_members(g, 3), lambda: PathBook(g).split(3),
+                       lambda: all_paths_to(g, 3), lambda: nondeterministic_groups(g, 3),
+                       lambda: stats(g)):
+                with pytest.raises(CycleDetected, match="^graph contains a cycle: a -> b -> a$"):
+                    fn()
+        assert set(g._counted) == set(g._taint) == {6}
