@@ -17,6 +17,7 @@ import numpy as np
 from . import evaldecode, harness, labelgraph
 from .model import load_model, read_sidecar, save_model
 from .numerics import removed_on_error, written
+from .pathalg import NotALabelNode, _certain_members, _require_label, _split_paths
 from .trainer import PATH_AGGS, TrainConfig, read_config, typed_value
 
 
@@ -113,8 +114,6 @@ def cmd_graph_stats(args) -> int:
 
 
 def cmd_paths(args) -> int:
-    from .pathalg import NotALabelNode, _certain_members, _require_label, _split_paths
-
     graph = labelgraph.load_graph(args.graph)
     try:
         label = graph.id_of(args.label)

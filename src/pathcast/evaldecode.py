@@ -48,6 +48,7 @@ def decode_rows(model: LabelPathModel, x: Sequence | np.ndarray, max_len: int) -
     """The greedy :class:`Walks` of the rows of ``x [m, d]``, walked in
     lockstep blocks of ``DECODE_ROWS`` rows: each step takes the global
     maximum across the candidate blocks, ties to the lowest token id."""
+    x = x if len(x) else np.zeros((0, model.input_dim))  # an empty list has no width
     parts = [model.walk(model.encode_values(x[i:i + DECODE_ROWS]), max_len, greedy_pick)
              for i in range(0, max(len(x), 1), DECODE_ROWS)]  # no rows: one empty walk
     return Walks(*(np.concatenate([getattr(p, f.name) for p in parts], axis=-1)

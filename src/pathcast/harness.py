@@ -13,13 +13,13 @@ recoverable from the features without a separate identity shortcut.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import numerics as nm
-from .labelgraph import LabelGraph, NodeKind, _closure, build_graph, validate
+from .labelgraph import LabelGraph, NodeKind, _closure, _contract_node, build_graph, validate
 from .model import LabelPathModel
 from .numerics import AdamState, Tensor, written
 from .pathalg import NotALabelNode, _path_counts, _require_label
@@ -572,36 +572,6 @@ def trim_graph(graph: LabelGraph, fraction: float, rng: np.random.Generator) -> 
     return current
 
 
-def _contract_node(graph: LabelGraph, victim: str) -> LabelGraph:
-    """Remove one node by name, rewiring its parents to its children."""
-    from .labelgraph import (GraphNode, Group, IMPLICIT_GROUP_PREFIX,
-                             _materialize_implicit_groups)
-
-    names = [nd.name for nd in graph.nodes]
-    kinds = {nd.name: nd.kind for nd in graph.nodes}
-    tags = {nd.name: nd.tags for nd in graph.nodes}
-    edges = {(names[a], names[b]) for a, b in graph.edges}
-    parents = [p for p, c in edges if c == victim]
-    children = [c for p, c in edges if p == victim]
-    edges = {(p, c) for p, c in edges if victim not in (p, c)}
-    edges.update((p, c) for p in parents for c in children)
-    names.remove(victim)
-
-    new_nodes = [GraphNode(i, n, kinds[n], tags[n]) for i, n in enumerate(names)]
-    index = {n: i for i, n in enumerate(names)}
-    new_edges = sorted((index[p], index[c]) for p, c in edges)
-    new_groups = []
-    for g in graph.groups:
-        if g.name.startswith(IMPLICIT_GROUP_PREFIX):
-            continue  # re-derived below
-        members = frozenset(index[graph.node(m).name] for m in g.members
-                            if graph.node(m).name != victim)
-        if len(members) >= 2:
-            new_groups.append(Group(g.name, members))
-    out = LabelGraph(new_nodes, new_edges, new_groups)
-    return _materialize_implicit_groups(out)
-
-
 def fit_model(graph: LabelGraph, train_ds: DatasetSpec, dev_ds: DatasetSpec | None,
               cfg: TrainConfig, embed_dim: int, hidden: int, graph_file: str = "",
               metrics_path: str | None = None) -> LabelPathModel:
@@ -625,8 +595,6 @@ def ablate(graph: LabelGraph, train_ds: DatasetSpec, dev_ds: DatasetSpec,
     delta against the full configuration. Graphs are trimmed and configs
     built, and so checked, before any variant trains.
     """
-    from dataclasses import replace
-
     variants = [("full", graph, base_cfg)]
     for frac in trim_fractions:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=base_cfg.seed,

@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Iterable, Mapping, Sequence
+from functools import wraps
+from typing import Callable, Collection, Iterable, Sequence
 
 from .numerics import written
 
@@ -99,18 +100,13 @@ class LabelGraph:
     Instances are cheap read-only views: adjacency, the name index and the
     node-to-group map are precomputed once. Construct through
     :func:`build_graph` or :func:`deserialize`; direct construction skips
-    validation. The memos start empty and live and die with their graph:
-    ``_order`` holds the Kahn order of every node (partial when the graph has
-    a cycle), built once by the first :func:`validate`, :func:`stats` or
-    path query; ``_forward`` the rank and root-path count of each ordered
-    node, built by the first path query; and ``_counted`` and ``_taint``,
-    per target asked for, the counted ancestor sub-DAG that
-    ``pathalg._path_counts`` builds once and the tainted groups that
-    ``pathalg._tainted`` reads off it once.
+    validation. ``_memo`` starts empty and holds every fact derived from the
+    graph (its Kahn order, path counts, taint, split and certain sets), each
+    built once by a :func:`kept` query.
     """
 
     __slots__ = ("nodes", "edges", "groups", "root", "_children", "_parents", "_by_name",
-                 "_group_of", "_order", "_forward", "_counted", "_taint")
+                 "_group_of", "_memo")
 
     def __init__(self, nodes: Sequence[GraphNode], edges: Sequence[tuple[int, int]],
                  groups: Sequence[Group], root: int = 0):
@@ -133,10 +129,7 @@ class LabelGraph:
             for m in g.members:
                 group_of.setdefault(m, g)
         self._group_of = group_of
-        self._order: tuple[int, ...] | None = None
-        self._forward: tuple[Mapping, Mapping] | None = None
-        self._counted: dict[int, tuple] = {}
-        self._taint: dict[int, Mapping] = {}
+        self._memo: dict[tuple, object] = {}
 
     # -- queries ------------------------------------------------------------
 
@@ -163,6 +156,25 @@ class LabelGraph:
 
     def __len__(self) -> int:
         return len(self.nodes)
+
+
+_UNBUILT = object()
+
+
+def kept(query: Callable) -> Callable:
+    """``query(graph)``, or ``query(graph, key)`` when a key is given, built
+    on the first call for a graph and key and kept in the graph's memo under
+    ``(query, key)``; a call that raises keeps nothing. The key is one
+    argument, not ``*key``: a call with a fixed arity takes CPython's fast
+    path, and the path queries read the memo several times per label."""
+    @wraps(query)
+    def read(graph: LabelGraph, key=None):
+        slot = (query, key)
+        got = graph._memo.get(slot, _UNBUILT)  # one lookup, built or not
+        if got is _UNBUILT:
+            got = graph._memo[slot] = query(graph) if key is None else query(graph, key)
+        return got
+    return read
 
 
 IMPLICIT_GROUP_PREFIX = "siblings-of-"
@@ -283,6 +295,33 @@ def _materialize_implicit_groups(graph: LabelGraph) -> LabelGraph:
     if len(new_groups) == len(graph.groups):
         return graph
     return LabelGraph(graph.nodes, graph.edges, new_groups, graph.root)
+
+
+def _contract_node(graph: LabelGraph, victim: str) -> LabelGraph:
+    """Remove one node by name, rewiring its parents to its children."""
+    names = [nd.name for nd in graph.nodes]
+    kinds = {nd.name: nd.kind for nd in graph.nodes}
+    tags = {nd.name: nd.tags for nd in graph.nodes}
+    edges = {(names[a], names[b]) for a, b in graph.edges}
+    parents = [p for p, c in edges if c == victim]
+    children = [c for p, c in edges if p == victim]
+    edges = {(p, c) for p, c in edges if victim not in (p, c)}
+    edges.update((p, c) for p in parents for c in children)
+    names.remove(victim)
+
+    new_nodes = [GraphNode(i, n, kinds[n], tags[n]) for i, n in enumerate(names)]
+    index = {n: i for i, n in enumerate(names)}
+    new_edges = sorted((index[p], index[c]) for p, c in edges)
+    new_groups = []
+    for g in graph.groups:
+        if g.name.startswith(IMPLICIT_GROUP_PREFIX):
+            continue  # re-derived below
+        members = frozenset(index[graph.node(m).name] for m in g.members
+                            if graph.node(m).name != victim)
+        if len(members) >= 2:
+            new_groups.append(Group(g.name, members))
+    out = LabelGraph(new_nodes, new_edges, new_groups)
+    return _materialize_implicit_groups(out)
 
 
 def validate(graph: LabelGraph) -> list[Violation]:
@@ -414,12 +453,11 @@ def _topo_order(graph: LabelGraph, nodes: Iterable[int] | None = None) -> Sequen
     return order
 
 
+@kept
 def _graph_order(graph: LabelGraph) -> tuple[int, ...]:
-    """Kahn order of every node, built once and kept on the graph; without
-    the nodes on or below a cycle, when it has one."""
-    if graph._order is None:
-        graph._order = tuple(_kahn(graph, range(len(graph.nodes))))
-    return graph._order
+    """Kahn order of every node; without the nodes on or below a cycle, when
+    it has one."""
+    return tuple(_kahn(graph, range(len(graph.nodes))))
 
 
 def _kahn(graph: LabelGraph, keep: Collection[int]) -> list[int]:

@@ -9,21 +9,21 @@ is a pure function over an immutable graph.
 On DAGs with cross-links the number of paths grows exponentially with depth,
 so no function here builds them unless asked to. Every query starts from
 :func:`_path_counts`, the target's counted ancestor sub-DAG: taken with
-``labelgraph._closure``, sorted by the graph's one Kahn order (the memo
-that ``labelgraph._topo_order`` and ``validate`` read), read against the
-root-path counts that the first query on the graph builds over that order
-(:func:`_forward`), and counted backward to the target, once per graph and
-target, then kept on the graph. The certain set, the taint and the union of
-all paths read those counts.
-:func:`all_paths_to` returns a counted :class:`Paths` sequence: the
-backward count, or one more backward pass over the memo's order minus the
-avoided nodes, from which any path is unranked in time linear in its
-length times the out-degree, and iteration builds each path in turn.
+``labelgraph._closure``, sorted by the graph's one Kahn order (which
+``labelgraph._topo_order`` and ``validate`` read), read against the
+root-path counts over that order (:func:`_forward`), and counted backward
+to the target. The certain set, the taint and the union of all paths read
+those counts. :func:`all_paths_to` returns a counted :class:`Paths`
+sequence: the backward count, or one more backward pass over that order
+minus the avoided nodes, from which any path is unranked in time linear in
+its length times the out-degree, and iteration builds each path in turn.
 :func:`_tainted`, the one nondeterminism rule, reads a competing group's
 taint from those counts when one of its members lies on two or more paths,
 and otherwise counts the paths that touch the group, so it is polynomial
-too; it is kept on the graph, and the split and the evaluation audit both
-read it. No function here builds every path.
+too; the split and the evaluation audit both read it. No function here
+builds every path. The counts, the taint, the split and the certain set
+are ``labelgraph.kept`` queries: each is built once per graph and target
+and kept in the graph's one memo, which every caller reads.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping, Sequence
 from types import MappingProxyType
 
-from .labelgraph import LabelGraph, NodeKind, _closure, _graph_order, _topo_order
+from .labelgraph import LabelGraph, NodeKind, _closure, _graph_order, _topo_order, kept
 
 
 class NotALabelNode(ValueError):
@@ -118,7 +118,7 @@ class Paths:
         return self._path(ranks)
 
     def _path(self, k: int) -> tuple[int, ...]:
-        # Training indexes the same few paths of a label in every batch.
+        # The lane table keeps det[:n_p]; random aggregation draws the same ranks again.
         if k not in self._built:
             self._built[k] = self._unrank(k)
         return self._built[k]
@@ -170,22 +170,22 @@ def all_paths_to(graph: LabelGraph, target: int, avoid: frozenset[int] = frozens
     return Paths(graph, target, _counts_to(graph, target, [v for v in order if v not in avoid]))
 
 
+@kept
 def _forward(graph: LabelGraph) -> tuple[Mapping[int, int], Mapping[int, int]]:
     """The rank of each node in the graph's Kahn order and the number of
-    paths from the root to it, built at the first path query on the graph
-    and kept on it. A graph with a cycle ranks and counts only the nodes
-    that are neither on nor below one."""
-    if graph._forward is None:
-        root, parents = graph.root, graph.parents
-        rank: dict[int, int] = {}
-        fwd: dict[int, int] = {}
-        for i, v in enumerate(_graph_order(graph)):
-            rank[v] = i
-            fwd[v] = 1 if v == root else sum(fwd[p] for p in parents(v))
-        graph._forward = rank, MappingProxyType(fwd)
-    return graph._forward
+    paths from the root to it, built at the first path query on the graph.
+    A graph with a cycle ranks and counts only the nodes that are neither on
+    nor below one."""
+    root, parents = graph.root, graph.parents
+    rank: dict[int, int] = {}
+    fwd: dict[int, int] = {}
+    for i, v in enumerate(_graph_order(graph)):
+        rank[v] = i
+        fwd[v] = 1 if v == root else sum(fwd[p] for p in parents(v))
+    return rank, MappingProxyType(fwd)
 
 
+@kept
 def _path_counts(graph: LabelGraph, target: int
                  ) -> tuple[tuple[int, ...], Mapping[int, int], Mapping[int, int]]:
     """Nodes on some root-to-target path, in topological order, with the
@@ -195,15 +195,11 @@ def _path_counts(graph: LabelGraph, target: int
     The nodes are the target's ancestors that the root reaches, plus the
     target, in the graph's Kahn order; ``fwd`` is the graph's count
     (:func:`_forward`). The counts are exact ints, in read-only mappings.
-    Empty when the root cannot reach the target. Built on the first call for
-    a target and kept on the graph, so each label's ancestors are walked
-    once per graph. Raises CycleDetected when the target's ancestors contain
-    a cycle, which only an unvalidated graph can have, whether or not the
-    root reaches it.
+    Empty when the root cannot reach the target. Kept, so each label's
+    ancestors are walked once per graph. Raises CycleDetected when the
+    target's ancestors contain a cycle, which only an unvalidated graph can
+    have, whether or not the root reaches it.
     """
-    counted = graph._counted.get(target)
-    if counted is not None:
-        return counted
     rank, fwd = _forward(graph)
     ancestors = _closure(graph, target, up=True)
     if not rank.keys() >= ancestors:
@@ -211,9 +207,7 @@ def _path_counts(graph: LabelGraph, target: int
         _topo_order(graph, ancestors)
     # an ancestor the root cannot reach has no root path and is left out
     order = tuple(sorted((v for v in ancestors if fwd[v]), key=rank.__getitem__))
-    counted = order, fwd, MappingProxyType(_counts_to(graph, target, order))
-    graph._counted[target] = counted
-    return counted
+    return order, fwd, MappingProxyType(_counts_to(graph, target, order))
 
 
 def _competing_groups(graph: LabelGraph, nodes) -> dict[str, frozenset[int]]:
@@ -226,6 +220,7 @@ def _competing_groups(graph: LabelGraph, nodes) -> dict[str, frozenset[int]]:
     return {name: frozenset(members) for name, members in seen.items() if len(members) >= 2}
 
 
+@kept
 def _tainted(graph: LabelGraph, target: int) -> Mapping[str, frozenset[int]]:
     """The competing groups that make some of the target's paths
     nondeterministic, each with its members on those paths.
@@ -238,22 +233,17 @@ def _tainted(graph: LabelGraph, target: int) -> Mapping[str, frozenset[int]]:
     at once when a member v lies on two or more paths (``fwd[v] > 1`` or
     ``bwd[v] > 1``). Only a group whose every member lies on one path is
     counted again: the paths that touch it are all paths minus those that
-    avoid its members. Built on the first call for a target and kept on
-    the graph, read-only, next to the counts.
+    avoid its members. Kept, read-only, next to the counts.
     """
-    taint = graph._taint.get(target)
-    if taint is not None:
-        return taint
     order, fwd, bwd = _path_counts(graph, target)
     total = bwd.get(graph.root, 0)
-    taint = MappingProxyType({
+    return MappingProxyType({
         name: members for name, members in _competing_groups(graph, order).items()
         if any(fwd[v] > 1 or bwd[v] > 1 for v in members)
         or total - all_paths_to(graph, target, members).total >= 2})
-    graph._taint[target] = taint
-    return taint
 
 
+@kept
 def _split_paths(graph: LabelGraph, target: int) -> tuple[Paths, Paths]:
     """The target's deterministic and nondeterministic paths, counted: a
     path is nondeterministic iff it touches a group of :func:`_tainted`."""
@@ -262,6 +252,7 @@ def _split_paths(graph: LabelGraph, target: int) -> tuple[Paths, Paths]:
     return det, Paths(graph, target, _path_counts(graph, target)[2], tainted, det._counts)
 
 
+@kept
 def _certain_members(graph: LabelGraph, target: int) -> frozenset[int]:
     """Reward set for a target: the nodes on every one of its paths, plus
     the target. Nodes on every groundtruth path are exactly those the

@@ -20,6 +20,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import numerics as nm
+from .evaldecode import EmptyDataset, evaluate
 from .labelgraph import LabelGraph
 from .model import LabelPathModel, step_major
 from .numerics import AdamState, NonFiniteValue, Tensor, adam_step, written
@@ -185,28 +186,21 @@ class BaselineEstimator:
 
 
 class PathBook:
-    """Per-label cache of groundtruth paths, their split and reward sets.
-
-    Works for any target node so coarse fusion targets (which may be
-    augmented nodes) get the same treatment as label nodes.
+    """Lane tables of a graph's targets, over their counted split; the split
+    and the reward sets are read from the graph's memo, so every book on a
+    graph shares them. Works for any target node so coarse fusion targets
+    (which may be augmented nodes) get the same treatment as label nodes.
     """
 
     def __init__(self, graph: LabelGraph):
         self.graph = graph
-        self._split: dict[int, tuple[Paths, Paths]] = {}
-        self._certain: dict[int, frozenset[int]] = {}
         # (n_p, max_len) -> lane targets, lengths, each node's first lane and count (-1: unbuilt)
         self._tables: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
 
     def split(self, node: int) -> tuple[Paths, Paths]:
         """The node's deterministic and nondeterministic paths, counted; a
         path is built only when it is indexed or iterated."""
-        if node not in self._split:
-            self._split[node] = _split_paths(self.graph, node)
-        return self._split[node]
-
-    def deterministic_paths(self, node: int) -> Paths:
-        return self.split(node)[0]
+        return _split_paths(self.graph, node)
 
     def lanes(self, nodes: np.ndarray, n_p: int, max_len: int
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -220,7 +214,7 @@ class PathBook:
         tokens, lengths, first, count = self._tables[key]
         if count[nodes].min(initial=0) < 0:
             new = sorted(set(nodes[count[nodes] < 0].tolist()))
-            paths = [self.deterministic_paths(v)[:n_p] for v in new]
+            paths = [self.split(v)[0][:n_p] for v in new]
             n = np.fromiter(map(len, paths), dtype=np.intp, count=len(paths))
             more, more_lengths = step_major([p[:max_len] for ps in paths for p in ps], max_len)
             first[new], count[new] = lengths.size + n.cumsum() - n, n
@@ -234,9 +228,7 @@ class PathBook:
     def reward_members(self, node: int, reward_set: str) -> frozenset[int]:
         if reward_set == "label_only":
             return frozenset({node})
-        if node not in self._certain:
-            self._certain[node] = _certain_members(self.graph, node)
-        return self._certain[node]
+        return _certain_members(self.graph, node)
 
 
 def reward(tokens: Sequence[int], members: frozenset[int]) -> float:
@@ -409,7 +401,7 @@ def build_batch(samples: Sequence[LabeledSample], cfg: TrainConfig,
     inputs = np.stack([np.asarray(s.x, dtype=np.float64) for s in samples])
     labels = tuple(s.label for s in samples)
     if cfg.path_agg == "random":
-        dets = [book.deterministic_paths(s.label) for s in samples]
+        dets = [book.split(s.label)[0] for s in samples]
         lanes = [d[_uniform_rank(d.total, rng)][:cfg.max_len] for d in dets if d]
         targets, lengths = step_major(lanes, max(map(len, lanes), default=0))
         counts = np.array([bool(d) for d in dets], dtype=np.intp)
@@ -471,8 +463,6 @@ def train(model: LabelPathModel, train_set: Sequence[LabeledSample],
           metrics_path: str | None = None) -> list[dict]:
     """Full training run; appends one JSON line of metrics per epoch. A run
     that raises removes the metrics file it opened."""
-    from .evaldecode import EmptyDataset, evaluate  # local import, avoids a module cycle
-
     if dev_set is not None and not dev_set:
         raise EmptyDataset("dev set has no samples")
     if cfg.schedule.kind == "dynamic" and dev_set is None:

@@ -83,7 +83,7 @@ def test_gradient_fidelity_20_seeds():
         book = PathBook(g)
         cfg = TrainConfig(max_len=6, path_agg="mean", n_p=4, seed=seed)
         xs = rng.normal(size=(2, 6))
-        det_labels = [l for l in labels if book.deterministic_paths(l)] or labels
+        det_labels = [l for l in labels if book.split(l)[0]] or labels
         samples = [LabeledSample(xs[i], det_labels[int(rng.integers(len(det_labels)))])
                    for i in range(2)]
         batch = build_batch(samples, cfg, book, np.random.default_rng(seed))

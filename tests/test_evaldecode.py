@@ -47,6 +47,14 @@ class TestGreedyDecode:
         drawn.random(3 * 4)  # one draw per row and step, as if each were drawn
         assert rng.random() == drawn.random()
 
+    @pytest.mark.parametrize("no_rows", [[], (), np.zeros((0, 5))])
+    def test_no_rows_decode_to_the_empty_walks(self, no_rows):
+        m = make_model(chain_graph())
+        walks = decode_rows(m, no_rows, 6)
+        assert walks.tokens.shape == walks.step_probs.shape == (6, 0)
+        assert walks.lengths.shape == walks.stop.shape == (0,)
+        assert predicted_labels(m, walks) == []
+
     def test_hand_set_logits_follow_preference(self):
         g = figure2_subgraph()
         m = make_model(g, seed=2)

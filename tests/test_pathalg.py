@@ -192,7 +192,7 @@ class TestClassifyPaths:
         det, nd = split(g, x)
         assert (len(det), nd) == (1, [])
         assert nondeterministic_groups(g, x) == {}
-        assert nondeterministic_groups(g, x) is _tainted(g, x) is g._taint[x]
+        assert nondeterministic_groups(g, x) is _tainted(g, x) is g._memo[_tainted.__wrapped__, x]
 
 
 class TestCertainNodes:
@@ -263,6 +263,11 @@ class TestCertainNodes:
                 members = _certain_members(g, label)
                 for p in all_paths_to(g, label):
                     assert members <= set(p) | {label}
+
+
+def kept_keys(g, query):
+    """The keys of ``query``'s results kept in the graph's memo."""
+    return {key for q, key in g._memo if q is query.__wrapped__}
 
 
 def copy_of(g):
@@ -337,13 +342,32 @@ class TestCountedSubDag:
         g = layered_dag(4)
         x = g.id_of("x")
         _split_paths(g, x)
-        assert set(g._counted) == set(g._taint) == {x}
+        assert kept_keys(g, pathalg._path_counts) == kept_keys(g, _tainted) == {x}
         walks = count_walks(monkeypatch)
         again = copy_of(g)
-        assert again._counted == again._taint == {}
-        assert again._order is again._forward is None
+        assert again._memo == {}
         assert _certain_members(again, x) == _certain_members(g, x)
         assert walks == {"closure_up": 1, "kahn": 1}
+
+    @pytest.mark.parametrize("singleton", [False, True])
+    def test_a_second_book_on_the_graph_builds_no_split(self, monkeypatch, singleton):
+        g = layered_dag(6, singleton=singleton)
+        x = g.id_of("x")
+        first = PathBook(g)
+        split_once, certain = first.split(x), first.reward_members(x, "certain")
+        built = {"all_paths_to": 0, "counts_to": 0}
+        paths_to, counts_to = pathalg.all_paths_to, pathalg._counts_to
+
+        def counted(name, fn):
+            return lambda *args: built.__setitem__(name, built[name] + 1) or fn(*args)
+
+        monkeypatch.setattr(pathalg, "all_paths_to", counted("all_paths_to", paths_to))
+        monkeypatch.setattr(pathalg, "_counts_to", counted("counts_to", counts_to))
+        second = PathBook(g)
+        split_again, certain_again = second.split(x), second.reward_members(x, "certain")
+        assert built == {"all_paths_to": 0, "counts_to": 0}
+        assert split_again is split_once
+        assert certain_again is certain == frozenset({g.root, x})
 
     @pytest.mark.parametrize("seed", [18, 19])
     def test_one_kahn_pass_per_graph_and_one_closure_per_label(self, monkeypatch, seed):
@@ -397,7 +421,8 @@ class TestCountedSubDag:
                        lambda: _certain_members(g, 3)):
                 with pytest.raises(CycleDetected):
                     fn()
-        assert 3 not in g._counted and 3 not in g._taint
+        assert not any(kept_keys(g, query) for query in (pathalg._path_counts, _tainted,
+                                                        _split_paths, _certain_members))
         # the cycle a <-> b is rejected even when every path must avoid it
         with pytest.raises(CycleDetected):
             all_paths_to(g, 3, frozenset({1, 2}))
@@ -464,7 +489,8 @@ class TestSharedOrder:
     def test_a_validated_cyclic_graph_keeps_its_partial_order(self):
         g = cyclic_graph()
         assert [v.message for v in validate(g)] == ["graph contains a cycle: a -> b -> a"]
-        assert g._order == (0, 6)  # Kahn's partial order: every other node is on or below a cycle
+        # Kahn's partial order: every other node is on or below a cycle
+        assert g._memo[labelgraph._graph_order.__wrapped__, None] == (0, 6)
         fresh = cyclic_graph()
         assert _certain_members(g, 6) == _certain_members(fresh, 6) == frozenset({0, 6})
         assert nondeterministic_groups(g, 6) == nondeterministic_groups(fresh, 6) == {}
@@ -474,4 +500,4 @@ class TestSharedOrder:
                        lambda: stats(g)):
                 with pytest.raises(CycleDetected, match="^graph contains a cycle: a -> b -> a$"):
                     fn()
-        assert set(g._counted) == set(g._taint) == {6}
+        assert kept_keys(g, pathalg._path_counts) == kept_keys(g, _tainted) == {6}

@@ -941,7 +941,7 @@ def test_random_path_agg_draws_past_int64():
     x = g.id_of("x")
     samples = [LabeledSample(np.zeros(3), x)] * 16
     book = PathBook(g)
-    assert book.deterministic_paths(x).total == 2 ** depth
+    assert book.split(x)[0].total == 2 ** depth
     # lanes are cut to max_len: this one keeps whole paths
     batch = build_batch(samples, TrainConfig(path_agg="random", max_len=depth + 2), book,
                         np.random.default_rng(0))
